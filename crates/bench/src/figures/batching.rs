@@ -6,8 +6,9 @@
 //! costs (`t_in`, `t_out`, NIC per-message bytes, one WAL fsync) once per
 //! batch and only the marginal `t_cmd`/`cmd_bytes` per additional command,
 //! so per-command service time falls toward the marginal floor as `k` grows
-//! — the saturation point shifts right while unloaded latency pays at most
-//! one `batch_delay` hold-down.
+//! — the saturation point shifts right, and since the `batch_delay`
+//! hold-down applies only behind an in-flight round, an unloaded client
+//! does not wait for it.
 //!
 //! Sweeps MultiPaxos on the 9-node LAN config used throughout `results/`
 //! over `max_batch ∈ {1, 4, 16}`. `max_batch = 1` is the exact pre-batching
@@ -112,7 +113,7 @@ mod tests {
             tput("4"),
             tput("1")
         );
-        // Unloaded p50 pays at most the batch_delay hold-down: within 1.5x.
+        // An idle leader does not hold a lone request down: within 1.5x.
         assert!(
             p50("16") <= 1.5 * p50("1"),
             "unloaded p50 regressed: batch=16 {} vs baseline {}",

@@ -500,7 +500,7 @@ fn go<R, F>(
     spec: MigrationSpec,
 ) -> (SimReport, MigrationAudit)
 where
-    R: Replica,
+    R: Replica + 'static,
     F: Fn(NodeId, GroupId) -> R + 'static,
 {
     let part = shard_spec.partitioner.clone();

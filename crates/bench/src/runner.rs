@@ -114,7 +114,7 @@ pub fn run_with_faults(
     ) -> SimReport
     where
         R: paxi_core::traits::Replica,
-        F: paxi_core::traits::ReplicaFactory<R = R>,
+        F: paxi_core::traits::ReplicaFactory<R = R> + 'static,
     {
         let mut s = Simulator::new(sim, cluster, factory, workload, clients);
         *s.faults_mut() = faults;

@@ -132,7 +132,7 @@ fn go<R, F>(
     check: bool,
 ) -> ShardedRun
 where
-    R: Replica,
+    R: Replica + 'static,
     F: Fn(NodeId, GroupId) -> R + 'static,
 {
     let part = spec.partitioner.clone();

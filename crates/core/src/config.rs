@@ -8,6 +8,7 @@
 
 use crate::id::NodeId;
 use crate::time::Nanos;
+use crate::traits::Context;
 use serde::{Deserialize, Serialize};
 
 /// Command-batching knobs for leader-based protocols.
@@ -17,16 +18,17 @@ use serde::{Deserialize, Serialize};
 /// WAL append, and one fsync amortized over `max_batch` commands — the
 /// classic lever for relieving the single-leader bottleneck the paper's §3
 /// cost model identifies. `batch_delay` bounds how long the first command in
-/// a partial batch waits before the leader flushes anyway, so batching
-/// trades at most that much latency for throughput.
+/// a partial batch waits behind a round that is still in flight; an idle
+/// leader does not wait at all (see [`Batcher`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchConfig {
     /// Maximum commands per slot/entry batch. `1` disables batching and is
     /// behaviorally identical to the unbatched protocol (same messages, same
     /// timers, same WAL records).
     pub max_batch: usize,
-    /// Hold-down: how long a partial batch may wait for more commands before
-    /// the leader flushes it. Irrelevant when `max_batch == 1`.
+    /// Hold-down: how long a partial batch may wait for more commands while
+    /// an earlier proposal of the leader is still uncommitted. Irrelevant
+    /// when `max_batch == 1`.
     pub batch_delay: Nanos,
 }
 
@@ -49,10 +51,90 @@ impl BatchConfig {
             ..Self::default()
         }
     }
+}
 
-    /// Whether batching is active (`max_batch > 1`).
-    pub fn enabled(&self) -> bool {
-        self.max_batch > 1
+/// The leader-side batching state machine: the buffer of a partial batch,
+/// the token of its flush timer, and the rule for when it is proposed.
+///
+/// A batch is proposed when it **fills**; otherwise the first command of a
+/// partial batch arms one flush timer whose delay depends on what the
+/// leader is doing. Behind an **in-flight round** (an earlier proposal
+/// still uncommitted) it is the [`BatchConfig::batch_delay`] hold-down:
+/// the pipeline is busy anyway, so waiting costs little and buys a fuller
+/// batch. On an **idle leader** it is zero: runtimes deliver a zero-delay
+/// timer behind the input already queued at the node, so requests that
+/// arrived together still coalesce into one round, but a lone request
+/// never waits for a clock. With `max_batch == 1` every command fills its
+/// own batch and no timer is ever armed — the unbatched protocol.
+///
+/// Generic over the buffered item so each protocol keeps its own entry
+/// shape; the protocol supplies its timer kind and the in-flight test.
+#[derive(Debug)]
+pub struct Batcher<T> {
+    cfg: BatchConfig,
+    /// The protocol's timer kind for the flush timer.
+    timer_kind: u64,
+    buf: Vec<T>,
+    /// Token of the armed flush timer, if any.
+    token: Option<u64>,
+}
+
+impl<T> Batcher<T> {
+    /// An empty batcher following `cfg`, whose flush timer is armed with
+    /// `timer_kind`.
+    pub fn new(cfg: BatchConfig, timer_kind: u64) -> Self {
+        Batcher {
+            cfg,
+            timer_kind,
+            buf: Vec::new(),
+            token: None,
+        }
+    }
+
+    /// Buffers `item` and returns the batch to propose now, if it filled.
+    /// Otherwise arms the partial batch's flush timer (once): the hold-down
+    /// when `in_flight`, zero delay when not.
+    pub fn push<M>(
+        &mut self,
+        item: T,
+        in_flight: bool,
+        ctx: &mut dyn Context<M>,
+    ) -> Option<Vec<T>> {
+        self.buf.push(item);
+        if self.buf.len() >= self.cfg.max_batch {
+            self.token = None;
+            return Some(std::mem::take(&mut self.buf));
+        }
+        if self.token.is_none() {
+            let delay = if in_flight {
+                self.cfg.batch_delay
+            } else {
+                Nanos::ZERO
+            };
+            self.token = Some(ctx.set_timer(delay, self.timer_kind));
+        }
+        None
+    }
+
+    /// The flush timer with `token` fired: returns the partial batch to
+    /// propose, or `None` if the fire is stale (the batch already filled or
+    /// was aborted since the timer was armed).
+    pub fn on_timer(&mut self, token: u64) -> Option<Vec<T>> {
+        if self.token != Some(token) {
+            return None;
+        }
+        // An armed timer means a non-empty buffer: filling and aborting
+        // both disarm it.
+        self.token = None;
+        Some(std::mem::take(&mut self.buf))
+    }
+
+    /// Disarms the timer and hands back the not-yet-proposed commands, for
+    /// the caller to re-route — called when leadership is lost, so buffered
+    /// commands are never silently dropped.
+    pub fn abort(&mut self) -> Vec<T> {
+        self.token = None;
+        std::mem::take(&mut self.buf)
     }
 }
 
@@ -178,10 +260,8 @@ mod tests {
 
     #[test]
     fn batching_defaults_off_and_clamps_to_one() {
-        let d = BatchConfig::default();
-        assert_eq!(d.max_batch, 1);
-        assert!(!d.enabled());
-        assert!(BatchConfig::of(16).enabled());
+        assert_eq!(BatchConfig::default().max_batch, 1);
+        assert_eq!(BatchConfig::of(16).max_batch, 16);
         assert_eq!(BatchConfig::of(0).max_batch, 1);
     }
 }

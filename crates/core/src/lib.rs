@@ -51,7 +51,7 @@ pub mod traits;
 
 pub use ballot::Ballot;
 pub use command::{ClientRequest, ClientResponse, Command, Handoff, Key, Op, Value};
-pub use config::{BatchConfig, ClusterConfig};
+pub use config::{BatchConfig, Batcher, ClusterConfig};
 pub use dist::{KeyDist, KeySampler, Rng64};
 pub use faults::{CrashMode, FaultPlan, FaultWindow, MsgFate};
 pub use group::{GroupId, GroupMsg};

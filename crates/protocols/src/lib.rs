@@ -11,6 +11,8 @@ pub mod groups;
 pub mod vpaxos;
 pub mod wankeeper;
 pub mod raft;
+#[cfg(test)]
+mod testkit;
 
 pub use paxos::{MultiPaxos, PaxosConfig, PaxosMsg};
 pub use epaxos::{EPaxos, EpaxosMsg, IRef};

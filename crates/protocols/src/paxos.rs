@@ -28,7 +28,7 @@
 
 use paxi_core::ballot::Ballot;
 use paxi_core::command::{ClientRequest, ClientResponse, Command, Handoff};
-use paxi_core::config::{BatchConfig, ClusterConfig};
+use paxi_core::config::{BatchConfig, Batcher, ClusterConfig};
 use paxi_core::group::GroupId;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::membership::{self, ConfigChange, Membership, CONFIG_KEY};
@@ -38,7 +38,7 @@ use paxi_core::quorum::{majority, CountQuorum, QuorumTracker};
 use paxi_core::store::{MultiVersionStore, StoreDump};
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
-use paxi_storage::Storage;
+use paxi_storage::{snapshot_due, Storage};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -46,7 +46,7 @@ use std::collections::BTreeMap;
 const TIMER_HEARTBEAT: u64 = 1;
 /// Timer kind: follower election timeout check.
 const TIMER_ELECTION: u64 = 2;
-/// Timer kind: batch hold-down expiry — flush a partial command batch.
+/// Timer kind: flush a partial command batch (see [`Batcher`]).
 const TIMER_BATCH: u64 = 3;
 
 /// The commands decided in one slot: a batch of `(command, request)` pairs
@@ -262,10 +262,6 @@ pub struct PaxosSnapshot {
     pub migration: Vec<u8>,
 }
 
-/// Snapshot-and-truncate the WAL once this many slots have been executed
-/// since the last snapshot.
-const COMPACT_EVERY: u64 = 512;
-
 /// A MultiPaxos / FPaxos replica.
 pub struct MultiPaxos {
     id: NodeId,
@@ -283,11 +279,8 @@ pub struct MultiPaxos {
     marked_upto: u64,
     store: MultiVersionStore,
     pending: Vec<ClientRequest>,
-    /// Commands accumulating toward the next batched slot (leader only,
-    /// `max_batch > 1`). Flushed when full or when the hold-down fires.
-    batch_buf: SlotCmds,
-    /// Token of the armed batch hold-down timer, if any.
-    batch_token: Option<u64>,
+    /// Commands accumulating toward the next batched slot (leader only).
+    batch: Batcher<(Command, Option<RequestId>)>,
     p1_quorum: Option<CountQuorum>,
     p1_tails: Vec<Vec<(u64, Ballot, SlotCmds)>>,
     /// Highest commit index any phase-1 promise reported — floors the new
@@ -325,6 +318,7 @@ impl MultiPaxos {
         initial.dedup();
         let mut configs = BTreeMap::new();
         configs.insert(0u64, (0u64, initial));
+        let batch = Batcher::new(cfg.batch, TIMER_BATCH);
         MultiPaxos {
             id,
             cluster,
@@ -339,8 +333,7 @@ impl MultiPaxos {
             marked_upto: 0,
             store: MultiVersionStore::new(),
             pending: Vec::new(),
-            batch_buf: Vec::new(),
-            batch_token: None,
+            batch,
             p1_quorum: None,
             p1_tails: Vec::new(),
             p1_max_commit: 0,
@@ -543,16 +536,16 @@ impl MultiPaxos {
         }
     }
 
-    /// Snapshot-plus-truncate compaction: once enough slots are executed,
+    /// Snapshot-plus-truncate compaction: once the slots executed since the
+    /// last snapshot reach what that snapshot holds ([`snapshot_due`]),
     /// install a snapshot of the state machine with the live tail (accepted
     /// entries at or above the new base) embedded. One `install_snapshot`
     /// call replaces snapshot and log together, so a crash at any point
     /// leaves either the old WAL or the complete new snapshot — never a
     /// truncated log whose tail was still waiting to be re-appended.
     fn maybe_compact(&mut self) {
-        if self.wal.is_none()
-            || self.execute_upto.saturating_sub(self.snapshot_base) < COMPACT_EVERY
-        {
+        let since = self.execute_upto.saturating_sub(self.snapshot_base);
+        if self.wal.is_none() || !snapshot_due(since, self.snapshot_base) {
             return;
         }
         let snap = PaxosSnapshot {
@@ -648,32 +641,20 @@ impl MultiPaxos {
         ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
     }
 
+    /// Batches `req` toward the next slot. Unbatched (`max_batch == 1`)
+    /// every command fills its own batch: one command, one slot, one
+    /// phase-2 round, immediately.
     fn propose(&mut self, req: ClientRequest, ctx: &mut dyn Context<PaxosMsg>) {
-        if !self.cfg.batch.enabled() {
-            // Unbatched fast path: exactly the pre-batching behavior — one
-            // command, one slot, one phase-2 round, immediately.
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            self.propose_in_slot(slot, vec![(req.cmd, Some(req.id))], ctx);
-            return;
-        }
-        self.batch_buf.push((req.cmd, Some(req.id)));
-        if self.batch_buf.len() >= self.cfg.batch.max_batch {
-            self.flush_batch(ctx);
-        } else if self.batch_token.is_none() {
-            // First command of a partial batch: bound its wait.
-            self.batch_token = Some(ctx.set_timer(self.cfg.batch.batch_delay, TIMER_BATCH));
+        let in_flight = self.commit_upto < self.next_slot;
+        let item = (req.cmd, Some(req.id));
+        if let Some(cmds) = self.batch.push(item, in_flight, ctx) {
+            self.propose_batch(cmds, ctx);
         }
     }
 
-    /// Proposes the accumulated batch in one slot: one phase-2 round, one
-    /// WAL record, one fsync for the whole batch.
-    fn flush_batch(&mut self, ctx: &mut dyn Context<PaxosMsg>) {
-        self.batch_token = None;
-        if self.batch_buf.is_empty() {
-            return;
-        }
-        let cmds = std::mem::take(&mut self.batch_buf);
+    /// Proposes `cmds` in the next slot: one phase-2 round, one WAL record,
+    /// one fsync for the whole batch.
+    fn propose_batch(&mut self, cmds: SlotCmds, ctx: &mut dyn Context<PaxosMsg>) {
         let slot = self.next_slot;
         self.next_slot += 1;
         self.propose_in_slot(slot, cmds, ctx);
@@ -683,45 +664,37 @@ impl MultiPaxos {
     /// when leadership is lost so buffered commands are re-routed (or
     /// re-proposed if we win again) instead of silently dropped.
     fn abort_batch(&mut self) {
-        self.batch_token = None;
-        for (cmd, req) in self.batch_buf.drain(..) {
+        let cmds = self.batch.abort();
+        self.requeue(cmds);
+    }
+
+    fn requeue(&mut self, cmds: SlotCmds) {
+        for (cmd, req) in cmds {
             if let Some(id) = req {
                 self.pending.push(ClientRequest { id, cmd });
             }
         }
     }
 
+    /// Runs phase-2 for `cmds` in `slot`.
+    ///
+    /// The P2a is handed to the context *before* the leader persists its
+    /// own acceptance, so the acceptors' fsyncs overlap the leader's instead
+    /// of queueing behind it. Nothing is acknowledged early: the leader's
+    /// self-vote is cast only after `persist` — and with it the sync — has
+    /// returned, and `maybe_commit` runs after that. A leader that dies in
+    /// between recovers without the acceptance and inactive, so it cannot
+    /// reuse the ballot for a different value; it is an acceptor the P2a
+    /// never reached.
     fn propose_in_slot(&mut self, slot: u64, cmds: SlotCmds, ctx: &mut dyn Context<PaxosMsg>) {
         for (_, req) in &cmds {
             if let Some(id) = req {
                 ctx.trace(TraceStage::Propose, *id);
             }
         }
-        let mut quorum = CountQuorum::new(self.q2_size_at(slot));
-        if self.members_at(slot).contains(&self.id) {
-            // Self-vote — but only with a vote to cast: a leader already
-            // excluded by the config governing this slot is a proposer, not
-            // an acceptor, and must collect the full quorum from members.
-            quorum.ack(self.id);
-        }
-        // The leader is an acceptor of its own proposal: persist before the
-        // self-vote counts toward the quorum. One record per slot covers the
-        // whole batch.
-        self.persist(&PaxosWal::Accept {
-            slot,
-            ballot: self.ballot,
-            cmds: cmds.clone(),
-        });
-        self.log.insert(
-            slot,
-            Entry {
-                ballot: self.ballot,
-                cmds: cmds.clone(),
-                quorum,
-                committed: false,
-            },
-        );
-        self.note_config(slot, &cmds);
+        // The log keeps the exact-size copy; the batch buffer's spare
+        // capacity leaves with the message.
+        let accepted = cmds.clone();
         let msg = PaxosMsg::P2a {
             ballot: self.ballot,
             slot,
@@ -743,6 +716,31 @@ impl MultiPaxos {
         } else {
             ctx.broadcast(msg);
         }
+        // The leader is an acceptor of its own proposal: persist before the
+        // self-vote counts toward the quorum. One record per slot covers the
+        // whole batch.
+        self.persist(&PaxosWal::Accept {
+            slot,
+            ballot: self.ballot,
+            cmds: accepted.clone(),
+        });
+        let mut quorum = CountQuorum::new(self.q2_size_at(slot));
+        if self.members_at(slot).contains(&self.id) {
+            // Self-vote — but only with a vote to cast: a leader already
+            // excluded by the config governing this slot is a proposer, not
+            // an acceptor, and must collect the full quorum from members.
+            quorum.ack(self.id);
+        }
+        self.note_config(slot, &accepted);
+        self.log.insert(
+            slot,
+            Entry {
+                ballot: self.ballot,
+                cmds: accepted,
+                quorum,
+                committed: false,
+            },
+        );
         self.next_slot = self.next_slot.max(slot + 1);
         self.maybe_commit(ctx); // single-node cluster commits immediately
     }
@@ -1075,7 +1073,6 @@ impl Replica for MultiPaxos {
                     self.active = false;
                     self.abort_batch();
                     self.leader_hint = Some(ballot.id);
-                    self.last_leader_contact = ctx.now();
                     // Persist the acceptance before the P2b below: once the
                     // leader counts this vote toward a commit, the accepted
                     // batch must survive any crash here. One record, one
@@ -1102,6 +1099,10 @@ impl Replica for MultiPaxos {
                     // committed (incremental scan from the last mark).
                     self.mark_committed(commit_upto);
                     self.maybe_commit(ctx);
+                    // Compaction inside `maybe_commit` can hold this handler
+                    // past the election timeout: count the leader's silence
+                    // from the handler's end (DESIGN.md, durable commit path).
+                    self.last_leader_contact = ctx.now();
                     ctx.send(from, PaxosMsg::P2b { ballot, slot });
                 } else {
                     ctx.send(
@@ -1140,10 +1141,10 @@ impl Replica for MultiPaxos {
                 }
             }
             PaxosMsg::Commit { upto } => {
-                self.last_leader_contact = ctx.now();
                 self.leader_hint = Some(from);
                 self.mark_committed(upto);
                 self.maybe_commit(ctx);
+                self.last_leader_contact = ctx.now(); // after, as for P2a
             }
         }
     }
@@ -1206,14 +1207,13 @@ impl Replica for MultiPaxos {
                 }
             }
             TIMER_BATCH => {
-                if Some(token) != self.batch_token {
-                    return; // stale: the batch already flushed (or aborted)
-                }
-                if self.active {
-                    // Hold-down expired with a partial batch: flush it.
-                    self.flush_batch(ctx);
-                } else {
-                    self.abort_batch();
+                // A stale fire (the batch already filled or aborted) is None.
+                if let Some(cmds) = self.batch.on_timer(token) {
+                    if self.active {
+                        self.propose_batch(cmds, ctx);
+                    } else {
+                        self.requeue(cmds);
+                    }
                 }
             }
             TIMER_ELECTION => {
@@ -1309,6 +1309,7 @@ pub fn paxos_cluster(cluster: ClusterConfig, cfg: PaxosConfig) -> impl Fn(NodeId
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{probe, settle};
     use paxi_core::command::Op;
     use paxi_core::id::ClientId;
     use paxi_sim::{ClientSetup, SimConfig, Simulator};
@@ -1493,50 +1494,7 @@ mod tests {
         assert_eq!(clients.len(), 3);
     }
 
-    /// Minimal probe context for driving handlers directly.
-    struct Probe {
-        id: NodeId,
-        sent: Vec<(Option<NodeId>, PaxosMsg)>, // None = broadcast
-        replies: Vec<ClientResponse>,
-    }
-
-    impl Context<PaxosMsg> for Probe {
-        fn id(&self) -> NodeId {
-            self.id
-        }
-        fn now(&self) -> Nanos {
-            Nanos::ZERO
-        }
-        fn send(&mut self, to: NodeId, msg: PaxosMsg) {
-            self.sent.push((Some(to), msg));
-        }
-        fn broadcast(&mut self, msg: PaxosMsg) {
-            self.sent.push((None, msg));
-        }
-        fn multicast(&mut self, to: &[NodeId], msg: PaxosMsg) {
-            for &t in to {
-                self.sent.push((Some(t), msg.clone()));
-            }
-        }
-        fn set_timer(&mut self, _after: Nanos, _kind: u64) -> u64 {
-            0
-        }
-        fn reply(&mut self, resp: ClientResponse) {
-            self.replies.push(resp);
-        }
-        fn forward(&mut self, _to: NodeId, _req: ClientRequest) {}
-        fn rand_u64(&mut self) -> u64 {
-            1
-        }
-    }
-
-    fn probe(id: NodeId) -> Probe {
-        Probe {
-            id,
-            sent: Vec::new(),
-            replies: Vec::new(),
-        }
-    }
+    type Probe = crate::testkit::Probe<PaxosMsg>;
 
     fn durable_follower(hub: &paxi_storage::MemHub<u32>) -> MultiPaxos {
         let mut r = MultiPaxos::new(
@@ -1607,22 +1565,67 @@ mod tests {
     }
 
     #[test]
-    fn partial_batch_flushes_on_the_hold_down_timer() {
+    fn idle_leader_proposes_a_lone_request_without_the_hold_down() {
         let (mut r, mut ctx) = probe_leader(PaxosConfig::batched(4));
         r.on_request(request(0), &mut ctx);
-        r.on_request(request(1), &mut ctx);
         assert!(
             p2a_batches(&ctx.sent).is_empty(),
-            "partial batch must wait for the hold-down"
+            "input already queued at the node is absorbed first"
         );
-        // Probe's set_timer always returns token 0.
-        r.on_timer(TIMER_BATCH, 0, &mut ctx);
+        let (delay, token) = ctx.last_timer(TIMER_BATCH);
+        assert_eq!(
+            delay,
+            Nanos::ZERO,
+            "nothing in flight: the flush must not wait for batch_delay"
+        );
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
         let batches = p2a_batches(&ctx.sent);
         assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].len(), 2);
+        assert_eq!(batches[0].len(), 1);
         // A stale timer fire after the flush must not emit an empty batch.
-        r.on_timer(TIMER_BATCH, 0, &mut ctx);
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
         assert_eq!(p2a_batches(&ctx.sent).len(), 1);
+    }
+
+    #[test]
+    fn requests_queued_behind_the_first_coalesce_into_one_round() {
+        let (mut r, mut ctx) = probe_leader(PaxosConfig::batched(4));
+        // Three requests were waiting in the inbox: the zero-delay flush
+        // timer queues behind them, so all three are buffered when it fires.
+        for seq in 0..3 {
+            r.on_request(request(seq), &mut ctx);
+        }
+        let flushes = ctx.timers.iter().filter(|t| t.1 == TIMER_BATCH).count();
+        assert_eq!(flushes, 1, "one flush timer per partial batch");
+        let (_, token) = ctx.last_timer(TIMER_BATCH);
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
+        let batches = p2a_batches(&ctx.sent);
+        assert_eq!(batches.len(), 1, "exactly one phase-2 round");
+        assert_eq!(batches[0].len(), 3);
+    }
+
+    #[test]
+    fn request_behind_an_in_flight_round_waits_for_fill_or_timer() {
+        let (mut r, mut ctx) = probe_leader(PaxosConfig::batched(4));
+        r.on_request(request(0), &mut ctx);
+        let (_, token) = ctx.last_timer(TIMER_BATCH);
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
+        assert_eq!(p2a_batches(&ctx.sent).len(), 1, "slot 0 is now in flight");
+        // Behind the uncommitted slot the hold-down applies.
+        r.on_request(request(1), &mut ctx);
+        let (delay, token) = ctx.last_timer(TIMER_BATCH);
+        assert_eq!(delay, PaxosConfig::batched(4).batch.batch_delay);
+        assert_eq!(p2a_batches(&ctx.sent).len(), 1, "partial batch must wait");
+        // ... until the hold-down fires,
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
+        assert_eq!(p2a_batches(&ctx.sent).len(), 2);
+        // ... or the batch fills first.
+        for seq in 2..6 {
+            r.on_request(request(seq), &mut ctx);
+        }
+        let batches = p2a_batches(&ctx.sent);
+        assert_eq!(batches.len(), 3);
+        assert_eq!(batches[2].len(), 4);
     }
 
     #[test]
@@ -1638,6 +1641,10 @@ mod tests {
             "max_batch = 1: one P2a per command, no buffering"
         );
         assert!(batches.iter().all(|b| b.len() == 1));
+        assert!(
+            ctx.timers.iter().all(|t| t.1 != TIMER_BATCH),
+            "max_batch = 1 never arms the flush timer"
+        );
     }
 
     #[test]
@@ -1657,7 +1664,7 @@ mod tests {
         );
         assert!(!r.is_leader());
         assert_eq!(r.pending.len(), 2, "aborted batch folds back into pending");
-        assert!(r.batch_buf.is_empty());
+        assert!(r.batch.abort().is_empty());
     }
 
     #[test]
@@ -1719,7 +1726,7 @@ mod tests {
         // accepted-but-unexecuted slot must live inside the snapshot itself
         // — a truncate-then-reappend scheme loses those accepts (whose P2bs
         // the leader may already have counted) at exactly this crash point.
-        use paxi_storage::{FsyncPolicy, MemHub};
+        use paxi_storage::{FsyncPolicy, MemHub, SNAPSHOT_EVERY};
         let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
         let leader = NodeId::new(0, 0);
         let ballot = Ballot::default().next(leader);
@@ -1728,7 +1735,7 @@ mod tests {
         // Slot 512's P2a commits (and executes) 0..512, which crosses the
         // compaction threshold inside the handler; slot 512 itself stays
         // accepted-but-unexecuted.
-        for slot in 0..=COMPACT_EVERY {
+        for slot in 0..=SNAPSHOT_EVERY {
             r.on_message(
                 leader,
                 PaxosMsg::P2a {
@@ -1748,18 +1755,18 @@ mod tests {
         hub.crash(&1);
         let r2 = durable_follower(&hub);
         assert_eq!(r2.current_ballot(), ballot);
-        assert_eq!(r2.store().unwrap().executed(), COMPACT_EVERY);
+        assert_eq!(r2.store().unwrap().executed(), SNAPSHOT_EVERY);
         let tail = r2.uncommitted_tail();
         assert_eq!(
             tail.len(),
             1,
             "the accepted tail must survive the compaction crash"
         );
-        assert_eq!(tail[0].0, COMPACT_EVERY);
+        assert_eq!(tail[0].0, SNAPSHOT_EVERY);
         assert_eq!(
             tail[0].2,
             vec![(
-                Command::put(COMPACT_EVERY % 8, vec![COMPACT_EVERY as u8]),
+                Command::put(SNAPSHOT_EVERY % 8, vec![SNAPSHOT_EVERY as u8]),
                 None
             )]
         );
@@ -1807,6 +1814,127 @@ mod tests {
                 r.store().unwrap().history(key),
                 "recovered history diverges on key {key}"
             );
+        }
+    }
+
+    #[test]
+    fn snapshot_cadence_grows_with_the_snapshot() {
+        // A fixed cadence re-dumps the whole store every 512 slots: 39
+        // snapshots and O(n²) bytes over this run. Growing with the snapshot
+        // it is a handful, and recovery still lands on the same store.
+        use paxi_storage::{FsyncPolicy, MemHub};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let leader = NodeId::new(0, 0);
+        let ballot = Ballot::default().next(leader);
+        let mut r = durable_follower(&hub);
+        let mut ctx = probe(NodeId::new(0, 1));
+        let total = 20_000u64;
+        let (mut snapshots, mut wal_len) = (0, 0);
+        for slot in 0..total {
+            r.on_message(
+                leader,
+                PaxosMsg::P2a {
+                    ballot,
+                    slot,
+                    cmds: vec![(Command::put(slot % 64, vec![slot as u8]), None)],
+                    commit_upto: slot,
+                },
+                &mut ctx,
+            );
+            // Only a snapshot install ever shrinks the WAL.
+            let len = hub.synced_len(&1);
+            snapshots += u32::from(len < wal_len);
+            wal_len = len;
+        }
+        r.on_message(leader, PaxosMsg::Commit { upto: total }, &mut ctx);
+        assert!(
+            (4..=7).contains(&snapshots),
+            "{snapshots} snapshots for {total} slots: want O(log n)"
+        );
+        hub.crash(&1);
+        let mut r2 = durable_follower(&hub);
+        assert_eq!(r2.snapshot_base, r.snapshot_base);
+        assert!(
+            total - r2.snapshot_base <= r2.snapshot_base,
+            "recovery replays no more slots than the snapshot holds"
+        );
+        let mut ctx2 = probe(NodeId::new(0, 1));
+        r2.on_recover(&mut ctx2);
+        r2.on_message(leader, PaxosMsg::Commit { upto: total }, &mut ctx2);
+        assert_eq!(r2.store.dump(), r.store.dump());
+    }
+
+    #[test]
+    fn p2a_leaves_before_the_leaders_sync_and_no_acked_write_is_lost() {
+        use paxi_storage::{FsyncPolicy, MemHub, Storage};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let ids = ClusterConfig::lan(3).all_nodes();
+        let (n0, n2) = (ids[0], ids[2]);
+        let durable = |id: NodeId, disk: &MemHub<u32>| {
+            let mut r = MultiPaxos::new(id, ClusterConfig::lan(3), PaxosConfig::default());
+            r.attach_storage(Box::new(disk.open(id.node as u32)));
+            r
+        };
+        let mut nodes: Vec<(MultiPaxos, Probe)> = ids
+            .iter()
+            .map(|&id| (durable(id, &hub), probe(id)))
+            .collect();
+        for (r, ctx) in nodes.iter_mut() {
+            r.on_start(ctx);
+        }
+        settle(&mut nodes, &[]);
+        assert!(nodes[0].0.is_leader());
+        // Write 1 commits and is acknowledged.
+        let (l, ctx) = &mut nodes[0];
+        l.on_request(request(1), ctx);
+        settle(&mut nodes, &[]);
+        assert!(nodes[0].1.replies.iter().any(|r| r.id.seq == 1 && r.ok));
+
+        // Write 2: the P2a is handed to the context while the leader's disk
+        // has not synced its own acceptance ...
+        let (l, ctx) = &mut nodes[0];
+        ctx.disk = Some((hub.clone(), 0));
+        hub.drain_syncs(&0);
+        l.on_request(request(2), ctx);
+        assert_eq!(ctx.at_broadcast.len(), 1);
+        assert_eq!(ctx.at_broadcast[0].0, 0, "P2a must not wait for the sync");
+        // ... and the sync is done before the handler returns, so the
+        // self-vote never counts an unsynced acceptance.
+        assert_eq!(hub.drain_syncs(&0), 1);
+        let (_, image) = ctx.at_broadcast.pop().unwrap();
+
+        // One acceptor takes slot 1; the leader dies with its disk as of the
+        // broadcast instant. Nobody was told write 2 committed.
+        settle(&mut nodes, &[n0, n2]);
+        assert!(nodes[1].0.log.contains_key(&1));
+        assert!(nodes[0].1.replies.iter().all(|r| r.id.seq != 2));
+        let disk: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let mut s = disk.open(0);
+        assert!(image.snapshot.is_none());
+        for rec in &image.records {
+            s.append(rec).unwrap();
+        }
+        nodes[0] = (durable(n0, &disk), probe(n0));
+        assert!(
+            !nodes[0].0.log.contains_key(&1),
+            "acceptance was not on disk"
+        );
+
+        // It rejoins with a higher ballot; the acceptor's promise reports
+        // slot 1, and every write — the acknowledged one above all — lands
+        // on every store.
+        let (l, ctx) = &mut nodes[0];
+        l.on_recover(ctx);
+        settle(&mut nodes, &[]);
+        assert!(nodes[0].0.is_leader());
+        // (A heartbeat teaches the acceptors the commit index.)
+        let (l, ctx) = &mut nodes[0];
+        let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
+        l.on_timer(TIMER_HEARTBEAT, token, ctx);
+        settle(&mut nodes, &[]);
+        for (r, _) in &nodes[..2] {
+            assert_eq!(r.store.get(1), Some(&vec![1]), "acknowledged write lost");
+            assert_eq!(r.store.get(2), Some(&vec![1]));
         }
     }
 
@@ -2157,7 +2285,7 @@ mod tests {
 
     #[test]
     fn compaction_snapshot_carries_the_migration_tracker() {
-        use paxi_storage::{FsyncPolicy, MemHub};
+        use paxi_storage::{FsyncPolicy, MemHub, SNAPSHOT_EVERY};
         let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
         let leader = NodeId::new(0, 0);
         let ballot = Ballot::default().next(leader);
@@ -2165,7 +2293,7 @@ mod tests {
         let mut r = durable_follower(&hub);
         r.set_group(GroupId(0));
         let mut ctx = probe(NodeId::new(0, 1));
-        let total = COMPACT_EVERY + 8;
+        let total = SNAPSHOT_EVERY + 8;
         for slot in 0..total {
             let cmd = match slot {
                 0 => migration_command(&MigrationRecord::Start(spec)),

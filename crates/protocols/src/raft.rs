@@ -19,7 +19,7 @@
 //! joint or new configuration, never the old one.
 
 use paxi_core::command::{ClientRequest, ClientResponse, Command, Handoff};
-use paxi_core::config::{BatchConfig, ClusterConfig};
+use paxi_core::config::{BatchConfig, Batcher, ClusterConfig};
 use paxi_core::group::GroupId;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::membership::{self, ConfigChange, JointQuorum, Membership, CONFIG_KEY};
@@ -29,18 +29,16 @@ use paxi_core::quorum::{majority, QuorumTracker};
 use paxi_core::store::MultiVersionStore;
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
-use paxi_storage::Storage;
+use paxi_storage::{snapshot_due, Storage};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 const TIMER_ELECTION: u64 = 1;
 const TIMER_HEARTBEAT: u64 = 2;
-/// Timer kind: batch hold-down expiry — flush a partial command batch.
+/// Timer kind: flush a partial command batch (see [`Batcher`]).
 const TIMER_BATCH: u64 = 3;
 /// Maximum entries per repair AppendEntries.
 const REPAIR_BATCH: usize = 256;
-/// Checkpoint (snapshot-and-truncate the WAL) after this many WAL records.
-const CHECKPOINT_EVERY: u64 = 512;
 
 /// Tuning knobs for [`Raft`].
 #[derive(Debug, Clone)]
@@ -246,11 +244,8 @@ pub struct Raft {
     election_token: u64,
     store: MultiVersionStore,
     pending: Vec<ClientRequest>,
-    /// Requests accumulating toward the next batched append (leader only,
-    /// `max_batch > 1`). Flushed when full or when the hold-down fires.
-    batch_buf: Vec<ClientRequest>,
-    /// Token of the armed batch hold-down timer, if any.
-    batch_token: Option<u64>,
+    /// Requests accumulating toward the next batched append (leader only).
+    batch: Batcher<ClientRequest>,
     /// Out-of-order appends buffered until their gap fills. Real Raft rides
     /// on TCP's ordering; our network model can reorder messages, and
     /// rejecting every early append degenerates into repair storms.
@@ -259,6 +254,8 @@ pub struct Raft {
     wal: Option<Box<dyn Storage>>,
     /// WAL records since the last checkpoint.
     wal_records: u64,
+    /// Log entries the last checkpoint holds (0 before the first).
+    checkpoint_len: u64,
     /// Shard-migration state machine, driven by replicated records at
     /// apply time. Inert (no group identity) outside sharded deployments.
     migration: MigrationTracker,
@@ -277,6 +274,7 @@ impl Raft {
             .into_iter()
             .filter(|&p| p != id)
             .collect();
+        let batch = Batcher::new(cfg.batch, TIMER_BATCH);
         Raft {
             id,
             cluster,
@@ -304,11 +302,11 @@ impl Raft {
             election_token: 0,
             store: MultiVersionStore::new(),
             pending: Vec::new(),
-            batch_buf: Vec::new(),
-            batch_token: None,
+            batch,
             stash: BTreeMap::new(),
             wal: None,
             wal_records: 0,
+            checkpoint_len: 0,
             migration: MigrationTracker::new(),
         }
     }
@@ -344,25 +342,29 @@ impl Raft {
     /// log missing the just-persisted entries and then destroy the WAL
     /// record carrying them — losing acked entries on recovery.
     fn maybe_checkpoint(&mut self) {
-        if self.wal.is_some() && self.wal_records >= CHECKPOINT_EVERY {
+        if self.wal.is_some() && snapshot_due(self.wal_records, self.checkpoint_len) {
             self.checkpoint();
         }
     }
 
     /// Snapshot-plus-truncate: replaces the WAL with one checkpoint record.
     fn checkpoint(&mut self) {
+        // The log is lent to the record for the encode, not cloned: a copy
+        // of every entry doubles the stall and the peak memory.
         let snap = RaftCheckpoint {
             term: self.term,
             voted_for: self.voted_for,
-            log: self.log.clone(),
+            log: std::mem::take(&mut self.log),
         };
         let bytes = paxi_codec::to_bytes(&snap).expect("raft checkpoint must encode");
+        self.log = snap.log;
         self.wal
             .as_mut()
             .unwrap()
             .install_snapshot(&bytes)
             .expect("raft replica lost its durable store");
         self.wal_records = 0;
+        self.checkpoint_len = self.log.len() as u64;
     }
 
     /// Persists and records the durable term/vote pair. Every caller
@@ -455,8 +457,7 @@ impl Raft {
     /// on leadership loss so buffered commands are re-routed to the new
     /// leader instead of silently dropped.
     fn abort_batch(&mut self) {
-        self.batch_token = None;
-        self.pending.append(&mut self.batch_buf);
+        self.pending.append(&mut self.batch.abort());
     }
 
     fn start_election(&mut self, ctx: &mut dyn Context<RaftMsg>) {
@@ -526,34 +527,27 @@ impl Raft {
         }
     }
 
+    /// Batches `req` toward the next append. Unbatched (`max_batch == 1`)
+    /// every request fills its own batch and ships immediately (optimistic
+    /// pipelining; the AppendAck failure path repairs any gap).
     fn append_request(&mut self, req: ClientRequest, ctx: &mut dyn Context<RaftMsg>) {
-        if !self.cfg.batch.enabled() {
-            // Unbatched fast path: exactly the pre-batching behavior — ship
-            // only the new entry, immediately (optimistic pipelining; the
-            // AppendAck failure path repairs any gap).
-            self.flush_entries(vec![req], ctx);
-            return;
-        }
-        self.batch_buf.push(req);
-        if self.batch_buf.len() >= self.cfg.batch.max_batch {
-            self.flush_batch(ctx);
-        } else if self.batch_token.is_none() {
-            // First command of a partial batch: bound its wait.
-            self.batch_token = Some(ctx.set_timer(self.cfg.batch.batch_delay, TIMER_BATCH));
+        let in_flight = self.commit < self.last_index();
+        if let Some(reqs) = self.batch.push(req, in_flight, ctx) {
+            self.flush_entries(reqs, ctx);
         }
     }
 
-    /// Appends the accumulated batch as one multi-entry AppendEntries: one
-    /// broadcast, one WAL splice, one fsync for the whole batch.
-    fn flush_batch(&mut self, ctx: &mut dyn Context<RaftMsg>) {
-        self.batch_token = None;
-        if self.batch_buf.is_empty() {
-            return;
-        }
-        let reqs = std::mem::take(&mut self.batch_buf);
-        self.flush_entries(reqs, ctx);
-    }
-
+    /// Appends `reqs` as one multi-entry AppendEntries: one broadcast, one
+    /// WAL splice, one fsync for the whole batch.
+    ///
+    /// The broadcast is handed to the context *before* the leader's own
+    /// splice is persisted, so the followers' fsyncs overlap the leader's
+    /// instead of queueing behind it (Raft thesis §10.2.1). Nothing is
+    /// acknowledged early: the leader's own match index is `last_index()`,
+    /// which only moves once `splice` — and with it the sync — has returned,
+    /// and `advance_commit` runs after that. A leader that dies in between
+    /// recovers without the entries, exactly like a follower the append
+    /// never reached.
     fn flush_entries(&mut self, reqs: Vec<ClientRequest>, ctx: &mut dyn Context<RaftMsg>) {
         for req in &reqs {
             ctx.trace(TraceStage::Propose, req.id);
@@ -568,14 +562,14 @@ impl Raft {
                 req: Some(req.id),
             })
             .collect();
-        self.splice(prev_index, entries.clone());
         ctx.broadcast(RaftMsg::AppendEntries {
             term: self.term,
             prev_index,
             prev_term,
-            entries,
+            entries: entries.clone(),
             commit: self.commit,
         });
+        self.splice(prev_index, entries);
         self.advance_commit(ctx); // single-node cluster
     }
 
@@ -985,6 +979,7 @@ impl Replica for Raft {
             self.term = snap.term;
             self.voted_for = snap.voted_for;
             self.log = snap.log;
+            self.checkpoint_len = self.log.len() as u64;
         }
         for bytes in &rec.records {
             match paxi_codec::from_bytes::<RaftWal>(bytes).expect("raft wal must decode") {
@@ -1158,6 +1153,10 @@ impl Replica for Raft {
                     ctx.count(Metric::Commits, self.commit - before);
                 }
                 self.apply(ctx);
+                // A checkpoint inside `splice` can hold this handler past the
+                // election timeout: count the leader's silence from the
+                // handler's end (DESIGN.md, durable commit path).
+                self.last_contact = ctx.now();
                 ctx.send(
                     from,
                     RaftMsg::AppendAck {
@@ -1251,14 +1250,13 @@ impl Replica for Raft {
                 }
             }
             TIMER_BATCH => {
-                if Some(token) != self.batch_token {
-                    return; // stale: the batch already flushed (or aborted)
-                }
-                if self.role == Role::Leader {
-                    // Hold-down expired with a partial batch: flush it.
-                    self.flush_batch(ctx);
-                } else {
-                    self.abort_batch();
+                // A stale fire (the batch already filled or aborted) is None.
+                if let Some(mut reqs) = self.batch.on_timer(token) {
+                    if self.role == Role::Leader {
+                        self.flush_entries(reqs, ctx);
+                    } else {
+                        self.pending.append(&mut reqs);
+                    }
                 }
             }
             _ => {}
@@ -1324,6 +1322,7 @@ pub fn raft_cluster(cluster: ClusterConfig, cfg: RaftConfig) -> impl Fn(NodeId) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{probe, settle};
     use paxi_sim::{ClientSetup, SimConfig, Simulator};
 
     fn lan_sim(n: u8, cfg: RaftConfig, clients: usize) -> Simulator<Raft> {
@@ -1408,51 +1407,7 @@ mod tests {
         assert!(leaders >= 1);
     }
 
-    /// A minimal hand-driven context for unit-testing handler logic without
-    /// the simulator.
-    struct Probe {
-        id: NodeId,
-        sent: Vec<(NodeId, RaftMsg)>,
-        replies: Vec<paxi_core::ClientResponse>,
-    }
-
-    impl paxi_core::traits::Context<RaftMsg> for Probe {
-        fn id(&self) -> NodeId {
-            self.id
-        }
-        fn now(&self) -> Nanos {
-            Nanos::ZERO
-        }
-        fn send(&mut self, to: NodeId, msg: RaftMsg) {
-            self.sent.push((to, msg));
-        }
-        fn broadcast(&mut self, msg: RaftMsg) {
-            self.sent.push((NodeId::new(255, 255), msg));
-        }
-        fn multicast(&mut self, to: &[NodeId], msg: RaftMsg) {
-            for &t in to {
-                self.sent.push((t, msg.clone()));
-            }
-        }
-        fn set_timer(&mut self, _after: Nanos, _kind: u64) -> u64 {
-            0
-        }
-        fn reply(&mut self, resp: paxi_core::ClientResponse) {
-            self.replies.push(resp);
-        }
-        fn forward(&mut self, _to: NodeId, _req: paxi_core::ClientRequest) {}
-        fn rand_u64(&mut self) -> u64 {
-            7
-        }
-    }
-
-    fn probe(id: NodeId) -> Probe {
-        Probe {
-            id,
-            sent: Vec::new(),
-            replies: Vec::new(),
-        }
-    }
+    type Probe = crate::testkit::Probe<RaftMsg>;
 
     #[test]
     fn votes_are_denied_to_stale_logs() {
@@ -1606,7 +1561,7 @@ mod tests {
         }
     }
 
-    fn append_batches(sent: &[(NodeId, RaftMsg)]) -> Vec<usize> {
+    fn append_batches(sent: &[(Option<NodeId>, RaftMsg)]) -> Vec<usize> {
         sent.iter()
             .filter_map(|(_, m)| match m {
                 RaftMsg::AppendEntries { entries, .. } if !entries.is_empty() => {
@@ -1641,26 +1596,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn partial_batch_flushes_on_the_hold_down_timer() {
-        let cluster = ClusterConfig::lan(1);
-        let mut r = Raft::new(NodeId::new(0, 0), cluster, RaftConfig::batched(4));
-        let mut ctx = probe(NodeId::new(0, 0));
+    /// A 3-node leader with an empty pipeline: elected by 0.1's vote, its
+    /// term's no-op acknowledged by 0.1 and committed.
+    fn idle_leader(cfg: RaftConfig) -> (Raft, Probe) {
+        let (n0, n1) = (NodeId::new(0, 0), NodeId::new(0, 1));
+        let mut r = Raft::new(n0, ClusterConfig::lan(3), cfg);
+        let mut ctx = probe(n0);
         r.on_start(&mut ctx);
+        let term = r.term();
+        r.on_message(
+            n1,
+            RaftMsg::Vote {
+                term,
+                granted: true,
+            },
+            &mut ctx,
+        );
+        assert!(r.is_leader());
+        r.on_message(
+            n1,
+            RaftMsg::AppendAck {
+                term,
+                success: true,
+                match_index: 1,
+            },
+            &mut ctx,
+        );
+        assert_eq!(r.commit, r.last_index(), "nothing in flight");
         ctx.sent.clear();
+        (r, ctx)
+    }
+
+    #[test]
+    fn idle_leader_appends_a_lone_request_without_the_hold_down() {
+        let (mut r, mut ctx) = idle_leader(RaftConfig::batched(4));
         r.on_request(request(0), &mut ctx);
-        r.on_request(request(1), &mut ctx);
         assert!(
             append_batches(&ctx.sent).is_empty(),
+            "input already queued at the node is absorbed first"
+        );
+        let (delay, token) = ctx.last_timer(TIMER_BATCH);
+        assert_eq!(
+            delay,
+            Nanos::ZERO,
+            "nothing in flight: the flush must not wait for batch_delay"
+        );
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
+        assert_eq!(append_batches(&ctx.sent), vec![1]);
+        // A stale fire after the flush must not emit an empty batch.
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
+        assert_eq!(append_batches(&ctx.sent), vec![1]);
+    }
+
+    #[test]
+    fn requests_queued_behind_the_first_coalesce_into_one_append() {
+        let (mut r, mut ctx) = idle_leader(RaftConfig::batched(4));
+        // Three requests were waiting in the inbox: the zero-delay flush
+        // timer queues behind them, so all three are buffered when it fires.
+        for seq in 0..3 {
+            r.on_request(request(seq), &mut ctx);
+        }
+        let flushes = ctx.timers.iter().filter(|t| t.1 == TIMER_BATCH).count();
+        assert_eq!(flushes, 1, "one flush timer per partial batch");
+        let (_, token) = ctx.last_timer(TIMER_BATCH);
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
+        assert_eq!(append_batches(&ctx.sent), vec![3]);
+    }
+
+    #[test]
+    fn request_behind_an_in_flight_append_waits_for_fill_or_timer() {
+        let (mut r, mut ctx) = idle_leader(RaftConfig::batched(4));
+        r.on_request(request(0), &mut ctx);
+        let (_, token) = ctx.last_timer(TIMER_BATCH);
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
+        assert_eq!(append_batches(&ctx.sent), vec![1], "entry 2 is in flight");
+        // Behind the uncommitted entry the hold-down applies.
+        r.on_request(request(1), &mut ctx);
+        let (delay, token) = ctx.last_timer(TIMER_BATCH);
+        assert_eq!(delay, RaftConfig::batched(4).batch.batch_delay);
+        assert_eq!(
+            append_batches(&ctx.sent),
+            vec![1],
             "partial batch must wait"
         );
-        // Probe's set_timer always returns token 0.
-        r.on_timer(TIMER_BATCH, 0, &mut ctx);
-        assert_eq!(append_batches(&ctx.sent), vec![2]);
-        assert_eq!(ctx.replies.len(), 2);
-        // A stale fire after the flush must not emit an empty batch.
-        r.on_timer(TIMER_BATCH, 0, &mut ctx);
-        assert_eq!(append_batches(&ctx.sent), vec![2]);
+        // ... until the hold-down fires,
+        r.on_timer(TIMER_BATCH, token, &mut ctx);
+        assert_eq!(append_batches(&ctx.sent), vec![1, 1]);
+        // ... or the batch fills first.
+        for seq in 2..6 {
+            r.on_request(request(seq), &mut ctx);
+        }
+        assert_eq!(append_batches(&ctx.sent), vec![1, 1, 4]);
     }
 
     #[test]
@@ -1814,6 +1840,204 @@ mod tests {
                 r.store().unwrap().history(key)
             );
         }
+    }
+
+    #[test]
+    fn checkpoint_cadence_grows_with_the_log() {
+        // A fixed cadence re-writes the whole log every 512 records: 39
+        // checkpoints and O(n²) bytes over this run. Growing with the log it
+        // is a handful, and recovery still rebuilds the same log and store.
+        use paxi_storage::{FsyncPolicy, MemHub};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let leader = NodeId::new(0, 0);
+        let mut r = durable_follower(&hub);
+        let mut ctx = probe(NodeId::new(0, 1));
+        let total = 20_000u64;
+        let heartbeat = |commit: u64| RaftMsg::AppendEntries {
+            term: 1,
+            prev_index: total,
+            prev_term: 1,
+            entries: Vec::new(),
+            commit,
+        };
+        let (mut checkpoints, mut wal_len) = (0, 0);
+        for i in 1..=total {
+            r.on_message(
+                leader,
+                RaftMsg::AppendEntries {
+                    term: 1,
+                    prev_index: i - 1,
+                    prev_term: if i == 1 { 0 } else { 1 },
+                    entries: vec![RaftEntry {
+                        term: 1,
+                        cmd: Command::put(i % 64, vec![i as u8]),
+                        req: None,
+                    }],
+                    commit: i - 1,
+                },
+                &mut ctx,
+            );
+            // Only a checkpoint ever shrinks the WAL.
+            let len = hub.synced_len(&1);
+            checkpoints += u32::from(len < wal_len);
+            wal_len = len;
+        }
+        r.on_message(leader, heartbeat(total), &mut ctx);
+        assert!(
+            (4..=7).contains(&checkpoints),
+            "{checkpoints} checkpoints for {total} appends: want O(log n)"
+        );
+        hub.crash(&1);
+        let mut r2 = durable_follower(&hub);
+        assert!(
+            r2.wal_records <= r2.checkpoint_len,
+            "recovery replays no more records than the checkpoint holds"
+        );
+        let mut ctx2 = probe(NodeId::new(0, 1));
+        r2.on_recover(&mut ctx2);
+        assert_eq!(r2.log, r.log);
+        r2.on_message(leader, heartbeat(total), &mut ctx2);
+        assert_eq!(r2.store.dump(), r.store.dump());
+    }
+
+    /// A disk whose snapshot install takes a second of the probe's clock.
+    struct SlowSnapshots {
+        inner: paxi_storage::MemStorage<u32>,
+        clock: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Storage for SlowSnapshots {
+        fn append(&mut self, payload: &[u8]) -> Result<(), paxi_storage::StorageError> {
+            self.inner.append(payload)
+        }
+        fn sync(&mut self) -> Result<(), paxi_storage::StorageError> {
+            self.inner.sync()
+        }
+        fn install_snapshot(&mut self, snapshot: &[u8]) -> Result<(), paxi_storage::StorageError> {
+            self.clock
+                .fetch_add(Nanos::secs(1).0, std::sync::atomic::Ordering::SeqCst);
+            self.inner.install_snapshot(snapshot)
+        }
+        fn recover(&mut self) -> Result<paxi_storage::Recovery, paxi_storage::StorageError> {
+            self.inner.recover()
+        }
+        fn policy(&self) -> paxi_storage::FsyncPolicy {
+            self.inner.policy()
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_longer_than_the_election_timeout_does_not_depose_the_leader() {
+        use paxi_storage::{FsyncPolicy, MemHub};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let (leader, me) = (NodeId::new(0, 0), NodeId::new(0, 1));
+        let mut ctx = probe(me);
+        let mut r = Raft::new(me, ClusterConfig::lan(3), RaftConfig::default());
+        r.attach_storage(Box::new(SlowSnapshots {
+            inner: hub.open(1),
+            clock: ctx.clock.clone(),
+        }));
+        r.on_start(&mut ctx);
+        // The append that crosses the checkpoint threshold holds its handler
+        // for a second, far beyond the 300 ms election timeout ...
+        for i in 1.. {
+            if ctx.now() > Nanos::ZERO {
+                break;
+            }
+            r.on_message(
+                leader,
+                RaftMsg::AppendEntries {
+                    term: 1,
+                    prev_index: i - 1,
+                    prev_term: if i == 1 { 0 } else { 1 },
+                    entries: vec![RaftEntry {
+                        term: 1,
+                        cmd: Command::put(i, vec![1]),
+                        req: None,
+                    }],
+                    commit: 0,
+                },
+                &mut ctx,
+            );
+        }
+        // ... and the election timer queued behind it fires next. The leader
+        // spoke in that very handler: no campaign.
+        ctx.sent.clear();
+        let (_, token) = ctx.last_timer(TIMER_ELECTION);
+        r.on_timer(TIMER_ELECTION, token, &mut ctx);
+        assert_eq!(r.term(), 1, "a live leader must not be deposed");
+        assert!(ctx.sent.is_empty(), "no RequestVote: {:?}", ctx.sent);
+    }
+
+    #[test]
+    fn append_leaves_before_the_leaders_sync_and_no_acked_write_is_lost() {
+        use paxi_storage::{FsyncPolicy, MemHub};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let ids = ClusterConfig::lan(3).all_nodes();
+        let (n0, n2) = (ids[0], ids[2]);
+        let durable = |id: NodeId, disk: &MemHub<u32>| {
+            let mut r = Raft::new(id, ClusterConfig::lan(3), RaftConfig::default());
+            r.attach_storage(Box::new(disk.open(id.node as u32)));
+            r
+        };
+        let mut nodes: Vec<(Raft, Probe)> = ids
+            .iter()
+            .map(|&id| (durable(id, &hub), probe(id)))
+            .collect();
+        for (r, ctx) in nodes.iter_mut() {
+            r.on_start(ctx);
+        }
+        settle(&mut nodes, &[]);
+        assert!(nodes[0].0.is_leader());
+        // Write 1 commits and is acknowledged.
+        let (l, ctx) = &mut nodes[0];
+        l.on_request(request(1), ctx);
+        settle(&mut nodes, &[]);
+        assert!(nodes[0].1.replies.iter().any(|r| r.id.seq == 1 && r.ok));
+        let acked = nodes[0].0.log.clone();
+
+        // Write 2: the AppendEntries is handed to the context while the
+        // leader's disk has not synced its own splice ...
+        let (l, ctx) = &mut nodes[0];
+        ctx.disk = Some((hub.clone(), 0));
+        hub.drain_syncs(&0);
+        l.on_request(request(2), ctx);
+        assert_eq!(ctx.at_broadcast.len(), 1);
+        assert_eq!(
+            ctx.at_broadcast[0].0, 0,
+            "append must not wait for the sync"
+        );
+        // ... and the sync is done before the handler returns, so the
+        // leader's match index never covers an unsynced entry.
+        assert_eq!(hub.drain_syncs(&0), 1);
+        let (_, image) = ctx.at_broadcast.pop().unwrap();
+
+        // One follower takes the entry; the leader dies with its disk as of
+        // the broadcast instant. Nobody was told write 2 committed.
+        settle(&mut nodes, &[n0, n2]);
+        assert_eq!(nodes[1].0.last_index(), acked.len() as u64);
+        assert!(nodes[0].1.replies.iter().all(|r| r.id.seq != 2));
+        let disk: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let mut s = disk.open(0);
+        assert!(image.snapshot.is_none());
+        for rec in &image.records {
+            s.append(rec).unwrap();
+        }
+        nodes[0] = (durable(n0, &disk), probe(n0));
+        assert_eq!(nodes[0].0.log, acked, "the splice was not on disk");
+
+        // It rejoins and campaigns. 0.1's longer log denies it, 0.2 elects
+        // it, and its new term overwrites the entry nobody acknowledged —
+        // every acknowledged entry is on every log.
+        let (l, ctx) = &mut nodes[0];
+        l.on_recover(ctx);
+        settle(&mut nodes, &[]);
+        assert!(nodes[0].0.is_leader());
+        for (r, _) in &nodes {
+            assert_eq!(r.log[..acked.len()], acked[..], "acknowledged write lost");
+            assert_eq!(r.log, nodes[0].0.log);
+        }
+        assert_eq!(nodes[0].0.store.get(1), Some(&vec![1]));
     }
 
     fn mig_spec() -> paxi_core::migration::MigrationSpec {

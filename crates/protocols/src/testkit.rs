@@ -1,0 +1,110 @@
+//! Hand-driven test doubles shared by the protocol unit tests: a recording
+//! [`Context`] and a lockstep message router, so handler logic is tested
+//! without the simulator.
+
+use paxi_core::command::{ClientRequest, ClientResponse};
+use paxi_core::id::NodeId;
+use paxi_core::time::Nanos;
+use paxi_core::traits::{Context, Replica};
+use paxi_storage::{MemHub, Recovery, Storage};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// A context that records every effect instead of performing it.
+pub(crate) struct Probe<M> {
+    pub id: NodeId,
+    /// `(to, msg)`; `None` is a broadcast.
+    pub sent: Vec<(Option<NodeId>, M)>,
+    pub replies: Vec<ClientResponse>,
+    /// `(delay, kind)` of every timer armed; its token is its 1-based
+    /// position.
+    pub timers: Vec<(Nanos, u64)>,
+    /// When set, every broadcast also records the watched disk as of that
+    /// instant: syncs since the last drain, and its recoverable image.
+    pub disk: Option<(MemHub<u32>, u32)>,
+    pub at_broadcast: Vec<(u64, Recovery)>,
+    /// What `now()` reads, in nanoseconds; stays 0 unless a test moves it.
+    pub clock: Arc<AtomicU64>,
+}
+
+pub(crate) fn probe<M>(id: NodeId) -> Probe<M> {
+    Probe {
+        id,
+        sent: Vec::new(),
+        replies: Vec::new(),
+        timers: Vec::new(),
+        disk: None,
+        at_broadcast: Vec::new(),
+        clock: Arc::default(),
+    }
+}
+
+impl<M> Probe<M> {
+    /// Delay and token of the latest armed timer of `kind`.
+    pub fn last_timer(&self, kind: u64) -> (Nanos, u64) {
+        let i = self
+            .timers
+            .iter()
+            .rposition(|t| t.1 == kind)
+            .expect("no such timer armed");
+        (self.timers[i].0, i as u64 + 1)
+    }
+}
+
+impl<M: Clone> Context<M> for Probe<M> {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+    fn now(&self) -> Nanos {
+        Nanos(self.clock.load(Ordering::SeqCst))
+    }
+    fn send(&mut self, to: NodeId, msg: M) {
+        self.sent.push((Some(to), msg));
+    }
+    fn broadcast(&mut self, msg: M) {
+        if let Some((hub, key)) = &self.disk {
+            let image = hub.open(*key).recover().unwrap();
+            self.at_broadcast.push((hub.drain_syncs(key), image));
+        }
+        self.sent.push((None, msg));
+    }
+    fn multicast(&mut self, to: &[NodeId], msg: M) {
+        for &t in to {
+            self.sent.push((Some(t), msg.clone()));
+        }
+    }
+    fn set_timer(&mut self, after: Nanos, kind: u64) -> u64 {
+        self.timers.push((after, kind));
+        self.timers.len() as u64
+    }
+    fn reply(&mut self, resp: ClientResponse) {
+        self.replies.push(resp);
+    }
+    fn forward(&mut self, _to: NodeId, _req: ClientRequest) {}
+    fn rand_u64(&mut self) -> u64 {
+        7
+    }
+}
+
+/// Routes everything the probes have sent, FIFO, until nothing moves;
+/// messages to `down` nodes are lost.
+pub(crate) fn settle<R: Replica>(nodes: &mut [(R, Probe<R::Msg>)], down: &[NodeId]) {
+    loop {
+        let mut moved = false;
+        for i in 0..nodes.len() {
+            let from = nodes[i].1.id;
+            for (to, msg) in std::mem::take(&mut nodes[i].1.sent) {
+                for (r, ctx) in nodes.iter_mut() {
+                    let addressed = to.map_or(ctx.id != from, |t| t == ctx.id);
+                    if addressed && !down.contains(&ctx.id) {
+                        r.on_message(from, msg.clone(), ctx);
+                        moved = true;
+                    }
+                }
+            }
+        }
+        if !moved {
+            return;
+        }
+    }
+}

@@ -645,8 +645,9 @@ mod tests {
             spec = spec.with_redirect();
         }
         // Even groups are led locally, odd groups elsewhere.
-        let factory =
-            |id: NodeId, g: GroupId| Echo::new(id, Some(if g.0 % 2 == 0 { me } else { other }));
+        let factory = move |id: NodeId, g: GroupId| {
+            Echo::new(id, Some(if g.0 % 2 == 0 { me } else { other }))
+        };
         sharded_cluster(spec, factory)(me)
     }
 

@@ -111,6 +111,20 @@ pub struct Recovery {
     pub damage: Damage,
 }
 
+/// Fewest WAL records between two snapshots.
+pub const SNAPSHOT_EVERY: u64 = 512;
+
+/// The snapshot cadence every WAL user shares: compact once the records
+/// appended since the last snapshot reach what that snapshot holds (in the
+/// caller's unit: log entries, executed slots), and never before
+/// [`SNAPSHOT_EVERY`]. A snapshot rewrites everything it holds, so a fixed
+/// cadence costs O(n²) bytes over a run of n records; a cadence that grows
+/// with the snapshot writes O(n) in O(log n) snapshots, and recovery still
+/// replays no more records than the snapshot it starts from holds.
+pub fn snapshot_due(records_since: u64, snapshot_holds: u64) -> bool {
+    records_since >= snapshot_holds.max(SNAPSHOT_EVERY)
+}
+
 /// A durable log + snapshot store for one replica.
 ///
 /// Protocols append opaque payloads (their own serialized WAL records) at

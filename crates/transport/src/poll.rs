@@ -134,11 +134,17 @@ impl WakePipe {
 
     /// Drains the pipe and clears the pending flag. The reactor calls this
     /// when the read end polls readable, *before* consuming the work the
-    /// wake advertised, so a wake racing the drain is never lost.
+    /// wake advertised, so a wake racing the drain is never lost: its work
+    /// is seen by the scan that follows, and every wake issued after the
+    /// drain finds the flag clear and writes its byte.
+    ///
+    /// The order matters. Clearing the flag first lets a racing `wake()`
+    /// set it again and write a byte that the reads below then swallow —
+    /// flag set, pipe empty, and every later wake skipped as redundant.
     pub fn drain(&self) {
-        self.pending.store(false, Ordering::Release);
         let mut buf = [0u8; 64];
         while matches!((&*self.reader).read(&mut buf), Ok(n) if n > 0) {}
+        self.pending.store(false, Ordering::Release);
     }
 }
 
@@ -173,6 +179,38 @@ mod tests {
         pipe.wake();
         let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
         assert_eq!(poll_fds(&mut fds, Some(Duration::from_secs(5))).unwrap(), 1);
+    }
+
+    #[test]
+    fn no_wake_issued_after_a_drain_is_lost_to_a_racing_waker() {
+        // One thread hammers `wake` while this one plays the reactor:
+        // drain, then wake. Whatever the interleaving with the hammering
+        // thread, a wake issued after a drain must leave the fd readable.
+        // (Draining flag-first, a racing wake's byte was read away with the
+        // flag left set; this wake was then skipped and the poll timed out.)
+        let pipe = WakePipe::new().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let hammer = {
+            let (pipe, stop) = (pipe.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    pipe.wake();
+                }
+            })
+        };
+        let mut lost = None;
+        for round in 0..200_000 {
+            pipe.drain();
+            pipe.wake();
+            let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
+            if poll_fds(&mut fds, Some(Duration::from_millis(500))).unwrap() == 0 {
+                lost = Some(round);
+                break;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        hammer.join().unwrap();
+        assert_eq!(lost, None, "a wake issued after drain() left the pipe idle");
     }
 
     #[test]

@@ -157,6 +157,14 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
     }
     fn set_timer(&mut self, after: Nanos, kind: u64) -> u64 {
         let token = self.token_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        if after == Nanos::ZERO {
+            // "After the input already queued": straight into the inbox,
+            // behind whatever is waiting there, with no wake-up of and
+            // hand-off from the timer thread. The simulator orders a
+            // zero-delay timer the same way.
+            let _ = self.inbox_tx.send(NodeEvent::Timer { kind, token });
+            return token;
+        }
         let tx = self.inbox_tx.clone();
         self.timers
             .schedule(Duration::from_nanos(after.0), move || {

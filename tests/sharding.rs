@@ -18,7 +18,7 @@ use paxi::bench::{
     check_group_consensus, check_shard_leakage, check_sharded, run_nemesis, run_sharded_nemesis,
     NemesisConfig, Proto, ShardProto,
 };
-use paxi::core::{ClusterConfig, Command, CrashMode, GroupId, Nanos, NodeId};
+use paxi::core::{ClusterConfig, Command, CrashMode, GroupId, Nanos, NodeId, Replica};
 use paxi::protocols::paxos::{MultiPaxos, PaxosConfig};
 use paxi::shard::{
     sharded_cluster, spread_leader, ClientPool, RangePartitioner, RouterConfig, ShardDisks,

@@ -104,6 +104,7 @@ fn protocol_messages_roundtrip_through_the_codec() {
                 Ballot::first(NodeId::new(0, 1)),
                 vec![(Command::put(42, vec![1, 2, 3]), Some(RequestId::new(ClientId(9), 100)))],
             )],
+            commit_upto: 7,
         },
         PaxosMsg::P2a {
             ballot: Ballot::first(NodeId::new(2, 2)),
