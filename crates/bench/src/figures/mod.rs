@@ -115,7 +115,6 @@ pub fn baseline_for(name: &str, tables: &[Table]) -> Option<(&'static str, Strin
     match name {
         "batching" => Some(("BENCH_batching.json", batching::baseline_json(tables))),
         "sharding" => Some(("BENCH_sharding.json", sharding::baseline_json(tables))),
-        "reactor" => Some(("BENCH_reactor.json", reactor::baseline_json(tables))),
         _ => None,
     }
 }

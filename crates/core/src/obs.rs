@@ -130,7 +130,10 @@ pub enum DropCause {
     Fault,
     /// The destination (or source) node was crashed.
     Crashed,
-    /// A bounded queue (TCP writer, node inbox) was full and shed load.
+    /// A bounded queue was full and shed load. Nothing charges it any more:
+    /// its last producer was the threaded TCP runtime's per-connection writer
+    /// queue, and the one TCP runtime sheds as [`DropCause::Backpressure`].
+    /// The variant stays so ledgers and their JSON keep their shape.
     QueueFull,
     /// Lost in a reconnect window: the peer link was down and frames queued
     /// for it could not be delivered.

@@ -9,7 +9,7 @@
 use crate::envelope::Envelope;
 use crate::faults::{ChaosOut, FaultInjector};
 use crate::obs::DropCounters;
-use crate::runtime::{run_node, NodeEvent, Outbound, Remake};
+use crate::runtime::{run_node, InboxTx, Node, NodeEvent, Outbound, Remake};
 use crate::timer::TimerService;
 use paxi_core::obs::DropCause;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Registry<M> {
-    nodes: HashMap<NodeId, Sender<NodeEvent<M>>>,
+    nodes: HashMap<NodeId, InboxTx<M>>,
     clients: Mutex<HashMap<ClientId, Sender<ClientResponse>>>,
     drops: DropCounters,
 }
@@ -44,7 +44,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Outbound<M> for ChannelOut<M> 
     fn to_node(&self, to: NodeId, env: Envelope<M>) {
         match self.reg.nodes.get(&to) {
             Some(tx) => {
-                if tx.send(NodeEvent::Wire(env)).is_err() {
+                if !tx.send(NodeEvent::Wire(env)) {
                     // The node's event loop already exited.
                     self.reg.drops.record(DropCause::Crashed);
                 }
@@ -111,10 +111,10 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
         let timers = Arc::new(TimerService::new());
         let epoch = Instant::now();
         let mut inboxes = HashMap::new();
-        let mut receivers: Vec<(NodeId, Receiver<NodeEvent<R::Msg>>, Sender<NodeEvent<R::Msg>>)> =
-            Vec::new();
+        let mut receivers = Vec::new();
         for &id in &all {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = unbounded::<NodeEvent<R::Msg>>();
+            let tx = InboxTx::new(tx);
             inboxes.insert(id, tx.clone());
             receivers.push((id, rx, tx));
         }
@@ -144,30 +144,27 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
                 Some(inj) => {
                     let out =
                         ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(&timers));
-                    builder
-                        .spawn(move || {
-                            run_node(
-                                id,
-                                replica,
-                                peers,
-                                rx,
-                                tx,
-                                out,
-                                timers,
-                                epoch,
-                                seed,
-                                faults,
-                                Some(remake),
-                            )
-                        })
-                        .expect("spawn node thread")
+                    let node = Node::new(
+                        id,
+                        replica,
+                        peers,
+                        tx,
+                        out,
+                        timers,
+                        epoch,
+                        seed,
+                        faults,
+                        Some(remake),
+                    );
+                    builder.spawn(move || run_node(node, rx))
                 }
-                None => builder
-                    .spawn(move || {
-                        run_node(id, replica, peers, rx, tx, out, timers, epoch, seed, None, None)
-                    })
-                    .expect("spawn node thread"),
-            };
+                None => {
+                    let node =
+                        Node::new(id, replica, peers, tx, out, timers, epoch, seed, None, None);
+                    builder.spawn(move || run_node(node, rx))
+                }
+            }
+            .expect("spawn node thread");
             handles.push(handle);
         }
         InProcCluster { reg, cluster, handles, next_client: AtomicU32::new(0), _timers: timers }
@@ -203,7 +200,7 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
     /// Shuts down all node threads and waits for them.
     pub fn shutdown(mut self) {
         for tx in self.reg.nodes.values() {
-            let _ = tx.send(NodeEvent::Wire(Envelope::Shutdown));
+            tx.send(NodeEvent::Wire(Envelope::Shutdown));
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -215,7 +212,7 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
 pub struct SyncClient<M> {
     id: ClientId,
     seq: u64,
-    node: Sender<NodeEvent<M>>,
+    node: InboxTx<M>,
     rx: Receiver<ClientResponse>,
     timeout: Duration,
 }
@@ -235,12 +232,10 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> SyncClient<M> {
     pub fn execute(&mut self, cmd: Command) -> Option<ClientResponse> {
         let req_id = RequestId::new(self.id, self.seq);
         self.seq += 1;
-        self.node
-            .send(NodeEvent::Wire(Envelope::Request(paxi_core::ClientRequest {
-                id: req_id,
-                cmd,
-            })))
-            .ok()?;
+        let req = paxi_core::ClientRequest { id: req_id, cmd };
+        if !self.node.send(NodeEvent::Wire(Envelope::Request(req))) {
+            return None;
+        }
         // Skip stale responses (from timed-out predecessors).
         let deadline = Instant::now() + self.timeout;
         loop {

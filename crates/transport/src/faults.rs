@@ -12,8 +12,8 @@
 //!   which intercepts every node→node envelope at the sender: dropped
 //!   envelopes vanish, slowed ones are re-sent by the shared
 //!   [`TimerService`] after the injected delay.
-//! * **Crashes** are applied at the receiving node's event loop
-//!   ([`crate::runtime::run_node`]): while a node's crash window is active,
+//! * **Crashes** are applied where the receiving node takes its events
+//!   ([`crate::runtime::Node::handle`]): while a node's crash window is active,
 //!   every event addressed to it — messages, client requests, timers — is
 //!   silently discarded, exactly like the simulator freezing a node. When
 //!   the window ends the runtime delivers
@@ -26,9 +26,8 @@
 
 use crate::envelope::Envelope;
 use crate::obs::DropCounters;
-use crate::runtime::{NodeEvent, Outbound};
+use crate::runtime::{InboxTx, NodeEvent, Outbound};
 use crate::timer::TimerService;
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use paxi_core::command::ClientResponse;
 use paxi_core::dist::Rng64;
@@ -147,7 +146,7 @@ impl FaultInjector {
     pub fn schedule_recoveries<M: Send + 'static>(
         self: &Arc<Self>,
         timers: &TimerService,
-        inboxes: &HashMap<NodeId, Sender<NodeEvent<M>>>,
+        inboxes: &HashMap<NodeId, InboxTx<M>>,
     ) {
         for (node, at, _mode) in self.plan.recoveries() {
             // The wake event is mode-agnostic: the node's event loop already
@@ -156,7 +155,7 @@ impl FaultInjector {
                 continue;
             };
             timers.schedule(Duration::from_nanos(at.0), move || {
-                let _ = tx.send(NodeEvent::Restart);
+                tx.send(NodeEvent::Restart);
             });
         }
     }

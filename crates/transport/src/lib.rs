@@ -7,21 +7,23 @@
 //!
 //! * [`channel`] — all nodes in one process over crossbeam channels (Paxi's
 //!   "cluster simulation" mode, which simplifies debugging).
-//! * [`tcp`] — one TCP listener per node, length-prefixed `paxi-codec`
-//!   frames, blocking clients, reply relaying across forwards.
+//! * [`tcp`] (unix) — one TCP listener per node, length-prefixed
+//!   `paxi-codec` frames, reply relaying across forwards. Its runtime is
+//!   [`reactor`]: per node one thread that runs a hand-rolled `poll(2)`
+//!   loop ([`poll`]) over all of the node's sockets *and* the replica's
+//!   handlers, run to completion; pipelined clients, 10k+ concurrent
+//!   connections per node.
 //! * [`udp`] — one datagram socket per node; best-effort delivery with
 //!   client retries (for protocols that gain nothing from ordered delivery).
-//! * [`reactor`] (unix) — the nonblocking readiness-loop TCP runtime: all of
-//!   a node's sockets multiplexed onto one thread over hand-rolled
-//!   `poll(2)` ([`poll`]), pipelined clients, 10k+ concurrent connections
-//!   per node.
+//! * [`runtime`] — [`runtime::Node`], the one-event-at-a-time replica driver
+//!   all three share, and the inbox loop of the channel and UDP transports.
 //! * [`timer`] — the shared timer wheel behind `Context::set_timer`.
 //! * [`faults`] — live fault injection: every transport has a
 //!   `launch_chaotic` constructor that applies a
 //!   [`paxi_core::faults::FaultPlan`] (Crash / Drop / Slow / Flaky) against
 //!   wall-clock time, mirroring the simulator's semantics.
 //! * [`obs`] — transport-side drop accounting: every loss path (encode
-//!   failure, oversize datagram, full writer queue, reconnect window,
+//!   failure, oversize datagram, full write buffer, reconnect window,
 //!   injected fault) charges a named [`paxi_core::obs::DropCause`] in a
 //!   shared [`DropCounters`], so no message disappears without a ledger
 //!   entry.
@@ -37,6 +39,7 @@ pub mod poll;
 #[cfg(unix)]
 pub mod reactor;
 pub mod runtime;
+#[cfg(unix)]
 pub mod tcp;
 pub mod timer;
 pub mod udp;
@@ -48,6 +51,7 @@ pub use obs::{ConnCounters, DropCounters};
 #[cfg(unix)]
 pub use reactor::{run_swarm, PipelinedClient, ReactorCluster, SwarmReport};
 pub use runtime::Remake;
+#[cfg(unix)]
 pub use tcp::{TcpClient, TcpCluster};
 pub use timer::TimerService;
 pub use udp::{OversizeDatagram, UdpClient, UdpCluster, MAX_DGRAM};

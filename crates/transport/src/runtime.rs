@@ -1,11 +1,16 @@
-//! The shared node event loop for wall-clock runtimes.
+//! The shared node event handling for wall-clock runtimes.
 //!
-//! Every transport (in-process channels, TCP, UDP) funnels inbound traffic
-//! into a per-node inbox; [`run_node`] drains the inbox on the node's own
-//! thread, invoking the replica's handlers with a [`paxi_core::traits::Context`]
-//! backed by the transport's [`Outbound`] half and the shared
-//! [`crate::timer::TimerService`]. Handlers are strictly serial per node, the
-//! same execution model as the simulator, so replica code runs unchanged.
+//! A [`Node`] is one replica plus everything its handlers need: it takes one
+//! [`NodeEvent`] at a time and invokes the replica with a
+//! [`paxi_core::traits::Context`] backed by the transport's [`Outbound`] half
+//! and the shared [`crate::timer::TimerService`]. Handlers are strictly
+//! serial per node, the same execution model as the simulator, so replica
+//! code runs unchanged. What differs between runtimes is only who calls
+//! [`Node::handle`]: the channel and UDP transports funnel inbound traffic
+//! into a per-node inbox that [`run_node`] drains on the node's own thread;
+//! the TCP runtime ([`crate::reactor`]) calls it from its socket loop with
+//! each frame as it is decoded, and uses the inbox only for what does not
+//! arrive on a socket (timers, self-sends, restart and shutdown).
 
 use crate::envelope::Envelope;
 use crate::faults::FaultInjector;
@@ -15,9 +20,9 @@ use paxi_core::command::{ClientRequest, ClientResponse};
 use paxi_core::dist::Rng64;
 use paxi_core::faults::CrashMode;
 use paxi_core::id::{ClientId, NodeId};
+use paxi_core::obs::DropCause;
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,10 +31,10 @@ use std::time::{Duration, Instant};
 /// replays the WAL. Cluster constructors derive one from the launch factory.
 pub type Remake<R> = Arc<dyn Fn(NodeId) -> R + Send + Sync>;
 
-/// How long the event loop waits before giving the replica a storage tick.
+/// How long an event loop waits before giving the replica a storage tick.
 /// Bounds how far a batch fsync policy's interval can overshoot on a quiet
 /// node; an idle tick on a replica with nothing buffered is a no-op.
-const SYNC_TICK: Duration = Duration::from_millis(1);
+pub(crate) const SYNC_TICK: Duration = Duration::from_millis(1);
 
 /// Timer event injected back into a node inbox.
 #[derive(Debug, Clone)]
@@ -47,6 +52,53 @@ pub enum NodeEvent<M> {
     /// carries no payload — its arrival gives a thawed node a chance to run
     /// its restart hook even if no peer ever contacts it.
     Restart,
+}
+
+/// The sending half of a node's inbox, for every thread that is not the
+/// node's own: peers and clients of the in-process transport, the UDP
+/// receiver, the timer thread, the fault injector's recovery wake-ups, and
+/// cluster shutdown.
+///
+/// A node thread that sleeps in `recv` is woken by the channel itself. One
+/// that sleeps in `poll(2)` is not, so its runtime attaches a `wake` that
+/// every send calls after queueing the event.
+pub struct InboxTx<M> {
+    tx: Sender<NodeEvent<M>>,
+    wake: Option<Arc<dyn Fn() + Send + Sync>>,
+}
+
+impl<M> Clone for InboxTx<M> {
+    fn clone(&self) -> Self {
+        InboxTx {
+            tx: self.tx.clone(),
+            wake: self.wake.clone(),
+        }
+    }
+}
+
+impl<M> InboxTx<M> {
+    /// For a node whose loop blocks on the inbox's receiving half.
+    pub fn new(tx: Sender<NodeEvent<M>>) -> Self {
+        InboxTx { tx, wake: None }
+    }
+
+    /// For a node whose loop blocks elsewhere: `wake` must make it look at
+    /// its inbox soon, from any thread.
+    pub fn with_wake(tx: Sender<NodeEvent<M>>, wake: Arc<dyn Fn() + Send + Sync>) -> Self {
+        InboxTx {
+            tx,
+            wake: Some(wake),
+        }
+    }
+
+    /// Queues `ev` and wakes the node. `false` if the node's loop is gone.
+    pub fn send(&self, ev: NodeEvent<M>) -> bool {
+        let queued = self.tx.send(ev).is_ok();
+        if let Some(wake) = &self.wake {
+            wake();
+        }
+        queued
+    }
 }
 
 /// The transport-specific outbound half: how a node reaches peers and
@@ -99,10 +151,10 @@ struct ThreadCtx<'a, M, O: Outbound<M>> {
     id: NodeId,
     peers: &'a [NodeId],
     out: &'a O,
-    inbox_tx: &'a Sender<NodeEvent<M>>,
+    inbox_tx: &'a InboxTx<M>,
     timers: &'a TimerService,
     epoch: Instant,
-    token_counter: &'a AtomicU64,
+    tokens: &'a mut u64,
     rng: &'a mut Rng64,
 }
 
@@ -117,8 +169,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
     }
     fn send(&mut self, to: NodeId, msg: M) {
         if to == self.id {
-            let _ = self
-                .inbox_tx
+            self.inbox_tx
                 .send(NodeEvent::Wire(Envelope::Msg { from: self.id, msg }));
         } else {
             self.out.to_node(to, Envelope::Msg { from: self.id, msg });
@@ -140,7 +191,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
     fn multicast(&mut self, to: &[NodeId], msg: M) {
         for &p in to {
             if p == self.id {
-                let _ = self.inbox_tx.send(NodeEvent::Wire(Envelope::Msg {
+                self.inbox_tx.send(NodeEvent::Wire(Envelope::Msg {
                     from: self.id,
                     msg: msg.clone(),
                 }));
@@ -156,19 +207,20 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
         }
     }
     fn set_timer(&mut self, after: Nanos, kind: u64) -> u64 {
-        let token = self.token_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        *self.tokens += 1;
+        let token = *self.tokens;
         if after == Nanos::ZERO {
             // "After the input already queued": straight into the inbox,
             // behind whatever is waiting there, with no wake-up of and
             // hand-off from the timer thread. The simulator orders a
             // zero-delay timer the same way.
-            let _ = self.inbox_tx.send(NodeEvent::Timer { kind, token });
+            self.inbox_tx.send(NodeEvent::Timer { kind, token });
             return token;
         }
         let tx = self.inbox_tx.clone();
         self.timers
             .schedule(Duration::from_nanos(after.0), move || {
-                let _ = tx.send(NodeEvent::Timer { kind, token });
+                tx.send(NodeEvent::Timer { kind, token });
             });
         token
     }
@@ -177,7 +229,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
     }
     fn forward(&mut self, to: NodeId, req: ClientRequest) {
         if to == self.id {
-            let _ = self.inbox_tx.send(NodeEvent::Wire(Envelope::Request(req)));
+            self.inbox_tx.send(NodeEvent::Wire(Envelope::Request(req)));
         } else {
             self.out.to_node(to, Envelope::Request(req));
         }
@@ -187,65 +239,104 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
     }
 }
 
-/// Drives one replica until a [`Envelope::Shutdown`] arrives. Call on a
-/// dedicated thread.
+/// One replica and the state its handlers run against: the unit every
+/// wall-clock runtime drives, one event at a time, on one thread.
 ///
-/// When a [`FaultInjector`] is supplied, the loop enforces crash semantics
-/// exactly like the simulator: while the node's crash window is active every
-/// event addressed to it (messages, requests, timers) is silently discarded;
-/// on the first event after thawing, the window's [`CrashMode`] decides what
-/// happens before normal dispatch resumes. [`CrashMode::Freeze`] runs
-/// [`Replica::on_restart`] on the retained replica. [`CrashMode::Amnesia`]
-/// discards the replica, rebuilds it via `remake` (whose storage attachment
-/// replays the WAL) and runs [`Replica::on_recover`]; without a `remake`
-/// closure amnesia degenerates to freeze semantics — the runtime cannot
-/// pretend volatile state was lost while still holding it.
-/// [`Envelope::Shutdown`] is always honored, crashed or not.
-#[allow(clippy::too_many_arguments)]
-pub fn run_node<R: Replica, O: Outbound<R::Msg>>(
+/// When a [`FaultInjector`] is supplied, [`Node::handle`] enforces crash
+/// semantics exactly like the simulator: while the node's crash window is
+/// active every event addressed to it (messages, requests, timers) is
+/// silently discarded; on the first event after thawing, the window's
+/// [`CrashMode`] decides what happens before normal dispatch resumes.
+/// [`CrashMode::Freeze`] runs [`Replica::on_restart`] on the retained
+/// replica. [`CrashMode::Amnesia`] discards the replica, rebuilds it via
+/// `remake` (whose storage attachment replays the WAL) and runs
+/// [`Replica::on_recover`]; without a `remake` closure amnesia degenerates
+/// to freeze semantics — the runtime cannot pretend volatile state was lost
+/// while still holding it. [`Envelope::Shutdown`] is always honored, crashed
+/// or not.
+pub struct Node<R: Replica, O: Outbound<R::Msg>> {
     id: NodeId,
-    mut replica: R,
-    mut peers: Vec<NodeId>,
-    inbox: Receiver<NodeEvent<R::Msg>>,
-    inbox_tx: Sender<NodeEvent<R::Msg>>,
+    replica: R,
+    peers: Vec<NodeId>,
+    inbox_tx: InboxTx<R::Msg>,
     out: O,
     timers: Arc<TimerService>,
     epoch: Instant,
-    seed: u64,
+    /// Timer tokens handed out so far.
+    tokens: u64,
+    rng: Rng64,
     faults: Option<Arc<FaultInjector>>,
     remake: Option<Remake<R>>,
-) {
-    let token_counter = AtomicU64::new(0);
-    let mut rng = Rng64::seed(seed);
-    {
-        let mut ctx = ThreadCtx {
+    /// The mode of the crash window this node is in, or has left without
+    /// having recovered yet.
+    frozen: Option<CrashMode>,
+}
+
+impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
+    /// `inbox_tx` feeds the inbox whose events the caller will pass to
+    /// [`Node::handle`]: self-addressed messages and fired timers go there.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        id: NodeId,
+        replica: R,
+        peers: Vec<NodeId>,
+        inbox_tx: InboxTx<R::Msg>,
+        out: O,
+        timers: Arc<TimerService>,
+        epoch: Instant,
+        seed: u64,
+        faults: Option<Arc<FaultInjector>>,
+        remake: Option<Remake<R>>,
+    ) -> Self {
+        Node {
             id,
-            peers: &peers,
-            out: &out,
-            inbox_tx: &inbox_tx,
-            timers: &timers,
+            replica,
+            peers,
+            inbox_tx,
+            out,
+            timers,
             epoch,
-            token_counter: &token_counter,
-            rng: &mut rng,
-        };
-        replica.on_start(&mut ctx);
+            tokens: 0,
+            rng: Rng64::seed(seed),
+            faults,
+            remake,
+            frozen: None,
+        }
     }
-    sync_peers(&replica, &mut peers, &out);
-    let mut frozen: Option<CrashMode> = None;
-    loop {
-        // A bounded wait instead of a blocking recv: on timeout the replica
-        // gets a storage tick, so a batch fsync policy's interval bound is
-        // honored even while the node is quiet (no append to piggyback the
-        // deadline check on).
-        let ev = match inbox.recv_timeout(SYNC_TICK) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
+
+    /// The replica, and the context its handlers see for one call.
+    fn parts(&mut self) -> (&mut R, ThreadCtx<'_, R::Msg, O>) {
+        let ctx = ThreadCtx {
+            id: self.id,
+            peers: &self.peers,
+            out: &self.out,
+            inbox_tx: &self.inbox_tx,
+            timers: &self.timers,
+            epoch: self.epoch,
+            tokens: &mut self.tokens,
+            rng: &mut self.rng,
         };
-        if let Some(inj) = &faults {
-            if inj.is_crashed(id) {
+        (&mut self.replica, ctx)
+    }
+
+    /// Runs [`Replica::on_start`]. Call once, on the node's thread, before
+    /// the first [`Node::handle`].
+    pub fn start(&mut self) {
+        let (replica, mut ctx) = self.parts();
+        replica.on_start(&mut ctx);
+        sync_peers(&self.replica, &mut self.peers, &self.out);
+    }
+
+    /// Handles one event, or with `None` gives the replica a storage tick
+    /// (the caller waited [`SYNC_TICK`] and nothing came, so a batch fsync
+    /// policy's interval bound is honored even while the node is quiet and
+    /// no append is there to piggyback the deadline check on). Returns
+    /// `false` once the node has been told to shut down.
+    pub fn handle(&mut self, ev: Option<NodeEvent<R::Msg>>) -> bool {
+        if let Some(inj) = &self.faults {
+            if inj.is_crashed(self.id) {
                 if matches!(ev, Some(NodeEvent::Wire(Envelope::Shutdown))) {
-                    break;
+                    return false;
                 }
                 // Wire traffic discarded by a frozen node is a real loss the
                 // cluster must account for; timers and restart wake-ups are
@@ -255,46 +346,40 @@ pub fn run_node<R: Replica, O: Outbound<R::Msg>>(
                     Some(NodeEvent::Wire(Envelope::Msg { .. }))
                         | Some(NodeEvent::Wire(Envelope::Request(_)))
                 ) {
-                    inj.drops().record(paxi_core::obs::DropCause::Crashed);
+                    inj.drops().record(DropCause::Crashed);
                 }
                 // Record the window's mode while it is still queryable: by
                 // thaw time the window no longer covers the clock.
-                if frozen.is_none() {
-                    frozen = Some(inj.crash_mode(id).unwrap_or_default());
+                if self.frozen.is_none() {
+                    self.frozen = Some(inj.crash_mode(self.id).unwrap_or_default());
                 }
-                continue;
+                return true;
             }
         }
         let Some(ev) = ev else {
             // Don't touch a thawed-but-not-yet-recovered replica: recovery
             // runs on the next real event, exactly as before.
-            if frozen.is_none() {
-                replica.sync_storage();
+            if self.frozen.is_none() {
+                self.replica.sync_storage();
             }
-            continue;
+            return true;
         };
-        let mut ctx = ThreadCtx {
-            id,
-            peers: &peers,
-            out: &out,
-            inbox_tx: &inbox_tx,
-            timers: &timers,
-            epoch,
-            token_counter: &token_counter,
-            rng: &mut rng,
-        };
-        match frozen.take() {
+        let thawed = self.frozen.take();
+        if thawed == Some(CrashMode::Amnesia) {
+            if let Some(mk) = &self.remake {
+                self.replica = mk(self.id);
+            }
+        }
+        let (replica, mut ctx) = self.parts();
+        match thawed {
             Some(CrashMode::Freeze) => replica.on_restart(&mut ctx),
             Some(CrashMode::Amnesia) => {
-                if let Some(mk) = &remake {
-                    replica = mk(id);
-                }
                 replica.on_recover(&mut ctx);
                 // An amnesiac node's transport may have dropped its links
                 // while it was dark (peers tore down dead connections); warm
                 // them again so recovery traffic doesn't eat dial latency.
-                for &p in ctx.peers.iter().filter(|&&p| p != id) {
-                    out.connect_peer(p);
+                for &p in ctx.peers.iter().filter(|&&p| p != ctx.id) {
+                    ctx.out.connect_peer(p);
                 }
             }
             None => {}
@@ -303,13 +388,231 @@ pub fn run_node<R: Replica, O: Outbound<R::Msg>>(
             NodeEvent::Wire(Envelope::Msg { from, msg }) => replica.on_message(from, msg, &mut ctx),
             NodeEvent::Wire(Envelope::Request(req)) => replica.on_request(req, &mut ctx),
             NodeEvent::Wire(Envelope::Response(_)) => {}
-            NodeEvent::Wire(Envelope::Shutdown) => break,
+            NodeEvent::Wire(Envelope::Shutdown) => return false,
             NodeEvent::Timer { kind, token } => replica.on_timer(kind, token, &mut ctx),
             NodeEvent::Restart => {}
         }
         // A handled event may have activated a configuration; reconcile the
         // live link set with the replica's membership view before the next
-        // recv so activation-time joins get warm links immediately.
-        sync_peers(&replica, &mut peers, &out);
+        // event so activation-time joins get warm links immediately.
+        sync_peers(&self.replica, &mut self.peers, &self.out);
+        true
+    }
+}
+
+/// Drives `node` from its inbox until an [`Envelope::Shutdown`] arrives: the
+/// event loop of the channel and UDP transports. Call on a dedicated thread.
+pub fn run_node<R: Replica, O: Outbound<R::Msg>>(
+    mut node: Node<R, O>,
+    inbox: Receiver<NodeEvent<R::Msg>>,
+) {
+    node.start();
+    loop {
+        let ev = match inbox.recv_timeout(SYNC_TICK) {
+            Ok(ev) => Some(ev),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        if !node.handle(ev) {
+            break;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! [`Node::handle`] with no thread anywhere: the crash gate, the two
+    //! thaw paths and the storage tick, driven one event at a time.
+
+    use super::*;
+    use crossbeam::channel::unbounded;
+    use parking_lot::Mutex;
+    use paxi_core::faults::FaultPlan;
+
+    type Log = Arc<Mutex<Vec<&'static str>>>;
+
+    /// Records which hooks the runtime called, in order.
+    struct Recording(Log);
+
+    impl Replica for Recording {
+        type Msg = ();
+        fn on_start(&mut self, _ctx: &mut dyn Context<()>) {
+            self.0.lock().push("start");
+        }
+        fn on_restart(&mut self, _ctx: &mut dyn Context<()>) {
+            self.0.lock().push("restart");
+        }
+        fn on_recover(&mut self, _ctx: &mut dyn Context<()>) {
+            self.0.lock().push("recover");
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut dyn Context<()>) {
+            self.0.lock().push("message");
+        }
+        fn on_request(&mut self, _req: ClientRequest, _ctx: &mut dyn Context<()>) {
+            self.0.lock().push("request");
+        }
+        fn on_timer(&mut self, _kind: u64, _token: u64, _ctx: &mut dyn Context<()>) {
+            self.0.lock().push("timer");
+        }
+        fn sync_storage(&mut self) {
+            self.0.lock().push("tick");
+        }
+    }
+
+    /// Sends nothing; records the peers the runtime asked it to dial.
+    struct Dials(Arc<Mutex<Vec<NodeId>>>);
+
+    impl Outbound<()> for Dials {
+        fn to_node(&self, _to: NodeId, _env: Envelope<()>) {}
+        fn to_client(&self, _client: ClientId, _resp: ClientResponse) {}
+        fn connect_peer(&self, peer: NodeId) {
+            self.0.lock().push(peer);
+        }
+    }
+
+    fn n(i: u8) -> NodeId {
+        NodeId::new(0, i)
+    }
+
+    fn msg() -> Option<NodeEvent<()>> {
+        Some(NodeEvent::Wire(Envelope::Msg {
+            from: n(1),
+            msg: (),
+        }))
+    }
+
+    /// Long enough that the assertions on the frozen node run inside it.
+    const WINDOW: Nanos = Nanos::millis(200);
+
+    struct Rig {
+        node: Node<Recording, Dials>,
+        inj: Arc<FaultInjector>,
+        log: Log,
+        remade: Log,
+        dials: Arc<Mutex<Vec<NodeId>>>,
+    }
+
+    impl Rig {
+        /// Node 0 of three, inside a crash window of `mode` from now on.
+        fn crashed(mode: CrashMode) -> Rig {
+            let mut plan = FaultPlan::new();
+            match mode {
+                CrashMode::Freeze => plan.crash(n(0), Nanos::ZERO, WINDOW),
+                CrashMode::Amnesia => plan.crash_amnesia(n(0), Nanos::ZERO, WINDOW),
+            };
+            let inj = FaultInjector::new(plan, 1);
+            let (log, remade): (Log, Log) = Default::default();
+            let dials = Arc::new(Mutex::new(Vec::new()));
+            let (tx, _rx) = unbounded();
+            let remake: Remake<Recording> = {
+                let remade = Arc::clone(&remade);
+                Arc::new(move |_| Recording(Arc::clone(&remade)))
+            };
+            let node = Node::new(
+                n(0),
+                Recording(Arc::clone(&log)),
+                vec![n(0), n(1), n(2)],
+                InboxTx::new(tx),
+                Dials(Arc::clone(&dials)),
+                Arc::new(TimerService::new()),
+                Instant::now(),
+                7,
+                Some(Arc::clone(&inj)),
+                Some(remake),
+            );
+            inj.start(Instant::now());
+            Rig {
+                node,
+                inj,
+                log,
+                remade,
+                dials,
+            }
+        }
+
+        fn wait_for_thaw(&self) {
+            while self.inj.is_crashed(n(0)) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_window_discards_and_charges_crashed() {
+        let mut rig = Rig::crashed(CrashMode::Freeze);
+        let request = NodeEvent::Wire(Envelope::Request(ClientRequest {
+            id: paxi_core::id::RequestId::new(ClientId(1), 0),
+            cmd: paxi_core::command::Command::get(1),
+        }));
+        assert!(rig.node.handle(msg()));
+        assert!(rig.node.handle(Some(request)));
+        // Not messages: discarded, but nothing the ledger has to explain.
+        assert!(rig
+            .node
+            .handle(Some(NodeEvent::Timer { kind: 1, token: 1 })));
+        assert!(rig.node.handle(Some(NodeEvent::Restart)));
+        assert!(rig.node.handle(None), "a frozen node gets no storage tick");
+        assert!(rig.log.lock().is_empty(), "a frozen node runs no handler");
+        assert_eq!(rig.inj.drops().get(DropCause::Crashed), 2);
+        assert_eq!(rig.inj.drops().total(), 2);
+        // Shutdown is honored, crashed or not.
+        assert!(!rig.node.handle(Some(NodeEvent::Wire(Envelope::Shutdown))));
+    }
+
+    #[test]
+    fn first_event_after_a_freeze_runs_on_restart_then_the_event() {
+        let mut rig = Rig::crashed(CrashMode::Freeze);
+        assert!(rig.node.handle(msg()));
+        rig.wait_for_thaw();
+        // Thawed but not yet recovered: the tick must not touch the replica.
+        assert!(rig.node.handle(None));
+        assert!(rig.log.lock().is_empty());
+        assert!(rig.node.handle(Some(NodeEvent::Restart)));
+        assert!(rig.node.handle(msg()));
+        assert!(rig.node.handle(None));
+        assert_eq!(*rig.log.lock(), ["restart", "message", "tick"]);
+        assert!(rig.remade.lock().is_empty(), "a freeze keeps the replica");
+        assert!(rig.dials.lock().is_empty());
+    }
+
+    #[test]
+    fn amnesia_rebuilds_through_remake_then_runs_on_recover() {
+        let mut rig = Rig::crashed(CrashMode::Amnesia);
+        assert!(rig
+            .node
+            .handle(Some(NodeEvent::Timer { kind: 1, token: 1 })));
+        rig.wait_for_thaw();
+        assert!(rig.node.handle(msg()));
+        assert!(rig.node.handle(None));
+        // The old replica saw nothing; its replacement recovered, then
+        // handled the event, and the links to both peers were warmed.
+        assert!(rig.log.lock().is_empty());
+        assert_eq!(*rig.remade.lock(), ["recover", "message", "tick"]);
+        assert_eq!(*rig.dials.lock(), [n(1), n(2)]);
+    }
+
+    #[test]
+    fn an_uncrashed_node_starts_dispatches_and_ticks() {
+        let (log, dials): (Log, _) = Default::default();
+        let (tx, rx) = unbounded();
+        let mut node = Node::new(
+            n(0),
+            Recording(Arc::clone(&log)),
+            vec![n(0), n(1)],
+            InboxTx::new(tx),
+            Dials(dials),
+            Arc::new(TimerService::new()),
+            Instant::now(),
+            7,
+            None,
+            None,
+        );
+        node.start();
+        assert!(node.handle(msg()));
+        assert!(node.handle(Some(NodeEvent::Timer { kind: 3, token: 9 })));
+        assert!(node.handle(None));
+        assert!(!node.handle(Some(NodeEvent::Wire(Envelope::Shutdown))));
+        assert_eq!(*log.lock(), ["start", "message", "timer", "tick"]);
+        assert!(rx.try_recv().is_err(), "nothing was sent to self");
     }
 }

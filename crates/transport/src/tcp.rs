@@ -1,8 +1,10 @@
-//! TCP socket transport.
+//! TCP socket transport: the wire protocol and the public names.
 //!
 //! Every node binds a listener; peers and clients connect with a one-frame
-//! handshake declaring who they are. Frames are length-prefixed
-//! `paxi-codec` bytes (see [`paxi_codec::frame`]).
+//! handshake ([`Hello`]) declaring who they are. Frames are length-prefixed
+//! `paxi-codec` bytes (see [`paxi_codec::frame`]). The runtime that serves
+//! the sockets — one thread per node, the replica running on it — is
+//! [`crate::reactor`].
 //!
 //! **Reply routing.** A client holds one connection, to its attach node.
 //! Protocols may forward a request to another replica (e.g. a follower
@@ -13,966 +15,28 @@
 //! node holding the client's connection. This mirrors how Paxi's RESTful
 //! clients interact with any system node.
 //!
-//! **Hardened peer links.** Outbound peer connections are maintained by a
-//! dedicated writer thread behind a *bounded* queue: when a peer stalls or
-//! dies, excess frames are shed instead of accumulating without bound
-//! (quorum protocols tolerate loss natively). A writer whose socket breaks
-//! exits immediately; the next send notices the dead channel, forgets the
-//! connection, and redials under exponential backoff with jitter, so a
-//! restarted peer is rejoined automatically and a dead one is not hammered.
-//! Encoding failures are dropped (best-effort transport), never panicked on.
-//!
-//! **Write coalescing.** The writer thread drains every frame already queued
-//! into one reusable burst buffer and issues a single `write_all` per burst.
-//! A saturated link therefore pays one syscall for many frames, while an
-//! idle link still sends each frame immediately. Frames are serialized
-//! straight into their length-prefixed form ([`paxi_codec::encode_frame_into`]),
-//! so the hot path performs one allocation per message rather than
-//! body-then-frame copies.
+//! **Peer links.** A node dials each peer it sends to and writes on that
+//! connection only; the peer answers over its own dial. Outbound bytes wait
+//! in a *bounded* per-connection buffer: when a peer stalls, excess frames
+//! are shed whole instead of accumulating without bound (quorum protocols
+//! tolerate loss natively). When a link breaks, the next send notices,
+//! forgets the connection, and redials under exponential backoff with
+//! jitter, so a restarted peer is rejoined automatically and a dead one is
+//! not hammered. Encoding failures are dropped (best-effort transport),
+//! never panicked on; every loss is charged to a named cause.
 
-use crate::envelope::Envelope;
-use crate::faults::{ChaosOut, FaultInjector};
-use crate::obs::{log_drop_once, ConnCounters, DropCounters};
-use crate::runtime::{run_node, NodeEvent, Outbound, Remake};
-use crate::timer::TimerService;
-use crossbeam::channel::{bounded, Sender, TrySendError};
-use parking_lot::Mutex;
-use paxi_core::command::{ClientResponse, Command};
-use paxi_core::config::ClusterConfig;
-use paxi_core::dist::Rng64;
-use paxi_core::id::{ClientId, NodeId, RequestId};
-use paxi_core::obs::DropCause;
-use paxi_core::traits::{Replica, ReplicaFactory};
-use serde::de::DeserializeOwned;
+use paxi_core::id::{ClientId, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Frames queued per peer connection before load shedding kicks in.
-const WRITE_QUEUE_DEPTH: usize = 4096;
-/// Target size of one coalesced write burst. The writer keeps draining its
-/// queue into a reusable buffer until the queue is empty or the burst
-/// reaches this size, then issues a single `write_all` — one syscall per
-/// burst instead of one per frame.
-const WRITE_BURST_BYTES: usize = 64 * 1024;
-/// First reconnect delay; doubles per consecutive failure.
-const RECONNECT_BASE: Duration = Duration::from_millis(10);
-/// Reconnect delay ceiling.
-const RECONNECT_MAX: Duration = Duration::from_secs(2);
+pub use crate::reactor::TcpCluster;
 
-/// Connection handshake: the first frame on every connection. Shared with
-/// the reactor runtime ([`crate::reactor`]) so both runtimes speak the same
-/// wire protocol and either one's clients can attach to either's nodes.
+/// The client of a [`TcpCluster`]: [`crate::PipelinedClient`], whose
+/// `execute` / `put` / `get` are the blocking one-request-at-a-time API.
+pub type TcpClient = crate::reactor::PipelinedClient;
+
+/// Connection handshake: the first frame on every connection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum Hello {
     Peer(NodeId),
     Client(ClientId),
-}
-
-#[derive(Clone)]
-enum Route {
-    /// The client is connected to this node on the given writer.
-    Local(Sender<Vec<u8>>),
-    /// The request came through this peer; send responses back that way.
-    Via(NodeId),
-}
-
-/// Reconnect throttling state for one peer.
-struct Backoff {
-    next_attempt: Instant,
-    delay: Duration,
-}
-
-/// One tracked inbound connection: the reader thread's handle and a clone
-/// of its stream, kept so shutdown can break a blocked read.
-struct ConnEntry {
-    handle: Option<std::thread::JoinHandle<()>>,
-    stream: Option<TcpStream>,
-}
-
-/// Per-node table of live reader threads.
-///
-/// The acceptor used to spawn readers fire-and-forget, so a
-/// connect/disconnect storm accumulated unjoined threads and a cluster
-/// shutdown left readers blocked on sockets the test still held open. Every
-/// accepted connection now registers here: finished readers are joined and
-/// removed opportunistically on each accept ([`ConnTable::reap_finished`]),
-/// and shutdown breaks every live reader's socket before joining it
-/// ([`ConnTable::shutdown_all`]). Clones share the table.
-#[derive(Clone, Default)]
-struct ConnTable {
-    inner: Arc<Mutex<HashMap<u64, ConnEntry>>>,
-}
-
-impl ConnTable {
-    /// Tracks a freshly accepted connection. The stream clone exists only
-    /// so shutdown can `shutdown(2)` it; if cloning fails the reader is
-    /// still joined, it just can't be interrupted early.
-    fn register(&self, token: u64, stream: &TcpStream) {
-        self.inner.lock().insert(
-            token,
-            ConnEntry {
-                handle: None,
-                stream: stream.try_clone().ok(),
-            },
-        );
-    }
-
-    /// Attaches the reader's join handle to its entry.
-    fn set_handle(&self, token: u64, handle: std::thread::JoinHandle<()>) {
-        if let Some(e) = self.inner.lock().get_mut(&token) {
-            e.handle = Some(handle);
-        }
-    }
-
-    /// Called by the reader itself on exit: the socket is done, so drop our
-    /// clone of it (releasing the fd) and leave only the handle to join.
-    fn mark_exited(&self, token: u64) {
-        if let Some(e) = self.inner.lock().get_mut(&token) {
-            e.stream = None;
-        }
-    }
-
-    /// Forgets an entry whose reader never started (thread spawn failed).
-    fn discard(&self, token: u64) {
-        self.inner.lock().remove(&token);
-    }
-
-    /// Joins and removes every reader that has already exited. Called on
-    /// each accept, so sustained churn keeps the table (and the process's
-    /// thread count) proportional to *live* connections, not total ever.
-    fn reap_finished(&self) {
-        let done: Vec<ConnEntry> = {
-            let mut map = self.inner.lock();
-            let tokens: Vec<u64> = map
-                .iter()
-                .filter(|(_, e)| match &e.handle {
-                    Some(h) => h.is_finished(),
-                    None => false,
-                })
-                .map(|(t, _)| *t)
-                .collect();
-            tokens.into_iter().filter_map(|t| map.remove(&t)).collect()
-        };
-        for e in done {
-            if let Some(h) = e.handle {
-                let _ = h.join();
-            }
-        }
-    }
-
-    /// Breaks every tracked socket, then joins every reader. The handles
-    /// are taken out under the lock but joined outside it — a reader's exit
-    /// path calls [`ConnTable::mark_exited`], which needs the lock.
-    fn shutdown_all(&self) {
-        let handles: Vec<std::thread::JoinHandle<()>> = {
-            let mut map = self.inner.lock();
-            map.drain()
-                .filter_map(|(_, e)| {
-                    if let Some(s) = &e.stream {
-                        let _ = s.shutdown(std::net::Shutdown::Both);
-                    }
-                    e.handle
-                })
-                .collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Logged once per process when a framed envelope fails to encode.
-static TCP_ENCODE_WARN: std::sync::Once = std::sync::Once::new();
-
-struct NodeNet<M> {
-    me: NodeId,
-    addrs: Arc<HashMap<NodeId, SocketAddr>>,
-    peer_conns: Mutex<HashMap<NodeId, Sender<Vec<u8>>>>,
-    backoff: Mutex<HashMap<NodeId, Backoff>>,
-    jitter: Mutex<Rng64>,
-    routes: Mutex<HashMap<ClientId, Route>>,
-    drops: DropCounters,
-    _marker: std::marker::PhantomData<fn() -> M>,
-}
-
-/// Starts a writer thread owning `stream` behind a bounded queue. The thread
-/// exits when the socket breaks or every sender clone is dropped — it never
-/// leaks past its connection's lifetime.
-fn spawn_writer(stream: TcpStream) -> Sender<Vec<u8>> {
-    let (tx, rx) = bounded::<Vec<u8>>(WRITE_QUEUE_DEPTH);
-    // If the spawn itself fails, the closure (and `rx`) is dropped and every
-    // send on `tx` reports a dead channel — same signal as a broken socket.
-    let _ = std::thread::Builder::new()
-        .name("paxi-tcp-writer".into())
-        .spawn(move || {
-            let mut stream = stream;
-            let mut burst: Vec<u8> = Vec::with_capacity(WRITE_BURST_BYTES);
-            // Block for the first frame of a burst, then coalesce whatever else
-            // is already queued into the same write. Under load the queue is
-            // rarely empty, so a saturated link converges on large bursts; an
-            // idle link degenerates to one frame per write with no added delay.
-            while let Ok(bytes) = rx.recv() {
-                burst.clear();
-                burst.extend_from_slice(&bytes);
-                while burst.len() < WRITE_BURST_BYTES {
-                    match rx.try_recv() {
-                        Ok(more) => burst.extend_from_slice(&more),
-                        Err(_) => break,
-                    }
-                }
-                if stream.write_all(&burst).is_err() || stream.flush().is_err() {
-                    return;
-                }
-            }
-        });
-    tx
-}
-
-impl<M: Serialize + DeserializeOwned + Clone + std::fmt::Debug + Send + 'static> NodeNet<M> {
-    fn encode(env: &Envelope<M>) -> Option<Vec<u8>> {
-        // Serialize directly into the framed buffer: one allocation per
-        // message instead of body-then-frame copies.
-        let mut out = Vec::with_capacity(64);
-        paxi_codec::encode_frame_into(&mut out, env).ok()?;
-        Some(out)
-    }
-
-    /// Best-effort framed send to a peer: reuses the live connection, sheds
-    /// the frame if the peer's queue is full, and redials (under backoff)
-    /// if the connection has died.
-    fn send_to_peer(&self, to: NodeId, bytes: Vec<u8>) {
-        let cached = self.peer_conns.lock().get(&to).cloned();
-        let bytes = match cached {
-            Some(tx) => match tx.try_send(bytes) {
-                Ok(()) => return,
-                // Queue full: the peer is alive but slow — shed the frame,
-                // charging the loss so it never reads as mystery attrition.
-                Err(TrySendError::Full(_)) => {
-                    self.drops.record(DropCause::QueueFull);
-                    return;
-                }
-                // Writer exited (socket broke): forget the connection,
-                // unless another thread already replaced it.
-                Err(TrySendError::Disconnected(bytes)) => {
-                    let mut conns = self.peer_conns.lock();
-                    if conns.get(&to).is_some_and(|cur| cur.same_channel(&tx)) {
-                        conns.remove(&to);
-                    }
-                    bytes
-                }
-            },
-            None => bytes,
-        };
-        // Frames lost while the peer link is down (dial failed, or the
-        // backoff window is still closed) are reconnect-window losses.
-        match self.connect_peer(to) {
-            Some(tx) => {
-                if tx.try_send(bytes).is_err() {
-                    self.drops.record(DropCause::Reconnect);
-                }
-            }
-            None => self.drops.record(DropCause::Reconnect),
-        }
-    }
-
-    /// Dials `to` unless its backoff window is still closed. On success the
-    /// connection is cached and the backoff cleared; on failure the next
-    /// attempt is pushed out exponentially (with jitter, so a whole cluster
-    /// redialing one recovered node doesn't stampede in lockstep).
-    fn connect_peer(&self, to: NodeId) -> Option<Sender<Vec<u8>>> {
-        if let Some(b) = self.backoff.lock().get(&to) {
-            if Instant::now() < b.next_attempt {
-                return None;
-            }
-        }
-        let addr = *self.addrs.get(&to)?;
-        match self.try_dial(addr) {
-            Some(tx) => {
-                self.backoff.lock().remove(&to);
-                self.peer_conns.lock().insert(to, tx.clone());
-                Some(tx)
-            }
-            None => {
-                let mut backoff = self.backoff.lock();
-                let entry = backoff.entry(to).or_insert(Backoff {
-                    next_attempt: Instant::now(),
-                    delay: RECONNECT_BASE,
-                });
-                let jitter = 0.5 + self.jitter.lock().next_f64(); // factor in [0.5, 1.5)
-                entry.next_attempt = Instant::now() + entry.delay.mul_f64(jitter);
-                entry.delay = (entry.delay * 2).min(RECONNECT_MAX);
-                None
-            }
-        }
-    }
-
-    /// Forgets any cached connection (and backoff state) for a departed
-    /// peer: its writer thread exits once the sender side is dropped, and no
-    /// future redial will be attempted until someone addresses it again.
-    fn drop_peer(&self, to: NodeId) {
-        self.peer_conns.lock().remove(&to);
-        self.backoff.lock().remove(&to);
-    }
-
-    fn try_dial(&self, addr: SocketAddr) -> Option<Sender<Vec<u8>>> {
-        let stream = TcpStream::connect(addr).ok()?;
-        stream.set_nodelay(true).ok();
-        let mut hello = Vec::new();
-        paxi_codec::encode_frame_into(&mut hello, &Hello::Peer(self.me)).ok()?;
-        // We never read from outbound peer connections; the remote side
-        // reads. (Peers push to us over their own outbound connections.)
-        let tx = spawn_writer(stream);
-        let _ = tx.try_send(hello);
-        Some(tx)
-    }
-
-    fn deliver_response(&self, client: ClientId, resp: &ClientResponse) {
-        let Some(route) = self.routes.lock().get(&client).cloned() else {
-            // The client's connection (and its routes) are already gone.
-            self.drops.record(DropCause::NoRoute);
-            return;
-        };
-        // Encode once, whichever way the response is routed.
-        let Some(bytes) = Self::encode(&Envelope::Response(resp.clone())) else {
-            self.drops.record(DropCause::Encode);
-            log_drop_once(
-                &TCP_ENCODE_WARN,
-                DropCause::Encode,
-                "TCP response failed to encode",
-            );
-            return;
-        };
-        match route {
-            Route::Local(tx) => match tx.try_send(bytes) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => self.drops.record(DropCause::QueueFull),
-                // The client's writer exited: nobody left to deliver to.
-                Err(TrySendError::Disconnected(_)) => self.drops.record(DropCause::NoRoute),
-            },
-            Route::Via(peer) => self.send_to_peer(peer, bytes),
-        }
-    }
-}
-
-struct TcpOut<M> {
-    net: Arc<NodeNet<M>>,
-}
-
-impl<M> Clone for TcpOut<M> {
-    fn clone(&self) -> Self {
-        TcpOut {
-            net: Arc::clone(&self.net),
-        }
-    }
-}
-
-impl<M: Serialize + DeserializeOwned + Clone + std::fmt::Debug + Send + 'static> Outbound<M>
-    for TcpOut<M>
-{
-    fn to_node(&self, to: NodeId, env: Envelope<M>) {
-        // Requests we forward should route replies back through us only if
-        // the client is ours; if we got it from elsewhere the route already
-        // points there and the next node will record `via us`, chaining back.
-        match NodeNet::encode(&env) {
-            Some(bytes) => self.net.send_to_peer(to, bytes),
-            None => {
-                self.net.drops.record(DropCause::Encode);
-                log_drop_once(
-                    &TCP_ENCODE_WARN,
-                    DropCause::Encode,
-                    "TCP node->node envelope failed to encode",
-                );
-            }
-        }
-    }
-    fn to_client(&self, client: ClientId, resp: ClientResponse) {
-        self.net.deliver_response(client, &resp);
-    }
-    fn connect_peer(&self, peer: NodeId) {
-        // Warm-up dial: failure just arms the backoff; the next protocol
-        // message retries through the normal send path.
-        let _ = self.net.connect_peer(peer);
-    }
-    fn disconnect_peer(&self, peer: NodeId) {
-        self.net.drop_peer(peer);
-    }
-}
-
-/// A running TCP cluster on localhost (each node a real listener + thread).
-pub struct TcpCluster<R: Replica> {
-    addrs: Arc<HashMap<NodeId, SocketAddr>>,
-    inboxes: HashMap<NodeId, Sender<NodeEvent<R::Msg>>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    acceptor_handles: Vec<std::thread::JoinHandle<()>>,
-    acceptor_stops: Vec<Arc<AtomicBool>>,
-    conn_tables: Vec<ConnTable>,
-    next_client: AtomicU32,
-    drops: DropCounters,
-    conns: ConnCounters,
-    _timers: Arc<TimerService>,
-}
-
-impl<R> TcpCluster<R>
-where
-    R: Replica + Send + 'static,
-    R::Msg: Serialize + DeserializeOwned,
-{
-    /// Binds one listener per node on 127.0.0.1 and starts all replicas.
-    pub fn launch<F>(cluster: ClusterConfig, factory: F) -> std::io::Result<Self>
-    where
-        F: ReplicaFactory<R = R> + Send + Sync + 'static,
-    {
-        Self::launch_inner(cluster, factory, None)
-    }
-
-    /// Like [`TcpCluster::launch`], but with fault injection applied inside
-    /// the transport: node→node frames pass through the injector's plan
-    /// (Drop / Flaky / Slow) and crashed nodes freeze until their windows
-    /// end, measured from this call.
-    pub fn launch_chaotic<F>(
-        cluster: ClusterConfig,
-        factory: F,
-        injector: Arc<FaultInjector>,
-    ) -> std::io::Result<Self>
-    where
-        F: ReplicaFactory<R = R> + Send + Sync + 'static,
-    {
-        Self::launch_inner(cluster, factory, Some(injector))
-    }
-
-    fn launch_inner<F>(
-        cluster: ClusterConfig,
-        factory: F,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> std::io::Result<Self>
-    where
-        F: ReplicaFactory<R = R> + Send + Sync + 'static,
-    {
-        let factory = Arc::new(factory);
-        let drops = DropCounters::new();
-        let conns = ConnCounters::new();
-        let all = cluster.all_nodes();
-        let mut listeners = Vec::new();
-        let mut addrs = HashMap::new();
-        for &id in &all {
-            let l = TcpListener::bind("127.0.0.1:0")?;
-            addrs.insert(id, l.local_addr()?);
-            listeners.push((id, l));
-        }
-        let addrs = Arc::new(addrs);
-        let timers = Arc::new(TimerService::new());
-        let epoch = Instant::now();
-        let mut inboxes = HashMap::new();
-        let mut handles = Vec::new();
-        let mut acceptor_handles = Vec::new();
-        let mut acceptor_stops = Vec::new();
-        let mut conn_tables = Vec::new();
-
-        for (i, (id, listener)) in listeners.into_iter().enumerate() {
-            let (tx, rx) = crossbeam::channel::unbounded::<NodeEvent<R::Msg>>();
-            inboxes.insert(id, tx.clone());
-            let net = Arc::new(NodeNet::<R::Msg> {
-                me: id,
-                addrs: Arc::clone(&addrs),
-                peer_conns: Mutex::new(HashMap::new()),
-                backoff: Mutex::new(HashMap::new()),
-                jitter: Mutex::new(Rng64::seed(0x7C9 ^ id.pack() as u64)),
-                routes: Mutex::new(HashMap::new()),
-                drops: drops.clone(),
-                _marker: std::marker::PhantomData,
-            });
-            // Acceptor: one reader thread per inbound connection, tracked
-            // in a per-node table so churn can't leak threads or fds and
-            // shutdown can break every live reader.
-            let table = ConnTable::default();
-            let stop = Arc::new(AtomicBool::new(false));
-            {
-                let net = Arc::clone(&net);
-                let inbox = tx.clone();
-                let table = table.clone();
-                let conns_acc = conns.clone();
-                let stop = Arc::clone(&stop);
-                let handle = std::thread::Builder::new()
-                    .name(format!("paxi-tcp-accept-{}", id.pack()))
-                    .spawn(move || {
-                        let mut next_token = 0u64;
-                        for stream in listener.incoming() {
-                            if stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let Ok(stream) = stream else { break };
-                            stream.set_nodelay(true).ok();
-                            // Join readers that already exited before
-                            // admitting more, so sustained churn stays
-                            // bounded by the live connection count.
-                            table.reap_finished();
-                            let token = next_token;
-                            next_token += 1;
-                            conns_acc.on_open();
-                            table.register(token, &stream);
-                            let net = Arc::clone(&net);
-                            let inbox = inbox.clone();
-                            let table2 = table.clone();
-                            let conns2 = conns_acc.clone();
-                            let spawned = std::thread::Builder::new()
-                                .name("paxi-tcp-reader".into())
-                                .spawn(move || {
-                                    reader_loop::<R::Msg>(stream, net, inbox);
-                                    table2.mark_exited(token);
-                                    conns2.on_close();
-                                });
-                            match spawned {
-                                Ok(h) => table.set_handle(token, h),
-                                // Spawn failed: the closure (and its stream)
-                                // were dropped, so the connection is gone.
-                                Err(_) => {
-                                    table.discard(token);
-                                    conns_acc.on_close();
-                                }
-                            }
-                        }
-                    })?;
-                acceptor_handles.push(handle);
-            }
-            conn_tables.push(table);
-            acceptor_stops.push(stop);
-            let replica = factory.make(id);
-            let remake: Remake<R> = {
-                let f = Arc::clone(&factory);
-                Arc::new(move |id| f.make(id))
-            };
-            let peers = all.clone();
-            let out = TcpOut { net };
-            let timers2 = Arc::clone(&timers);
-            let faults2 = faults.clone();
-            let seed = 0xBEEF + i as u64;
-            let handle = match &faults {
-                Some(inj) => {
-                    let out = ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(&timers));
-                    std::thread::spawn(move || {
-                        run_node(
-                            id,
-                            replica,
-                            peers,
-                            rx,
-                            tx,
-                            out,
-                            timers2,
-                            epoch,
-                            seed,
-                            faults2,
-                            Some(remake),
-                        )
-                    })
-                }
-                None => std::thread::spawn(move || {
-                    run_node(
-                        id, replica, peers, rx, tx, out, timers2, epoch, seed, None, None,
-                    )
-                }),
-            };
-            handles.push(handle);
-        }
-        if let Some(inj) = &faults {
-            inj.start(epoch);
-            inj.schedule_recoveries(&timers, &inboxes);
-        }
-        Ok(TcpCluster {
-            addrs,
-            inboxes,
-            handles,
-            acceptor_handles,
-            acceptor_stops,
-            conn_tables,
-            next_client: AtomicU32::new(0),
-            drops,
-            conns,
-            _timers: timers,
-        })
-    }
-
-    /// Per-cause ledger of every frame this cluster's nodes shed (encode
-    /// failures, full writer queues, reconnect-window losses, vanished
-    /// reply routes). Fault-injected link and crash drops are charged to
-    /// the [`FaultInjector`]'s own counters instead.
-    pub fn drops(&self) -> &DropCounters {
-        &self.drops
-    }
-
-    /// Connection lifecycle ledger for inbound connections across all
-    /// nodes: accepts, reader exits, live count, and high-water mark. After
-    /// [`TcpCluster::shutdown`], `opens() == closes()` — a leaked reader
-    /// shows up as an imbalance.
-    pub fn conn_stats(&self) -> &ConnCounters {
-        &self.conns
-    }
-
-    /// The address of a node's listener.
-    pub fn addr(&self, node: NodeId) -> SocketAddr {
-        self.addrs[&node]
-    }
-
-    /// Connects a blocking TCP client to `attach`.
-    pub fn client(&self, attach: NodeId) -> std::io::Result<TcpClient> {
-        let id = ClientId(1_000_000 + self.next_client.fetch_add(1, Ordering::Relaxed));
-        TcpClient::connect(self.addr(attach), id)
-    }
-
-    /// Stops all node threads, then the acceptors, then every tracked
-    /// reader — nothing spawned for a connection outlives the cluster.
-    pub fn shutdown(mut self) {
-        for tx in self.inboxes.values() {
-            let _ = tx.send(NodeEvent::Wire(Envelope::Shutdown));
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        // Unblock each acceptor: raise its stop flag, then poke its
-        // listener with a throwaway connect so the blocking accept returns.
-        // The acceptor checks the flag before registering, so the poke
-        // never pollutes the connection ledger.
-        for stop in &self.acceptor_stops {
-            stop.store(true, Ordering::Release);
-        }
-        for addr in self.addrs.values() {
-            let _ = TcpStream::connect(*addr);
-        }
-        for h in self.acceptor_handles.drain(..) {
-            let _ = h.join();
-        }
-        // Break and join every reader still attached to a socket.
-        for table in &self.conn_tables {
-            table.shutdown_all();
-        }
-    }
-}
-
-fn reader_loop<M>(stream: TcpStream, net: Arc<NodeNet<M>>, inbox: Sender<NodeEvent<M>>)
-where
-    M: Serialize + DeserializeOwned + Clone + std::fmt::Debug + Send + 'static,
-{
-    let mut writer: Option<Sender<Vec<u8>>> = None;
-    read_frames(stream, &net, &inbox, &mut writer);
-    // Connection gone: drop every route into its writer so the writer
-    // thread's queue disconnects and the thread exits instead of leaking.
-    if let Some(w) = writer {
-        net.routes
-            .lock()
-            .retain(|_, r| !matches!(r, Route::Local(tx) if tx.same_channel(&w)));
-    }
-}
-
-fn read_frames<M>(
-    mut stream: TcpStream,
-    net: &Arc<NodeNet<M>>,
-    inbox: &Sender<NodeEvent<M>>,
-    writer: &mut Option<Sender<Vec<u8>>>,
-) where
-    M: Serialize + DeserializeOwned + Clone + std::fmt::Debug + Send + 'static,
-{
-    let mut decoder = paxi_codec::FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    let mut identity: Option<Hello> = None;
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        decoder.feed(&buf[..n]);
-        loop {
-            let frame = match decoder.next_frame() {
-                Ok(Some(f)) => f,
-                Ok(None) => break,
-                Err(_) => return,
-            };
-            if identity.is_none() {
-                let Ok(hello) = paxi_codec::from_bytes::<Hello>(&frame) else {
-                    return;
-                };
-                if matches!(hello, Hello::Client(_)) {
-                    let Ok(clone) = stream.try_clone() else {
-                        return;
-                    };
-                    *writer = Some(spawn_writer(clone));
-                }
-                identity = Some(hello);
-                continue;
-            }
-            let Ok(env) = paxi_codec::from_bytes::<Envelope<M>>(&frame) else {
-                return;
-            };
-            match (&identity, env) {
-                (Some(Hello::Client(cid)), Envelope::Request(req)) => {
-                    if let Some(w) = &*writer {
-                        net.routes.lock().insert(*cid, Route::Local(w.clone()));
-                    }
-                    let _ = inbox.send(NodeEvent::Wire(Envelope::Request(req)));
-                }
-                (Some(Hello::Peer(pid)), Envelope::Request(req)) => {
-                    // Forwarded request: remember the way back, unless we
-                    // already hold the client locally.
-                    let mut routes = net.routes.lock();
-                    match routes.get(&req.id.client) {
-                        Some(Route::Local(_)) => {}
-                        _ => {
-                            routes.insert(req.id.client, Route::Via(*pid));
-                        }
-                    }
-                    drop(routes);
-                    let _ = inbox.send(NodeEvent::Wire(Envelope::Request(req)));
-                }
-                (_, Envelope::Response(resp)) => {
-                    // A relayed response passing through us toward the client.
-                    net.deliver_response(resp.id.client, &resp);
-                }
-                (_, Envelope::Msg { from, msg }) => {
-                    let _ = inbox.send(NodeEvent::Wire(Envelope::Msg { from, msg }));
-                }
-                (_, Envelope::Shutdown) => return,
-                (None, _) => return,
-            }
-        }
-    }
-}
-
-/// A blocking TCP client speaking the framed envelope protocol.
-pub struct TcpClient {
-    id: ClientId,
-    seq: u64,
-    stream: TcpStream,
-    decoder: paxi_codec::FrameDecoder,
-    timeout: Duration,
-}
-
-impl TcpClient {
-    /// Connects and handshakes.
-    pub fn connect(addr: SocketAddr, id: ClientId) -> std::io::Result<Self> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let hello = paxi_codec::to_bytes(&Hello::Client(id))
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        stream.write_all(&paxi_codec::encode_frame(&hello))?;
-        Ok(TcpClient {
-            id,
-            seq: 0,
-            stream,
-            decoder: paxi_codec::FrameDecoder::new(),
-            timeout: Duration::from_secs(5),
-        })
-    }
-
-    /// The client id.
-    pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    /// Overrides the per-request timeout.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-        let _ = self.stream.set_read_timeout(Some(timeout));
-    }
-
-    /// Executes one command, blocking for the matching response.
-    pub fn execute(&mut self, cmd: Command) -> Option<ClientResponse> {
-        let req_id = RequestId::new(self.id, self.seq);
-        self.seq += 1;
-        // Clients never parameterize over a protocol's message type; unit
-        // stands in because Request/Response variants carry no M.
-        let env: Envelope<()> = Envelope::Request(paxi_core::ClientRequest { id: req_id, cmd });
-        let mut frame = Vec::new();
-        paxi_codec::encode_frame_into(&mut frame, &env).ok()?;
-        self.stream.write_all(&frame).ok()?;
-        let deadline = Instant::now() + self.timeout;
-        let mut buf = [0u8; 8192];
-        loop {
-            if let Ok(Some(frame)) = self.decoder.next_frame() {
-                if let Ok(Envelope::<()>::Response(resp)) = paxi_codec::from_bytes(&frame) {
-                    if resp.id == req_id {
-                        return Some(resp);
-                    }
-                    continue;
-                }
-                continue;
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            match self.stream.read(&mut buf) {
-                Ok(0) => return None,
-                Ok(n) => self.decoder.feed(&buf[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return None;
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// Convenience: `PUT key value`.
-    pub fn put(&mut self, key: u64, value: Vec<u8>) -> Option<ClientResponse> {
-        self.execute(Command::put(key, value))
-    }
-
-    /// Convenience: `GET key`.
-    pub fn get(&mut self, key: u64) -> Option<ClientResponse> {
-        self.execute(Command::get(key))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use paxi_protocols::paxos::{paxos_cluster, PaxosConfig};
-
-    #[test]
-    fn paxos_over_tcp_localhost() {
-        let cluster = ClusterConfig::lan(3);
-        let run = TcpCluster::launch(
-            cluster.clone(),
-            paxos_cluster(cluster.clone(), PaxosConfig::default()),
-        )
-        .expect("launch");
-        // Attach to the leader directly.
-        let mut client = run.client(NodeId::new(0, 0)).expect("connect");
-        let w = client.put(1, b"tcp".to_vec()).expect("put");
-        assert!(w.ok);
-        let r = client.get(1).expect("get");
-        assert_eq!(r.value, Some(b"tcp".to_vec()));
-        run.shutdown();
-    }
-
-    #[test]
-    fn follower_forwarding_relays_replies() {
-        let cluster = ClusterConfig::lan(3);
-        let run = TcpCluster::launch(
-            cluster.clone(),
-            paxos_cluster(cluster.clone(), PaxosConfig::default()),
-        )
-        .expect("launch");
-        // Attach to a follower: the request is forwarded to the leader and
-        // the response relayed back through the follower's connection.
-        let mut client = run.client(NodeId::new(0, 2)).expect("connect");
-        for i in 0..10u64 {
-            let w = client.put(i, vec![i as u8]).expect("put via follower");
-            assert!(w.ok);
-        }
-        let r = client.get(5).expect("get");
-        assert_eq!(r.value, Some(vec![5]));
-        run.shutdown();
-    }
-
-    #[test]
-    fn writer_coalesces_bursts_without_losing_or_reordering_frames() {
-        // Queue many frames before the writer thread can drain them: they
-        // are flushed in a handful of coalesced write_alls, and the reader
-        // must still decode every frame exactly once, in order.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut decoder = paxi_codec::FrameDecoder::new();
-            let mut buf = [0u8; 4096];
-            let mut frames = Vec::new();
-            while frames.len() < 200 {
-                let n = match s.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => n,
-                };
-                decoder.feed(&buf[..n]);
-                while let Ok(Some(f)) = decoder.next_frame() {
-                    frames.push(f);
-                }
-            }
-            frames
-        });
-        let stream = TcpStream::connect(addr).unwrap();
-        let tx = spawn_writer(stream);
-        for i in 0..200u32 {
-            let mut frame = Vec::new();
-            paxi_codec::encode_frame_into(&mut frame, &i).unwrap();
-            tx.send(frame).unwrap();
-        }
-        drop(tx); // writer drains the queue, then exits and closes the socket
-        let frames = reader.join().unwrap();
-        assert_eq!(frames.len(), 200);
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(paxi_codec::from_bytes::<u32>(f).unwrap(), i as u32);
-        }
-    }
-
-    #[test]
-    fn connect_disconnect_storm_leaks_no_connections() {
-        let cluster = ClusterConfig::lan(3);
-        let run = TcpCluster::launch(
-            cluster.clone(),
-            paxos_cluster(cluster.clone(), PaxosConfig::default()),
-        )
-        .expect("launch");
-        // Storm: short-lived clients connecting, (sometimes) issuing one
-        // command, and vanishing. Before readers were tracked, each of
-        // these left an unjoined thread behind.
-        for round in 0..40u64 {
-            let node = NodeId::new(0, (round % 3) as u8);
-            let mut c = run.client(node).expect("connect");
-            if round % 4 == 0 {
-                let w = c.put(round, vec![round as u8]).expect("put");
-                assert!(w.ok);
-            }
-            drop(c);
-        }
-        // The cluster still serves a fresh client after the storm.
-        let mut c = run.client(NodeId::new(0, 0)).expect("connect");
-        assert!(c.put(1_000, b"alive".to_vec()).expect("put").ok);
-        let stats = run.conn_stats().clone();
-        assert!(
-            stats.opens() >= 41,
-            "every storm connection was accepted (opens = {})",
-            stats.opens()
-        );
-        run.shutdown();
-        assert_eq!(
-            stats.opens(),
-            stats.closes(),
-            "a reader (and its fd) leaked through the churn"
-        );
-        assert_eq!(stats.live(), 0);
-    }
-
-    #[test]
-    fn dead_peer_send_does_not_wedge_or_panic() {
-        // A NodeNet pointed at an address nobody listens on: every send must
-        // fail quietly (backoff engaged), never panic or block.
-        let mut addrs = HashMap::new();
-        let target = NodeId::new(0, 1);
-        addrs.insert(target, "127.0.0.1:1".parse().unwrap());
-        let net = NodeNet::<()> {
-            me: NodeId::new(0, 0),
-            addrs: Arc::new(addrs),
-            peer_conns: Mutex::new(HashMap::new()),
-            backoff: Mutex::new(HashMap::new()),
-            jitter: Mutex::new(Rng64::seed(1)),
-            routes: Mutex::new(HashMap::new()),
-            drops: DropCounters::new(),
-            _marker: std::marker::PhantomData,
-        };
-        for _ in 0..50 {
-            net.send_to_peer(target, vec![0u8; 8]);
-        }
-        // Backoff must be armed and growing after repeated failures.
-        let backoff = net.backoff.lock();
-        let state = backoff.get(&target).expect("backoff entry");
-        assert!(state.delay > RECONNECT_BASE);
-        // Every shed frame is on the ledger as a reconnect-window loss.
-        assert_eq!(net.drops.get(DropCause::Reconnect), 50);
-        assert_eq!(net.drops.total(), 50, "no other cause was charged");
-    }
 }

@@ -14,10 +14,10 @@
 use crate::envelope::Envelope;
 use crate::faults::{ChaosOut, FaultInjector};
 use crate::obs::{log_drop_once, DropCounters};
-use crate::runtime::{run_node, NodeEvent, Outbound, Remake};
+use crate::runtime::{run_node, InboxTx, Node, NodeEvent, Outbound, Remake};
 use crate::timer::TimerService;
 use paxi_core::obs::DropCause;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use paxi_core::command::{ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
@@ -186,7 +186,7 @@ impl<M: Serialize + DeserializeOwned + Clone + std::fmt::Debug + Send + 'static>
 /// A running UDP cluster on localhost.
 pub struct UdpCluster<R: Replica> {
     addrs: Arc<HashMap<NodeId, SocketAddr>>,
-    inboxes: HashMap<NodeId, Sender<NodeEvent<R::Msg>>>,
+    inboxes: HashMap<NodeId, InboxTx<R::Msg>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     next_client: AtomicU32,
     dropped_oversize: Arc<AtomicU64>,
@@ -252,6 +252,7 @@ where
 
         for (i, (id, socket)) in sockets.into_iter().enumerate() {
             let (tx, rx) = unbounded::<NodeEvent<R::Msg>>();
+            let tx = InboxTx::new(tx);
             inboxes.insert(id, tx.clone());
             let net = Arc::new(UdpNet {
                 socket: socket.try_clone()?,
@@ -286,11 +287,11 @@ where
                                     }
                                 }
                                 drop(routes);
-                                let _ = inbox.send(NodeEvent::Wire(Envelope::Request(req)));
+                                inbox.send(NodeEvent::Wire(Envelope::Request(req)));
                             }
                             Envelope::Response(resp) => net.deliver_response::<R::Msg>(&resp),
                             Envelope::Msg { from, msg } => {
-                                let _ = inbox.send(NodeEvent::Wire(Envelope::Msg { from, msg }));
+                                inbox.send(NodeEvent::Wire(Envelope::Msg { from, msg }));
                             }
                             Envelope::Shutdown => return,
                         }
@@ -310,25 +311,25 @@ where
             let handle = match &faults {
                 Some(inj) => {
                     let out = ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(&timers));
-                    std::thread::spawn(move || {
-                        run_node(
-                            id,
-                            replica,
-                            peers,
-                            rx,
-                            tx,
-                            out,
-                            timers2,
-                            epoch,
-                            seed,
-                            faults2,
-                            Some(remake),
-                        )
-                    })
+                    let node = Node::new(
+                        id,
+                        replica,
+                        peers,
+                        tx,
+                        out,
+                        timers2,
+                        epoch,
+                        seed,
+                        faults2,
+                        Some(remake),
+                    );
+                    std::thread::spawn(move || run_node(node, rx))
                 }
-                None => std::thread::spawn(move || {
-                    run_node(id, replica, peers, rx, tx, out, timers2, epoch, seed, None, None)
-                }),
+                None => {
+                    let node =
+                        Node::new(id, replica, peers, tx, out, timers2, epoch, seed, None, None);
+                    std::thread::spawn(move || run_node(node, rx))
+                }
             };
             handles.push(handle);
         }
@@ -376,7 +377,7 @@ where
     /// Stops all node threads (receiver threads die with the process).
     pub fn shutdown(mut self) {
         for tx in self.inboxes.values() {
-            let _ = tx.send(NodeEvent::Wire(Envelope::Shutdown));
+            tx.send(NodeEvent::Wire(Envelope::Shutdown));
         }
         for h in self.handles.drain(..) {
             let _ = h.join();

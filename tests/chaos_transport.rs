@@ -176,11 +176,15 @@ fn tcp_cluster_survives_flaky_links_under_injection() {
         let r = client.get(i).expect("get");
         assert_eq!(r.value, Some(vec![i as u8]), "key {i}");
     }
+    // Every frame the chaos shed is attributed; nothing vanished silently.
+    assert_eq!(run.drops().get(paxi::core::obs::DropCause::Unexplained), 0);
+    let conns = run.conn_stats().clone();
     run.shutdown();
+    assert_eq!(conns.opens(), conns.closes(), "no leaked connections");
 }
 
 /// Same flaky-link plan, but with command batching on — multi-command P2as
-/// flow through the TCP writer's burst coalescing. Every committed write
+/// flow through the write pass's coalescing. Every committed write
 /// must land exactly once: each key holds exactly the *last* value retried
 /// to success, with no duplicated or reordered application visible.
 #[test]
@@ -220,5 +224,98 @@ fn tcp_cluster_batched_writer_delivers_frames_exactly_once_under_faults() {
         let r = client.get(i).expect("get");
         assert_eq!(r.value, Some(vec![1, i as u8]), "key {i} must hold its last write");
     }
+    run.shutdown();
+}
+
+/// Writes `[i]` to key `i % 4` for i = 0, 1, … through `client`, each retried
+/// until it lands, until the injector's clock passes `until`. Returns how
+/// many writes landed.
+fn write_until(
+    client: &mut paxi::transport::TcpClient,
+    injector: &FaultInjector,
+    until: Nanos,
+) -> u64 {
+    client.set_timeout(Duration::from_millis(300));
+    let mut i = 0u64;
+    while injector.now() < until {
+        let landed = (0..50).any(|_| client.put(i % 4, vec![i as u8]).is_some_and(|r| r.ok));
+        assert!(landed, "put {i} never succeeded");
+        i += 1;
+    }
+    i
+}
+
+/// A follower frozen for a window, over TCP: the node's thread sleeps in
+/// `poll`, not in a channel `recv`, so the recovery wake-up has to reach it
+/// there. After the thaw a client attached to the victim itself is served.
+#[test]
+fn tcp_frozen_follower_thaws_and_serves_its_own_client() {
+    let cluster = ClusterConfig::lan(3);
+    let mut plan = FaultPlan::new();
+    plan.crash(n(2), Nanos::millis(100), Nanos::millis(300));
+    let injector = FaultInjector::new(plan, 11);
+    let run = TcpCluster::launch_chaotic(
+        cluster.clone(),
+        paxos_cluster(cluster.clone(), PaxosConfig::default()),
+        injector.clone(),
+    )
+    .expect("launch");
+
+    // The other two keep committing while the victim is dark; what they
+    // send it in the window is discarded there, on the ledger.
+    let mut client = run.client(n(0)).expect("client");
+    write_until(&mut client, &injector, Nanos::millis(450));
+    let crashed = injector.drops().get(paxi::core::obs::DropCause::Crashed);
+    assert!(crashed > 0, "the frozen node discarded what reached it");
+
+    let mut via_thawed = run.client(n(2)).expect("client on the victim");
+    via_thawed.set_timeout(Duration::from_secs(5));
+    assert!(via_thawed.put(99, b"thawed".to_vec()).expect("reply").ok);
+    assert_eq!(via_thawed.get(99).expect("reply").value, Some(b"thawed".to_vec()));
+    assert_eq!(run.drops().get(paxi::core::obs::DropCause::Unexplained), 0);
+    run.shutdown();
+}
+
+/// The same window with amnesia: the victim's replica is thrown away and
+/// rebuilt by the launch factory, whose storage attachment replays the WAL,
+/// before it serves its own client again.
+#[test]
+fn tcp_amnesiac_follower_is_rebuilt_from_its_wal_and_serves_its_own_client() {
+    use paxi::core::traits::Replica;
+    use paxi::protocols::paxos::MultiPaxos;
+    use paxi::storage::{FsyncPolicy, MemHub};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let cluster = ClusterConfig::lan(3);
+    let mut plan = FaultPlan::new();
+    plan.crash_amnesia(n(2), Nanos::millis(100), Nanos::millis(300));
+    let injector = FaultInjector::new(plan, 11);
+    let disks: MemHub<NodeId> = MemHub::new(FsyncPolicy::Always);
+    let built = Arc::new(AtomicUsize::new(0));
+    let factory = {
+        let (cluster, built) = (cluster.clone(), Arc::clone(&built));
+        move |id: NodeId| {
+            built.fetch_add(1, Ordering::SeqCst);
+            let mut r = MultiPaxos::new(id, cluster.clone(), PaxosConfig::default());
+            r.attach_storage(Box::new(disks.open(id)));
+            r
+        }
+    };
+    let run = TcpCluster::launch_chaotic(cluster, factory, injector.clone()).expect("launch");
+    assert_eq!(built.load(Ordering::SeqCst), 3);
+
+    let mut client = run.client(n(0)).expect("client");
+    let i = write_until(&mut client, &injector, Nanos::millis(450));
+
+    let mut via_rebuilt = run.client(n(2)).expect("client on the victim");
+    via_rebuilt.set_timeout(Duration::from_secs(5));
+    assert!(via_rebuilt.put(99, b"rebuilt".to_vec()).expect("reply").ok);
+    assert_eq!(via_rebuilt.get(99).expect("reply").value, Some(b"rebuilt".to_vec()));
+    // The last write before the victim came back is still there.
+    let last = (i - 1) % 4;
+    assert_eq!(via_rebuilt.get(last).expect("reply").value, Some(vec![(i - 1) as u8]));
+    assert_eq!(built.load(Ordering::SeqCst), 4, "the victim, and only it, was rebuilt");
+    assert_eq!(run.drops().get(paxi::core::obs::DropCause::Unexplained), 0);
     run.shutdown();
 }

@@ -1,74 +1,24 @@
-//! Reactor-transport integration: pipelined clients under chaos.
+//! TCP-runtime integration: pipelined clients under chaos.
 //!
-//! Two claims, live counterparts of the simulator's delivery guarantees:
-//!
-//! 1. **Fate parity carries over.** The reactor wraps the node's outbound
-//!    half in the same `ChaosOut` as the threaded TCP runtime, so a
-//!    `FaultPlan` + seed produces the same per-message fates — the flaky-link
-//!    survival test below is the reactor twin of the TCP one in
-//!    `chaos_transport.rs`.
-//! 2. **Pipelining is exactly-once.** A `PipelinedClient` with N requests in
-//!    flight over one connection, against a cluster whose peer links drop
-//!    and reorder frames, claims every reply exactly once (correlated by
-//!    request id) and converges to the same final state as a sequential
-//!    `SyncClient` run of the same commands on a chaos-free cluster.
+//! **Pipelining is exactly-once.** A `PipelinedClient` with N requests in
+//! flight over one connection, against a cluster whose peer links drop and
+//! reorder frames, claims every reply exactly once (correlated by request
+//! id) and converges to the same final state as a sequential `SyncClient`
+//! run of the same commands on a chaos-free cluster. (The flaky-link
+//! survival test with the blocking API is in `chaos_transport.rs`.)
 
 #![cfg(unix)]
 
 use paxi::core::obs::DropCause;
 use paxi::core::{ClusterConfig, Command, FaultPlan, Nanos, NodeId};
 use paxi::protocols::paxos::{paxos_cluster, PaxosConfig};
-use paxi::transport::{FaultInjector, InProcCluster, ReactorCluster};
+use paxi::transport::{FaultInjector, InProcCluster, TcpCluster};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
 
 fn n(i: u8) -> NodeId {
     NodeId::new(0, i)
-}
-
-/// Reactor twin of `tcp_cluster_survives_flaky_links_under_injection`:
-/// same plan, same seed, same workload — the decision layer is shared, so
-/// the reactor must ride out the identical fate sequence.
-#[test]
-fn reactor_cluster_survives_flaky_links_under_injection() {
-    let cluster = ClusterConfig::lan(3);
-    let mut plan = FaultPlan::new();
-    plan.flaky_link(n(0), n(1), 0.2, Nanos::ZERO, Nanos::millis(800));
-    plan.flaky_link(n(1), n(0), 0.2, Nanos::ZERO, Nanos::millis(800));
-    let injector = FaultInjector::new(plan, 7);
-
-    let run = ReactorCluster::launch_chaotic(
-        cluster.clone(),
-        paxos_cluster(cluster.clone(), PaxosConfig::default()),
-        injector,
-    )
-    .expect("launch");
-    let mut client = run.client(n(0)).expect("client");
-    client.set_timeout(Duration::from_millis(500));
-
-    // Losing 20% of leader<->follower frames must not lose committed writes:
-    // retry until each put lands, then read everything back.
-    for i in 0..10u64 {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            if client.put(i, vec![i as u8]).map(|r| r.ok).unwrap_or(false) {
-                break;
-            }
-            assert!(attempts < 50, "put {i} never succeeded");
-        }
-    }
-    client.set_timeout(Duration::from_secs(5));
-    for i in 0..10u64 {
-        let r = client.get(i).expect("get");
-        assert_eq!(r.value, Some(vec![i as u8]), "key {i}");
-    }
-    // Every frame the chaos shed is attributed; nothing vanished silently.
-    assert_eq!(run.drops().get(DropCause::Unexplained), 0);
-    let conns = run.conn_stats().clone();
-    run.shutdown();
-    assert_eq!(conns.opens(), conns.closes(), "no leaked reactor connections");
 }
 
 proptest! {
@@ -118,7 +68,7 @@ proptest! {
         plan.flaky_link(n(1), n(0), 0.15, Nanos::ZERO, Nanos::millis(300));
         plan.heal(Nanos::millis(300));
         let injector = FaultInjector::new(plan, seed);
-        let run = ReactorCluster::launch_chaotic(
+        let run = TcpCluster::launch_chaotic(
             cluster.clone(),
             paxos_cluster(cluster.clone(), PaxosConfig::batched(8)),
             injector,
