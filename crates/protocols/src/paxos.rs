@@ -383,9 +383,19 @@ impl MultiPaxos {
              .1
     }
 
-    /// The voting members at the proposal frontier.
+    /// The slot a campaign is judged at — may this replica run, who votes,
+    /// how many make a quorum: one past the highest slot it has proposed,
+    /// accepted or learned committed. `next_slot` alone is not it: only a
+    /// proposer advances that, so on an acceptor it stays behind and names a
+    /// configuration the log has long left.
+    fn frontier(&self) -> u64 {
+        let accepted = self.log.last_key_value().map_or(0, |(slot, _)| slot + 1);
+        self.next_slot.max(accepted).max(self.commit_upto)
+    }
+
+    /// The voting members at the frontier of this replica's log.
     pub fn members(&self) -> Vec<NodeId> {
-        self.members_at(self.next_slot).to_vec()
+        self.members_at(self.frontier()).to_vec()
     }
 
     /// Epoch of the latest configuration this replica knows of — including
@@ -536,6 +546,18 @@ impl MultiPaxos {
         }
     }
 
+    /// Persists the acceptance of `cmds` in `slot`. The record owns its
+    /// batch, a deep copy: made only when there is a WAL to write it to.
+    fn persist_accept(&mut self, slot: u64, ballot: Ballot, cmds: &SlotCmds) {
+        if self.wal.is_some() {
+            self.persist(&PaxosWal::Accept {
+                slot,
+                ballot,
+                cmds: cmds.clone(),
+            });
+        }
+    }
+
     /// Snapshot-plus-truncate compaction: once the slots executed since the
     /// last snapshot reach what that snapshot holds ([`snapshot_due`]),
     /// install a snapshot of the state machine with the live tail (accepted
@@ -576,7 +598,8 @@ impl MultiPaxos {
     }
 
     fn start_phase1(&mut self, ctx: &mut dyn Context<PaxosMsg>) {
-        if !self.members_at(self.next_slot).contains(&self.id) {
+        let frontier = self.frontier();
+        if !self.members_at(frontier).contains(&self.id) {
             // A learner outside the voting membership never campaigns.
             return;
         }
@@ -584,7 +607,7 @@ impl MultiPaxos {
         self.persist(&PaxosWal::Ballot(self.ballot));
         self.active = false;
         self.abort_batch();
-        let mut q = CountQuorum::new(self.q1_size());
+        let mut q = CountQuorum::new(self.q1_size_at(frontier));
         q.ack(self.id);
         self.p1_tails = vec![self.uncommitted_tail()];
         self.p1_max_commit = self.commit_upto;
@@ -719,11 +742,7 @@ impl MultiPaxos {
         // The leader is an acceptor of its own proposal: persist before the
         // self-vote counts toward the quorum. One record per slot covers the
         // whole batch.
-        self.persist(&PaxosWal::Accept {
-            slot,
-            ballot: self.ballot,
-            cmds: accepted.clone(),
-        });
+        self.persist_accept(slot, self.ballot, &accepted);
         let mut quorum = CountQuorum::new(self.q2_size_at(slot));
         if self.members_at(slot).contains(&self.id) {
             // Self-vote — but only with a vote to cast: a leader already
@@ -1045,7 +1064,7 @@ impl Replica for MultiPaxos {
                 if ballot == self.ballot && !self.active {
                     // Promises from nodes outside the voting membership are
                     // learner echoes — they must not help phase-1 succeed.
-                    if !self.members_at(self.next_slot).contains(&from) {
+                    if !self.members_at(self.frontier()).contains(&from) {
                         return;
                     }
                     if let Some(q) = self.p1_quorum.as_mut() {
@@ -1077,11 +1096,7 @@ impl Replica for MultiPaxos {
                     // leader counts this vote toward a commit, the accepted
                     // batch must survive any crash here. One record, one
                     // fsync, however many commands the batch carries.
-                    self.persist(&PaxosWal::Accept {
-                        slot,
-                        ballot,
-                        cmds: cmds.clone(),
-                    });
+                    self.persist_accept(slot, ballot, &cmds);
                     let mut quorum = CountQuorum::new(self.q2_size_at(slot));
                     quorum.ack(ballot.id);
                     quorum.ack(self.id);
@@ -1222,7 +1237,7 @@ impl Replica for MultiPaxos {
                 }
                 let now = ctx.now();
                 if !self.active
-                    && self.members_at(self.next_slot).contains(&self.id)
+                    && self.members_at(self.frontier()).contains(&self.id)
                     && now.saturating_sub(self.last_leader_contact) >= self.cfg.election_timeout
                 {
                     self.start_phase1(ctx);
@@ -1276,13 +1291,13 @@ impl Replica for MultiPaxos {
         self.leader_hint
     }
 
-    /// The union of the configuration governing the proposal frontier and
-    /// every configuration still inside its α window — a joining node needs
-    /// its peer links *before* its config takes effect.
+    /// The union of the configuration governing the frontier of this
+    /// replica's log and every configuration still inside its α window — a
+    /// joining node needs its peer links *before* its config takes effect.
     fn current_members(&self) -> Option<Vec<NodeId>> {
         let governing = self
             .configs
-            .range(..=self.next_slot)
+            .range(..=self.frontier())
             .next_back()
             .map(|(k, _)| *k)
             .unwrap_or(0);

@@ -591,7 +591,9 @@ impl Raft {
     /// the new match index. Persists the mutation first — the ack the caller
     /// sends makes the leader count these entries as replicated here.
     fn splice(&mut self, prev_index: u64, entries: Vec<RaftEntry>) -> u64 {
-        if !entries.is_empty() {
+        // The record owns its entries, a deep copy: made only when there is
+        // a WAL to write it to.
+        if !entries.is_empty() && self.wal.is_some() {
             self.persist(&RaftWal::Splice {
                 prev_index,
                 entries: entries.clone(),

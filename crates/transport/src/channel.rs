@@ -71,7 +71,8 @@ pub struct InProcCluster<R: Replica> {
     cluster: ClusterConfig,
     handles: Vec<std::thread::JoinHandle<()>>,
     next_client: AtomicU32,
-    _timers: Arc<TimerService>,
+    /// The fault injector's timer thread, for a chaotic cluster.
+    _timers: Option<Arc<TimerService>>,
 }
 
 impl<R: Replica + Send + 'static> InProcCluster<R> {
@@ -108,7 +109,9 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
     {
         let factory = Arc::new(factory);
         let all = cluster.all_nodes();
-        let timers = Arc::new(TimerService::new());
+        // Fault injection is all that needs a thread besides the nodes' own:
+        // delayed deliveries and recovery wake-ups.
+        let chaos = faults.map(|inj| (inj, Arc::new(TimerService::new())));
         let epoch = Instant::now();
         let mut inboxes = HashMap::new();
         let mut receivers = Vec::new();
@@ -118,9 +121,9 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
             inboxes.insert(id, tx.clone());
             receivers.push((id, rx, tx));
         }
-        if let Some(inj) = &faults {
+        if let Some((inj, timers)) = &chaos {
             inj.start(epoch);
-            inj.schedule_recoveries(&timers, &inboxes);
+            inj.schedule_recoveries(timers, &inboxes);
         }
         let reg = Arc::new(Registry {
             nodes: inboxes,
@@ -136,38 +139,39 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
             };
             let peers = all.clone();
             let out = ChannelOut { reg: Arc::clone(&reg) };
-            let timers = Arc::clone(&timers);
-            let faults = faults.clone();
             let seed = 0xC0FFEE + i as u64;
             let builder = std::thread::Builder::new().name(format!("paxi-node-{id}"));
-            let handle = match &faults {
-                Some(inj) => {
-                    let out =
-                        ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(&timers));
+            let handle = match &chaos {
+                Some((inj, timers)) => {
+                    let out = ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(timers));
                     let node = Node::new(
                         id,
                         replica,
                         peers,
                         tx,
                         out,
-                        timers,
                         epoch,
                         seed,
-                        faults,
+                        Some(Arc::clone(inj)),
                         Some(remake),
                     );
                     builder.spawn(move || run_node(node, rx))
                 }
                 None => {
-                    let node =
-                        Node::new(id, replica, peers, tx, out, timers, epoch, seed, None, None);
+                    let node = Node::new(id, replica, peers, tx, out, epoch, seed, None, None);
                     builder.spawn(move || run_node(node, rx))
                 }
             }
             .expect("spawn node thread");
             handles.push(handle);
         }
-        InProcCluster { reg, cluster, handles, next_client: AtomicU32::new(0), _timers: timers }
+        InProcCluster {
+            reg,
+            cluster,
+            handles,
+            next_client: AtomicU32::new(0),
+            _timers: chaos.map(|(_, timers)| timers),
+        }
     }
 
     /// The cluster configuration.

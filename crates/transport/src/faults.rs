@@ -10,7 +10,7 @@
 //!
 //! * **Link faults** (Drop / Flaky / Slow) are applied by [`ChaosOut`],
 //!   which intercepts every node→node envelope at the sender: dropped
-//!   envelopes vanish, slowed ones are re-sent by the shared
+//!   envelopes vanish, slowed ones are re-sent by the cluster's
 //!   [`TimerService`] after the injected delay.
 //! * **Crashes** are applied where the receiving node takes its events
 //!   ([`crate::runtime::Node::handle`]): while a node's crash window is active,
@@ -220,6 +220,9 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M> + Clone> Outbou
             }
         }
     }
+
+    // `to_nodes` stays the default, one `to_node` per peer: the plan decides
+    // each destination's fate on its own.
 
     fn to_client(&self, client: ClientId, resp: ClientResponse) {
         self.inner.to_client(client, resp);

@@ -16,8 +16,10 @@
 //! * [`udp`] — one datagram socket per node; best-effort delivery with
 //!   client retries (for protocols that gain nothing from ordered delivery).
 //! * [`runtime`] — [`runtime::Node`], the one-event-at-a-time replica driver
-//!   all three share, and the inbox loop of the channel and UDP transports.
-//! * [`timer`] — the shared timer wheel behind `Context::set_timer`.
+//!   all three share (the replica's timers live in it), and the inbox loop
+//!   of the channel and UDP transports.
+//! * [`timer`] — the fault injector's timer thread (delayed deliveries,
+//!   crash-recovery wake-ups); a cluster without fault injection has none.
 //! * [`faults`] — live fault injection: every transport has a
 //!   `launch_chaotic` constructor that applies a
 //!   [`paxi_core::faults::FaultPlan`] (Crash / Drop / Slow / Flaky) against

@@ -7,6 +7,12 @@
 //! event bit constants, and an EINTR-retrying safe call — and is the only
 //! unsafe code in the crate.
 //!
+//! `poll` counts its timeout in milliseconds, and a node's loop sleeps until
+//! its next timer deadline, which for the batching hold-down is 200 µs away.
+//! On 64-bit Linux the call is therefore `ppoll(2)`, whose timeout is a
+//! `timespec`; elsewhere it stays `poll` with the timeout rounded up to a
+//! whole millisecond (timers then fire late, never early).
+//!
 //! [`WakePipe`] rides on `std`'s `UnixStream::pair`: one end lives in the
 //! reactor's poll set, the other is written by any thread that wants the
 //! loop to wake early (new registrations, freshly staged outbound bytes,
@@ -64,26 +70,78 @@ impl PollFd {
     }
 }
 
-extern "C" {
-    // POSIX: int poll(struct pollfd *fds, nfds_t nfds, int timeout);
-    // nfds_t is unsigned long on the targets we build for.
-    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int) -> std::ffi::c_int;
+/// One `poll` call with the timeout at the resolution the platform has.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn sys_poll(fds: &mut [PollFd], timeout: Option<Duration>) -> std::ffi::c_int {
+    /// C's `struct timespec` where `time_t` and `long` are both 64 bits.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        // Linux: int ppoll(struct pollfd *fds, nfds_t nfds,
+        //                  const struct timespec *tmo_p, const sigset_t *sigmask);
+        // nfds_t is unsigned long. A null `sigmask` leaves the signal mask
+        // alone, which makes this `poll` with a finer timeout.
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: std::ffi::c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const std::ffi::c_void,
+        ) -> std::ffi::c_int;
+    }
+    let ts = timeout.map(|t| Timespec {
+        tv_sec: i64::try_from(t.as_secs()).unwrap_or(i64::MAX),
+        tv_nsec: i64::from(t.subsec_nanos()),
+    });
+    let ts_ptr = ts
+        .as_ref()
+        .map_or(std::ptr::null(), |ts| ts as *const Timespec);
+    // SAFETY: `fds` is a valid, exclusively borrowed slice of `#[repr(C)]`
+    // pollfd-layout entries and the length is its true length; the kernel
+    // only writes `revents` within the slice. `ts_ptr` is null (no timeout)
+    // or points at `ts`, which outlives the call and has the layout of this
+    // target's `struct timespec`; the null signal mask is allowed.
+    unsafe {
+        ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as std::ffi::c_ulong,
+            ts_ptr,
+            std::ptr::null(),
+        )
+    }
+}
+
+/// One `poll` call with the timeout at the resolution the platform has.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn sys_poll(fds: &mut [PollFd], timeout: Option<Duration>) -> std::ffi::c_int {
+    extern "C" {
+        // POSIX: int poll(struct pollfd *fds, nfds_t nfds, int timeout);
+        // nfds_t is unsigned long on the targets we build for.
+        fn poll(
+            fds: *mut PollFd,
+            nfds: std::ffi::c_ulong,
+            timeout: std::ffi::c_int,
+        ) -> std::ffi::c_int;
+    }
+    let timeout_ms: std::ffi::c_int = match timeout {
+        // Whole milliseconds, rounded up: never return before the timeout.
+        Some(t) => t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as std::ffi::c_int,
+        None => -1,
+    };
+    // SAFETY: `fds` is a valid, exclusively borrowed slice of `#[repr(C)]`
+    // pollfd-layout entries and the length is its true length; the kernel
+    // only writes `revents` within the slice.
+    unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) }
 }
 
 /// Blocks until at least one entry is ready or `timeout` elapses. Returns
 /// the number of entries with nonzero `revents` (0 on timeout). `EINTR` is
 /// retried internally; any other error is returned.
 pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
-    let timeout_ms: std::ffi::c_int = match timeout {
-        // Round up so a 100µs timeout doesn't spin as 0ms.
-        Some(t) => t.as_millis().min(i32::MAX as u128).max(1) as std::ffi::c_int,
-        None => -1,
-    };
     loop {
-        // SAFETY: `fds` is a valid, exclusively borrowed slice of
-        // `#[repr(C)]` pollfd-layout entries and the length is its true
-        // length; the kernel only writes `revents` within the slice.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
+        let rc = sys_poll(fds, timeout);
         if rc >= 0 {
             return Ok(rc as usize);
         }
@@ -160,6 +218,30 @@ mod tests {
         let n = poll_fds(&mut fds, Some(Duration::from_millis(10))).unwrap();
         assert_eq!(n, 0);
         assert!(!fds[0].returned(POLLIN));
+    }
+
+    /// The batching hold-down is 200 µs; rounded up to `poll`'s millisecond
+    /// it would be five times that.
+    #[test]
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn a_sub_millisecond_timeout_is_kept() {
+        let pipe = WakePipe::new().unwrap();
+        let timeout = Duration::from_micros(200);
+        let mut took: Vec<Duration> = (0..200)
+            .map(|_| {
+                let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
+                let start = std::time::Instant::now();
+                assert_eq!(poll_fds(&mut fds, Some(timeout)).unwrap(), 0);
+                start.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[0] >= timeout, "returned early: {:?}", took[0]);
+        let median = took[took.len() / 2];
+        assert!(
+            median < Duration::from_micros(700),
+            "a 200 µs timeout took {median:?} (median of 200)"
+        );
     }
 
     #[test]

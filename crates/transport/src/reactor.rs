@@ -14,41 +14,47 @@
 //!    arbitrary fragments, and each complete frame is handed straight to
 //!    [`Node::handle`] (the first frame of a connection is the [`Hello`]
 //!    handshake; see [`crate::tcp`] for the wire protocol and reply routing).
-//! 2. *Inbox.* What does not arrive on a socket — fired timers, messages a
-//!    replica sends to itself, the fault injector's restart wake-up,
-//!    shutdown — waits in the node's inbox and is drained now. A zero-delay
-//!    timer armed by a handler in step 1 therefore runs behind every frame
-//!    that had already been read: "after the input already queued", the
-//!    meaning it has in the simulator and on the channel runtime.
-//! 3. *Write.* Handlers do not write to sockets; they encode each frame
+//! 2. *Timers.* [`Node::advance`] fires the replica's timers that have come
+//!    due (they live in a heap inside the node; arming one is a push) and
+//!    gives a node that has been quiet for a millisecond its storage tick.
+//! 3. *Inbox.* What does not arrive on a socket — zero-delay timers,
+//!    messages a replica sends to itself, the fault injector's restart
+//!    wake-up, shutdown — waits in the node's inbox and is drained now. A
+//!    zero-delay timer armed by a handler in step 1 therefore runs behind
+//!    every frame that had already been read: "after the input already
+//!    queued", the meaning it has in the simulator and on the channel
+//!    runtime.
+//! 4. *Write.* Handlers do not write to sockets; they encode each frame
 //!    once, at the end of its connection's bounded staging buffer
-//!    ([`ConnTx`]). Every connection with staged bytes is now written with
-//!    as few `write` calls as the socket accepts, so the frames one pass
-//!    produced for one peer leave in one write. `POLLOUT` is asked for
-//!    only where the socket did not take everything. A full buffer sheds the
-//!    frame and charges [`DropCause::Backpressure`]; quorum protocols
-//!    tolerate the loss and the ledger keeps it from reading as mystery
-//!    attrition.
-//! 4. *Poll*, for at most the storage tick ([`SYNC_TICK`]); a poll that
-//!    times out gives the replica its tick.
+//!    ([`ConnTx`]) — a broadcast once for all peers, copied to each. Every
+//!    connection with staged bytes is now written with as few `write` calls
+//!    as the socket accepts, so the frames one pass produced for one peer
+//!    leave in one write. `POLLOUT` is asked for only where the socket did
+//!    not take everything. A full buffer sheds the frame and charges
+//!    [`DropCause::Backpressure`]; quorum protocols tolerate the loss and
+//!    the ledger keeps it from reading as mystery attrition.
+//! 5. *Poll*, for as long as [`Node::idle_for`] allows: until the next timer
+//!    deadline or the next storage tick, at most a millisecond.
 //!
 //! (A node enters the cycle at step 2, after `on_start`.)
 //!
-//! **What still crosses threads**, and how each wakes the loop: timers with
-//! a non-zero delay fire on the [`TimerService`] thread, crash-recovery
-//! wake-ups are scheduled there too, and shutdown comes from whoever owns
-//! the cluster; all three send through the node's [`InboxTx`], which writes
-//! to the loop's [`WakePipe`] after queueing. Fault-injected *delayed* sends
-//! ([`ChaosOut`]) stage their frame from the timer thread and wake the loop
-//! the same way. The loop never wakes itself: staging from a handler skips
-//! the pipe.
+//! **What still crosses threads**, and how each wakes the loop: shutdown
+//! comes from whoever owns the cluster, and in a cluster launched with
+//! fault injection the crash-recovery wake-ups come from the injector's
+//! [`TimerService`] thread; both send through the node's [`InboxTx`], which
+//! writes to the loop's [`WakePipe`] after queueing. Fault-injected
+//! *delayed* sends ([`ChaosOut`]) stage their frame from that timer thread
+//! and wake the loop the same way. A plain cluster has no thread but its
+//! nodes'. The loop never wakes itself: staging from a handler skips the
+//! pipe.
 //!
 //! **Fate parity with the simulator.** Fault injection wraps the node's
 //! outbound half ([`ChaosOut`]) *before* bytes reach any socket, so a fixed
 //! seed yields the same per-message fates here as in-process.
 //!
 //! [`PipelinedClient`] is the client-side counterpart: one connection, many
-//! requests in flight, replies correlated by [`RequestId`]. [`run_swarm`]
+//! requests in flight, replies correlated by [`RequestId`], requests written
+//! only when the client has to block for a reply. [`run_swarm`]
 //! drives thousands of such pipelined connections from a single bench
 //! thread — the load generator behind `repro reactor`.
 
@@ -56,7 +62,7 @@ use crate::envelope::Envelope;
 use crate::faults::{ChaosOut, FaultInjector};
 use crate::obs::{log_drop_once, ConnCounters, DropCounters};
 use crate::poll::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
-use crate::runtime::{InboxTx, Node, NodeEvent, Outbound, Remake, SYNC_TICK};
+use crate::runtime::{InboxTx, Node, NodeEvent, Outbound, Remake};
 use crate::tcp::Hello;
 use crate::timer::TimerService;
 use crossbeam::channel::Receiver;
@@ -128,19 +134,37 @@ impl ConnTx {
     }
 
     /// Serializes `value` as one length-prefixed frame at the end of the
-    /// staged buffer. Frames are staged whole or not at all, so neither an
-    /// encode failure nor a capacity rejection leaves a torn frame on the
-    /// wire.
+    /// staged buffer.
     fn stage<T: Serialize>(&self, value: &T) -> Result<(), TxError> {
+        self.append(|staged| {
+            paxi_codec::encode_frame_into(staged, value).map_err(|_| TxError::Encode)
+        })
+    }
+
+    /// Copies one already encoded frame to the end of the staged buffer: a
+    /// broadcast is encoded once and staged per peer.
+    fn stage_frame(&self, frame: &[u8]) -> Result<(), TxError> {
+        self.append(|staged| {
+            staged.extend_from_slice(frame);
+            Ok(())
+        })
+    }
+
+    /// Lets `write` put one frame at the end of the staged buffer. Frames
+    /// are staged whole or not at all, so neither an encode failure nor a
+    /// capacity rejection leaves a torn frame on the wire.
+    fn append(
+        &self,
+        write: impl FnOnce(&mut Vec<u8>) -> Result<(), TxError>,
+    ) -> Result<(), TxError> {
         if !self.is_open() {
             return Err(TxError::Closed);
         }
         let mut staged = self.staged.lock();
         let before = staged.len();
-        let outcome = match paxi_codec::encode_frame_into(&mut staged, value) {
-            Err(_) => Err(TxError::Encode),
+        let outcome = match write(&mut staged) {
             Ok(()) if staged.len() > self.cap => Err(TxError::Full),
-            Ok(()) => Ok(()),
+            outcome => outcome,
         };
         match outcome {
             // Release: pairs with the Acquire in `queued`, so a write pass
@@ -207,6 +231,10 @@ struct Net {
     /// The loop's thread, so staging from a handler does not wake the loop
     /// that is running it.
     loop_thread: OnceLock<ThreadId>,
+    /// Where a broadcast is encoded, once, before it is copied to each
+    /// peer's connection. The loop's in practice: only its handlers
+    /// broadcast through `to_nodes`.
+    scratch: Mutex<Vec<u8>>,
     drops: DropCounters,
     conns: ConnCounters,
 }
@@ -243,9 +271,14 @@ impl Net {
     /// Best-effort framed send to a peer: stages onto the live connection,
     /// sheds under backpressure, redials (under backoff) if the link died.
     fn send_to_peer<T: Serialize>(&self, to: NodeId, env: &T) {
+        self.send_via(to, |tx| tx.stage(env));
+    }
+
+    /// [`Net::send_to_peer`] for whatever `stage` puts on the connection.
+    fn send_via(&self, to: NodeId, stage: impl Fn(&ConnTx) -> Result<(), TxError>) {
         let cached = self.peer_conns.lock().get(&to).cloned();
         if let Some(tx) = cached {
-            match tx.stage(env) {
+            match stage(&tx) {
                 // Connection died: forget it, unless another thread already
                 // replaced it with a fresh one.
                 Err(TxError::Closed) => {
@@ -260,7 +293,7 @@ impl Net {
         // Frames lost while the peer link is down (dial failed, or the
         // backoff window is still closed) are reconnect-window losses.
         match self.connect_peer(to) {
-            Some(tx) => self.settle(tx.stage(env), DropCause::Reconnect),
+            Some(tx) => self.settle(stage(&tx), DropCause::Reconnect),
             None => self.drops.record(DropCause::Reconnect),
         }
     }
@@ -348,6 +381,20 @@ impl Net {
 impl<M: Serialize + Clone + std::fmt::Debug + Send + 'static> Outbound<M> for Arc<Net> {
     fn to_node(&self, to: NodeId, env: Envelope<M>) {
         self.send_to_peer(to, &env);
+    }
+    fn to_nodes(&self, to: &[NodeId], env: Envelope<M>) {
+        let mut frame = self.scratch.lock();
+        frame.clear();
+        if paxi_codec::encode_frame_into(&mut frame, &env).is_err() {
+            // Lost once per peer that does not get it.
+            for _ in to {
+                self.settle(Err(TxError::Encode), DropCause::Encode);
+            }
+            return;
+        }
+        for &p in to {
+            self.send_via(p, |tx| tx.stage_frame(&frame));
+        }
     }
     fn to_client(&self, _client: ClientId, resp: ClientResponse) {
         self.deliver_response(resp);
@@ -569,6 +616,8 @@ fn reactor_loop<R, O>(
     let mut buf = vec![0u8; READ_CHUNK];
     node.start();
     'run: loop {
+        // Timers: what has come due, and the storage tick after a quiet spell.
+        node.advance(Instant::now());
         // Inbox: everything that did not arrive on a socket.
         while let Ok(ev) = inbox.try_recv() {
             if !node.handle(Some(ev)) {
@@ -595,12 +644,8 @@ fn reactor_loop<R, O>(
             fds.push(PollFd::new(c.stream.as_raw_fd(), c.interest()));
             i += 1;
         }
-        match poll_fds(&mut fds, Some(SYNC_TICK)) {
-            Err(_) => continue,
-            Ok(0) => {
-                node.handle(None);
-                continue;
-            }
+        match poll_fds(&mut fds, Some(node.idle_for(Instant::now()))) {
+            Err(_) | Ok(0) => continue,
             Ok(_) => {}
         }
         if fds[0].returned(POLLIN) {
@@ -646,7 +691,8 @@ pub struct TcpCluster<R: Replica> {
     next_client: AtomicU32,
     drops: DropCounters,
     conns: ConnCounters,
-    _timers: Arc<TimerService>,
+    /// The fault injector's timer thread, for a chaotic cluster.
+    _timers: Option<Arc<TimerService>>,
 }
 
 impl<R> TcpCluster<R>
@@ -699,7 +745,9 @@ where
             listeners.push((id, l));
         }
         let addrs = Arc::new(addrs);
-        let timers = Arc::new(TimerService::new());
+        // Fault injection is all that needs a thread besides the nodes' own:
+        // delayed deliveries and recovery wake-ups.
+        let chaos = faults.map(|inj| (inj, Arc::new(TimerService::new())));
         let epoch = Instant::now();
         let mut inboxes = HashMap::new();
         let mut handles = Vec::new();
@@ -715,6 +763,7 @@ where
                 dialed: Mutex::new(Some(Vec::new())),
                 waker: WakePipe::new()?,
                 loop_thread: OnceLock::new(),
+                scratch: Mutex::new(Vec::new()),
                 drops: drops.clone(),
                 conns: conns.clone(),
             });
@@ -727,14 +776,13 @@ where
             let replica = factory.make(id);
             let peers = all.clone();
             let out = Arc::clone(&net);
-            let timers2 = Arc::clone(&timers);
             let seed = 0xBEEF + i as u64;
             // The benchmark's `transport.io_threads_cpu_share` counts the
             // threads named `paxi-tcp-*`.
             let builder = std::thread::Builder::new().name(format!("paxi-tcp-node-{}", id.pack()));
-            let handle = match &faults {
-                Some(inj) => {
-                    let out = ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(&timers));
+            let handle = match &chaos {
+                Some((inj, timers)) => {
+                    let out = ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(timers));
                     let f = Arc::clone(&factory);
                     let remake: Remake<R> = Arc::new(move |id| f.make(id));
                     let node = Node::new(
@@ -743,26 +791,23 @@ where
                         peers,
                         tx,
                         out,
-                        timers2,
                         epoch,
                         seed,
-                        faults.clone(),
+                        Some(Arc::clone(inj)),
                         Some(remake),
                     );
                     builder.spawn(move || reactor_loop(listener, net, node, rx))
                 }
                 None => {
-                    let node = Node::new(
-                        id, replica, peers, tx, out, timers2, epoch, seed, None, None,
-                    );
+                    let node = Node::new(id, replica, peers, tx, out, epoch, seed, None, None);
                     builder.spawn(move || reactor_loop(listener, net, node, rx))
                 }
             }?;
             handles.push(handle);
         }
-        if let Some(inj) = &faults {
+        if let Some((inj, timers)) = &chaos {
             inj.start(epoch);
-            inj.schedule_recoveries(&timers, &inboxes);
+            inj.schedule_recoveries(timers, &inboxes);
         }
         Ok(TcpCluster {
             addrs,
@@ -771,7 +816,7 @@ where
             next_client: AtomicU32::new(0),
             drops,
             conns,
-            _timers: timers,
+            _timers: chaos.map(|(_, timers)| timers),
         })
     }
 
@@ -872,15 +917,29 @@ where
     }
 }
 
+/// Encoded requests a [`PipelinedClient`] holds back at most; past this,
+/// `submit` writes them out itself.
+const CLIENT_STAGED_CAP: usize = 64 * 1024;
+/// Read chunk of a [`PipelinedClient`].
+const CLIENT_READ_CHUNK: usize = 16 * 1024;
+
 /// A client that keeps many requests in flight on one connection.
 ///
-/// [`PipelinedClient::submit`] writes a request and returns immediately;
+/// [`PipelinedClient::submit`] encodes a request and returns immediately;
 /// [`PipelinedClient::await_response`] blocks for one specific reply,
 /// keeping any other outstanding request's reply that arrives first
 /// (replies may complete out of submission order when requests are
 /// forwarded between nodes). The blocking [`PipelinedClient::execute`] is
 /// the sequential API of [`crate::SyncClient`] and [`crate::UdpClient`], so
 /// routers and pools built on closures run unchanged.
+///
+/// **The client writes when it has to block.** Submitted requests are
+/// staged in the client and leave in one `write` right before a `read` that
+/// cannot be avoided: an `await_response` whose reply is not already in
+/// hand. A client that refills its window while it works through a burst of
+/// replies thus makes one system call per burst, not one per request; one
+/// request at a time makes exactly the calls it would make unstaged. Call
+/// [`PipelinedClient::flush`] to send without awaiting.
 pub struct PipelinedClient {
     id: ClientId,
     seq: u64,
@@ -890,6 +949,12 @@ pub struct PipelinedClient {
     /// its reply once that has arrived.
     inflight: HashMap<RequestId, Option<ClientResponse>>,
     timeout: Duration,
+    /// Encoded requests not yet written.
+    staged: Vec<u8>,
+    read_buf: Box<[u8]>,
+    /// The connection is of no more use: a write failed, the server closed
+    /// it, or the bytes it sent are not frames.
+    broken: bool,
 }
 
 impl PipelinedClient {
@@ -911,6 +976,9 @@ impl PipelinedClient {
             decoder: paxi_codec::FrameDecoder::new(),
             inflight: HashMap::new(),
             timeout: Duration::from_secs(5),
+            staged: Vec::new(),
+            read_buf: vec![0; CLIENT_READ_CHUNK].into(),
+            broken: false,
         })
     }
 
@@ -924,47 +992,94 @@ impl PipelinedClient {
         self.timeout = timeout;
     }
 
-    /// Sends one command without waiting; the returned id claims the reply
-    /// later via [`PipelinedClient::await_response`].
+    /// Queues one command without waiting; the returned id claims the reply
+    /// later via [`PipelinedClient::await_response`], which is also what
+    /// sends it (as does [`PipelinedClient::flush`], or a full staging
+    /// buffer). Fails at once on a connection already known to be broken.
     pub fn submit(&mut self, cmd: Command) -> std::io::Result<RequestId> {
+        if self.broken {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
         let req_id = RequestId::new(self.id, self.seq);
         self.seq += 1;
         let env: Envelope<()> = Envelope::Request(paxi_core::ClientRequest { id: req_id, cmd });
-        let mut frame = Vec::new();
-        paxi_codec::encode_frame_into(&mut frame, &env)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.stream.write_all(&frame)?;
+        let before = self.staged.len();
+        if let Err(e) = paxi_codec::encode_frame_into(&mut self.staged, &env) {
+            self.staged.truncate(before);
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                e.to_string(),
+            ));
+        }
+        if self.staged.len() >= CLIENT_STAGED_CAP {
+            self.flush()?;
+        }
         self.inflight.insert(req_id, None);
         Ok(req_id)
     }
 
-    /// Blocks until the reply for `req_id` arrives (or the timeout lapses).
-    /// Replies for other in-flight requests encountered on the way are kept
-    /// and claimed by their own awaits — each reply is delivered exactly
-    /// once. Either way `req_id` is no longer outstanding afterwards: the
-    /// reply to a request that was given up on is discarded when it comes,
-    /// as is one to a request this client never made.
+    /// Writes every request submitted and not yet sent, in one `write` if
+    /// the socket takes it. For a caller that submits and does not await.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.staged);
+        self.staged.clear();
+        // Part of a frame may have left: nothing after it can be framed.
+        self.broken |= written.is_err();
+        written
+    }
+
+    /// Blocks until the reply for `req_id` arrives (or the timeout lapses,
+    /// or the connection breaks). Replies for other in-flight requests
+    /// encountered on the way are kept and claimed by their own awaits —
+    /// each reply is delivered exactly once. Either way `req_id` is no
+    /// longer outstanding afterwards: the reply to a request that was given
+    /// up on is discarded when it comes, as is one to a request this client
+    /// never made.
     pub fn await_response(&mut self, req_id: RequestId) -> Option<ClientResponse> {
         let deadline = Instant::now() + self.timeout;
-        let mut buf = [0u8; 16 * 1024];
         loop {
-            while let Ok(Some(frame)) = self.decoder.next_frame() {
-                if let Ok(Envelope::<()>::Response(resp)) = paxi_codec::from_bytes(&frame) {
-                    if let Some(slot) = self.inflight.get_mut(&resp.id) {
-                        *slot = Some(resp);
+            loop {
+                match self.decoder.next_frame() {
+                    Ok(Some(frame)) => {
+                        if let Ok(Envelope::<()>::Response(resp)) = paxi_codec::from_bytes(&frame) {
+                            if let Some(slot) = self.inflight.get_mut(&resp.id) {
+                                *slot = Some(resp);
+                            }
+                        }
+                    }
+                    Ok(None) => break,
+                    // The stream lost its framing and will not find it again.
+                    Err(_) => {
+                        self.broken = true;
+                        break;
                     }
                 }
             }
-            if !matches!(self.inflight.get(&req_id), Some(None)) || Instant::now() >= deadline {
+            if !matches!(self.inflight.get(&req_id), Some(None))
+                || self.broken
+                || Instant::now() >= deadline
+            {
                 break;
             }
-            match self.stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => self.decoder.feed(&buf[..n]),
+            // The reply is not in hand, so this call has to block: now, and
+            // only now, what has been submitted must be on its way.
+            if self.flush().is_err() {
+                break;
+            }
+            match self.stream.read(&mut self.read_buf) {
+                Ok(0) => self.broken = true,
+                Ok(n) => self.decoder.feed(&self.read_buf[..n]),
                 Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(_) => break,
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock
+                            | std::io::ErrorKind::TimedOut
+                            | std::io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => self.broken = true,
             }
         }
         self.inflight.remove(&req_id).flatten()
@@ -1205,6 +1320,7 @@ mod tests {
             dialed: Mutex::new(Some(Vec::new())),
             waker: WakePipe::new().unwrap(),
             loop_thread: OnceLock::new(),
+            scratch: Mutex::new(Vec::new()),
             drops: DropCounters::new(),
             conns: ConnCounters::new(),
         }
@@ -1279,6 +1395,28 @@ mod tests {
         assert_eq!(net.drops.get(DropCause::NoRoute), 1);
         assert_eq!(net.drops.get(DropCause::Unexplained), 0);
         assert_eq!(net.drops.total(), 2);
+    }
+
+    #[test]
+    fn a_broadcast_is_staged_whole_per_peer_with_the_ledger_of_a_send() {
+        let net = Arc::new(bare_net(NodeId::new(0, 0), HashMap::new()));
+        let (roomy, tiny) = (Arc::new(ConnTx::new(64)), Arc::new(ConnTx::new(8)));
+        let peers = [NodeId::new(0, 1), NodeId::new(0, 2)];
+        net.peer_conns.lock().insert(peers[0], Arc::clone(&roomy));
+        net.peer_conns.lock().insert(peers[1], Arc::clone(&tiny));
+        let env = Envelope::Msg {
+            from: NodeId::new(0, 0),
+            msg: 0xABCD_u32,
+        };
+        net.to_nodes(&peers, env.clone());
+        // Byte for byte what a single send stages.
+        let single = ConnTx::new(64);
+        single.stage(&env).unwrap();
+        assert_eq!(*roomy.staged.lock(), *single.staged.lock());
+        // The peer whose buffer is full sheds the frame whole, on the ledger.
+        assert_eq!(tiny.queued(), 0);
+        assert_eq!(net.drops.get(DropCause::Backpressure), 1);
+        assert_eq!(net.drops.total(), 1);
     }
 
     #[test]
@@ -1467,14 +1605,156 @@ mod tests {
         run.shutdown();
     }
 
+    /// A client whose "server" is the test itself: the other end of its
+    /// connection, the handshake already read off it.
+    fn hand_driven(id: ClientId) -> (PipelinedClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = PipelinedClient::connect(listener.local_addr().unwrap(), id).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        server
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut hello = [0u8; 64];
+        let n = server.read(&mut hello).unwrap();
+        let mut decoder = paxi_codec::FrameDecoder::new();
+        decoder.feed(&hello[..n]);
+        let frame = decoder.next_frame().unwrap().expect("the handshake");
+        assert!(matches!(
+            paxi_codec::from_bytes::<Hello>(&frame).unwrap(),
+            Hello::Client(c) if c == id
+        ));
+        assert_eq!(decoder.buffered(), 0);
+        (client, server)
+    }
+
+    /// Reads request frames off `server` until `n` have come; their ids.
+    fn read_requests(server: &mut TcpStream, n: usize) -> Vec<RequestId> {
+        let mut decoder = paxi_codec::FrameDecoder::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut ids = Vec::new();
+        while ids.len() < n {
+            let got = server.read(&mut buf).expect("a request is missing");
+            decoder.feed(&buf[..got]);
+            while let Some(frame) = decoder.next_frame().unwrap() {
+                match paxi_codec::from_bytes::<Envelope<()>>(&frame).unwrap() {
+                    Envelope::Request(req) => ids.push(req.id),
+                    other => panic!("not a request: {other:?}"),
+                }
+            }
+        }
+        assert_eq!(decoder.buffered(), 0, "no partial frame was written");
+        ids
+    }
+
+    /// Whether nothing at all is waiting to be read on `server`.
+    fn wire_is_empty(server: &TcpStream) -> bool {
+        server.set_nonblocking(true).unwrap();
+        let empty = matches!(
+            (&*server).read(&mut [0u8; 1]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+        );
+        server.set_nonblocking(false).unwrap();
+        empty
+    }
+
+    fn reply_to(server: &mut TcpStream, ids: &[RequestId]) {
+        let mut bytes = Vec::new();
+        for &id in ids {
+            let env = Envelope::<()>::Response(ClientResponse::ok(id, None));
+            paxi_codec::encode_frame_into(&mut bytes, &env).unwrap();
+        }
+        server.write_all(&bytes).unwrap();
+    }
+
+    #[test]
+    fn submits_are_held_until_the_client_has_to_block() {
+        let (mut client, mut server) = hand_driven(ClientId(9));
+        let ids: Vec<_> = (0..5)
+            .map(|k| client.submit(Command::get(k)).unwrap())
+            .collect();
+        assert!(wire_is_empty(&server), "submit alone writes nothing");
+        // Nothing is in hand for the first: this await blocks, so it sends,
+        // everything and in order.
+        client.set_timeout(Duration::from_millis(20));
+        assert_eq!(client.await_response(ids[0]), None, "nobody answered");
+        assert_eq!(read_requests(&mut server, 5), ids);
+        client.set_timeout(Duration::from_secs(5));
+
+        // One burst of replies: the first await reads it, the others find
+        // theirs in hand, so what is submitted between them stays put.
+        reply_to(&mut server, &ids[1..]);
+        let mut more = Vec::new();
+        for &id in &ids[1..] {
+            assert_eq!(client.await_response(id).expect("a reply").id, id);
+            more.push(client.submit(Command::get(9)).unwrap());
+        }
+        assert!(wire_is_empty(&server), "no await had to block");
+        // flush() is for whoever will not await.
+        client.flush().unwrap();
+        assert_eq!(read_requests(&mut server, 4), more);
+        assert!(client.staged.is_empty());
+        client.flush().unwrap();
+        assert!(wire_is_empty(&server), "nothing is sent twice");
+    }
+
+    #[test]
+    fn a_staged_buffer_over_its_cap_is_written_by_submit() {
+        let (mut client, mut server) = hand_driven(ClientId(9));
+        let value = vec![7u8; CLIENT_STAGED_CAP / 4];
+        let mut ids = Vec::new();
+        while client.staged.len() + value.len() < CLIENT_STAGED_CAP {
+            ids.push(client.submit(Command::put(1, value.clone())).unwrap());
+        }
+        assert!(wire_is_empty(&server));
+        // The one that crosses the cap takes everything with it.
+        ids.push(client.submit(Command::put(1, value.clone())).unwrap());
+        assert!(client.staged.is_empty());
+        assert_eq!(read_requests(&mut server, ids.len()), ids);
+        assert_eq!(client.inflight.len(), ids.len());
+    }
+
+    #[test]
+    fn one_request_at_a_time_is_sent_by_its_own_await() {
+        let (mut client, mut server) = hand_driven(ClientId(9));
+        client.set_timeout(Duration::from_millis(20));
+        assert_eq!(client.execute(Command::get(1)), None, "nobody answered");
+        assert!(client.staged.is_empty());
+        assert_eq!(
+            read_requests(&mut server, 1),
+            [RequestId::new(ClientId(9), 0)]
+        );
+        assert!(wire_is_empty(&server));
+    }
+
+    #[test]
+    fn a_stream_that_loses_its_framing_is_a_broken_connection() {
+        let (mut client, mut server) = hand_driven(ClientId(9));
+        let first = client.submit(Command::get(1)).unwrap();
+        let second = client.submit(Command::get(2)).unwrap();
+        // A good reply, then a length prefix no frame may have.
+        reply_to(&mut server, &[first]);
+        let too_long = u32::try_from(paxi_codec::MAX_FRAME + 1).unwrap();
+        server.write_all(&too_long.to_le_bytes()).unwrap();
+        assert_eq!(client.await_response(first).expect("a reply").id, first);
+        let start = Instant::now();
+        assert_eq!(client.await_response(second), None);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "gave up at once, not at the 5 s deadline: {:?}",
+            start.elapsed()
+        );
+        assert!(client.inflight.is_empty());
+        let refused = client.submit(Command::get(3)).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::BrokenPipe);
+        assert_eq!(client.execute(Command::get(4)), None);
+    }
+
     #[test]
     fn a_reply_that_comes_after_its_timeout_is_dropped_not_stashed() {
         // The "server" is this test: it answers the first request only
         // after the client has given up on it, together with the second.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let id = ClientId(9);
-        let mut client = PipelinedClient::connect(listener.local_addr().unwrap(), id).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
+        let (mut client, mut server) = hand_driven(id);
         client.set_timeout(Duration::from_millis(20));
 
         let first = client.submit(Command::get(1)).unwrap();

@@ -3,18 +3,25 @@
 //! A [`Node`] is one replica plus everything its handlers need: it takes one
 //! [`NodeEvent`] at a time and invokes the replica with a
 //! [`paxi_core::traits::Context`] backed by the transport's [`Outbound`] half
-//! and the shared [`crate::timer::TimerService`]. Handlers are strictly
-//! serial per node, the same execution model as the simulator, so replica
-//! code runs unchanged. What differs between runtimes is only who calls
-//! [`Node::handle`]: the channel and UDP transports funnel inbound traffic
-//! into a per-node inbox that [`run_node`] drains on the node's own thread;
-//! the TCP runtime ([`crate::reactor`]) calls it from its socket loop with
-//! each frame as it is decoded, and uses the inbox only for what does not
-//! arrive on a socket (timers, self-sends, restart and shutdown).
+//! and the node's own timer heap. Handlers are strictly serial per node, the
+//! same execution model as the simulator, so replica code runs unchanged.
+//! What differs between runtimes is only who calls [`Node::handle`]: the
+//! channel and UDP transports funnel inbound traffic into a per-node inbox
+//! that [`run_node`] drains on the node's own thread; the TCP runtime
+//! ([`crate::reactor`]) calls it from its socket loop with each frame as it
+//! is decoded, and uses the inbox only for what does not arrive on a socket
+//! (zero-delay timers, self-sends, restart and shutdown).
+//!
+//! **Timers belong to the node.** `set_timer` with a non-zero delay pushes
+//! `(deadline, token, kind)` onto a heap inside the [`Node`]: no allocation,
+//! no lock, no other thread. The loop that drives the node calls
+//! [`Node::advance`] once per pass, which fires what is due through
+//! [`Node::handle`], and sleeps no longer than [`Node::idle_for`] says. A
+//! zero-delay timer means "after the input already queued" and goes through
+//! the inbox instead.
 
 use crate::envelope::Envelope;
 use crate::faults::FaultInjector;
-use crate::timer::TimerService;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use paxi_core::command::{ClientRequest, ClientResponse};
 use paxi_core::dist::Rng64;
@@ -23,6 +30,8 @@ use paxi_core::id::{ClientId, NodeId};
 use paxi_core::obs::DropCause;
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,10 +40,10 @@ use std::time::{Duration, Instant};
 /// replays the WAL. Cluster constructors derive one from the launch factory.
 pub type Remake<R> = Arc<dyn Fn(NodeId) -> R + Send + Sync>;
 
-/// How long an event loop waits before giving the replica a storage tick.
-/// Bounds how far a batch fsync policy's interval can overshoot on a quiet
-/// node; an idle tick on a replica with nothing buffered is a no-op.
-pub(crate) const SYNC_TICK: Duration = Duration::from_millis(1);
+/// How long a node goes without an event before the replica gets a storage
+/// tick. Bounds how far a batch fsync policy's interval can overshoot on a
+/// quiet node; an idle tick on a replica with nothing buffered is a no-op.
+const SYNC_TICK: Duration = Duration::from_millis(1);
 
 /// Timer event injected back into a node inbox.
 #[derive(Debug, Clone)]
@@ -56,8 +65,7 @@ pub enum NodeEvent<M> {
 
 /// The sending half of a node's inbox, for every thread that is not the
 /// node's own: peers and clients of the in-process transport, the UDP
-/// receiver, the timer thread, the fault injector's recovery wake-ups, and
-/// cluster shutdown.
+/// receiver, the fault injector's recovery wake-ups, and cluster shutdown.
 ///
 /// A node thread that sleeps in `recv` is woken by the channel itself. One
 /// that sleeps in `poll(2)` is not, so its runtime attaches a `wake` that
@@ -106,6 +114,19 @@ impl<M> InboxTx<M> {
 pub trait Outbound<M>: Send + 'static {
     /// Delivers an envelope to a peer node (best effort).
     fn to_node(&self, to: NodeId, env: Envelope<M>);
+    /// Delivers one envelope to each of `to` (best effort): a broadcast. A
+    /// transport that serializes overrides this to encode once.
+    fn to_nodes(&self, to: &[NodeId], env: Envelope<M>)
+    where
+        M: Clone,
+    {
+        if let Some((&last, rest)) = to.split_last() {
+            for &p in rest {
+                self.to_node(p, env.clone());
+            }
+            self.to_node(last, env);
+        }
+    }
     /// Delivers a response to a client (best effort).
     fn to_client(&self, client: ClientId, resp: ClientResponse);
     /// Proactively establishes (or re-establishes) a link to `peer`. The
@@ -128,11 +149,18 @@ pub trait Outbound<M>: Send + 'static {
 /// ([`Outbound::connect_peer`]), departed ones get theirs torn down
 /// ([`Outbound::disconnect_peer`]), and the broadcast set follows. A
 /// replica whose [`Replica::current_members`] returns `None` (static
-/// membership) keeps its startup peer set untouched.
-fn sync_peers<R: Replica, O: Outbound<R::Msg>>(replica: &R, peers: &mut Vec<NodeId>, out: &O) {
+/// membership) keeps its startup peer set untouched. `peers` never holds
+/// the node itself.
+fn sync_peers<R: Replica, O: Outbound<R::Msg>>(
+    id: NodeId,
+    replica: &R,
+    peers: &mut Vec<NodeId>,
+    out: &O,
+) {
     let Some(mut members) = replica.current_members() else {
         return;
     };
+    members.retain(|&p| p != id);
     members.sort_unstable();
     members.dedup();
     if members == *peers {
@@ -147,12 +175,17 @@ fn sync_peers<R: Replica, O: Outbound<R::Msg>>(replica: &R, peers: &mut Vec<Node
     *peers = members;
 }
 
+/// Armed timers with a non-zero delay, soonest first: `(deadline, token,
+/// kind)`. Tokens only grow, so equal deadlines fire in arming order.
+type TimerHeap = BinaryHeap<Reverse<(Instant, u64, u64)>>;
+
 struct ThreadCtx<'a, M, O: Outbound<M>> {
     id: NodeId,
+    /// Every other member.
     peers: &'a [NodeId],
     out: &'a O,
     inbox_tx: &'a InboxTx<M>,
-    timers: &'a TimerService,
+    timers: &'a mut TimerHeap,
     epoch: Instant,
     tokens: &'a mut u64,
     rng: &'a mut Rng64,
@@ -176,17 +209,8 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
         }
     }
     fn broadcast(&mut self, msg: M) {
-        for &p in self.peers {
-            if p != self.id {
-                self.out.to_node(
-                    p,
-                    Envelope::Msg {
-                        from: self.id,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-        }
+        self.out
+            .to_nodes(self.peers, Envelope::Msg { from: self.id, msg });
     }
     fn multicast(&mut self, to: &[NodeId], msg: M) {
         for &p in to {
@@ -211,17 +235,13 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
         let token = *self.tokens;
         if after == Nanos::ZERO {
             // "After the input already queued": straight into the inbox,
-            // behind whatever is waiting there, with no wake-up of and
-            // hand-off from the timer thread. The simulator orders a
+            // behind whatever is waiting there. The simulator orders a
             // zero-delay timer the same way.
             self.inbox_tx.send(NodeEvent::Timer { kind, token });
             return token;
         }
-        let tx = self.inbox_tx.clone();
-        self.timers
-            .schedule(Duration::from_nanos(after.0), move || {
-                tx.send(NodeEvent::Timer { kind, token });
-            });
+        let deadline = Instant::now() + Duration::from_nanos(after.0);
+        self.timers.push(Reverse((deadline, token, kind)));
         token
     }
     fn reply(&mut self, resp: ClientResponse) {
@@ -253,14 +273,18 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
 /// [`Replica::on_recover`]; without a `remake` closure amnesia degenerates
 /// to freeze semantics — the runtime cannot pretend volatile state was lost
 /// while still holding it. [`Envelope::Shutdown`] is always honored, crashed
-/// or not.
+/// or not. Armed timers are the node's, not the replica's: one that comes
+/// due inside a crash window is discarded like any other event, and one
+/// armed before an amnesia rebuild reaches the new replica as a token it
+/// never issued.
 pub struct Node<R: Replica, O: Outbound<R::Msg>> {
     id: NodeId,
     replica: R,
+    /// Every other member: the broadcast set.
     peers: Vec<NodeId>,
     inbox_tx: InboxTx<R::Msg>,
     out: O,
-    timers: Arc<TimerService>,
+    timers: TimerHeap,
     epoch: Instant,
     /// Timer tokens handed out so far.
     tokens: u64,
@@ -270,37 +294,45 @@ pub struct Node<R: Replica, O: Outbound<R::Msg>> {
     /// The mode of the crash window this node is in, or has left without
     /// having recovered yet.
     frozen: Option<CrashMode>,
+    /// An event was handled since the last [`Node::advance`].
+    busy: bool,
+    /// Since when the node has been quiet (no event), as far as `advance`
+    /// has seen; the storage tick is due [`SYNC_TICK`] after.
+    quiet_since: Instant,
 }
 
 impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
     /// `inbox_tx` feeds the inbox whose events the caller will pass to
-    /// [`Node::handle`]: self-addressed messages and fired timers go there.
+    /// [`Node::handle`]: self-addressed messages and zero-delay timers go
+    /// there.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: NodeId,
         replica: R,
-        peers: Vec<NodeId>,
+        mut peers: Vec<NodeId>,
         inbox_tx: InboxTx<R::Msg>,
         out: O,
-        timers: Arc<TimerService>,
         epoch: Instant,
         seed: u64,
         faults: Option<Arc<FaultInjector>>,
         remake: Option<Remake<R>>,
     ) -> Self {
+        peers.retain(|&p| p != id);
         Node {
             id,
             replica,
             peers,
             inbox_tx,
             out,
-            timers,
+            timers: TimerHeap::new(),
             epoch,
             tokens: 0,
             rng: Rng64::seed(seed),
             faults,
             remake,
             frozen: None,
+            busy: false,
+            quiet_since: epoch,
         }
     }
 
@@ -311,7 +343,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
             peers: &self.peers,
             out: &self.out,
             inbox_tx: &self.inbox_tx,
-            timers: &self.timers,
+            timers: &mut self.timers,
             epoch: self.epoch,
             tokens: &mut self.tokens,
             rng: &mut self.rng,
@@ -324,15 +356,49 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
     pub fn start(&mut self) {
         let (replica, mut ctx) = self.parts();
         replica.on_start(&mut ctx);
-        sync_peers(&self.replica, &mut self.peers, &self.out);
+        sync_peers(self.id, &self.replica, &mut self.peers, &self.out);
+    }
+
+    /// Fires every timer due at `now`, in deadline order, each through
+    /// [`Node::handle`]; then, if no event at all has been handled for
+    /// [`SYNC_TICK`], gives the replica its storage tick. The node's loop
+    /// calls this once per pass with the current time, and sleeps no longer
+    /// than [`Node::idle_for`] before the next.
+    pub fn advance(&mut self, now: Instant) {
+        while let Some(&Reverse((deadline, token, kind))) = self.timers.peek() {
+            if deadline > now {
+                break;
+            }
+            self.timers.pop();
+            self.handle(Some(NodeEvent::Timer { kind, token }));
+        }
+        if std::mem::take(&mut self.busy) {
+            self.quiet_since = now;
+        } else if now.saturating_duration_since(self.quiet_since) >= SYNC_TICK {
+            self.quiet_since = now;
+            self.handle(None);
+        }
+    }
+
+    /// How long after `now` the node's loop may sleep if no input comes:
+    /// until the next timer deadline or the next storage tick, whichever is
+    /// sooner — at most [`SYNC_TICK`], zero if something is due already.
+    pub fn idle_for(&self, now: Instant) -> Duration {
+        let tick = self.quiet_since + SYNC_TICK;
+        let wake = match self.timers.peek() {
+            Some(&Reverse((deadline, ..))) => deadline.min(tick),
+            None => tick,
+        };
+        wake.saturating_duration_since(now)
     }
 
     /// Handles one event, or with `None` gives the replica a storage tick
-    /// (the caller waited [`SYNC_TICK`] and nothing came, so a batch fsync
-    /// policy's interval bound is honored even while the node is quiet and
-    /// no append is there to piggyback the deadline check on). Returns
-    /// `false` once the node has been told to shut down.
+    /// ([`Node::advance`] saw [`SYNC_TICK`] go by without an event, so a
+    /// batch fsync policy's interval bound is honored even while the node is
+    /// quiet and no append is there to piggyback the deadline check on).
+    /// Returns `false` once the node has been told to shut down.
     pub fn handle(&mut self, ev: Option<NodeEvent<R::Msg>>) -> bool {
+        self.busy |= ev.is_some();
         if let Some(inj) = &self.faults {
             if inj.is_crashed(self.id) {
                 if matches!(ev, Some(NodeEvent::Wire(Envelope::Shutdown))) {
@@ -378,7 +444,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
                 // An amnesiac node's transport may have dropped its links
                 // while it was dark (peers tore down dead connections); warm
                 // them again so recovery traffic doesn't eat dial latency.
-                for &p in ctx.peers.iter().filter(|&&p| p != ctx.id) {
+                for &p in ctx.peers {
                     ctx.out.connect_peer(p);
                 }
             }
@@ -395,7 +461,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
         // A handled event may have activated a configuration; reconcile the
         // live link set with the replica's membership view before the next
         // event so activation-time joins get warm links immediately.
-        sync_peers(&self.replica, &mut self.peers, &self.out);
+        sync_peers(self.id, &self.replica, &mut self.peers, &self.out);
         true
     }
 }
@@ -408,28 +474,30 @@ pub fn run_node<R: Replica, O: Outbound<R::Msg>>(
 ) {
     node.start();
     loop {
-        let ev = match inbox.recv_timeout(SYNC_TICK) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
+        node.advance(Instant::now());
+        match inbox.recv_timeout(node.idle_for(Instant::now())) {
+            Ok(ev) => {
+                if !node.handle(Some(ev)) {
+                    break;
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if !node.handle(ev) {
-            break;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! [`Node::handle`] with no thread anywhere: the crash gate, the two
-    //! thaw paths and the storage tick, driven one event at a time.
+    //! [`Node`] with no thread anywhere: the crash gate, the two thaw paths,
+    //! the timer heap and the storage tick, driven one call at a time.
 
     use super::*;
     use crossbeam::channel::unbounded;
     use parking_lot::Mutex;
     use paxi_core::faults::FaultPlan;
 
-    type Log = Arc<Mutex<Vec<&'static str>>>;
+    type Log = Arc<Mutex<Vec<String>>>;
 
     /// Records which hooks the runtime called, in order.
     struct Recording(Log);
@@ -437,25 +505,25 @@ mod tests {
     impl Replica for Recording {
         type Msg = ();
         fn on_start(&mut self, _ctx: &mut dyn Context<()>) {
-            self.0.lock().push("start");
+            self.0.lock().push("start".into());
         }
         fn on_restart(&mut self, _ctx: &mut dyn Context<()>) {
-            self.0.lock().push("restart");
+            self.0.lock().push("restart".into());
         }
         fn on_recover(&mut self, _ctx: &mut dyn Context<()>) {
-            self.0.lock().push("recover");
+            self.0.lock().push("recover".into());
         }
         fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut dyn Context<()>) {
-            self.0.lock().push("message");
+            self.0.lock().push("message".into());
         }
         fn on_request(&mut self, _req: ClientRequest, _ctx: &mut dyn Context<()>) {
-            self.0.lock().push("request");
+            self.0.lock().push("request".into());
         }
-        fn on_timer(&mut self, _kind: u64, _token: u64, _ctx: &mut dyn Context<()>) {
-            self.0.lock().push("timer");
+        fn on_timer(&mut self, kind: u64, token: u64, _ctx: &mut dyn Context<()>) {
+            self.0.lock().push(format!("timer {kind}/{token}"));
         }
         fn sync_storage(&mut self) {
-            self.0.lock().push("tick");
+            self.0.lock().push("tick".into());
         }
     }
 
@@ -514,7 +582,6 @@ mod tests {
                 vec![n(0), n(1), n(2)],
                 InboxTx::new(tx),
                 Dials(Arc::clone(&dials)),
-                Arc::new(TimerService::new()),
                 Instant::now(),
                 7,
                 Some(Arc::clone(&inj)),
@@ -535,6 +602,30 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
+    }
+
+    /// Node 0 of two, never crashed, with its log and the receiving half of
+    /// its inbox.
+    fn plain(epoch: Instant) -> (Node<Recording, Dials>, Log, Receiver<NodeEvent<()>>) {
+        let log = Log::default();
+        let (tx, rx) = unbounded();
+        let node = Node::new(
+            n(0),
+            Recording(Arc::clone(&log)),
+            vec![n(0), n(1)],
+            InboxTx::new(tx),
+            Dials(Default::default()),
+            epoch,
+            7,
+            None,
+            None,
+        );
+        (node, log, rx)
+    }
+
+    /// Arms a timer the way a handler does; returns its token.
+    fn arm<R: Replica, O: Outbound<R::Msg>>(node: &mut Node<R, O>, after: Nanos, kind: u64) -> u64 {
+        node.parts().1.set_timer(after, kind)
     }
 
     #[test]
@@ -593,26 +684,111 @@ mod tests {
 
     #[test]
     fn an_uncrashed_node_starts_dispatches_and_ticks() {
-        let (log, dials): (Log, _) = Default::default();
-        let (tx, rx) = unbounded();
-        let mut node = Node::new(
-            n(0),
-            Recording(Arc::clone(&log)),
-            vec![n(0), n(1)],
-            InboxTx::new(tx),
-            Dials(dials),
-            Arc::new(TimerService::new()),
-            Instant::now(),
-            7,
-            None,
-            None,
-        );
+        let (mut node, log, rx) = plain(Instant::now());
         node.start();
         assert!(node.handle(msg()));
         assert!(node.handle(Some(NodeEvent::Timer { kind: 3, token: 9 })));
         assert!(node.handle(None));
         assert!(!node.handle(Some(NodeEvent::Wire(Envelope::Shutdown))));
-        assert_eq!(*log.lock(), ["start", "message", "timer", "tick"]);
+        assert_eq!(*log.lock(), ["start", "message", "timer 3/9", "tick"]);
         assert!(rx.try_recv().is_err(), "nothing was sent to self");
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order_and_never_early() {
+        let before = Instant::now();
+        let (mut node, log, rx) = plain(before);
+        assert_eq!(arm(&mut node, Nanos::secs(3), 30), 1);
+        assert_eq!(arm(&mut node, Nanos::secs(1), 10), 2);
+        assert_eq!(arm(&mut node, Nanos::secs(2), 20), 3);
+        let after = Instant::now();
+        // Armed between `before` and `after`: the first is not due a
+        // nanosecond less than its delay after `before` (the quiet second
+        // earns a tick, though), and the last not before the others.
+        node.advance(before + Duration::from_secs(1) - Duration::from_nanos(1));
+        assert_eq!(*log.lock(), ["tick"]);
+        node.advance(after + Duration::from_secs(2));
+        assert_eq!(*log.lock(), ["tick", "timer 10/2", "timer 20/3"]);
+        node.advance(after + Duration::from_secs(3));
+        assert_eq!(log.lock()[3..], ["timer 30/1"]);
+        assert!(node.timers.is_empty());
+        // None of this went through the inbox; a zero delay does, untouched.
+        assert!(rx.try_recv().is_err());
+        assert_eq!(arm(&mut node, Nanos::ZERO, 40), 4);
+        assert!(matches!(
+            rx.try_recv(),
+            Ok(NodeEvent::Timer { kind: 40, token: 4 })
+        ));
+        assert!(node.timers.is_empty());
+    }
+
+    #[test]
+    fn a_frozen_node_discards_due_timers_and_charges_nothing() {
+        let mut rig = Rig::crashed(CrashMode::Freeze);
+        arm(&mut rig.node, Nanos::millis(1), 5);
+        rig.node.advance(Instant::now() + Duration::from_millis(10));
+        assert!(rig.node.timers.is_empty(), "a discarded timer is gone");
+        assert!(rig.log.lock().is_empty(), "a frozen node runs no handler");
+        assert_eq!(rig.inj.drops().total(), 0, "a timer is not a message");
+        rig.wait_for_thaw();
+        assert!(rig.node.handle(msg()));
+        rig.node.advance(Instant::now() + Duration::from_secs(1));
+        assert_eq!(*rig.log.lock(), ["restart", "message"]);
+    }
+
+    #[test]
+    fn timers_armed_before_an_amnesia_rebuild_reach_the_new_replica_as_stale_tokens() {
+        let mut rig = Rig::crashed(CrashMode::Amnesia);
+        arm(&mut rig.node, Nanos::millis(1), 5);
+        arm(&mut rig.node, Nanos::secs(10), 6);
+        // The first comes due inside the window (which is also the event
+        // that lets the node see what kind of window it is in).
+        rig.node.advance(Instant::now() + Duration::from_millis(10));
+        rig.wait_for_thaw();
+        assert!(rig.node.handle(msg()));
+        rig.node.advance(Instant::now() + Duration::from_secs(20));
+        assert!(rig.log.lock().is_empty());
+        // Token 2 is none of the new replica's: its own start after.
+        assert_eq!(*rig.remade.lock(), ["recover", "message", "timer 6/2"]);
+        assert_eq!(arm(&mut rig.node, Nanos::millis(1), 7), 3);
+    }
+
+    #[test]
+    fn the_storage_tick_comes_once_per_quiet_sync_tick_not_once_per_deadline() {
+        // Every instant here is made up, counted from `epoch`, so nothing
+        // depends on how fast the test runs.
+        let epoch = Instant::now();
+        let at = |us: u64| epoch + Duration::from_micros(us);
+        let (mut node, log, _rx) = plain(epoch);
+        // A hold-down timer every 200 µs, as a saturated leader arms them.
+        for k in 1..=9u64 {
+            node.timers.push(Reverse((at(200 * k), k, 1)));
+        }
+        for k in 1..=9u64 {
+            // Sleep to the next deadline, not to the tick...
+            assert_eq!(node.idle_for(at(200 * (k - 1))), Duration::from_micros(200));
+            // ...and waking for a timer is not a tick.
+            node.advance(at(200 * k));
+            assert_eq!(log.lock().len() as u64, k);
+            assert_eq!(log.lock().last().unwrap(), &format!("timer 1/{k}"));
+        }
+        // Quiet from 1800 µs on: the tick is due a whole SYNC_TICK later.
+        assert_eq!(node.idle_for(at(1_800)), SYNC_TICK);
+        node.advance(at(2_000));
+        assert_eq!(node.idle_for(at(2_000)), Duration::from_micros(800));
+        assert_eq!(log.lock().len(), 9, "200 µs of quiet is not a tick");
+        node.advance(at(2_800));
+        assert_eq!(log.lock().last().unwrap(), "tick");
+        node.advance(at(3_000));
+        assert_eq!(log.lock().len(), 10, "one tick per SYNC_TICK of quiet");
+        // An event in between starts the wait over.
+        assert!(node.handle(msg()));
+        node.advance(at(3_700));
+        node.advance(at(3_900));
+        assert_eq!(log.lock().last().unwrap(), "message");
+        assert_eq!(node.idle_for(at(3_900)), Duration::from_micros(800));
+        node.advance(at(4_700));
+        assert_eq!(log.lock().last().unwrap(), "tick");
+        assert_eq!(log.lock().len(), 12);
     }
 }

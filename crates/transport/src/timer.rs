@@ -1,8 +1,12 @@
-//! Shared timer service for the wall-clock runtimes.
+//! The fault injector's clock: one thread that runs callbacks at deadlines.
 //!
-//! Replicas arm timers through their [`paxi_core::traits::Context`]; the
-//! runtimes delegate to one `TimerService` thread that sleeps until the next
-//! deadline and injects timer events back into the owning node's inbox.
+//! Only a cluster launched with fault injection (`launch_chaotic`) starts a
+//! `TimerService`: [`crate::faults::ChaosOut`] re-sends a slowed envelope
+//! from it after the injected delay, and
+//! [`crate::faults::FaultInjector::schedule_recoveries`] wakes crashed nodes
+//! from it when their windows end. The timers a replica arms through its
+//! [`paxi_core::traits::Context`] are not here: they live in a heap inside
+//! the node ([`crate::runtime::Node::advance`]) and fire on its own thread.
 
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;

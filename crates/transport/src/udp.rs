@@ -191,7 +191,8 @@ pub struct UdpCluster<R: Replica> {
     next_client: AtomicU32,
     dropped_oversize: Arc<AtomicU64>,
     drops: DropCounters,
-    _timers: Arc<TimerService>,
+    /// The fault injector's timer thread, for a chaotic cluster.
+    _timers: Option<Arc<TimerService>>,
 }
 
 impl<R> UdpCluster<R>
@@ -245,7 +246,9 @@ where
         // Reverse map for identifying peer datagrams.
         let peer_by_addr: Arc<HashMap<SocketAddr, NodeId>> =
             Arc::new(addrs.iter().map(|(&n, &a)| (a, n)).collect());
-        let timers = Arc::new(TimerService::new());
+        // Fault injection is all that needs a thread besides the nodes' own:
+        // delayed deliveries and recovery wake-ups.
+        let chaos = faults.map(|inj| (inj, Arc::new(TimerService::new())));
         let epoch = Instant::now();
         let mut inboxes = HashMap::new();
         let mut handles = Vec::new();
@@ -305,37 +308,33 @@ where
             };
             let peers = all.clone();
             let out = UdpOut::<R::Msg> { net, _marker: std::marker::PhantomData };
-            let timers2 = Arc::clone(&timers);
-            let faults2 = faults.clone();
             let seed = 0xD06 + i as u64;
-            let handle = match &faults {
-                Some(inj) => {
-                    let out = ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(&timers));
+            let handle = match &chaos {
+                Some((inj, timers)) => {
+                    let out = ChaosOut::new(out, id, Arc::clone(inj), Arc::clone(timers));
                     let node = Node::new(
                         id,
                         replica,
                         peers,
                         tx,
                         out,
-                        timers2,
                         epoch,
                         seed,
-                        faults2,
+                        Some(Arc::clone(inj)),
                         Some(remake),
                     );
                     std::thread::spawn(move || run_node(node, rx))
                 }
                 None => {
-                    let node =
-                        Node::new(id, replica, peers, tx, out, timers2, epoch, seed, None, None);
+                    let node = Node::new(id, replica, peers, tx, out, epoch, seed, None, None);
                     std::thread::spawn(move || run_node(node, rx))
                 }
             };
             handles.push(handle);
         }
-        if let Some(inj) = &faults {
+        if let Some((inj, timers)) = &chaos {
             inj.start(epoch);
-            inj.schedule_recoveries(&timers, &inboxes);
+            inj.schedule_recoveries(timers, &inboxes);
         }
         Ok(UdpCluster {
             addrs,
@@ -344,7 +343,7 @@ where
             next_client: AtomicU32::new(0),
             dropped_oversize,
             drops,
-            _timers: timers,
+            _timers: chaos.map(|(_, timers)| timers),
         })
     }
 

@@ -1,5 +1,6 @@
 //! The TCP runtime's thread model, read off the process: one thread per
-//! node and no thread per connection.
+//! node, no thread per connection, and a timer thread only where faults are
+//! injected.
 //!
 //! A test binary of its own with a single test: tests that share a process
 //! share its thread list.
@@ -7,9 +8,10 @@
 #![cfg(target_os = "linux")]
 
 use paxi_core::config::ClusterConfig;
+use paxi_core::faults::FaultPlan;
 use paxi_core::id::NodeId;
 use paxi_protocols::paxos::{paxos_cluster, PaxosConfig};
-use paxi_transport::TcpCluster;
+use paxi_transport::{FaultInjector, TcpCluster};
 
 /// Names of this process's threads (the kernel keeps the first 15 bytes).
 fn thread_names() -> Vec<String> {
@@ -51,12 +53,8 @@ fn three_nodes_are_three_threads_whatever_connects() {
         nodes,
         ["paxi-tcp-node-0", "paxi-tcp-node-1", "paxi-tcp-node-2"]
     );
-    // Nothing else belongs to the transport but the cluster's timer thread.
-    let others: Vec<_> = names
-        .iter()
-        .filter(|n| n.starts_with("paxi-") && !n.starts_with("paxi-tcp-node-"))
-        .collect();
-    assert_eq!(others, ["paxi-timers"], "all threads: {names:?}");
+    // Nothing else belongs to the transport: timers are the nodes' own.
+    assert!(others(&names).is_empty(), "all threads: {names:?}");
 
     drop(clients);
     run.shutdown();
@@ -64,4 +62,27 @@ fn three_nodes_are_three_threads_whatever_connects() {
         !thread_names().iter().any(|n| n.starts_with("paxi-")),
         "shutdown joins every thread the cluster started"
     );
+
+    // Injected faults are what needs a clock of its own: delayed deliveries
+    // and recovery wake-ups.
+    let cluster = ClusterConfig::lan(3);
+    let run = TcpCluster::launch_chaotic(
+        cluster.clone(),
+        paxos_cluster(cluster, PaxosConfig::default()),
+        FaultInjector::new(FaultPlan::new(), 1),
+    )
+    .expect("launch");
+    let names = thread_names();
+    assert_eq!(others(&names), ["paxi-timers"], "all threads: {names:?}");
+    run.shutdown();
+    assert!(!thread_names().iter().any(|n| n.starts_with("paxi-")));
+}
+
+/// The transport's threads that are not a node's.
+fn others(names: &[String]) -> Vec<&str> {
+    names
+        .iter()
+        .map(String::as_str)
+        .filter(|n| n.starts_with("paxi-") && !n.starts_with("paxi-tcp-node-"))
+        .collect()
 }
