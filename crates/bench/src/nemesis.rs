@@ -307,21 +307,24 @@ mod tests {
         // via the crash step labels.
         let cluster = ClusterConfig::lan(5);
         let horizon = Nanos::secs(6);
-        // Seed 7 places at least one crash episode (asserted below).
-        let freeze = generate_schedule_with_mode(7, &cluster, horizon, 5, CrashMode::Freeze);
-        let amnesia = generate_schedule_with_mode(7, &cluster, horizon, 5, CrashMode::Amnesia);
-        assert!(
-            freeze.steps.iter().any(|s| s.starts_with("crash")),
-            "seed must exercise a crash: {:?}",
-            freeze.steps
-        );
+        let schedule = |seed, mode| generate_schedule_with_mode(seed, &cluster, horizon, 5, mode);
+        // The first seed whose schedule places a crash episode: which seeds
+        // do depends on the generator, so none is hard-coded.
+        let seed = (0..64)
+            .find(|&s| {
+                let steps = schedule(s, CrashMode::Freeze).steps;
+                steps.iter().any(|l| l.starts_with("crash"))
+            })
+            .expect("no seed in 0..64 places a crash episode");
+        let freeze = schedule(seed, CrashMode::Freeze);
+        let amnesia = schedule(seed, CrashMode::Amnesia);
         assert_ne!(
             freeze.digest(),
             amnesia.digest(),
             "crash semantics must not collide"
         );
         // Same mode stays deterministic.
-        let again = generate_schedule_with_mode(7, &cluster, horizon, 5, CrashMode::Amnesia);
+        let again = schedule(seed, CrashMode::Amnesia);
         assert_eq!(amnesia.digest(), again.digest());
         // Placement is mode-independent: only the crash lines differ.
         assert_eq!(freeze.steps.len(), amnesia.steps.len());

@@ -25,6 +25,9 @@
 //! from the log on recovery — a replica restarting mid-transition comes up
 //! in the configuration its durable log dictates, never an older one. One
 //! reconfiguration in flight at a time is the supported regime.
+//!
+//! The in-memory log is the in-flight window: `execute` releases each slot once
+//! the store has it, so repair below it is state transfer ([`PaxosSnapshot`]).
 
 use paxi_core::ballot::Ballot;
 use paxi_core::command::{ClientRequest, ClientResponse, Command, Handoff};
@@ -176,6 +179,7 @@ pub enum PaxosMsg {
     },
 }
 
+/// One slot of the in-flight window: accepted here, not yet executed.
 #[derive(Debug)]
 struct Entry {
     ballot: Ballot,
@@ -248,8 +252,8 @@ pub struct PaxosSnapshot {
     pub base: u64,
     /// The state machine at `base`.
     pub store: StoreDump,
-    /// `(slot, ballot, batch)` of every accepted entry at `base` and above
-    /// — the live tail that would otherwise need WAL records.
+    /// `(slot, ballot, batch)` of the log at snapshot time — every accepted
+    /// entry at `base` and above, which would otherwise need WAL records.
     pub tail: Vec<(u64, Ballot, SlotCmds)>,
     /// The configuration map at snapshot time as `(effective_slot, epoch,
     /// members)` triples: configs chosen below `base` live only here once
@@ -560,11 +564,10 @@ impl MultiPaxos {
 
     /// Snapshot-plus-truncate compaction: once the slots executed since the
     /// last snapshot reach what that snapshot holds ([`snapshot_due`]),
-    /// install a snapshot of the state machine with the live tail (accepted
-    /// entries at or above the new base) embedded. One `install_snapshot`
-    /// call replaces snapshot and log together, so a crash at any point
-    /// leaves either the old WAL or the complete new snapshot — never a
-    /// truncated log whose tail was still waiting to be re-appended.
+    /// install a snapshot of the state machine with the log — the in-flight
+    /// window — embedded. One `install_snapshot` call replaces snapshot and
+    /// WAL together, so a crash at any point leaves either the old WAL or the
+    /// complete new snapshot — never a truncated WAL awaiting its tail.
     fn maybe_compact(&mut self) {
         let since = self.execute_upto.saturating_sub(self.snapshot_base);
         if self.wal.is_none() || !snapshot_due(since, self.snapshot_base) {
@@ -593,8 +596,6 @@ impl MultiPaxos {
             .install_snapshot(&bytes)
             .expect("paxos replica lost its durable store");
         self.snapshot_base = self.execute_upto;
-        // The log below the snapshot base is dead weight now; drop it.
-        self.log = self.log.split_off(&self.snapshot_base);
     }
 
     fn start_phase1(&mut self, ctx: &mut dyn Context<PaxosMsg>) {
@@ -887,6 +888,10 @@ impl MultiPaxos {
                 }
             }
             self.execute_upto += 1;
+        }
+        // Nothing reads a slot below `execute_upto` again: release them.
+        while matches!(self.log.first_key_value(), Some((s, _)) if *s < self.execute_upto) {
+            self.log.pop_first();
         }
         self.maybe_compact();
     }
@@ -1330,13 +1335,23 @@ mod tests {
     use paxi_sim::{ClientSetup, SimConfig, Simulator};
 
     fn lan_sim(n: u8, cfg: PaxosConfig, clients: usize) -> Simulator<MultiPaxos> {
+        let sim = SimConfig {
+            record_ops: true,
+            ..SimConfig::default()
+        };
+        lan_sim_with(n, cfg, clients, sim)
+    }
+
+    fn lan_sim_with(
+        n: u8,
+        cfg: PaxosConfig,
+        clients: usize,
+        sim: SimConfig,
+    ) -> Simulator<MultiPaxos> {
         let cluster = ClusterConfig::lan(n);
         let setups = ClientSetup::closed_per_zone(&cluster, clients);
         Simulator::new(
-            SimConfig {
-                record_ops: true,
-                ..SimConfig::default()
-            },
+            sim,
             cluster.clone(),
             paxos_cluster(cluster, cfg),
             paxi_sim::client::uniform_workload(100),
@@ -1541,6 +1556,21 @@ mod tests {
         assert!(r.is_leader());
         ctx.sent.clear();
         (r, ctx)
+    }
+
+    /// A lockstep 3-node cluster of `make`'s replicas with node 0 elected.
+    fn lockstep(make: impl Fn(NodeId) -> MultiPaxos) -> Vec<(MultiPaxos, Probe)> {
+        let mut nodes: Vec<(MultiPaxos, Probe)> = ClusterConfig::lan(3)
+            .all_nodes()
+            .into_iter()
+            .map(|id| (make(id), probe(id)))
+            .collect();
+        for (r, ctx) in nodes.iter_mut() {
+            r.on_start(ctx);
+        }
+        settle(&mut nodes, &[]);
+        assert!(nodes[0].0.is_leader());
+        nodes
     }
 
     fn request(seq: u64) -> ClientRequest {
@@ -1890,15 +1920,7 @@ mod tests {
             r.attach_storage(Box::new(disk.open(id.node as u32)));
             r
         };
-        let mut nodes: Vec<(MultiPaxos, Probe)> = ids
-            .iter()
-            .map(|&id| (durable(id, &hub), probe(id)))
-            .collect();
-        for (r, ctx) in nodes.iter_mut() {
-            r.on_start(ctx);
-        }
-        settle(&mut nodes, &[]);
-        assert!(nodes[0].0.is_leader());
+        let mut nodes = lockstep(|id| durable(id, &hub));
         // Write 1 commits and is acknowledged.
         let (l, ctx) = &mut nodes[0];
         l.on_request(request(1), ctx);
@@ -2346,5 +2368,217 @@ mod tests {
                 .committed
         );
         assert_eq!(r2.store.get(12), None);
+    }
+
+    // Retention: the log is the in-flight window. Nothing reads a slot below
+    // `execute_upto` again, so `execute` releases it — leader and acceptors,
+    // with and without a WAL.
+
+    /// 2 000 requests, one full batch per lockstep round: whatever has
+    /// executed is gone from every log the moment the round settles.
+    fn log_is_the_in_flight_window(cfg: PaxosConfig) {
+        let round = cfg.batch.max_batch as u64;
+        let total = 2_000u64;
+        let mut nodes = lockstep(paxos_cluster(ClusterConfig::lan(3), cfg));
+        for first in (0..total).step_by(round as usize) {
+            let (l, ctx) = &mut nodes[0];
+            for seq in first..first + round {
+                l.on_request(request(seq), ctx);
+            }
+            settle(&mut nodes, &[]);
+            let sent = first + round;
+            let (l, ctx) = &nodes[0];
+            assert!(l.log.is_empty(), "leader keeps {:?}", l.log.keys());
+            assert_eq!(l.store.executed(), sent);
+            assert_eq!(ctx.replies.len() as u64, sent);
+            for (a, _) in &nodes[1..] {
+                // The slot of this round: accepted, its commit rides on the
+                // next round's P2a.
+                assert!(a.log.len() <= 1, "acceptor keeps {:?}", a.log.keys());
+                assert!(a.log.keys().all(|s| *s >= a.commit_upto));
+                assert_eq!(a.store.executed(), sent - round * a.log.len() as u64);
+            }
+        }
+        // A heartbeat teaches the acceptors the last commit.
+        let (l, ctx) = &mut nodes[0];
+        let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
+        l.on_timer(TIMER_HEARTBEAT, token, ctx);
+        settle(&mut nodes, &[]);
+        for (r, _) in &nodes {
+            assert!(r.log.is_empty());
+            assert_eq!(r.store.executed(), total);
+            // Nothing accepted is left to read: max(next_slot, commit_upto).
+            assert_eq!(r.frontier(), total / round);
+        }
+    }
+
+    #[test]
+    fn executed_slots_leave_the_log_unbatched() {
+        log_is_the_in_flight_window(PaxosConfig::default());
+    }
+
+    #[test]
+    fn executed_slots_leave_the_log_batched() {
+        log_is_the_in_flight_window(PaxosConfig::batched(16));
+    }
+
+    #[test]
+    fn p2a_for_an_executed_slot_is_persisted_acked_and_released_again() {
+        use paxi_storage::{FsyncPolicy, MemHub, Storage};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let (leader, n2) = (NodeId::new(0, 0), NodeId::new(0, 2));
+        let ballot = Ballot::default().next(leader);
+        let mut r = durable_follower(&hub);
+        let mut ctx = probe(NodeId::new(0, 1));
+        let batch = |slot: u64| vec![(Command::put(slot, vec![slot as u8]), None)];
+        let p2a = |ballot, slot| PaxosMsg::P2a {
+            ballot,
+            slot,
+            cmds: batch(slot),
+            commit_upto: slot,
+        };
+        for slot in 0..2 {
+            r.on_message(leader, p2a(ballot, slot), &mut ctx);
+        }
+        r.on_message(leader, PaxosMsg::Commit { upto: 2 }, &mut ctx);
+        assert!(r.log.is_empty());
+        assert_eq!((r.execute_upto, r.store.executed()), (2, 2));
+        let store = r.store.dump();
+        // Once more under the same ballot (a retransmission), then under a
+        // higher one: a lagging node that wins leadership re-proposes its
+        // whole uncommitted tail, and this acceptor promises as it accepts.
+        let usurper = ballot.next(n2);
+        for (from, b, slot, records) in [(leader, ballot, 0, 1), (n2, usurper, 1, 2)] {
+            hub.drain_appends(&1);
+            ctx.sent.clear();
+            r.on_message(from, p2a(b, slot), &mut ctx);
+            match &ctx.sent[..] {
+                [(Some(to), PaxosMsg::P2b { ballot, slot: s })] => {
+                    assert_eq!((*to, *ballot, *s), (from, b, slot));
+                }
+                other => panic!("expected one P2b, got {other:?}"),
+            }
+            assert_eq!(hub.drain_appends(&1), records, "persisted as ever");
+            let image = hub.open(1).recover().unwrap();
+            let last = paxi_codec::from_bytes::<PaxosWal>(image.records.last().unwrap());
+            let accept = PaxosWal::Accept {
+                slot,
+                ballot: b,
+                cmds: batch(slot),
+            };
+            assert_eq!(last.unwrap(), accept);
+            assert!(!r.log.contains_key(&slot), "swept out by the same handler");
+            assert_eq!(r.execute_upto, 2);
+            assert_eq!(r.store.dump(), store, "nothing executes twice");
+        }
+        assert_eq!(r.current_ballot(), usurper);
+    }
+
+    #[test]
+    fn late_p2b_for_a_released_slot_commits_nothing_twice() {
+        let (mut r, mut ctx) = probe_leader(PaxosConfig::default());
+        // Node 1's ack makes the quorum: slot 0 commits, executes, is gone.
+        commit_request(&mut r, &mut ctx, 0, Command::put(1, vec![1]));
+        assert!(r.log.is_empty());
+        // Slot 1 is in flight when the slower acceptor's ack for 0 arrives.
+        r.on_request(request(1), &mut ctx);
+        let replies = ctx.replies.len();
+        let ballot = r.current_ballot();
+        r.on_message(
+            NodeId::new(0, 2),
+            PaxosMsg::P2b { ballot, slot: 0 },
+            &mut ctx,
+        );
+        assert_eq!((r.commit_upto, r.execute_upto), (1, 1));
+        assert_eq!(r.store.executed(), 1);
+        assert_eq!(ctx.replies.len(), replies);
+        assert!(r.log.keys().eq([1u64].iter()));
+    }
+
+    #[test]
+    fn recovered_replica_releases_its_replayed_tail_as_commits_are_retaught() {
+        use paxi_storage::{FsyncPolicy, MemHub, Storage, SNAPSHOT_EVERY};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let (leader, n2) = (NodeId::new(0, 0), NodeId::new(0, 2));
+        let ballot = Ballot::default().next(leader);
+        let mut r = durable_follower(&hub);
+        let mut ctx = probe(NodeId::new(0, 1));
+        // Accepted and never told committed: nothing executes, nothing is
+        // released, the WAL holds every slot.
+        let total = SNAPSHOT_EVERY + 3;
+        for slot in 0..total {
+            r.on_message(
+                leader,
+                PaxosMsg::P2a {
+                    ballot,
+                    slot,
+                    cmds: vec![(Command::put(slot % 8, vec![slot as u8]), None)],
+                    commit_upto: 0,
+                },
+                &mut ctx,
+            );
+        }
+        assert!(r.log.keys().copied().eq(0..total));
+        drop(r);
+        hub.crash(&1);
+        let mut r = durable_follower(&hub);
+        assert!(r.log.keys().copied().eq(0..total), "the replayed tail");
+        assert!(r.uncommitted_tail().iter().map(|t| t.0).eq(0..total));
+        // The leader's heartbeat re-teaches the commit index; each slot
+        // leaves as it executes.
+        for upto in 1..=3 {
+            r.on_message(leader, PaxosMsg::Commit { upto }, &mut ctx);
+            assert_eq!(r.execute_upto, upto);
+            assert!(r.log.keys().copied().eq(upto..total));
+        }
+        // A promise reports the log from the commit point, as it always did.
+        ctx.sent.clear();
+        let usurper = ballot.next(n2);
+        r.on_message(n2, PaxosMsg::P1a { ballot: usurper }, &mut ctx);
+        match &ctx.sent[..] {
+            [(
+                Some(to),
+                PaxosMsg::P1b {
+                    tail, commit_upto, ..
+                },
+            )] => {
+                assert_eq!((*to, *commit_upto), (n2, 3));
+                assert!(tail.iter().map(|t| t.0).eq(3..total));
+            }
+            other => panic!("expected one P1b, got {other:?}"),
+        }
+        // Crossing the compaction threshold: the snapshot embeds the log from
+        // the execution point, which by now is the whole log.
+        r.on_message(
+            leader,
+            PaxosMsg::Commit {
+                upto: SNAPSHOT_EVERY,
+            },
+            &mut ctx,
+        );
+        let image = hub.open(1).recover().unwrap();
+        let snap: PaxosSnapshot = paxi_codec::from_bytes(&image.snapshot.unwrap()).unwrap();
+        assert_eq!(snap.base, SNAPSHOT_EVERY);
+        assert!(snap.tail.iter().map(|t| t.0).eq(SNAPSHOT_EVERY..total));
+        assert!(r.log.keys().copied().eq(SNAPSHOT_EVERY..total));
+        r.on_message(leader, PaxosMsg::Commit { upto: total }, &mut ctx);
+        assert!(r.log.is_empty());
+        assert_eq!(r.store.executed(), total);
+        assert_eq!(r.frontier(), total, "max(next_slot, commit_upto)");
+    }
+
+    #[test]
+    fn logs_stay_window_sized_in_a_simulated_cluster() {
+        let sim = SimConfig {
+            warmup: Nanos::millis(100),
+            measure: Nanos::millis(900),
+            ..SimConfig::default()
+        };
+        let mut sim = lan_sim_with(5, PaxosConfig::default(), 8, sim);
+        let _ = sim.run();
+        for r in sim.replicas() {
+            assert!(r.log.len() < 64, "{} slots retained", r.log.len());
+            assert!(r.store.executed() > 1_000, "{}", r.store.executed());
+        }
     }
 }
