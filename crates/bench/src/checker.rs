@@ -107,10 +107,11 @@ pub fn check_linearizability(ops: &[OpRecord]) -> Vec<Anomaly> {
                     continue;
                 }
                 // Stale: some *successful* other write fits strictly between.
-                let stale = key_writes.map_or(false, |m| {
-                    m.values()
-                        .any(|w2| w2.ok && w2.invoke > w.ret && w2.ret < op.invoke)
-                });
+                // Only an acknowledged write has an end to fit after: one the
+                // client gave up on (`ret` is when it did) may take effect
+                // at any later time, after any number of newer writes.
+                let between = |w2: &WriteInfo| w2.ok && w2.invoke > w.ret && w2.ret < op.invoke;
+                let stale = w.ok && key_writes.is_some_and(|m| m.values().any(between));
                 if stale {
                     anomalies.push(Anomaly {
                         kind: AnomalyKind::StaleRead,
@@ -249,6 +250,14 @@ mod tests {
         assert!(check_linearizability(&ops).is_empty());
         // Nor does it make reading None stale.
         let ops = vec![w(1, 10, 0, 5, false), r(1, None, 8, 9)];
+        assert!(check_linearizability(&ops).is_empty());
+        // It may land long after the client gave up on it, behind a newer
+        // write that has completed: the read of it is then current.
+        let ops = vec![
+            w(1, 10, 0, 5, false),
+            w(1, 11, 20, 25, true),
+            r(1, Some(10), 30, 31),
+        ];
         assert!(check_linearizability(&ops).is_empty());
     }
 

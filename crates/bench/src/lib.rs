@@ -42,7 +42,8 @@ pub use migration::{
     MigrationStage, MigrationVictim,
 };
 pub use nemesis::{
-    generate_schedule, generate_schedule_with_mode, run_nemesis, NemesisConfig, NemesisOutcome,
+    ddmin, generate_schedule, generate_schedule_with_mode, lagging_then_only_electable,
+    run_nemesis, run_schedule, shrink_nemesis, Episode, NemesisConfig, NemesisOutcome,
     NemesisSchedule,
 };
 pub use reconfig::{run_reconfig_nemesis, ReconfigConfig, ReconfigOutcome, ReconfigVictim};

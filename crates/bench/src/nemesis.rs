@@ -15,7 +15,8 @@
 //! deterministic, so a failing seed can be replayed bit-for-bit (see the
 //! "Chaos & nemesis runs" section of `EXPERIMENTS.md`). The
 //! [`NemesisSchedule::digest`] fingerprint makes "same schedule" checkable
-//! at a glance.
+//! at a glance, and [`shrink_nemesis`] delta-debugs a failing schedule down
+//! to the fault windows that matter.
 
 use crate::checker::{check_linearizability, Anomaly};
 use crate::runner::{run_with_faults, run_with_faults_durable, Proto};
@@ -63,7 +64,68 @@ impl Default for NemesisConfig {
     }
 }
 
-/// A generated fault schedule: the plan plus its human-readable steps.
+/// One fault window of a schedule.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Episode {
+    /// `node` is down over the window, with the schedule's crash semantics.
+    Crash {
+        /// The victim.
+        node: NodeId,
+        /// Window start.
+        at: Nanos,
+        /// Window length.
+        dur: Nanos,
+    },
+    /// `node` is cut off from every other node.
+    Isolate {
+        /// The victim.
+        node: NodeId,
+        /// Window start.
+        at: Nanos,
+        /// Window length.
+        dur: Nanos,
+    },
+    /// No message passes between side `a` and side `b`.
+    Cut {
+        /// One side.
+        a: Vec<NodeId>,
+        /// The other.
+        b: Vec<NodeId>,
+        /// Window start.
+        at: Nanos,
+        /// Window length.
+        dur: Nanos,
+    },
+    /// The link `src → dst` loses each message with probability `p`.
+    Flaky {
+        /// Sending end.
+        src: NodeId,
+        /// Receiving end.
+        dst: NodeId,
+        /// Loss probability.
+        p: f64,
+        /// Window start.
+        at: Nanos,
+        /// Window length.
+        dur: Nanos,
+    },
+    /// The link `src → dst` delivers `delay` late.
+    Slow {
+        /// Sending end.
+        src: NodeId,
+        /// Receiving end.
+        dst: NodeId,
+        /// Added delay.
+        delay: Nanos,
+        /// Window start.
+        at: Nanos,
+        /// Window length.
+        dur: Nanos,
+    },
+}
+
+/// A fault schedule: its episodes, and the plan and human-readable steps
+/// derived from them.
 #[derive(Debug, Clone)]
 pub struct NemesisSchedule {
     /// The machine-consumable plan.
@@ -72,9 +134,90 @@ pub struct NemesisSchedule {
     pub steps: Vec<String>,
     /// Crash semantics the schedule's crash episodes carry.
     pub mode: CrashMode,
+    /// The fault windows the plan was built from, in step order.
+    pub episodes: Vec<Episode>,
+    nodes: Vec<NodeId>,
+    heal_at: Nanos,
 }
 
 impl NemesisSchedule {
+    /// The schedule that applies `episodes` to `cluster` and heals
+    /// everything at `heal_at`.
+    pub fn of(
+        episodes: Vec<Episode>,
+        cluster: &ClusterConfig,
+        heal_at: Nanos,
+        mode: CrashMode,
+    ) -> Self {
+        Self::build(episodes, cluster.all_nodes(), heal_at, mode)
+    }
+
+    fn build(episodes: Vec<Episode>, nodes: Vec<NodeId>, heal_at: Nanos, mode: CrashMode) -> Self {
+        let mut plan = FaultPlan::new();
+        let mut steps = Vec::new();
+        for e in &episodes {
+            steps.push(match e {
+                Episode::Crash { node, at, dur } => {
+                    plan.crash_mode_in(*node, FaultWindow::new(*at, *dur), mode);
+                    let mode = mode.label();
+                    format!("crash mode={mode} node={node} at={} dur={}", at.0, dur.0)
+                }
+                Episode::Isolate { node, at, dur } => {
+                    let rest: Vec<NodeId> = nodes.iter().copied().filter(|x| x != node).collect();
+                    plan.partition(&[*node], &rest, *at, *dur);
+                    format!("isolate node={node} at={} dur={}", at.0, dur.0)
+                }
+                Episode::Cut { a, b, at, dur } => {
+                    plan.partition(a, b, *at, *dur);
+                    format!("cut a={a:?} b={b:?} at={} dur={}", at.0, dur.0)
+                }
+                Episode::Flaky {
+                    src,
+                    dst,
+                    p,
+                    at,
+                    dur,
+                } => {
+                    plan.flaky_link(*src, *dst, *p, *at, *dur);
+                    format!(
+                        "flaky src={src} dst={dst} p={p:.3} at={} dur={}",
+                        at.0, dur.0
+                    )
+                }
+                Episode::Slow {
+                    src,
+                    dst,
+                    delay,
+                    at,
+                    dur,
+                } => {
+                    plan.slow_link(*src, *dst, *delay, *at, *dur);
+                    let delay = delay.0;
+                    format!(
+                        "slow src={src} dst={dst} delay={delay} at={} dur={}",
+                        at.0, dur.0
+                    )
+                }
+            });
+        }
+        plan.heal(heal_at);
+        steps.push(format!("heal at={}", heal_at.0));
+        NemesisSchedule {
+            plan,
+            steps,
+            mode,
+            episodes,
+            nodes,
+            heal_at,
+        }
+    }
+
+    /// This schedule with only the episodes at positions `keep`.
+    pub fn only(&self, keep: &[usize]) -> Self {
+        let episodes = keep.iter().map(|&i| self.episodes[i].clone()).collect();
+        Self::build(episodes, self.nodes.clone(), self.heal_at, self.mode)
+    }
+
     /// FNV-1a fingerprint of the crash mode and the step list — equal
     /// digests mean the same schedule *with the same crash semantics* was
     /// generated (the determinism tests assert this). The mode is folded in
@@ -132,8 +275,7 @@ pub fn generate_schedule_with_mode(
     let nodes = cluster.all_nodes();
     let n = nodes.len();
     let mut rng = Rng64::seed(seed ^ 0x4E4D_4553_4953); // "NEMESIS"
-    let mut plan = FaultPlan::new();
-    let mut steps = Vec::new();
+    let mut placed = Vec::new();
 
     let earliest = Nanos(horizon.0 / 20);
     let latest_start = Nanos(horizon.0 * 7 / 10);
@@ -148,47 +290,79 @@ pub fn generate_schedule_with_mode(
         if kind == 0 && crashes_used >= max_crashes {
             kind = 3; // crash quota exhausted: degrade to a slow link
         }
-        match kind {
+        placed.push(match kind {
             0 => {
-                let victim = nodes[rng.below(n as u64) as usize];
                 crashes_used += 1;
-                plan.crash_mode_in(victim, FaultWindow::new(at, dur), mode);
-                steps.push(format!(
-                    "crash mode={} node={victim} at={} dur={}",
-                    mode.label(),
-                    at.0,
-                    dur.0
-                ));
+                let node = nodes[rng.below(n as u64) as usize];
+                Episode::Crash { node, at, dur }
             }
             1 => {
-                let victim = nodes[rng.below(n as u64) as usize];
-                let rest: Vec<NodeId> = nodes.iter().copied().filter(|&x| x != victim).collect();
-                plan.partition(&[victim], &rest, at, dur);
-                steps.push(format!("isolate node={victim} at={} dur={}", at.0, dur.0));
+                let node = nodes[rng.below(n as u64) as usize];
+                Episode::Isolate { node, at, dur }
             }
             2 => {
                 let (src, dst) = distinct_pair(&nodes, &mut rng);
                 let p = 0.1 + 0.4 * rng.next_f64();
-                plan.flaky_link(src, dst, p, at, dur);
-                steps.push(format!(
-                    "flaky src={src} dst={dst} p={:.3} at={} dur={}",
-                    p, at.0, dur.0
-                ));
+                Episode::Flaky {
+                    src,
+                    dst,
+                    p,
+                    at,
+                    dur,
+                }
             }
             _ => {
                 let (src, dst) = distinct_pair(&nodes, &mut rng);
                 let delay = Nanos::millis(1 + rng.below(4));
-                plan.slow_link(src, dst, delay, at, dur);
-                steps.push(format!(
-                    "slow src={src} dst={dst} delay={} at={} dur={}",
-                    delay.0, at.0, dur.0
-                ));
+                Episode::Slow {
+                    src,
+                    dst,
+                    delay,
+                    at,
+                    dur,
+                }
             }
-        }
+        });
     }
-    plan.heal(heal_at);
-    steps.push(format!("heal at={}", heal_at.0));
-    NemesisSchedule { plan, steps, mode }
+    NemesisSchedule::of(placed, cluster, heal_at, mode)
+}
+
+/// The repair case no random schedule is sure to hit: `lagging` is cut off
+/// from everyone for the first third of the faulty stretch — long after
+/// every peer's window has left behind what it missed — and then, until
+/// the heal, is the hub of a star whose spokes cannot talk to each other:
+/// the only node that can still gather a quorum. It must be brought up to
+/// date by state transfer and then lead.
+pub fn lagging_then_only_electable(
+    cluster: &ClusterConfig,
+    horizon: Nanos,
+    lagging: NodeId,
+    mode: CrashMode,
+) -> NemesisSchedule {
+    let heal_at = Nanos(horizon.0 * 3 / 4);
+    let (from, back) = (Nanos(horizon.0 / 10), Nanos(horizon.0 / 3));
+    let spokes: Vec<NodeId> = cluster
+        .all_nodes()
+        .into_iter()
+        .filter(|n| *n != lagging)
+        .collect();
+    let dark = Episode::Isolate {
+        node: lagging,
+        at: from,
+        dur: back - from,
+    };
+    let star = (1..spokes.len()).map(|i| Episode::Cut {
+        a: spokes[..i].to_vec(),
+        b: vec![spokes[i]],
+        at: back,
+        dur: heal_at - back,
+    });
+    NemesisSchedule::of(
+        std::iter::once(dark).chain(star).collect(),
+        cluster,
+        heal_at,
+        mode,
+    )
 }
 
 fn distinct_pair(nodes: &[NodeId], rng: &mut Rng64) -> (NodeId, NodeId) {
@@ -233,13 +407,27 @@ impl NemesisOutcome {
 /// are re-issued rather than wedging closed-loop clients.
 pub fn run_nemesis(
     proto: &Proto,
-    mut sim: SimConfig,
+    sim: SimConfig,
     cluster: ClusterConfig,
     cfg: &NemesisConfig,
 ) -> NemesisOutcome {
     let horizon = sim.warmup + sim.measure;
     let schedule =
         generate_schedule_with_mode(cfg.seed, &cluster, horizon, cfg.episodes, cfg.crash_mode);
+    run_schedule(proto, sim, cluster, cfg, schedule)
+}
+
+/// [`run_nemesis`] under a given schedule instead of the one `cfg.seed`
+/// generates (the seed still drives the simulation): hand-built cases, and
+/// the sub-schedules [`shrink_nemesis`] tries.
+pub fn run_schedule(
+    proto: &Proto,
+    mut sim: SimConfig,
+    cluster: ClusterConfig,
+    cfg: &NemesisConfig,
+    schedule: NemesisSchedule,
+) -> NemesisOutcome {
+    let horizon = sim.warmup + sim.measure;
     sim.seed = cfg.seed;
     sim.record_ops = true;
     if sim.client_retry.is_none() {
@@ -247,7 +435,7 @@ pub fn run_nemesis(
     }
     let clients = ClientSetup::closed_per_zone(&cluster, cfg.clients_per_zone);
     let heal_at = Nanos(horizon.0 * 3 / 4);
-    let report = match cfg.crash_mode {
+    let report = match schedule.mode {
         CrashMode::Freeze => run_with_faults(
             proto,
             sim,
@@ -282,6 +470,57 @@ pub fn run_nemesis(
         tail_completed,
         anomalies,
     }
+}
+
+/// Delta debugging (Zeller's ddmin): the smallest subset of `set` for which
+/// `fails` still holds, to the granularity of single elements. `fails(set)`
+/// is taken as given.
+pub fn ddmin(mut set: Vec<usize>, fails: impl Fn(&[usize]) -> bool) -> Vec<usize> {
+    let mut n = 2;
+    while set.len() >= 2 {
+        let parts: Vec<&[usize]> = set.chunks(set.len().div_ceil(n)).collect();
+        let without = |i: usize| -> Vec<usize> {
+            let rest = parts.iter().enumerate().filter(|(j, _)| *j != i);
+            rest.flat_map(|(_, p)| p.iter().copied()).collect()
+        };
+        if let Some(part) = parts.iter().find(|p| fails(p)) {
+            (set, n) = (part.to_vec(), 2);
+        } else if let Some(rest) = (0..parts.len()).map(without).find(|r| fails(r)) {
+            (set, n) = (rest, (n - 1).max(2));
+        } else if n < set.len() {
+            n = (2 * n).min(set.len());
+        } else {
+            break;
+        }
+    }
+    set
+}
+
+/// Shrinks the failing nemesis run `(proto, sim, cluster, cfg)` to a
+/// minimal set of its fault windows under which it still fails (an anomaly,
+/// or no progress after the heal), prints that schedule, and returns it.
+pub fn shrink_nemesis(
+    proto: &Proto,
+    sim: SimConfig,
+    cluster: ClusterConfig,
+    cfg: &NemesisConfig,
+) -> NemesisSchedule {
+    let horizon = sim.warmup + sim.measure;
+    let full =
+        generate_schedule_with_mode(cfg.seed, &cluster, horizon, cfg.episodes, cfg.crash_mode);
+    let fails = |keep: &[usize]| {
+        !run_schedule(proto, sim.clone(), cluster.clone(), cfg, full.only(keep)).passed()
+    };
+    let minimal = full.only(&ddmin((0..full.episodes.len()).collect(), fails));
+    println!(
+        "{} seed {}: minimal failing schedule, {} of {} fault windows:\n{}",
+        proto.name(),
+        cfg.seed,
+        minimal.episodes.len(),
+        full.episodes.len(),
+        minimal.steps.join("\n"),
+    );
+    minimal
 }
 
 #[cfg(test)]
@@ -356,6 +595,61 @@ mod tests {
         );
         assert!(out.anomalies.is_empty(), "anomalies: {:?}", out.anomalies);
         assert!(out.tail_completed > 0, "no post-heal progress");
+    }
+
+    #[test]
+    fn ddmin_finds_the_windows_that_matter() {
+        use std::cell::Cell;
+        // The run fails exactly when windows 2 and 5 are both present.
+        let runs = Cell::new(0);
+        let fails = |keep: &[usize]| {
+            runs.set(runs.get() + 1);
+            keep.contains(&2) && keep.contains(&5)
+        };
+        assert_eq!(ddmin((0..8).collect(), fails), vec![2, 5]);
+        assert!(runs.get() < 40, "{} runs for 8 windows", runs.get());
+        // One culprit; and a failure that needs no fault at all shrinks as
+        // far as single windows go.
+        assert_eq!(ddmin((0..5).collect(), |k| k.contains(&3)), vec![3]);
+        assert_eq!(ddmin((0..5).collect(), |_| true).len(), 1);
+    }
+
+    #[test]
+    fn a_sub_schedule_keeps_the_chosen_windows_and_the_heal() {
+        let cluster = ClusterConfig::lan(5);
+        let full = generate_schedule(8, &cluster, Nanos::secs(4), 5);
+        let sub = full.only(&[1, 3]);
+        let kept: Vec<&String> = [1, 3, 5].iter().map(|&i| &full.steps[i]).collect();
+        assert_eq!(sub.steps.iter().collect::<Vec<_>>(), kept);
+        assert_eq!(full.only(&[0, 1, 2, 3, 4]).digest(), full.digest());
+    }
+
+    #[test]
+    fn the_lagging_node_ends_up_the_only_one_with_a_quorum() {
+        let cluster = ClusterConfig::lan(5);
+        let nodes = cluster.all_nodes();
+        let horizon = Nanos::secs(4);
+        let s = lagging_then_only_electable(&cluster, horizon, nodes[3], CrashMode::Freeze);
+        let mut rng = Rng64::seed(1);
+        let mut reaches = |a: NodeId, b: NodeId, t: Nanos| {
+            let there = s.plan.message_fate(a, b, t, &mut rng);
+            let back = s.plan.message_fate(b, a, t, &mut rng);
+            let open = |f| matches!(f, paxi_core::faults::MsgFate::Deliver { .. });
+            open(there) && open(back)
+        };
+        let (dark, star, healed) = (
+            Nanos::millis(800),
+            Nanos::millis(2_000),
+            Nanos::millis(3_500),
+        );
+        for &a in &nodes {
+            for &b in nodes.iter().filter(|b| **b != a) {
+                let hub = a == nodes[3] || b == nodes[3];
+                assert_eq!(reaches(a, b, dark), !hub, "{a}-{b} while dark");
+                assert_eq!(reaches(a, b, star), hub, "{a}-{b} in the star");
+                assert!(reaches(a, b, healed));
+            }
+        }
     }
 
     #[test]

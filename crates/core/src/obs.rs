@@ -143,13 +143,17 @@ pub enum DropCause {
     /// A reactor connection's bounded write buffer was full and the frame
     /// was shed (the readiness-loop analogue of [`DropCause::QueueFull`]).
     Backpressure,
+    /// A state-transfer chunk the receiver could not use: undecodable,
+    /// a duplicate, out of order, or part of a transfer since abandoned.
+    /// The sender repeats what is still needed.
+    BadChunk,
     /// A loss path that failed to name its cause — must stay zero.
     Unexplained,
 }
 
 impl DropCause {
     /// Every cause, in snapshot order.
-    pub const ALL: [DropCause; 9] = [
+    pub const ALL: [DropCause; 10] = [
         DropCause::Encode,
         DropCause::Oversize,
         DropCause::Fault,
@@ -158,6 +162,7 @@ impl DropCause {
         DropCause::Reconnect,
         DropCause::NoRoute,
         DropCause::Backpressure,
+        DropCause::BadChunk,
         DropCause::Unexplained,
     ];
 
@@ -172,6 +177,7 @@ impl DropCause {
             DropCause::Reconnect => "reconnect",
             DropCause::NoRoute => "no_route",
             DropCause::Backpressure => "backpressure",
+            DropCause::BadChunk => "bad_chunk",
             DropCause::Unexplained => "unexplained",
         }
     }

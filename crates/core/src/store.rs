@@ -33,6 +33,23 @@ pub struct Version {
 pub struct MultiVersionStore {
     data: HashMap<Key, Vec<Version>>,
     executed: u64,
+    /// Times a chain was replaced or removed rather than extended (range
+    /// install, range removal): what invalidates a [`StoreCut`].
+    rewrites: u64,
+}
+
+/// A consistent view of a store at one instant, without copying it: every
+/// key in order with the length its chain had. Chains only grow between
+/// rewrites, so `store.history(key)[..len]` stays what it was at the cut for
+/// as long as [`MultiVersionStore::holds`] — which lets a snapshot be read
+/// out in pieces while the store keeps executing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoreCut {
+    /// `(key, versions at the cut)`, sorted by key.
+    pub keys: Vec<(Key, usize)>,
+    /// [`MultiVersionStore::executed`] at the cut.
+    pub executed: u64,
+    rewrites: u64,
 }
 
 impl MultiVersionStore {
@@ -91,9 +108,49 @@ impl MultiVersionStore {
         self.data.values().map(Vec::len).sum()
     }
 
-    /// Serializable dump of the whole store, for protocol snapshots. Keys
-    /// are sorted so the same state always dumps to the same bytes
-    /// (snapshots stay deterministic across replicas and runs).
+    /// Marks the present state for reading out later; see [`StoreCut`].
+    /// Costs one pass over the keys, not the versions.
+    pub fn cut(&self) -> StoreCut {
+        let mut keys: Vec<(Key, usize)> = self.data.iter().map(|(k, v)| (*k, v.len())).collect();
+        keys.sort_unstable_by_key(|(k, _)| *k);
+        StoreCut {
+            keys,
+            executed: self.executed,
+            rewrites: self.rewrites,
+        }
+    }
+
+    /// Whether every chain still starts with what it held at `cut`.
+    pub fn holds(&self, cut: &StoreCut) -> bool {
+        self.rewrites == cut.rewrites
+    }
+
+    /// Appends `versions` to `key`'s chain — how a snapshot read out through
+    /// a [`StoreCut`] is put back together. Refuses (and changes nothing)
+    /// unless the per-key sequence numbers carry on from the chain's end.
+    pub fn extend_chain(&mut self, key: Key, versions: Vec<Version>) -> bool {
+        let mut seq = self.history(key).last().map_or(0, |v| v.seq);
+        for v in &versions {
+            if v.parent != seq || v.seq != seq + 1 {
+                return false;
+            }
+            seq = v.seq;
+        }
+        if !versions.is_empty() {
+            self.data.entry(key).or_default().extend(versions);
+        }
+        true
+    }
+
+    /// Sets the executed-commands counter, the one part of a store that is
+    /// not in its chains.
+    pub fn set_executed(&mut self, executed: u64) {
+        self.executed = executed;
+    }
+
+    /// Serializable dump of the whole store: a deep copy, for tests and
+    /// small stores (snapshots read the store through [`StoreCut`]). Keys
+    /// are sorted so the same state always dumps to the same bytes.
     pub fn dump(&self) -> StoreDump {
         let mut data: Vec<(Key, Vec<Version>)> =
             self.data.iter().map(|(k, v)| (*k, v.clone())).collect();
@@ -109,6 +166,7 @@ impl MultiVersionStore {
         MultiVersionStore {
             data: dump.data.into_iter().collect(),
             executed: dump.executed,
+            rewrites: 0,
         }
     }
 
@@ -132,6 +190,7 @@ impl MultiVersionStore {
     /// any chain already present for those keys (idempotent re-install).
     /// The executed counter is untouched — installs are not executions.
     pub fn install_range(&mut self, dump: StoreDump) {
+        self.rewrites += 1;
         for (key, versions) in dump.data {
             self.data.insert(key, versions);
         }
@@ -140,6 +199,7 @@ impl MultiVersionStore {
     /// Removes every key in `[lo, hi)` — the source side of a committed
     /// migration dropping the range it handed off.
     pub fn remove_range(&mut self, lo: Key, hi: Key) {
+        self.rewrites += 1;
         self.data.retain(|k, _| *k < lo || *k >= hi);
     }
 }
@@ -253,6 +313,34 @@ mod tests {
             src.get(1).is_some() && src.get(4).is_some(),
             "outside keys stay"
         );
+    }
+
+    #[test]
+    fn a_cut_reads_the_same_chains_while_the_store_moves_on() {
+        let mut s = MultiVersionStore::new();
+        for i in 0..6u8 {
+            s.execute(&Command::put(u64::from(i % 3), vec![i]));
+        }
+        let cut = s.cut();
+        let at_cut = s.dump();
+        s.execute(&Command::put(1, vec![9]));
+        s.execute(&Command::put(7, vec![9]));
+        assert!(s.holds(&cut), "appends do not disturb a cut");
+        let mut back = MultiVersionStore::new();
+        for &(key, len) in &cut.keys {
+            // Put back in two pieces, as chunks would.
+            let chain = &s.history(key)[..len];
+            assert!(back.extend_chain(key, chain[..1].to_vec()));
+            assert!(back.extend_chain(key, chain[1..].to_vec()));
+            assert!(
+                !back.extend_chain(key, chain[..1].to_vec()),
+                "a repeat is refused"
+            );
+        }
+        back.set_executed(cut.executed);
+        assert_eq!(back.dump(), at_cut);
+        s.remove_range(0, 1);
+        assert!(!s.holds(&cut), "a rewritten chain ends the cut");
     }
 
     #[test]

@@ -8,11 +8,14 @@ pub mod paxos;
 pub mod wpaxos;
 pub mod epaxos;
 pub mod groups;
+pub mod kernel;
 pub mod vpaxos;
 pub mod wankeeper;
 pub mod raft;
+pub mod snapshot;
 #[cfg(test)]
 mod testkit;
+pub mod window;
 
 pub use paxos::{MultiPaxos, PaxosConfig, PaxosMsg};
 pub use epaxos::{EPaxos, EpaxosMsg, IRef};

@@ -20,25 +20,31 @@
 //! Paxos): a new stable configuration is chosen as an ordinary log value in
 //! some slot `s` and governs quorums from slot `s + α` onward, so up to α
 //! commands stay pipelined across the cut-over. The config rides the log as
-//! a write to [`CONFIG_KEY`], is persisted by the same Accept records (plus
-//! an explicit [`PaxosWal::Config`] activation record), and is re-derived
+//! a write to [`paxi_core::membership::CONFIG_KEY`], is persisted by the
+//! same Accept records (plus an explicit [`PaxosWal::Config`] activation
+//! record), and is re-derived
 //! from the log on recovery — a replica restarting mid-transition comes up
 //! in the configuration its durable log dictates, never an older one. One
 //! reconfiguration in flight at a time is the supported regime.
 //!
 //! The in-memory log is the in-flight window: `execute` releases each slot once
-//! the store has it, so repair below it is state transfer ([`PaxosSnapshot`]).
+//! the store has it, so repair below it is state transfer ([`crate::snapshot`]):
+//! a replica told of a commit index it has no entry to reach, or elected with
+//! such a gap, asks the teller for its image and installs it before going on.
 
+use crate::kernel;
+pub use crate::snapshot::SlotCmds;
+use crate::snapshot::{write_image, Exchange, Image, Meta, SnapshotMsg, Step, TailEntry};
 use paxi_core::ballot::Ballot;
-use paxi_core::command::{ClientRequest, ClientResponse, Command, Handoff};
+use paxi_core::command::{ClientRequest, ClientResponse, Command};
 use paxi_core::config::{BatchConfig, Batcher, ClusterConfig};
 use paxi_core::group::GroupId;
 use paxi_core::id::{NodeId, RequestId};
-use paxi_core::membership::{self, ConfigChange, Membership, CONFIG_KEY};
-use paxi_core::migration::{as_migration_record, MigrationAction, MigrationTracker, MIGRATION_KEY};
-use paxi_core::obs::{Metric, TraceStage};
+use paxi_core::membership::{self, ConfigChange, Membership};
+use paxi_core::migration::{MigrationRecord, MigrationTracker};
+use paxi_core::obs::{DropCause, Metric, TraceStage};
 use paxi_core::quorum::{majority, CountQuorum, QuorumTracker};
-use paxi_core::store::{MultiVersionStore, StoreDump};
+use paxi_core::store::MultiVersionStore;
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
 use paxi_storage::{snapshot_due, Storage};
@@ -51,10 +57,6 @@ const TIMER_HEARTBEAT: u64 = 1;
 const TIMER_ELECTION: u64 = 2;
 /// Timer kind: flush a partial command batch (see [`Batcher`]).
 const TIMER_BATCH: u64 = 3;
-
-/// The commands decided in one slot: a batch of `(command, request)` pairs
-/// executed in order. Unbatched operation puts exactly one pair per slot.
-pub type SlotCmds = Vec<(Command, Option<RequestId>)>;
 
 /// Tuning knobs for [`MultiPaxos`].
 #[derive(Debug, Clone)]
@@ -177,6 +179,10 @@ pub enum PaxosMsg {
         /// All slots `< upto` are committed.
         upto: u64,
     },
+    /// State transfer: a replica that cannot go on from its log asks for
+    /// the image, the asked sends `InstallSnapshot` chunks, each answered
+    /// by a `SnapshotAck`.
+    Snapshot(SnapshotMsg),
 }
 
 /// One slot of the in-flight window: accepted here, not yet executed.
@@ -225,45 +231,16 @@ pub enum PaxosWal {
     },
     /// A shard-migration record (freeze / install / commit) was executed in
     /// `slot`. Redundant with the Accept record carrying the command — the
-    /// live tail re-executes through the ordinary path on recovery — but it
-    /// makes every phase transition of a hand-off explicit and auditable in
-    /// the WAL stream, and serves as an idempotent safety net for records
-    /// whose slots fall below a later snapshot base.
+    /// live tail re-executes through the ordinary path on recovery, and
+    /// what executed below a snapshot is in its image — but it makes every
+    /// phase transition of a hand-off explicit and auditable in the WAL
+    /// stream.
     Migration {
         /// The slot the record was executed in.
         slot: u64,
         /// The encoded [`paxi_core::migration::MigrationRecord`].
         bytes: Vec<u8>,
     },
-}
-
-/// The snapshot MultiPaxos installs when it compacts its WAL: everything
-/// below `base` has been executed into `store`, and the accepted-but-not-
-/// yet-executed entries at `base` and above ride along in `tail`. Carrying
-/// the tail *inside* the snapshot makes compaction atomic from the
-/// protocol's view — `install_snapshot` replaces snapshot and log in one
-/// step, so no crash point can separate the truncation from the tail's
-/// re-logging and lose accepts the leader may already have counted.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PaxosSnapshot {
-    /// Highest ballot the replica had promised at snapshot time.
-    pub ballot: Ballot,
-    /// All slots `< base` are executed into the embedded store image.
-    pub base: u64,
-    /// The state machine at `base`.
-    pub store: StoreDump,
-    /// `(slot, ballot, batch)` of the log at snapshot time — every accepted
-    /// entry at `base` and above, which would otherwise need WAL records.
-    pub tail: Vec<(u64, Ballot, SlotCmds)>,
-    /// The configuration map at snapshot time as `(effective_slot, epoch,
-    /// members)` triples: configs chosen below `base` live only here once
-    /// their Accept records are compacted away.
-    pub configs: Vec<(u64, u64, Vec<NodeId>)>,
-    /// The shard-migration tracker's state
-    /// ([`MigrationTracker::dump`]) at snapshot time: freezes and
-    /// cut-overs decided below `base` have no surviving log entries to
-    /// re-derive them from, exactly like compacted configs.
-    pub migration: Vec<u8>,
 }
 
 /// A MultiPaxos / FPaxos replica.
@@ -288,8 +265,9 @@ pub struct MultiPaxos {
     p1_quorum: Option<CountQuorum>,
     p1_tails: Vec<Vec<(u64, Ballot, SlotCmds)>>,
     /// Highest commit index any phase-1 promise reported — floors the new
-    /// leader's first fresh slot.
+    /// leader's first fresh slot — and who reported it.
     p1_max_commit: u64,
+    p1_max_from: NodeId,
     /// Voting configurations keyed by the slot they take effect at:
     /// `effective_slot → (epoch, members)`. Key 0 holds the initial
     /// configuration and is never removed; a config chosen in slot `s`
@@ -309,6 +287,13 @@ pub struct MultiPaxos {
     /// Shard-migration state machine, driven by replicated records at
     /// execute time. Inert (no group identity) outside sharded deployments.
     migration: MigrationTracker,
+    /// `execute_upto` at the last heartbeat that named a commit index this
+    /// log has no entry to reach: a gap that outlives a heartbeat period is
+    /// a lost message, not a reordered one.
+    stuck_at: Option<u64>,
+    /// State transfer: images on their way to replicas that asked for one,
+    /// and the image this one asked for.
+    exchange: Exchange,
 }
 
 impl MultiPaxos {
@@ -341,6 +326,7 @@ impl MultiPaxos {
             p1_quorum: None,
             p1_tails: Vec::new(),
             p1_max_commit: 0,
+            p1_max_from: id,
             configs,
             last_leader_contact: Nanos::ZERO,
             election_token: 0,
@@ -348,6 +334,8 @@ impl MultiPaxos {
             wal: None,
             snapshot_base: 0,
             migration: MigrationTracker::new(),
+            stuck_at: None,
+            exchange: Exchange::default(),
         }
     }
 
@@ -538,16 +526,11 @@ impl MultiPaxos {
         self.ballot
     }
 
-    /// Appends one WAL record, honoring the persist-before-ack contract: the
-    /// caller invokes this before emitting the message that acknowledges the
-    /// state change. A replica that cannot write its WAL must stop (crash-
-    /// stop model) — continuing would acknowledge state it may later forget.
+    /// Appends one WAL record ([`kernel::persist`]), honoring the
+    /// persist-before-ack contract: the caller invokes this before emitting
+    /// the message that acknowledges the state change.
     fn persist(&mut self, rec: &PaxosWal) {
-        if let Some(wal) = &mut self.wal {
-            let bytes = paxi_codec::to_bytes(rec).expect("paxos wal record must encode");
-            wal.append(&bytes)
-                .expect("paxos replica lost its durable store");
-        }
+        kernel::persist(&mut self.wal, rec);
     }
 
     /// Persists the acceptance of `cmds` in `slot`. The record owns its
@@ -564,38 +547,160 @@ impl MultiPaxos {
 
     /// Snapshot-plus-truncate compaction: once the slots executed since the
     /// last snapshot reach what that snapshot holds ([`snapshot_due`]),
-    /// install a snapshot of the state machine with the log — the in-flight
-    /// window — embedded. One `install_snapshot` call replaces snapshot and
-    /// WAL together, so a crash at any point leaves either the old WAL or the
-    /// complete new snapshot — never a truncated WAL awaiting its tail.
+    /// install an image of the state machine with the log — the in-flight
+    /// window — as its tail. One install replaces snapshot and WAL together,
+    /// so a crash at any point leaves either the old WAL or the complete new
+    /// snapshot — never a truncated WAL awaiting its tail, which would lose
+    /// accepts the leader may already have counted.
     fn maybe_compact(&mut self) {
         let since = self.execute_upto.saturating_sub(self.snapshot_base);
-        if self.wal.is_none() || !snapshot_due(since, self.snapshot_base) {
-            return;
+        if self.wal.is_some() && snapshot_due(since, self.snapshot_base) {
+            let meta = self.image_meta();
+            self.write_image(meta, None);
         }
-        let snap = PaxosSnapshot {
-            ballot: self.ballot,
-            base: self.execute_upto,
-            store: self.store.dump(),
-            tail: self
-                .log
-                .range(self.execute_upto..)
-                .map(|(s, e)| (*s, e.ballot, e.cmds.clone()))
-                .collect(),
-            configs: self
-                .configs
-                .iter()
-                .map(|(k, (e, m))| (*k, *e, m.clone()))
-                .collect(),
-            migration: self.migration.dump(),
+    }
+
+    /// Replaces snapshot and WAL with `(meta, this log from meta.base on,
+    /// store)`, a chunk at a time; `None` is this replica's own store.
+    fn write_image(&mut self, meta: Meta, store: Option<&MultiVersionStore>) {
+        self.snapshot_base = meta.base;
+        let tail = self.tail_from(meta.base);
+        if let Some(wal) = self.wal.as_mut() {
+            write_image(wal.as_mut(), meta, tail, store.unwrap_or(&self.store))
+                .expect("paxos replica lost its durable store");
+        }
+    }
+
+    /// The log from `slot` on, as an image carries it.
+    fn tail_from(&self, slot: u64) -> Vec<TailEntry> {
+        let entry = |(s, e): (&u64, &Entry)| (*s, e.ballot.into(), e.cmds.clone());
+        self.log.range(slot..).map(entry).collect()
+    }
+
+    /// The image of this replica at `execute_upto`, less store and tail.
+    fn image_meta(&self) -> Meta {
+        let config = |(k, (epoch, members)): (&u64, &(u64, Vec<NodeId>))| {
+            let (epoch, members) = (*epoch, members.clone());
+            (*k, Membership::Stable { epoch, members })
         };
-        let bytes = paxi_codec::to_bytes(&snap).expect("paxos snapshot must encode");
-        self.wal
-            .as_mut()
-            .unwrap()
-            .install_snapshot(&bytes)
-            .expect("paxos replica lost its durable store");
-        self.snapshot_base = self.execute_upto;
+        Meta {
+            base: self.execute_upto,
+            base_term: 0,
+            promised: self.ballot.into(),
+            configs: self.configs.iter().map(config).collect(),
+            migration: self.migration.dump(),
+            executed: 0,
+        }
+    }
+
+    /// Puts this replica at `image`: recovery from the local disk, and the
+    /// end of a state transfer. `false` (and nothing changed) if the image
+    /// is not one a MultiPaxos replica wrote. The log keeps what it holds
+    /// from the base on and takes the image's tail where that is newer; the
+    /// WAL (when one is attached: not yet, during recovery) takes the result
+    /// under this replica's own ballot; only then do the store and
+    /// `execute_upto` move.
+    fn install(&mut self, image: Image) -> bool {
+        let Image {
+            mut meta,
+            tail,
+            store,
+        } = image;
+        let configs = meta.configs.iter().map(|(k, m)| match m {
+            Membership::Stable { epoch, members } => Some((*k, (*epoch, members.clone()))),
+            Membership::Joint { .. } => None,
+        });
+        let tail = tail
+            .into_iter()
+            .map(|(s, r, cmds)| Some((s, r.ballot()?, cmds)));
+        let (Some(promised), Some(configs), Some(tail)) = (
+            meta.promised.ballot(),
+            configs.collect::<Option<Vec<_>>>(),
+            tail.collect::<Option<Vec<_>>>(),
+        ) else {
+            return false;
+        };
+        self.ballot = self.ballot.max(promised);
+        self.configs.extend(configs);
+        self.log = self.log.split_off(&meta.base);
+        for (slot, ballot, cmds) in tail {
+            let newer = self.log.get(&slot).is_none_or(|e| e.ballot < ballot);
+            if slot >= meta.base && newer {
+                self.restore_accepted(slot, ballot, cmds);
+            }
+        }
+        meta.promised = self.ballot.into();
+        self.write_image(meta.clone(), Some(&store));
+        self.store = store;
+        // Decoding the image already checked the tracker's bytes.
+        self.migration.restore(&meta.migration);
+        self.execute_upto = meta.base;
+        self.commit_upto = self.commit_upto.max(meta.base);
+        self.marked_upto = self.marked_upto.max(meta.base);
+        self.next_slot = self.next_slot.max(meta.base);
+        self.heartbeat_head = self.heartbeat_head.max(meta.base);
+        true
+    }
+
+    /// Puts an entry accepted under `ballot` into the log as replaying its
+    /// Accept record does: uncommitted, with the votes the record proves.
+    fn restore_accepted(&mut self, slot: u64, ballot: Ballot, cmds: SlotCmds) {
+        self.ballot = self.ballot.max(ballot);
+        let mut quorum = CountQuorum::new(self.q2_size_at(slot));
+        quorum.ack(ballot.id);
+        quorum.ack(self.id);
+        self.note_config(slot, &cmds);
+        let committed = false;
+        self.log.insert(
+            slot,
+            Entry {
+                ballot,
+                cmds,
+                quorum,
+                committed,
+            },
+        );
+        self.next_slot = self.next_slot.max(slot + 1);
+    }
+
+    /// The state-transfer exchange, both sides: any replica serves its image
+    /// to one that asks, and stages, installs and acknowledges the chunks of
+    /// the image it asked for. A chunk that cannot be used is dropped and
+    /// counted.
+    fn on_snapshot(&mut self, from: NodeId, msg: SnapshotMsg, ctx: &mut dyn Context<PaxosMsg>) {
+        let reply = match self
+            .exchange
+            .handle(from, msg, self.execute_upto, &self.store)
+        {
+            Step::Reply(msg) => Some(msg),
+            Step::Begin => {
+                let (meta, tail) = (self.image_meta(), self.tail_from(self.execute_upto));
+                let round = self.ballot.into();
+                Some(self.exchange.begin(from, round, meta, tail, &self.store))
+            }
+            Step::Install(image, ack) => {
+                if !self.install(image) {
+                    return ctx.count_drop(DropCause::BadChunk, 1);
+                }
+                ctx.send(from, PaxosMsg::Snapshot(SnapshotMsg::Ack(ack)));
+                self.maybe_commit(ctx);
+                let elected = self.p1_quorum.as_ref().is_some_and(|q| q.satisfied());
+                if elected && !self.active && self.ballot.id == self.id {
+                    // Elected with a gap, now closed: lead.
+                    self.p1_tails.push(self.uncommitted_tail());
+                    self.become_leader(ctx);
+                }
+                None
+            }
+            Step::Dropped(answer) => {
+                ctx.count_drop(DropCause::BadChunk, 1);
+                answer
+            }
+            Step::Installed(_) | Step::Idle => None,
+        };
+        if let Some(msg) = reply {
+            ctx.send(from, PaxosMsg::Snapshot(msg));
+        }
     }
 
     fn start_phase1(&mut self, ctx: &mut dyn Context<PaxosMsg>) {
@@ -611,7 +716,7 @@ impl MultiPaxos {
         let mut q = CountQuorum::new(self.q1_size_at(frontier));
         q.ack(self.id);
         self.p1_tails = vec![self.uncommitted_tail()];
-        self.p1_max_commit = self.commit_upto;
+        (self.p1_max_commit, self.p1_max_from) = (self.commit_upto, self.id);
         if q.satisfied() {
             // Single-node cluster: become leader immediately.
             self.p1_quorum = Some(q);
@@ -632,9 +737,6 @@ impl MultiPaxos {
     }
 
     fn become_leader(&mut self, ctx: &mut dyn Context<PaxosMsg>) {
-        self.active = true;
-        self.leader_hint = Some(self.id);
-        self.p1_quorum = None;
         // Merge the highest-ballot accepted value per uncommitted slot and
         // re-propose them under our ballot.
         let mut merged: BTreeMap<u64, (Ballot, SlotCmds)> = BTreeMap::new();
@@ -648,6 +750,19 @@ impl MultiPaxos {
                 }
             }
         }
+        // Tails start at each promiser's commit index, so a slot below the
+        // highest of those that no tail holds was chosen and has since been
+        // executed and released: it exists as state only. Fetch that state
+        // before proposing anything; the install resumes from here.
+        if (self.commit_upto..self.p1_max_commit).any(|s| !merged.contains_key(&s)) {
+            self.p1_tails = vec![merged.into_iter().map(|(s, (b, c))| (s, b, c)).collect()];
+            let have = self.execute_upto;
+            let want = PaxosMsg::Snapshot(SnapshotMsg::Want { have });
+            return ctx.send(self.p1_max_from, want);
+        }
+        self.active = true;
+        self.leader_hint = Some(self.id);
+        self.p1_quorum = None;
         if let Some((&max_slot, _)) = merged.iter().next_back() {
             self.next_slot = self.next_slot.max(max_slot + 1);
         }
@@ -817,75 +932,13 @@ impl MultiPaxos {
             }
             // Execute the batch in order; replies fan back out per command.
             for (cmd, req) in &e.cmds {
-                // Data commands on a range this group froze (or already
-                // handed off) are deterministically rejected instead of
-                // executed — this is what pins the frozen range's contents
-                // at the `MigrationStart` log position on every replica. The
-                // client is told to retry (freeze window) or follow the
-                // epoch-tagged hand-off (after the source commit).
-                if cmd.key != CONFIG_KEY && cmd.key != MIGRATION_KEY {
-                    if let Some(rej) = self.migration.rejects(cmd.key) {
-                        if self.active {
-                            if let Some(id) = req {
-                                ctx.count(Metric::Redirects, 1);
-                                let resp = if rej.committed {
-                                    ClientResponse::handed_off(
-                                        *id,
-                                        Handoff {
-                                            lo: rej.spec.range.lo,
-                                            hi: rej.spec.range.hi,
-                                            group: rej.spec.to,
-                                            epoch: rej.spec.epoch,
-                                        },
-                                    )
-                                } else {
-                                    ClientResponse::err(*id)
-                                };
-                                ctx.reply(resp);
-                            }
-                        }
-                        continue;
-                    }
-                }
-                // Config commands mutate the configuration (at accept time,
-                // via `note_config`), not the store — but their client still
-                // gets an acknowledgment at the commit point. Migration
-                // records likewise mutate the tracker (here, at execute
-                // time, so replay reconstructs the same transitions).
-                let value = if cmd.key == CONFIG_KEY {
-                    None
-                } else if cmd.key == MIGRATION_KEY {
-                    if let Some(rec) = as_migration_record(cmd) {
-                        // Audit record first (persist-before-effect); direct
-                        // field access because `e` still borrows the log.
-                        if let Some(wal) = &mut self.wal {
-                            let wal_rec = PaxosWal::Migration {
-                                slot,
-                                bytes: rec.encode(),
-                            };
-                            let bytes = paxi_codec::to_bytes(&wal_rec)
-                                .expect("paxos wal record must encode");
-                            wal.append(&bytes)
-                                .expect("paxos replica lost its durable store");
-                        }
-                        match self.migration.apply(&rec) {
-                            MigrationAction::Install(dump) => self.store.install_range(dump),
-                            MigrationAction::DropRange(r) => self.store.remove_range(r.lo, r.hi),
-                            MigrationAction::None => {}
-                        }
-                    }
-                    None
-                } else {
-                    let v = self.store.execute(cmd);
-                    ctx.count(Metric::Executes, 1);
-                    v
+                let wal = &mut self.wal;
+                let audit = |rec: &MigrationRecord| {
+                    let bytes = rec.encode();
+                    kernel::persist(wal, &PaxosWal::Migration { slot, bytes });
                 };
-                if self.active {
-                    if let Some(id) = req {
-                        ctx.trace(TraceStage::Execute, *id);
-                        ctx.reply(ClientResponse::ok(*id, value));
-                    }
-                }
+                let (store, migration) = (&mut self.store, &mut self.migration);
+                kernel::execute(cmd, *req, store, migration, self.active, audit, ctx);
             }
             self.execute_upto += 1;
         }
@@ -907,74 +960,22 @@ impl Replica for MultiPaxos {
     /// re-execution is safe because the restored store is exactly at `base`.
     fn attach_storage(&mut self, mut storage: Box<dyn Storage>) {
         let rec = storage.recover().expect("paxos storage must recover");
-        if let Some(snap) = &rec.snapshot {
-            let snap: PaxosSnapshot =
-                paxi_codec::from_bytes(snap).expect("paxos snapshot must decode");
-            self.ballot = snap.ballot;
-            self.store = MultiVersionStore::restore(snap.store);
-            self.snapshot_base = snap.base;
-            self.commit_upto = snap.base;
-            self.execute_upto = snap.base;
-            self.marked_upto = snap.base;
-            self.next_slot = snap.base;
-            self.heartbeat_head = snap.base;
-            // The configuration map rides whole inside the snapshot:
-            // configs chosen below the base have no surviving Accept
-            // records to re-derive them from.
-            for (key, epoch, members) in snap.configs {
-                self.configs.insert(key, (epoch, members));
-            }
-            // Likewise the migration tracker: freezes and cut-overs below
-            // the base live only here. (The restored store already carries
-            // their effects — installs and drops — inside its image.)
-            if !self.migration.restore(&snap.migration) {
-                panic!("paxos snapshot carried a malformed migration tracker");
-            }
-            // The live tail rides inside the snapshot (atomic compaction):
-            // restore it exactly as replaying its Accept records would.
-            for (slot, ballot, cmds) in snap.tail {
-                if slot < self.snapshot_base {
-                    continue;
-                }
-                self.ballot = self.ballot.max(ballot);
-                let mut quorum = CountQuorum::new(self.q2_size_at(slot));
-                quorum.ack(ballot.id);
-                quorum.ack(self.id);
-                self.note_config(slot, &cmds);
-                self.log.insert(
-                    slot,
-                    Entry {
-                        ballot,
-                        cmds,
-                        quorum,
-                        committed: false,
-                    },
-                );
-                self.next_slot = self.next_slot.max(slot + 1);
+        if let Some(bytes) = &rec.snapshot {
+            // Configs chosen and freezes decided below the base have no
+            // surviving Accept records to re-derive them from: they, the
+            // store at the base and the in-flight tail are the image.
+            let installed = Image::decode(bytes).map(|image| self.install(image));
+            if !matches!(installed, Ok(true)) {
+                panic!("paxos replica cannot start from its disk: {installed:?}");
             }
         }
         for bytes in &rec.records {
             match paxi_codec::from_bytes::<PaxosWal>(bytes).expect("paxos wal must decode") {
                 PaxosWal::Ballot(b) => self.ballot = self.ballot.max(b),
                 PaxosWal::Accept { slot, ballot, cmds } => {
-                    if slot < self.snapshot_base {
-                        continue;
+                    if slot >= self.snapshot_base {
+                        self.restore_accepted(slot, ballot, cmds);
                     }
-                    self.ballot = self.ballot.max(ballot);
-                    let mut quorum = CountQuorum::new(self.q2_size_at(slot));
-                    quorum.ack(ballot.id);
-                    quorum.ack(self.id);
-                    self.note_config(slot, &cmds);
-                    self.log.insert(
-                        slot,
-                        Entry {
-                            ballot,
-                            cmds,
-                            quorum,
-                            committed: false,
-                        },
-                    );
-                    self.next_slot = self.next_slot.max(slot + 1);
                 }
                 PaxosWal::Config {
                     slot,
@@ -985,26 +986,13 @@ impl Replica for MultiPaxos {
                     // `note_config` the Accept replay above just did.
                     self.configs.insert(slot + self.alpha(), (epoch, members));
                 }
-                PaxosWal::Migration { slot, bytes } => {
-                    // Records at or above the snapshot base must NOT be
-                    // applied here: their slots re-execute through the
-                    // ordinary path once commits re-arrive, and freezing
-                    // the range early would wrongly reject data commands
-                    // that originally executed *before* the freeze —
-                    // diverging the store. Records below the base are an
-                    // idempotent safety net (the snapshot's tracker dump
-                    // normally already covers them).
-                    if slot < self.snapshot_base {
-                        if let Some(rec) = paxi_core::migration::MigrationRecord::decode(&bytes) {
-                            match self.migration.apply(&rec) {
-                                MigrationAction::Install(dump) => self.store.install_range(dump),
-                                MigrationAction::DropRange(r) => {
-                                    self.store.remove_range(r.lo, r.hi)
-                                }
-                                MigrationAction::None => {}
-                            }
-                        }
-                    }
+                PaxosWal::Migration { .. } => {
+                    // Audit-only. A record is logged when its slot executes,
+                    // so it lies at or above the image the WAL follows, and
+                    // its slot re-executes through the ordinary path once
+                    // commits re-arrive; applying it here would freeze the
+                    // range *before* the data commands that executed ahead
+                    // of the freeze — diverging the store.
                 }
             }
         }
@@ -1075,7 +1063,9 @@ impl Replica for MultiPaxos {
                     if let Some(q) = self.p1_quorum.as_mut() {
                         if q.ack(from) {
                             self.p1_tails.push(tail);
-                            self.p1_max_commit = self.p1_max_commit.max(commit_upto);
+                            if commit_upto > self.p1_max_commit {
+                                (self.p1_max_commit, self.p1_max_from) = (commit_upto, from);
+                            }
                         }
                         if q.satisfied() {
                             self.become_leader(ctx);
@@ -1164,8 +1154,19 @@ impl Replica for MultiPaxos {
                 self.leader_hint = Some(from);
                 self.mark_committed(upto);
                 self.maybe_commit(ctx);
+                // Behind, with no entry to go on from, at two heartbeats in
+                // a row: the slot was chosen without this replica and no one
+                // will send it again. Ask the teller for its state.
+                let stuck = upto > self.execute_upto && !self.log.contains_key(&self.execute_upto);
+                let since =
+                    std::mem::replace(&mut self.stuck_at, stuck.then_some(self.execute_upto));
+                if stuck && since == self.stuck_at {
+                    let have = self.execute_upto;
+                    ctx.send(from, PaxosMsg::Snapshot(SnapshotMsg::Want { have }));
+                }
                 self.last_leader_contact = ctx.now(); // after, as for P2a
             }
+            PaxosMsg::Snapshot(msg) => self.on_snapshot(from, msg, ctx),
         }
     }
 
@@ -1283,6 +1284,7 @@ impl Replica for MultiPaxos {
             PaxosMsg::P2b { .. } => "p2b",
             PaxosMsg::Nack { .. } => "nack",
             PaxosMsg::Commit { .. } => "commit",
+            PaxosMsg::Snapshot(msg) => msg.kind(),
         }
     }
 
@@ -2557,14 +2559,119 @@ mod tests {
             &mut ctx,
         );
         let image = hub.open(1).recover().unwrap();
-        let snap: PaxosSnapshot = paxi_codec::from_bytes(&image.snapshot.unwrap()).unwrap();
-        assert_eq!(snap.base, SNAPSHOT_EVERY);
+        let snap = Image::decode(&image.snapshot.unwrap()).unwrap();
+        assert_eq!(snap.meta.base, SNAPSHOT_EVERY);
         assert!(snap.tail.iter().map(|t| t.0).eq(SNAPSHOT_EVERY..total));
         assert!(r.log.keys().copied().eq(SNAPSHOT_EVERY..total));
         r.on_message(leader, PaxosMsg::Commit { upto: total }, &mut ctx);
         assert!(r.log.is_empty());
         assert_eq!(r.store.executed(), total);
         assert_eq!(r.frontier(), total, "max(next_slot, commit_upto)");
+    }
+
+    // State transfer: what has left every window is repaired as an image.
+
+    /// Ticks the leader's heartbeat and routes what follows.
+    fn heartbeat(nodes: &mut [(MultiPaxos, Probe)], down: &[NodeId]) {
+        let (l, ctx) = &mut nodes[0];
+        let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
+        l.on_timer(TIMER_HEARTBEAT, token, ctx);
+        settle(nodes, down);
+    }
+
+    /// Node 2 is dark while 20 writes commit at nodes 0 and 1 and leave
+    /// their logs.
+    fn cluster_with_a_gap_at_node_2() -> Vec<(MultiPaxos, Probe)> {
+        let mut nodes = lockstep(paxos_cluster(ClusterConfig::lan(3), PaxosConfig::default()));
+        let n2 = nodes[2].1.id;
+        for seq in 0..25 {
+            let (l, ctx) = &mut nodes[0];
+            l.on_request(request(seq), ctx);
+            settle(
+                &mut nodes,
+                if seq < 5 {
+                    &[]
+                } else {
+                    std::slice::from_ref(&n2)
+                },
+            );
+        }
+        heartbeat(&mut nodes, &[n2]);
+        assert!(nodes[0].0.log.is_empty() && nodes[1].0.log.is_empty());
+        assert_eq!((nodes[1].0.execute_upto, nodes[2].0.execute_upto), (25, 4));
+        nodes
+    }
+
+    #[test]
+    fn a_commit_index_with_no_entry_to_reach_it_is_repaired_by_the_image() {
+        let mut nodes = cluster_with_a_gap_at_node_2();
+        // Back in contact. One heartbeat could be a commit that overtook its
+        // P2a; the same gap at the next one is a lost message.
+        heartbeat(&mut nodes, &[]);
+        assert_eq!(
+            nodes[2].0.execute_upto, 5,
+            "slot 4 committed, slot 5 never came"
+        );
+        assert!(!nodes[2].0.exchange.staging() && nodes[2].1.replies.is_empty());
+        let (l, ctx) = &mut nodes[0];
+        let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
+        l.on_timer(TIMER_HEARTBEAT, token, ctx);
+        let commit = ctx.sent.pop().unwrap().1;
+        let (r, ctx) = &mut nodes[2];
+        r.on_message(NodeId::new(0, 0), commit, ctx);
+        match &ctx.sent[..] {
+            [(Some(to), PaxosMsg::Snapshot(SnapshotMsg::Want { have: 5 }))] => {
+                assert_eq!(*to, NodeId::new(0, 0));
+            }
+            other => panic!("expected a request for the image, got {other:?}"),
+        }
+        settle(&mut nodes, &[]);
+        let (leader, healed) = (&nodes[0].0, &nodes[2].0);
+        assert_eq!(healed.execute_upto, 25);
+        assert_eq!(healed.store.dump(), leader.store.dump());
+        assert!(leader.exchange.is_idle() && healed.exchange.is_idle());
+        // And it takes part again: the next write reaches all three stores.
+        let (l, ctx) = &mut nodes[0];
+        l.on_request(request(25), ctx);
+        settle(&mut nodes, &[]);
+        heartbeat(&mut nodes, &[]);
+        assert_eq!(nodes[2].0.store.get(25), Some(&vec![1]));
+    }
+
+    #[test]
+    fn a_node_elected_with_a_gap_fetches_the_image_before_it_proposes() {
+        let mut nodes = cluster_with_a_gap_at_node_2();
+        let (n0, n1, n2) = (nodes[0].1.id, nodes[1].1.id, nodes[2].1.id);
+        // The leader dies; node 2, twenty slots behind, campaigns with a
+        // client request waiting.
+        let (r, ctx) = &mut nodes[2];
+        r.pending.push(request(99));
+        r.start_phase1(ctx);
+        let p1a = ctx.sent.pop().unwrap().1;
+        let (a, actx) = &mut nodes[1];
+        a.on_message(n2, p1a, actx);
+        let p1b = actx.sent.pop().unwrap().1;
+        assert!(matches!(&p1b, PaxosMsg::P1b { tail, commit_upto: 25, .. } if tail.is_empty()));
+        // Elected — and the promise names a commit index no tail reaches.
+        let (r, ctx) = &mut nodes[2];
+        r.on_message(n1, p1b, ctx);
+        assert!(!r.is_leader(), "not before the gap is closed");
+        match &ctx.sent[..] {
+            [(Some(to), PaxosMsg::Snapshot(SnapshotMsg::Want { have }))] => {
+                assert_eq!((*to, *have), (n1, r.execute_upto));
+            }
+            other => panic!("expected a request for the image and nothing else, got {other:?}"),
+        }
+        settle(&mut nodes, &[n0]);
+        // Installed, then leading: the waiting request went into the first
+        // slot nobody had chosen, on top of the state it missed.
+        let leader = &nodes[2].0;
+        assert!(leader.is_leader());
+        assert_eq!((leader.execute_upto, leader.next_slot), (26, 26));
+        assert!(nodes[2].1.replies.iter().any(|r| r.id.seq == 99 && r.ok));
+        for seq in 0..25 {
+            assert_eq!(leader.store.get(seq), Some(&vec![1]), "write {seq}");
+        }
     }
 
     #[test]

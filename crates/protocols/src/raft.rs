@@ -6,9 +6,12 @@
 //! the same leader-bottleneck throughput. This is a from-scratch Raft with
 //! terms, randomized election timeouts, log replication via AppendEntries
 //! (with consistency check and conflict truncation), and the
-//! commit-only-current-term rule. Snapshots stay out of scope (persistent
-//! logging and snapshots are disabled in etcd for the paper's benchmarks),
-//! but membership changes are implemented as Raft joint consensus: a
+//! commit-only-current-term rule. The log is a window
+//! ([`crate::window::LogWindow`]): `apply` releases every entry no live
+//! voter still needs, a checkpoint is an image of the state at `applied`
+//! ([`crate::snapshot`]), and a follower whose `next_index` has fallen below
+//! the leader's window is sent that image instead of log entries.
+//! Membership changes are implemented as Raft joint consensus: a
 //! C_old,new log entry switches the node to dual-majority rules the moment
 //! it is *appended*, the committed joint entry triggers the C_new entry,
 //! and a leader excluded by the committed new configuration hands off and
@@ -18,13 +21,17 @@
 //! restarting mid-transition rescans its recovered log and rejoins in the
 //! joint or new configuration, never the old one.
 
-use paxi_core::command::{ClientRequest, ClientResponse, Command, Handoff};
+use crate::kernel;
+use crate::snapshot::{write_image, Exchange, Image, Meta, Round, SnapshotMsg, Step};
+use crate::window::{LogWindow, Termed};
+
+use paxi_core::command::{ClientRequest, ClientResponse, Command};
 use paxi_core::config::{BatchConfig, Batcher, ClusterConfig};
 use paxi_core::group::GroupId;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::membership::{self, ConfigChange, JointQuorum, Membership, CONFIG_KEY};
-use paxi_core::migration::{as_migration_record, MigrationAction, MigrationTracker, MIGRATION_KEY};
-use paxi_core::obs::{Metric, TraceStage};
+use paxi_core::migration::{MigrationRecord, MigrationTracker};
+use paxi_core::obs::{DropCause, Metric, TraceStage};
 use paxi_core::quorum::{majority, QuorumTracker};
 use paxi_core::store::MultiVersionStore;
 use paxi_core::time::Nanos;
@@ -95,6 +102,12 @@ pub struct RaftEntry {
     pub req: Option<RequestId>,
 }
 
+impl Termed for RaftEntry {
+    fn term(&self) -> u64 {
+        self.term
+    }
+}
+
 /// Wire messages of Raft.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum RaftMsg {
@@ -140,6 +153,15 @@ pub enum RaftMsg {
         /// resending ever-larger suffixes.
         match_index: u64,
     },
+    /// State transfer to a follower below the leader's window: the leader's
+    /// `InstallSnapshot` chunks one way, the follower's `SnapshotAck`s the
+    /// other.
+    Snapshot {
+        /// Sender's term.
+        term: u64,
+        /// The chunk or its acknowledgement.
+        msg: SnapshotMsg,
+    },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,31 +206,16 @@ pub enum RaftWal {
         membership: Membership,
     },
     /// A shard-migration record (freeze / install / commit) was applied at
-    /// log `index`. Purely an audit record: the checkpoint embeds the full
-    /// log and `commit`/`applied` are volatile, so recovery re-applies
-    /// every migration record through the ordinary path when the leader's
-    /// commit index re-drives execution — replay ignores these.
+    /// log `index`. Purely an audit record: what was applied before the last
+    /// checkpoint is in its image, and what came after is re-applied through
+    /// the ordinary path when the leader's commit index re-drives execution
+    /// — replay ignores these.
     Migration {
         /// Log index the record was applied at.
         index: u64,
         /// The encoded [`paxi_core::migration::MigrationRecord`].
         bytes: Vec<u8>,
     },
-}
-
-/// The checkpoint Raft installs when compacting its WAL. The whole log is
-/// embedded (this implementation never discards its prefix — matching the
-/// paper's benchmark configuration with snapshots disabled), so the state
-/// machine is deliberately *not* persisted: commit/applied are volatile and
-/// the leader's next commit index re-drives execution from the log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RaftCheckpoint {
-    /// Current term at checkpoint time.
-    pub term: u64,
-    /// Vote cast in that term.
-    pub voted_for: Option<NodeId>,
-    /// The full log, sentinel included.
-    pub log: Vec<RaftEntry>,
 }
 
 /// A Raft replica.
@@ -221,24 +228,32 @@ pub struct Raft {
     term: u64,
     voted_for: Option<NodeId>,
     votes: JointQuorum,
-    /// The epoch-0 voting membership, used when the log holds no config
-    /// entry (and re-adopted if truncation removes every config entry).
-    initial_members: Vec<NodeId>,
+    /// The latest configuration at or below the window's base, and the
+    /// index it was adopted from (0 = the epoch-0 membership): what is in
+    /// force when the window holds no config entry (and re-adopted if
+    /// truncation removes every config entry it does hold).
+    base_config: (u64, Membership),
     /// The active configuration: the *latest* config entry in the log
-    /// (committed or not, per Raft's adopt-on-append rule), or the initial
-    /// membership.
+    /// (committed or not, per Raft's adopt-on-append rule), or
+    /// `base_config`.
     membership: Membership,
     /// Log index of the entry `membership` was adopted from (0 = initial).
     membership_index: u64,
     /// A reconfiguration request waiting for the in-flight transition to
     /// finish (one config change at a time).
     pending_reconfig: Option<ClientRequest>,
-    // Log is 1-indexed: log[0] is a sentinel.
-    log: Vec<RaftEntry>,
+    /// The window of the 1-indexed log: what is not yet applied, plus what
+    /// a leader keeps for the voters it hears from.
+    log: LogWindow<RaftEntry>,
     commit: u64,
     applied: u64,
     next_index: HashMap<NodeId, u64>,
     match_index: HashMap<NodeId, u64>,
+    /// When each peer last answered this leader.
+    last_heard: HashMap<NodeId, Nanos>,
+    /// State transfer: images on their way to followers below the window
+    /// (leader), the image being staged from the leader (follower).
+    exchange: Exchange,
     leader_hint: Option<NodeId>,
     last_contact: Nanos,
     election_token: u64,
@@ -254,7 +269,8 @@ pub struct Raft {
     wal: Option<Box<dyn Storage>>,
     /// WAL records since the last checkpoint.
     wal_records: u64,
-    /// Log entries the last checkpoint holds (0 before the first).
+    /// Log length (last index + 1) at the last checkpoint (0 before the
+    /// first).
     checkpoint_len: u64,
     /// Shard-migration state machine, driven by replicated records at
     /// apply time. Inert (no group identity) outside sharded deployments.
@@ -268,7 +284,7 @@ impl Raft {
             .initial_members
             .clone()
             .unwrap_or_else(|| cluster.all_nodes());
-        let membership = Membership::initial(initial_members.clone());
+        let membership = Membership::initial(initial_members);
         let peers = membership
             .voters()
             .into_iter()
@@ -284,19 +300,17 @@ impl Raft {
             term: 0,
             voted_for: None,
             votes: JointQuorum::of(&membership),
-            initial_members,
+            base_config: (0, membership.clone()),
             membership,
             membership_index: 0,
             pending_reconfig: None,
-            log: vec![RaftEntry {
-                term: 0,
-                cmd: Command::get(0),
-                req: None,
-            }],
+            log: LogWindow::default(),
             commit: 0,
             applied: 0,
             next_index: HashMap::new(),
             match_index: HashMap::new(),
+            last_heard: HashMap::new(),
+            exchange: Exchange::default(),
             leader_hint: None,
             last_contact: Nanos::ZERO,
             election_token: 0,
@@ -319,20 +333,10 @@ impl Raft {
         self.migration.set_group(group);
     }
 
-    /// Appends one WAL record before the caller acknowledges the change it
-    /// witnesses. A replica that cannot write its WAL must stop (crash-stop
-    /// model).
+    /// Appends one WAL record ([`kernel::persist`]) and counts it toward the
+    /// next checkpoint.
     fn persist(&mut self, rec: &RaftWal) {
-        if self.wal.is_none() {
-            return;
-        }
-        let bytes = paxi_codec::to_bytes(rec).expect("raft wal record must encode");
-        self.wal
-            .as_mut()
-            .unwrap()
-            .append(&bytes)
-            .expect("raft replica lost its durable store");
-        self.wal_records += 1;
+        self.wal_records += u64::from(kernel::persist(&mut self.wal, rec));
     }
 
     /// Checkpoints once enough WAL records accumulate. Callers invoke this
@@ -347,24 +351,85 @@ impl Raft {
         }
     }
 
-    /// Snapshot-plus-truncate: replaces the WAL with one checkpoint record.
+    /// Snapshot-plus-truncate: replaces the WAL with an image of the state
+    /// at `applied` and the entries above it, written a chunk at a time.
     fn checkpoint(&mut self) {
-        // The log is lent to the record for the encode, not cloned: a copy
-        // of every entry doubles the stall and the peak memory.
-        let snap = RaftCheckpoint {
-            term: self.term,
-            voted_for: self.voted_for,
-            log: std::mem::take(&mut self.log),
-        };
-        let bytes = paxi_codec::to_bytes(&snap).expect("raft checkpoint must encode");
-        self.log = snap.log;
-        self.wal
-            .as_mut()
-            .unwrap()
-            .install_snapshot(&bytes)
+        self.write_image(self.image_meta(), None);
+    }
+
+    /// Replaces snapshot and WAL with `(meta, this log above meta.base,
+    /// store)`; `None` is this replica's own store.
+    fn write_image(&mut self, meta: Meta, store: Option<&MultiVersionStore>) {
+        let tail = self.log.iter_from(meta.base + 1);
+        let tail = tail.map(|(i, e)| (i, Round::new(e.term, None), vec![(e.cmd.clone(), e.req)]));
+        if let Some(wal) = self.wal.as_mut() {
+            write_image(
+                wal.as_mut(),
+                meta,
+                tail.collect(),
+                store.unwrap_or(&self.store),
+            )
             .expect("raft replica lost its durable store");
-        self.wal_records = 0;
-        self.checkpoint_len = self.log.len() as u64;
+            self.wal_records = 0;
+        }
+        self.checkpoint_len = self.last_index() + 1;
+    }
+
+    /// The image of this replica at `applied`, less store and tail.
+    fn image_meta(&self) -> Meta {
+        let config = self.config_upto(self.applied);
+        Meta {
+            base: self.applied,
+            base_term: self.log.term_at(self.applied).unwrap_or(0),
+            promised: Round::new(self.term, self.voted_for),
+            configs: vec![config.unwrap_or_else(|| self.base_config.clone())],
+            migration: self.migration.dump(),
+            executed: 0,
+        }
+    }
+
+    /// The latest configuration entry the window holds at or below `upto`.
+    fn config_upto(&self, upto: u64) -> Option<(u64, Membership)> {
+        let held = self
+            .log
+            .iter_from(0)
+            .take(upto.saturating_sub(self.log.base()) as usize);
+        held.rev()
+            .filter(|(_, e)| e.cmd.key == CONFIG_KEY)
+            .find_map(|(index, e)| Some((index, membership::as_membership(&e.cmd)?)))
+    }
+
+    /// Puts this replica at `image`: recovery from the local disk, and the
+    /// end of a state transfer. The WAL (when one is attached: not yet,
+    /// during recovery) takes the image first, under this replica's own
+    /// term and vote; only then do the store and `applied` move. Entries of
+    /// this log above the base stay if they continue the image (Raft §7).
+    fn install(&mut self, image: Image) {
+        let (mut meta, store) = (image.meta, image.store);
+        if self.log.term_at(meta.base) == Some(meta.base_term) {
+            self.log.release_to(meta.base);
+        } else {
+            self.log.reset(meta.base, meta.base_term);
+            for (_, round, cmds) in image.tail {
+                for (cmd, req) in cmds {
+                    let term = round.n;
+                    self.log.push(RaftEntry { term, cmd, req });
+                }
+            }
+        }
+        meta.promised = Round::new(self.term, self.voted_for);
+        self.write_image(meta.clone(), Some(&store));
+        self.store = store;
+        // Decoding the image already checked the tracker's bytes.
+        self.migration.restore(&meta.migration);
+        if let Some(config) = meta.configs.pop() {
+            self.base_config = config;
+        }
+        self.commit = self.commit.max(meta.base);
+        self.applied = meta.base;
+        let last = self.last_index();
+        self.stash.retain(|&p, _| p > last);
+        self.rescan_membership();
     }
 
     /// Persists and records the durable term/vote pair. Every caller
@@ -405,11 +470,11 @@ impl Raft {
     }
 
     fn last_index(&self) -> u64 {
-        (self.log.len() - 1) as u64
+        self.log.last_index()
     }
 
     fn last_term(&self) -> u64 {
-        self.log.last().map(|e| e.term).unwrap_or(0)
+        self.log.last_term()
     }
 
     fn arm_election_timer(&mut self, ctx: &mut dyn Context<RaftMsg>) {
@@ -424,14 +489,20 @@ impl Raft {
         self.role = Role::Follower;
         self.voted_for = None;
         self.persist_term();
+        self.lay_down(ctx);
+        if was_leader {
+            self.arm_election_timer(ctx);
+        }
+    }
+
+    /// What ends with leadership (or a candidacy), however it ended.
+    fn lay_down(&mut self, ctx: &mut dyn Context<RaftMsg>) {
         self.votes.reset();
         self.last_contact = ctx.now();
         self.abort_batch();
+        self.exchange.stop_sending();
         if let Some(req) = self.pending_reconfig.take() {
             self.pending.push(req);
-        }
-        if was_leader {
-            self.arm_election_timer(ctx);
         }
     }
 
@@ -444,12 +515,7 @@ impl Raft {
     fn retire(&mut self, ctx: &mut dyn Context<RaftMsg>) {
         self.role = Role::Follower;
         self.leader_hint = None;
-        self.votes.reset();
-        self.last_contact = ctx.now();
-        self.abort_batch();
-        if let Some(req) = self.pending_reconfig.take() {
-            self.pending.push(req);
-        }
+        self.lay_down(ctx);
         self.arm_election_timer(ctx);
     }
 
@@ -515,6 +581,7 @@ impl Raft {
         };
         self.splice(self.last_index(), vec![noop]);
         let next = self.last_index() + 1;
+        self.last_heard.clear();
         for &p in &self.peers {
             self.next_index.insert(p, next.saturating_sub(1).max(1));
             self.match_index.insert(p, 0);
@@ -611,46 +678,39 @@ impl Raft {
     /// configuration the live node was using.
     fn apply_splice(&mut self, prev_index: u64, entries: Vec<RaftEntry>) -> u64 {
         let mut config_touched = entries.iter().any(|e| e.cmd.key == CONFIG_KEY);
-        let mut idx = prev_index as usize + 1;
+        let mut idx = prev_index + 1;
         for e in entries {
-            if idx < self.log.len() {
-                if self.log[idx].term != e.term {
-                    if (idx as u64) <= self.membership_index {
+            match self.log.term_at(idx) {
+                // At or below the base: applied state, no longer log.
+                _ if idx <= self.log.base() => {}
+                Some(term) if term == e.term => {}
+                Some(_) => {
+                    if idx <= self.membership_index {
                         // Truncation swallowed the adopted config entry:
                         // fall back to the latest surviving one.
                         config_touched = true;
                     }
-                    self.log.truncate(idx);
+                    self.log.truncate_from(idx);
                     self.log.push(e);
                 }
-            } else {
-                self.log.push(e);
+                None => self.log.push(e),
             }
             idx += 1;
         }
         if config_touched {
             self.rescan_membership();
         }
-        (idx - 1) as u64
+        idx - 1
     }
 
     /// Re-derives the active configuration from the log: the latest config
-    /// entry wins; a log without one falls back to the initial membership.
+    /// entry wins; a window without one falls back to the configuration in
+    /// force at its base.
     /// Persists the adoption (crash-atomic with the splice that caused it)
     /// and refreshes the peer set.
     fn rescan_membership(&mut self) {
-        let mut found: Option<(u64, Membership)> = None;
-        for idx in (1..self.log.len()).rev() {
-            if self.log[idx].cmd.key != CONFIG_KEY {
-                continue;
-            }
-            if let Some(m) = membership::as_membership(&self.log[idx].cmd) {
-                found = Some((idx as u64, m));
-                break;
-            }
-        }
-        let (index, m) =
-            found.unwrap_or_else(|| (0, Membership::initial(self.initial_members.clone())));
+        let found = self.config_upto(u64::MAX);
+        let (index, m) = found.unwrap_or_else(|| self.base_config.clone());
         if index == self.membership_index && m == self.membership {
             return;
         }
@@ -686,25 +746,89 @@ impl Raft {
         self.match_index.retain(|k, _| peers.contains(k));
     }
 
-    /// Sends a bounded catch-up batch to one straggler.
+    /// Sends a bounded catch-up batch to one straggler — or, if what it
+    /// needs has left the window, the state that replaced it.
     fn send_repair(&mut self, to: NodeId, ctx: &mut dyn Context<RaftMsg>) {
         ctx.count(Metric::Retransmissions, 1);
-        let ni = *self.next_index.get(&to).unwrap_or(&1);
-        let prev_index = ni - 1;
-        let prev_term = self.log[prev_index as usize].term;
-        let start = ni as usize;
-        let end = (start + REPAIR_BATCH).min(self.log.len());
-        let entries = self.log[start.min(self.log.len())..end].to_vec();
-        ctx.send(
-            to,
-            RaftMsg::AppendEntries {
-                term: self.term,
-                prev_index,
-                prev_term,
-                entries,
-                commit: self.commit,
-            },
-        );
+        let mut ni = *self.next_index.get(&to).unwrap_or(&1);
+        if self
+            .match_index
+            .get(&to)
+            .is_some_and(|m| *m >= self.log.base())
+        {
+            // Nacks walk `next_index` back one by one, past what the
+            // follower is known to hold: the window's base is as far back
+            // as a repair of it ever needs to start.
+            ni = ni.max(self.log.base() + 1);
+        }
+        let msg = match self.log.term_at(ni - 1) {
+            Some(prev_term) => Some(self.append_from(ni, prev_term)),
+            // Below the window: the chunk in flight again if it asked before
+            // its transfer was over, else the first of a new image.
+            None => {
+                let have = self.match_index.get(&to).copied().unwrap_or(0);
+                let term = self.term;
+                let msg = self.exchange_step(to, SnapshotMsg::Want { have }, ctx);
+                msg.map(|msg| RaftMsg::Snapshot { term, msg })
+            }
+        };
+        if let Some(msg) = msg {
+            ctx.send(to, msg);
+        }
+    }
+
+    /// The AppendEntries that carries the (bounded) log from `ni` on.
+    fn append_from(&self, ni: u64, prev_term: u64) -> RaftMsg {
+        let entries = self.log.iter_from(ni).take(REPAIR_BATCH);
+        RaftMsg::AppendEntries {
+            term: self.term,
+            prev_index: ni - 1,
+            prev_term,
+            entries: entries.map(|(_, e)| e.clone()).collect(),
+            commit: self.commit,
+        }
+    }
+
+    /// Runs one step of the state-transfer exchange with `peer` and returns
+    /// what to send back. A complete image is installed before its ack is
+    /// returned; a chunk that cannot be used is dropped and counted.
+    fn exchange_step(
+        &mut self,
+        peer: NodeId,
+        msg: SnapshotMsg,
+        ctx: &mut dyn Context<RaftMsg>,
+    ) -> Option<SnapshotMsg> {
+        match self.exchange.handle(peer, msg, self.applied, &self.store) {
+            Step::Reply(msg) => Some(msg),
+            Step::Begin => {
+                // The follower's log resumes from the leader's: no tail.
+                let (round, meta) = (Round::new(self.term, Some(self.id)), self.image_meta());
+                Some(
+                    self.exchange
+                        .begin(peer, round, meta, Vec::new(), &self.store),
+                )
+            }
+            Step::Install(image, ack) => {
+                self.install(image);
+                self.apply(ctx);
+                Some(SnapshotMsg::Ack(ack))
+            }
+            Step::Installed(base) => {
+                // The follower's state is at the image's base: its log
+                // resumes right above.
+                let best = base.max(self.match_index.get(&peer).copied().unwrap_or(0));
+                self.match_index.insert(peer, best);
+                self.next_index.insert(peer, best + 1);
+                self.advance_commit(ctx);
+                self.send_repair(peer, ctx);
+                None
+            }
+            Step::Dropped(answer) => {
+                ctx.count_drop(DropCause::BadChunk, 1);
+                answer
+            }
+            Step::Idle => None,
+        }
     }
 
     fn broadcast_append(&mut self, ctx: &mut dyn Context<RaftMsg>) {
@@ -717,22 +841,8 @@ impl Raft {
                 acc
             });
         for (ni, peers) in groups {
-            let prev_index = ni - 1;
-            let prev_term = self
-                .log
-                .get(prev_index as usize)
-                .map(|e| e.term)
-                .unwrap_or(0);
-            let start = (ni as usize).min(self.log.len());
-            let end = (start + REPAIR_BATCH).min(self.log.len());
-            let entries: Vec<RaftEntry> = self.log[start..end].to_vec();
-            let msg = RaftMsg::AppendEntries {
-                term: self.term,
-                prev_index,
-                prev_term,
-                entries,
-                commit: self.commit,
-            };
+            // (A new leader starts every peer at its own last entry.)
+            let msg = self.append_from(ni, self.log.term_at(ni - 1).unwrap_or(0));
             if peers.len() == self.peers.len() {
                 ctx.broadcast(msg);
             } else {
@@ -775,14 +885,16 @@ impl Raft {
         }
         let quorum_match = self.quorum_commit_floor();
         // Only commit entries from the current term (Raft §5.4.2).
-        if quorum_match > self.commit
-            && self.log.get(quorum_match as usize).map(|e| e.term) == Some(self.term)
-        {
+        if quorum_match > self.commit && self.log.term_at(quorum_match) == Some(self.term) {
             let before = self.commit;
             self.commit = quorum_match;
             ctx.count(Metric::Commits, self.commit - before);
-            for idx in (before + 1)..=self.commit {
-                if let Some(id) = self.log[idx as usize].req {
+            for (_, e) in self
+                .log
+                .iter_from(before + 1)
+                .take((self.commit - before) as usize)
+            {
+                if let Some(id) = e.req {
                     ctx.trace(TraceStage::QuorumAck, id);
                 }
             }
@@ -828,13 +940,7 @@ impl Raft {
         } else if !self.membership.contains(self.id) {
             // The committed configuration excludes us: teach the commit
             // index with a final heartbeat, then become a passive learner.
-            ctx.broadcast(RaftMsg::AppendEntries {
-                term: self.term,
-                prev_index: self.last_index(),
-                prev_term: self.last_term(),
-                entries: Vec::new(),
-                commit: self.commit,
-            });
+            ctx.broadcast(self.append_from(self.last_index() + 1, self.last_term()));
             self.retire(ctx);
         } else if let Some(req) = self.pending_reconfig.take() {
             // Transition complete and we still lead: admit the queued
@@ -845,83 +951,48 @@ impl Raft {
 
     fn apply(&mut self, ctx: &mut dyn Context<RaftMsg>) {
         while self.applied < self.commit {
-            self.applied += 1;
-            let index = self.applied;
-            let e = &self.log[index as usize];
-            // Migration records mutate the tracker at apply time so crash
-            // recovery (which re-drives apply from the recovered log)
-            // reconstructs freezes, installs, and cut-overs exactly.
-            if e.cmd.key == MIGRATION_KEY {
-                let cmd = e.cmd.clone();
-                let req = e.req;
-                if let Some(rec) = as_migration_record(&cmd) {
-                    // Audit record (persist-before-effect).
-                    self.persist(&RaftWal::Migration {
-                        index,
-                        bytes: rec.encode(),
-                    });
-                    match self.migration.apply(&rec) {
-                        MigrationAction::Install(dump) => self.store.install_range(dump),
-                        MigrationAction::DropRange(r) => self.store.remove_range(r.lo, r.hi),
-                        MigrationAction::None => {}
-                    }
-                }
-                if self.role == Role::Leader {
-                    if let Some(id) = req {
-                        ctx.trace(TraceStage::Execute, id);
-                        ctx.reply(ClientResponse::ok(id, None));
-                    }
-                }
-                continue;
-            }
-            // Data commands on a range this group froze (or handed off) are
-            // deterministically rejected instead of executed, pinning the
-            // frozen range's contents on every replica. The client retries
-            // (freeze window) or follows the epoch-tagged hand-off.
-            if e.cmd.key != CONFIG_KEY {
-                if let Some(rej) = self.migration.rejects(e.cmd.key) {
-                    if self.role == Role::Leader {
-                        if let Some(id) = e.req {
-                            ctx.count(Metric::Redirects, 1);
-                            let resp = if rej.committed {
-                                ClientResponse::handed_off(
-                                    id,
-                                    Handoff {
-                                        lo: rej.spec.range.lo,
-                                        hi: rej.spec.range.hi,
-                                        group: rej.spec.to,
-                                        epoch: rej.spec.epoch,
-                                    },
-                                )
-                            } else {
-                                ClientResponse::err(id)
-                            };
-                            ctx.reply(resp);
-                        }
-                    }
-                    continue;
-                }
-            }
-            // Config entries act at append time, not execute time: they
-            // never touch the key-value store (the reserved key must not
-            // shadow application data), but the proposing leader still
-            // answers the client that requested the change.
-            let is_config = e.cmd.key == CONFIG_KEY;
-            let value = if is_config {
-                None
-            } else {
-                self.store.execute(&e.cmd)
+            let index = self.applied + 1;
+            let Some(e) = self.log.get(index) else { break };
+            self.applied = index;
+            // Logging a migration record counts toward the next checkpoint
+            // like any other: an image holds the tracker as of `applied`.
+            let (wal, logged) = (&mut self.wal, &mut self.wal_records);
+            let audit = |rec: &MigrationRecord| {
+                let bytes = rec.encode();
+                *logged += u64::from(kernel::persist(wal, &RaftWal::Migration { index, bytes }));
             };
-            if !is_config {
-                ctx.count(Metric::Executes, 1);
-            }
-            if self.role == Role::Leader {
-                if let Some(id) = e.req {
-                    ctx.trace(TraceStage::Execute, id);
-                    ctx.reply(ClientResponse::ok(id, value));
+            let (store, migration) = (&mut self.store, &mut self.migration);
+            let leads = self.role == Role::Leader;
+            kernel::execute(&e.cmd, e.req, store, migration, leads, audit, ctx);
+        }
+        if self.applied > self.log.base() {
+            self.release(ctx.now());
+        }
+    }
+
+    /// Releases every applied entry that no live voter still needs: a
+    /// follower everything it has applied, a leader down to the lowest
+    /// match index among the voters it has heard from within one election
+    /// timeout. A voter silent for longer is repaired by state transfer
+    /// when it returns.
+    fn release(&mut self, now: Nanos) {
+        let mut floor = self.applied;
+        if self.role == Role::Leader {
+            for (p, &heard) in &self.last_heard {
+                if now.saturating_sub(heard) < self.cfg.election_timeout {
+                    floor = floor.min(self.match_index.get(p).copied().unwrap_or(floor));
                 }
             }
         }
+        if floor <= self.log.base() {
+            return;
+        }
+        // A config entry that leaves the window stays reachable as the
+        // configuration in force at its base.
+        if let Some(config) = self.config_upto(floor) {
+            self.base_config = config;
+        }
+        self.log.release_to(floor);
     }
 
     /// Leader-side handling of a client [`ConfigChange`]: resolves the
@@ -969,19 +1040,19 @@ impl Raft {
 impl Replica for Raft {
     type Msg = RaftMsg;
 
-    /// Rebuilds Figure-2 persistent state: checkpoint first (term, vote,
-    /// full log), then WAL records in append order. `commit`/`applied` and
-    /// the state machine are volatile — the next leader commit index
-    /// re-drives execution from the recovered log.
+    /// Rebuilds the durable state: the checkpoint's image first (term, vote,
+    /// the store and `applied` it was taken at, the entries above), then the
+    /// WAL records in append order. `commit` and `applied` above the image
+    /// are volatile — the next leader commit index re-drives execution from
+    /// there over the recovered log.
     fn attach_storage(&mut self, mut storage: Box<dyn Storage>) {
         let rec = storage.recover().expect("raft storage must recover");
-        if let Some(snap) = &rec.snapshot {
-            let snap: RaftCheckpoint =
-                paxi_codec::from_bytes(snap).expect("raft checkpoint must decode");
-            self.term = snap.term;
-            self.voted_for = snap.voted_for;
-            self.log = snap.log;
-            self.checkpoint_len = self.log.len() as u64;
+        if let Some(bytes) = &rec.snapshot {
+            let image = Image::decode(bytes)
+                .unwrap_or_else(|e| panic!("raft replica cannot start from its disk: {e}"));
+            self.term = image.meta.promised.n;
+            self.voted_for = image.meta.promised.by;
+            self.install(image);
         }
         for bytes in &rec.records {
             match paxi_codec::from_bytes::<RaftWal>(bytes).expect("raft wal must decode") {
@@ -1000,9 +1071,9 @@ impl Replica for Raft {
                     self.membership = membership;
                 }
                 RaftWal::Migration { .. } => {
-                    // Audit-only: `commit`/`applied` are volatile and the
-                    // recovered log re-applies every migration record
-                    // through the ordinary apply path when the leader's
+                    // Audit-only: these were applied after the checkpoint,
+                    // above its `applied`, and the recovered log re-applies
+                    // them through the ordinary path when the leader's
                     // commit index re-drives execution. Applying them here
                     // would freeze ranges *before* the data commands below
                     // the freeze re-execute — diverging the store.
@@ -1106,14 +1177,24 @@ impl Replica for Raft {
                 self.last_contact = ctx.now();
                 self.leader_hint = Some(from);
                 self.drain_pending(ctx);
+                // What lies at or below the window's base is applied state
+                // the leader shares: only the rest of the append is news.
+                let below = self.log.base().saturating_sub(prev_index) as usize;
+                let below = below.min(entries.len());
+                let mut entries = entries;
+                entries.drain(..below);
+                let prev_index = prev_index + below as u64;
                 // Consistency check.
-                let ok = self
-                    .log
-                    .get(prev_index as usize)
-                    .map(|e| e.term == prev_term)
-                    .unwrap_or(false);
+                let ok = match self.log.term_at(prev_index) {
+                    Some(term) => below > 0 || term == prev_term,
+                    None => prev_index < self.log.base(),
+                };
                 if !ok {
-                    if prev_index > self.last_index() && self.stash.len() < 1024 {
+                    // (While an image is being staged every append is
+                    // answered: the nack is what makes the leader repeat a
+                    // lost chunk.)
+                    let early = prev_index > self.last_index() && !self.exchange.staging();
+                    if early && self.stash.len() < 1024 {
                         // The append outran its predecessors (network
                         // reordering): hold it until the gap fills instead
                         // of making the leader back off.
@@ -1140,7 +1221,7 @@ impl Replica for Raft {
                     let Some((p_term, _, _)) = self.stash.get(&last) else {
                         break;
                     };
-                    if self.log[last as usize].term != *p_term {
+                    if self.last_term() != *p_term {
                         break;
                     }
                     let (_, stashed, c) = self.stash.remove(&last).unwrap();
@@ -1180,6 +1261,7 @@ impl Replica for Raft {
                 if self.role != Role::Leader || term != self.term {
                     return;
                 }
+                self.last_heard.insert(from, ctx.now());
                 if success {
                     // Acks from nodes outside the replication set (learners
                     // reached by a universe broadcast, just-removed peers)
@@ -1205,6 +1287,37 @@ impl Replica for Raft {
                     };
                     *ni = (match_index + 1).min((*ni).saturating_sub(1)).max(1);
                     self.send_repair(from, ctx);
+                }
+            }
+            RaftMsg::Snapshot { term, msg } => {
+                if term > self.term || (term == self.term && self.role == Role::Candidate) {
+                    self.step_down(term, ctx);
+                }
+                let from_leader = matches!(msg, SnapshotMsg::Install(_));
+                if from_leader && term < self.term {
+                    // A deposed leader learns the term from the nack.
+                    let (term, success, match_index) = (self.term, false, 0);
+                    let nack = RaftMsg::AppendAck {
+                        term,
+                        success,
+                        match_index,
+                    };
+                    return ctx.send(from, nack);
+                }
+                let mine = self.is_leader() && term == self.term;
+                if from_leader {
+                    self.leader_hint = Some(from);
+                } else if mine && self.match_index.contains_key(&from) {
+                    self.last_heard.insert(from, ctx.now());
+                } else {
+                    return;
+                }
+                if let Some(msg) = self.exchange_step(from, msg, ctx) {
+                    let term = self.term;
+                    ctx.send(from, RaftMsg::Snapshot { term, msg });
+                }
+                if from_leader {
+                    self.last_contact = ctx.now(); // after an install, as for appends
                 }
             }
         }
@@ -1241,13 +1354,7 @@ impl Replica for Raft {
             }
             TIMER_HEARTBEAT => {
                 if self.role == Role::Leader {
-                    ctx.broadcast(RaftMsg::AppendEntries {
-                        term: self.term,
-                        prev_index: self.last_index(),
-                        prev_term: self.last_term(),
-                        entries: Vec::new(),
-                        commit: self.commit,
-                    });
+                    ctx.broadcast(self.append_from(self.last_index() + 1, self.last_term()));
                     ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
                 }
             }
@@ -1290,6 +1397,7 @@ impl Replica for Raft {
             RaftMsg::AppendEntries { entries, .. } if entries.is_empty() => "heartbeat",
             RaftMsg::AppendEntries { .. } => "append_entries",
             RaftMsg::AppendAck { .. } => "append_ack",
+            RaftMsg::Snapshot { msg, .. } => msg.kind(),
         }
     }
 
@@ -1813,16 +1921,16 @@ mod tests {
         assert_eq!(
             r2.last_index(),
             600,
-            "checkpoint + WAL must rebuild the whole log"
+            "checkpoint + WAL must rebuild the log up to its end"
         );
         assert_eq!(r2.term(), 1);
-        assert_eq!(
-            r2.store().unwrap().executed(),
-            0,
-            "state machine is volatile; nothing executes until commit is re-learned"
-        );
+        // The checkpoint was taken at the 512th WAL record (the term, then
+        // 511 splices), with 509 entries applied: that is where the store
+        // resumes, and the log holds what lies above.
+        assert_eq!(r2.store().unwrap().executed(), 509);
+        assert_eq!((r2.applied, r2.log.base()), (509, 509));
         // The next heartbeat re-teaches the commit index and execution
-        // catches up from the recovered log.
+        // catches up from there over the recovered log.
         let mut ctx2 = probe(NodeId::new(0, 1));
         r2.on_message(
             leader,
@@ -1897,8 +2005,9 @@ mod tests {
         );
         let mut ctx2 = probe(NodeId::new(0, 1));
         r2.on_recover(&mut ctx2);
-        assert_eq!(r2.log, r.log);
+        assert_eq!(r2.last_index(), total);
         r2.on_message(leader, heartbeat(total), &mut ctx2);
+        assert_eq!(r2.log, r.log, "both windows are empty above {total}");
         assert_eq!(r2.store.dump(), r.store.dump());
     }
 
@@ -1996,7 +2105,8 @@ mod tests {
         l.on_request(request(1), ctx);
         settle(&mut nodes, &[]);
         assert!(nodes[0].1.replies.iter().any(|r| r.id.seq == 1 && r.ok));
-        let acked = nodes[0].0.log.clone();
+        let end = |r: &Raft| (r.last_index(), r.last_term());
+        let acked = end(&nodes[0].0);
 
         // Write 2: the AppendEntries is handed to the context while the
         // leader's disk has not synced its own splice ...
@@ -2017,7 +2127,7 @@ mod tests {
         // One follower takes the entry; the leader dies with its disk as of
         // the broadcast instant. Nobody was told write 2 committed.
         settle(&mut nodes, &[n0, n2]);
-        assert_eq!(nodes[1].0.last_index(), acked.len() as u64);
+        assert_eq!(nodes[1].0.last_index(), acked.0 + 1);
         assert!(nodes[0].1.replies.iter().all(|r| r.id.seq != 2));
         let disk: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
         let mut s = disk.open(0);
@@ -2026,7 +2136,7 @@ mod tests {
             s.append(rec).unwrap();
         }
         nodes[0] = (durable(n0, &disk), probe(n0));
-        assert_eq!(nodes[0].0.log, acked, "the splice was not on disk");
+        assert_eq!(end(&nodes[0].0), acked, "the splice was not on disk");
 
         // It rejoins and campaigns. 0.1's longer log denies it, 0.2 elects
         // it, and its new term overwrites the entry nobody acknowledged —
@@ -2036,10 +2146,256 @@ mod tests {
         settle(&mut nodes, &[]);
         assert!(nodes[0].0.is_leader());
         for (r, _) in &nodes {
-            assert_eq!(r.log[..acked.len()], acked[..], "acknowledged write lost");
-            assert_eq!(r.log, nodes[0].0.log);
+            assert_eq!(end(r), end(&nodes[0].0));
         }
-        assert_eq!(nodes[0].0.store.get(1), Some(&vec![1]));
+        let store = &nodes[0].0.store;
+        assert_eq!(store.get(1), Some(&vec![1]), "acknowledged write lost");
+    }
+
+    // --- the log is a window; what lies below it is an image ---
+
+    /// A lockstep 3-node cluster of `make`'s replicas, node 0 elected.
+    fn lockstep(make: impl Fn(NodeId) -> Raft) -> Vec<(Raft, Probe)> {
+        let ids = ClusterConfig::lan(3).all_nodes();
+        let mut nodes: Vec<(Raft, Probe)> = ids.iter().map(|&id| (make(id), probe(id))).collect();
+        for (r, ctx) in nodes.iter_mut() {
+            r.on_start(ctx);
+        }
+        settle(&mut nodes, &[]);
+        assert!(nodes[0].0.is_leader());
+        nodes
+    }
+
+    fn on_mem_disks(hub: &paxi_storage::MemHub<u32>) -> impl Fn(NodeId) -> Raft + '_ {
+        move |id| {
+            let mut r = Raft::new(id, ClusterConfig::lan(3), RaftConfig::default());
+            r.attach_storage(Box::new(hub.open(id.node as u32)));
+            r
+        }
+    }
+
+    /// Commits `seqs` through the leader, one lockstep round each.
+    fn commit_all(nodes: &mut [(Raft, Probe)], seqs: std::ops::Range<u64>, down: &[NodeId]) {
+        for seq in seqs {
+            let (l, ctx) = &mut nodes[0];
+            l.on_request(request(seq), ctx);
+            settle(nodes, down);
+        }
+    }
+
+    #[test]
+    fn follower_below_the_leaders_window_is_sent_the_image_and_resumes_at_its_base() {
+        use crate::snapshot::Image;
+        use paxi_storage::{FsyncPolicy, MemHub};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let mut nodes = lockstep(on_mem_disks(&hub));
+        let n2 = nodes[2].1.id;
+        commit_all(&mut nodes, 0..5, &[]);
+        // Node 2 goes dark for longer than an election timeout while 40 more
+        // writes commit: the leader stops keeping the log for it.
+        let dark = RaftConfig::default().election_timeout.0 + 1;
+        nodes[0]
+            .1
+            .clock
+            .store(dark, std::sync::atomic::Ordering::SeqCst);
+        commit_all(&mut nodes, 5..45, &[n2]);
+        let (leader, lagging) = (&nodes[0].0, &nodes[2].0);
+        assert!(
+            leader.log.base() > lagging.last_index() + 30,
+            "released past it"
+        );
+        let hint = lagging.last_index();
+
+        // It is back and nacks an append: what it needs is no longer log.
+        let (l, ctx) = &mut nodes[0];
+        let (term, success) = (l.term(), false);
+        l.on_message(
+            n2,
+            RaftMsg::AppendAck {
+                term,
+                success,
+                match_index: hint,
+            },
+            ctx,
+        );
+        let base = l.applied;
+        match &ctx.sent[..] {
+            [(
+                Some(to),
+                RaftMsg::Snapshot {
+                    msg: SnapshotMsg::Install(chunk),
+                    ..
+                },
+            )] => {
+                assert_eq!(
+                    (*to, chunk.base, chunk.index, chunk.last),
+                    (n2, base, 0, false)
+                );
+            }
+            other => panic!("expected the first chunk of an image, got {other:?}"),
+        }
+        hub.drain_appends(&2);
+        settle(&mut nodes, &[]);
+
+        // Staged, installed through its WAL, acknowledged — and the leader's
+        // next AppendEntries spliced right above the image's base.
+        let (leader, healed) = (&nodes[0].0, &nodes[2].0);
+        assert_eq!(healed.log.base(), base, "the window restarts at the image");
+        assert_eq!(healed.last_index(), leader.last_index());
+        assert_eq!(leader.match_index[&n2], leader.last_index());
+        assert_eq!(healed.applied, base);
+        let on_disk = hub.open(2).recover().unwrap();
+        let image = Image::decode(&on_disk.snapshot.expect("installed through the WAL")).unwrap();
+        assert_eq!(
+            (image.meta.base, image.meta.promised.n),
+            (base, healed.term())
+        );
+        assert_eq!(image.store.dump(), healed.store.dump());
+        assert!(on_disk.records.is_empty(), "the image replaced its WAL");
+        // The next write is spliced right above the base and logged after
+        // the image; a heartbeat then teaches the commit index, and from the
+        // disk alone the replica comes back with everything.
+        commit_all(&mut nodes, 45..46, &[]);
+        assert_eq!(
+            (nodes[2].0.log.base(), nodes[2].0.last_index()),
+            (base, base + 1)
+        );
+        assert_eq!(hub.open(2).recover().unwrap().records.len(), 1);
+        let (l, ctx) = &mut nodes[0];
+        let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
+        l.on_timer(TIMER_HEARTBEAT, token, ctx);
+        settle(&mut nodes, &[]);
+        assert_eq!(nodes[2].0.store.dump(), nodes[0].0.store.dump());
+        hub.crash(&2);
+        let reborn = on_mem_disks(&hub)(n2);
+        assert_eq!(reborn.last_index(), nodes[0].0.last_index());
+        assert!(reborn.applied >= base && reborn.store.executed() >= 40);
+    }
+
+    #[test]
+    fn a_replica_recovered_from_a_windowed_checkpoint_serves_the_pre_crash_values() {
+        use paxi_storage::{FsyncPolicy, MemHub};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let me = NodeId::new(0, 0);
+        let durable = || {
+            let mut r = Raft::new(me, ClusterConfig::lan(1), RaftConfig::default());
+            r.attach_storage(Box::new(hub.open(0)));
+            r
+        };
+        let put = |seq: u64| paxi_core::ClientRequest {
+            id: RequestId::new(paxi_core::ClientId(1), seq),
+            cmd: Command::put(seq % 10, vec![seq as u8]),
+        };
+        let (mut r, mut ctx) = (durable(), probe(me));
+        r.on_start(&mut ctx);
+        for seq in 0..600 {
+            r.on_request(put(seq), &mut ctx);
+        }
+        assert!(r.log.is_empty(), "everything applied has left the window");
+        hub.crash(&0);
+
+        // From the disk: the image holds the store as of the checkpoint,
+        // the WAL the entries since; nothing is replayed from index 1.
+        let (mut r, mut ctx) = (durable(), probe(me));
+        assert!(r.log.base() > 500 && r.applied == r.log.base());
+        assert_eq!(r.store.executed(), r.applied);
+        assert_eq!(r.last_index(), 601);
+        let above = 601 - r.log.base();
+        r.on_recover(&mut ctx);
+        assert!(r.is_leader());
+        // A duplicate of the last write to key 9 is told the value it
+        // overwrites — its own — and a read sees the last write to key 8.
+        // (The sole voter commits its recovered tail with its next append.)
+        r.on_request(put(599), &mut ctx);
+        r.on_request(
+            paxi_core::ClientRequest {
+                id: RequestId::new(paxi_core::ClientId(2), 0),
+                cmd: Command::get(8),
+            },
+            &mut ctx,
+        );
+        // What the image holds is not applied — or answered — again; the
+        // entries above it are, before these two.
+        assert_eq!(ctx.replies.len() as u64, above + 2);
+        let values: Vec<_> = ctx.replies.iter().map(|resp| resp.value.clone()).collect();
+        assert_eq!(values[above as usize..], [Some(vec![87]), Some(vec![86])]);
+        // 601 before the crash, then this term's no-op and the two above:
+        // nothing was applied twice.
+        assert_eq!(r.store.executed(), 604);
+    }
+
+    #[test]
+    fn a_vote_with_an_empty_window_is_judged_against_the_bases_term() {
+        let me = NodeId::new(0, 1);
+        let mut r = Raft::new(me, ClusterConfig::lan(3), RaftConfig::default());
+        // Ten entries applied and released, the tenth of term 3.
+        r.term = 3;
+        r.log.reset(10, 3);
+        (r.commit, r.applied) = (10, 10);
+        let mut ctx = probe(me);
+        let mut ask = |term, last_log_index, last_log_term| {
+            let vote = RaftMsg::RequestVote {
+                term,
+                last_log_index,
+                last_log_term,
+            };
+            r.on_message(NodeId::new(0, 2), vote, &mut ctx);
+            match ctx.sent.pop() {
+                Some((_, RaftMsg::Vote { granted, .. })) => granted,
+                other => panic!("expected a vote, got {other:?}"),
+            }
+        };
+        assert!(!ask(4, 50, 2), "a longer log of an older term is behind");
+        assert!(!ask(5, 9, 3), "the same term, one entry short");
+        assert!(ask(6, 10, 3), "exactly as far as the base");
+    }
+
+    #[test]
+    fn three_durable_replicas_retain_the_in_flight_window_and_a_restart_serves_the_same_values() {
+        use paxi_storage::{FileStorage, FsyncPolicy};
+        let root = std::env::temp_dir().join(format!("paxi-raft-window-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let on_files = |id: NodeId| {
+            let dir = root.join(format!("node-{}", id.node));
+            let mut r = Raft::new(id, ClusterConfig::lan(3), RaftConfig::default());
+            r.attach_storage(Box::new(
+                FileStorage::open(dir, FsyncPolicy::Never).unwrap(),
+            ));
+            r
+        };
+        let mut nodes = lockstep(on_files);
+        let total = 5_000u64;
+        for first in (0..total).step_by(100) {
+            commit_all(&mut nodes, first..first + 100, &[]);
+            // Every peer has acked the round: the leader keeps only what the
+            // followers have yet to be told is committed, they keep that.
+            for (r, _) in &nodes {
+                assert!(r.log.len() <= 2, "{} entries retained", r.log.len());
+            }
+        }
+        assert_eq!(nodes[0].1.replies.len() as u64, total);
+        assert_eq!(
+            nodes[0].0.store.executed(),
+            total + 1,
+            "and the term's no-op"
+        );
+        // Node 1 restarts from its directory (a clean stop: what it logged
+        // is synced) and is told the commit index by the next heartbeat.
+        nodes[1].0.wal.as_mut().unwrap().sync().unwrap();
+        let n1 = nodes[1].1.id;
+        nodes[1] = (on_files(n1), probe(n1));
+        assert!(nodes[1].0.log.len() < 2_000 && nodes[1].0.store.executed() > 3_000);
+        let (r, ctx) = &mut nodes[1];
+        r.on_recover(ctx);
+        let (l, ctx) = &mut nodes[0];
+        let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
+        l.on_timer(TIMER_HEARTBEAT, token, ctx);
+        settle(&mut nodes, &[]);
+        for key in 0..total {
+            let values: Vec<_> = nodes.iter().map(|(r, _)| r.store.get(key)).collect();
+            assert_eq!(values, vec![Some(&vec![1]); 3], "key {key}");
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     fn mig_spec() -> paxi_core::migration::MigrationSpec {

@@ -4,6 +4,7 @@
 //!
 //! ```text
 //! <dir>/snapshot.bin      # u64 WAL epoch + last installed snapshot (tmp + rename)
+//! <dir>/snapshot.tmp      # an install in progress; recovery deletes it
 //! <dir>/wal-000001.log    # WAL segments, rotated at ~1 MiB
 //! <dir>/wal-000002.log
 //! ```
@@ -22,7 +23,7 @@
 //! which is the durability model the recovery tests exercise.
 
 use crate::record::{encode_record, scan_records, Damage};
-use crate::{FsyncPolicy, Recovery, Storage, StorageError};
+use crate::{ChunkSource, FsyncPolicy, Recovery, Storage, StorageError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -104,6 +105,11 @@ impl FileStorage {
 
     fn snapshot_path(dir: &Path) -> PathBuf {
         dir.join("snapshot.bin")
+    }
+
+    /// Where an install writes the image before renaming it into place.
+    fn snapshot_tmp_path(dir: &Path) -> PathBuf {
+        dir.join("snapshot.tmp")
     }
 
     /// The WAL epoch recorded in the snapshot header (0 when there is no
@@ -214,15 +220,26 @@ impl Storage for FileStorage {
     }
 
     fn install_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError> {
+        self.install_snapshot_chunks(&mut Some(snapshot))
+    }
+
+    fn install_snapshot_chunks(
+        &mut self,
+        chunks: &mut dyn ChunkSource,
+    ) -> Result<(), StorageError> {
         // Every segment on disk is numbered <= active_seq, so stamping the
         // next sequence as the epoch marks them all as superseded the
         // instant the rename below lands.
         let epoch = self.active_seq + 1;
-        let tmp = self.dir.join("snapshot.tmp");
+        let tmp = Self::snapshot_tmp_path(&self.dir);
         {
+            // A crash in here leaves a partial tmp beside the old snapshot
+            // and the old WAL; recovery deletes it.
             let mut f = File::create(&tmp)?;
             f.write_all(&epoch.to_le_bytes())?;
-            f.write_all(snapshot)?;
+            while let Some(chunk) = chunks.next_chunk() {
+                f.write_all(chunk)?;
+            }
             f.sync_data()?;
         }
         fs::rename(&tmp, Self::snapshot_path(&self.dir))?;
@@ -257,6 +274,13 @@ impl Storage for FileStorage {
             }
         }
         let mut dir_dirty = false;
+        // An install that died before its rename: the old snapshot and the
+        // old WAL are the state, the partial image is garbage.
+        let tmp = Self::snapshot_tmp_path(&self.dir);
+        if tmp.exists() {
+            fs::remove_file(tmp)?;
+            dir_dirty = true;
+        }
         let segments = Self::segments(&self.dir)?;
         for (i, (seq, path)) in segments.iter().enumerate() {
             if *seq < epoch {
@@ -470,6 +494,100 @@ mod tests {
         );
         assert!(!seg.exists(), "recovery finishes the interrupted deletion");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Hands out `chunks`; before handing out chunk `at` (or the final
+    /// `None`, for `at == chunks.len()`) it copies the directory as it is —
+    /// what a kill at that instant leaves behind.
+    struct KilledAt<'a> {
+        chunks: &'a [&'a [u8]],
+        given: usize,
+        at: usize,
+        dir: &'a Path,
+        photo: &'a Path,
+    }
+
+    impl ChunkSource for KilledAt<'_> {
+        fn next_chunk(&mut self) -> Option<&[u8]> {
+            if self.given == self.at {
+                fs::create_dir_all(self.photo).unwrap();
+                for entry in fs::read_dir(self.dir).unwrap() {
+                    let entry = entry.unwrap();
+                    fs::copy(entry.path(), self.photo.join(entry.file_name())).unwrap();
+                }
+            }
+            self.given += 1;
+            self.chunks.get(self.given - 1).copied()
+        }
+    }
+
+    #[test]
+    fn interrupted_chunked_install_recovers_the_old_state_or_the_new_never_a_mix() {
+        let chunks: [&[u8]; 3] = [b"NEW-", b"IMAGE-", b"CHUNKS"];
+        let recover = |dir: &Path| {
+            FileStorage::open(dir, FsyncPolicy::Always)
+                .unwrap()
+                .recover()
+                .unwrap()
+        };
+        for at in 0..=chunks.len() {
+            let dir = temp_dir(&format!("chunked-{at}"));
+            let photo = temp_dir(&format!("chunked-{at}-photo"));
+            let mut s = FileStorage::open(&dir, FsyncPolicy::Always).unwrap();
+            s.append(b"pre-old-image").unwrap();
+            s.install_snapshot(b"OLD").unwrap();
+            s.append(b"wal-a").unwrap();
+            s.append(b"wal-b").unwrap();
+            let stale = FileStorage::segments(&dir).unwrap();
+            let stale: Vec<_> = stale
+                .into_iter()
+                .map(|(_, p)| (fs::read(&p).unwrap(), p))
+                .collect();
+            s.install_snapshot_chunks(&mut KilledAt {
+                chunks: &chunks,
+                given: 0,
+                at,
+                dir: &dir,
+                photo: &photo,
+            })
+            .unwrap();
+            s.append(b"wal-c").unwrap();
+
+            // Killed after `at` of 3 chunks (3: all written, not renamed).
+            assert!(FileStorage::snapshot_tmp_path(&photo).exists());
+            let r = recover(&photo);
+            assert_eq!(r.snapshot.as_deref(), Some(b"OLD".as_slice()), "at {at}");
+            assert_eq!(payloads(&r), vec![b"wal-a".as_slice(), b"wal-b"]);
+            assert!(
+                !FileStorage::snapshot_tmp_path(&photo).exists(),
+                "recovery deletes the partial image"
+            );
+            // The same kill with the last WAL record torn as well.
+            let seg = FileStorage::segments(&photo).unwrap().pop().unwrap().1;
+            let len = fs::metadata(&seg).unwrap().len();
+            let f = OpenOptions::new().write(true).open(&seg).unwrap();
+            f.set_len(len - 3).unwrap();
+            let r = recover(&photo);
+            assert_eq!(r.damage, Damage::TornTail);
+            assert_eq!(r.snapshot.as_deref(), Some(b"OLD".as_slice()));
+            assert_eq!(payloads(&r), vec![b"wal-a".as_slice()]);
+
+            // Killed after the rename, before the segment deletions: the old
+            // segments are back beside the new image.
+            for (bytes, path) in &stale {
+                fs::write(path, bytes).unwrap();
+            }
+            let r = recover(&dir);
+            assert_eq!(r.snapshot.as_deref(), Some(b"NEW-IMAGE-CHUNKS".as_slice()));
+            assert_eq!(payloads(&r), vec![b"wal-c".as_slice()], "at {at}");
+            // Killed after the deletions: the same, and nothing to clean up.
+            let r = recover(&dir);
+            assert_eq!(r.damage, Damage::Clean);
+            assert_eq!(r.snapshot.as_deref(), Some(b"NEW-IMAGE-CHUNKS".as_slice()));
+            assert_eq!(payloads(&r), vec![b"wal-c".as_slice()]);
+            fs::remove_dir_all(&dir).ok();
+            fs::remove_dir_all(&photo).ok();
+        }
     }
 
     #[test]

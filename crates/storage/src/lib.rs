@@ -125,6 +125,24 @@ pub fn snapshot_due(records_since: u64, snapshot_holds: u64) -> bool {
     records_since >= snapshot_holds.max(SNAPSHOT_EVERY)
 }
 
+/// Hands a snapshot to [`Storage::install_snapshot_chunks`] one bounded chunk
+/// at a time, so neither side ever holds the whole image: the producer
+/// encodes into one buffer it reuses, the backend writes each chunk out
+/// before asking for the next. The installed snapshot is the chunks'
+/// concatenation.
+pub trait ChunkSource {
+    /// The next chunk, or `None` once the image is complete. The slice is
+    /// only valid until the next call.
+    fn next_chunk(&mut self) -> Option<&[u8]>;
+}
+
+/// A whole snapshot already in one buffer, as a one-chunk source.
+impl ChunkSource for Option<&[u8]> {
+    fn next_chunk(&mut self) -> Option<&[u8]> {
+        self.take()
+    }
+}
+
 /// A durable log + snapshot store for one replica.
 ///
 /// Protocols append opaque payloads (their own serialized WAL records) at
@@ -153,6 +171,22 @@ pub trait Storage: Send {
     /// Atomically installs `snapshot` and truncates the WAL. Durable on
     /// return regardless of policy (a snapshot that can vanish is useless).
     fn install_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError>;
+
+    /// [`Storage::install_snapshot`] for an image that arrives in chunks:
+    /// same atomicity (a crash at any point leaves the old snapshot with
+    /// the old WAL, or the complete new snapshot), without the image ever
+    /// being in one buffer. The default is for decorators and simple
+    /// backends: it concatenates the chunks and installs them as one.
+    fn install_snapshot_chunks(
+        &mut self,
+        chunks: &mut dyn ChunkSource,
+    ) -> Result<(), StorageError> {
+        let mut whole = Vec::new();
+        while let Some(chunk) = chunks.next_chunk() {
+            whole.extend_from_slice(chunk);
+        }
+        self.install_snapshot(&whole)
+    }
 
     /// Reads back the snapshot and the intact log suffix, truncating any
     /// torn or corrupt tail it finds.

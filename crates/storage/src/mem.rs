@@ -8,7 +8,7 @@
 //! and allocation-only, so simulation runs stay bit-for-bit deterministic.
 
 use crate::record::{encode_record, record_spans, scan_records};
-use crate::{FsyncPolicy, Recovery, Storage, StorageError};
+use crate::{ChunkSource, FsyncPolicy, Recovery, Storage, StorageError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -28,6 +28,9 @@ pub enum StorageFault {
 #[derive(Debug, Default)]
 struct MemDisk {
     snapshot: Option<Vec<u8>>,
+    /// A snapshot install in progress — the file backend's `snapshot.tmp`.
+    /// It survives a crash as garbage and recovery deletes it.
+    staging: Option<Vec<u8>>,
     /// Bytes that survived the last sync (or snapshot install).
     synced: Vec<u8>,
     /// Appends since the last sync — lost if the node crashes.
@@ -127,6 +130,21 @@ impl<K: Eq + Hash + Clone + Send + 'static> MemHub<K> {
         }
     }
 
+    /// Copies what `key`'s disk would hold if the machine lost power at this
+    /// instant — the snapshot, a half-written install, the synced log — to
+    /// the disk `to`, so a test can recover from any intermediate state
+    /// while the original carries on. Armed faults are not copied.
+    pub fn fork_crashed(&self, key: &K, to: K) {
+        let mut disks = self.disks.lock();
+        let image = disks.get(key).map(|d| MemDisk {
+            snapshot: d.snapshot.clone(),
+            staging: d.staging.clone(),
+            synced: d.synced.clone(),
+            ..MemDisk::default()
+        });
+        disks.insert(to, image.unwrap_or_default());
+    }
+
     /// Returns and resets the number of syncs `key`'s disk performed since
     /// the last drain — the simulator turns these into service time.
     pub fn drain_syncs(&self, key: &K) -> u64 {
@@ -206,9 +224,29 @@ impl<K: Eq + Hash + Clone + Send + 'static> Storage for MemStorage<K> {
     }
 
     fn install_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError> {
+        self.install_snapshot_chunks(&mut Some(snapshot))
+    }
+
+    fn install_snapshot_chunks(
+        &mut self,
+        chunks: &mut dyn ChunkSource,
+    ) -> Result<(), StorageError> {
+        // The lock is taken per step, as the file backend's crash points
+        // are: the hub can crash or copy this disk between any two chunks.
+        let key = &self.key;
+        self.disks.lock().entry(key.clone()).or_default().staging = Some(Vec::new());
+        while let Some(chunk) = chunks.next_chunk() {
+            let mut disks = self.disks.lock();
+            let d = disks.entry(key.clone()).or_default();
+            d.staging
+                .get_or_insert_with(Vec::new)
+                .extend_from_slice(chunk);
+        }
+        // The rename and the truncation of the log, as one step: the file
+        // backend's snapshot epoch makes its two steps atomic to recovery.
         let mut disks = self.disks.lock();
-        let d = disks.entry(self.key.clone()).or_default();
-        d.snapshot = Some(snapshot.to_vec());
+        let d = disks.entry(key.clone()).or_default();
+        d.snapshot = Some(d.staging.take().unwrap_or_default());
         d.synced.clear();
         d.unsynced.clear();
         d.unsynced_appends = 0;
@@ -225,6 +263,7 @@ impl<K: Eq + Hash + Clone + Send + 'static> Storage for MemStorage<K> {
         // are durable afterwards — returning buffered records while
         // discarding them from the disk would lose them at the next crash.
         d.flush();
+        d.staging = None;
         let scan = scan_records(&d.synced);
         // Repair: drop the damaged tail so the next append starts clean.
         d.synced.truncate(scan.valid_len);
@@ -323,6 +362,78 @@ mod tests {
         let r = s.recover().unwrap();
         assert_eq!(r.snapshot.as_deref(), Some(b"STATE".as_slice()));
         assert_eq!(payloads(&r), vec![b"post-snapshot".as_slice()]);
+    }
+
+    /// Hands out `chunks`; before handing out chunk `at` (or the final
+    /// `None`) it forks the disk as a power loss at that instant leaves it.
+    struct KilledAt<'a> {
+        chunks: &'a [&'a [u8]],
+        given: usize,
+        at: usize,
+        hub: &'a MemHub<u32>,
+    }
+
+    impl ChunkSource for KilledAt<'_> {
+        fn next_chunk(&mut self) -> Option<&[u8]> {
+            if self.given == self.at {
+                self.hub.fork_crashed(&1, 100);
+            }
+            self.given += 1;
+            self.chunks.get(self.given - 1).copied()
+        }
+    }
+
+    #[test]
+    fn interrupted_chunked_install_recovers_the_old_state_or_the_new_never_a_mix() {
+        let chunks: [&[u8]; 3] = [b"NEW-", b"IMAGE-", b"CHUNKS"];
+        for at in 0..=chunks.len() {
+            for fault in [
+                None,
+                Some(StorageFault::TornTail),
+                Some(StorageFault::CorruptRecord),
+            ] {
+                let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+                let mut s = hub.open(1);
+                s.append(b"pre-old-image").unwrap();
+                s.install_snapshot(b"OLD").unwrap();
+                s.append(b"wal-a").unwrap();
+                s.append(b"wal-b").unwrap();
+                s.install_snapshot_chunks(&mut KilledAt {
+                    chunks: &chunks,
+                    given: 0,
+                    at,
+                    hub: &hub,
+                })
+                .unwrap();
+                s.append(b"wal-c").unwrap();
+                assert_eq!(hub.drain_syncs(&1), 6, "a chunked install is one sync");
+
+                // Killed after `at` of 3 chunks: the old image, the old WAL
+                // (less the record the fault took), no trace of the new one.
+                fault.into_iter().for_each(|f| hub.inject(100, f));
+                hub.crash(&100);
+                let r = hub.open(100).recover().unwrap();
+                assert_eq!(r.snapshot.as_deref(), Some(b"OLD".as_slice()), "at {at}");
+                match fault {
+                    None => assert_eq!(payloads(&r), vec![b"wal-a".as_slice(), b"wal-b"]),
+                    Some(_) => assert_eq!(payloads(&r), vec![b"wal-a".as_slice()]),
+                }
+                let again = hub.open(100).recover().unwrap();
+                assert_eq!(again.damage, Damage::Clean);
+                assert_eq!(again.snapshot, r.snapshot);
+                assert_eq!(again.records, r.records);
+
+                // Completed: the new image, and only what was logged since.
+                fault.into_iter().for_each(|f| hub.inject(1, f));
+                hub.crash(&1);
+                let r = hub.open(1).recover().unwrap();
+                assert_eq!(r.snapshot.as_deref(), Some(b"NEW-IMAGE-CHUNKS".as_slice()));
+                match fault {
+                    None => assert_eq!(payloads(&r), vec![b"wal-c".as_slice()]),
+                    Some(_) => assert!(r.records.is_empty()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! so the exact run can be replayed (see EXPERIMENTS.md, "Chaos & nemesis
 //! runs").
 
-use paxi::bench::{generate_schedule, run_nemesis, NemesisConfig, Proto};
-use paxi::core::{ClusterConfig, Nanos};
+use paxi::bench::{
+    generate_schedule, lagging_then_only_electable, run_nemesis, run_schedule, shrink_nemesis,
+    NemesisConfig, Proto,
+};
+use paxi::core::{ClusterConfig, CrashMode, Nanos};
 use paxi::protocols::raft::RaftConfig;
 use paxi::protocols::wpaxos::WPaxosConfig;
 use paxi::sim::{SimConfig, Topology};
@@ -31,7 +34,13 @@ fn zoned_sim() -> SimConfig {
 }
 
 fn assert_clean(proto: &Proto, sim: SimConfig, cluster: ClusterConfig, cfg: NemesisConfig) {
-    let out = run_nemesis(proto, sim, cluster, &cfg);
+    let out = run_nemesis(proto, sim.clone(), cluster.clone(), &cfg);
+    if out.anomalies.is_empty() && out.tail_completed == 0 {
+        // A wedge: print the fault windows it takes. (Wedged runs are cheap
+        // to repeat; a run with an anomaly costs as much as a healthy one,
+        // so shrinking those is left to whoever investigates.)
+        shrink_nemesis(proto, sim, cluster, &cfg);
+    }
     assert!(
         out.anomalies.is_empty(),
         "{} seed {} digest {:#x}: {} anomalies, first {:?}\nschedule:\n{}",
@@ -101,6 +110,34 @@ fn nemesis_raft_three_seeds() {
             NemesisConfig { seed, ..Default::default() },
         );
     }
+}
+
+/// A follower is cut off until every peer has released what it missed, then
+/// is the only node that can gather a quorum: it has to be repaired by
+/// state transfer — as a follower, or as the leader it is elected — before
+/// anything commits again.
+fn lagging_then_only_electable_is_clean(proto: &Proto) {
+    let (sim, cluster) = (lan_sim(), ClusterConfig::lan(5));
+    let lagging = cluster.all_nodes()[3];
+    for mode in [CrashMode::Freeze, CrashMode::Amnesia] {
+        let horizon = sim.warmup + sim.measure;
+        let schedule = lagging_then_only_electable(&cluster, horizon, lagging, mode);
+        let cfg = NemesisConfig { seed: 6, crash_mode: mode, ..Default::default() };
+        let out = run_schedule(proto, sim.clone(), cluster.clone(), &cfg, schedule);
+        assert!(out.anomalies.is_empty(), "{} {mode:?}: {:?}", out.proto, out.anomalies.first());
+        assert!(out.tail_completed > 0, "{} {mode:?}: no progress after heal", out.proto);
+        assert!(out.completed > 1_000, "{} {mode:?}: {} completed", out.proto, out.completed);
+    }
+}
+
+#[test]
+fn paxos_node_isolated_past_the_window_then_the_only_electable_one() {
+    lagging_then_only_electable_is_clean(&Proto::paxos());
+}
+
+#[test]
+fn raft_node_isolated_past_the_window_then_the_only_electable_one() {
+    lagging_then_only_electable_is_clean(&Proto::Raft { cfg: RaftConfig::default(), cpu_penalty: 1.0 });
 }
 
 #[test]

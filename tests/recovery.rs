@@ -12,7 +12,7 @@
 //! exactly the unsynced suffix, and the protocols' real WAL record types
 //! must round-trip through the file backend.
 
-use paxi::bench::{run_nemesis, NemesisConfig, Proto};
+use paxi::bench::{run_nemesis, shrink_nemesis, NemesisConfig, Proto};
 use paxi::core::{Ballot, ClientId, ClusterConfig, Command, CrashMode, Nanos, NodeId, RequestId};
 use paxi::protocols::epaxos::{EpaxosWal, IRef, WalStatus};
 use paxi::protocols::paxos::PaxosWal;
@@ -35,7 +35,13 @@ fn amnesia(seed: u64) -> NemesisConfig {
 }
 
 fn assert_clean(proto: &Proto, sim: SimConfig, cluster: ClusterConfig, cfg: NemesisConfig) {
-    let out = run_nemesis(proto, sim, cluster, &cfg);
+    let out = run_nemesis(proto, sim.clone(), cluster.clone(), &cfg);
+    if out.anomalies.is_empty() && out.tail_completed == 0 {
+        // A wedge: print the fault windows it takes. (Wedged runs are cheap
+        // to repeat; a run with an anomaly costs as much as a healthy one,
+        // so shrinking those is left to whoever investigates.)
+        shrink_nemesis(proto, sim, cluster, &cfg);
+    }
     assert!(
         out.anomalies.is_empty(),
         "{} seed {} digest {:#x}: {} anomalies, first {:?}\nschedule:\n{}",
