@@ -10,7 +10,8 @@
 
 use crate::group::GroupId;
 use crate::id::{NodeId, RequestId};
-use serde::{Deserialize, Serialize};
+use serde::de::{self, Visitor};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 
 /// Keys are dense integers; the benchmark draws them from `0..K` using one of
@@ -20,8 +21,42 @@ pub type Key = u64;
 /// Opaque value bytes.
 pub type Value = Vec<u8>;
 
-/// The operation part of a command.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A value on its way out through serde as one byte string — a length and a
+/// `memcpy` — where a `Vec<u8>` is a sequence of `u8` elements, one call
+/// each. The codec writes the same bytes either way.
+struct Bytes<'a>(&'a [u8]);
+
+impl Serialize for Bytes<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(self.0)
+    }
+}
+
+/// [`Bytes`] on its way in.
+struct ByteBuf(Value);
+
+impl<'de> Deserialize<'de> for ByteBuf {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct BytesVisitor;
+        impl Visitor<'_> for BytesVisitor {
+            type Value = ByteBuf;
+            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("a byte string")
+            }
+            fn visit_bytes<E: de::Error>(self, v: &[u8]) -> Result<ByteBuf, E> {
+                Ok(ByteBuf(v.to_vec()))
+            }
+            fn visit_byte_buf<E: de::Error>(self, v: Vec<u8>) -> Result<ByteBuf, E> {
+                Ok(ByteBuf(v))
+            }
+        }
+        deserializer.deserialize_byte_buf(BytesVisitor)
+    }
+}
+
+/// The operation part of a command. Serialized as the derive would, but for
+/// the value, which travels as [`Bytes`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Read the current version of the key.
     Get,
@@ -29,6 +64,41 @@ pub enum Op {
     Put(Value),
     /// Remove the key (records a tombstone version).
     Delete,
+}
+
+#[derive(Serialize)]
+enum OpOut<'a> {
+    Get,
+    Put(Bytes<'a>),
+    Delete,
+}
+
+#[derive(Deserialize)]
+enum OpIn {
+    Get,
+    Put(ByteBuf),
+    Delete,
+}
+
+impl Serialize for Op {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let out = match self {
+            Op::Get => OpOut::Get,
+            Op::Put(v) => OpOut::Put(Bytes(v)),
+            Op::Delete => OpOut::Delete,
+        };
+        out.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Op {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Ok(match OpIn::deserialize(deserializer)? {
+            OpIn::Get => Op::Get,
+            OpIn::Put(v) => Op::Put(v.0),
+            OpIn::Delete => Op::Delete,
+        })
+    }
 }
 
 impl Op {
@@ -103,7 +173,9 @@ pub struct ClientRequest {
 }
 
 /// The reply a replica produces once a command is committed and executed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Serialized as the derive would, but for the value, which travels as
+/// [`Bytes`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientResponse {
     /// Echoes the request id.
     pub id: RequestId,
@@ -124,6 +196,50 @@ pub struct ClientResponse {
     /// Routers adopt the override (if its epoch beats their cache) and
     /// re-issue the command at the new owner.
     pub handoff: Option<Handoff>,
+}
+
+#[derive(Serialize)]
+struct ResponseOut<'a> {
+    id: RequestId,
+    value: Option<Bytes<'a>>,
+    ok: bool,
+    redirect: Option<NodeId>,
+    handoff: Option<Handoff>,
+}
+
+#[derive(Deserialize)]
+struct ResponseIn {
+    id: RequestId,
+    value: Option<ByteBuf>,
+    ok: bool,
+    redirect: Option<NodeId>,
+    handoff: Option<Handoff>,
+}
+
+impl Serialize for ClientResponse {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let out = ResponseOut {
+            id: self.id,
+            value: self.value.as_deref().map(Bytes),
+            ok: self.ok,
+            redirect: self.redirect,
+            handoff: self.handoff,
+        };
+        out.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for ClientResponse {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let r = ResponseIn::deserialize(deserializer)?;
+        Ok(ClientResponse {
+            id: r.id,
+            value: r.value.map(|v| v.0),
+            ok: r.ok,
+            redirect: r.redirect,
+            handoff: r.handoff,
+        })
+    }
 }
 
 /// An epoch-tagged range-ownership override carried on rejection responses

@@ -43,7 +43,7 @@
 
 use crate::command::{Command, Key, Op};
 use crate::group::GroupId;
-use crate::store::{StoreDump, Version};
+use crate::store::{take, take_u32, take_u64, MultiVersionStore};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -131,12 +131,12 @@ impl MigrationSpec {
     }
 
     fn decode_from(rest: &mut &[u8]) -> Option<Self> {
-        let id = decode_u64(rest)?;
-        let from = GroupId(decode_u32(rest)?);
-        let to = GroupId(decode_u32(rest)?);
-        let lo = decode_u64(rest)?;
-        let hi = decode_u64(rest)?;
-        let epoch = decode_u64(rest)?;
+        let id = take_u64(rest)?;
+        let from = GroupId(take_u32(rest)?);
+        let to = GroupId(take_u32(rest)?);
+        let lo = take_u64(rest)?;
+        let hi = take_u64(rest)?;
+        let epoch = take_u64(rest)?;
         Some(MigrationSpec {
             id,
             from,
@@ -173,8 +173,8 @@ pub enum CommitHalf {
 pub enum MigrationRecord {
     /// Phase 1, source log: freeze the range.
     Start(MigrationSpec),
-    /// Phase 2, destination log: install the frozen range state (the
-    /// encoded [`StoreDump`] produced by [`encode_range_state`]).
+    /// Phase 2, destination log: install the frozen range state (what
+    /// [`crate::store::MultiVersionStore::encode_range`] wrote).
     Install {
         /// The migration this install belongs to.
         spec: MigrationSpec,
@@ -250,12 +250,8 @@ impl MigrationRecord {
         let rec = match tag {
             TAG_START => MigrationRecord::Start(spec),
             TAG_INSTALL => {
-                let n = decode_u32(&mut rest)? as usize;
-                if rest.len() < n {
-                    return None;
-                }
-                let state = rest[..n].to_vec();
-                rest = &rest[n..];
+                let n = take_u32(&mut rest)? as usize;
+                let state = take(&mut rest, n)?.to_vec();
                 MigrationRecord::Install { spec, state }
             }
             TAG_COMMIT => {
@@ -301,94 +297,6 @@ pub fn is_migration_command(cmd: &Command) -> bool {
     cmd.key == MIGRATION_KEY
 }
 
-/// Encodes the multi-version state of a range (a [`StoreDump`] restricted
-/// to the range's keys) for embedding in [`MigrationRecord::Install`]. The
-/// dump's sorted-by-key invariant makes the bytes deterministic.
-pub fn encode_range_state(dump: &StoreDump) -> Vec<u8> {
-    let mut out = Vec::new();
-    let nk = dump.data.len().min(u32::MAX as usize) as u32;
-    out.extend_from_slice(&nk.to_le_bytes());
-    for (key, versions) in dump.data.iter().take(nk as usize) {
-        out.extend_from_slice(&key.to_le_bytes());
-        let nv = versions.len().min(u32::MAX as usize) as u32;
-        out.extend_from_slice(&nv.to_le_bytes());
-        for v in versions.iter().take(nv as usize) {
-            out.extend_from_slice(&v.seq.to_le_bytes());
-            out.extend_from_slice(&v.parent.to_le_bytes());
-            match &v.value {
-                Some(bytes) => {
-                    out.push(1);
-                    let n = bytes.len().min(u32::MAX as usize) as u32;
-                    out.extend_from_slice(&n.to_le_bytes());
-                    out.extend_from_slice(&bytes[..n as usize]);
-                }
-                None => out.push(0),
-            }
-        }
-    }
-    out
-}
-
-/// Decodes bytes produced by [`encode_range_state`]. Returns `None` (never
-/// panics) on truncation or trailing garbage. The returned dump carries
-/// `executed: 0` — the install must not perturb the destination's executed
-/// counter.
-pub fn decode_range_state(bytes: &[u8]) -> Option<StoreDump> {
-    let mut rest = bytes;
-    let nk = decode_u32(&mut rest)? as usize;
-    let mut data = Vec::with_capacity(nk.min(1024));
-    for _ in 0..nk {
-        let key = decode_u64(&mut rest)?;
-        let nv = decode_u32(&mut rest)? as usize;
-        let mut versions = Vec::with_capacity(nv.min(1024));
-        for _ in 0..nv {
-            let seq = decode_u64(&mut rest)?;
-            let parent = decode_u64(&mut rest)?;
-            let (&has, r) = rest.split_first()?;
-            rest = r;
-            let value = match has {
-                0 => None,
-                1 => {
-                    let n = decode_u32(&mut rest)? as usize;
-                    if rest.len() < n {
-                        return None;
-                    }
-                    let v = rest[..n].to_vec();
-                    rest = &rest[n..];
-                    Some(v)
-                }
-                _ => return None,
-            };
-            versions.push(Version { seq, parent, value });
-        }
-        data.push((key, versions));
-    }
-    if !rest.is_empty() {
-        return None;
-    }
-    Some(StoreDump { data, executed: 0 })
-}
-
-fn decode_u64(rest: &mut &[u8]) -> Option<u64> {
-    if rest.len() < 8 {
-        return None;
-    }
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&rest[..8]);
-    *rest = &rest[8..];
-    Some(u64::from_le_bytes(buf))
-}
-
-fn decode_u32(rest: &mut &[u8]) -> Option<u32> {
-    if rest.len() < 4 {
-        return None;
-    }
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(&rest[..4]);
-    *rest = &rest[4..];
-    Some(u32::from_le_bytes(buf))
-}
-
 /// One group replica's phase in a migration it participates in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MigrationPhase {
@@ -410,7 +318,7 @@ pub enum MigrationAction {
     /// Nothing beyond the tracker transition.
     None,
     /// Destination install: splice this range state into the store.
-    Install(StoreDump),
+    Install(MultiVersionStore),
     /// Source commit: remove the range's keys from the store.
     DropRange(KeyRange),
 }
@@ -489,12 +397,12 @@ impl MigrationTracker {
                 }
                 // An undecodable state payload is ignored outright: marking
                 // the install done without the data would lose the range.
-                let Some(dump) = decode_range_state(state) else {
+                let Some(range) = MultiVersionStore::decode_range(state) else {
                     return MigrationAction::None;
                 };
                 self.entries
                     .insert(spec.id, (spec, MigrationPhase::DestInstalled));
-                MigrationAction::Install(dump)
+                MigrationAction::Install(range)
             }
             MigrationRecord::Commit {
                 half: CommitHalf::Source,
@@ -636,10 +544,10 @@ impl MigrationTracker {
         let Some(mut rest) = bytes.strip_prefix(&[TAG_TRACKER]) else {
             return false;
         };
-        let Some(epoch) = decode_u64(&mut rest) else {
+        let Some(epoch) = take_u64(&mut rest) else {
             return false;
         };
-        let Some(n) = decode_u32(&mut rest) else {
+        let Some(n) = take_u32(&mut rest) else {
             return false;
         };
         let mut entries = BTreeMap::new();
@@ -689,7 +597,7 @@ mod tests {
         for &(k, v) in keys {
             s.execute(&Command::put(k, vec![v]));
         }
-        encode_range_state(&s.extract_range(0, Key::MAX))
+        s.encode_range(0, Key::MAX)
     }
 
     #[test]
@@ -781,23 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn range_state_round_trips() {
-        let mut s = MultiVersionStore::new();
-        s.execute(&Command::put(2, vec![1]));
-        s.execute(&Command::put(2, vec![2]));
-        s.execute(&Command::delete(3));
-        let dump = s.extract_range(2, 4);
-        let bytes = encode_range_state(&dump);
-        assert_eq!(decode_range_state(&bytes), Some(dump));
-        for cut in 0..bytes.len() {
-            assert_eq!(decode_range_state(&bytes[..cut]), None, "cut at {cut}");
-        }
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert_eq!(decode_range_state(&extra), None, "trailing garbage");
-    }
-
-    #[test]
     fn source_tracker_freezes_then_drops() {
         let mut t = MigrationTracker::new();
         t.set_group(GroupId(0));
@@ -831,10 +722,10 @@ mod tests {
             spec: spec(),
             state,
         };
-        let MigrationAction::Install(dump) = t.apply(&install) else {
+        let MigrationAction::Install(range) = t.apply(&install) else {
             panic!("first install must carry the state");
         };
-        assert_eq!(dump.data.len(), 1);
+        assert_eq!(range.get(2), Some(&[5][..]));
         assert_eq!(
             t.apply(&install),
             MigrationAction::None,

@@ -2,25 +2,65 @@
 //!
 //! Paxi ships an in-memory multi-version key-value store private to every
 //! node; it is the deterministic state machine the replication protocols
-//! drive. Every write produces a new [`Version`] that records its parent, so
-//! the full per-key history forms a chain (a degenerate DAG). The consensus
-//! checker collects these histories from every node and verifies that they
-//! share a common prefix, and the linearizability checker uses version values
-//! to validate reads.
+//! drive. Every write adds a version to its key's chain and nothing is ever
+//! taken out of the middle, so a version is its bytes and nothing else: its
+//! sequence number is its position (version `s` sits at index `s - 1`) and
+//! its parent is the slot before it. The consensus checker collects these
+//! histories from every node and verifies that they share a common prefix,
+//! and the linearizability checker uses version values to validate reads.
+//! The same fact gives versions one encoding, wherever they go — a
+//! checkpoint on disk, an `InstallSnapshot` chunk, a migrated range:
+//! [`MultiVersionStore::encode_chains`].
 
 use crate::command::{Command, Key, Op, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt;
+use std::mem::size_of;
 
-/// One committed version of a key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Version {
-    /// Per-key sequence number, starting at 1 for the first write.
-    pub seq: u64,
-    /// Sequence number of the predecessor version (0 = none).
-    pub parent: u64,
+/// Longest value kept inside its slot: a slot is as big as the `Vec<u8>`
+/// header a value on the heap would need anyway, less the tag and the length.
+const INLINE: usize = size_of::<Vec<u8>>() - 2;
+
+/// One committed version of a key: the value it installed, or a delete
+/// tombstone. Its per-key sequence number is its index in the chain plus
+/// one, its parent the version before it.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Version(Slot);
+
+/// A heap slot always holds more than [`INLINE`] bytes, so equal values are
+/// equal slots.
+#[derive(Clone, PartialEq, Eq)]
+enum Slot {
+    Tombstone,
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Heap(Box<[u8]>),
+}
+
+impl Version {
+    fn holding(v: &[u8]) -> Version {
+        if v.len() > INLINE {
+            return Version(Slot::Heap(v.into()));
+        }
+        let mut bytes = [0; INLINE];
+        bytes[..v.len()].copy_from_slice(v);
+        let len = v.len() as u8;
+        Version(Slot::Inline { len, bytes })
+    }
+
     /// The value installed by this version; `None` is a delete tombstone.
-    pub value: Option<Value>,
+    pub fn value(&self) -> Option<&[u8]> {
+        match &self.0 {
+            Slot::Tombstone => None,
+            Slot::Inline { len, bytes } => Some(&bytes[..usize::from(*len)]),
+            Slot::Heap(v) => Some(v),
+        }
+    }
+}
+
+impl fmt::Debug for Version {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.value().fmt(f)
+    }
 }
 
 /// Multi-version store: the deterministic state machine replicas execute
@@ -29,7 +69,7 @@ pub struct Version {
 /// The store is deliberately single-threaded — each replica owns its private
 /// instance and executes commands from its protocol handler, which the
 /// runtimes guarantee to be serial.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct MultiVersionStore {
     data: HashMap<Key, Vec<Version>>,
     executed: u64,
@@ -40,9 +80,9 @@ pub struct MultiVersionStore {
 
 /// A consistent view of a store at one instant, without copying it: every
 /// key in order with the length its chain had. Chains only grow between
-/// rewrites, so `store.history(key)[..len]` stays what it was at the cut for
-/// as long as [`MultiVersionStore::holds`] — which lets a snapshot be read
-/// out in pieces while the store keeps executing.
+/// rewrites, so `store.history(key)[..len]` stays what it was at the cut
+/// for as long as [`MultiVersionStore::holds`] — which lets a snapshot be
+/// read out in pieces while the store keeps executing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreCut {
     /// `(key, versions at the cut)`, sorted by key.
@@ -50,6 +90,16 @@ pub struct StoreCut {
     /// [`MultiVersionStore::executed`] at the cut.
     pub executed: u64,
     rewrites: u64,
+    /// How far [`MultiVersionStore::encode_chains`] has read the cut out:
+    /// the index in `keys` and the version of that key's chain it writes next.
+    at: (usize, usize),
+}
+
+impl StoreCut {
+    /// Whether every chain of the cut has been read out.
+    pub fn is_read(&self) -> bool {
+        self.at.0 >= self.keys.len()
+    }
 }
 
 impl MultiVersionStore {
@@ -62,35 +112,32 @@ impl MultiVersionStore {
     /// see: the current value for `Get`, the *previous* value for
     /// `Put`/`Delete`.
     pub fn execute(&mut self, cmd: &Command) -> Option<Value> {
-        self.executed += 1;
-        match &cmd.op {
-            Op::Get => self.get(cmd.key).cloned(),
-            Op::Put(v) => self.install(cmd.key, Some(v.clone())),
-            Op::Delete => self.install(cmd.key, None),
-        }
+        let seen = self.get(cmd.key).map(<[u8]>::to_vec);
+        self.apply(cmd);
+        seen
     }
 
-    fn install(&mut self, key: Key, value: Option<Value>) -> Option<Value> {
-        let chain = self.data.entry(key).or_default();
-        let parent = chain.last().map(|v| v.seq).unwrap_or(0);
-        let prev = chain.last().and_then(|v| v.value.clone());
-        chain.push(Version {
-            seq: parent + 1,
-            parent,
-            value,
-        });
-        prev
+    /// [`MultiVersionStore::execute`] for a replica that answers nobody:
+    /// the same state change, no value looked up or copied.
+    pub fn apply(&mut self, cmd: &Command) {
+        self.executed += 1;
+        let slot = match &cmd.op {
+            Op::Get => return,
+            Op::Put(v) => Version::holding(v),
+            Op::Delete => Version(Slot::Tombstone),
+        };
+        self.data.entry(cmd.key).or_default().push(slot);
     }
 
     /// Current (latest non-tombstone) value of `key`.
-    pub fn get(&self, key: Key) -> Option<&Value> {
-        self.data.get(&key)?.last()?.value.as_ref()
+    pub fn get(&self, key: Key) -> Option<&[u8]> {
+        self.data.get(&key)?.last()?.value()
     }
 
     /// Full version history of `key`, oldest first. Used by the consensus
     /// checker's common-prefix validation.
     pub fn history(&self, key: Key) -> &[Version] {
-        self.data.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        self.data.get(&key).map_or(&[], Vec::as_slice)
     }
 
     /// Keys with at least one version.
@@ -117,6 +164,7 @@ impl MultiVersionStore {
             keys,
             executed: self.executed,
             rewrites: self.rewrites,
+            at: (0, 0),
         }
     }
 
@@ -125,21 +173,36 @@ impl MultiVersionStore {
         self.rewrites == cut.rewrites
     }
 
-    /// Appends `versions` to `key`'s chain — how a snapshot read out through
-    /// a [`StoreCut`] is put back together. Refuses (and changes nothing)
-    /// unless the per-key sequence numbers carry on from the chain's end.
-    pub fn extend_chain(&mut self, key: Key, versions: Vec<Version>) -> bool {
-        let mut seq = self.history(key).last().map_or(0, |v| v.seq);
-        for v in &versions {
-            if v.parent != seq || v.seq != seq + 1 {
-                return false;
+    /// Reads what [`MultiVersionStore::encode_chains`] wrote off the front
+    /// of `rest` and appends every stretch to its key's chain; returns the
+    /// number of versions appended. `None`, never a panic, and the store of
+    /// no further use, for bytes that are not that or a stretch that does
+    /// not start where its chain ends: position is all that tells a repeat
+    /// or a gap.
+    pub fn extend_chains(&mut self, rest: &mut &[u8]) -> Option<u64> {
+        let mut appended = 0;
+        for _ in 0..take_u32(rest)? {
+            let (key, first, versions) = (take_u64(rest)?, take_u32(rest)?, take_u32(rest)?);
+            if self.history(key).len() != first as usize {
+                return None;
             }
-            seq = v.seq;
+            let mut stretch = Vec::with_capacity(versions.min(1024) as usize);
+            for _ in 0..versions {
+                stretch.push(match take(rest, 1)?[0] {
+                    0 => Version(Slot::Tombstone),
+                    1 => {
+                        let len = take_u32(rest)? as usize;
+                        Version::holding(take(rest, len)?)
+                    }
+                    _ => return None,
+                });
+            }
+            if !stretch.is_empty() {
+                self.data.entry(key).or_default().append(&mut stretch);
+            }
+            appended += u64::from(versions);
         }
-        if !versions.is_empty() {
-            self.data.entry(key).or_default().extend(versions);
-        }
-        true
+        Some(appended)
     }
 
     /// Sets the executed-commands counter, the one part of a store that is
@@ -148,12 +211,11 @@ impl MultiVersionStore {
         self.executed = executed;
     }
 
-    /// Serializable dump of the whole store: a deep copy, for tests and
-    /// small stores (snapshots read the store through [`StoreCut`]). Keys
-    /// are sorted so the same state always dumps to the same bytes.
+    /// Dump of the whole store: a deep copy, for tests and small stores
+    /// (snapshots read the store through [`StoreCut`]). Keys are sorted so
+    /// that equal states dump equal.
     pub fn dump(&self) -> StoreDump {
-        let mut data: Vec<(Key, Vec<Version>)> =
-            self.data.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let mut data: Vec<_> = self.data.iter().map(|(k, v)| (*k, v.clone())).collect();
         data.sort_unstable_by_key(|(k, _)| *k);
         StoreDump {
             data,
@@ -170,30 +232,88 @@ impl MultiVersionStore {
         }
     }
 
-    /// Dumps only the keys in `[lo, hi)` — what a shard migration streams to
-    /// the destination group. Sorted by key like [`MultiVersionStore::dump`],
-    /// so every replica that froze the range extracts identical bytes. The
-    /// dump carries `executed: 0`: the executed counter is replica-local
-    /// bookkeeping, not part of the range.
-    pub fn extract_range(&self, lo: Key, hi: Key) -> StoreDump {
-        let mut data: Vec<(Key, Vec<Version>)> = self
-            .data
-            .iter()
-            .filter(|(k, _)| **k >= lo && **k < hi)
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        data.sort_unstable_by_key(|(k, _)| *k);
-        StoreDump { data, executed: 0 }
+    /// The chains of the keys in `[lo, hi)`, whole and in key order, as
+    /// [`MultiVersionStore::encode_chains`] writes them — what a shard
+    /// migration streams to the destination group. Every replica that froze
+    /// the range encodes identical bytes (`executed` is not part of them).
+    pub fn encode_range(&self, lo: Key, hi: Key) -> Vec<u8> {
+        let mut cut = self.cut();
+        cut.keys.retain(|(key, _)| (lo..hi).contains(key));
+        let mut out = Vec::new();
+        self.encode_chains(&mut cut, usize::MAX, &mut out);
+        out
+    }
+
+    /// The one encoding of version chains, appended to `buf`:
+    ///
+    /// ```text
+    /// stretches: u32
+    /// stretches × { key: u64, first: u32, versions: u32,
+    ///               versions × { live: u8, if live == 1 { len: u32, bytes } } }
+    /// ```
+    ///
+    /// little-endian: what the repo's codec makes of a `Vec<(Key, u32,
+    /// Vec<Option<bytes>>)>`. A stretch is one key's versions from position
+    /// `first` on. Reads on from where the last call left `cut` until the
+    /// next version would take `buf` past `limit` bytes, but always at
+    /// least one version. Returns the number of versions written.
+    pub fn encode_chains(&self, cut: &mut StoreCut, limit: usize, buf: &mut Vec<u8>) -> u64 {
+        let count_at = buf.len();
+        buf.extend_from_slice(&[0; 4]);
+        let (mut stretches, mut versions) = (0, 0);
+        'full: while let Some(&(key, len)) = cut.keys.get(cut.at.0) {
+            let chain = self.history(key);
+            let chain = &chain[..len.min(chain.len())];
+            let key_at = buf.len();
+            buf.extend_from_slice(&key.to_le_bytes());
+            buf.extend_from_slice(&le_u32(cut.at.1));
+            let (len_at, first) = (buf.len(), cut.at.1);
+            buf.extend_from_slice(&[0; 4]);
+            while let Some(value) = chain.get(cut.at.1).map(Version::value) {
+                let mark = buf.len();
+                buf.push(u8::from(value.is_some()));
+                if let Some(bytes) = value {
+                    buf.extend_from_slice(&le_u32(bytes.len()));
+                    buf.extend_from_slice(bytes);
+                }
+                if buf.len() > limit && (stretches > 0 || cut.at.1 > first) {
+                    // Full: this version opens the next call, and so does
+                    // its key if nothing of the chain went in here.
+                    if cut.at.1 == first {
+                        buf.truncate(key_at);
+                    } else {
+                        buf.truncate(mark);
+                        buf[len_at..len_at + 4].copy_from_slice(&le_u32(cut.at.1 - first));
+                        stretches += 1;
+                    }
+                    break 'full;
+                }
+                cut.at.1 += 1;
+                versions += 1;
+            }
+            buf[len_at..len_at + 4].copy_from_slice(&le_u32(cut.at.1 - first));
+            stretches += 1;
+            cut.at = (cut.at.0 + 1, 0);
+        }
+        buf[count_at..count_at + 4].copy_from_slice(&le_u32(stretches));
+        versions
+    }
+
+    /// Decodes what [`MultiVersionStore::encode_range`] wrote, into a store
+    /// of its own. `None` (never a panic) on truncation, trailing garbage or
+    /// a chain that does not start at its first version.
+    pub fn decode_range(mut bytes: &[u8]) -> Option<MultiVersionStore> {
+        let mut range = MultiVersionStore::new();
+        range.extend_chains(&mut bytes)?;
+        bytes.is_empty().then_some(range)
     }
 
     /// Splices a migrated range's version chains into this store, replacing
     /// any chain already present for those keys (idempotent re-install).
     /// The executed counter is untouched — installs are not executions.
-    pub fn install_range(&mut self, dump: StoreDump) {
+    pub fn install_range(&mut self, range: MultiVersionStore) {
         self.rewrites += 1;
-        for (key, versions) in dump.data {
-            self.data.insert(key, versions);
-        }
+        self.data.extend(range.data);
     }
 
     /// Removes every key in `[lo, hi)` — the source side of a committed
@@ -204,19 +324,49 @@ impl MultiVersionStore {
     }
 }
 
-/// A serializable image of a [`MultiVersionStore`] — what protocol snapshots
-/// embed when they compact their WAL.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A deep copy of a [`MultiVersionStore`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreDump {
     /// Per-key version chains, sorted by key.
-    pub data: Vec<(Key, Vec<Version>)>,
+    data: Vec<(Key, Vec<Version>)>,
     /// Commands executed so far (reads included).
     pub executed: u64,
+}
+
+fn le_u32(v: usize) -> [u8; 4] {
+    let v = u32::try_from(v).expect("lengths and counts of version chains fit u32");
+    v.to_le_bytes()
+}
+
+/// Splits `n` bytes off the front of `rest`, if it has them.
+pub(crate) fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = rest.split_at_checked(n)?;
+    *rest = tail;
+    Some(head)
+}
+
+pub(crate) fn take_u32(rest: &mut &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(take(rest, 4)?.try_into().ok()?))
+}
+
+pub(crate) fn take_u64(rest: &mut &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(take(rest, 8)?.try_into().ok()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Rng64;
+
+    #[test]
+    fn a_version_costs_one_24_byte_slot() {
+        assert_eq!(size_of::<Version>(), 24);
+        assert_eq!(INLINE, 22);
+        let slot = |len: usize| Version::holding(&vec![7; len]).0;
+        assert!(matches!(slot(22), Slot::Inline { len: 22, .. }));
+        assert!(matches!(slot(23), Slot::Heap(_)));
+        assert!(matches!(slot(0), Slot::Inline { len: 0, .. }));
+    }
 
     #[test]
     fn get_on_empty_store_returns_none() {
@@ -239,13 +389,14 @@ mod tests {
         s.execute(&Command::put(7, vec![9]));
         assert_eq!(s.execute(&Command::delete(7)), Some(vec![9]));
         assert_eq!(s.get(7), None);
-        // History keeps all three versions? (put + delete = 2 versions)
+        // put + delete = 2 versions, the second one a tombstone
         assert_eq!(s.history(7).len(), 2);
-        assert_eq!(s.history(7)[1].value, None);
+        assert_eq!(s.history(7)[0].value(), Some(&[9][..]));
+        assert_eq!(s.history(7)[1].value(), None);
     }
 
     #[test]
-    fn history_chains_parents() {
+    fn a_version_is_found_at_its_position() {
         let mut s = MultiVersionStore::new();
         for i in 0..5u8 {
             s.execute(&Command::put(3, vec![i]));
@@ -253,9 +404,9 @@ mod tests {
         let h = s.history(3);
         assert_eq!(h.len(), 5);
         for (i, v) in h.iter().enumerate() {
-            assert_eq!(v.seq, i as u64 + 1);
-            assert_eq!(v.parent, i as u64);
+            assert_eq!(v.value(), Some(&[i as u8][..]));
         }
+        assert_eq!(format!("{:?}", &h[..2]), "[Some([0]), Some([1])]");
     }
 
     #[test]
@@ -290,29 +441,55 @@ mod tests {
             src.execute(&Command::put(k, vec![k as u8]));
             src.execute(&Command::put(k, vec![k as u8, k as u8]));
         }
-        let dump = src.extract_range(2, 4);
-        assert_eq!(
-            dump.data.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        assert_eq!(dump.executed, 0, "executed counter stays local");
+        let range = MultiVersionStore::decode_range(&src.encode_range(2, 4)).unwrap();
+        assert_eq!(range.cut().keys, vec![(2, 2), (3, 2)]);
+        assert_eq!(range.executed(), 0, "executed counter stays local");
 
         let mut dst = MultiVersionStore::new();
         dst.execute(&Command::put(9, vec![9]));
         let before = dst.executed();
-        dst.install_range(dump.clone());
+        dst.install_range(range.clone());
         assert_eq!(dst.history(2), src.history(2), "full chains move");
         assert_eq!(dst.executed(), before, "install is not an execution");
-        dst.install_range(dump); // idempotent
+        dst.install_range(range); // idempotent
         assert_eq!(dst.history(3).len(), 2);
 
         src.remove_range(2, 4);
         assert_eq!(src.get(2), None);
-        assert_eq!(src.history(3), &[]);
+        assert!(src.history(3).is_empty());
         assert!(
             src.get(1).is_some() && src.get(4).is_some(),
             "outside keys stay"
         );
+    }
+
+    /// What `cut` holds of `s`, taken apart by `encode_chains` in calls of
+    /// `limit` bytes: the pieces.
+    fn pieces(s: &MultiVersionStore, mut cut: StoreCut, limit: usize) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        while !cut.is_read() {
+            let mut piece = Vec::new();
+            assert!(s.encode_chains(&mut cut, limit, &mut piece) > 0, "progress");
+            out.push(piece);
+        }
+        out
+    }
+
+    /// `s` as of now, taken apart in pieces of `limit` bytes and put back
+    /// together by `extend_chains`.
+    fn through_the_codec(s: &MultiVersionStore, limit: usize) -> MultiVersionStore {
+        let mut back = MultiVersionStore::new();
+        let mut versions = 0;
+        for piece in pieces(s, s.cut(), limit) {
+            let mut rest = &piece[..];
+            versions += back
+                .extend_chains(&mut rest)
+                .expect("what was encoded decodes");
+            assert!(rest.is_empty());
+        }
+        assert_eq!(versions, s.version_count() as u64);
+        back.set_executed(s.executed());
+        back
     }
 
     #[test]
@@ -326,18 +503,25 @@ mod tests {
         s.execute(&Command::put(1, vec![9]));
         s.execute(&Command::put(7, vec![9]));
         assert!(s.holds(&cut), "appends do not disturb a cut");
+        // Read out one version at a time, after the store has moved on, and
+        // put back together: a piece goes where its position says, once.
+        let executed = cut.executed;
+        let pieces = pieces(&s, cut.clone(), 0);
+        assert_eq!(pieces.len(), 6);
         let mut back = MultiVersionStore::new();
-        for &(key, len) in &cut.keys {
-            // Put back in two pieces, as chunks would.
-            let chain = &s.history(key)[..len];
-            assert!(back.extend_chain(key, chain[..1].to_vec()));
-            assert!(back.extend_chain(key, chain[1..].to_vec()));
-            assert!(
-                !back.extend_chain(key, chain[..1].to_vec()),
-                "a repeat is refused"
+        for (i, piece) in pieces.iter().enumerate() {
+            if i % 2 == 0 {
+                let second = &pieces[i + 1][..]; // of the same key
+                assert_eq!(back.clone().extend_chains(&mut &*second), None, "a gap");
+            }
+            assert_eq!(back.extend_chains(&mut &piece[..]), Some(1));
+            assert_eq!(
+                back.clone().extend_chains(&mut &piece[..]),
+                None,
+                "a repeat"
             );
         }
-        back.set_executed(cut.executed);
+        back.set_executed(executed);
         assert_eq!(back.dump(), at_cut);
         s.remove_range(0, 1);
         assert!(!s.holds(&cut), "a rewritten chain ends the cut");
@@ -353,9 +537,209 @@ mod tests {
             }
             s
         };
-        let a = mk(&[1, 2, 3]);
-        // Same final state, different insertion history per key set.
-        let b = mk(&[1, 2, 3]);
-        assert_eq!(a.dump(), b.dump());
+        assert_eq!(mk(&[1, 2, 3]).dump(), mk(&[3, 1, 2]).dump());
+    }
+
+    #[test]
+    fn an_answering_and_a_silent_replica_end_in_the_same_state() {
+        let (mut leader, mut follower) = (MultiVersionStore::new(), MultiVersionStore::new());
+        for i in 0..40u8 {
+            let key = u64::from(i % 5);
+            let cmd = match i % 4 {
+                0 => Command::get(key),
+                1 => Command::delete(key),
+                _ => Command::put(key, vec![i; usize::from(i)]),
+            };
+            leader.execute(&cmd);
+            follower.apply(&cmd);
+        }
+        assert_eq!(leader.dump(), follower.dump(), "chains and executed");
+    }
+
+    #[test]
+    fn chains_that_are_not_chains_do_not_decode() {
+        let mut s = MultiVersionStore::new();
+        s.execute(&Command::put(1, vec![1; 30]));
+        s.execute(&Command::delete(1));
+        s.execute(&Command::put(2, vec![2]));
+        let bytes = s.encode_range(0, 9);
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                MultiVersionStore::decode_range(&bytes[..cut]),
+                None,
+                "cut at {cut}"
+            );
+        }
+        let mut bad_flag = bytes.clone();
+        bad_flag[4 + 8 + 4 + 4] = 2;
+        assert_eq!(MultiVersionStore::decode_range(&bad_flag), None);
+        let mut huge = bytes.clone();
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            MultiVersionStore::decode_range(&huge),
+            None,
+            "a count is not trusted"
+        );
+    }
+
+    #[test]
+    fn range_state_round_trips() {
+        let mut s = MultiVersionStore::new();
+        s.execute(&Command::put(2, vec![1]));
+        s.execute(&Command::put(2, vec![2]));
+        s.execute(&Command::delete(3));
+        let bytes = s.encode_range(2, 4);
+        let range = MultiVersionStore::decode_range(&bytes).expect("what was encoded decodes");
+        assert_eq!(range.dump().data, s.dump().data);
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                MultiVersionStore::decode_range(&bytes[..cut]),
+                None,
+                "cut at {cut}"
+            );
+        }
+        let mut extra = bytes.clone();
+        extra.push(0);
+        assert_eq!(
+            MultiVersionStore::decode_range(&extra),
+            None,
+            "trailing garbage"
+        );
+        let mut midway = bytes.clone();
+        midway[12] = 1; // key 2's chain claims to start at its second version
+        assert_eq!(
+            MultiVersionStore::decode_range(&midway),
+            None,
+            "a partial chain"
+        );
+    }
+
+    /// The bytes of a range state, written out: a change to them is a
+    /// change to every `Install` record in a WAL and on the wire.
+    #[test]
+    fn range_state_golden_bytes() {
+        let mut s = MultiVersionStore::new();
+        s.execute(&Command::put(2, vec![0xAA, 0xBB]));
+        s.execute(&Command::delete(2));
+        s.execute(&Command::put(3, Vec::new()));
+        #[rustfmt::skip]
+        let golden = [
+            2, 0, 0, 0,                                     // two chains
+            2, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,  2, 0, 0, 0, // key 2, from 0, two versions
+            1,  2, 0, 0, 0,  0xAA, 0xBB,                    //   a two-byte value
+            0,                                              //   a tombstone
+            3, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,  1, 0, 0, 0, // key 3, from 0, one version
+            1,  0, 0, 0, 0,                                 //   an empty value
+        ];
+        assert_eq!(s.encode_range(2, 4), golden);
+    }
+
+    type Model = HashMap<Key, Vec<Option<Vec<u8>>>>;
+
+    fn agrees(s: &MultiVersionStore, m: &Model) {
+        let sorted = |mut keys: Vec<Key>| {
+            keys.sort_unstable();
+            keys
+        };
+        assert_eq!(
+            sorted(s.keys().collect()),
+            sorted(m.keys().copied().collect())
+        );
+        for (key, chain) in m {
+            let values = s.history(*key).iter().map(Version::value);
+            assert!(values.eq(chain.iter().map(|v| v.as_deref())));
+            assert_eq!(s.get(*key), chain.last().and_then(|v| v.as_deref()));
+        }
+        assert_eq!(s.version_count(), m.values().map(Vec::len).sum::<usize>());
+    }
+
+    /// One seeded walk of the store beside a naive model of it.
+    fn walk(seed: u64) {
+        const LENS: [usize; 6] = [0, 1, 22, 23, 256, 70_000];
+        let mut rng = Rng64::seed(seed);
+        let (mut s, mut m, mut executed) = (MultiVersionStore::new(), Model::new(), 0u64);
+        for _ in 0..250 {
+            let key = rng.below(8);
+            let (lo, hi) = (rng.below(8), rng.below(10));
+            let in_range = |k: &Key| *k >= lo && *k < hi;
+            match rng.below(12) {
+                op @ 0..=5 => {
+                    let cmd = match op {
+                        0 => Command::get(key),
+                        1 => Command::delete(key),
+                        _ => {
+                            let len = LENS[rng.below(6) as usize];
+                            Command::put(key, vec![rng.next_u64() as u8; len])
+                        }
+                    };
+                    let current = m.get(&key).and_then(|c| c.last().cloned().flatten());
+                    if rng.chance(0.5) {
+                        assert_eq!(s.execute(&cmd), current, "{cmd}");
+                    } else {
+                        s.apply(&cmd);
+                    }
+                    executed += 1;
+                    match cmd.op {
+                        Op::Get => {}
+                        Op::Put(v) => m.entry(key).or_default().push(Some(v)),
+                        Op::Delete => m.entry(key).or_default().push(None),
+                    }
+                }
+                6 => {
+                    let (cut, at_cut) = (s.cut(), s.dump());
+                    s.apply(&Command::put(key, vec![1; 23]));
+                    m.entry(key).or_default().push(Some(vec![1; 23]));
+                    executed += 1;
+                    assert!(s.holds(&cut));
+                    let at = |&(k, len): &(Key, usize)| (k, s.history(k)[..len].to_vec());
+                    assert_eq!(cut.keys.iter().map(at).collect::<Vec<_>>(), at_cut.data);
+                    assert_eq!(cut.executed, at_cut.executed);
+                }
+                7 => {
+                    let range = MultiVersionStore::decode_range(&s.encode_range(lo, hi)).unwrap();
+                    assert_eq!(range.executed(), 0);
+                    let want: Model = m.clone().into_iter().filter(|(k, _)| in_range(k)).collect();
+                    agrees(&range, &want);
+                    // Install over a store that holds other chains for some
+                    // of the keys: the range's chains replace them.
+                    let mut other = MultiVersionStore::new();
+                    other.apply(&Command::put(key, vec![9]));
+                    let cut = other.cut();
+                    other.install_range(range);
+                    assert!(!other.holds(&cut));
+                    let mut want = want;
+                    want.entry(key).or_insert_with(|| vec![Some(vec![9])]);
+                    agrees(&other, &want);
+                    assert_eq!(other.executed(), 1);
+                }
+                8 => {
+                    let cut = s.cut();
+                    s.remove_range(lo, hi);
+                    m.retain(|k, _| !in_range(k));
+                    assert!(!s.holds(&cut));
+                }
+                9 => {
+                    let back = MultiVersionStore::restore(s.dump());
+                    agrees(&back, &m);
+                    assert_eq!(back.dump(), s.dump());
+                }
+                _ => {
+                    let limit = [0, 40, 300, 100_000][rng.below(4) as usize];
+                    assert_eq!(through_the_codec(&s, limit).dump(), s.dump(), "{limit}");
+                }
+            }
+            agrees(&s, &m);
+            assert_eq!(s.executed(), executed);
+        }
+    }
+
+    #[test]
+    fn the_store_agrees_with_a_naive_model_on_every_seed() {
+        for seed in 0..24 {
+            if let Err(panic) = std::panic::catch_unwind(|| walk(seed)) {
+                eprintln!("store model walk failed at seed {seed}");
+                std::panic::resume_unwind(panic);
+            }
+        }
     }
 }

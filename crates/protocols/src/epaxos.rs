@@ -851,8 +851,8 @@ mod tests {
         );
         let hist = e.store().unwrap().history(7);
         assert_eq!(hist.len(), 2);
-        assert_eq!(hist[0].value, Some(vec![1]), "A executes first");
-        assert_eq!(hist[1].value, Some(vec![2]));
+        assert_eq!(hist[0].value(), Some(&[1][..]), "A executes first");
+        assert_eq!(hist[1].value(), Some(&[2][..]));
     }
 
     #[test]
@@ -886,7 +886,7 @@ mod tests {
         let h1: Vec<_> = e1.store().unwrap().history(7).to_vec();
         let h2: Vec<_> = e2.store().unwrap().history(7).to_vec();
         assert_eq!(h1, h2, "SCC execution order must not depend on delivery order");
-        assert_eq!(h1[0].value, Some(vec![2]), "lower seq (B) first");
+        assert_eq!(h1[0].value(), Some(&[2][..]), "lower seq (B) first");
     }
 
     #[test]

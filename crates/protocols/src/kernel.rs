@@ -50,7 +50,7 @@ pub fn execute<M>(
         if let Some(rec) = as_migration_record(cmd) {
             audit(&rec);
             match migration.apply(&rec) {
-                MigrationAction::Install(dump) => store.install_range(dump),
+                MigrationAction::Install(range) => store.install_range(range),
                 MigrationAction::DropRange(r) => store.remove_range(r.lo, r.hi),
                 MigrationAction::None => {}
             }
@@ -78,10 +78,138 @@ pub fn execute<M>(
         return;
     } else {
         ctx.count(Metric::Executes, 1);
-        store.execute(cmd)
+        if req.is_some() {
+            store.execute(cmd)
+        } else {
+            // Nobody to answer: change the state, build no reply value.
+            store.apply(cmd);
+            None
+        }
     };
     if let Some(id) = req {
         ctx.trace(TraceStage::Execute, id);
         ctx.reply(ClientResponse::ok(id, value));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::probe;
+    use paxi_core::command::{Key, Op};
+    use paxi_core::id::{ClientId, NodeId};
+    use serde::Deserialize;
+
+    #[test]
+    fn a_replica_that_answers_and_one_that_does_not_reach_the_same_state() {
+        let (mut leader, mut follower) = (MultiVersionStore::new(), MultiVersionStore::new());
+        let (mut lt, mut ft) = (MigrationTracker::new(), MigrationTracker::new());
+        let mut lctx = probe::<()>(NodeId::new(0, 0));
+        let mut fctx = probe::<()>(NodeId::new(0, 1));
+        for i in 0..60u64 {
+            let key = i % 4;
+            let cmd = match i % 5 {
+                0 => Command::get(key),
+                1 => Command::delete(key),
+                _ => Command::put(key, vec![i as u8; (i % 30) as usize]),
+            };
+            // Every third command has no client to answer (a no-op filler, a
+            // command recovered from a peer's log).
+            let req = (i % 3 != 0).then(|| RequestId::new(ClientId(1), i));
+            execute(&cmd, req, &mut leader, &mut lt, true, |_| {}, &mut lctx);
+            execute(&cmd, req, &mut follower, &mut ft, false, |_| {}, &mut fctx);
+        }
+        assert_eq!(leader.dump(), follower.dump(), "chains and executed");
+        assert_eq!(leader.executed(), 60);
+        assert_eq!(lctx.replies.len(), 40);
+        assert!(fctx.replies.is_empty());
+        // The answers are the values a client must see: i = 7 overwrote what
+        // i = 3 put under key 3.
+        let seventh = lctx.replies.iter().find(|r| r.id.seq == 7).unwrap();
+        assert_eq!(seventh.value, Some(vec![3; 3]));
+    }
+
+    #[derive(Serialize, Deserialize)]
+    enum DerivedOp {
+        Get,
+        Put(Vec<u8>),
+        Delete,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct DerivedCommand {
+        key: Key,
+        op: DerivedOp,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct DerivedResponse {
+        id: RequestId,
+        value: Option<Vec<u8>>,
+        ok: bool,
+        redirect: Option<NodeId>,
+        handoff: Option<Handoff>,
+    }
+
+    /// `Op` and `ClientResponse` hand their values to serde as byte strings;
+    /// what reaches the wire and the WAL is what the derive wrote.
+    #[test]
+    fn values_sent_as_byte_strings_are_the_derived_bytes() {
+        let values = [
+            Vec::new(),
+            vec![0],
+            vec![7; 16],
+            (0..=255).collect(),
+            vec![1; 70_000],
+        ];
+        let mut ops = vec![(Op::Get, DerivedOp::Get), (Op::Delete, DerivedOp::Delete)];
+        ops.extend(
+            values
+                .iter()
+                .map(|v| (Op::Put(v.clone()), DerivedOp::Put(v.clone()))),
+        );
+        for (op, derived) in ops {
+            let cmd = Command { key: 0xABCD, op };
+            let want = paxi_codec::to_bytes(&DerivedCommand {
+                key: cmd.key,
+                op: derived,
+            })
+            .unwrap();
+            assert_eq!(paxi_codec::to_bytes(&cmd).unwrap(), want, "{cmd}");
+            assert_eq!(paxi_codec::from_bytes::<Command>(&want).unwrap(), cmd);
+            for cut in 0..want.len().min(40) {
+                assert!(paxi_codec::from_bytes::<Command>(&want[..cut]).is_err());
+            }
+        }
+        let id = RequestId::new(ClientId(9), 4);
+        let handoff = Handoff {
+            lo: 1,
+            hi: 2,
+            group: paxi_core::group::GroupId(3),
+            epoch: 4,
+        };
+        let mut responses = vec![
+            ClientResponse::ok(id, None),
+            ClientResponse::err(id),
+            ClientResponse::redirected(id, NodeId::new(1, 2)),
+            ClientResponse::handed_off(id, handoff),
+        ];
+        responses.extend(
+            values
+                .iter()
+                .map(|v| ClientResponse::ok(id, Some(v.clone()))),
+        );
+        for r in responses {
+            let want = paxi_codec::to_bytes(&DerivedResponse {
+                id: r.id,
+                value: r.value.clone(),
+                ok: r.ok,
+                redirect: r.redirect,
+                handoff: r.handoff,
+            })
+            .unwrap();
+            assert_eq!(paxi_codec::to_bytes(&r).unwrap(), want, "{r:?}");
+            assert_eq!(paxi_codec::from_bytes::<ClientResponse>(&want).unwrap(), r);
+        }
     }
 }

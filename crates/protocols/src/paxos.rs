@@ -1508,7 +1508,7 @@ mod tests {
             let hist = store.history(op.key);
             let v = op.write.as_ref().unwrap();
             assert!(
-                hist.iter().any(|ver| ver.value.as_ref() == Some(v)),
+                hist.iter().any(|ver| ver.value() == Some(&v[..])),
                 "acknowledged write missing from leader store"
             );
             checked += 1;
@@ -1972,8 +1972,8 @@ mod tests {
         l.on_timer(TIMER_HEARTBEAT, token, ctx);
         settle(&mut nodes, &[]);
         for (r, _) in &nodes[..2] {
-            assert_eq!(r.store.get(1), Some(&vec![1]), "acknowledged write lost");
-            assert_eq!(r.store.get(2), Some(&vec![1]));
+            assert_eq!(r.store.get(1), Some(&[1][..]), "acknowledged write lost");
+            assert_eq!(r.store.get(2), Some(&[1][..]));
         }
     }
 
@@ -2235,7 +2235,7 @@ mod tests {
             "freeze window rejects retryably"
         );
         // ...and never executed: the store keeps the pre-freeze value.
-        assert_eq!(r.store.get(12), Some(&vec![7]));
+        assert_eq!(r.store.get(12), Some(&[7][..]));
         // Writes outside the range are untouched.
         commit_request(&mut r, &mut ctx, 3, Command::put(3, vec![1]));
         assert!(ctx.replies.last().unwrap().ok);
@@ -2266,7 +2266,6 @@ mod tests {
 
     #[test]
     fn installed_range_survives_amnesia_via_commit_reteaching() {
-        use paxi_core::migration::encode_range_state;
         use paxi_storage::{FsyncPolicy, MemHub};
         let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
         let leader = NodeId::new(0, 0);
@@ -2276,7 +2275,7 @@ mod tests {
         let mut src = MultiVersionStore::new();
         src.execute(&Command::put(12, vec![4]));
         src.execute(&Command::put(12, vec![5]));
-        let state = encode_range_state(&src.extract_range(10, 20));
+        let state = src.encode_range(10, 20);
         // A durable follower of the DESTINATION group applies the install
         // and the dest-half commit from its leader's log.
         let mut r = durable_follower(&hub);
@@ -2303,7 +2302,7 @@ mod tests {
             );
         }
         r.on_message(leader, PaxosMsg::Commit { upto: 2 }, &mut ctx);
-        assert_eq!(r.store.get(12), Some(&vec![5]), "install spliced the chain");
+        assert_eq!(r.store.get(12), Some(&[5][..]), "install spliced the chain");
         assert!(r.migration.installed(1) && r.migration.done(1));
         assert_eq!(r.migration.epoch(), 1);
         // Amnesia: the rebuilt replica restores the log tail from its WAL
@@ -2317,7 +2316,7 @@ mod tests {
         assert_eq!(r2.store.get(12), None, "nothing re-executed yet");
         let mut ctx2 = probe(NodeId::new(0, 1));
         r2.on_message(leader, PaxosMsg::Commit { upto: 2 }, &mut ctx2);
-        assert_eq!(r2.store.get(12), Some(&vec![5]));
+        assert_eq!(r2.store.get(12), Some(&[5][..]));
         assert!(r2.migration.done(1));
         assert_eq!(r2.migration.epoch(), 1);
     }
@@ -2635,7 +2634,7 @@ mod tests {
         l.on_request(request(25), ctx);
         settle(&mut nodes, &[]);
         heartbeat(&mut nodes, &[]);
-        assert_eq!(nodes[2].0.store.get(25), Some(&vec![1]));
+        assert_eq!(nodes[2].0.store.get(25), Some(&[1][..]));
     }
 
     #[test]
@@ -2670,7 +2669,7 @@ mod tests {
         assert_eq!((leader.execute_upto, leader.next_slot), (26, 26));
         assert!(nodes[2].1.replies.iter().any(|r| r.id.seq == 99 && r.ok));
         for seq in 0..25 {
-            assert_eq!(leader.store.get(seq), Some(&vec![1]), "write {seq}");
+            assert_eq!(leader.store.get(seq), Some(&[1][..]), "write {seq}");
         }
     }
 

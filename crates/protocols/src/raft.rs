@@ -1116,7 +1116,13 @@ impl Replica for Raft {
                 last_log_term,
             } => {
                 if term > self.term {
+                    // The term is adopted whoever asks, the election clock
+                    // restarts only for a candidate that gets the vote: one
+                    // whose log is stale can ask for ever, and must not keep
+                    // every electable node from timing out.
+                    let heard = self.last_contact;
                     self.step_down(term, ctx);
+                    self.last_contact = heard;
                 }
                 let up_to_date =
                     (last_log_term, last_log_index) >= (self.last_term(), self.last_index());
@@ -2038,6 +2044,83 @@ mod tests {
     }
 
     #[test]
+    fn a_denied_vote_request_adopts_the_term_but_not_the_election_clock() {
+        let (leader, stale, me) = (NodeId::new(0, 0), NodeId::new(0, 2), NodeId::new(0, 1));
+        let mut ctx = probe(me);
+        let mut r = Raft::new(me, ClusterConfig::lan(3), RaftConfig::default());
+        r.on_start(&mut ctx);
+        // One entry from the leader of term 1, then silence for an election
+        // timeout but an instant.
+        r.on_message(
+            leader,
+            RaftMsg::AppendEntries {
+                term: 1,
+                prev_index: 0,
+                prev_term: 0,
+                entries: vec![RaftEntry {
+                    term: 1,
+                    cmd: Command::put(1, vec![1]),
+                    req: None,
+                }],
+                commit: 0,
+            },
+            &mut ctx,
+        );
+        let timeout = RaftConfig::default().election_timeout;
+        ctx.clock
+            .store(timeout.0 - 1, std::sync::atomic::Ordering::SeqCst);
+        // A candidate that missed that entry campaigns at term 2.
+        ctx.sent.clear();
+        r.on_message(
+            stale,
+            RaftMsg::RequestVote {
+                term: 2,
+                last_log_index: 0,
+                last_log_term: 0,
+            },
+            &mut ctx,
+        );
+        assert!(
+            matches!(
+                ctx.sent[..],
+                [(
+                    Some(to),
+                    RaftMsg::Vote {
+                        term: 2,
+                        granted: false
+                    }
+                )] if to == stale
+            ),
+            "{:?}",
+            ctx.sent
+        );
+        assert_eq!(r.term(), 2, "the higher term is adopted");
+        // The leader has now been silent for the whole timeout: this node,
+        // whose log is the longer one, must campaign.
+        ctx.clock
+            .store(timeout.0, std::sync::atomic::Ordering::SeqCst);
+        ctx.sent.clear();
+        let (_, token) = ctx.last_timer(TIMER_ELECTION);
+        r.on_timer(TIMER_ELECTION, token, &mut ctx);
+        assert_eq!(r.term(), 3, "a denied request must not restart the clock");
+        assert!(
+            matches!(
+                ctx.sent[..],
+                [(
+                    None,
+                    RaftMsg::RequestVote {
+                        term: 3,
+                        last_log_index: 1,
+                        last_log_term: 1
+                    }
+                )]
+            ),
+            "{:?}",
+            ctx.sent
+        );
+    }
+
+    #[test]
     fn a_checkpoint_longer_than_the_election_timeout_does_not_depose_the_leader() {
         use paxi_storage::{FsyncPolicy, MemHub};
         let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
@@ -2149,7 +2232,7 @@ mod tests {
             assert_eq!(end(r), end(&nodes[0].0));
         }
         let store = &nodes[0].0.store;
-        assert_eq!(store.get(1), Some(&vec![1]), "acknowledged write lost");
+        assert_eq!(store.get(1), Some(&[1][..]), "acknowledged write lost");
     }
 
     // --- the log is a window; what lies below it is an image ---
@@ -2393,7 +2476,7 @@ mod tests {
         settle(&mut nodes, &[]);
         for key in 0..total {
             let values: Vec<_> = nodes.iter().map(|(r, _)| r.store.get(key)).collect();
-            assert_eq!(values, vec![Some(&vec![1]); 3], "key {key}");
+            assert_eq!(values, vec![Some(&[1][..]); 3], "key {key}");
         }
         std::fs::remove_dir_all(&root).ok();
     }
@@ -2446,7 +2529,7 @@ mod tests {
         let rej = ctx.replies.last().unwrap();
         assert!(!rej.ok);
         assert!(rej.handoff.is_none(), "not committed yet: plain retry");
-        assert_eq!(r.store().unwrap().get(12), Some(&vec![7]));
+        assert_eq!(r.store().unwrap().get(12), Some(&[7][..]));
 
         // Keys outside the range are untouched by the freeze.
         r.on_request(put_req(3, 30), &mut ctx);
@@ -2479,9 +2562,7 @@ mod tests {
 
     #[test]
     fn installed_range_survives_amnesia_via_commit_reteaching() {
-        use paxi_core::migration::{
-            encode_range_state, migration_command, CommitHalf, MigrationRecord,
-        };
+        use paxi_core::migration::{migration_command, CommitHalf, MigrationRecord};
         use paxi_storage::{FsyncPolicy, MemHub};
         let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
         let leader = NodeId::new(0, 0);
@@ -2489,7 +2570,7 @@ mod tests {
         // Range state streamed by the source: key 12 with one version.
         let mut src = MultiVersionStore::new();
         src.execute(&Command::put(12, vec![5]));
-        let state = encode_range_state(&src.extract_range(10, 20));
+        let state = src.encode_range(10, 20);
 
         let entries = vec![
             RaftEntry {
@@ -2535,7 +2616,7 @@ mod tests {
             },
             &mut ctx,
         );
-        assert_eq!(r.store().unwrap().get(12), Some(&vec![5]));
+        assert_eq!(r.store().unwrap().get(12), Some(&[5][..]));
         assert!(r.migration.installed(1) && r.migration.done(1));
         assert_eq!(r.migration.epoch(), 1);
 
@@ -2561,7 +2642,7 @@ mod tests {
             },
             &mut ctx2,
         );
-        assert_eq!(r2.store().unwrap().get(12), Some(&vec![5]));
+        assert_eq!(r2.store().unwrap().get(12), Some(&[5][..]));
         assert!(r2.migration.installed(1) && r2.migration.done(1));
         assert_eq!(r2.migration.epoch(), 1);
     }

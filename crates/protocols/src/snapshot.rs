@@ -20,13 +20,13 @@
 //! Nothing here knows a protocol: a position is a `u64`, a term or a ballot
 //! is a [`Round`], a log entry is a [`TailEntry`].
 
-use paxi_codec::{from_bytes, from_bytes_prefix, to_writer, CodecError};
+use paxi_codec::{from_bytes_prefix, to_writer, CodecError};
 use paxi_core::ballot::Ballot;
-use paxi_core::command::{Command, Key};
+use paxi_core::command::Command;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::membership::Membership;
 use paxi_core::migration::MigrationTracker;
-use paxi_core::store::{MultiVersionStore, StoreCut, Version};
+use paxi_core::store::{MultiVersionStore, StoreCut};
 use paxi_storage::{ChunkSource, Storage, StorageError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -113,26 +113,18 @@ pub struct Image {
     pub store: MultiVersionStore,
 }
 
-/// One chunk of an image as it is encoded. Parts are self-delimiting, so an
-/// image is their concatenation: `Meta`, any `Tail`s, any `Versions`, `End`.
-#[derive(Debug, Serialize, Deserialize)]
-enum Part {
-    Meta(Meta),
-    Tail(Vec<TailEntry>),
-    /// Stretches of version chains in key order; a long chain continues in
-    /// the next part.
-    Versions(Vec<(Key, Vec<Version>)>),
-    /// Totals of the image, this part included.
-    End {
-        parts: u32,
-        versions: u64,
-    },
-}
-
-// Variant indices of `Part`, for the parts written from borrowed data.
+// One chunk of an image is a part: its `u32` tag, then its payload as the
+// codec encodes it. Parts are self-delimiting, so an image is their
+// concatenation, in this order.
+/// [`Meta`].
 const META: u32 = 0;
+/// `Vec<TailEntry>`; any number of these.
 const TAIL: u32 = 1;
+/// Stretches of version chains in key order, as
+/// [`MultiVersionStore::encode_chains`] writes them: a long chain continues
+/// in the next part. Any number of these.
 const VERSIONS: u32 = 2;
+/// `(parts: u32, versions: u64)`: totals of the image, this part included.
 const END: u32 = 3;
 
 /// Why bytes were not an image.
@@ -165,16 +157,6 @@ fn put<T: Serialize>(buf: &mut Vec<u8>, v: &T) {
     to_writer(buf, v).expect("snapshot parts hold nothing the codec refuses");
 }
 
-/// [`put`] for a version, with its value copied as a slice rather than
-/// visited byte by byte: versions are all but the whole of an image.
-fn put_version(buf: &mut Vec<u8>, v: &Version) {
-    put(buf, &(v.seq, v.parent, v.value.is_some()));
-    if let Some(value) = &v.value {
-        put(buf, &(value.len() as u32));
-        buf.extend_from_slice(value);
-    }
-}
-
 fn patch_len(buf: &mut [u8], at: usize, len: u32) {
     buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
@@ -199,8 +181,6 @@ struct ImageCursor {
     cut: StoreCut,
     phase: Phase,
     tail_at: usize,
-    key_at: usize,
-    ver_at: usize,
     parts: u32,
     versions: u64,
 }
@@ -216,8 +196,6 @@ impl ImageCursor {
             cut,
             phase: Phase::Meta,
             tail_at: 0,
-            key_at: 0,
-            ver_at: 0,
             parts: 0,
             versions: 0,
         }
@@ -240,7 +218,7 @@ impl ImageCursor {
         if self.phase == Phase::Tail && self.tail_at == self.tail.len() {
             self.phase = Phase::Versions;
         }
-        if self.phase == Phase::Versions && self.key_at == self.cut.keys.len() {
+        if self.phase == Phase::Versions && self.cut.is_read() {
             self.phase = Phase::End;
         }
         match self.phase {
@@ -250,7 +228,10 @@ impl ImageCursor {
                 self.phase = Phase::Tail;
             }
             Phase::Tail => self.tail_part(buf),
-            Phase::Versions => self.versions_part(store, buf),
+            Phase::Versions => {
+                put(buf, &VERSIONS);
+                self.versions += store.encode_chains(&mut self.cut, CHUNK_BYTES, buf);
+            }
             Phase::End => {
                 put(buf, &END);
                 put(buf, &(self.parts + 1));
@@ -279,43 +260,6 @@ impl ImageCursor {
             self.tail_at += 1;
         }
         patch_len(buf, count_at, count);
-    }
-
-    fn versions_part(&mut self, store: &MultiVersionStore, buf: &mut Vec<u8>) {
-        put(buf, &VERSIONS);
-        let count_at = buf.len();
-        put(buf, &0u32);
-        let mut keys = 0;
-        'part: while let Some(&(key, len)) = self.cut.keys.get(self.key_at) {
-            let chain = store.history(key);
-            let chain = &chain[..len.min(chain.len())];
-            let key_mark = buf.len();
-            put(buf, &key);
-            let len_at = buf.len();
-            put(buf, &0u32);
-            let mut written = 0;
-            while let Some(version) = chain.get(self.ver_at) {
-                let mark = buf.len();
-                put_version(buf, version);
-                if buf.len() > CHUNK_BYTES && (keys > 0 || written > 0) {
-                    // Full: this version opens the next part.
-                    buf.truncate(if written > 0 { mark } else { key_mark });
-                    if written > 0 {
-                        patch_len(buf, len_at, written);
-                        keys += 1;
-                    }
-                    break 'part;
-                }
-                written += 1;
-                self.ver_at += 1;
-                self.versions += 1;
-            }
-            patch_len(buf, len_at, written);
-            keys += 1;
-            self.key_at += 1;
-            self.ver_at = 0;
-        }
-        patch_len(buf, count_at, keys);
     }
 }
 
@@ -374,39 +318,51 @@ struct ImageBuilder {
 }
 
 impl ImageBuilder {
-    /// Takes the next part. An error leaves the builder unusable.
-    fn push(&mut self, part: Part) -> Result<(), ImageError> {
+    /// Takes the part at the front of `bytes` and says how long it was. An
+    /// error leaves the builder unusable.
+    fn push(&mut self, bytes: &[u8]) -> Result<usize, ImageError> {
+        let (tag, at) = from_bytes_prefix::<u32>(bytes)?;
+        let body = &bytes[at..];
         if self.complete {
             return Err(ImageError::Malformed("a part after the end"));
         }
-        if self.meta.is_some() == matches!(part, Part::Meta(_)) {
+        if self.meta.is_some() == (tag == META) {
             return Err(ImageError::Malformed("meta must come first, once"));
         }
         self.parts += 1;
-        match part {
-            Part::Meta(meta) => {
+        let used = match tag {
+            META => {
+                let (meta, used) = from_bytes_prefix::<Meta>(body)?;
                 if !MigrationTracker::new().restore(&meta.migration) {
                     return Err(ImageError::Malformed("migration tracker"));
                 }
                 self.meta = Some(meta);
+                used
             }
-            Part::Tail(mut entries) => self.tail.append(&mut entries),
-            Part::Versions(chains) => {
-                for (key, versions) in chains {
-                    self.versions += versions.len() as u64;
-                    if !self.store.extend_chain(key, versions) {
-                        return Err(ImageError::Malformed("a chain that does not continue"));
-                    }
-                }
+            TAIL => {
+                let (mut entries, used) = from_bytes_prefix(body)?;
+                self.tail.append(&mut entries);
+                used
             }
-            Part::End { parts, versions } => {
-                if (parts, versions) != (self.parts, self.versions) {
+            VERSIONS => {
+                let mut rest = body;
+                let appended = self.store.extend_chains(&mut rest);
+                self.versions += appended.ok_or(ImageError::Malformed(
+                    "version chains that do not decode, or do not continue",
+                ))?;
+                body.len() - rest.len()
+            }
+            END => {
+                let (totals, used) = from_bytes_prefix::<(u32, u64)>(body)?;
+                if totals != (self.parts, self.versions) {
                     return Err(ImageError::Malformed("totals do not add up"));
                 }
                 self.complete = true;
+                used
             }
-        }
-        Ok(())
+            _ => return Err(ImageError::Malformed("unknown part")),
+        };
+        Ok(at + used)
     }
 
     fn finish(self) -> Result<Image, ImageError> {
@@ -431,9 +387,7 @@ impl Image {
     pub fn decode(mut bytes: &[u8]) -> Result<Image, ImageError> {
         let mut builder = ImageBuilder::default();
         while !bytes.is_empty() {
-            let (part, used) = from_bytes_prefix::<Part>(bytes)?;
-            builder.push(part)?;
-            bytes = &bytes[used..];
+            bytes = &bytes[builder.push(bytes)?..];
         }
         builder.finish()
     }
@@ -685,10 +639,9 @@ impl Receiver {
         if chunk.index > s.next {
             return Offer::Dropped(Some(ack(s.next, false)));
         }
-        let pushed = from_bytes::<Part>(&chunk.body)
-            .map_err(ImageError::from)
-            .and_then(|part| s.image.push(part));
-        if pushed.is_err() || s.image.complete != chunk.last {
+        // One part, the whole body, and the end exactly where the sender says.
+        let pushed = s.image.push(&chunk.body).ok();
+        if pushed != Some(chunk.body.len()) || s.image.complete != chunk.last {
             self.staging = None;
             return Offer::Dropped(None);
         }
@@ -801,6 +754,7 @@ impl Exchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxi_core::command::Key;
     use paxi_core::id::ClientId;
 
     fn meta(base: u64) -> Meta {
@@ -818,12 +772,14 @@ mod tests {
     }
 
     /// 300 keys, one of them hot with 2 000 versions of 200 bytes: an image
-    /// of several parts, one chain spanning more than one.
+    /// of several parts, one chain spanning more than one. The other values
+    /// are 0 to 44 bytes, so slots of both kinds (in the slot, on the heap)
+    /// sit side by side in every chain.
     fn store() -> MultiVersionStore {
         let mut s = MultiVersionStore::new();
         for i in 0..2_000u64 {
             s.execute(&Command::put(7, vec![i as u8; 200]));
-            s.execute(&Command::put(i % 300, vec![i as u8; 40]));
+            s.execute(&Command::put(i % 300, vec![i as u8; (i % 45) as usize]));
         }
         s.execute(&Command::delete(11));
         s.execute(&Command::get(7));
@@ -850,14 +806,69 @@ mod tests {
         (out, w.largest)
     }
 
+    /// What a part is to the codec. Version chains are written by
+    /// `MultiVersionStore::encode_chains`, not through serde; this holds
+    /// them to the layout a derive would give.
+    type DerivedChain = Vec<Option<Vec<u8>>>;
+
+    #[derive(Debug, Serialize, Deserialize)]
+    enum DerivedPart {
+        Meta(Meta),
+        Tail(Vec<TailEntry>),
+        Versions(Vec<(Key, u32, DerivedChain)>),
+        End { parts: u32, versions: u64 },
+    }
+
     #[test]
     fn parts_written_from_borrows_are_the_derived_encoding() {
         let s = store();
         let (chunks, _) = chunks(&s);
+        let mut read: BTreeMap<Key, DerivedChain> = BTreeMap::new();
         for c in &chunks {
-            let part: Part = from_bytes(c).expect("every chunk is one part");
+            let part: DerivedPart = paxi_codec::from_bytes(c).expect("every chunk is one part");
             assert_eq!(&paxi_codec::to_bytes(&part).unwrap(), c);
+            if let DerivedPart::Versions(stretches) = part {
+                for (key, first, mut versions) in stretches {
+                    let chain = read.entry(key).or_default();
+                    assert_eq!(chain.len(), first as usize, "key {key}");
+                    chain.append(&mut versions);
+                }
+            }
         }
+        assert_eq!(read.len(), s.keys().count());
+        for (key, chain) in &read {
+            let values = s.history(*key).iter().map(|v| v.value());
+            assert!(values.eq(chain.iter().map(|v| v.as_deref())));
+        }
+    }
+
+    /// One `Versions` part, written out: a change to these bytes is a change
+    /// to every checkpoint on disk and every `InstallSnapshot` on the wire.
+    #[test]
+    fn versions_part_golden_bytes() {
+        let mut s = MultiVersionStore::new();
+        s.execute(&Command::put(5, vec![0xC0; 23]));
+        s.execute(&Command::delete(5));
+        s.execute(&Command::put(6, vec![0xEE]));
+        let mut cursor = ImageCursor::new(meta(1), Vec::new(), &s);
+        let mut part = Vec::new();
+        assert!(cursor.next_part(&s, &mut part), "meta");
+        assert!(cursor.next_part(&s, &mut part), "versions");
+        #[rustfmt::skip]
+        let mut golden = vec![
+            2, 0, 0, 0,                                     // VERSIONS
+            2, 0, 0, 0,                                     // two stretches
+            5, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,  2, 0, 0, 0, // key 5, from 0, two versions
+            1,  23, 0, 0, 0,                                //   23 bytes (follow below)
+            0,                                              //   a tombstone
+            6, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,  1, 0, 0, 0, // key 6, from 0, one version
+            1,  1, 0, 0, 0,  0xEE,
+        ];
+        golden.splice(29..29, [0xC0; 23]);
+        assert_eq!(part, golden);
+        assert!(cursor.next_part(&s, &mut part), "end");
+        #[rustfmt::skip]
+        assert_eq!(part, [3, 0, 0, 0,  3, 0, 0, 0,  3, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -29,8 +29,7 @@ use paxi_core::command::{ClientRequest, ClientResponse};
 use paxi_core::group::{GroupId, GroupMsg};
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::migration::{
-    as_migration_record, encode_range_state, migration_command, CommitHalf, MigrationRecord,
-    MIGRATION_KEY,
+    as_migration_record, migration_command, CommitHalf, MigrationRecord, MIGRATION_KEY,
 };
 use paxi_core::obs::{DropCause, Metric};
 use paxi_core::store::MultiVersionStore;
@@ -264,8 +263,7 @@ impl<R: Replica> ShardedReplica<R> {
                         },
                     ));
                 } else if let Some(store) = self.groups[g].store() {
-                    let state =
-                        encode_range_state(&store.extract_range(spec.range.lo, spec.range.hi));
+                    let state = store.encode_range(spec.range.lo, spec.range.hi);
                     proposals.push((spec.to, MigrationRecord::Install { spec, state }));
                 }
             }

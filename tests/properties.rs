@@ -136,23 +136,25 @@ proptest! {
     }
 
     #[test]
-    fn store_history_is_append_only_and_parent_linked(
+    fn store_history_is_append_only_and_in_write_order(
         ops in proptest::collection::vec((0u64..5, any::<bool>(), any::<u8>()), 1..100)
     ) {
         let mut store = MultiVersionStore::new();
-        let mut lengths = std::collections::HashMap::new();
+        let mut written: std::collections::HashMap<u64, Vec<u8>> = Default::default();
         for (key, is_put, val) in ops {
             if is_put {
                 store.execute(&Command::put(key, vec![val]));
+                written.entry(key).or_default().push(val);
             } else {
                 store.execute(&Command::get(key));
             }
+            // A version is its position: the i-th write of a key, and only
+            // that, is at index i, whatever happened since.
+            let want = written.get(&key).map(Vec::as_slice).unwrap_or(&[]);
             let h = store.history(key);
-            let prev = lengths.insert(key, h.len()).unwrap_or(0);
-            prop_assert!(h.len() >= prev, "history shrank");
-            for (i, v) in h.iter().enumerate() {
-                prop_assert_eq!(v.seq, i as u64 + 1);
-                prop_assert_eq!(v.parent, i as u64);
+            prop_assert_eq!(h.len(), want.len());
+            for (i, val) in want.iter().enumerate() {
+                prop_assert_eq!(h[i].value(), Some(std::slice::from_ref(val)));
             }
         }
     }
