@@ -14,12 +14,14 @@
 //! path, and `batch` lands between — the classic group-commit trade
 //! reproduced inside the simulator's cost model.
 
-use crate::runner::{run_with_faults_durable, Proto};
+use crate::nemesis::NemesisSchedule;
+use crate::runner::Proto;
+use crate::scenario::Scenario;
 use crate::table::Table;
 use paxi_core::config::ClusterConfig;
+use paxi_core::faults::CrashMode;
 use paxi_core::time::Nanos;
-use paxi_sim::client::uniform_workload;
-use paxi_sim::{ClientSetup, FaultPlan, SimConfig, SimReport};
+use paxi_sim::{SimConfig, SimReport};
 use paxi_storage::FsyncPolicy;
 
 fn base(quick: bool) -> SimConfig {
@@ -35,30 +37,26 @@ fn base(quick: bool) -> SimConfig {
     }
 }
 
-fn run_policy(quick: bool, policy: FsyncPolicy) -> SimReport {
+/// The workload on volatile replicas (`None`) or with a WAL under `policy`.
+/// Nothing crashes; disks come with a schedule whose crash mode is amnesia,
+/// so the WAL run is an empty schedule of that mode.
+fn run_policy(quick: bool, policy: Option<FsyncPolicy>) -> SimReport {
     let cluster = ClusterConfig::lan(5);
-    let clients = ClientSetup::closed_per_zone(&cluster, 4);
-    run_with_faults_durable(
-        &Proto::paxos(),
-        base(quick),
-        cluster,
-        uniform_workload(64),
-        clients,
-        FaultPlan::new(),
-        policy,
-    )
-}
-
-fn run_volatile(quick: bool) -> SimReport {
-    let cluster = ClusterConfig::lan(5);
-    let clients = ClientSetup::closed_per_zone(&cluster, 4);
-    crate::runner::run(
-        &Proto::paxos(),
-        base(quick),
-        cluster,
-        uniform_workload(64),
-        clients,
-    )
+    let mut scenario = Scenario {
+        keys: 64,
+        clients_per_zone: 4,
+        ..Scenario::quiet(&Proto::paxos(), base(quick), cluster)
+    };
+    if let Some(policy) = policy {
+        scenario.fsync = policy;
+        scenario.schedule = NemesisSchedule::of(
+            Vec::new(),
+            &scenario.cluster,
+            Nanos::ZERO,
+            CrashMode::Amnesia,
+        );
+    }
+    scenario.run().report
 }
 
 /// Builds the durability-tax table: one row per fsync policy.
@@ -75,19 +73,14 @@ pub fn run(quick: bool) -> Vec<Table> {
             format!("{:.3}", r.latency.p99.as_millis_f64()),
         ]);
     };
-    push("volatile", &run_volatile(quick));
-    push(
-        &FsyncPolicy::Never.label(),
-        &run_policy(quick, FsyncPolicy::Never),
-    );
-    push(
-        &FsyncPolicy::batch8().label(),
-        &run_policy(quick, FsyncPolicy::batch8()),
-    );
-    push(
-        &FsyncPolicy::Always.label(),
-        &run_policy(quick, FsyncPolicy::Always),
-    );
+    push("volatile", &run_policy(quick, None));
+    for policy in [
+        FsyncPolicy::Never,
+        FsyncPolicy::batch8(),
+        FsyncPolicy::Always,
+    ] {
+        push(&policy.label(), &run_policy(quick, Some(policy)));
+    }
     vec![t]
 }
 

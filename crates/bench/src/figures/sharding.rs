@@ -15,9 +15,11 @@
 //! 8} per protocol; `groups = 1` is the unsharded baseline and uses the
 //! exact single-protocol code path in a cost-free envelope.
 
-use crate::sharded::{sweep_sharded, ShardProto};
+use crate::runner::Proto;
+use crate::sharded::sweep_sharded;
 use crate::table::{f0, f2, Table};
 use paxi_core::config::ClusterConfig;
+use paxi_protocols::raft::RaftConfig;
 
 /// Group counts swept; 1 is the unsharded baseline.
 const GROUPS: &[u32] = &[1, 2, 4, 8];
@@ -38,11 +40,18 @@ pub fn run(quick: bool) -> Vec<Table> {
     } else {
         vec![2, 8, 24, 64]
     };
-    let protos: &[ShardProto] = if quick {
-        &[ShardProto::Paxos, ShardProto::Raft]
-    } else {
-        &[ShardProto::Paxos, ShardProto::Raft, ShardProto::EPaxos]
-    };
+    let mut protos = vec![
+        Proto::paxos(),
+        Proto::Raft {
+            cfg: RaftConfig::default(),
+            cpu_penalty: 1.0,
+        },
+    ];
+    if !quick {
+        // This sweep has always charged EPaxos the plain message cost, not
+        // `Proto::epaxos()`'s dependency-processing penalty.
+        protos.push(Proto::EPaxos { cpu_penalty: 1.0 });
+    }
 
     let mut t = Table::new(
         "Ablation: sharding scaling (9-node LAN)",
@@ -55,7 +64,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             "speedup_vs_1_group",
         ],
     );
-    for &proto in protos {
+    for proto in &protos {
         let mut base_tput = f64::NAN;
         for &groups in GROUPS {
             let points = sweep_sharded(proto, groups, &sim, &cluster, KEY_SPACE, &counts);
@@ -67,7 +76,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 base_tput = best.throughput;
             }
             t.row(vec![
-                proto.name().to_string(),
+                proto.name(),
                 groups.to_string(),
                 best.clients.to_string(),
                 f0(best.throughput),

@@ -8,14 +8,20 @@
 //!   locality, moving hotspot).
 //! * [`checker`] — the offline TAO-style linearizability checker.
 //! * [`consensus`] — the common-prefix consensus checker over replica stores.
-//! * [`runner`] — protocol dispatch and saturation sweeps.
-//! * [`nemesis`] — seeded random fault schedules + linearizability verdicts.
-//! * [`reconfig`] — mid-reconfiguration nemesis: crashes inside a membership
-//!   change's transition window, verdicts over history + final config.
-//! * [`migration`] — mid-migration nemesis: crashes inside a shard
-//!   hand-off, verdicts over history + surviving ownership state.
+//! * [`runner`] — protocol names and saturation sweeps.
+//! * [`nemesis`] — the fault-schedule language: episodes, seeded random
+//!   schedules, delta debugging.
+//! * [`scenario`] — the one runner and the one verdict: a scenario
+//!   (protocol, groups, schedule, at most one workload event) goes through
+//!   the only protocol dispatch and comes back judged by every auditor that
+//!   applies to it.
+//! * [`reconfig`] — the mid-reconfiguration scenario: a crash inside a
+//!   membership change's transition window.
+//! * [`migration`] — the mid-migration scenario: a crash inside a shard
+//!   hand-off, and the ownership auditors.
 //! * [`sharded`] — multi-group (sharded) runs: routed clients, saturation
-//!   sweeps, per-shard checking, and the sharded nemesis.
+//!   sweeps, per-shard checking, the leakage and per-group consensus
+//!   auditors.
 //! * [`table`] — result tables with console + CSV output.
 //! * [`figures`] — one module per reproduced table/figure; the `repro`
 //!   binary drives them.
@@ -30,6 +36,7 @@ pub mod migration;
 pub mod nemesis;
 pub mod reconfig;
 pub mod runner;
+pub mod scenario;
 pub mod sharded;
 pub mod table;
 pub mod workload;
@@ -37,20 +44,17 @@ pub mod workload;
 pub use checker::{check_linearizability, Anomaly, AnomalyKind};
 pub use config::{BenchmarkConfig, Distribution};
 pub use consensus::{check_consensus, Divergence};
-pub use migration::{
-    audit_handoff, run_migration_nemesis, MigrationAudit, MigrationConfig, MigrationOutcome,
-    MigrationStage, MigrationVictim,
-};
+pub use migration::{dual_ownership, orphaned_writes, MigrationStage, MigrationVictim};
 pub use nemesis::{
-    ddmin, generate_schedule, generate_schedule_with_mode, lagging_then_only_electable,
-    run_nemesis, run_schedule, shrink_nemesis, Episode, NemesisConfig, NemesisOutcome,
-    NemesisSchedule,
+    ddmin, digest_lines, generate_schedule, generate_schedule_with_mode,
+    lagging_then_only_electable, Episode, NemesisConfig, NemesisSchedule,
 };
-pub use reconfig::{run_reconfig_nemesis, ReconfigConfig, ReconfigOutcome, ReconfigVictim};
-pub use runner::{run, run_with_faults, run_with_faults_durable, sweep, Proto, SweepPoint};
+pub use reconfig::ReconfigVictim;
+pub use runner::{run, sweep, Proto, SweepPoint};
+pub use scenario::{Audit, Event, GroupView, NodeView, Scenario, Verdict};
 pub use sharded::{
     check_group_consensus, check_shard_leakage, check_sharded, routed_clients, routed_workload,
-    run_sharded, run_sharded_checked, run_sharded_nemesis, sweep_sharded, ShardProto, ShardedRun,
+    run_sharded, sweep_sharded,
 };
 pub use table::Table;
 pub use workload::{GeneralWorkload, HotKeyWorkload};

@@ -15,21 +15,20 @@
 //! deterministic, so a failing seed can be replayed bit-for-bit (see the
 //! "Chaos & nemesis runs" section of `EXPERIMENTS.md`). The
 //! [`NemesisSchedule::digest`] fingerprint makes "same schedule" checkable
-//! at a glance, and [`shrink_nemesis`] delta-debugs a failing schedule down
-//! to the fault windows that matter.
+//! at a glance, and [`crate::scenario::Scenario::shrink`] delta-debugs a
+//! failing schedule down to the fault windows that matter.
+//!
+//! This module is the schedule language only; [`crate::scenario`] runs a
+//! schedule against a protocol and judges the result.
 
-use crate::checker::{check_linearizability, Anomaly};
-use crate::runner::{run_with_faults, run_with_faults_durable, Proto};
 use paxi_core::config::ClusterConfig;
 use paxi_core::dist::Rng64;
 use paxi_core::faults::{CrashMode, FaultPlan, FaultWindow};
 use paxi_core::id::NodeId;
 use paxi_core::time::Nanos;
-use paxi_sim::client::uniform_workload;
-use paxi_sim::{ClientSetup, SimConfig};
 use paxi_storage::FsyncPolicy;
 
-/// Tunables of one nemesis run.
+/// Tunables of one nemesis run — what every scenario constructor reads.
 #[derive(Debug, Clone)]
 pub struct NemesisConfig {
     /// Seed for the schedule *and* the simulation (all randomness).
@@ -218,29 +217,36 @@ impl NemesisSchedule {
         Self::build(episodes, self.nodes.clone(), self.heal_at, self.mode)
     }
 
-    /// FNV-1a fingerprint of the crash mode and the step list — equal
-    /// digests mean the same schedule *with the same crash semantics* was
-    /// generated (the determinism tests assert this). The mode is folded in
-    /// first and each crash step also carries its mode label, so a freeze
+    /// When everything heals; the fault-free tail starts here.
+    pub fn heal_at(&self) -> Nanos {
+        self.heal_at
+    }
+
+    /// Fingerprint ([`digest_lines`]) of the crash mode and the step list —
+    /// equal digests mean the same schedule *with the same crash semantics*
+    /// was generated (the determinism tests assert this). The mode is folded
+    /// in first and each crash step also carries its mode label, so a freeze
     /// schedule and its amnesia twin never collide; link fates (drop
     /// probability, slow delay) are part of the step strings and thus of the
     /// digest too.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0x0a;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        fold(self.mode.label().as_bytes());
-        for s in &self.steps {
-            fold(s.as_bytes());
-        }
-        h
+        digest_lines(
+            std::iter::once(self.mode.label()).chain(self.steps.iter().map(String::as_str)),
+        )
     }
+}
+
+/// FNV-1a over `lines`, each closed by a newline — the one fold behind every
+/// schedule and verdict digest.
+pub fn digest_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in lines {
+        for b in line.bytes().chain(std::iter::once(b'\n')) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Derives a randomized fault schedule over `[0, horizon)` from `seed`.
@@ -374,104 +380,6 @@ fn distinct_pair(nodes: &[NodeId], rng: &mut Rng64) -> (NodeId, NodeId) {
     (nodes[a], nodes[b])
 }
 
-/// The verdict of one nemesis run.
-#[derive(Debug)]
-pub struct NemesisOutcome {
-    /// Protocol display name.
-    pub proto: String,
-    /// Seed the schedule and simulation ran under.
-    pub seed: u64,
-    /// The schedule that was applied.
-    pub schedule: NemesisSchedule,
-    /// Operations completed inside the measurement window.
-    pub completed: u64,
-    /// Completions in the fault-free tail (after the heal point) — nonzero
-    /// means the system recovered.
-    pub tail_completed: u64,
-    /// Anomalous reads found by the linearizability checker (empty = pass).
-    pub anomalies: Vec<Anomaly>,
-}
-
-impl NemesisOutcome {
-    /// Whether the run is anomaly-free and made progress after healing.
-    pub fn passed(&self) -> bool {
-        self.anomalies.is_empty() && self.tail_completed > 0
-    }
-}
-
-/// Runs `proto` under a seeded random fault schedule and checks the history.
-///
-/// `sim` supplies the topology and timing template (its `topology` must match
-/// `cluster`, as with [`crate::runner::run`]); the nemesis overrides the
-/// seed, enables op recording, and arms client retries so abandoned requests
-/// are re-issued rather than wedging closed-loop clients.
-pub fn run_nemesis(
-    proto: &Proto,
-    sim: SimConfig,
-    cluster: ClusterConfig,
-    cfg: &NemesisConfig,
-) -> NemesisOutcome {
-    let horizon = sim.warmup + sim.measure;
-    let schedule =
-        generate_schedule_with_mode(cfg.seed, &cluster, horizon, cfg.episodes, cfg.crash_mode);
-    run_schedule(proto, sim, cluster, cfg, schedule)
-}
-
-/// [`run_nemesis`] under a given schedule instead of the one `cfg.seed`
-/// generates (the seed still drives the simulation): hand-built cases, and
-/// the sub-schedules [`shrink_nemesis`] tries.
-pub fn run_schedule(
-    proto: &Proto,
-    mut sim: SimConfig,
-    cluster: ClusterConfig,
-    cfg: &NemesisConfig,
-    schedule: NemesisSchedule,
-) -> NemesisOutcome {
-    let horizon = sim.warmup + sim.measure;
-    sim.seed = cfg.seed;
-    sim.record_ops = true;
-    if sim.client_retry.is_none() {
-        sim.client_retry = Some(Nanos::millis(500));
-    }
-    let clients = ClientSetup::closed_per_zone(&cluster, cfg.clients_per_zone);
-    let heal_at = Nanos(horizon.0 * 3 / 4);
-    let report = match schedule.mode {
-        CrashMode::Freeze => run_with_faults(
-            proto,
-            sim,
-            cluster,
-            uniform_workload(cfg.keys),
-            clients,
-            schedule.plan.clone(),
-        ),
-        // Amnesia without durable state cannot be linearizable; the durable
-        // runner attaches per-node WALs and rebuilds victims from them.
-        CrashMode::Amnesia => run_with_faults_durable(
-            proto,
-            sim,
-            cluster,
-            uniform_workload(cfg.keys),
-            clients,
-            schedule.plan.clone(),
-            cfg.fsync,
-        ),
-    };
-    let anomalies = check_linearizability(&report.ops);
-    let tail_completed = report
-        .ops
-        .iter()
-        .filter(|o| o.ok && o.ret >= heal_at)
-        .count() as u64;
-    NemesisOutcome {
-        proto: proto.name(),
-        seed: cfg.seed,
-        schedule,
-        completed: report.completed,
-        tail_completed,
-        anomalies,
-    }
-}
-
 /// Delta debugging (Zeller's ddmin): the smallest subset of `set` for which
 /// `fails` still holds, to the granularity of single elements. `fails(set)`
 /// is taken as given.
@@ -494,33 +402,6 @@ pub fn ddmin(mut set: Vec<usize>, fails: impl Fn(&[usize]) -> bool) -> Vec<usize
         }
     }
     set
-}
-
-/// Shrinks the failing nemesis run `(proto, sim, cluster, cfg)` to a
-/// minimal set of its fault windows under which it still fails (an anomaly,
-/// or no progress after the heal), prints that schedule, and returns it.
-pub fn shrink_nemesis(
-    proto: &Proto,
-    sim: SimConfig,
-    cluster: ClusterConfig,
-    cfg: &NemesisConfig,
-) -> NemesisSchedule {
-    let horizon = sim.warmup + sim.measure;
-    let full =
-        generate_schedule_with_mode(cfg.seed, &cluster, horizon, cfg.episodes, cfg.crash_mode);
-    let fails = |keep: &[usize]| {
-        !run_schedule(proto, sim.clone(), cluster.clone(), cfg, full.only(keep)).passed()
-    };
-    let minimal = full.only(&ddmin((0..full.episodes.len()).collect(), fails));
-    println!(
-        "{} seed {}: minimal failing schedule, {} of {} fault windows:\n{}",
-        proto.name(),
-        cfg.seed,
-        minimal.episodes.len(),
-        full.episodes.len(),
-        minimal.steps.join("\n"),
-    );
-    minimal
 }
 
 #[cfg(test)]
@@ -574,27 +455,6 @@ mod tests {
                 assert_eq!(f, a);
             }
         }
-    }
-
-    #[test]
-    fn amnesia_nemesis_on_paxos_passes() {
-        let sim = SimConfig {
-            warmup: Nanos::millis(100),
-            measure: Nanos::millis(3_900),
-            ..SimConfig::default()
-        };
-        let out = run_nemesis(
-            &Proto::paxos(),
-            sim,
-            ClusterConfig::lan(5),
-            &NemesisConfig {
-                seed: 11,
-                crash_mode: CrashMode::Amnesia,
-                ..Default::default()
-            },
-        );
-        assert!(out.anomalies.is_empty(), "anomalies: {:?}", out.anomalies);
-        assert!(out.tail_completed > 0, "no post-heal progress");
     }
 
     #[test]
@@ -689,25 +549,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn nemesis_run_on_paxos_passes() {
-        let sim = SimConfig {
-            warmup: Nanos::millis(100),
-            measure: Nanos::millis(3_900),
-            ..SimConfig::default()
-        };
-        let out = run_nemesis(
-            &Proto::paxos(),
-            sim,
-            ClusterConfig::lan(5),
-            &NemesisConfig {
-                seed: 11,
-                ..Default::default()
-            },
-        );
-        assert!(out.anomalies.is_empty(), "anomalies: {:?}", out.anomalies);
-        assert!(out.tail_completed > 0, "no post-heal progress");
     }
 }

@@ -1,38 +1,23 @@
 //! Mid-reconfiguration nemesis: crash the cluster *inside* a membership
 //! change and check that nothing breaks.
 //!
-//! The ordinary nemesis ([`crate::nemesis`]) stresses a static membership;
-//! this module stresses the cut-over itself. A designated client submits one
-//! membership change (a join or a leave) at a fixed virtual time, a
-//! [`FaultWindow::during_reconfig`] crash window fells a chosen victim —
-//! the leader, the joining node, or the departing node — while the
-//! transition is in flight, and the completed history is checked for
-//! linearizability. The verdict additionally requires that the cut-over
-//! *finished*: after healing, a majority of the target membership (leader
-//! included) must report exactly the target configuration, never the old
-//! one, and every message loss must be attributable to a known cause
-//! (`unexplained == 0`).
-//!
-//! Like everything else in the harness the run is a pure function of its
-//! seed: the same `(proto, victim, mode, seed)` tuple replays bit-for-bit,
-//! and [`ReconfigOutcome::digest`] fingerprints the verdict for the smoke
-//! job's artifact.
+//! The ordinary nemesis stresses a static membership; [`Scenario::reconfig`]
+//! stresses the cut-over itself. Client 0 submits one membership change (a
+//! join or a leave) at a fixed virtual time and a crash window fells a
+//! chosen victim — the leader, the joining node, or the departing node —
+//! while the transition is in flight. The [`crate::scenario::Verdict`]
+//! additionally requires that the cut-over *finished*: after healing, a
+//! majority of the target membership must report exactly the target
+//! configuration, never the old one.
 
-use crate::checker::{check_linearizability, Anomaly};
+use crate::nemesis::NemesisConfig;
 use crate::runner::Proto;
+use crate::scenario::{Event, Scenario};
 use paxi_core::config::ClusterConfig;
-use paxi_core::faults::{CrashMode, FaultPlan, FaultWindow};
 use paxi_core::id::NodeId;
 use paxi_core::membership::ConfigChange;
 use paxi_core::time::Nanos;
-use paxi_core::traits::{Replica, ReplicaFactory};
-use paxi_protocols::paxos::paxos_cluster;
-use paxi_protocols::raft::raft_cluster;
-use paxi_sim::client::uniform_workload;
-use paxi_sim::{
-    ClientSetup, LoadMode, ReconfigWorkload, SimConfig, SimReport, Simulator, Workload,
-};
-use paxi_storage::{FsyncPolicy, MemHub};
+use paxi_sim::SimConfig;
 
 /// Which node the nemesis fells inside the transition window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,306 +41,52 @@ impl ReconfigVictim {
     }
 }
 
-/// Tunables of one mid-reconfiguration nemesis run.
-#[derive(Debug, Clone)]
-pub struct ReconfigConfig {
-    /// Seed for the simulation (all randomness).
-    pub seed: u64,
-    /// Keys in the workload's space.
-    pub keys: u64,
-    /// Closed-loop clients (attached round-robin to the initial members).
-    pub clients: usize,
-    /// What the crash does to the victim.
-    pub mode: CrashMode,
-    /// Fsync policy, consulted under [`CrashMode::Amnesia`].
-    pub fsync: FsyncPolicy,
-}
-
-impl Default for ReconfigConfig {
-    fn default() -> Self {
-        ReconfigConfig {
-            seed: 1,
-            keys: 8,
-            clients: 4,
-            mode: CrashMode::Freeze,
-            fsync: FsyncPolicy::Always,
-        }
-    }
-}
-
-/// The verdict of one mid-reconfiguration nemesis run.
-#[derive(Debug)]
-pub struct ReconfigOutcome {
-    /// Protocol display name.
-    pub proto: String,
-    /// The felled node's role.
-    pub victim: ReconfigVictim,
-    /// Crash semantics applied to the victim.
-    pub mode: CrashMode,
-    /// Seed the run executed under.
-    pub seed: u64,
-    /// Operations completed inside the measurement window.
-    pub completed: u64,
-    /// Completions in the fault-free tail (after the heal point).
-    pub tail_completed: u64,
-    /// Anomalous reads found by the linearizability checker (empty = pass).
-    pub anomalies: Vec<Anomaly>,
-    /// Message losses the drop ledger could not attribute to a known cause.
-    pub unexplained_drops: u64,
-    /// The membership the change was meant to install (sorted).
-    pub target: Vec<NodeId>,
-    /// Every node's post-run membership view, in universe order.
-    pub final_members: Vec<Option<Vec<NodeId>>>,
-    /// Human-readable schedule, for logs and the digest.
-    pub steps: Vec<String>,
-}
-
-impl ReconfigOutcome {
-    /// Whether the cut-over completed: a majority of the target membership
-    /// — including the post-change members hosting the log — report exactly
-    /// the target configuration. (A minority may still be catching up when
-    /// the window closes; the old configuration must never win.)
-    pub fn cut_over_complete(&self) -> bool {
-        let universe: Vec<NodeId> = (0..self.final_members.len())
-            .map(|i| NodeId::new(0, i as u8))
-            .collect();
-        let agreeing = universe
-            .iter()
-            .zip(&self.final_members)
-            .filter(|(id, view)| {
-                self.target.contains(id) && view.as_deref() == Some(self.target.as_slice())
-            })
-            .count();
-        agreeing > self.target.len() / 2
-    }
-
-    /// Whether the run passed in full: anomaly-free, progressed after
-    /// healing, fully-attributed losses, and a completed cut-over.
-    pub fn passed(&self) -> bool {
-        self.anomalies.is_empty()
-            && self.tail_completed > 0
-            && self.unexplained_drops == 0
-            && self.cut_over_complete()
-    }
-
-    /// FNV-1a fingerprint of the schedule and verdict — the reconfig smoke
-    /// job's artifact lines. Equal digests mean the same run reached the
-    /// same verdict.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0x0a;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for s in &self.steps {
-            fold(s.as_bytes());
-        }
-        fold(format!("anomalies={}", self.anomalies.len()).as_bytes());
-        fold(format!("unexplained={}", self.unexplained_drops).as_bytes());
-        fold(format!("cutover={}", self.cut_over_complete()).as_bytes());
-        h
-    }
-}
-
-/// Runs `proto` through a membership change with a crash inside the
-/// transition window and checks the history plus the final configuration.
-///
-/// Geometry (fixed so every run is survivable by construction):
-///
-/// * universe of 6 nodes in one zone; nodes 0–4 are the initial members,
-///   node 5 starts as a non-member;
-/// * [`ReconfigVictim::Leaver`] runs a leave (remove node 4), the other
-///   victims run a join (add node 5);
-/// * the change is submitted at `warmup + measure·2/5`, the crash window is
-///   [`FaultWindow::during_reconfig`]`(change, measure/5)`, and everything
-///   heals at `horizon·3/4`, leaving the tail clean for re-election,
-///   catch-up, and client retries.
-///
-/// Only [`Proto::Paxos`] and [`Proto::Raft`] support reconfiguration;
-/// passing any other protocol panics.
-pub fn run_reconfig_nemesis(
-    proto: &Proto,
-    mut sim: SimConfig,
-    cfg: &ReconfigConfig,
-    victim: ReconfigVictim,
-) -> ReconfigOutcome {
-    let cluster = ClusterConfig::lan(6);
-    let initial: Vec<NodeId> = (0..5).map(|i| NodeId::new(0, i)).collect();
-    let joiner = NodeId::new(0, 5);
-    let leaver = NodeId::new(0, 4);
-    let change = match victim {
-        ReconfigVictim::Leaver => ConfigChange {
-            add: vec![],
-            remove: vec![leaver],
-        },
-        _ => ConfigChange {
+impl Scenario {
+    /// `proto` through a membership change with a crash inside the
+    /// transition window.
+    ///
+    /// Geometry (fixed so every run is survivable by construction):
+    ///
+    /// * universe of 6 nodes in one zone; nodes 0–4 are the initial
+    ///   members, node 5 starts as a non-member;
+    /// * [`ReconfigVictim::Leaver`] runs a leave (remove node 4), the other
+    ///   victims run a join (add node 5);
+    /// * the change is submitted at `warmup + measure·2/5`, the crash opens
+    ///   with it and lasts `measure/5` — inside the joint / pre-activation
+    ///   configuration — and everything heals at `horizon·3/4`, leaving the
+    ///   tail clean for re-election, catch-up, and client retries.
+    ///
+    /// Only MultiPaxos and Raft support reconfiguration; running the
+    /// scenario with any other protocol panics.
+    pub fn reconfig(
+        proto: &Proto,
+        sim: SimConfig,
+        cfg: &NemesisConfig,
+        victim: ReconfigVictim,
+    ) -> Scenario {
+        let initial: Vec<NodeId> = (0..5).map(|i| NodeId::new(0, i)).collect();
+        let (joiner, leaver) = (NodeId::new(0, 5), NodeId::new(0, 4));
+        let join = ConfigChange {
             add: vec![joiner],
             remove: vec![],
-        },
-    };
-    let target = change.apply(&initial);
-    let victim_node = match victim {
-        ReconfigVictim::Leader => NodeId::new(0, 0),
-        ReconfigVictim::Joiner => joiner,
-        ReconfigVictim::Leaver => leaver,
-    };
-
-    sim.seed = cfg.seed;
-    sim.record_ops = true;
-    sim.metrics = true;
-    if sim.client_retry.is_none() {
-        sim.client_retry = Some(Nanos::millis(500));
-    }
-    let horizon = sim.warmup + sim.measure;
-    let reconfig_at = Nanos(sim.warmup.0 + sim.measure.0 * 2 / 5);
-    let transition = Nanos(sim.measure.0 / 5);
-    let heal_at = Nanos(horizon.0 * 3 / 4);
-
-    let mut plan = FaultPlan::new();
-    plan.crash_mode_in(
-        victim_node,
-        FaultWindow::during_reconfig(reconfig_at, transition),
-        cfg.mode,
-    );
-    plan.heal(heal_at);
-    let steps = vec![
-        format!(
-            "proto={} victim={} seed={}",
-            proto.name(),
-            victim.label(),
-            cfg.seed
-        ),
-        format!(
-            "reconfig add={:?} remove={:?} at={}",
-            change.add, change.remove, reconfig_at.0
-        ),
-        format!(
-            "crash mode={} node={victim_node} at={} dur={}",
-            cfg.mode.label(),
-            reconfig_at.0,
-            transition.0
-        ),
-        format!("heal at={}", heal_at.0),
-    ];
-
-    // Clients attach round-robin to the *initial* members only: a client
-    // wired to the not-yet-joined node would be load on a non-member.
-    let clients: Vec<ClientSetup> = (0..cfg.clients)
-        .map(|i| ClientSetup {
-            zone: 0,
-            attach: initial[i % initial.len()],
-            mode: LoadMode::Closed { think: Nanos::ZERO },
-        })
-        .collect();
-    // Client 0 (the first setup) carries the membership change.
-    let workload = ReconfigWorkload::new(
-        uniform_workload(cfg.keys),
-        paxi_core::id::ClientId(0),
-        reconfig_at,
-        change,
-        &initial,
-    );
-
-    let durable = match cfg.mode {
-        CrashMode::Freeze => None,
-        // Amnesia without durable state cannot rejoin in the right
-        // configuration — the whole point of the config WAL records.
-        CrashMode::Amnesia => Some(cfg.fsync),
-    };
-    let (report, final_members) = match proto {
-        Proto::Paxos(pc) => {
-            let mut pc = pc.clone();
-            pc.initial_members = Some(initial.clone());
-            go(
-                sim,
-                cluster.clone(),
-                paxos_cluster(cluster, pc),
-                workload,
-                clients,
-                plan,
-                durable,
-            )
-        }
-        Proto::Raft { cfg: rc, .. } => {
-            let mut rc = rc.clone();
-            rc.initial_members = Some(initial.clone());
-            go(
-                sim,
-                cluster.clone(),
-                raft_cluster(cluster, rc),
-                workload,
-                clients,
-                plan,
-                durable,
-            )
-        }
-        other => panic!("{} does not support reconfiguration", other.name()),
-    };
-
-    let anomalies = check_linearizability(&report.ops);
-    let tail_completed = report
-        .ops
-        .iter()
-        .filter(|o| o.ok && o.ret >= heal_at)
-        .count() as u64;
-    let unexplained_drops = report.metrics.as_ref().map_or(0, |m| m.unexplained_drops());
-    ReconfigOutcome {
-        proto: proto.name(),
-        victim,
-        mode: cfg.mode,
-        seed: cfg.seed,
-        completed: report.completed,
-        tail_completed,
-        anomalies,
-        unexplained_drops,
-        target,
-        final_members,
-        steps,
-    }
-}
-
-/// Builds the simulator (durable when asked), runs it, and reads back every
-/// replica's membership view alongside the report.
-fn go<R, F>(
-    sim: SimConfig,
-    cluster: ClusterConfig,
-    factory: F,
-    workload: impl Workload + 'static,
-    clients: Vec<ClientSetup>,
-    plan: FaultPlan,
-    durable: Option<FsyncPolicy>,
-) -> (SimReport, Vec<Option<Vec<NodeId>>>)
-where
-    R: Replica,
-    F: ReplicaFactory<R = R> + 'static,
-{
-    match durable {
-        None => {
-            let mut s = Simulator::new(sim, cluster, factory, workload, clients);
-            *s.faults_mut() = plan;
-            let report = s.run();
-            let members = s.replicas().iter().map(|r| r.current_members()).collect();
-            (report, members)
-        }
-        Some(policy) => {
-            let hub: MemHub<NodeId> = MemHub::new(policy);
-            let disks = hub.clone();
-            let durable_factory = move |id: NodeId| {
-                let mut r = factory.make(id);
-                r.attach_storage(Box::new(disks.open(id)));
-                r
-            };
-            let mut s = Simulator::new(sim, cluster, durable_factory, workload, clients);
-            s.set_storage(hub);
-            *s.faults_mut() = plan;
-            let report = s.run();
-            let members = s.replicas().iter().map(|r| r.current_members()).collect();
-            (report, members)
-        }
+        };
+        let (change, node) = match victim {
+            ReconfigVictim::Leader => (join, NodeId::new(0, 0)),
+            ReconfigVictim::Joiner => (join, joiner),
+            ReconfigVictim::Leaver => {
+                let leave = ConfigChange {
+                    add: vec![],
+                    remove: vec![leaver],
+                };
+                (leave, leaver)
+            }
+        };
+        Scenario::nemesis(proto, sim, ClusterConfig::lan(6), cfg).around(
+            Event::Reconfig { initial, change },
+            node,
+            Nanos::ZERO,
+            format!("victim={}", victim.label()),
+        )
     }
 }
 
@@ -363,39 +94,34 @@ where
 mod tests {
     use super::*;
 
-    fn quick_sim() -> SimConfig {
-        SimConfig {
+    fn cell(seed: u64, victim: ReconfigVictim) -> Scenario {
+        let sim = SimConfig {
             warmup: Nanos::millis(100),
             measure: Nanos::millis(3_900),
             ..SimConfig::default()
-        }
+        };
+        let cfg = NemesisConfig {
+            seed,
+            clients_per_zone: 4,
+            ..Default::default()
+        };
+        Scenario::reconfig(&Proto::paxos(), sim, &cfg, victim)
     }
 
     #[test]
     fn paxos_join_without_faults_cuts_over() {
-        let out = run_reconfig_nemesis(
-            &Proto::paxos(),
-            quick_sim(),
-            &ReconfigConfig {
-                seed: 3,
-                ..Default::default()
-            },
-            ReconfigVictim::Joiner,
-        );
         // Victim is the joiner under Freeze — still a real fault, but the
         // quorum never loses a member, so this doubles as the smoke check.
-        assert!(out.anomalies.is_empty(), "anomalies: {:?}", out.anomalies);
-        assert!(out.tail_completed > 0, "no post-heal progress");
-        assert!(out.cut_over_complete(), "views: {:?}", out.final_members);
+        let v = cell(3, ReconfigVictim::Joiner).run();
+        assert!(v.passed(), "{v}");
     }
 
     #[test]
     fn digest_is_deterministic_and_victim_sensitive() {
-        let cfg = ReconfigConfig::default();
-        let a = run_reconfig_nemesis(&Proto::paxos(), quick_sim(), &cfg, ReconfigVictim::Joiner);
-        let b = run_reconfig_nemesis(&Proto::paxos(), quick_sim(), &cfg, ReconfigVictim::Joiner);
+        let a = cell(1, ReconfigVictim::Joiner).run();
+        let b = cell(1, ReconfigVictim::Joiner).run();
         assert_eq!(a.digest(), b.digest(), "same run, same digest");
-        let c = run_reconfig_nemesis(&Proto::paxos(), quick_sim(), &cfg, ReconfigVictim::Leaver);
+        let c = cell(1, ReconfigVictim::Leaver).run();
         assert_ne!(a.digest(), c.digest(), "different victim, different digest");
     }
 }

@@ -1,21 +1,20 @@
-//! Protocol dispatch and load sweeps.
+//! Protocol names and load sweeps.
 //!
 //! The figure harness needs to run "the same experiment" across many
-//! protocols; [`Proto`] names a protocol + configuration, and [`run`]
-//! instantiates the right `Simulator` for it. [`sweep`] pushes a protocol to
-//! saturation by growing the closed-loop client population, producing the
-//! latency-vs-throughput series the paper plots in Figures 7 and 9.
+//! protocols; [`Proto`] names a protocol + configuration, and [`run`] hands
+//! it to the harness's one dispatch ([`crate::scenario`]). [`sweep`] pushes
+//! a protocol to saturation by growing the closed-loop client population,
+//! producing the latency-vs-throughput series the paper plots in Figures 7
+//! and 9.
 
+use crate::scenario::Scenario;
 use paxi_core::config::ClusterConfig;
-use paxi_core::id::NodeId;
-use paxi_protocols::epaxos::epaxos_cluster;
-use paxi_protocols::paxos::{paxos_cluster, PaxosConfig};
-use paxi_protocols::raft::{raft_cluster, RaftConfig};
-use paxi_protocols::vpaxos::{vpaxos_cluster, VPaxosConfig};
-use paxi_protocols::wankeeper::{wankeeper_cluster, WanKeeperConfig};
-use paxi_protocols::wpaxos::{wpaxos_cluster, WPaxosConfig};
-use paxi_sim::{ClientSetup, FaultPlan, SimConfig, SimReport, Simulator, Workload};
-use paxi_storage::{FsyncPolicy, MemHub};
+use paxi_protocols::paxos::PaxosConfig;
+use paxi_protocols::raft::RaftConfig;
+use paxi_protocols::vpaxos::VPaxosConfig;
+use paxi_protocols::wankeeper::WanKeeperConfig;
+use paxi_protocols::wpaxos::WPaxosConfig;
+use paxi_sim::{ClientSetup, SimConfig, SimReport, Workload};
 use serde::Serialize;
 
 /// A protocol under test.
@@ -83,7 +82,8 @@ impl Proto {
     }
 }
 
-/// Runs one simulation of `proto` and returns its report.
+/// Runs one fault-free simulation of `proto` on volatile replicas and
+/// returns its report.
 pub fn run(
     proto: &Proto,
     sim: SimConfig,
@@ -91,195 +91,7 @@ pub fn run(
     workload: impl Workload + 'static,
     clients: Vec<ClientSetup>,
 ) -> SimReport {
-    run_with_faults(proto, sim, cluster, workload, clients, FaultPlan::new())
-}
-
-/// Like [`run`], but installs a [`FaultPlan`] before the simulation starts —
-/// the entry point for availability experiments and the nemesis harness.
-pub fn run_with_faults(
-    proto: &Proto,
-    mut sim: SimConfig,
-    cluster: ClusterConfig,
-    workload: impl Workload + 'static,
-    clients: Vec<ClientSetup>,
-    faults: FaultPlan,
-) -> SimReport {
-    fn go<R, F>(
-        sim: SimConfig,
-        cluster: ClusterConfig,
-        factory: F,
-        workload: impl Workload + 'static,
-        clients: Vec<ClientSetup>,
-        faults: FaultPlan,
-    ) -> SimReport
-    where
-        R: paxi_core::traits::Replica,
-        F: paxi_core::traits::ReplicaFactory<R = R> + 'static,
-    {
-        let mut s = Simulator::new(sim, cluster, factory, workload, clients);
-        *s.faults_mut() = faults;
-        s.run()
-    }
-    match proto {
-        Proto::Paxos(cfg) => go(
-            sim,
-            cluster.clone(),
-            paxos_cluster(cluster, cfg.clone()),
-            workload,
-            clients,
-            faults,
-        ),
-        Proto::EPaxos { cpu_penalty } => {
-            sim.cost.cpu_penalty = *cpu_penalty;
-            go(
-                sim,
-                cluster.clone(),
-                epaxos_cluster(cluster),
-                workload,
-                clients,
-                faults,
-            )
-        }
-        Proto::WPaxos(cfg) => go(
-            sim,
-            cluster.clone(),
-            wpaxos_cluster(cluster, cfg.clone()),
-            workload,
-            clients,
-            faults,
-        ),
-        Proto::WanKeeper(cfg) => go(
-            sim,
-            cluster.clone(),
-            wankeeper_cluster(cluster, cfg.clone()),
-            workload,
-            clients,
-            faults,
-        ),
-        Proto::VPaxos(cfg) => go(
-            sim,
-            cluster.clone(),
-            vpaxos_cluster(cluster, cfg.clone()),
-            workload,
-            clients,
-            faults,
-        ),
-        Proto::Raft { cfg, cpu_penalty } => {
-            sim.cost.cpu_penalty = *cpu_penalty;
-            go(
-                sim,
-                cluster.clone(),
-                raft_cluster(cluster, cfg.clone()),
-                workload,
-                clients,
-                faults,
-            )
-        }
-    }
-}
-
-/// Like [`run_with_faults`], but with durable replica state: every node
-/// writes its WAL to an in-memory disk array under `policy`, replicas are
-/// rebuilt from it after [`paxi_core::faults::CrashMode::Amnesia`] crashes,
-/// and every fsync is charged [`paxi_sim::CostModel::t_fsync`] of service
-/// time — the entry point for the amnesia nemesis and the durability-tax
-/// sweep.
-pub fn run_with_faults_durable(
-    proto: &Proto,
-    mut sim: SimConfig,
-    cluster: ClusterConfig,
-    workload: impl Workload + 'static,
-    clients: Vec<ClientSetup>,
-    faults: FaultPlan,
-    policy: FsyncPolicy,
-) -> SimReport {
-    fn go<R, F>(
-        sim: SimConfig,
-        cluster: ClusterConfig,
-        factory: F,
-        workload: impl Workload + 'static,
-        clients: Vec<ClientSetup>,
-        faults: FaultPlan,
-        policy: FsyncPolicy,
-    ) -> SimReport
-    where
-        R: paxi_core::traits::Replica,
-        F: paxi_core::traits::ReplicaFactory<R = R> + 'static,
-    {
-        let hub: MemHub<NodeId> = MemHub::new(policy);
-        let disks = hub.clone();
-        let durable_factory = move |id: NodeId| {
-            let mut r = factory.make(id);
-            r.attach_storage(Box::new(disks.open(id)));
-            r
-        };
-        let mut s = Simulator::new(sim, cluster, durable_factory, workload, clients);
-        s.set_storage(hub);
-        *s.faults_mut() = faults;
-        s.run()
-    }
-    match proto {
-        Proto::Paxos(cfg) => go(
-            sim,
-            cluster.clone(),
-            paxos_cluster(cluster, cfg.clone()),
-            workload,
-            clients,
-            faults,
-            policy,
-        ),
-        Proto::EPaxos { cpu_penalty } => {
-            sim.cost.cpu_penalty = *cpu_penalty;
-            go(
-                sim,
-                cluster.clone(),
-                epaxos_cluster(cluster),
-                workload,
-                clients,
-                faults,
-                policy,
-            )
-        }
-        Proto::WPaxos(cfg) => go(
-            sim,
-            cluster.clone(),
-            wpaxos_cluster(cluster, cfg.clone()),
-            workload,
-            clients,
-            faults,
-            policy,
-        ),
-        Proto::WanKeeper(cfg) => go(
-            sim,
-            cluster.clone(),
-            wankeeper_cluster(cluster, cfg.clone()),
-            workload,
-            clients,
-            faults,
-            policy,
-        ),
-        Proto::VPaxos(cfg) => go(
-            sim,
-            cluster.clone(),
-            vpaxos_cluster(cluster, cfg.clone()),
-            workload,
-            clients,
-            faults,
-            policy,
-        ),
-        Proto::Raft { cfg, cpu_penalty } => {
-            sim.cost.cpu_penalty = *cpu_penalty;
-            go(
-                sim,
-                cluster.clone(),
-                raft_cluster(cluster, cfg.clone()),
-                workload,
-                clients,
-                faults,
-                policy,
-            )
-        }
-    }
+    Scenario::quiet(proto, sim, cluster).execute((workload, clients), |report, _| report)
 }
 
 /// One point of a latency-vs-throughput sweep.
@@ -295,6 +107,19 @@ pub struct SweepPoint {
     pub p50_ms: f64,
     /// 99th-percentile latency, ms.
     pub p99_ms: f64,
+}
+
+impl SweepPoint {
+    /// The point a run with `clients` closed-loop clients measured.
+    pub fn of(clients: usize, report: &SimReport) -> Self {
+        SweepPoint {
+            clients,
+            throughput: report.throughput,
+            mean_ms: report.latency.mean.as_millis_f64(),
+            p50_ms: report.latency.p50.as_millis_f64(),
+            p99_ms: report.latency.p99.as_millis_f64(),
+        }
+    }
 }
 
 /// Sweeps the closed-loop client count (per zone) and records one point per
@@ -321,13 +146,7 @@ where
                 workload_factory(),
                 clients,
             );
-            SweepPoint {
-                clients: count * cluster.zones as usize,
-                throughput: report.throughput,
-                mean_ms: report.latency.mean.as_millis_f64(),
-                p50_ms: report.latency.p50.as_millis_f64(),
-                p99_ms: report.latency.p99.as_millis_f64(),
-            }
+            SweepPoint::of(count * cluster.zones as usize, &report)
         })
         .collect()
 }

@@ -1,0 +1,793 @@
+//! One scenario, one runner, one verdict.
+//!
+//! A [`Scenario`] says everything about a run: the protocol, how many
+//! consensus groups each node hosts, the cluster and simulator settings, the
+//! load, a [`NemesisSchedule`] of faults and at most one workload [`Event`]
+//! (a membership change or a shard hand-off) injected at a stated time.
+//! [`Scenario::run`] builds the one [`Simulator`] the harness ever builds —
+//! plain or [`ShardedReplica`], durable when the schedule's crashes wipe
+//! memory — and hands the report plus a protocol-agnostic view of the
+//! surviving replicas ([`NodeView`]) to the [`Verdict`], which runs every
+//! auditor the scenario makes applicable and owns the only `passed()`,
+//! `Display` and `digest()`.
+//!
+//! Which auditors run is derived, never chosen: a recorded history is checked
+//! for linearizability and for progress after the heal; metrics on means
+//! every message loss must be attributed; an event brings its cut-over audit;
+//! a sharded deployment brings the ownership audits.
+//!
+//! Like everything else in the harness a run is a pure function of its
+//! scenario: the same scenario replays bit-for-bit, and
+//! [`Verdict::digest`] fingerprints schedule and findings for
+//! `results/verdict_digests.txt`.
+
+use crate::checker::check_linearizability;
+use crate::migration::{dual_ownership, orphaned_writes};
+use crate::nemesis::{ddmin, digest_lines, generate_schedule_with_mode};
+use crate::nemesis::{Episode, NemesisConfig, NemesisSchedule};
+use crate::runner::Proto;
+use crate::sharded::{check_group_consensus, check_shard_leakage};
+use paxi_core::config::ClusterConfig;
+use paxi_core::faults::CrashMode;
+use paxi_core::group::GroupId;
+use paxi_core::id::{ClientId, NodeId};
+use paxi_core::membership::ConfigChange;
+use paxi_core::migration::{MigrationSpec, MigrationTracker};
+use paxi_core::store::MultiVersionStore;
+use paxi_core::time::Nanos;
+use paxi_core::traits::{Replica, ReplicaFactory};
+use paxi_protocols::epaxos::EPaxos;
+use paxi_protocols::paxos::MultiPaxos;
+use paxi_protocols::raft::Raft;
+use paxi_protocols::vpaxos::VPaxos;
+use paxi_protocols::wankeeper::WanKeeper;
+use paxi_protocols::wpaxos::WPaxos;
+use paxi_shard::{
+    sharded_cluster, spread_leader, RangePartitioner, ShardDisks, ShardSpec, ShardedReplica,
+};
+use paxi_sim::client::uniform_workload;
+use paxi_sim::{
+    ClientSetup, LoadMode, MigrationWorkload, ReconfigWorkload, SimConfig, SimDisks, SimReport,
+    Simulator, Workload,
+};
+use paxi_storage::{FsyncPolicy, MemHub};
+use std::fmt;
+
+/// The one workload event a scenario may carry; client 0 submits it.
+#[derive(Debug, Clone)]
+pub enum Event {
+    /// A membership change on a cluster whose members start as `initial`
+    /// (the rest of the cluster's nodes start outside the configuration).
+    Reconfig {
+        /// The membership the run starts in.
+        initial: Vec<NodeId>,
+        /// The change to it.
+        change: ConfigChange,
+    },
+    /// A shard hand-off between two groups of a sharded deployment.
+    Migrate(MigrationSpec),
+}
+
+/// Everything about one run. All fields are public: the constructors build
+/// the standard geometries, and a case that differs in one respect says so
+/// with struct-update syntax (`Scenario { schedule, ..base }`).
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// The protocol under test.
+    pub proto: Proto,
+    /// `None` runs the plain protocol; `Some(g)` runs `g` groups of it per
+    /// node inside a [`ShardedReplica`], range-partitioned over `keys`, with
+    /// leaders placed by [`spread_leader`].
+    pub groups: Option<u32>,
+    /// The nodes.
+    pub cluster: ClusterConfig,
+    /// Topology, timing, seed and recording switches.
+    pub sim: SimConfig,
+    /// Keys in the workload's space (smaller = more contention).
+    pub keys: u64,
+    /// Closed-loop clients per zone.
+    pub clients_per_zone: usize,
+    /// Fsync policy of the replicas' WALs. Disks exist exactly when the
+    /// schedule's crashes are [`CrashMode::Amnesia`]: a wiped replica
+    /// without a WAL cannot be linearizable, and a frozen one needs none.
+    pub fsync: FsyncPolicy,
+    /// The faults.
+    pub schedule: NemesisSchedule,
+    /// The workload event and when client 0 first submits it.
+    pub event: Option<(Nanos, Event)>,
+    /// What distinguishes this case within its family (`victim=leader`);
+    /// part of the digest's first line.
+    pub label: String,
+}
+
+impl Scenario {
+    /// `proto` on `cluster` with `sim` exactly as given: no fault, no event,
+    /// volatile replicas.
+    pub fn quiet(proto: &Proto, sim: SimConfig, cluster: ClusterConfig) -> Self {
+        let load = NemesisConfig::default();
+        Scenario {
+            proto: proto.clone(),
+            groups: None,
+            schedule: NemesisSchedule::of(Vec::new(), &cluster, Nanos::ZERO, CrashMode::Freeze),
+            cluster,
+            sim,
+            keys: load.keys,
+            clients_per_zone: load.clients_per_zone,
+            fsync: load.fsync,
+            event: None,
+            label: String::new(),
+        }
+    }
+
+    /// `proto` under the random fault schedule `cfg` generates. `sim`
+    /// supplies the topology and timing template (its `topology` must match
+    /// `cluster`); the seed is `cfg`'s, every operation is recorded, and
+    /// client retries are armed so abandoned requests are re-issued rather
+    /// than wedging closed-loop clients.
+    pub fn nemesis(
+        proto: &Proto,
+        mut sim: SimConfig,
+        cluster: ClusterConfig,
+        cfg: &NemesisConfig,
+    ) -> Self {
+        sim.seed = cfg.seed;
+        sim.record_ops = true;
+        if sim.client_retry.is_none() {
+            sim.client_retry = Some(Nanos::millis(500));
+        }
+        let horizon = sim.warmup + sim.measure;
+        Scenario {
+            schedule: generate_schedule_with_mode(
+                cfg.seed,
+                &cluster,
+                horizon,
+                cfg.episodes,
+                cfg.crash_mode,
+            ),
+            keys: cfg.keys,
+            clients_per_zone: cfg.clients_per_zone,
+            fsync: cfg.fsync,
+            ..Self::quiet(proto, sim, cluster)
+        }
+    }
+
+    /// This scenario with `event` submitted two fifths into the measurement
+    /// window and, instead of random faults, one hand-placed crash of
+    /// `victim` that opens `offset` after the event and lasts a fifth of the
+    /// window — the geometry of the reconfiguration and migration cells.
+    /// Metrics are on: the event suites have always required every message
+    /// loss to be attributed.
+    pub(crate) fn around(self, event: Event, victim: NodeId, offset: Nanos, label: String) -> Self {
+        let at = Nanos(self.sim.warmup.0 + self.sim.measure.0 * 2 / 5);
+        let crash = Episode::Crash {
+            node: victim,
+            at: at + offset,
+            dur: Nanos(self.sim.measure.0 / 5),
+        };
+        let (heal_at, mode) = (self.schedule.heal_at(), self.schedule.mode);
+        Scenario {
+            schedule: NemesisSchedule::of(vec![crash], &self.cluster, heal_at, mode),
+            event: Some((at, event)),
+            label,
+            sim: SimConfig {
+                metrics: true,
+                ..self.sim
+            },
+            ..self
+        }
+    }
+
+    /// Display name of what runs: the protocol, and the group count when
+    /// sharded.
+    pub fn name(&self) -> String {
+        match self.groups {
+            Some(g) => format!("Sharded{}(g={g})", self.proto.name()),
+            None => self.proto.name(),
+        }
+    }
+
+    /// The run as lines, for logs, replay and the digest: who runs, the
+    /// event, then the schedule's steps.
+    pub fn steps(&self) -> Vec<String> {
+        let mut head = vec![format!("proto={}", self.name())];
+        if !self.label.is_empty() {
+            head.push(self.label.clone());
+        }
+        head.push(format!("seed={}", self.sim.seed));
+        let mut steps = vec![head.join(" ")];
+        match &self.event {
+            Some((at, Event::Reconfig { change, .. })) => steps.push(format!(
+                "reconfig add={:?} remove={:?} at={}",
+                change.add, change.remove, at.0
+            )),
+            Some((at, Event::Migrate(spec))) => steps.push(format!("migrate {spec} at={}", at.0)),
+            None => {}
+        }
+        steps.extend(self.schedule.steps.iter().cloned());
+        steps
+    }
+
+    /// Runs the scenario under its own load — uniform reads and writes over
+    /// `keys`, with the event woven in — and judges it.
+    pub fn run(&self) -> Verdict {
+        let clients = match &self.event {
+            // A client wired to a node that has not joined yet would be load
+            // on a non-member: attach round-robin to the initial members.
+            Some((_, Event::Reconfig { initial, .. })) => (0..self.clients_per_zone)
+                .map(|i| {
+                    let attach = initial[i % initial.len()];
+                    ClientSetup {
+                        zone: attach.zone,
+                        attach,
+                        mode: LoadMode::Closed { think: Nanos::ZERO },
+                    }
+                })
+                .collect(),
+            _ => ClientSetup::closed_per_zone(&self.cluster, self.clients_per_zone),
+        };
+        let load = uniform_workload(self.keys);
+        match &self.event {
+            None => self.run_load(load, clients),
+            Some((at, Event::Reconfig { initial, change })) => {
+                let w = ReconfigWorkload::new(load, ClientId(0), *at, change.clone(), initial);
+                self.run_load(w, clients)
+            }
+            Some((at, Event::Migrate(spec))) => self.run_load(
+                MigrationWorkload::new(load, ClientId(0), *at, *spec),
+                clients,
+            ),
+        }
+    }
+
+    /// [`Scenario::run`] under a load of the caller's (routed clients, a
+    /// figure's workload) instead of the scenario's own.
+    pub fn run_load(
+        &self,
+        workload: impl Workload + 'static,
+        clients: Vec<ClientSetup>,
+    ) -> Verdict {
+        self.execute((workload, clients), |report, nodes| {
+            Verdict::audit(self, report, nodes)
+        })
+    }
+
+    /// [`Scenario::run`]; a run that wedged (no anomaly, nothing completed
+    /// after the heal) is also shrunk, so the failure message's neighbour in
+    /// the log is the minimal schedule. Wedged runs are cheap to repeat; a
+    /// run with an anomaly costs as much as a healthy one, so shrinking
+    /// those is left to whoever investigates.
+    pub fn run_shrinking(&self) -> Verdict {
+        let v = self.run();
+        if v.tail_completed == 0 && v.count("anomalies") == 0 {
+            self.shrink();
+        }
+        v
+    }
+
+    /// Shrinks this failing scenario to a minimal set of its fault windows
+    /// under which it still fails (delta debugging over the schedule's
+    /// episodes; the event, the load and the heal stay), prints that
+    /// schedule, and returns the shrunk scenario.
+    pub fn shrink(&self) -> Scenario {
+        let only = |keep: &[usize]| Scenario {
+            schedule: self.schedule.only(keep),
+            ..self.clone()
+        };
+        let all: Vec<usize> = (0..self.schedule.episodes.len()).collect();
+        let minimal = only(&ddmin(all, |keep| !only(keep).run().passed()));
+        println!(
+            "{} seed {}: minimal failing schedule, {} of {} fault windows:\n{}",
+            self.name(),
+            self.sim.seed,
+            minimal.schedule.episodes.len(),
+            self.schedule.episodes.len(),
+            minimal.steps().join("\n"),
+        );
+        minimal
+    }
+
+    /// The harness's one protocol dispatch: picks the replica type and how
+    /// one `(node, group)` instance of it is built, then hands over to
+    /// [`Scenario::launch`]. `audit` sees the report and the survivors.
+    pub(crate) fn execute<T>(
+        &self,
+        load: (impl Workload + 'static, Vec<ClientSetup>),
+        audit: impl FnOnce(SimReport, &[NodeView<'_>]) -> T,
+    ) -> T {
+        assert!(
+            self.event.is_none() || matches!(self.proto, Proto::Paxos(_) | Proto::Raft { .. }),
+            "{} carries neither membership changes nor shard migrations through its log",
+            self.proto.name()
+        );
+        let initial = match &self.event {
+            Some((_, Event::Reconfig { initial, .. })) => Some(initial.clone()),
+            _ => None,
+        };
+        let mut sim = self.sim.clone();
+        let cl = self.cluster.clone();
+        match &self.proto {
+            Proto::Paxos(cfg) => {
+                let mut cfg = cfg.clone();
+                if initial.is_some() {
+                    cfg.initial_members = initial;
+                }
+                self.launch(sim, load, audit, move |id, group| {
+                    let mut cfg = cfg.clone();
+                    if let Some(g) = group {
+                        cfg.initial_leader = spread_leader(&cl, g);
+                    }
+                    let mut r = MultiPaxos::new(id, cl.clone(), cfg);
+                    if let Some(g) = group {
+                        r.set_group(g);
+                    }
+                    r
+                })
+            }
+            Proto::Raft { cfg, cpu_penalty } => {
+                sim.cost.cpu_penalty = *cpu_penalty;
+                let mut cfg = cfg.clone();
+                if initial.is_some() {
+                    cfg.initial_members = initial;
+                }
+                self.launch(sim, load, audit, move |id, group| {
+                    let mut cfg = cfg.clone();
+                    if let Some(g) = group {
+                        cfg.preferred_leader = Some(spread_leader(&cl, g));
+                    }
+                    let mut r = Raft::new(id, cl.clone(), cfg);
+                    if let Some(g) = group {
+                        r.set_group(g);
+                    }
+                    r
+                })
+            }
+            Proto::EPaxos { cpu_penalty } => {
+                sim.cost.cpu_penalty = *cpu_penalty;
+                self.launch(sim, load, audit, move |id, _| EPaxos::new(id, cl.clone()))
+            }
+            Proto::WPaxos(cfg) => {
+                let cfg = cfg.clone();
+                self.launch(sim, load, audit, move |id, _| {
+                    WPaxos::new(id, cl.clone(), cfg.clone())
+                })
+            }
+            Proto::WanKeeper(cfg) => {
+                let cfg = cfg.clone();
+                self.launch(sim, load, audit, move |id, _| {
+                    WanKeeper::new(id, cl.clone(), cfg.clone())
+                })
+            }
+            Proto::VPaxos(cfg) => {
+                let cfg = cfg.clone();
+                self.launch(sim, load, audit, move |id, _| {
+                    VPaxos::new(id, cl.clone(), cfg.clone())
+                })
+            }
+        }
+    }
+
+    /// Wraps `make` into the node factory of the deployment — the replica
+    /// itself, or a [`ShardedReplica`] of `groups` of them — with a WAL
+    /// attached to every instance when the run is durable.
+    fn launch<R: Replica + 'static, T>(
+        &self,
+        sim: SimConfig,
+        load: (impl Workload + 'static, Vec<ClientSetup>),
+        audit: impl FnOnce(SimReport, &[NodeView<'_>]) -> T,
+        make: impl Fn(NodeId, Option<GroupId>) -> R + 'static,
+    ) -> T {
+        let durable = self.schedule.mode == CrashMode::Amnesia;
+        match self.groups {
+            None => {
+                let hub = durable.then(|| MemHub::<NodeId>::new(self.fsync));
+                let disks = hub.clone();
+                let factory = move |id: NodeId| {
+                    let mut r = make(id, None);
+                    if let Some(d) = &disks {
+                        r.attach_storage(Box::new(d.open(id)));
+                    }
+                    r
+                };
+                self.go(sim, factory, hub, NodeView::plain, load, audit)
+            }
+            Some(groups) => {
+                let hub = durable.then(|| ShardDisks::new(self.fsync, groups));
+                let disks = hub.clone();
+                let spec = ShardSpec::range(self.keys, groups);
+                let factory = sharded_cluster(spec, move |id: NodeId, g: GroupId| {
+                    let mut r = make(id, Some(g));
+                    if let Some(d) = &disks {
+                        r.attach_storage(Box::new(d.open(id, g)));
+                    }
+                    r
+                });
+                self.go(sim, factory, hub, NodeView::sharded, load, audit)
+            }
+        }
+    }
+
+    /// The one generic body: builds the simulator, installs disks and
+    /// faults, runs, and audits the survivors before the simulator is
+    /// dropped (the views borrow its replicas).
+    fn go<N, F, D, T>(
+        &self,
+        sim: SimConfig,
+        factory: F,
+        disks: Option<D>,
+        view: for<'a> fn(&'a N) -> NodeView<'a>,
+        load: (impl Workload + 'static, Vec<ClientSetup>),
+        audit: impl FnOnce(SimReport, &[NodeView<'_>]) -> T,
+    ) -> T
+    where
+        N: Replica,
+        F: ReplicaFactory<R = N> + 'static,
+        D: SimDisks + 'static,
+    {
+        let mut s = Simulator::new(sim, self.cluster.clone(), factory, load.0, load.1);
+        if let Some(d) = disks {
+            s.set_storage(d);
+        }
+        *s.faults_mut() = self.schedule.plan.clone();
+        let report = s.run();
+        let nodes: Vec<NodeView<'_>> = s.replicas().iter().map(view).collect();
+        audit(report, &nodes)
+    }
+}
+
+/// What the auditors read of one consensus-group replica: the three probes
+/// of the [`Replica`] trait every audit goes through.
+#[derive(Debug)]
+pub struct GroupView<'a> {
+    /// The replica's state machine, if it exposes one.
+    pub store: Option<&'a MultiVersionStore>,
+    /// The membership the replica currently acts under, if it tracks one.
+    pub members: Option<Vec<NodeId>>,
+    /// The replica's record of shard hand-offs, if it keeps one.
+    pub migration: Option<&'a MigrationTracker>,
+}
+
+/// What the auditors read of one surviving node, whatever protocol it ran.
+#[derive(Debug)]
+pub struct NodeView<'a> {
+    /// The node's routing epoch, when it hosts a [`ShardedReplica`].
+    pub routing_epoch: Option<u64>,
+    /// One view per consensus group the node hosts — exactly one for a
+    /// plain protocol.
+    pub groups: Vec<GroupView<'a>>,
+}
+
+impl GroupView<'_> {
+    fn of<R: Replica>(r: &R) -> GroupView<'_> {
+        GroupView {
+            store: r.store(),
+            members: r.current_members(),
+            migration: r.migration(),
+        }
+    }
+}
+
+impl NodeView<'_> {
+    /// The view of a node running the plain protocol.
+    pub fn plain<R: Replica>(r: &R) -> NodeView<'_> {
+        NodeView {
+            routing_epoch: None,
+            groups: vec![GroupView::of(r)],
+        }
+    }
+
+    /// The view of a node hosting one replica per group.
+    pub fn sharded<R: Replica>(node: &ShardedReplica<R>) -> NodeView<'_> {
+        NodeView {
+            routing_epoch: Some(node.routing().epoch()),
+            groups: node.group_replicas().iter().map(GroupView::of).collect(),
+        }
+    }
+}
+
+/// One auditor's finding.
+#[derive(Debug, Clone)]
+pub struct Audit {
+    /// The auditor, as the digest names it.
+    pub name: &'static str,
+    /// How many violations it found (zero = the property held).
+    pub count: u64,
+    /// The first violation, rendered.
+    pub witness: Option<String>,
+}
+
+impl Audit {
+    fn of(name: &'static str, violations: Vec<String>) -> Self {
+        Audit {
+            name,
+            count: violations.len() as u64,
+            witness: violations.into_iter().next(),
+        }
+    }
+
+    /// The auditor's digest line. The cut-over line keeps the `true`/`false`
+    /// it was first pinned with; every other line is `name=count`.
+    fn line(&self) -> String {
+        match self.name {
+            "cutover" => format!("cutover={}", self.count == 0),
+            name => format!("{name}={}", self.count),
+        }
+    }
+}
+
+/// The judgement of one run.
+#[derive(Debug)]
+pub struct Verdict {
+    /// The scenario that ran.
+    pub scenario: Scenario,
+    /// The simulator's report, history included.
+    pub report: SimReport,
+    /// Completions in the fault-free tail (after the heal point) — nonzero
+    /// means the system recovered.
+    pub tail_completed: u64,
+    /// Every applicable auditor's finding, in digest order.
+    pub audits: Vec<Audit>,
+    /// Every node's membership view after the run (its first group's), in
+    /// cluster order.
+    pub members: Vec<Option<Vec<NodeId>>>,
+    /// Every node's routing epoch after the run; empty unless sharded.
+    pub routing_epochs: Vec<u64>,
+}
+
+impl Verdict {
+    /// Runs the auditors `scenario` makes applicable over `report` and the
+    /// surviving `nodes`.
+    fn audit(scenario: &Scenario, report: SimReport, nodes: &[NodeView<'_>]) -> Self {
+        let heal_at = scenario.schedule.heal_at();
+        let ok_after_heal = report.ops.iter().filter(|o| o.ok && o.ret >= heal_at);
+        let tail_completed = ok_after_heal.count() as u64;
+        let members: Vec<_> = nodes.iter().map(|n| n.groups[0].members.clone()).collect();
+        let routing_epochs: Vec<u64> = nodes.iter().filter_map(|n| n.routing_epoch).collect();
+        let part = scenario
+            .groups
+            .map(|g| RangePartitioner::even(scenario.keys, g));
+
+        let anomalies = check_linearizability(&report.ops);
+        let mut audits = vec![Audit {
+            name: "anomalies",
+            count: anomalies.len() as u64,
+            witness: anomalies.first().map(|a| format!("{a:?}")),
+        }];
+        if let Some(m) = &report.metrics {
+            let n = m.unexplained_drops();
+            audits.push(Audit {
+                name: "unexplained",
+                count: n,
+                witness: (n > 0).then(|| format!("{n} message losses no drop cause accounts for")),
+            });
+        }
+        match (&scenario.event, &part) {
+            // A majority of the target membership must report exactly the
+            // target configuration. (A minority may still be catching up
+            // when the window closes; the old configuration must never win.)
+            (Some((_, Event::Reconfig { initial, change })), _) => {
+                let target = change.apply(initial);
+                let holds = |id: &NodeId| {
+                    let at = scenario.cluster.index_of(*id);
+                    members[at].as_deref() == Some(target.as_slice())
+                };
+                let agreeing = target.iter().filter(|id| holds(id)).count();
+                let what = format!("hold {target:?}");
+                audits.push(cut_over(agreeing, target.len(), &what));
+            }
+            // A majority of nodes must route at the hand-off's epoch, and
+            // exactly one group must own the range afterwards.
+            (Some((_, Event::Migrate(spec))), Some(part)) => {
+                let agreeing = routing_epochs.iter().filter(|&&e| e >= spec.epoch).count();
+                let what = format!("route at epoch {}", spec.epoch);
+                audits.push(cut_over(agreeing, nodes.len(), &what));
+                audits.push(Audit::of("dual", dual_ownership(nodes, spec)));
+                audits.push(Audit::of(
+                    "orphaned",
+                    orphaned_writes(nodes, spec, &report.ops),
+                ));
+                audits.push(Audit::of(
+                    "leakage",
+                    check_shard_leakage(nodes, part, Some(&spec.range)),
+                ));
+            }
+            (Some((_, Event::Migrate(_))), None) => panic!("a shard hand-off needs groups"),
+            (None, Some(part)) if scenario.schedule.episodes.is_empty() => {
+                audits.push(Audit::of("leakage", check_shard_leakage(nodes, part, None)));
+                audits.push(Audit::of(
+                    "consensus",
+                    check_group_consensus(nodes).into_iter().collect(),
+                ));
+            }
+            (None, _) => {}
+        }
+        Verdict {
+            scenario: scenario.clone(),
+            report,
+            tail_completed,
+            audits,
+            members,
+            routing_epochs,
+        }
+    }
+
+    /// Violations the auditor called `name` found; zero also when it did
+    /// not apply to this scenario.
+    pub fn count(&self, name: &str) -> u64 {
+        let found = self.audits.iter().find(|a| a.name == name);
+        found.map_or(0, |a| a.count)
+    }
+
+    /// Whether the run passed in full: every applicable auditor found
+    /// nothing, and the recorded history shows progress after healing.
+    pub fn passed(&self) -> bool {
+        let progressed = self.tail_completed > 0 || !self.scenario.sim.record_ops;
+        progressed && self.audits.iter().all(|a| a.count == 0)
+    }
+
+    /// Fingerprint ([`digest_lines`]) of the scenario's steps and every
+    /// auditor's finding. Equal digests mean the same run reached the same
+    /// verdict.
+    pub fn digest(&self) -> u64 {
+        let lines: Vec<String> = self
+            .scenario
+            .steps()
+            .into_iter()
+            .chain(self.audits.iter().map(Audit::line))
+            .collect();
+        digest_lines(lines.iter().map(String::as_str))
+    }
+}
+
+/// The cut-over auditor's finding: a violation unless `agreeing` is a
+/// majority `of` the nodes that should `what`.
+fn cut_over(agreeing: usize, of: usize, what: &str) -> Audit {
+    let short = agreeing <= of / 2;
+    let witness = short.then(|| format!("only {agreeing} of {of} nodes {what}"));
+    Audit::of("cutover", witness.into_iter().collect())
+}
+
+/// What a failing test prints: who ran, the digest, each auditor's count,
+/// the first witness of each that found something, the steps to replay, and
+/// the survivors' views.
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let steps = self.scenario.steps();
+        writeln!(
+            f,
+            "{} digest={:#018x} passed={}",
+            steps[0],
+            self.digest(),
+            self.passed()
+        )?;
+        let lines: Vec<String> = self.audits.iter().map(Audit::line).collect();
+        writeln!(
+            f,
+            "completed={} tail_completed={} {}",
+            self.report.completed,
+            self.tail_completed,
+            lines.join(" ")
+        )?;
+        if self.tail_completed == 0 && self.scenario.sim.record_ops {
+            writeln!(f, "  no progress after heal")?;
+        }
+        for a in &self.audits {
+            if let Some(w) = &a.witness {
+                writeln!(f, "  {}: {w}", a.name)?;
+            }
+        }
+        writeln!(f, "schedule:\n{}", steps[1..].join("\n"))?;
+        let view = |m: &Option<Vec<NodeId>>| match m {
+            Some(ids) => ids
+                .iter()
+                .map(NodeId::to_string)
+                .collect::<Vec<_>>()
+                .join(","),
+            None => "-".into(),
+        };
+        let members: Vec<String> = self.members.iter().map(view).collect();
+        write!(f, "members: {}", members.join(" | "))?;
+        if !self.routing_epochs.is_empty() {
+            write!(f, "\nrouting epochs: {:?}", self.routing_epochs)?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::migration::{MigrationStage, MigrationVictim};
+    use crate::reconfig::ReconfigVictim;
+
+    fn quick_sim() -> SimConfig {
+        SimConfig {
+            warmup: Nanos::millis(100),
+            measure: Nanos::millis(3_900),
+            ..SimConfig::default()
+        }
+    }
+
+    fn nemesis(crash_mode: CrashMode) -> Scenario {
+        let cfg = NemesisConfig {
+            seed: 11,
+            crash_mode,
+            ..Default::default()
+        };
+        Scenario::nemesis(&Proto::paxos(), quick_sim(), ClusterConfig::lan(5), &cfg)
+    }
+
+    #[test]
+    fn nemesis_run_on_paxos_passes() {
+        let v = nemesis(CrashMode::Freeze).run();
+        assert!(v.passed(), "{v}");
+    }
+
+    #[test]
+    fn amnesia_nemesis_on_paxos_passes() {
+        let v = nemesis(CrashMode::Amnesia).run();
+        assert!(v.passed(), "{v}");
+    }
+
+    fn event_cells() -> [Scenario; 2] {
+        let cfg = NemesisConfig {
+            clients_per_zone: 4,
+            ..Default::default()
+        };
+        let paxos = Proto::paxos();
+        [
+            Scenario::reconfig(&paxos, quick_sim(), &cfg, ReconfigVictim::Leader),
+            Scenario::migration(
+                &paxos,
+                quick_sim(),
+                &cfg,
+                MigrationVictim::SourceLeader,
+                MigrationStage::Commit,
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_sub_schedule_of_an_event_scenario_keeps_the_event_and_the_heal() {
+        for cell in event_cells() {
+            let horizon = cell.sim.warmup + cell.sim.measure;
+            let random = Scenario {
+                schedule: generate_schedule_with_mode(
+                    9,
+                    &cell.cluster,
+                    horizon,
+                    5,
+                    CrashMode::Freeze,
+                ),
+                ..cell
+            };
+            let full = random.steps();
+            let sub = Scenario {
+                schedule: random.schedule.only(&[1, 3]),
+                ..random.clone()
+            };
+            // Header and event line, windows 1 and 3, the heal.
+            let kept: Vec<&String> = [0, 1, 3, 5, 7].iter().map(|&i| &full[i]).collect();
+            assert_eq!(sub.steps().iter().collect::<Vec<_>>(), kept);
+            assert!(full[1].starts_with("reconfig") || full[1].starts_with("migrate"));
+            assert!(full[7].starts_with("heal"));
+            assert_eq!(sub.event.is_some(), random.event.is_some());
+        }
+    }
+
+    /// The refactor's offline tripwire: one reconfiguration cell, one
+    /// migration cell and one plain schedule still digest to the values the
+    /// four separate harnesses produced for them (taken at d773b4a).
+    #[test]
+    fn digests_are_the_ones_the_separate_harnesses_produced() {
+        let [reconfig, migration] = event_cells();
+        assert_eq!(reconfig.run().digest(), 0x5d31_24f4_688f_9644);
+        assert_eq!(migration.run().digest(), 0xe971_6985_6300_b018);
+        let plain = Scenario::nemesis(
+            &Proto::paxos(),
+            quick_sim(),
+            ClusterConfig::lan(5),
+            &NemesisConfig::default(),
+        );
+        assert_eq!(plain.schedule.digest(), 0x1149_f55a_2581_5e87);
+    }
+}

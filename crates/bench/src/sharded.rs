@@ -1,12 +1,12 @@
 //! Sharded (multi-group) benchmark runs.
 //!
-//! The single-group runners in [`crate::runner`] saturate at the leader's
-//! per-command service time; this module drives [`paxi_shard`]'s
-//! [`ShardedReplica`] through the same simulator to measure how far static
-//! keyspace partitioning moves that wall. Groups share every node's one
-//! CPU+NIC FIFO queue, so the scaling numbers include cross-group
-//! contention — the busiest node of a `g`-group deployment leads one group
-//! and follows `g - 1` others.
+//! The single-group runs saturate at the leader's per-command service time;
+//! a [`Scenario`] with `groups` set drives [`paxi_shard`]'s `ShardedReplica`
+//! through the same simulator to measure how far static keyspace
+//! partitioning moves that wall. Groups share every node's one CPU+NIC FIFO
+//! queue, so the scaling numbers include cross-group contention — the
+//! busiest node of a `g`-group deployment leads one group and follows
+//! `g - 1` others.
 //!
 //! Clients are *routed*: each simulated client is pinned to one group,
 //! attaches at that group's placed leader ([`spread_leader`]), and draws
@@ -20,62 +20,20 @@
 //! holds a key the partitioner assigns elsewhere.
 
 use crate::checker::{check_linearizability, Anomaly};
-use crate::nemesis::{generate_schedule_with_mode, NemesisConfig, NemesisOutcome};
-use crate::runner::SweepPoint;
+use crate::runner::{Proto, SweepPoint};
+use crate::scenario::{NodeView, Scenario, Verdict};
 use paxi_core::command::Command;
 use paxi_core::config::ClusterConfig;
 use paxi_core::dist::Rng64;
-use paxi_core::faults::{CrashMode, FaultPlan};
 use paxi_core::group::GroupId;
-use paxi_core::id::{ClientId, NodeId};
+use paxi_core::id::ClientId;
+use paxi_core::migration::KeyRange;
 use paxi_core::store::MultiVersionStore;
 use paxi_core::time::Nanos;
-use paxi_core::traits::Replica;
-use paxi_protocols::epaxos::EPaxos;
-use paxi_protocols::paxos::{MultiPaxos, PaxosConfig};
-use paxi_protocols::raft::{Raft, RaftConfig};
-use paxi_shard::{
-    sharded_cluster, spread_leader, Partitioner, RangePartitioner, ShardDisks, ShardSpec,
-    ShardedReplica,
-};
-use paxi_sim::client::{uniform_workload, unique_value};
-use paxi_sim::report::{OpRecord, SimReport};
-use paxi_sim::{ClientSetup, LoadMode, SimConfig, Simulator, Workload};
-use paxi_storage::FsyncPolicy;
-
-/// Protocols the sharded runner can instantiate per group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardProto {
-    /// MultiPaxos, one instance per group, leaders spread round-robin.
-    Paxos,
-    /// Raft, preferred leaders spread round-robin.
-    Raft,
-    /// EPaxos (leaderless; placement is moot, every node serves).
-    EPaxos,
-}
-
-impl ShardProto {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardProto::Paxos => "Paxos",
-            ShardProto::Raft => "Raft",
-            ShardProto::EPaxos => "EPaxos",
-        }
-    }
-}
-
-/// The outcome of a checked sharded run.
-#[derive(Debug)]
-pub struct ShardedRun {
-    /// The simulator's report.
-    pub report: SimReport,
-    /// Cross-shard leakage violations (empty = every stored key is owned by
-    /// its group).
-    pub leakage: Vec<String>,
-    /// First per-group consensus divergence, if any.
-    pub divergence: Option<String>,
-}
+use paxi_shard::{spread_leader, Partitioner, RangePartitioner};
+use paxi_sim::client::unique_value;
+use paxi_sim::report::OpRecord;
+use paxi_sim::{ClientSetup, LoadMode, SimConfig, Workload};
 
 /// `per_group` closed-loop clients per group, each attached at its group's
 /// placed leader — the simulator-side model of router-directed traffic.
@@ -116,186 +74,31 @@ pub fn routed_workload(key_space: u64, groups: u32) -> impl Workload {
     }
 }
 
-/// The generic body every sharded entry point funnels into: builds a
-/// [`ShardedReplica`] cluster from `group_factory`, runs the simulation,
-/// and (when `check` is set) audits the surviving replica state.
-#[allow(clippy::too_many_arguments)]
-fn go<R, F>(
-    sim: SimConfig,
-    cluster: ClusterConfig,
-    spec: ShardSpec,
-    group_factory: F,
-    workload: impl Workload + 'static,
-    clients: Vec<ClientSetup>,
-    faults: FaultPlan,
-    disks: Option<ShardDisks>,
-    check: bool,
-) -> ShardedRun
-where
-    R: Replica + 'static,
-    F: Fn(NodeId, GroupId) -> R + 'static,
-{
-    let part = spec.partitioner.clone();
-    let factory = sharded_cluster(spec, group_factory);
-    let mut s = Simulator::new(sim, cluster, factory, workload, clients);
-    if let Some(d) = disks {
-        s.set_storage(d);
-    }
-    *s.faults_mut() = faults;
-    let report = s.run();
-    let (leakage, divergence) = if check {
-        (
-            check_shard_leakage(s.replicas(), part.as_ref()),
-            check_group_consensus(s.replicas()),
-        )
-    } else {
-        (Vec::new(), None)
-    };
-    ShardedRun {
-        report,
-        leakage,
-        divergence,
-    }
-}
-
-/// Dispatches `proto` into [`go`], building per-group inner replicas with
-/// spread leader placement and (when `disks` is given) a per-`(node, group)`
-/// WAL namespace attached to each.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    proto: ShardProto,
-    sim: SimConfig,
-    cluster: ClusterConfig,
-    spec: ShardSpec,
-    workload: impl Workload + 'static,
-    clients: Vec<ClientSetup>,
-    faults: FaultPlan,
-    disks: Option<ShardDisks>,
-    check: bool,
-) -> ShardedRun {
-    let cl = cluster.clone();
-    let wal = disks.clone();
-    match proto {
-        ShardProto::Paxos => go(
-            sim,
-            cluster,
-            spec,
-            move |id: NodeId, g: GroupId| {
-                let cfg = PaxosConfig {
-                    initial_leader: spread_leader(&cl, g),
-                    ..PaxosConfig::default()
-                };
-                let mut r = MultiPaxos::new(id, cl.clone(), cfg);
-                r.set_group(g);
-                if let Some(d) = &wal {
-                    r.attach_storage(Box::new(d.open(id, g)));
-                }
-                r
-            },
-            workload,
-            clients,
-            faults,
-            disks,
-            check,
-        ),
-        ShardProto::Raft => go(
-            sim,
-            cluster,
-            spec,
-            move |id: NodeId, g: GroupId| {
-                let cfg = RaftConfig {
-                    preferred_leader: Some(spread_leader(&cl, g)),
-                    ..RaftConfig::default()
-                };
-                let mut r = Raft::new(id, cl.clone(), cfg);
-                r.set_group(g);
-                if let Some(d) = &wal {
-                    r.attach_storage(Box::new(d.open(id, g)));
-                }
-                r
-            },
-            workload,
-            clients,
-            faults,
-            disks,
-            check,
-        ),
-        ShardProto::EPaxos => go(
-            sim,
-            cluster,
-            spec,
-            move |id: NodeId, g: GroupId| {
-                let mut r = EPaxos::new(id, cl.clone());
-                if let Some(d) = &wal {
-                    r.attach_storage(Box::new(d.open(id, g)));
-                }
-                r
-            },
-            workload,
-            clients,
-            faults,
-            disks,
-            check,
-        ),
-    }
-}
-
 /// Runs `proto` sharded over `groups` range-partitioned groups with routed
-/// clients and no faults, returning the report.
-pub fn run_sharded(
-    proto: ShardProto,
-    groups: u32,
-    sim: SimConfig,
-    cluster: ClusterConfig,
-    key_space: u64,
-    per_group_clients: usize,
-) -> SimReport {
-    let spec = ShardSpec::range(key_space, groups);
-    let clients = routed_clients(&cluster, groups, per_group_clients);
-    dispatch(
-        proto,
-        sim,
-        cluster,
-        spec,
-        routed_workload(key_space, groups),
-        clients,
-        FaultPlan::new(),
-        None,
-        false,
-    )
-    .report
-}
-
-/// Like [`run_sharded`], but audits the post-run replica state: per-group
+/// clients and no faults, and audits the post-run replica state: per-group
 /// consensus across nodes and the cross-shard leakage invariant.
-pub fn run_sharded_checked(
-    proto: ShardProto,
+pub fn run_sharded(
+    proto: &Proto,
     groups: u32,
     sim: SimConfig,
     cluster: ClusterConfig,
     key_space: u64,
     per_group_clients: usize,
-) -> ShardedRun {
-    let spec = ShardSpec::range(key_space, groups);
+) -> Verdict {
     let clients = routed_clients(&cluster, groups, per_group_clients);
-    dispatch(
-        proto,
-        sim,
-        cluster,
-        spec,
-        routed_workload(key_space, groups),
-        clients,
-        FaultPlan::new(),
-        None,
-        true,
-    )
+    let scenario = Scenario {
+        groups: Some(groups),
+        keys: key_space,
+        ..Scenario::quiet(proto, sim, cluster)
+    };
+    scenario.run_load(routed_workload(key_space, groups), clients)
 }
 
 /// Sweeps the per-group client count and records one [`SweepPoint`] per
 /// step — the sharded counterpart of [`crate::runner::sweep`]. The
 /// `clients` field of each point is the *total* population (all groups).
 pub fn sweep_sharded(
-    proto: ShardProto,
+    proto: &Proto,
     groups: u32,
     sim: &SimConfig,
     cluster: &ClusterConfig,
@@ -305,7 +108,7 @@ pub fn sweep_sharded(
     per_group_counts
         .iter()
         .map(|&count| {
-            let report = run_sharded(
+            let run = run_sharded(
                 proto,
                 groups,
                 sim.clone(),
@@ -313,74 +116,9 @@ pub fn sweep_sharded(
                 key_space,
                 count,
             );
-            SweepPoint {
-                clients: count * groups as usize,
-                throughput: report.throughput,
-                mean_ms: report.latency.mean.as_millis_f64(),
-                p50_ms: report.latency.p50.as_millis_f64(),
-                p99_ms: report.latency.p99.as_millis_f64(),
-            }
+            SweepPoint::of(count * groups as usize, &run.report)
         })
         .collect()
-}
-
-/// Runs `proto` sharded over `groups` groups under a seeded random fault
-/// schedule and checks the full history — the sharded twin of
-/// [`crate::nemesis::run_nemesis`]. The schedule generator is shared, so a
-/// sharded run under `(seed, cluster, horizon, episodes, mode)` applies the
-/// *identical* fault plan (and digest) as the unsharded run. Clients attach
-/// round-robin (unrouted); wrong-node requests ride each group's internal
-/// forwarding. Under [`CrashMode::Amnesia`] every group gets its own WAL
-/// namespace in one [`ShardDisks`] array and a crashed node rebuilds all of
-/// its group replicas from their WALs.
-pub fn run_sharded_nemesis(
-    proto: ShardProto,
-    groups: u32,
-    mut sim: SimConfig,
-    cluster: ClusterConfig,
-    cfg: &NemesisConfig,
-) -> NemesisOutcome {
-    let horizon = sim.warmup + sim.measure;
-    let schedule =
-        generate_schedule_with_mode(cfg.seed, &cluster, horizon, cfg.episodes, cfg.crash_mode);
-    sim.seed = cfg.seed;
-    sim.record_ops = true;
-    if sim.client_retry.is_none() {
-        sim.client_retry = Some(Nanos::millis(500));
-    }
-    let clients = ClientSetup::closed_per_zone(&cluster, cfg.clients_per_zone);
-    let heal_at = Nanos(horizon.0 * 3 / 4);
-    let spec = ShardSpec::range(cfg.keys, groups);
-    let disks = match cfg.crash_mode {
-        CrashMode::Freeze => None,
-        CrashMode::Amnesia => Some(ShardDisks::new(cfg.fsync, groups)),
-    };
-    let run = dispatch(
-        proto,
-        sim,
-        cluster,
-        spec,
-        uniform_workload(cfg.keys),
-        clients,
-        schedule.plan.clone(),
-        disks,
-        false,
-    );
-    let anomalies = check_linearizability(&run.report.ops);
-    let tail_completed = run
-        .report
-        .ops
-        .iter()
-        .filter(|o| o.ok && o.ret >= heal_at)
-        .count() as u64;
-    NemesisOutcome {
-        proto: format!("Sharded{}(g={groups})", proto.name()),
-        seed: cfg.seed,
-        schedule,
-        completed: run.report.completed,
-        tail_completed,
-        anomalies,
-    }
 }
 
 /// Splits `ops` by owning group and checks each shard's history
@@ -402,23 +140,26 @@ pub fn check_sharded(ops: &[OpRecord], part: &dyn Partitioner) -> Vec<(GroupId, 
 }
 
 /// Asserts the partition invariant on surviving state: every key in every
-/// group's store must be owned by that group. Returns one line per
-/// violation (empty = pass).
-pub fn check_shard_leakage<R: Replica>(
-    nodes: &[ShardedReplica<R>],
+/// group's store must be owned by that group — except keys in `exempt`, a
+/// range a migration is handing over, which the hand-off audits judge.
+/// Returns one line per violation (empty = pass).
+pub fn check_shard_leakage(
+    nodes: &[NodeView<'_>],
     part: &dyn Partitioner,
+    exempt: Option<&KeyRange>,
 ) -> Vec<String> {
     let mut violations = Vec::new();
     for (ni, node) in nodes.iter().enumerate() {
-        for (g, inner) in node.group_replicas().iter().enumerate() {
-            if let Some(store) = inner.store() {
-                for key in store.keys() {
-                    if !part.owns(GroupId(g as u32), key) {
-                        violations.push(format!(
-                            "node {ni} group {g} stores key {key} owned by group {}",
-                            part.group_of(key)
-                        ));
-                    }
+        for (g, group) in node.groups.iter().enumerate() {
+            for key in group.store.into_iter().flat_map(|s| s.keys()) {
+                if exempt.is_some_and(|r| r.contains(key)) {
+                    continue;
+                }
+                if !part.owns(GroupId(g as u32), key) {
+                    violations.push(format!(
+                        "node {ni} group {g} stores key {key} owned by group {}",
+                        part.group_of(key)
+                    ));
                 }
             }
         }
@@ -428,13 +169,11 @@ pub fn check_shard_leakage<R: Replica>(
 
 /// Runs the common-prefix consensus check within every group, across all
 /// nodes' instances of it. Returns the first divergence rendered as text.
-pub fn check_group_consensus<R: Replica>(nodes: &[ShardedReplica<R>]) -> Option<String> {
-    let groups = nodes.first().map(|n| n.group_replicas().len()).unwrap_or(0);
+pub fn check_group_consensus(nodes: &[NodeView<'_>]) -> Option<String> {
+    let groups = nodes.first().map_or(0, |n| n.groups.len());
     for g in 0..groups {
-        let stores: Vec<&MultiVersionStore> = nodes
-            .iter()
-            .filter_map(|n| n.group_replicas()[g].store())
-            .collect();
+        let stores: Vec<&MultiVersionStore> =
+            nodes.iter().filter_map(|n| n.groups[g].store).collect();
         if let Err(d) = crate::consensus::check_consensus(&stores) {
             return Some(format!(
                 "group {g}: key {} diverges between replicas {} and {} at version {}",
@@ -454,6 +193,13 @@ mod tests {
             warmup: Nanos::millis(200),
             measure: Nanos::millis(800),
             ..SimConfig::default()
+        }
+    }
+
+    fn raft() -> Proto {
+        Proto::Raft {
+            cfg: Default::default(),
+            cpu_penalty: 1.0,
         }
     }
 
@@ -490,48 +236,30 @@ mod tests {
 
     #[test]
     fn sharded_paxos_completes_and_stays_clean() {
-        let run = run_sharded_checked(
-            ShardProto::Paxos,
-            4,
-            quick(),
-            ClusterConfig::lan(5),
-            1000,
-            2,
-        );
-        assert!(
-            run.report.completed > 200,
-            "completed {}",
-            run.report.completed
-        );
-        assert!(run.leakage.is_empty(), "leakage: {:?}", run.leakage);
-        assert!(run.divergence.is_none(), "divergence: {:?}", run.divergence);
+        let sim = SimConfig {
+            record_ops: true,
+            ..quick()
+        };
+        let run = run_sharded(&Proto::paxos(), 4, sim, ClusterConfig::lan(5), 1000, 2);
+        assert!(run.report.completed > 200, "{run}");
+        assert!(run.passed(), "{run}");
     }
 
     #[test]
     fn sharded_raft_completes() {
-        let report = run_sharded(ShardProto::Raft, 2, quick(), ClusterConfig::lan(5), 1000, 2);
-        assert!(report.completed > 200, "completed {}", report.completed);
+        let run = run_sharded(&raft(), 2, quick(), ClusterConfig::lan(5), 1000, 2);
+        assert!(run.report.completed > 200, "{run}");
     }
 
     #[test]
     fn per_shard_histories_are_anomaly_free() {
-        let mut sim = quick();
-        sim.record_ops = true;
+        let sim = SimConfig {
+            record_ops: true,
+            ..quick()
+        };
         let groups = 4;
-        let spec_part = RangePartitioner::even(1000, groups);
-        let clients = routed_clients(&ClusterConfig::lan(5), groups, 2);
-        let run = dispatch(
-            ShardProto::Paxos,
-            sim,
-            ClusterConfig::lan(5),
-            ShardSpec::range(1000, groups),
-            routed_workload(1000, groups),
-            clients,
-            FaultPlan::new(),
-            None,
-            false,
-        );
-        let shards = check_sharded(&run.report.ops, &spec_part);
+        let run = run_sharded(&Proto::paxos(), groups, sim, ClusterConfig::lan(5), 1000, 2);
+        let shards = check_sharded(&run.report.ops, &RangePartitioner::even(1000, groups));
         assert!(!shards.is_empty());
         for (g, anomalies) in shards {
             assert!(anomalies.is_empty(), "group {g}: {anomalies:?}");

@@ -108,4 +108,24 @@ impl SimReport {
     pub fn mean_latency_ms(&self) -> f64 {
         self.latency.mean.as_millis_f64()
     }
+
+    /// What two runs must agree on to count as the same run: completions,
+    /// events processed, mean latency, and the first 50 recorded operations
+    /// (client, key, invocation and response time). The determinism tests
+    /// compare these.
+    pub fn fingerprint(&self) -> (u64, u64, u64, String) {
+        let ops = self
+            .ops
+            .iter()
+            .take(50)
+            .map(|o| format!("{}:{}:{}:{}", o.client, o.key, o.invoke.0, o.ret.0))
+            .collect::<Vec<_>>()
+            .join(",");
+        (
+            self.completed,
+            self.events_processed,
+            self.latency.mean.0,
+            ops,
+        )
+    }
 }

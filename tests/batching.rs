@@ -15,7 +15,7 @@
 //!    batching, so a batched(1) run must reproduce the stock determinism
 //!    fingerprints and nemesis digests unchanged.
 
-use paxi::bench::{run, run_nemesis, BenchmarkConfig, GeneralWorkload, NemesisConfig, Proto};
+use paxi::bench::{run, BenchmarkConfig, GeneralWorkload, NemesisConfig, Proto, Scenario};
 use paxi::core::{
     ClientId, ClientRequest, ClientResponse, ClusterConfig, Command, Context, Nanos, NodeId,
     Replica, RequestId, Rng64, StoreDump,
@@ -258,16 +258,8 @@ fn fingerprint(proto: &Proto, seed: u64) -> (u64, u64, u64, String) {
         ..SimConfig::default()
     };
     let clients = ClientSetup::closed_per_zone(&cluster, 3);
-    let report =
-        run(proto, sim, cluster, GeneralWorkload::new(BenchmarkConfig::uniform(50, 0.5), 3), clients);
-    let op_digest = report
-        .ops
-        .iter()
-        .take(50)
-        .map(|o| format!("{}:{}:{}", o.client, o.key, o.invoke.0))
-        .collect::<Vec<_>>()
-        .join(",");
-    (report.completed, report.events_processed, report.latency.mean.0, op_digest)
+    run(proto, sim, cluster, GeneralWorkload::new(BenchmarkConfig::uniform(50, 0.5), 3), clients)
+        .fingerprint()
 }
 
 #[test]
@@ -293,12 +285,13 @@ fn batch_of_one_matches_the_unbatched_determinism_fingerprint() {
 fn batch_of_one_leaves_nemesis_outcomes_unchanged() {
     let sim = || SimConfig { warmup: Nanos::millis(100), measure: Nanos::millis(3_900), ..SimConfig::default() };
     let cfg = NemesisConfig { seed: 13, ..Default::default() };
-    let stock = run_nemesis(&Proto::paxos(), sim(), ClusterConfig::lan(5), &cfg);
-    let batched =
-        run_nemesis(&Proto::Paxos(PaxosConfig::batched(1)), sim(), ClusterConfig::lan(5), &cfg);
-    assert_eq!(batched.schedule.digest(), stock.schedule.digest(), "schedule digests diverged");
-    assert_eq!(batched.completed, stock.completed, "completed counts diverged");
+    let run = |proto| Scenario::nemesis(&proto, sim(), ClusterConfig::lan(5), &cfg).run();
+    let stock = run(Proto::paxos());
+    let batched = run(Proto::Paxos(PaxosConfig::batched(1)));
+    let schedule = |v: &paxi::bench::Verdict| v.scenario.schedule.digest();
+    assert_eq!(schedule(&batched), schedule(&stock), "schedule digests diverged");
+    assert_eq!(batched.report.completed, stock.report.completed, "completed counts diverged");
     assert_eq!(batched.tail_completed, stock.tail_completed, "tail progress diverged");
-    assert_eq!(batched.anomalies.len(), stock.anomalies.len());
-    assert!(stock.passed() && batched.passed());
+    assert_eq!(batched.digest(), stock.digest(), "verdicts diverged");
+    assert!(stock.passed() && batched.passed(), "{stock}\n{batched}");
 }

@@ -24,14 +24,7 @@ fn fingerprint(proto: &Proto, seed: u64) -> (u64, u64, u64, String) {
         GeneralWorkload::new(BenchmarkConfig::uniform(50, 0.5), 3),
         clients,
     );
-    let op_digest = report
-        .ops
-        .iter()
-        .take(50)
-        .map(|o| format!("{}:{}:{}", o.client, o.key, o.invoke.0))
-        .collect::<Vec<_>>()
-        .join(",");
-    (report.completed, report.events_processed, report.latency.mean.0, op_digest)
+    report.fingerprint()
 }
 
 #[test]

@@ -124,7 +124,7 @@ fn wpaxos_in_wan_is_linearizable_during_migration() {
 
 #[test]
 fn sharded_paxos_is_linearizable_per_shard() {
-    use paxi::bench::{check_sharded, run_sharded_checked, ShardProto};
+    use paxi::bench::{check_sharded, run_sharded};
     use paxi::shard::RangePartitioner;
     let sim = SimConfig {
         record_ops: true,
@@ -133,17 +133,11 @@ fn sharded_paxos_is_linearizable_per_shard() {
         ..SimConfig::default()
     };
     let (groups, key_space) = (4, 64);
-    let run = run_sharded_checked(
-        ShardProto::Paxos,
-        groups,
-        sim,
-        ClusterConfig::lan(5),
-        key_space,
-        3,
-    );
-    assert!(run.report.completed > 300, "completed {}", run.report.completed);
-    assert!(run.leakage.is_empty(), "cross-shard key leakage: {:?}", run.leakage);
-    assert!(run.divergence.is_none(), "within-group divergence: {:?}", run.divergence);
+    let run = run_sharded(&Proto::paxos(), groups, sim, ClusterConfig::lan(5), key_space, 3);
+    assert!(run.report.completed > 300, "{run}");
+    // Cross-shard key leakage and within-group divergence are among the
+    // verdict's audits.
+    assert!(run.passed(), "{run}");
     let part = RangePartitioner::even(key_space, groups);
     let shards = check_sharded(&run.report.ops, &part);
     assert!(shards.len() >= 2, "expected traffic on several shards, got {}", shards.len());
@@ -159,17 +153,16 @@ fn sharded_paxos_is_linearizable_per_shard() {
 
 #[test]
 fn sharded_raft_keeps_groups_isolated() {
-    use paxi::bench::{run_sharded_checked, ShardProto};
+    use paxi::bench::run_sharded;
     let sim = SimConfig {
         warmup: Nanos::millis(300),
         measure: Nanos::secs(2),
         ..SimConfig::default()
     };
-    let run =
-        run_sharded_checked(ShardProto::Raft, 2, sim, ClusterConfig::lan(5), 64, 3);
-    assert!(run.report.completed > 300, "completed {}", run.report.completed);
-    assert!(run.leakage.is_empty(), "cross-shard key leakage: {:?}", run.leakage);
-    assert!(run.divergence.is_none(), "within-group divergence: {:?}", run.divergence);
+    let raft = Proto::Raft { cfg: RaftConfig::default(), cpu_penalty: 1.0 };
+    let run = run_sharded(&raft, 2, sim, ClusterConfig::lan(5), 64, 3);
+    assert!(run.report.completed > 300, "{run}");
+    assert!(run.passed(), "{run}");
 }
 
 #[test]

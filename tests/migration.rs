@@ -20,16 +20,14 @@
 //! identity set, an elided kick-off in the workload) stays bit-identical
 //! to the plain unsharded protocol.
 
-use paxi::bench::{
-    run_migration_nemesis, MigrationConfig, MigrationOutcome, MigrationStage, MigrationVictim,
-    ShardProto,
-};
+use paxi::bench::{MigrationStage, MigrationVictim, NemesisConfig, Proto, Scenario, Verdict};
 use paxi::core::migration::{KeyRange, MigrationSpec};
 use paxi::core::{ClusterConfig, CrashMode, GroupId, Nanos, NodeId};
 use paxi::protocols::paxos::{MultiPaxos, PaxosConfig};
+use paxi::protocols::raft::RaftConfig;
 use paxi::shard::{sharded_cluster, spread_leader, ShardSpec, ShardedReplica};
 use paxi::sim::client::uniform_workload;
-use paxi::sim::{ClientSetup, MigrationWorkload, SimConfig, SimReport, Simulator};
+use paxi::sim::{ClientSetup, MigrationWorkload, SimConfig, Simulator};
 use paxi_core::id::ClientId;
 
 const VICTIMS: [MigrationVictim; 3] = [
@@ -52,62 +50,36 @@ fn quick_sim() -> SimConfig {
     }
 }
 
-fn assert_clean(out: &MigrationOutcome) {
-    let ctx = format!(
-        "{} victim={} stage={} mode={} seed={} digest={:#x}\nschedule:\n{}\nepochs: {:?}",
-        out.proto,
-        out.victim.label(),
-        out.stage.label(),
-        out.mode.label(),
-        out.seed,
-        out.digest(),
-        out.steps.join("\n"),
-        out.audit.routing_epochs,
-    );
-    assert!(
-        out.anomalies.is_empty(),
-        "{} anomalies, first {:?}\n{ctx}",
-        out.anomalies.len(),
-        out.anomalies.first(),
-    );
-    assert!(out.tail_completed > 0, "no progress after heal\n{ctx}");
-    assert_eq!(
-        out.unexplained_drops, 0,
-        "unattributed message losses\n{ctx}"
-    );
-    assert!(out.cut_over_complete(), "hand-off did not complete\n{ctx}");
-    assert!(
-        out.audit.dual_ownership.is_empty(),
-        "dual ownership: {:?}\n{ctx}",
-        out.audit.dual_ownership
-    );
-    assert!(
-        out.audit.orphaned.is_empty(),
-        "orphaned writes: {:?}\n{ctx}",
-        out.audit.orphaned
-    );
-    assert!(
-        out.audit.leakage.is_empty(),
-        "cross-shard leakage: {:?}\n{ctx}",
-        out.audit.leakage
-    );
+fn raft() -> Proto {
+    Proto::Raft {
+        cfg: RaftConfig::default(),
+        cpu_penalty: 1.0,
+    }
 }
 
-fn run_suite(proto: ShardProto, mode: CrashMode, seed: u64) {
+/// One cell of the matrix: `proto` over two groups through the hand-off,
+/// `victim` felled at `stage` with `mode` semantics.
+fn cell(
+    proto: &Proto,
+    victim: MigrationVictim,
+    stage: MigrationStage,
+    mode: CrashMode,
+    seed: u64,
+) -> Verdict {
+    let cfg = NemesisConfig {
+        seed,
+        crash_mode: mode,
+        clients_per_zone: 4,
+        ..Default::default()
+    };
+    Scenario::migration(proto, quick_sim(), &cfg, victim, stage).run()
+}
+
+fn run_suite(proto: &Proto, mode: CrashMode, seed: u64) {
     for victim in VICTIMS {
         for stage in STAGES {
-            let cfg = MigrationConfig {
-                seed,
-                mode,
-                ..Default::default()
-            };
-            assert_clean(&run_migration_nemesis(
-                proto,
-                quick_sim(),
-                &cfg,
-                victim,
-                stage,
-            ));
+            let v = cell(proto, victim, stage, mode, seed);
+            assert!(v.passed(), "{v}");
         }
     }
 }
@@ -117,22 +89,22 @@ fn run_suite(proto: ShardProto, mode: CrashMode, seed: u64) {
 
 #[test]
 fn paxos_migration_nemesis_freeze() {
-    run_suite(ShardProto::Paxos, CrashMode::Freeze, 1);
+    run_suite(&Proto::paxos(), CrashMode::Freeze, 1);
 }
 
 #[test]
 fn paxos_migration_nemesis_amnesia() {
-    run_suite(ShardProto::Paxos, CrashMode::Amnesia, 1);
+    run_suite(&Proto::paxos(), CrashMode::Amnesia, 1);
 }
 
 #[test]
 fn raft_migration_nemesis_freeze() {
-    run_suite(ShardProto::Raft, CrashMode::Freeze, 1);
+    run_suite(&raft(), CrashMode::Freeze, 1);
 }
 
 #[test]
 fn raft_migration_nemesis_amnesia() {
-    run_suite(ShardProto::Raft, CrashMode::Amnesia, 1);
+    run_suite(&raft(), CrashMode::Amnesia, 1);
 }
 
 // --- crash recovery: the amnesia victim rebuilds the hand-off from WAL ---
@@ -143,27 +115,20 @@ fn amnesia_source_leader_recovers_into_the_handed_off_world() {
     // rebuilt from its WAL namespaces; after healing it must itself report
     // the target routing epoch — a node that recovered "into the old
     // ownership" would still route the range to the source group.
-    for proto in [ShardProto::Paxos, ShardProto::Raft] {
-        let cfg = MigrationConfig {
-            seed: 1,
-            mode: CrashMode::Amnesia,
-            ..Default::default()
-        };
-        let out = run_migration_nemesis(
-            proto,
-            quick_sim(),
-            &cfg,
+    for proto in [Proto::paxos(), raft()] {
+        let v = cell(
+            &proto,
             MigrationVictim::SourceLeader,
             MigrationStage::Commit,
+            CrashMode::Amnesia,
+            1,
         );
-        assert_clean(&out);
-        // The source leader is node 0 under spread placement.
+        assert!(v.passed(), "{v}");
+        // The source leader is node 0 under spread placement; the hand-off
+        // installs routing epoch 1.
         assert!(
-            out.audit.routing_epochs[0] >= out.spec.epoch,
-            "{}: recovered source leader still routes at epoch {} (target {})",
-            out.proto,
-            out.audit.routing_epochs[0],
-            out.spec.epoch
+            v.routing_epochs[0] >= 1,
+            "recovered source leader routes at the old epoch\n{v}"
         );
     }
 }
@@ -172,36 +137,21 @@ fn amnesia_source_leader_recovers_into_the_handed_off_world() {
 fn second_seed_sweeps_the_source_leader_victim() {
     // The source leader is the hardest cell (the hand-off's driver dies);
     // sweep it across an extra seed on both protocols and modes.
-    for proto in [ShardProto::Paxos, ShardProto::Raft] {
+    for proto in [Proto::paxos(), raft()] {
         for mode in [CrashMode::Freeze, CrashMode::Amnesia] {
-            let cfg = MigrationConfig {
-                seed: 7,
-                mode,
-                ..Default::default()
-            };
-            assert_clean(&run_migration_nemesis(
-                proto,
-                quick_sim(),
-                &cfg,
+            let v = cell(
+                &proto,
                 MigrationVictim::SourceLeader,
                 MigrationStage::Stream,
-            ));
+                mode,
+                7,
+            );
+            assert!(v.passed(), "{v}");
         }
     }
 }
 
 // --- determinism fingerprints ---
-
-fn fingerprint(r: &SimReport) -> (u64, u64, u64, String) {
-    let digest = r
-        .ops
-        .iter()
-        .take(50)
-        .map(|o| format!("{}:{}:{}:{}", o.client, o.key, o.invoke.0, o.ret.0))
-        .collect::<Vec<_>>()
-        .join(",");
-    (r.completed, r.events_processed, r.latency.mean.0, digest)
-}
 
 /// A sharded Paxos factory with the migration plumbing fully wired: every
 /// inner replica is told its group identity, exactly as the bench
@@ -263,8 +213,8 @@ fn single_group_without_migration_keeps_the_static_fingerprint() {
     );
     let sharded = wrapped.run();
     assert_eq!(
-        fingerprint(&unsharded),
-        fingerprint(&sharded),
+        unsharded.fingerprint(),
+        sharded.fingerprint(),
         "a single-group run with migration plumbing must be event-identical \
          to the unsharded protocol"
     );
@@ -286,40 +236,32 @@ fn single_group_without_migration_keeps_the_static_fingerprint() {
     );
     let with_elided = elided.run();
     assert_eq!(
-        fingerprint(&unsharded),
-        fingerprint(&with_elided),
+        unsharded.fingerprint(),
+        with_elided.fingerprint(),
         "an elided migration kick-off must not perturb the simulation"
     );
 }
 
 #[test]
 fn real_migration_replays_identically_under_the_same_seed() {
-    let cfg = MigrationConfig {
-        seed: 42,
-        ..Default::default()
+    let run = || {
+        cell(
+            &Proto::paxos(),
+            MigrationVictim::DestLeader,
+            MigrationStage::Stream,
+            CrashMode::Freeze,
+            42,
+        )
     };
-    let a = run_migration_nemesis(
-        ShardProto::Paxos,
-        quick_sim(),
-        &cfg,
-        MigrationVictim::DestLeader,
-        MigrationStage::Stream,
-    );
-    let b = run_migration_nemesis(
-        ShardProto::Paxos,
-        quick_sim(),
-        &cfg,
-        MigrationVictim::DestLeader,
-        MigrationStage::Stream,
-    );
-    assert_eq!(a.steps, b.steps);
+    let (a, b) = (run(), run());
+    assert_eq!(a.scenario.steps(), b.scenario.steps());
     assert_eq!(a.digest(), b.digest());
     assert_eq!(
-        a.completed, b.completed,
+        a.report.completed, b.report.completed,
         "same seed must replay identically"
     );
     assert_eq!(a.tail_completed, b.tail_completed);
-    assert_eq!(a.audit.routing_epochs, b.audit.routing_epochs);
+    assert_eq!(a.routing_epochs, b.routing_epochs);
 }
 
 // --- CI artifact: verdict digests for the migration-smoke job ---
@@ -327,25 +269,21 @@ fn real_migration_replays_identically_under_the_same_seed() {
 #[test]
 fn write_migration_digest_artifact() {
     let mut lines = Vec::new();
-    for proto in [ShardProto::Paxos, ShardProto::Raft] {
+    for proto in [Proto::paxos(), raft()] {
         for victim in VICTIMS {
             for stage in STAGES {
-                let cfg = MigrationConfig {
-                    seed: 1,
-                    ..Default::default()
-                };
-                let out = run_migration_nemesis(proto, quick_sim(), &cfg, victim, stage);
+                let v = cell(&proto, victim, stage, CrashMode::Freeze, 1);
                 lines.push(format!(
                     "proto={} victim={} stage={} mode={} seed={} digest={:#018x} passed={}",
-                    out.proto,
-                    out.victim.label(),
-                    out.stage.label(),
-                    out.mode.label(),
-                    out.seed,
-                    out.digest(),
-                    out.passed(),
+                    v.scenario.name(),
+                    victim.label(),
+                    stage.label(),
+                    CrashMode::Freeze.label(),
+                    v.scenario.sim.seed,
+                    v.digest(),
+                    v.passed(),
                 ));
-                assert!(out.passed(), "smoke cell failed: {}", lines.last().unwrap());
+                assert!(v.passed(), "smoke cell failed: {v}");
             }
         }
     }

@@ -11,8 +11,7 @@
 //! runs").
 
 use paxi::bench::{
-    generate_schedule, lagging_then_only_electable, run_nemesis, run_schedule, shrink_nemesis,
-    NemesisConfig, Proto,
+    generate_schedule, lagging_then_only_electable, NemesisConfig, Proto, Scenario,
 };
 use paxi::core::{ClusterConfig, CrashMode, Nanos};
 use paxi::protocols::raft::RaftConfig;
@@ -34,30 +33,8 @@ fn zoned_sim() -> SimConfig {
 }
 
 fn assert_clean(proto: &Proto, sim: SimConfig, cluster: ClusterConfig, cfg: NemesisConfig) {
-    let out = run_nemesis(proto, sim.clone(), cluster.clone(), &cfg);
-    if out.anomalies.is_empty() && out.tail_completed == 0 {
-        // A wedge: print the fault windows it takes. (Wedged runs are cheap
-        // to repeat; a run with an anomaly costs as much as a healthy one,
-        // so shrinking those is left to whoever investigates.)
-        shrink_nemesis(proto, sim, cluster, &cfg);
-    }
-    assert!(
-        out.anomalies.is_empty(),
-        "{} seed {} digest {:#x}: {} anomalies, first {:?}\nschedule:\n{}",
-        out.proto,
-        out.seed,
-        out.schedule.digest(),
-        out.anomalies.len(),
-        out.anomalies.first(),
-        out.schedule.steps.join("\n"),
-    );
-    assert!(
-        out.tail_completed > 0,
-        "{} seed {}: no progress after heal\nschedule:\n{}",
-        out.proto,
-        out.seed,
-        out.schedule.steps.join("\n"),
-    );
+    let v = Scenario::nemesis(proto, sim, cluster, &cfg).run_shrinking();
+    assert!(v.passed(), "{v}");
 }
 
 #[test]
@@ -123,10 +100,10 @@ fn lagging_then_only_electable_is_clean(proto: &Proto) {
         let horizon = sim.warmup + sim.measure;
         let schedule = lagging_then_only_electable(&cluster, horizon, lagging, mode);
         let cfg = NemesisConfig { seed: 6, crash_mode: mode, ..Default::default() };
-        let out = run_schedule(proto, sim.clone(), cluster.clone(), &cfg, schedule);
-        assert!(out.anomalies.is_empty(), "{} {mode:?}: {:?}", out.proto, out.anomalies.first());
-        assert!(out.tail_completed > 0, "{} {mode:?}: no progress after heal", out.proto);
-        assert!(out.completed > 1_000, "{} {mode:?}: {} completed", out.proto, out.completed);
+        let v = Scenario { schedule, ..Scenario::nemesis(proto, sim.clone(), cluster.clone(), &cfg) }
+            .run();
+        assert!(v.passed(), "{v}");
+        assert!(v.report.completed > 1_000, "{v}");
     }
 }
 
@@ -143,12 +120,13 @@ fn raft_node_isolated_past_the_window_then_the_only_electable_one() {
 #[test]
 fn same_seed_reproduces_the_same_run() {
     let cfg = NemesisConfig { seed: 42, ..Default::default() };
-    let a = run_nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg);
-    let b = run_nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg);
-    assert_eq!(a.schedule.steps, b.schedule.steps);
-    assert_eq!(a.schedule.digest(), b.schedule.digest());
-    assert_eq!(a.completed, b.completed, "same seed must replay identically");
+    let a = Scenario::nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg).run();
+    let b = Scenario::nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg).run();
+    assert_eq!(a.scenario.schedule.steps, b.scenario.schedule.steps);
+    assert_eq!(a.scenario.schedule.digest(), b.scenario.schedule.digest());
+    assert_eq!(a.report.completed, b.report.completed, "same seed must replay identically");
     assert_eq!(a.tail_completed, b.tail_completed);
+    assert_eq!(a.digest(), b.digest());
 }
 
 #[test]

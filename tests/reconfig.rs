@@ -16,9 +16,7 @@
 //! — an elided add-then-remove-the-same-node change leaves the simulation
 //! bit-identical to a static run.
 
-use paxi::bench::{
-    run, run_reconfig_nemesis, Proto, ReconfigConfig, ReconfigOutcome, ReconfigVictim,
-};
+use paxi::bench::{run, NemesisConfig, Proto, ReconfigVictim, Scenario, Verdict};
 use paxi::core::membership::ConfigChange;
 use paxi::core::{ClusterConfig, CrashMode, FaultPlan, Nanos, NodeId};
 use paxi::protocols::raft::RaftConfig;
@@ -51,39 +49,22 @@ fn raft() -> Proto {
     }
 }
 
-fn assert_clean(out: &ReconfigOutcome) {
-    let ctx = format!(
-        "{} victim={} mode={} seed={} digest={:#x}\nschedule:\n{}\nviews: {:?}",
-        out.proto,
-        out.victim.label(),
-        out.mode.label(),
-        out.seed,
-        out.digest(),
-        out.steps.join("\n"),
-        out.final_members,
-    );
-    assert!(
-        out.anomalies.is_empty(),
-        "{} anomalies, first {:?}\n{ctx}",
-        out.anomalies.len(),
-        out.anomalies.first(),
-    );
-    assert!(out.tail_completed > 0, "no progress after heal\n{ctx}");
-    assert_eq!(
-        out.unexplained_drops, 0,
-        "unattributed message losses\n{ctx}"
-    );
-    assert!(out.cut_over_complete(), "cut-over did not complete\n{ctx}");
+/// One cell of the matrix: `proto` through the join or leave `victim`
+/// implies, `victim` felled inside the transition with `mode` semantics.
+fn cell(proto: &Proto, victim: ReconfigVictim, mode: CrashMode, seed: u64) -> Verdict {
+    let cfg = NemesisConfig {
+        seed,
+        crash_mode: mode,
+        clients_per_zone: 4,
+        ..Default::default()
+    };
+    Scenario::reconfig(proto, quick_sim(), &cfg, victim).run()
 }
 
 fn run_suite(proto: &Proto, mode: CrashMode, seed: u64) {
     for victim in VICTIMS {
-        let cfg = ReconfigConfig {
-            seed,
-            mode,
-            ..Default::default()
-        };
-        assert_clean(&run_reconfig_nemesis(proto, quick_sim(), &cfg, victim));
+        let v = cell(proto, victim, mode, seed);
+        assert!(v.passed(), "{v}");
     }
 }
 
@@ -115,17 +96,8 @@ fn second_seed_sweeps_the_leader_victim() {
     // sweep it across an extra seed on both protocols and modes.
     for proto in [Proto::paxos(), raft()] {
         for mode in [CrashMode::Freeze, CrashMode::Amnesia] {
-            let cfg = ReconfigConfig {
-                seed: 7,
-                mode,
-                ..Default::default()
-            };
-            assert_clean(&run_reconfig_nemesis(
-                &proto,
-                quick_sim(),
-                &cfg,
-                ReconfigVictim::Leader,
-            ));
+            let v = cell(&proto, ReconfigVictim::Leader, mode, 7);
+            assert!(v.passed(), "{v}");
         }
     }
 }
@@ -140,22 +112,15 @@ fn amnesia_victim_rejoins_in_the_new_configuration_never_the_old() {
     // in nobody's view — a node that recovered "into the old config" would
     // report a member set without node 5.
     for proto in [Proto::paxos(), raft()] {
-        let cfg = ReconfigConfig {
-            seed: 1,
-            mode: CrashMode::Amnesia,
-            ..Default::default()
-        };
-        let out = run_reconfig_nemesis(&proto, quick_sim(), &cfg, ReconfigVictim::Joiner);
-        assert_clean(&out);
-        let joiner = NodeId::new(0, 5);
-        assert!(out.target.contains(&joiner));
-        let view = out.final_members[5].as_deref();
+        let v = cell(&proto, ReconfigVictim::Joiner, CrashMode::Amnesia, 1);
+        assert!(v.passed(), "{v}");
+        // The join installs all six nodes of the universe, joiner included.
+        let target = v.scenario.cluster.all_nodes();
+        assert_eq!(target.last(), Some(&NodeId::new(0, 5)));
         assert_eq!(
-            view,
-            Some(out.target.as_slice()),
-            "{}: recovered joiner must hold the target config, got {:?}",
-            out.proto,
-            view
+            v.members[5].as_ref(),
+            Some(&target),
+            "recovered joiner must hold the target config\n{v}"
         );
     }
 }
@@ -247,19 +212,7 @@ fn fingerprint(workload_reconfig: Option<ConfigChange>, seed: u64) -> (u64, u64,
         }
         None => run(&Proto::paxos(), sim, cluster, uniform_workload(16), clients),
     };
-    let op_digest = report
-        .ops
-        .iter()
-        .take(50)
-        .map(|o| format!("{}:{}:{}", o.client, o.key, o.invoke.0))
-        .collect::<Vec<_>>()
-        .join(",");
-    (
-        report.completed,
-        report.events_processed,
-        report.latency.mean.0,
-        op_digest,
-    )
+    report.fingerprint()
 }
 
 #[test]
@@ -285,20 +238,26 @@ fn noop_reconfig_fingerprint_matches_the_static_run() {
 
 #[test]
 fn real_reconfig_replays_identically_under_the_same_seed() {
-    let cfg = ReconfigConfig {
-        seed: 42,
-        ..Default::default()
-    };
-    let a = run_reconfig_nemesis(&Proto::paxos(), quick_sim(), &cfg, ReconfigVictim::Joiner);
-    let b = run_reconfig_nemesis(&Proto::paxos(), quick_sim(), &cfg, ReconfigVictim::Joiner);
-    assert_eq!(a.steps, b.steps);
+    let a = cell(
+        &Proto::paxos(),
+        ReconfigVictim::Joiner,
+        CrashMode::Freeze,
+        42,
+    );
+    let b = cell(
+        &Proto::paxos(),
+        ReconfigVictim::Joiner,
+        CrashMode::Freeze,
+        42,
+    );
+    assert_eq!(a.scenario.steps(), b.scenario.steps());
     assert_eq!(a.digest(), b.digest());
     assert_eq!(
-        a.completed, b.completed,
+        a.report.completed, b.report.completed,
         "same seed must replay identically"
     );
     assert_eq!(a.tail_completed, b.tail_completed);
-    assert_eq!(a.final_members, b.final_members);
+    assert_eq!(a.members, b.members);
 }
 
 // --- CI artifact: verdict digests for the reconfig-smoke job ---
@@ -308,21 +267,17 @@ fn write_reconfig_digest_artifact() {
     let mut lines = Vec::new();
     for proto in [Proto::paxos(), raft()] {
         for victim in VICTIMS {
-            let cfg = ReconfigConfig {
-                seed: 1,
-                ..Default::default()
-            };
-            let out = run_reconfig_nemesis(&proto, quick_sim(), &cfg, victim);
+            let v = cell(&proto, victim, CrashMode::Freeze, 1);
             lines.push(format!(
                 "proto={} victim={} mode={} seed={} digest={:#018x} passed={}",
-                out.proto,
-                out.victim.label(),
-                out.mode.label(),
-                out.seed,
-                out.digest(),
-                out.passed(),
+                v.scenario.name(),
+                victim.label(),
+                CrashMode::Freeze.label(),
+                v.scenario.sim.seed,
+                v.digest(),
+                v.passed(),
             ));
-            assert!(out.passed(), "smoke cell failed: {}", lines.last().unwrap());
+            assert!(v.passed(), "smoke cell failed: {v}");
         }
     }
     std::fs::create_dir_all("results").expect("create results dir");

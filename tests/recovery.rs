@@ -12,7 +12,7 @@
 //! exactly the unsynced suffix, and the protocols' real WAL record types
 //! must round-trip through the file backend.
 
-use paxi::bench::{run_nemesis, shrink_nemesis, NemesisConfig, Proto};
+use paxi::bench::{NemesisConfig, Proto, Scenario};
 use paxi::core::{Ballot, ClientId, ClusterConfig, Command, CrashMode, Nanos, NodeId, RequestId};
 use paxi::protocols::epaxos::{EpaxosWal, IRef, WalStatus};
 use paxi::protocols::paxos::PaxosWal;
@@ -35,30 +35,8 @@ fn amnesia(seed: u64) -> NemesisConfig {
 }
 
 fn assert_clean(proto: &Proto, sim: SimConfig, cluster: ClusterConfig, cfg: NemesisConfig) {
-    let out = run_nemesis(proto, sim.clone(), cluster.clone(), &cfg);
-    if out.anomalies.is_empty() && out.tail_completed == 0 {
-        // A wedge: print the fault windows it takes. (Wedged runs are cheap
-        // to repeat; a run with an anomaly costs as much as a healthy one,
-        // so shrinking those is left to whoever investigates.)
-        shrink_nemesis(proto, sim, cluster, &cfg);
-    }
-    assert!(
-        out.anomalies.is_empty(),
-        "{} seed {} digest {:#x}: {} anomalies, first {:?}\nschedule:\n{}",
-        out.proto,
-        out.seed,
-        out.schedule.digest(),
-        out.anomalies.len(),
-        out.anomalies.first(),
-        out.schedule.steps.join("\n"),
-    );
-    assert!(
-        out.tail_completed > 0,
-        "{} seed {}: no progress after heal\nschedule:\n{}",
-        out.proto,
-        out.seed,
-        out.schedule.steps.join("\n"),
-    );
+    let v = Scenario::nemesis(proto, sim, cluster, &cfg).run_shrinking();
+    assert!(v.passed(), "{v}");
 }
 
 #[test]
@@ -102,30 +80,27 @@ fn same_amnesia_seed_replays_identically() {
     // in-memory disks, the fsync service-time charges, and the rebuild at
     // recovery are all part of the replayed state.
     let cfg = amnesia(42);
-    let a = run_nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg);
-    let b = run_nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg);
-    assert_eq!(a.schedule.steps, b.schedule.steps);
-    assert_eq!(a.schedule.digest(), b.schedule.digest());
-    assert_eq!(a.completed, b.completed, "same seed must replay identically");
+    let a = Scenario::nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg).run();
+    let b = Scenario::nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg).run();
+    assert_eq!(a.scenario.schedule.steps, b.scenario.schedule.steps);
+    assert_eq!(a.scenario.schedule.digest(), b.scenario.schedule.digest());
+    assert_eq!(a.report.completed, b.report.completed, "same seed must replay identically");
     assert_eq!(a.tail_completed, b.tail_completed);
+    assert_eq!(a.digest(), b.digest());
 }
 
 #[test]
 fn freeze_and_amnesia_schedules_share_placement_but_not_digest() {
-    let freeze = run_nemesis(
-        &Proto::paxos(),
-        lan_sim(),
-        ClusterConfig::lan(5),
-        &NemesisConfig { seed: 11, ..Default::default() },
-    );
-    let amn = run_nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &amnesia(11));
+    let run = |cfg| Scenario::nemesis(&Proto::paxos(), lan_sim(), ClusterConfig::lan(5), &cfg).run();
+    let freeze = run(NemesisConfig { seed: 11, ..Default::default() });
+    let amn = run(amnesia(11));
     assert_ne!(
-        freeze.schedule.digest(),
-        amn.schedule.digest(),
+        freeze.scenario.schedule.digest(),
+        amn.scenario.schedule.digest(),
         "crash semantics must be part of the schedule fingerprint"
     );
-    assert_eq!(freeze.schedule.steps.len(), amn.schedule.steps.len());
-    assert!(freeze.passed() && amn.passed());
+    assert_eq!(freeze.scenario.schedule.steps.len(), amn.scenario.schedule.steps.len());
+    assert!(freeze.passed() && amn.passed(), "{freeze}\n{amn}");
 }
 
 // --- storage facade: fault injection and durability semantics ---

@@ -15,8 +15,8 @@
 //!   (wall-clock, channel-backed) transport via redirects.
 
 use paxi::bench::{
-    check_group_consensus, check_shard_leakage, check_sharded, run_nemesis, run_sharded_nemesis,
-    NemesisConfig, Proto, ShardProto,
+    check_group_consensus, check_shard_leakage, check_sharded, NemesisConfig, NodeView, Proto,
+    Scenario, Verdict,
 };
 use paxi::core::{ClusterConfig, Command, CrashMode, GroupId, Nanos, NodeId, Replica};
 use paxi::protocols::paxos::{MultiPaxos, PaxosConfig};
@@ -25,7 +25,8 @@ use paxi::shard::{
     ShardRouter, ShardSpec,
 };
 use paxi::sim::client::uniform_workload;
-use paxi::sim::{ClientSetup, SimConfig, SimReport, Simulator};
+use paxi::protocols::raft::RaftConfig;
+use paxi::sim::{ClientSetup, SimConfig, Simulator};
 use paxi::storage::FsyncPolicy;
 use paxi::transport::channel::InProcCluster;
 
@@ -35,6 +36,12 @@ fn lan_sim() -> SimConfig {
         measure: Nanos::millis(3_900),
         ..SimConfig::default()
     }
+}
+
+/// `proto` under the seeded nemesis `cfg` generates, sharded over `groups`
+/// groups per node (`None` = the plain protocol).
+fn nemesis(proto: &Proto, groups: Option<u32>, cfg: &NemesisConfig) -> Verdict {
+    Scenario { groups, ..Scenario::nemesis(proto, lan_sim(), ClusterConfig::lan(5), cfg) }.run()
 }
 
 /// Builds the standard sharded-Paxos factory: range partitioning, spread
@@ -115,8 +122,9 @@ fn amnesia_crash_of_a_multi_leader_node_rebuilds_all_its_group_wals() {
             anomalies.first()
         );
     }
-    assert!(check_shard_leakage(s.replicas(), &part).is_empty());
-    assert!(check_group_consensus(s.replicas()).is_none());
+    let survivors: Vec<NodeView<'_>> = s.replicas().iter().map(NodeView::sharded).collect();
+    assert!(check_shard_leakage(&survivors, &part, None).is_empty());
+    assert!(check_group_consensus(&survivors).is_none());
 }
 
 #[test]
@@ -127,23 +135,8 @@ fn sharded_nemesis_passes_across_seeds_and_crash_modes() {
     for seed in [1, 2, 3] {
         for mode in [CrashMode::Freeze, CrashMode::Amnesia] {
             let cfg = NemesisConfig { seed, crash_mode: mode, ..Default::default() };
-            let out = run_sharded_nemesis(
-                ShardProto::Paxos,
-                4,
-                lan_sim(),
-                ClusterConfig::lan(5),
-                &cfg,
-            );
-            assert!(
-                out.passed(),
-                "{} seed {seed} digest {:#x}: {} anomalies (first {:?}), tail {}\nschedule:\n{}",
-                out.proto,
-                out.schedule.digest(),
-                out.anomalies.len(),
-                out.anomalies.first(),
-                out.tail_completed,
-                out.schedule.steps.join("\n"),
-            );
+            let v = nemesis(&Proto::paxos(), Some(4), &cfg);
+            assert!(v.passed(), "{v}");
         }
     }
 }
@@ -151,27 +144,9 @@ fn sharded_nemesis_passes_across_seeds_and_crash_modes() {
 #[test]
 fn sharded_raft_nemesis_recovers_from_amnesia() {
     let cfg = NemesisConfig { seed: 5, crash_mode: CrashMode::Amnesia, ..Default::default() };
-    let out =
-        run_sharded_nemesis(ShardProto::Raft, 2, lan_sim(), ClusterConfig::lan(5), &cfg);
-    assert!(
-        out.passed(),
-        "{}: {} anomalies, tail {}\nschedule:\n{}",
-        out.proto,
-        out.anomalies.len(),
-        out.tail_completed,
-        out.schedule.steps.join("\n"),
-    );
-}
-
-fn fingerprint(r: &SimReport) -> (u64, u64, u64, String) {
-    let digest = r
-        .ops
-        .iter()
-        .take(50)
-        .map(|o| format!("{}:{}:{}:{}", o.client, o.key, o.invoke.0, o.ret.0))
-        .collect::<Vec<_>>()
-        .join(",");
-    (r.completed, r.events_processed, r.latency.mean.0, digest)
+    let raft = Proto::Raft { cfg: RaftConfig::default(), cpu_penalty: 1.0 };
+    let v = nemesis(&raft, Some(2), &cfg);
+    assert!(v.passed(), "{v}");
 }
 
 #[test]
@@ -209,8 +184,8 @@ fn single_group_sharding_leaves_the_determinism_fingerprint_unchanged() {
     let sharded = wrapped.run();
 
     assert_eq!(
-        fingerprint(&unsharded),
-        fingerprint(&sharded),
+        unsharded.fingerprint(),
+        sharded.fingerprint(),
         "a single-group sharded run must be event-identical to the unsharded protocol"
     );
 }
@@ -221,32 +196,35 @@ fn sharded_nemesis_replays_the_unsharded_schedule_and_digest() {
     // mode) — never the group count — so the fault-plan fingerprint is
     // invariant under sharding, and a groups=1 freeze run reproduces the
     // unsharded outcome numbers exactly.
-    let lan = ClusterConfig::lan(5);
     let cfg = NemesisConfig { seed: 11, ..Default::default() };
-    let plain = run_nemesis(&Proto::paxos(), lan_sim(), lan.clone(), &cfg);
-    let g1 = run_sharded_nemesis(ShardProto::Paxos, 1, lan_sim(), lan.clone(), &cfg);
-    let g4 = run_sharded_nemesis(ShardProto::Paxos, 4, lan_sim(), lan.clone(), &cfg);
+    let plain = nemesis(&Proto::paxos(), None, &cfg);
+    let g1 = nemesis(&Proto::paxos(), Some(1), &cfg);
+    let g4 = nemesis(&Proto::paxos(), Some(4), &cfg);
+    let schedule = |v: &Verdict| v.scenario.schedule.digest();
 
-    assert_eq!(plain.schedule.steps, g1.schedule.steps);
-    assert_eq!(plain.schedule.digest(), g1.schedule.digest());
+    assert_eq!(plain.scenario.schedule.steps, g1.scenario.schedule.steps);
+    assert_eq!(schedule(&plain), schedule(&g1));
     assert_eq!(
-        plain.schedule.digest(),
-        g4.schedule.digest(),
+        schedule(&plain),
+        schedule(&g4),
         "the nemesis digest must not depend on the group count"
     );
-    assert_eq!(plain.completed, g1.completed, "groups=1 must replay the unsharded run");
+    assert_eq!(
+        plain.report.completed, g1.report.completed,
+        "groups=1 must replay the unsharded run"
+    );
     assert_eq!(plain.tail_completed, g1.tail_completed);
-    assert!(plain.passed() && g1.passed() && g4.passed());
+    assert!(plain.passed() && g1.passed() && g4.passed(), "{plain}\n{g1}\n{g4}");
 
     // The amnesia twin keeps the same invariance (its digest differs from
     // freeze — crash semantics are part of the fingerprint — but not
     // between sharded and unsharded).
     let amnesia = NemesisConfig { seed: 11, crash_mode: CrashMode::Amnesia, ..Default::default() };
-    let plain_a = run_nemesis(&Proto::paxos(), lan_sim(), lan.clone(), &amnesia);
-    let g4_a = run_sharded_nemesis(ShardProto::Paxos, 4, lan_sim(), lan, &amnesia);
-    assert_eq!(plain_a.schedule.digest(), g4_a.schedule.digest());
-    assert_ne!(plain.schedule.digest(), plain_a.schedule.digest());
-    assert!(plain_a.passed() && g4_a.passed());
+    let plain_a = nemesis(&Proto::paxos(), None, &amnesia);
+    let g4_a = nemesis(&Proto::paxos(), Some(4), &amnesia);
+    assert_eq!(schedule(&plain_a), schedule(&g4_a));
+    assert_ne!(schedule(&plain), schedule(&plain_a));
+    assert!(plain_a.passed() && g4_a.passed(), "{plain_a}\n{g4_a}");
 }
 
 #[test]
