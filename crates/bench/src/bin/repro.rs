@@ -25,11 +25,9 @@ const IDS: &[&str] = &[
     "availability", "durability", "reactor",
 ];
 
-/// Prints an experiment's tables, writes their CSVs, and — when the
-/// experiment ships a perf baseline (`figures::baseline_for`) — writes its
-/// `BENCH_*.json` next to the repo root for the CI smoke artifacts. With
-/// `metrics` set, also writes the figure's observability snapshot and
-/// returns its unexplained-drop count (zero when the figure has no probe).
+/// Prints an experiment's tables and writes their CSVs. With `metrics` set,
+/// also writes the figure's observability snapshot and returns its
+/// unexplained-drop count (zero when the figure has no probe).
 fn emit(
     name: &str,
     tables: &[paxi_bench::Table],
@@ -42,12 +40,6 @@ fn emit(
         match t.write_csv(results) {
             Ok(path) => println!("  -> {}\n", path.display()),
             Err(e) => eprintln!("  !! could not write CSV: {e}"),
-        }
-    }
-    if let Some((file, json)) = figures::baseline_for(name, tables) {
-        match std::fs::write(file, json) {
-            Ok(()) => println!("  -> {file}\n"),
-            Err(e) => eprintln!("  !! could not write {file}: {e}"),
         }
     }
     if !metrics {

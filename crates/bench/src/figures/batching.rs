@@ -69,27 +69,6 @@ pub fn run(quick: bool) -> Vec<Table> {
     vec![t]
 }
 
-/// Renders the ablation table as the `BENCH_batching.json` baseline the CI
-/// bench-smoke job uploads, via the shared [`Table::baseline_json`] writer.
-pub fn baseline_json(tables: &[Table]) -> String {
-    tables
-        .first()
-        .map(|t| {
-            t.baseline_json(
-                "ablation_batching",
-                "MultiPaxos, 9-node LAN, uniform keys, closed-loop clients",
-                &[
-                    "max_batch",
-                    "max_throughput_ops_s",
-                    "unloaded_p50_ms",
-                    "unloaded_mean_ms",
-                    "speedup_vs_unbatched",
-                ],
-            )
-        })
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -120,11 +99,5 @@ mod tests {
             p50("16"),
             p50("1")
         );
-
-        // The JSON baseline embeds every sweep row.
-        let json = super::baseline_json(&tables);
-        assert!(json.contains("\"max_batch\": 1,"));
-        assert!(json.contains("\"max_batch\": 16,"));
-        assert!(json.contains("\"speedup_vs_unbatched\""));
     }
 }

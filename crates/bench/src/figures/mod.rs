@@ -107,14 +107,3 @@ pub fn by_name(name: &str, quick: bool) -> Option<Vec<Table>> {
         _ => None,
     }
 }
-
-/// The `BENCH_*.json` perf baseline an experiment ships alongside its CSVs,
-/// if it ships one: `(file name, rendered JSON)`. One registry so the
-/// `repro` binary (and CI) never special-cases individual figures.
-pub fn baseline_for(name: &str, tables: &[Table]) -> Option<(&'static str, String)> {
-    match name {
-        "batching" => Some(("BENCH_batching.json", batching::baseline_json(tables))),
-        "sharding" => Some(("BENCH_sharding.json", sharding::baseline_json(tables))),
-        _ => None,
-    }
-}

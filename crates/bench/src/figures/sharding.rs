@@ -88,30 +88,6 @@ pub fn run(quick: bool) -> Vec<Table> {
     vec![t]
 }
 
-/// Renders the scaling table as the `BENCH_sharding.json` baseline the CI
-/// sharding-smoke job uploads, via the shared [`Table::baseline_json`]
-/// writer.
-pub fn baseline_json(tables: &[Table]) -> String {
-    tables
-        .first()
-        .map(|t| {
-            t.baseline_json(
-                "ablation_sharding",
-                "9-node LAN, range partitioning, routed closed-loop clients, \
-                 groups in {1,2,4,8}",
-                &[
-                    "protocol",
-                    "groups",
-                    "clients",
-                    "max_throughput_ops_s",
-                    "mean_ms_at_max",
-                    "speedup_vs_one_group",
-                ],
-            )
-        })
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -146,11 +122,5 @@ mod tests {
                 "{proto} g=8 must beat g=4"
             );
         }
-
-        // The JSON baseline embeds every row through the shared writer.
-        let json = super::baseline_json(&tables);
-        assert!(json.contains("\"benchmark\": \"ablation_sharding\""));
-        assert!(json.contains("\"protocol\": \"Paxos\", \"groups\": 4,"));
-        assert!(json.contains("\"speedup_vs_one_group\""));
     }
 }

@@ -51,7 +51,9 @@ pub use nemesis::{
 };
 pub use reconfig::ReconfigVictim;
 pub use runner::{run, sweep, Proto, SweepPoint};
-pub use scenario::{Audit, Event, GroupView, NodeView, Scenario, Verdict};
+pub use scenario::{
+    record_digests, Audit, Event, GroupView, NodeView, Scenario, Verdict, DIGEST_LEDGER,
+};
 pub use sharded::{
     check_group_consensus, check_shard_leakage, check_sharded, routed_clients, routed_workload,
     run_sharded, sweep_sharded,

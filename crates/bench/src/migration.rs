@@ -14,7 +14,7 @@
 
 use crate::nemesis::NemesisConfig;
 use crate::runner::Proto;
-use crate::scenario::{Event, NodeView, Scenario};
+use crate::scenario::{Event, GroupView, NodeView, Scenario};
 use paxi_core::config::ClusterConfig;
 use paxi_core::group::GroupId;
 use paxi_core::id::NodeId;
@@ -98,7 +98,7 @@ pub fn dual_ownership(nodes: &[NodeView<'_>], spec: &MigrationSpec) -> Vec<Strin
             &node.groups[spec.from.0 as usize],
             &node.groups[spec.to.0 as usize],
         );
-        let range_keys = |g: &crate::scenario::GroupView<'_>| -> Vec<u64> {
+        let range_keys = |g: &GroupView<'_>| -> Vec<u64> {
             let keys = g.store.into_iter().flat_map(|s| s.keys());
             keys.filter(|&k| spec.range.contains(k)).collect()
         };

@@ -14,7 +14,8 @@
 //! Which auditors run is derived, never chosen: a recorded history is checked
 //! for linearizability and for progress after the heal; metrics on means
 //! every message loss must be attributed; an event brings its cut-over audit;
-//! a sharded deployment brings the ownership audits.
+//! a sharded deployment brings the leakage audit; and every group's replicas
+//! must agree on a common prefix of each key's history.
 //!
 //! Like everything else in the harness a run is a pure function of its
 //! scenario: the same scenario replays bit-for-bit, and
@@ -51,7 +52,8 @@ use paxi_sim::{
     Simulator, Workload,
 };
 use paxi_storage::{FsyncPolicy, MemHub};
-use std::fmt;
+use std::path::Path;
+use std::{fmt, fs, io};
 
 /// The one workload event a scenario may carry; client 0 submits it.
 #[derive(Debug, Clone)]
@@ -121,9 +123,9 @@ impl Scenario {
 
     /// `proto` under the random fault schedule `cfg` generates. `sim`
     /// supplies the topology and timing template (its `topology` must match
-    /// `cluster`); the seed is `cfg`'s, every operation is recorded, and
-    /// client retries are armed so abandoned requests are re-issued rather
-    /// than wedging closed-loop clients.
+    /// `cluster`); the seed is `cfg`'s, every operation and every message
+    /// loss is recorded, and client retries are armed so abandoned requests
+    /// are re-issued rather than wedging closed-loop clients.
     pub fn nemesis(
         proto: &Proto,
         mut sim: SimConfig,
@@ -132,6 +134,7 @@ impl Scenario {
     ) -> Self {
         sim.seed = cfg.seed;
         sim.record_ops = true;
+        sim.metrics = true;
         if sim.client_retry.is_none() {
             sim.client_retry = Some(Nanos::millis(500));
         }
@@ -155,8 +158,6 @@ impl Scenario {
     /// window and, instead of random faults, one hand-placed crash of
     /// `victim` that opens `offset` after the event and lasts a fifth of the
     /// window — the geometry of the reconfiguration and migration cells.
-    /// Metrics are on: the event suites have always required every message
-    /// loss to be attributed.
     pub(crate) fn around(self, event: Event, victim: NodeId, offset: Nanos, label: String) -> Self {
         let at = Nanos(self.sim.warmup.0 + self.sim.measure.0 * 2 / 5);
         let crash = Episode::Crash {
@@ -169,10 +170,6 @@ impl Scenario {
             schedule: NemesisSchedule::of(vec![crash], &self.cluster, heal_at, mode),
             event: Some((at, event)),
             label,
-            sim: SimConfig {
-                metrics: true,
-                ..self.sim
-            },
             ..self
         }
     }
@@ -210,32 +207,27 @@ impl Scenario {
     /// Runs the scenario under its own load — uniform reads and writes over
     /// `keys`, with the event woven in — and judges it.
     pub fn run(&self) -> Verdict {
-        let clients = match &self.event {
-            // A client wired to a node that has not joined yet would be load
-            // on a non-member: attach round-robin to the initial members.
-            Some((_, Event::Reconfig { initial, .. })) => (0..self.clients_per_zone)
-                .map(|i| {
-                    let attach = initial[i % initial.len()];
-                    ClientSetup {
-                        zone: attach.zone,
-                        attach,
-                        mode: LoadMode::Closed { think: Nanos::ZERO },
-                    }
-                })
-                .collect(),
-            _ => ClientSetup::closed_per_zone(&self.cluster, self.clients_per_zone),
-        };
         let load = uniform_workload(self.keys);
+        let in_every_zone = || ClientSetup::closed_per_zone(&self.cluster, self.clients_per_zone);
         match &self.event {
-            None => self.run_load(load, clients),
+            None => self.run_load(load, in_every_zone()),
             Some((at, Event::Reconfig { initial, change })) => {
+                // A client wired to a node that has not joined yet would be
+                // load on a non-member: attach round-robin to the initial
+                // members.
+                let client = |i: usize| ClientSetup {
+                    zone: initial[i % initial.len()].zone,
+                    attach: initial[i % initial.len()],
+                    mode: LoadMode::Closed { think: Nanos::ZERO },
+                };
+                let clients = (0..self.clients_per_zone).map(client).collect();
                 let w = ReconfigWorkload::new(load, ClientId(0), *at, change.clone(), initial);
                 self.run_load(w, clients)
             }
-            Some((at, Event::Migrate(spec))) => self.run_load(
-                MigrationWorkload::new(load, ClientId(0), *at, *spec),
-                clients,
-            ),
+            Some((at, Event::Migrate(spec))) => {
+                let w = MigrationWorkload::new(load, ClientId(0), *at, *spec);
+                self.run_load(w, in_every_zone())
+            }
         }
     }
 
@@ -298,6 +290,11 @@ impl Scenario {
             self.event.is_none() || matches!(self.proto, Proto::Paxos(_) | Proto::Raft { .. }),
             "{} carries neither membership changes nor shard migrations through its log",
             self.proto.name()
+        );
+        let hand_off = matches!(self.event, Some((_, Event::Migrate(_))));
+        assert!(
+            !hand_off || self.groups.is_some(),
+            "a hand-off needs groups"
         );
         let initial = match &self.event {
             Some((_, Event::Reconfig { initial, .. })) => Some(initial.clone()),
@@ -542,10 +539,6 @@ impl Verdict {
         let tail_completed = ok_after_heal.count() as u64;
         let members: Vec<_> = nodes.iter().map(|n| n.groups[0].members.clone()).collect();
         let routing_epochs: Vec<u64> = nodes.iter().filter_map(|n| n.routing_epoch).collect();
-        let part = scenario
-            .groups
-            .map(|g| RangePartitioner::even(scenario.keys, g));
-
         let anomalies = check_linearizability(&report.ops);
         let mut audits = vec![Audit {
             name: "anomalies",
@@ -560,46 +553,41 @@ impl Verdict {
                 witness: (n > 0).then(|| format!("{n} message losses no drop cause accounts for")),
             });
         }
-        match (&scenario.event, &part) {
+        let mut handed_over = None;
+        match &scenario.event {
             // A majority of the target membership must report exactly the
             // target configuration. (A minority may still be catching up
             // when the window closes; the old configuration must never win.)
-            (Some((_, Event::Reconfig { initial, change })), _) => {
+            Some((_, Event::Reconfig { initial, change })) => {
                 let target = change.apply(initial);
                 let holds = |id: &NodeId| {
                     let at = scenario.cluster.index_of(*id);
                     members[at].as_deref() == Some(target.as_slice())
                 };
                 let agreeing = target.iter().filter(|id| holds(id)).count();
-                let what = format!("hold {target:?}");
+                let what = format!("hold {}", ids(&target));
                 audits.push(cut_over(agreeing, target.len(), &what));
             }
             // A majority of nodes must route at the hand-off's epoch, and
             // exactly one group must own the range afterwards.
-            (Some((_, Event::Migrate(spec))), Some(part)) => {
+            Some((_, Event::Migrate(spec))) => {
                 let agreeing = routing_epochs.iter().filter(|&&e| e >= spec.epoch).count();
                 let what = format!("route at epoch {}", spec.epoch);
                 audits.push(cut_over(agreeing, nodes.len(), &what));
                 audits.push(Audit::of("dual", dual_ownership(nodes, spec)));
-                audits.push(Audit::of(
-                    "orphaned",
-                    orphaned_writes(nodes, spec, &report.ops),
-                ));
-                audits.push(Audit::of(
-                    "leakage",
-                    check_shard_leakage(nodes, part, Some(&spec.range)),
-                ));
+                let orphaned = orphaned_writes(nodes, spec, &report.ops);
+                audits.push(Audit::of("orphaned", orphaned));
+                handed_over = Some(&spec.range);
             }
-            (Some((_, Event::Migrate(_))), None) => panic!("a shard hand-off needs groups"),
-            (None, Some(part)) if scenario.schedule.episodes.is_empty() => {
-                audits.push(Audit::of("leakage", check_shard_leakage(nodes, part, None)));
-                audits.push(Audit::of(
-                    "consensus",
-                    check_group_consensus(nodes).into_iter().collect(),
-                ));
-            }
-            (None, _) => {}
+            None => {}
         }
+        if let Some(g) = scenario.groups {
+            let part = RangePartitioner::even(scenario.keys, g);
+            let leaked = check_shard_leakage(nodes, &part, handed_over);
+            audits.push(Audit::of("leakage", leaked));
+        }
+        let diverged = check_group_consensus(nodes).into_iter().collect();
+        audits.push(Audit::of("consensus", diverged));
         Verdict {
             scenario: scenario.clone(),
             report,
@@ -620,8 +608,16 @@ impl Verdict {
     /// Whether the run passed in full: every applicable auditor found
     /// nothing, and the recorded history shows progress after healing.
     pub fn passed(&self) -> bool {
+        self.passed_except("")
+    }
+
+    /// [`Verdict::passed`] with the auditor called `known` reported but not
+    /// gating — for a suite whose protocol has a finding on file (DESIGN.md
+    /// deviation 9) until the protocol is fixed.
+    pub fn passed_except(&self, known: &str) -> bool {
         let progressed = self.tail_completed > 0 || !self.scenario.sim.record_ops;
-        progressed && self.audits.iter().all(|a| a.count == 0)
+        let clean = |a: &Audit| a.count == 0 || a.name == known;
+        progressed && self.audits.iter().all(clean)
     }
 
     /// Fingerprint ([`digest_lines`]) of the scenario's steps and every
@@ -636,6 +632,36 @@ impl Verdict {
             .collect();
         digest_lines(lines.iter().map(String::as_str))
     }
+}
+
+/// `0.0,0.1,…` — a membership as the verdict prints it.
+fn ids(nodes: &[NodeId]) -> String {
+    let each: Vec<String> = nodes.iter().map(NodeId::to_string).collect();
+    each.join(",")
+}
+
+/// Where the suites keep the digest ledger, relative to the package root
+/// `cargo test` runs them from.
+pub const DIGEST_LEDGER: &str = "results/verdict_digests.txt";
+
+/// Replaces `section`'s lines of the digest ledger at `path` with one line
+/// per verdict (who ran, crash mode, digest, passed) and keeps the file
+/// sorted, so it reads the same whichever suite wrote last. The ledger is
+/// committed: a digest that moves shows as a one-line diff.
+pub fn record_digests(path: &Path, section: &str, verdicts: &[Verdict]) -> io::Result<()> {
+    let prefix = format!("{section} ");
+    // A ledger that does not exist yet starts empty.
+    let old = fs::read_to_string(path).unwrap_or_default();
+    let kept = old.lines().filter(|l| !l.starts_with(&prefix));
+    let mut lines: Vec<String> = kept.map(String::from).collect();
+    lines.extend(verdicts.iter().map(|v| {
+        let who = &v.scenario.steps()[0];
+        let mode = v.scenario.schedule.mode.label();
+        let (digest, passed) = (v.digest(), v.passed());
+        format!("{prefix}{who} mode={mode} digest={digest:#018x} passed={passed}")
+    }));
+    lines.sort();
+    fs::write(path, lines.join("\n") + "\n")
 }
 
 /// The cut-over auditor's finding: a violation unless `agreeing` is a
@@ -676,14 +702,7 @@ impl fmt::Display for Verdict {
             }
         }
         writeln!(f, "schedule:\n{}", steps[1..].join("\n"))?;
-        let view = |m: &Option<Vec<NodeId>>| match m {
-            Some(ids) => ids
-                .iter()
-                .map(NodeId::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-            None => "-".into(),
-        };
+        let view = |m: &Option<Vec<NodeId>>| m.as_deref().map_or("-".into(), ids);
         let members: Vec<String> = self.members.iter().map(view).collect();
         write!(f, "members: {}", members.join(" | "))?;
         if !self.routing_epochs.is_empty() {
@@ -774,14 +793,26 @@ mod tests {
         }
     }
 
-    /// The refactor's offline tripwire: one reconfiguration cell, one
-    /// migration cell and one plain schedule still digest to the values the
-    /// four separate harnesses produced for them (taken at d773b4a).
+    /// The refactor's offline tripwire: the lines the four separate
+    /// harnesses folded for one reconfiguration cell, one migration cell and
+    /// one plain schedule still fold to the digests taken at d773b4a. Every
+    /// verdict now also runs the consensus auditor, whose line comes after
+    /// them: 0x5d3124f4688f9644 → 0x9f8f35d6bd662798 and
+    /// 0xe97169856300b018 → 0xf3a4689ef72385dc.
     #[test]
     fn digests_are_the_ones_the_separate_harnesses_produced() {
-        let [reconfig, migration] = event_cells();
-        assert_eq!(reconfig.run().digest(), 0x5d31_24f4_688f_9644);
-        assert_eq!(migration.run().digest(), 0xe971_6985_6300_b018);
+        let before_consensus = |v: &Verdict| {
+            let old = v.audits.iter().filter(|a| a.name != "consensus");
+            let lines: Vec<String> = (v.scenario.steps().into_iter())
+                .chain(old.map(Audit::line))
+                .collect();
+            digest_lines(lines.iter().map(String::as_str))
+        };
+        let [reconfig, migration] = event_cells().map(|cell| cell.run());
+        assert_eq!(before_consensus(&reconfig), 0x5d31_24f4_688f_9644);
+        assert_eq!(reconfig.digest(), 0x9f8f_35d6_bd66_2798);
+        assert_eq!(before_consensus(&migration), 0xe971_6985_6300_b018);
+        assert_eq!(migration.digest(), 0xf3a4_689e_f723_85dc);
         let plain = Scenario::nemesis(
             &Proto::paxos(),
             quick_sim(),

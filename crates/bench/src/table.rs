@@ -83,43 +83,6 @@ impl Table {
             .join("_")
     }
 
-    /// Renders the table as a `BENCH_*.json` perf baseline: one JSON object
-    /// per row, `fields[i]` naming column `i`. Cells that parse as numbers
-    /// are emitted raw, everything else as a JSON string. Hand-formatted
-    /// because the workspace deliberately carries no JSON dependency; every
-    /// figure that ships a baseline goes through this one writer.
-    pub fn baseline_json(&self, benchmark: &str, config: &str, fields: &[&str]) -> String {
-        assert_eq!(
-            fields.len(),
-            self.columns.len(),
-            "one JSON field per column in '{}'",
-            self.title
-        );
-        let cell = |c: &str| {
-            if c.parse::<f64>().is_ok() {
-                c.to_string()
-            } else {
-                format!("\"{}\"", c.replace('\\', "\\\\").replace('"', "\\\""))
-            }
-        };
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"benchmark\": \"{benchmark}\",");
-        let _ = writeln!(s, "  \"config\": \"{config}\",");
-        s.push_str("  \"series\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let sep = if i + 1 == self.rows.len() { "" } else { "," };
-            let obj: Vec<String> = fields
-                .iter()
-                .zip(row)
-                .map(|(f, c)| format!("\"{f}\": {}", cell(c)))
-                .collect();
-            let _ = writeln!(s, "    {{{}}}{sep}", obj.join(", "));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
     /// Writes the table as CSV into `dir`, returning the path.
     pub fn write_csv(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
@@ -200,24 +163,5 @@ mod tests {
     fn row_width_mismatch_panics() {
         let mut t = Table::new("bad", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn baseline_json_quotes_strings_and_leaves_numbers_raw() {
-        let mut t = Table::new("demo", &["protocol", "groups", "tput"]);
-        t.row(vec!["Paxos".into(), "4".into(), "25434".into()]);
-        t.row(vec!["Raft".into(), "1".into(), "8912.50".into()]);
-        let json = t.baseline_json("demo_bench", "cfg \"x\"", &["protocol", "groups", "tput"]);
-        assert!(json.contains("\"benchmark\": \"demo_bench\""));
-        assert!(json.contains("{\"protocol\": \"Paxos\", \"groups\": 4, \"tput\": 25434},"));
-        // Last row has no trailing comma.
-        assert!(json.contains("{\"protocol\": \"Raft\", \"groups\": 1, \"tput\": 8912.50}\n"));
-    }
-
-    #[test]
-    #[should_panic(expected = "one JSON field per column")]
-    fn baseline_json_field_count_mismatch_panics() {
-        let t = Table::new("demo", &["a", "b"]);
-        t.baseline_json("x", "y", &["a"]);
     }
 }

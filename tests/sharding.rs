@@ -15,8 +15,8 @@
 //!   (wall-clock, channel-backed) transport via redirects.
 
 use paxi::bench::{
-    check_group_consensus, check_shard_leakage, check_sharded, NemesisConfig, NodeView, Proto,
-    Scenario, Verdict,
+    check_group_consensus, check_shard_leakage, check_sharded, record_digests, DIGEST_LEDGER, NemesisConfig,
+    NodeView, Proto, Scenario, Verdict,
 };
 use paxi::core::{ClusterConfig, Command, CrashMode, GroupId, Nanos, NodeId, Replica};
 use paxi::protocols::paxos::{MultiPaxos, PaxosConfig};
@@ -132,13 +132,18 @@ fn sharded_nemesis_passes_across_seeds_and_crash_modes() {
     // The seeded chaos suite over a 4-group Paxos deployment, under both
     // crash semantics. Amnesia runs give every group its own WAL namespace;
     // a crashed node rebuilds all four replicas from disk.
+    let mut cells = Vec::new();
     for seed in [1, 2, 3] {
         for mode in [CrashMode::Freeze, CrashMode::Amnesia] {
             let cfg = NemesisConfig { seed, crash_mode: mode, ..Default::default() };
             let v = nemesis(&Proto::paxos(), Some(4), &cfg);
             assert!(v.passed(), "{v}");
+            cells.push(v);
         }
     }
+    // The committed ledger's sharded section is these six cells.
+    record_digests(DIGEST_LEDGER.as_ref(), "sharded", &cells)
+        .expect("write the digest ledger");
 }
 
 #[test]
