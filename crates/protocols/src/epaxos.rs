@@ -20,6 +20,7 @@
 //! recovery of another replica's instances is not implemented (the paper's
 //! experiments never exercise it).
 
+use crate::kernel::{self, Wal};
 use paxi_core::command::{ClientRequest, ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
 use paxi_core::id::{NodeId, RequestId};
@@ -167,7 +168,7 @@ pub struct EPaxos {
     key_info: HashMap<u64, KeyInfo>,
     pending_exec: HashSet<IRef>,
     store: MultiVersionStore,
-    wal: Option<Box<dyn Storage>>,
+    wal: Wal,
 }
 
 impl EPaxos {
@@ -184,7 +185,7 @@ impl EPaxos {
             key_info: HashMap::new(),
             pending_exec: HashSet::new(),
             store: MultiVersionStore::new(),
-            wal: None,
+            wal: Wal::default(),
         }
     }
 
@@ -206,7 +207,7 @@ impl EPaxos {
     /// syncs per policy. Must run before the message acknowledging that
     /// stage leaves this node. A storage failure is crash-stop.
     fn persist(&mut self, iref: IRef, status: WalStatus) {
-        if self.wal.is_none() {
+        if !self.wal.durable() {
             return;
         }
         let Some(inst) = self.get(iref) else { return };
@@ -217,9 +218,7 @@ impl EPaxos {
             deps: inst.deps.clone(),
             status,
         };
-        let bytes = paxi_codec::to_bytes(&rec).expect("epaxos wal record must encode");
-        let wal = self.wal.as_mut().unwrap();
-        wal.append(&bytes).expect("epaxos replica lost its durable store");
+        self.wal.persist(&rec);
     }
 
     fn get_mut(&mut self, iref: IRef) -> Option<&mut Instance> {
@@ -598,9 +597,9 @@ impl Replica for EPaxos {
     /// never downgrades it). `req` is not persisted: a recovered replica
     /// never re-sends client replies, the retry path covers those.
     fn attach_storage(&mut self, mut storage: Box<dyn Storage>) {
-        let rec = storage.recover().expect("epaxos storage must recover");
-        for bytes in &rec.records {
-            let w: EpaxosWal = paxi_codec::from_bytes(bytes).expect("epaxos wal record must decode");
+        let (_, records) = kernel::recover::<EpaxosWal>(storage.as_mut());
+        let replayed = records.len();
+        for w in records {
             let status = match w.status {
                 WalStatus::PreAccepted => Status::PreAccepted,
                 WalStatus::Accepted => Status::Accepted,
@@ -629,13 +628,11 @@ impl Replica for EPaxos {
                 self.next_idx = self.next_idx.max(w.iref.idx + 1);
             }
         }
-        self.wal = Some(storage);
+        self.wal.attach(storage, replayed);
     }
 
     fn sync_storage(&mut self) {
-        if let Some(wal) = &mut self.wal {
-            wal.tick().expect("epaxos replica lost its durable store");
-        }
+        self.wal.tick();
     }
 
     fn on_recover(&mut self, ctx: &mut dyn Context<EpaxosMsg>) {
@@ -1073,5 +1070,60 @@ mod tests {
             Some((None, EpaxosMsg::PreAccept { iref, .. })) => assert_eq!(iref.idx, 2),
             other => panic!("expected PreAccept, got {other:?}"),
         }
+    }
+
+    /// The bytes three durable replicas leave on their disks after a fixed
+    /// script: commands led from every replica on the fast path, then pairs
+    /// of conflicting ones proposed at once, which take the slow path. The
+    /// constants are what the same body wrote at 9c50f2d, before the WAL
+    /// handle moved into `kernel.rs`.
+    #[test]
+    fn disk_bytes_are_the_ones_written_before_the_replica_layer_moved() {
+        use crate::testkit::{disk_digest, probe, settle};
+        let hub = paxi_storage::MemHub::new(paxi_storage::FsyncPolicy::Always);
+        let cluster = ClusterConfig::lan(3);
+        let ids = cluster.all_nodes();
+        let mut nodes: Vec<_> = ids
+            .iter()
+            .map(|&id| {
+                let mut r = EPaxos::new(id, cluster.clone());
+                r.attach_storage(Box::new(hub.open(u32::from(id.node))));
+                (r, probe::<EpaxosMsg>(id))
+            })
+            .collect();
+        for i in 0..30u64 {
+            let (r, ctx) = &mut nodes[(i % 3) as usize];
+            let cmd = match i % 4 {
+                0 => paxi_core::Command::get(i % 5),
+                _ => paxi_core::Command::put(i % 5, vec![i as u8; (i % 6) as usize]),
+            };
+            r.on_request(req(1, i, cmd), ctx);
+            settle(&mut nodes, &[]);
+        }
+        for i in 30..50u64 {
+            for leader in [(i % 3) as usize, ((i + 1) % 3) as usize] {
+                let (r, ctx) = &mut nodes[leader];
+                let cmd = paxi_core::Command::put(i % 2, vec![i as u8, leader as u8]);
+                r.on_request(req(leader as u32, i, cmd), ctx);
+            }
+            settle(&mut nodes, &[]);
+        }
+        for key in 0..3 {
+            let disk = hub.open(key).recover().unwrap();
+            let records = disk.records.iter();
+            let records: Vec<EpaxosWal> = records
+                .map(|b| paxi_codec::from_bytes(b).unwrap())
+                .collect();
+            for status in [WalStatus::PreAccepted, WalStatus::Accepted, WalStatus::Committed] {
+                let n = records.iter().filter(|r| r.status == status).count();
+                assert!(n > 0, "disk {key}: no {status:?} record");
+            }
+        }
+        let digests = [0, 1, 2].map(|key| disk_digest(&hub, key));
+        assert_eq!(
+            digests.map(|d| format!("{d:016x}")),
+            ["bffc6b29face1d7d", "00dee8d5bdd53bc2", "b370daeb443a6471"],
+            "taken at 9c50f2d"
+        );
     }
 }

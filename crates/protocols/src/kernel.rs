@@ -1,100 +1,341 @@
-//! What MultiPaxos and Raft do identically once the log has decided: write a
-//! WAL record, and execute one command against the replicated state.
+//! The replica layer: everything a decided command touches, written once.
+//!
+//! An ordering layer — MultiPaxos, Raft — decides which command stands at
+//! which log position. What follows is the same under both and lives here.
+//! [`State`] owns the store, the migration tracker, the WAL, the position of
+//! the last image and both ends of the state-transfer exchange, and its
+//! methods are the only way to execute a decided command (a migration record
+//! logged before it takes effect, a frozen range rejected, the client
+//! answered), to write an image or adopt one (disk first, memory second) and
+//! to append to the WAL (a replica that cannot must stop). A protocol with a
+//! state machine of its own (EPaxos) holds the [`Wal`] alone.
+//!
+//! The layer never knows a ballot, a term or a quorum: a position is a
+//! `u64`, a WAL record is whatever its protocol serializes, an image's
+//! [`Meta`] and tail are the protocol's to fill in and to read back. Whether
+//! an image is due is decided here ([`State::image_due`]); what its two
+//! numbers count is still each protocol's (DESIGN.md, "Replica layer /
+//! ordering layer").
 
-use paxi_core::command::{ClientResponse, Command, Handoff};
-use paxi_core::id::RequestId;
-use paxi_core::membership::CONFIG_KEY;
-use paxi_core::migration::{
-    as_migration_record, MigrationAction, MigrationRecord, MigrationTracker, MIGRATION_KEY,
+use crate::snapshot::{
+    write_image, Exchange, Image, Meta, Round, SnapshotAck, SnapshotMsg, Step, TailEntry,
 };
-use paxi_core::obs::{Metric, TraceStage};
+use paxi_core::command::{ClientResponse, Command, Handoff};
+use paxi_core::group::GroupId;
+use paxi_core::id::{NodeId, RequestId};
+use paxi_core::membership::CONFIG_KEY;
+use paxi_core::migration::{as_migration_record, MigrationAction, MigrationTracker, MIGRATION_KEY};
+use paxi_core::obs::{DropCause, Metric, TraceStage};
 use paxi_core::store::MultiVersionStore;
 use paxi_core::traits::Context;
-use paxi_storage::Storage;
+use paxi_storage::{snapshot_due, Storage, StorageError};
+use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-/// Appends `rec` to `wal`, if there is one, and says whether it did. Called
-/// before the message that acknowledges what the record witnesses. A replica
-/// that cannot write its WAL must stop (crash-stop model): continuing would
-/// acknowledge state it may later forget.
-pub fn persist<T: Serialize>(wal: &mut Option<Box<dyn Storage>>, rec: &T) -> bool {
-    let Some(wal) = wal else { return false };
-    let bytes = paxi_codec::to_bytes(rec).expect("a wal record must encode");
-    wal.append(&bytes).expect("replica lost its durable store");
-    true
+/// Crash-stop: a replica that cannot write its WAL must stop, for going on
+/// would acknowledge state it may later forget.
+fn must<T>(written: Result<T, StorageError>) -> T {
+    written.expect("replica lost its durable store")
 }
 
-/// Executes one decided command and, if `answer` (this replica leads),
-/// replies to its client.
-///
-/// * A migration record mutates the tracker — here, at execute time, so that
-///   replaying the log reconstructs freezes, installs and cut-overs exactly —
-///   after `audit` has logged it (persist-before-effect).
-/// * A config command acts when it is accepted or appended, not here; it
-///   never touches the store, but its client is still answered.
-/// * A data command on a range this group froze or handed off is rejected,
-///   deterministically on every replica, instead of executed: that is what
-///   pins the frozen range's contents. The client retries (freeze window)
-///   or follows the epoch-tagged hand-off.
-pub fn execute<M>(
-    cmd: &Command,
-    req: Option<RequestId>,
-    store: &mut MultiVersionStore,
-    migration: &mut MigrationTracker,
-    answer: bool,
-    audit: impl FnOnce(&MigrationRecord),
-    ctx: &mut dyn Context<M>,
-) {
-    let req = req.filter(|_| answer);
-    let value = if cmd.key == MIGRATION_KEY {
-        if let Some(rec) = as_migration_record(cmd) {
-            audit(&rec);
-            match migration.apply(&rec) {
-                MigrationAction::Install(range) => store.install_range(range),
-                MigrationAction::DropRange(r) => store.remove_range(r.lo, r.hi),
-                MigrationAction::None => {}
+/// Reads back what `storage` holds: the image it starts from, if any, and
+/// the records after it decoded as `W`, in append order. The storage is not
+/// attached yet ([`Wal::attach`]), so replaying them appends nothing. A disk
+/// that does not read back what this replica wrote is one it cannot start
+/// from.
+pub fn recover<W: DeserializeOwned>(storage: &mut dyn Storage) -> (Option<Image>, Vec<W>) {
+    let rec = storage.recover().expect("storage must recover");
+    let image = |b: Vec<u8>| Image::decode(&b).expect("a snapshot must be an image");
+    let record = |b: Vec<u8>| paxi_codec::from_bytes(&b).expect("a wal record must decode");
+    let records = rec.records.into_iter().map(record).collect();
+    (rec.snapshot.map(image), records)
+}
+
+/// A replica's write-ahead log, if it has one: the one place a record is
+/// appended, and the one place a failing disk stops the replica.
+#[derive(Default)]
+pub struct Wal {
+    disk: Option<Box<dyn Storage>>,
+    /// Records appended since the last image (after a recovery: replayed).
+    records: u64,
+}
+
+impl Wal {
+    /// Whether there is a disk. A record that owns a deep copy of what it
+    /// logs is built only when there is.
+    pub fn durable(&self) -> bool {
+        self.disk.is_some()
+    }
+
+    /// Records appended since the last image.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Appends `rec`, if there is a disk, and says whether it did. Called
+    /// before the message that acknowledges what the record witnesses.
+    pub fn persist<T: Serialize>(&mut self, rec: &T) -> bool {
+        let Some(disk) = &mut self.disk else {
+            return false;
+        };
+        let bytes = paxi_codec::to_bytes(rec).expect("a wal record must encode");
+        must(disk.append(&bytes));
+        self.records += 1;
+        true
+    }
+
+    /// The time-driven sync check of a batching fsync policy.
+    pub fn tick(&mut self) {
+        if let Some(disk) = &mut self.disk {
+            must(disk.tick());
+        }
+    }
+
+    /// Appends go to `storage` from here on. The `replayed` records count
+    /// toward the next image, or a replica that keeps crashing would grow
+    /// its WAL without bound.
+    pub fn attach(&mut self, storage: Box<dyn Storage>, replayed: usize) {
+        (self.disk, self.records) = (Some(storage), replayed as u64);
+    }
+}
+
+/// What is left of a state-transfer step for the ordering layer.
+pub enum Turn {
+    /// Nothing: send this back, if anything.
+    Answer(Option<SnapshotMsg>),
+    /// The peer needs an image: send what [`State::begin_transfer`] returns.
+    Begin,
+    /// The final chunk arrived: install the image, then send the ack.
+    Install(Image, SnapshotAck),
+    /// The peer says its state is at this position or beyond.
+    Installed(u64),
+}
+
+/// The replicated state of one replica and what makes it durable and
+/// transferable. The fields are private: a protocol cannot apply a migration
+/// record it has not logged, move the store before the image is on disk, or
+/// append without the crash-stop check.
+#[derive(Default)]
+pub struct State {
+    store: MultiVersionStore,
+    /// Shard-migration state machine, driven by replicated records at
+    /// execute time. Inert (no group identity) outside sharded deployments.
+    migration: MigrationTracker,
+    wal: Wal,
+    /// Images on their way to replicas that fell behind, and the image this
+    /// one is being sent.
+    exchange: Exchange,
+    /// [`Meta::base`] of the last image written or adopted, and how many
+    /// entries its tail carried.
+    image: (u64, u64),
+}
+
+impl State {
+    /// The state machine.
+    pub fn store(&self) -> &MultiVersionStore {
+        &self.store
+    }
+
+    /// The migration tracker.
+    pub fn migration(&self) -> &MigrationTracker {
+        &self.migration
+    }
+
+    /// Tells the replica which consensus group it serves in a sharded
+    /// deployment, arming the migration tracker. Unsharded deployments never
+    /// call this; the tracker then ignores every record and the replica
+    /// behaves exactly as before shard migration existed.
+    pub fn set_group(&mut self, group: GroupId) {
+        self.migration.set_group(group);
+    }
+
+    /// The WAL, for the protocol's own records.
+    pub fn wal(&mut self) -> &mut Wal {
+        &mut self.wal
+    }
+
+    /// [`Meta::base`] of the last image written or adopted, and how many
+    /// entries its tail carried; `(0, 0)` before the first.
+    pub fn image(&self) -> (u64, u64) {
+        self.image
+    }
+
+    /// Executes the command decided at `at` and, if `answer` (this replica
+    /// leads), replies to its client.
+    ///
+    /// * A migration record mutates the tracker — here, at execute time, so
+    ///   that replaying the log reconstructs freezes, installs and cut-overs
+    ///   exactly — after the WAL has the record `audit` makes of it
+    ///   (persist-before-effect).
+    /// * A config command acts when it is accepted or appended, not here; it
+    ///   never touches the store, but its client is still answered.
+    /// * A data command on a range this group froze or handed off is
+    ///   rejected, deterministically on every replica, instead of executed:
+    ///   that is what pins the frozen range's contents. The client retries
+    ///   (freeze window) or follows the epoch-tagged hand-off.
+    pub fn execute<M, W: Serialize>(
+        &mut self,
+        at: u64,
+        cmd: &Command,
+        req: Option<RequestId>,
+        answer: bool,
+        ctx: &mut dyn Context<M>,
+        audit: impl FnOnce(u64, Vec<u8>) -> W,
+    ) {
+        let req = req.filter(|_| answer);
+        let value = if cmd.key == MIGRATION_KEY {
+            if let Some(rec) = as_migration_record(cmd) {
+                self.wal.persist(&audit(at, rec.encode()));
+                match self.migration.apply(&rec) {
+                    MigrationAction::Install(range) => self.store.install_range(range),
+                    MigrationAction::DropRange(r) => self.store.remove_range(r.lo, r.hi),
+                    MigrationAction::None => {}
+                }
             }
-        }
-        None
-    } else if cmd.key == CONFIG_KEY {
-        None
-    } else if let Some(rej) = migration.rejects(cmd.key) {
-        if let Some(id) = req {
-            ctx.count(Metric::Redirects, 1);
-            let (lo, hi) = (rej.spec.range.lo, rej.spec.range.hi);
-            let (group, epoch) = (rej.spec.to, rej.spec.epoch);
-            let handoff = Handoff {
-                lo,
-                hi,
-                group,
-                epoch,
-            };
-            ctx.reply(if rej.committed {
-                ClientResponse::handed_off(id, handoff)
-            } else {
-                ClientResponse::err(id)
-            });
-        }
-        return;
-    } else {
-        ctx.count(Metric::Executes, 1);
-        if req.is_some() {
-            store.execute(cmd)
-        } else {
-            // Nobody to answer: change the state, build no reply value.
-            store.apply(cmd);
             None
+        } else if cmd.key == CONFIG_KEY {
+            None
+        } else if let Some(rej) = self.migration.rejects(cmd.key) {
+            if let Some(id) = req {
+                ctx.count(Metric::Redirects, 1);
+                let (lo, hi) = (rej.spec.range.lo, rej.spec.range.hi);
+                let (group, epoch) = (rej.spec.to, rej.spec.epoch);
+                let handoff = Handoff {
+                    lo,
+                    hi,
+                    group,
+                    epoch,
+                };
+                ctx.reply(if rej.committed {
+                    ClientResponse::handed_off(id, handoff)
+                } else {
+                    ClientResponse::err(id)
+                });
+            }
+            return;
+        } else {
+            ctx.count(Metric::Executes, 1);
+            if req.is_some() {
+                self.store.execute(cmd)
+            } else {
+                // Nobody to answer: change the state, build no reply value.
+                self.store.apply(cmd);
+                None
+            }
+        };
+        if let Some(id) = req {
+            ctx.trace(TraceStage::Execute, id);
+            ctx.reply(ClientResponse::ok(id, value));
         }
-    };
-    if let Some(id) = req {
-        ctx.trace(TraceStage::Execute, id);
-        ctx.reply(ClientResponse::ok(id, value));
+    }
+
+    /// Whether to write an image now: never without a WAL to compact,
+    /// otherwise once `since` — what accumulated after the last image —
+    /// reaches what that image `holds` ([`snapshot_due`]), both in the
+    /// caller's unit.
+    pub fn image_due(&self, since: u64, holds: u64) -> bool {
+        self.wal.durable() && snapshot_due(since, holds)
+    }
+
+    /// Replaces snapshot and WAL with the image `(meta, tail, the store)`,
+    /// a chunk at a time. One install replaces both, so a crash at any
+    /// point leaves the old snapshot with the old WAL or the complete new
+    /// image — never a truncated WAL awaiting its tail.
+    pub fn write_image(&mut self, meta: Meta, tail: Vec<TailEntry>) {
+        self.image_to_disk(meta, tail, None);
+    }
+
+    /// Puts this replica's state at the image `(meta, tail, store)`: off its
+    /// own disk (during recovery: no WAL is attached yet), or at the end of
+    /// a state transfer. The WAL takes the image first — the caller has put
+    /// its own round into `meta.promised` — and only then do the store and
+    /// the tracker move.
+    pub fn adopt(&mut self, meta: &Meta, tail: Vec<TailEntry>, store: MultiVersionStore) {
+        self.image_to_disk(meta.clone(), tail, Some(&store));
+        self.store = store;
+        // Decoding the image already checked the tracker's bytes.
+        self.migration.restore(&meta.migration);
+    }
+
+    /// `None` is this replica's own store.
+    fn image_to_disk(&mut self, meta: Meta, tail: Vec<TailEntry>, of: Option<&MultiVersionStore>) {
+        self.image = (meta.base, tail.len() as u64);
+        if let Some(disk) = &mut self.wal.disk {
+            must(write_image(
+                disk.as_mut(),
+                meta,
+                tail,
+                of.unwrap_or(&self.store),
+            ));
+            self.wal.records = 0;
+        }
+    }
+
+    /// One step of the state-transfer exchange with `peer`; `at` is this
+    /// replica's own position. Any replica serves its image to one that
+    /// asks, and stages the chunks of the image it asked for. The steps that
+    /// need no ordering are run here: an answer is passed on, a chunk that
+    /// cannot be used is dropped and counted.
+    pub fn transfer<M>(
+        &mut self,
+        peer: NodeId,
+        msg: SnapshotMsg,
+        at: u64,
+        ctx: &mut dyn Context<M>,
+    ) -> Turn {
+        match self.exchange.handle(peer, msg, at, &self.store) {
+            Step::Reply(msg) => Turn::Answer(Some(msg)),
+            Step::Dropped(answer) => {
+                ctx.count_drop(DropCause::BadChunk, 1);
+                Turn::Answer(answer)
+            }
+            Step::Idle => Turn::Answer(None),
+            Step::Begin => Turn::Begin,
+            Step::Install(image, ack) => Turn::Install(image, ack),
+            Step::Installed(base) => Turn::Installed(base),
+        }
+    }
+
+    /// Takes an image `(meta, tail, the store as it is now)` for `to`, in
+    /// `round`, and returns its first chunk.
+    pub fn begin_transfer(
+        &mut self,
+        to: NodeId,
+        round: Round,
+        meta: Meta,
+        tail: Vec<TailEntry>,
+    ) -> SnapshotMsg {
+        self.exchange.begin(to, round, meta, tail, &self.store)
+    }
+
+    /// Whether an image is being staged.
+    pub fn staging(&self) -> bool {
+        self.exchange.staging()
+    }
+
+    /// Drops every transfer this side is sending (it lost the standing to).
+    pub fn stop_sending(&mut self) {
+        self.exchange.stop_sending();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl State {
+        /// Whether nothing is being sent or staged.
+        pub(crate) fn transfers_idle(&self) -> bool {
+            self.exchange.is_idle()
+        }
+    }
+
+    impl Wal {
+        /// A clean stop: everything appended is on the disk.
+        pub(crate) fn sync(&mut self) {
+            must(self.disk.as_mut().expect("a durable replica").sync());
+        }
+    }
     use crate::testkit::probe;
     use paxi_core::command::{Key, Op};
     use paxi_core::id::{ClientId, NodeId};
@@ -102,8 +343,7 @@ mod tests {
 
     #[test]
     fn a_replica_that_answers_and_one_that_does_not_reach_the_same_state() {
-        let (mut leader, mut follower) = (MultiVersionStore::new(), MultiVersionStore::new());
-        let (mut lt, mut ft) = (MigrationTracker::new(), MigrationTracker::new());
+        let (mut leader, mut follower) = (State::default(), State::default());
         let mut lctx = probe::<()>(NodeId::new(0, 0));
         let mut fctx = probe::<()>(NodeId::new(0, 1));
         for i in 0..60u64 {
@@ -116,9 +356,10 @@ mod tests {
             // Every third command has no client to answer (a no-op filler, a
             // command recovered from a peer's log).
             let req = (i % 3 != 0).then(|| RequestId::new(ClientId(1), i));
-            execute(&cmd, req, &mut leader, &mut lt, true, |_| {}, &mut lctx);
-            execute(&cmd, req, &mut follower, &mut ft, false, |_| {}, &mut fctx);
+            leader.execute(i, &cmd, req, true, &mut lctx, |_, _| ());
+            follower.execute(i, &cmd, req, false, &mut fctx, |_, _| ());
         }
+        let (leader, follower) = (leader.store(), follower.store());
         assert_eq!(leader.dump(), follower.dump(), "chains and executed");
         assert_eq!(leader.executed(), 60);
         assert_eq!(lctx.replies.len(), 40);

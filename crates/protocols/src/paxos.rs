@@ -32,22 +32,22 @@
 //! a replica told of a commit index it has no entry to reach, or elected with
 //! such a gap, asks the teller for its image and installs it before going on.
 
-use crate::kernel;
+use crate::kernel::{self, State, Turn};
 pub use crate::snapshot::SlotCmds;
-use crate::snapshot::{write_image, Exchange, Image, Meta, SnapshotMsg, Step, TailEntry};
+use crate::snapshot::{Image, Meta, SnapshotMsg, TailEntry};
 use paxi_core::ballot::Ballot;
 use paxi_core::command::{ClientRequest, ClientResponse, Command};
 use paxi_core::config::{BatchConfig, Batcher, ClusterConfig};
 use paxi_core::group::GroupId;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::membership::{self, ConfigChange, Membership};
-use paxi_core::migration::{MigrationRecord, MigrationTracker};
+use paxi_core::migration::MigrationTracker;
 use paxi_core::obs::{DropCause, Metric, TraceStage};
 use paxi_core::quorum::{majority, CountQuorum, QuorumTracker};
 use paxi_core::store::MultiVersionStore;
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
-use paxi_storage::{snapshot_due, Storage};
+use paxi_storage::Storage;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -258,7 +258,9 @@ pub struct MultiPaxos {
     /// Slots below this are already marked committed — keeps the
     /// piggybacked-commit scan incremental instead of O(log).
     marked_upto: u64,
-    store: MultiVersionStore,
+    /// Store, migration tracker, WAL, image position, state transfer: what
+    /// `execute` and `install` act on, never directly.
+    state: State,
     pending: Vec<ClientRequest>,
     /// Commands accumulating toward the next batched slot (leader only).
     batch: Batcher<(Command, Option<RequestId>)>,
@@ -280,20 +282,10 @@ pub struct MultiPaxos {
     /// the log hasn't advanced for a full heartbeat, phase-2 messages were
     /// lost and the stuck window is retransmitted.
     heartbeat_head: u64,
-    /// Durable store for acceptor-critical state, if attached.
-    wal: Option<Box<dyn Storage>>,
-    /// All slots below this are covered by the installed snapshot.
-    snapshot_base: u64,
-    /// Shard-migration state machine, driven by replicated records at
-    /// execute time. Inert (no group identity) outside sharded deployments.
-    migration: MigrationTracker,
     /// `execute_upto` at the last heartbeat that named a commit index this
     /// log has no entry to reach: a gap that outlives a heartbeat period is
     /// a lost message, not a reordered one.
     stuck_at: Option<u64>,
-    /// State transfer: images on their way to replicas that asked for one,
-    /// and the image this one asked for.
-    exchange: Exchange,
 }
 
 impl MultiPaxos {
@@ -320,7 +312,7 @@ impl MultiPaxos {
             commit_upto: 0,
             execute_upto: 0,
             marked_upto: 0,
-            store: MultiVersionStore::new(),
+            state: State::default(),
             pending: Vec::new(),
             batch,
             p1_quorum: None,
@@ -331,20 +323,14 @@ impl MultiPaxos {
             last_leader_contact: Nanos::ZERO,
             election_token: 0,
             heartbeat_head: 0,
-            wal: None,
-            snapshot_base: 0,
-            migration: MigrationTracker::new(),
             stuck_at: None,
-            exchange: Exchange::default(),
         }
     }
 
     /// Tells the replica which consensus group it serves in a sharded
-    /// deployment, arming the migration tracker. Unsharded deployments never
-    /// call this; the tracker then ignores every record and the replica
-    /// behaves exactly as before shard migration existed.
+    /// deployment ([`State::set_group`]).
     pub fn set_group(&mut self, group: GroupId) {
-        self.migration.set_group(group);
+        self.state.set_group(group);
     }
 
     /// Phase-2 quorum size (leader included) at the proposal frontier.
@@ -526,17 +512,17 @@ impl MultiPaxos {
         self.ballot
     }
 
-    /// Appends one WAL record ([`kernel::persist`]), honoring the
-    /// persist-before-ack contract: the caller invokes this before emitting
-    /// the message that acknowledges the state change.
+    /// Appends one WAL record, honoring the persist-before-ack contract:
+    /// the caller invokes this before emitting the message that
+    /// acknowledges the state change.
     fn persist(&mut self, rec: &PaxosWal) {
-        kernel::persist(&mut self.wal, rec);
+        self.state.wal().persist(rec);
     }
 
     /// Persists the acceptance of `cmds` in `slot`. The record owns its
     /// batch, a deep copy: made only when there is a WAL to write it to.
     fn persist_accept(&mut self, slot: u64, ballot: Ballot, cmds: &SlotCmds) {
-        if self.wal.is_some() {
+        if self.state.wal().durable() {
             self.persist(&PaxosWal::Accept {
                 slot,
                 ballot,
@@ -546,28 +532,18 @@ impl MultiPaxos {
     }
 
     /// Snapshot-plus-truncate compaction: once the slots executed since the
-    /// last snapshot reach what that snapshot holds ([`snapshot_due`]),
-    /// install an image of the state machine with the log — the in-flight
-    /// window — as its tail. One install replaces snapshot and WAL together,
-    /// so a crash at any point leaves either the old WAL or the complete new
-    /// snapshot — never a truncated WAL awaiting its tail, which would lose
-    /// accepts the leader may already have counted.
+    /// last image reach what that image holds ([`State::image_due`]), write
+    /// an image of the state machine with the log — the in-flight window —
+    /// as its tail: a truncated WAL awaiting its tail would lose accepts
+    /// the leader may already have counted.
     fn maybe_compact(&mut self) {
-        let since = self.execute_upto.saturating_sub(self.snapshot_base);
-        if self.wal.is_some() && snapshot_due(since, self.snapshot_base) {
-            let meta = self.image_meta();
-            self.write_image(meta, None);
-        }
-    }
-
-    /// Replaces snapshot and WAL with `(meta, this log from meta.base on,
-    /// store)`, a chunk at a time; `None` is this replica's own store.
-    fn write_image(&mut self, meta: Meta, store: Option<&MultiVersionStore>) {
-        self.snapshot_base = meta.base;
-        let tail = self.tail_from(meta.base);
-        if let Some(wal) = self.wal.as_mut() {
-            write_image(wal.as_mut(), meta, tail, store.unwrap_or(&self.store))
-                .expect("paxos replica lost its durable store");
+        let (base, _) = self.state.image();
+        if self
+            .state
+            .image_due(self.execute_upto.saturating_sub(base), base)
+        {
+            let tail = self.tail_from(self.execute_upto);
+            self.state.write_image(self.image_meta(), tail);
         }
     }
 
@@ -588,7 +564,7 @@ impl MultiPaxos {
             base_term: 0,
             promised: self.ballot.into(),
             configs: self.configs.iter().map(config).collect(),
-            migration: self.migration.dump(),
+            migration: self.state.migration().dump(),
             executed: 0,
         }
     }
@@ -630,10 +606,7 @@ impl MultiPaxos {
             }
         }
         meta.promised = self.ballot.into();
-        self.write_image(meta.clone(), Some(&store));
-        self.store = store;
-        // Decoding the image already checked the tracker's bytes.
-        self.migration.restore(&meta.migration);
+        self.state.adopt(&meta, self.tail_from(meta.base), store);
         self.execute_upto = meta.base;
         self.commit_upto = self.commit_upto.max(meta.base);
         self.marked_upto = self.marked_upto.max(meta.base);
@@ -668,17 +641,14 @@ impl MultiPaxos {
     /// the image it asked for. A chunk that cannot be used is dropped and
     /// counted.
     fn on_snapshot(&mut self, from: NodeId, msg: SnapshotMsg, ctx: &mut dyn Context<PaxosMsg>) {
-        let reply = match self
-            .exchange
-            .handle(from, msg, self.execute_upto, &self.store)
-        {
-            Step::Reply(msg) => Some(msg),
-            Step::Begin => {
+        let reply = match self.state.transfer(from, msg, self.execute_upto, ctx) {
+            Turn::Answer(msg) => msg,
+            Turn::Begin => {
                 let (meta, tail) = (self.image_meta(), self.tail_from(self.execute_upto));
                 let round = self.ballot.into();
-                Some(self.exchange.begin(from, round, meta, tail, &self.store))
+                Some(self.state.begin_transfer(from, round, meta, tail))
             }
-            Step::Install(image, ack) => {
+            Turn::Install(image, ack) => {
                 if !self.install(image) {
                     return ctx.count_drop(DropCause::BadChunk, 1);
                 }
@@ -692,11 +662,7 @@ impl MultiPaxos {
                 }
                 None
             }
-            Step::Dropped(answer) => {
-                ctx.count_drop(DropCause::BadChunk, 1);
-                answer
-            }
-            Step::Installed(_) | Step::Idle => None,
+            Turn::Installed(_) => None,
         };
         if let Some(msg) = reply {
             ctx.send(from, PaxosMsg::Snapshot(msg));
@@ -932,13 +898,8 @@ impl MultiPaxos {
             }
             // Execute the batch in order; replies fan back out per command.
             for (cmd, req) in &e.cmds {
-                let wal = &mut self.wal;
-                let audit = |rec: &MigrationRecord| {
-                    let bytes = rec.encode();
-                    kernel::persist(wal, &PaxosWal::Migration { slot, bytes });
-                };
-                let (store, migration) = (&mut self.store, &mut self.migration);
-                kernel::execute(cmd, *req, store, migration, self.active, audit, ctx);
+                let audit = |slot, bytes| PaxosWal::Migration { slot, bytes };
+                self.state.execute(slot, cmd, *req, self.active, ctx, audit);
             }
             self.execute_upto += 1;
         }
@@ -959,21 +920,19 @@ impl Replica for MultiPaxos {
     /// design — the leader's piggybacked `commit_upto` re-teaches them, and
     /// re-execution is safe because the restored store is exactly at `base`.
     fn attach_storage(&mut self, mut storage: Box<dyn Storage>) {
-        let rec = storage.recover().expect("paxos storage must recover");
-        if let Some(bytes) = &rec.snapshot {
-            // Configs chosen and freezes decided below the base have no
-            // surviving Accept records to re-derive them from: they, the
-            // store at the base and the in-flight tail are the image.
-            let installed = Image::decode(bytes).map(|image| self.install(image));
-            if !matches!(installed, Ok(true)) {
-                panic!("paxos replica cannot start from its disk: {installed:?}");
-            }
+        let (image, records) = kernel::recover::<PaxosWal>(storage.as_mut());
+        // Configs chosen and freezes decided below the base have no
+        // surviving Accept records to re-derive them from: they, the store
+        // at the base and the in-flight tail are the image.
+        if !image.is_none_or(|image| self.install(image)) {
+            panic!("paxos replica cannot start from an image it did not write");
         }
-        for bytes in &rec.records {
-            match paxi_codec::from_bytes::<PaxosWal>(bytes).expect("paxos wal must decode") {
+        let replayed = records.len();
+        for rec in records {
+            match rec {
                 PaxosWal::Ballot(b) => self.ballot = self.ballot.max(b),
                 PaxosWal::Accept { slot, ballot, cmds } => {
-                    if slot >= self.snapshot_base {
+                    if slot >= self.state.image().0 {
                         self.restore_accepted(slot, ballot, cmds);
                     }
                 }
@@ -997,13 +956,11 @@ impl Replica for MultiPaxos {
             }
         }
         self.active = false;
-        self.wal = Some(storage);
+        self.state.wal().attach(storage, replayed);
     }
 
     fn sync_storage(&mut self) {
-        if let Some(wal) = &mut self.wal {
-            wal.tick().expect("paxos replica lost its durable store");
-        }
+        self.state.wal().tick();
     }
 
     fn on_start(&mut self, ctx: &mut dyn Context<PaxosMsg>) {
@@ -1289,7 +1246,7 @@ impl Replica for MultiPaxos {
     }
 
     fn store(&self) -> Option<&MultiVersionStore> {
-        Some(&self.store)
+        Some(self.state.store())
     }
 
     /// The ballot owner this replica would forward requests to (itself when
@@ -1319,7 +1276,7 @@ impl Replica for MultiPaxos {
     }
 
     fn migration(&self) -> Option<&MigrationTracker> {
-        Some(&self.migration)
+        Some(self.state.migration())
     }
 }
 
@@ -1900,15 +1857,15 @@ mod tests {
         );
         hub.crash(&1);
         let mut r2 = durable_follower(&hub);
-        assert_eq!(r2.snapshot_base, r.snapshot_base);
+        assert_eq!(r2.state.image().0, r.state.image().0);
         assert!(
-            total - r2.snapshot_base <= r2.snapshot_base,
+            total - r2.state.image().0 <= r2.state.image().0,
             "recovery replays no more slots than the snapshot holds"
         );
         let mut ctx2 = probe(NodeId::new(0, 1));
         r2.on_recover(&mut ctx2);
         r2.on_message(leader, PaxosMsg::Commit { upto: total }, &mut ctx2);
-        assert_eq!(r2.store.dump(), r.store.dump());
+        assert_eq!(r2.state.store().dump(), r.state.store().dump());
     }
 
     #[test]
@@ -1972,8 +1929,12 @@ mod tests {
         l.on_timer(TIMER_HEARTBEAT, token, ctx);
         settle(&mut nodes, &[]);
         for (r, _) in &nodes[..2] {
-            assert_eq!(r.store.get(1), Some(&[1][..]), "acknowledged write lost");
-            assert_eq!(r.store.get(2), Some(&[1][..]));
+            assert_eq!(
+                r.state.store().get(1),
+                Some(&[1][..]),
+                "acknowledged write lost"
+            );
+            assert_eq!(r.state.store().get(2), Some(&[1][..]));
         }
     }
 
@@ -2235,7 +2196,7 @@ mod tests {
             "freeze window rejects retryably"
         );
         // ...and never executed: the store keeps the pre-freeze value.
-        assert_eq!(r.store.get(12), Some(&[7][..]));
+        assert_eq!(r.state.store().get(12), Some(&[7][..]));
         // Writes outside the range are untouched.
         commit_request(&mut r, &mut ctx, 3, Command::put(3, vec![1]));
         assert!(ctx.replies.last().unwrap().ok);
@@ -2250,8 +2211,12 @@ mod tests {
                 half: CommitHalf::Source,
             }),
         );
-        assert_eq!(r.store.get(12), None, "committed hand-off drops the range");
-        assert_eq!(r.migration.epoch(), 1);
+        assert_eq!(
+            r.state.store().get(12),
+            None,
+            "committed hand-off drops the range"
+        );
+        assert_eq!(r.state.migration().epoch(), 1);
         commit_request(&mut r, &mut ctx, 5, Command::put(12, vec![9]));
         let h = ctx
             .replies
@@ -2302,9 +2267,13 @@ mod tests {
             );
         }
         r.on_message(leader, PaxosMsg::Commit { upto: 2 }, &mut ctx);
-        assert_eq!(r.store.get(12), Some(&[5][..]), "install spliced the chain");
-        assert!(r.migration.installed(1) && r.migration.done(1));
-        assert_eq!(r.migration.epoch(), 1);
+        assert_eq!(
+            r.state.store().get(12),
+            Some(&[5][..]),
+            "install spliced the chain"
+        );
+        assert!(r.state.migration().installed(1) && r.state.migration().done(1));
+        assert_eq!(r.state.migration().epoch(), 1);
         // Amnesia: the rebuilt replica restores the log tail from its WAL
         // Accept records; migration WAL records at or above the snapshot
         // base are deliberately NOT replayed — the commit re-teaching
@@ -2313,12 +2282,12 @@ mod tests {
         hub.crash(&1);
         let mut r2 = durable_follower(&hub);
         r2.set_group(GroupId(1));
-        assert_eq!(r2.store.get(12), None, "nothing re-executed yet");
+        assert_eq!(r2.state.store().get(12), None, "nothing re-executed yet");
         let mut ctx2 = probe(NodeId::new(0, 1));
         r2.on_message(leader, PaxosMsg::Commit { upto: 2 }, &mut ctx2);
-        assert_eq!(r2.store.get(12), Some(&[5][..]));
-        assert!(r2.migration.done(1));
-        assert_eq!(r2.migration.epoch(), 1);
+        assert_eq!(r2.state.store().get(12), Some(&[5][..]));
+        assert!(r2.state.migration().done(1));
+        assert_eq!(r2.state.migration().epoch(), 1);
     }
 
     #[test]
@@ -2354,21 +2323,26 @@ mod tests {
             );
         }
         r.on_message(leader, PaxosMsg::Commit { upto: total }, &mut ctx);
-        assert!(r.snapshot_base > 0, "compaction must have run");
-        assert_eq!(r.migration.epoch(), 1);
+        assert!(r.state.image().0 > 0, "compaction must have run");
+        assert_eq!(r.state.migration().epoch(), 1);
         // Freeze-crash rebuild: the hand-off's log slots were compacted
         // away, so the tracker state now lives only in the snapshot.
         drop(r);
         let mut r2 = durable_follower(&hub);
         r2.set_group(GroupId(0));
-        assert_eq!(r2.migration.epoch(), 1, "snapshot must carry the tracker");
+        assert_eq!(
+            r2.state.migration().epoch(),
+            1,
+            "snapshot must carry the tracker"
+        );
         assert!(
-            r2.migration
+            r2.state
+                .migration()
                 .rejects(12)
                 .expect("dropped range still rejects")
                 .committed
         );
-        assert_eq!(r2.store.get(12), None);
+        assert_eq!(r2.state.store().get(12), None);
     }
 
     // Retention: the log is the in-flight window. Nothing reads a slot below
@@ -2390,14 +2364,17 @@ mod tests {
             let sent = first + round;
             let (l, ctx) = &nodes[0];
             assert!(l.log.is_empty(), "leader keeps {:?}", l.log.keys());
-            assert_eq!(l.store.executed(), sent);
+            assert_eq!(l.state.store().executed(), sent);
             assert_eq!(ctx.replies.len() as u64, sent);
             for (a, _) in &nodes[1..] {
                 // The slot of this round: accepted, its commit rides on the
                 // next round's P2a.
                 assert!(a.log.len() <= 1, "acceptor keeps {:?}", a.log.keys());
                 assert!(a.log.keys().all(|s| *s >= a.commit_upto));
-                assert_eq!(a.store.executed(), sent - round * a.log.len() as u64);
+                assert_eq!(
+                    a.state.store().executed(),
+                    sent - round * a.log.len() as u64
+                );
             }
         }
         // A heartbeat teaches the acceptors the last commit.
@@ -2407,7 +2384,7 @@ mod tests {
         settle(&mut nodes, &[]);
         for (r, _) in &nodes {
             assert!(r.log.is_empty());
-            assert_eq!(r.store.executed(), total);
+            assert_eq!(r.state.store().executed(), total);
             // Nothing accepted is left to read: max(next_slot, commit_upto).
             assert_eq!(r.frontier(), total / round);
         }
@@ -2443,8 +2420,8 @@ mod tests {
         }
         r.on_message(leader, PaxosMsg::Commit { upto: 2 }, &mut ctx);
         assert!(r.log.is_empty());
-        assert_eq!((r.execute_upto, r.store.executed()), (2, 2));
-        let store = r.store.dump();
+        assert_eq!((r.execute_upto, r.state.store().executed()), (2, 2));
+        let store = r.state.store().dump();
         // Once more under the same ballot (a retransmission), then under a
         // higher one: a lagging node that wins leadership re-proposes its
         // whole uncommitted tail, and this acceptor promises as it accepts.
@@ -2470,7 +2447,7 @@ mod tests {
             assert_eq!(last.unwrap(), accept);
             assert!(!r.log.contains_key(&slot), "swept out by the same handler");
             assert_eq!(r.execute_upto, 2);
-            assert_eq!(r.store.dump(), store, "nothing executes twice");
+            assert_eq!(r.state.store().dump(), store, "nothing executes twice");
         }
         assert_eq!(r.current_ballot(), usurper);
     }
@@ -2491,7 +2468,7 @@ mod tests {
             &mut ctx,
         );
         assert_eq!((r.commit_upto, r.execute_upto), (1, 1));
-        assert_eq!(r.store.executed(), 1);
+        assert_eq!(r.state.store().executed(), 1);
         assert_eq!(ctx.replies.len(), replies);
         assert!(r.log.keys().eq([1u64].iter()));
     }
@@ -2564,7 +2541,7 @@ mod tests {
         assert!(r.log.keys().copied().eq(SNAPSHOT_EVERY..total));
         r.on_message(leader, PaxosMsg::Commit { upto: total }, &mut ctx);
         assert!(r.log.is_empty());
-        assert_eq!(r.store.executed(), total);
+        assert_eq!(r.state.store().executed(), total);
         assert_eq!(r.frontier(), total, "max(next_slot, commit_upto)");
     }
 
@@ -2611,7 +2588,7 @@ mod tests {
             nodes[2].0.execute_upto, 5,
             "slot 4 committed, slot 5 never came"
         );
-        assert!(!nodes[2].0.exchange.staging() && nodes[2].1.replies.is_empty());
+        assert!(!nodes[2].0.state.staging() && nodes[2].1.replies.is_empty());
         let (l, ctx) = &mut nodes[0];
         let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
         l.on_timer(TIMER_HEARTBEAT, token, ctx);
@@ -2627,14 +2604,14 @@ mod tests {
         settle(&mut nodes, &[]);
         let (leader, healed) = (&nodes[0].0, &nodes[2].0);
         assert_eq!(healed.execute_upto, 25);
-        assert_eq!(healed.store.dump(), leader.store.dump());
-        assert!(leader.exchange.is_idle() && healed.exchange.is_idle());
+        assert_eq!(healed.state.store().dump(), leader.state.store().dump());
+        assert!(leader.state.transfers_idle() && healed.state.transfers_idle());
         // And it takes part again: the next write reaches all three stores.
         let (l, ctx) = &mut nodes[0];
         l.on_request(request(25), ctx);
         settle(&mut nodes, &[]);
         heartbeat(&mut nodes, &[]);
-        assert_eq!(nodes[2].0.store.get(25), Some(&[1][..]));
+        assert_eq!(nodes[2].0.state.store().get(25), Some(&[1][..]));
     }
 
     #[test]
@@ -2669,7 +2646,7 @@ mod tests {
         assert_eq!((leader.execute_upto, leader.next_slot), (26, 26));
         assert!(nodes[2].1.replies.iter().any(|r| r.id.seq == 99 && r.ok));
         for seq in 0..25 {
-            assert_eq!(leader.store.get(seq), Some(&[1][..]), "write {seq}");
+            assert_eq!(leader.state.store().get(seq), Some(&[1][..]), "write {seq}");
         }
     }
 
@@ -2684,7 +2661,103 @@ mod tests {
         let _ = sim.run();
         for r in sim.replicas() {
             assert!(r.log.len() < 64, "{} slots retained", r.log.len());
-            assert!(r.store.executed() > 1_000, "{}", r.store.executed());
+            assert!(
+                r.state.store().executed() > 1_000,
+                "{}",
+                r.state.store().executed()
+            );
         }
+    }
+
+    /// The bytes a durable cluster leaves on its three disks after a fixed
+    /// script: an election, a ballot change, a hand-off frozen before and
+    /// committed after one compaction, a member removed before it and added
+    /// back after, a replica that missed slots repaired by the leader's
+    /// image. The constants are what the same body wrote at 9c50f2d, before
+    /// the replica layer moved into `kernel.rs`: a record appended in
+    /// another order, or encoded otherwise, moves them.
+    #[test]
+    fn disk_bytes_are_the_ones_written_before_the_replica_layer_moved() {
+        use crate::snapshot::Image;
+        use crate::testkit::disk_digest;
+        use paxi_storage::{FsyncPolicy, MemHub};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let mut nodes = lockstep(|id| {
+            let mut r = MultiPaxos::new(id, ClusterConfig::lan(3), PaxosConfig::default());
+            r.set_group(GroupId(0));
+            r.attach_storage(Box::new(hub.open(u32::from(id.node))));
+            r
+        });
+        let mut seq = 0;
+        let mut commit = |nodes: &mut Vec<(MultiPaxos, Probe)>, leader: usize, cmd, down: &[_]| {
+            let id = RequestId::new(ClientId(1), seq);
+            seq += 1;
+            let (r, ctx) = &mut nodes[leader];
+            r.on_request(ClientRequest { id, cmd }, ctx);
+            settle(nodes, down);
+        };
+        let (spec, n2) = (mig_spec(), NodeId::new(0, 2));
+        for i in 0..20u8 {
+            commit(&mut nodes, 0, Command::put(u64::from(i % 7), vec![i]), &[]);
+        }
+        let freeze = migration_command(&MigrationRecord::Start(spec));
+        commit(&mut nodes, 0, freeze, &[]);
+        // A write to the frozen range: logged, rejected when it executes.
+        commit(&mut nodes, 0, Command::put(12, vec![9]), &[]);
+        // 0.1 hears nothing for an election timeout and takes over.
+        let timeout = PaxosConfig::default().election_timeout.0;
+        let (r, ctx) = &mut nodes[1];
+        ctx.clock
+            .store(2 * timeout, std::sync::atomic::Ordering::SeqCst);
+        let (_, token) = ctx.last_timer(TIMER_ELECTION);
+        r.on_timer(TIMER_ELECTION, token, ctx);
+        settle(&mut nodes, &[]);
+        assert!(nodes[1].0.is_leader() && !nodes[0].0.is_leader());
+        let remove = membership::reconfig_command(&ConfigChange::remove(vec![n2]));
+        commit(&mut nodes, 1, remove, &[]);
+        for i in 0..600u64 {
+            let value = vec![i as u8; (i % 5) as usize];
+            commit(&mut nodes, 1, Command::put(i % 9, value), &[]);
+        }
+        let half = CommitHalf::Source;
+        let handed_off = migration_command(&MigrationRecord::Commit { spec, half });
+        commit(&mut nodes, 1, handed_off, &[]);
+        let add = membership::reconfig_command(&ConfigChange::add(vec![n2]));
+        commit(&mut nodes, 1, add, &[]);
+        // 0.2 is dark for the last six; two heartbeats then name a commit
+        // index it has no entry to reach, and it is sent the leader's image.
+        for i in 0..6u8 {
+            commit(&mut nodes, 1, Command::delete(u64::from(i)), &[n2]);
+        }
+        for _ in 0..2 {
+            let (l, ctx) = &mut nodes[1];
+            let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
+            l.on_timer(TIMER_HEARTBEAT, token, ctx);
+            settle(&mut nodes, &[]);
+        }
+        for key in 0..2 {
+            let disk = hub.open(key).recover().unwrap();
+            assert!(disk.snapshot.is_some(), "disk {key}: one compaction ran");
+            let records = disk.records.iter();
+            let records: Vec<PaxosWal> = records
+                .map(|b| paxi_codec::from_bytes(b).unwrap())
+                .collect();
+            let has = |want: fn(&PaxosWal) -> bool| records.iter().any(want);
+            assert!(has(|r| matches!(r, PaxosWal::Accept { .. })), "disk {key}");
+            assert!(has(|r| matches!(r, PaxosWal::Config { .. })), "disk {key}");
+            assert!(
+                has(|r| matches!(r, PaxosWal::Migration { .. })),
+                "disk {key}"
+            );
+        }
+        let repaired = hub.open(2).recover().unwrap();
+        let image = Image::decode(&repaired.snapshot.unwrap()).unwrap();
+        assert_eq!(image.meta.base, nodes[1].0.execute_upto, "adopted, not cut");
+        let digests = [0, 1, 2].map(|key| disk_digest(&hub, key));
+        assert_eq!(
+            digests.map(|d| format!("{d:016x}")),
+            ["40068c7b7acadc4a", "6afc068e18152156", "faa51b8d7b4e3d0d"],
+            "taken at 9c50f2d"
+        );
     }
 }

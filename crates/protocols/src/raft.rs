@@ -21,8 +21,8 @@
 //! restarting mid-transition rescans its recovered log and rejoins in the
 //! joint or new configuration, never the old one.
 
-use crate::kernel;
-use crate::snapshot::{write_image, Exchange, Image, Meta, Round, SnapshotMsg, Step};
+use crate::kernel::{self, State, Turn};
+use crate::snapshot::{Image, Meta, Round, SnapshotMsg, TailEntry};
 use crate::window::{LogWindow, Termed};
 
 use paxi_core::command::{ClientRequest, ClientResponse, Command};
@@ -30,13 +30,13 @@ use paxi_core::config::{BatchConfig, Batcher, ClusterConfig};
 use paxi_core::group::GroupId;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::membership::{self, ConfigChange, JointQuorum, Membership, CONFIG_KEY};
-use paxi_core::migration::{MigrationRecord, MigrationTracker};
-use paxi_core::obs::{DropCause, Metric, TraceStage};
+use paxi_core::migration::MigrationTracker;
+use paxi_core::obs::{Metric, TraceStage};
 use paxi_core::quorum::{majority, QuorumTracker};
 use paxi_core::store::MultiVersionStore;
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
-use paxi_storage::{snapshot_due, Storage};
+use paxi_storage::Storage;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -251,13 +251,12 @@ pub struct Raft {
     match_index: HashMap<NodeId, u64>,
     /// When each peer last answered this leader.
     last_heard: HashMap<NodeId, Nanos>,
-    /// State transfer: images on their way to followers below the window
-    /// (leader), the image being staged from the leader (follower).
-    exchange: Exchange,
     leader_hint: Option<NodeId>,
     last_contact: Nanos,
     election_token: u64,
-    store: MultiVersionStore,
+    /// Store, migration tracker, WAL, image position, state transfer: what
+    /// `apply` and `install` act on, never directly.
+    state: State,
     pending: Vec<ClientRequest>,
     /// Requests accumulating toward the next batched append (leader only).
     batch: Batcher<ClientRequest>,
@@ -265,16 +264,6 @@ pub struct Raft {
     /// on TCP's ordering; our network model can reorder messages, and
     /// rejecting every early append degenerates into repair storms.
     stash: BTreeMap<u64, (u64, Vec<RaftEntry>, u64)>,
-    /// Durable store for term/vote/log, if attached.
-    wal: Option<Box<dyn Storage>>,
-    /// WAL records since the last checkpoint.
-    wal_records: u64,
-    /// Log length (last index + 1) at the last checkpoint (0 before the
-    /// first).
-    checkpoint_len: u64,
-    /// Shard-migration state machine, driven by replicated records at
-    /// apply time. Inert (no group identity) outside sharded deployments.
-    migration: MigrationTracker,
 }
 
 impl Raft {
@@ -310,69 +299,50 @@ impl Raft {
             next_index: HashMap::new(),
             match_index: HashMap::new(),
             last_heard: HashMap::new(),
-            exchange: Exchange::default(),
             leader_hint: None,
             last_contact: Nanos::ZERO,
             election_token: 0,
-            store: MultiVersionStore::new(),
+            state: State::default(),
             pending: Vec::new(),
             batch,
             stash: BTreeMap::new(),
-            wal: None,
-            wal_records: 0,
-            checkpoint_len: 0,
-            migration: MigrationTracker::new(),
         }
     }
 
     /// Tells the replica which consensus group it serves in a sharded
-    /// deployment, arming the migration tracker. Unsharded deployments never
-    /// call this; the tracker then ignores every record and the replica
-    /// behaves exactly as before shard migration existed.
+    /// deployment ([`State::set_group`]).
     pub fn set_group(&mut self, group: GroupId) {
-        self.migration.set_group(group);
+        self.state.set_group(group);
     }
 
-    /// Appends one WAL record ([`kernel::persist`]) and counts it toward the
-    /// next checkpoint.
+    /// Appends one WAL record; each counts toward the next checkpoint.
     fn persist(&mut self, rec: &RaftWal) {
-        self.wal_records += u64::from(kernel::persist(&mut self.wal, rec));
+        self.state.wal().persist(rec);
     }
 
-    /// Checkpoints once enough WAL records accumulate. Callers invoke this
-    /// only after the in-memory state reflects every record persisted so
-    /// far: splice records are written *before* the log mutation they
-    /// describe, so checkpointing inside [`Raft::persist`] would snapshot a
-    /// log missing the just-persisted entries and then destroy the WAL
-    /// record carrying them — losing acked entries on recovery.
+    /// Checkpoints — the WAL replaced by an image of the state at `applied`
+    /// and the entries above it — once the WAL records since the last one
+    /// reach the log length (last index + 1) that one was taken at. Callers
+    /// invoke this only after the in-memory state reflects every record
+    /// persisted so far: splice records are written *before* the log
+    /// mutation they describe, so checkpointing inside [`Raft::persist`]
+    /// would snapshot a log missing the just-persisted entries and then
+    /// destroy the WAL record carrying them — losing acked entries on
+    /// recovery.
     fn maybe_checkpoint(&mut self) {
-        if self.wal.is_some() && snapshot_due(self.wal_records, self.checkpoint_len) {
-            self.checkpoint();
+        let (base, tail) = self.state.image();
+        let since = self.state.wal().records();
+        if self.state.image_due(since, base + tail + 1) {
+            let tail = self.tail_above(self.applied);
+            self.state.write_image(self.image_meta(), tail);
         }
     }
 
-    /// Snapshot-plus-truncate: replaces the WAL with an image of the state
-    /// at `applied` and the entries above it, written a chunk at a time.
-    fn checkpoint(&mut self) {
-        self.write_image(self.image_meta(), None);
-    }
-
-    /// Replaces snapshot and WAL with `(meta, this log above meta.base,
-    /// store)`; `None` is this replica's own store.
-    fn write_image(&mut self, meta: Meta, store: Option<&MultiVersionStore>) {
-        let tail = self.log.iter_from(meta.base + 1);
-        let tail = tail.map(|(i, e)| (i, Round::new(e.term, None), vec![(e.cmd.clone(), e.req)]));
-        if let Some(wal) = self.wal.as_mut() {
-            write_image(
-                wal.as_mut(),
-                meta,
-                tail.collect(),
-                store.unwrap_or(&self.store),
-            )
-            .expect("raft replica lost its durable store");
-            self.wal_records = 0;
-        }
-        self.checkpoint_len = self.last_index() + 1;
+    /// The log above `base`, as an image carries it.
+    fn tail_above(&self, base: u64) -> Vec<TailEntry> {
+        let entry =
+            |(i, e): (u64, &RaftEntry)| (i, Round::new(e.term, None), vec![(e.cmd.clone(), e.req)]);
+        self.log.iter_from(base + 1).map(entry).collect()
     }
 
     /// The image of this replica at `applied`, less store and tail.
@@ -383,7 +353,7 @@ impl Raft {
             base_term: self.log.term_at(self.applied).unwrap_or(0),
             promised: Round::new(self.term, self.voted_for),
             configs: vec![config.unwrap_or_else(|| self.base_config.clone())],
-            migration: self.migration.dump(),
+            migration: self.state.migration().dump(),
             executed: 0,
         }
     }
@@ -418,10 +388,7 @@ impl Raft {
             }
         }
         meta.promised = Round::new(self.term, self.voted_for);
-        self.write_image(meta.clone(), Some(&store));
-        self.store = store;
-        // Decoding the image already checked the tracker's bytes.
-        self.migration.restore(&meta.migration);
+        self.state.adopt(&meta, self.tail_above(meta.base), store);
         if let Some(config) = meta.configs.pop() {
             self.base_config = config;
         }
@@ -500,7 +467,7 @@ impl Raft {
         self.votes.reset();
         self.last_contact = ctx.now();
         self.abort_batch();
-        self.exchange.stop_sending();
+        self.state.stop_sending();
         if let Some(req) = self.pending_reconfig.take() {
             self.pending.push(req);
         }
@@ -660,7 +627,7 @@ impl Raft {
     fn splice(&mut self, prev_index: u64, entries: Vec<RaftEntry>) -> u64 {
         // The record owns its entries, a deep copy: made only when there is
         // a WAL to write it to.
-        if !entries.is_empty() && self.wal.is_some() {
+        if !entries.is_empty() && self.state.wal().durable() {
             self.persist(&RaftWal::Splice {
                 prev_index,
                 entries: entries.clone(),
@@ -798,22 +765,19 @@ impl Raft {
         msg: SnapshotMsg,
         ctx: &mut dyn Context<RaftMsg>,
     ) -> Option<SnapshotMsg> {
-        match self.exchange.handle(peer, msg, self.applied, &self.store) {
-            Step::Reply(msg) => Some(msg),
-            Step::Begin => {
+        match self.state.transfer(peer, msg, self.applied, ctx) {
+            Turn::Answer(msg) => msg,
+            Turn::Begin => {
                 // The follower's log resumes from the leader's: no tail.
                 let (round, meta) = (Round::new(self.term, Some(self.id)), self.image_meta());
-                Some(
-                    self.exchange
-                        .begin(peer, round, meta, Vec::new(), &self.store),
-                )
+                Some(self.state.begin_transfer(peer, round, meta, Vec::new()))
             }
-            Step::Install(image, ack) => {
+            Turn::Install(image, ack) => {
                 self.install(image);
                 self.apply(ctx);
                 Some(SnapshotMsg::Ack(ack))
             }
-            Step::Installed(base) => {
+            Turn::Installed(base) => {
                 // The follower's state is at the image's base: its log
                 // resumes right above.
                 let best = base.max(self.match_index.get(&peer).copied().unwrap_or(0));
@@ -823,11 +787,6 @@ impl Raft {
                 self.send_repair(peer, ctx);
                 None
             }
-            Step::Dropped(answer) => {
-                ctx.count_drop(DropCause::BadChunk, 1);
-                answer
-            }
-            Step::Idle => None,
         }
     }
 
@@ -956,14 +915,9 @@ impl Raft {
             self.applied = index;
             // Logging a migration record counts toward the next checkpoint
             // like any other: an image holds the tracker as of `applied`.
-            let (wal, logged) = (&mut self.wal, &mut self.wal_records);
-            let audit = |rec: &MigrationRecord| {
-                let bytes = rec.encode();
-                *logged += u64::from(kernel::persist(wal, &RaftWal::Migration { index, bytes }));
-            };
-            let (store, migration) = (&mut self.store, &mut self.migration);
+            let audit = |index, bytes| RaftWal::Migration { index, bytes };
             let leads = self.role == Role::Leader;
-            kernel::execute(&e.cmd, e.req, store, migration, leads, audit, ctx);
+            self.state.execute(index, &e.cmd, e.req, leads, ctx, audit);
         }
         if self.applied > self.log.base() {
             self.release(ctx.now());
@@ -1046,16 +1000,15 @@ impl Replica for Raft {
     /// are volatile — the next leader commit index re-drives execution from
     /// there over the recovered log.
     fn attach_storage(&mut self, mut storage: Box<dyn Storage>) {
-        let rec = storage.recover().expect("raft storage must recover");
-        if let Some(bytes) = &rec.snapshot {
-            let image = Image::decode(bytes)
-                .unwrap_or_else(|e| panic!("raft replica cannot start from its disk: {e}"));
+        let (image, records) = kernel::recover::<RaftWal>(storage.as_mut());
+        if let Some(image) = image {
             self.term = image.meta.promised.n;
             self.voted_for = image.meta.promised.by;
             self.install(image);
         }
-        for bytes in &rec.records {
-            match paxi_codec::from_bytes::<RaftWal>(bytes).expect("raft wal must decode") {
+        let replayed = records.len();
+        for rec in records {
+            match rec {
                 RaftWal::Term { term, voted_for } => {
                     self.term = term;
                     self.voted_for = voted_for;
@@ -1085,16 +1038,11 @@ impl Replica for Raft {
         // new) configuration its durable log witnessed — never the old one.
         self.rescan_membership();
         self.refresh_peers();
-        // Count the replayed records toward the next checkpoint, or a
-        // replica that keeps crashing would grow its WAL without bound.
-        self.wal_records = rec.records.len() as u64;
-        self.wal = Some(storage);
+        self.state.wal().attach(storage, replayed);
     }
 
     fn sync_storage(&mut self) {
-        if let Some(wal) = &mut self.wal {
-            wal.tick().expect("raft replica lost its durable store");
-        }
+        self.state.wal().tick();
     }
 
     fn on_start(&mut self, ctx: &mut dyn Context<RaftMsg>) {
@@ -1199,7 +1147,7 @@ impl Replica for Raft {
                     // (While an image is being staged every append is
                     // answered: the nack is what makes the leader repeat a
                     // lost chunk.)
-                    let early = prev_index > self.last_index() && !self.exchange.staging();
+                    let early = prev_index > self.last_index() && !self.state.staging();
                     if early && self.stash.len() < 1024 {
                         // The append outran its predecessors (network
                         // reordering): hold it until the gap fills instead
@@ -1408,7 +1356,7 @@ impl Replica for Raft {
     }
 
     fn store(&self) -> Option<&MultiVersionStore> {
-        Some(&self.store)
+        Some(self.state.store())
     }
 
     /// The node this replica believes is the current Raft leader â the
@@ -1426,7 +1374,7 @@ impl Replica for Raft {
     /// The replica-local migration tracker — the shard runtime polls this to
     /// drive hand-off phases and audit range ownership.
     fn migration(&self) -> Option<&MigrationTracker> {
-        Some(&self.migration)
+        Some(self.state.migration())
     }
 }
 
@@ -2006,7 +1954,7 @@ mod tests {
         hub.crash(&1);
         let mut r2 = durable_follower(&hub);
         assert!(
-            r2.wal_records <= r2.checkpoint_len,
+            r2.state.wal().records() <= r2.state.image().0 + r2.state.image().1 + 1,
             "recovery replays no more records than the checkpoint holds"
         );
         let mut ctx2 = probe(NodeId::new(0, 1));
@@ -2014,7 +1962,7 @@ mod tests {
         assert_eq!(r2.last_index(), total);
         r2.on_message(leader, heartbeat(total), &mut ctx2);
         assert_eq!(r2.log, r.log, "both windows are empty above {total}");
-        assert_eq!(r2.store.dump(), r.store.dump());
+        assert_eq!(r2.state.store().dump(), r.state.store().dump());
     }
 
     /// A disk whose snapshot install takes a second of the probe's clock.
@@ -2231,7 +2179,7 @@ mod tests {
         for (r, _) in &nodes {
             assert_eq!(end(r), end(&nodes[0].0));
         }
-        let store = &nodes[0].0.store;
+        let store = &nodes[0].0.state.store();
         assert_eq!(store.get(1), Some(&[1][..]), "acknowledged write lost");
     }
 
@@ -2333,7 +2281,7 @@ mod tests {
             (image.meta.base, image.meta.promised.n),
             (base, healed.term())
         );
-        assert_eq!(image.store.dump(), healed.store.dump());
+        assert_eq!(image.store.dump(), healed.state.store().dump());
         assert!(on_disk.records.is_empty(), "the image replaced its WAL");
         // The next write is spliced right above the base and logged after
         // the image; a heartbeat then teaches the commit index, and from the
@@ -2348,11 +2296,14 @@ mod tests {
         let (_, token) = ctx.last_timer(TIMER_HEARTBEAT);
         l.on_timer(TIMER_HEARTBEAT, token, ctx);
         settle(&mut nodes, &[]);
-        assert_eq!(nodes[2].0.store.dump(), nodes[0].0.store.dump());
+        assert_eq!(
+            nodes[2].0.state.store().dump(),
+            nodes[0].0.state.store().dump()
+        );
         hub.crash(&2);
         let reborn = on_mem_disks(&hub)(n2);
         assert_eq!(reborn.last_index(), nodes[0].0.last_index());
-        assert!(reborn.applied >= base && reborn.store.executed() >= 40);
+        assert!(reborn.applied >= base && reborn.state.store().executed() >= 40);
     }
 
     #[test]
@@ -2381,7 +2332,7 @@ mod tests {
         // the WAL the entries since; nothing is replayed from index 1.
         let (mut r, mut ctx) = (durable(), probe(me));
         assert!(r.log.base() > 500 && r.applied == r.log.base());
-        assert_eq!(r.store.executed(), r.applied);
+        assert_eq!(r.state.store().executed(), r.applied);
         assert_eq!(r.last_index(), 601);
         let above = 601 - r.log.base();
         r.on_recover(&mut ctx);
@@ -2404,7 +2355,7 @@ mod tests {
         assert_eq!(values[above as usize..], [Some(vec![87]), Some(vec![86])]);
         // 601 before the crash, then this term's no-op and the two above:
         // nothing was applied twice.
-        assert_eq!(r.store.executed(), 604);
+        assert_eq!(r.state.store().executed(), 604);
     }
 
     #[test]
@@ -2458,16 +2409,16 @@ mod tests {
         }
         assert_eq!(nodes[0].1.replies.len() as u64, total);
         assert_eq!(
-            nodes[0].0.store.executed(),
+            nodes[0].0.state.store().executed(),
             total + 1,
             "and the term's no-op"
         );
         // Node 1 restarts from its directory (a clean stop: what it logged
         // is synced) and is told the commit index by the next heartbeat.
-        nodes[1].0.wal.as_mut().unwrap().sync().unwrap();
+        nodes[1].0.state.wal().sync();
         let n1 = nodes[1].1.id;
         nodes[1] = (on_files(n1), probe(n1));
-        assert!(nodes[1].0.log.len() < 2_000 && nodes[1].0.store.executed() > 3_000);
+        assert!(nodes[1].0.log.len() < 2_000 && nodes[1].0.state.store().executed() > 3_000);
         let (r, ctx) = &mut nodes[1];
         r.on_recover(ctx);
         let (l, ctx) = &mut nodes[0];
@@ -2475,7 +2426,10 @@ mod tests {
         l.on_timer(TIMER_HEARTBEAT, token, ctx);
         settle(&mut nodes, &[]);
         for key in 0..total {
-            let values: Vec<_> = nodes.iter().map(|(r, _)| r.store.get(key)).collect();
+            let values: Vec<_> = nodes
+                .iter()
+                .map(|(r, _)| r.state.store().get(key))
+                .collect();
             assert_eq!(values, vec![Some(&[1][..]); 3], "key {key}");
         }
         std::fs::remove_dir_all(&root).ok();
@@ -2548,7 +2502,7 @@ mod tests {
             &mut ctx,
         );
         assert_eq!(r.store().unwrap().get(12), None, "range dropped at source");
-        assert_eq!(r.migration.epoch(), 1);
+        assert_eq!(r.state.migration().epoch(), 1);
         r.on_request(put_req(5, 12), &mut ctx);
         let handed = ctx.replies.last().unwrap();
         assert!(!handed.ok);
@@ -2617,8 +2571,8 @@ mod tests {
             &mut ctx,
         );
         assert_eq!(r.store().unwrap().get(12), Some(&[5][..]));
-        assert!(r.migration.installed(1) && r.migration.done(1));
-        assert_eq!(r.migration.epoch(), 1);
+        assert!(r.state.migration().installed(1) && r.state.migration().done(1));
+        assert_eq!(r.state.migration().epoch(), 1);
 
         // Amnesia: rebuild from disk. Replay ignores the audit records — the
         // tracker and store stay empty until commit is re-taught, which
@@ -2629,7 +2583,7 @@ mod tests {
         r2.set_group(GroupId(1));
         assert_eq!(r2.last_index(), 2, "log entries survive");
         assert_eq!(r2.store().unwrap().get(12), None, "state machine volatile");
-        assert!(!r2.migration.installed(1));
+        assert!(!r2.state.migration().installed(1));
         let mut ctx2 = probe(NodeId::new(0, 1));
         r2.on_message(
             leader,
@@ -2643,8 +2597,8 @@ mod tests {
             &mut ctx2,
         );
         assert_eq!(r2.store().unwrap().get(12), Some(&[5][..]));
-        assert!(r2.migration.installed(1) && r2.migration.done(1));
-        assert_eq!(r2.migration.epoch(), 1);
+        assert!(r2.state.migration().installed(1) && r2.state.migration().done(1));
+        assert_eq!(r2.state.migration().epoch(), 1);
     }
 
     #[test]
@@ -2694,8 +2648,8 @@ mod tests {
             },
             &mut ctx,
         );
-        assert_eq!(r.migration.epoch(), 1);
-        assert!(r.migration.rejects(12).unwrap().committed);
+        assert_eq!(r.state.migration().epoch(), 1);
+        assert!(r.state.migration().rejects(12).unwrap().committed);
 
         // Amnesia across a checkpoint: the checkpoint embeds the full log
         // (migration entries included), so re-teaching commit rebuilds the
@@ -2716,8 +2670,8 @@ mod tests {
             },
             &mut ctx2,
         );
-        assert_eq!(r2.migration.epoch(), 1);
-        assert!(r2.migration.rejects(12).unwrap().committed);
+        assert_eq!(r2.state.migration().epoch(), 1);
+        assert!(r2.state.migration().rejects(12).unwrap().committed);
         for key in 0..8u64 {
             assert_eq!(
                 r2.store().unwrap().history(key),
@@ -3020,5 +2974,111 @@ mod tests {
             "restart lands in the new config"
         );
         assert_eq!(r3.config_epoch(), 1);
+    }
+
+    /// The bytes a durable cluster leaves on its three disks after a fixed
+    /// script: two elections, a hand-off frozen before and committed after
+    /// one checkpoint, a member removed before it and added back after, a
+    /// follower below the leader's window repaired by its image. The
+    /// constants are what the same body wrote at 9c50f2d, before the replica
+    /// layer moved into `kernel.rs`: a record appended in another order, or
+    /// encoded otherwise, moves them.
+    #[test]
+    fn disk_bytes_are_the_ones_written_before_the_replica_layer_moved() {
+        use crate::snapshot::Image;
+        use crate::testkit::disk_digest;
+        use paxi_core::migration::{migration_command, CommitHalf, MigrationRecord};
+        use paxi_storage::{FsyncPolicy, MemHub};
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let mut nodes = lockstep(|id| {
+            let mut r = Raft::new(id, ClusterConfig::lan(3), RaftConfig::default());
+            r.set_group(GroupId(0));
+            r.attach_storage(Box::new(hub.open(u32::from(id.node))));
+            r
+        });
+        let mut seq = 0;
+        let mut commit = |nodes: &mut Vec<(Raft, Probe)>, leader: usize, cmd: Command| {
+            let id = RequestId::new(paxi_core::ClientId(1), seq);
+            seq += 1;
+            let (r, ctx) = &mut nodes[leader];
+            r.on_request(paxi_core::ClientRequest { id, cmd }, ctx);
+            settle(nodes, &[]);
+        };
+        let (spec, n2) = (mig_spec(), NodeId::new(0, 2));
+        for i in 0..20u8 {
+            commit(&mut nodes, 0, Command::put(u64::from(i % 7), vec![i]));
+        }
+        commit(
+            &mut nodes,
+            0,
+            migration_command(&MigrationRecord::Start(spec)),
+        );
+        // A write to the frozen range: logged, rejected when it executes.
+        commit(&mut nodes, 0, Command::put(12, vec![9]));
+        // 0.1 hears nothing for an election timeout and takes over.
+        let timeout = RaftConfig::default().election_timeout.0;
+        let (r, ctx) = &mut nodes[1];
+        ctx.clock
+            .store(2 * timeout, std::sync::atomic::Ordering::SeqCst);
+        let (_, token) = ctx.last_timer(TIMER_ELECTION);
+        r.on_timer(TIMER_ELECTION, token, ctx);
+        settle(&mut nodes, &[]);
+        assert!(nodes[1].0.is_leader() && !nodes[0].0.is_leader());
+        let remove = membership::reconfig_command(&ConfigChange::remove(vec![n2]));
+        commit(&mut nodes, 1, remove);
+        for i in 0..600u64 {
+            let value = vec![i as u8; (i % 5) as usize];
+            commit(&mut nodes, 1, Command::put(i % 9, value));
+        }
+        let half = CommitHalf::Source;
+        let handed_off = migration_command(&MigrationRecord::Commit { spec, half });
+        commit(&mut nodes, 1, handed_off);
+        let add = membership::reconfig_command(&ConfigChange::add(vec![n2]));
+        commit(&mut nodes, 1, add);
+        for i in 0..6u8 {
+            commit(&mut nodes, 1, Command::delete(u64::from(i)));
+        }
+        // 0.2 never got the entry that removed it and holds everything since
+        // as early arrivals. A voter again, it nacks: what it needs has left
+        // the leader's window, and the image goes through its WAL.
+        let (term, success) = (nodes[1].0.term(), false);
+        let match_index = nodes[2].0.last_index();
+        assert!(match_index < nodes[1].0.log.base());
+        let nack = RaftMsg::AppendAck {
+            term,
+            success,
+            match_index,
+        };
+        let (l, ctx) = &mut nodes[1];
+        l.on_message(n2, nack, ctx);
+        settle(&mut nodes, &[]);
+        for key in 0..2 {
+            let disk = hub.open(key).recover().unwrap();
+            assert!(disk.snapshot.is_some(), "disk {key}: one checkpoint ran");
+            let records = disk.records.iter();
+            let records: Vec<RaftWal> = records
+                .map(|b| paxi_codec::from_bytes(b).unwrap())
+                .collect();
+            let has = |want: fn(&RaftWal) -> bool| records.iter().any(want);
+            assert!(has(|r| matches!(r, RaftWal::Splice { .. })), "disk {key}");
+            assert!(
+                has(|r| matches!(r, RaftWal::Membership { .. })),
+                "disk {key}"
+            );
+            assert!(
+                has(|r| matches!(r, RaftWal::Migration { .. })),
+                "disk {key}"
+            );
+        }
+        let repaired = hub.open(2).recover().unwrap();
+        let image = Image::decode(&repaired.snapshot.unwrap()).unwrap();
+        assert!(image.meta.base > match_index, "adopted, not cut");
+        assert_eq!(nodes[2].0.last_index(), nodes[1].0.last_index());
+        let digests = [0, 1, 2].map(|key| disk_digest(&hub, key));
+        assert_eq!(
+            digests.map(|d| format!("{d:016x}")),
+            ["ad8cbce525c499a9", "62e7ff93d235c9ca", "06f6cb1b944339af"],
+            "taken at 9c50f2d"
+        );
     }
 }

@@ -108,3 +108,20 @@ pub(crate) fn settle<R: Replica>(nodes: &mut [(R, Probe<R::Msg>)], down: &[NodeI
         }
     }
 }
+
+/// FNV-1a over what `key`'s disk gives back on recovery: whether there is a
+/// snapshot, its bytes, then every record, each length-prefixed. Pins the
+/// bytes a protocol writes, in the order it writes them.
+pub(crate) fn disk_digest(hub: &MemHub<u32>, key: u32) -> u64 {
+    let disk = hub.open(key).recover().unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    fold(&[u8::from(disk.snapshot.is_some())]);
+    fold(disk.snapshot.as_deref().unwrap_or(&[]));
+    disk.records.iter().for_each(|r| fold(r));
+    h
+}
