@@ -259,7 +259,7 @@ impl State {
 
     /// `None` is this replica's own store.
     fn image_to_disk(&mut self, meta: Meta, tail: Vec<TailEntry>, of: Option<&MultiVersionStore>) {
-        self.image = (meta.base, tail.len() as u64);
+        let at = (meta.base, tail.len() as u64);
         if let Some(disk) = &mut self.wal.disk {
             must(write_image(
                 disk.as_mut(),
@@ -269,6 +269,7 @@ impl State {
             ));
             self.wal.records = 0;
         }
+        self.image = at;
     }
 
     /// One step of the state-transfer exchange with `peer`; `at` is this
@@ -322,6 +323,13 @@ impl State {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{mig_spec, probe};
+    use paxi_core::command::{Key, Op};
+    use paxi_core::id::{ClientId, NodeId};
+    use paxi_core::migration::{migration_command, CommitHalf, MigrationRecord};
+    use paxi_storage::{FsyncPolicy, MemHub, Recovery, SNAPSHOT_EVERY};
+    use serde::Deserialize;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     impl State {
         /// Whether nothing is being sent or staged.
@@ -336,10 +344,190 @@ mod tests {
             must(self.disk.as_mut().expect("a durable replica").sync());
         }
     }
-    use crate::testkit::probe;
-    use paxi_core::command::{Key, Op};
-    use paxi_core::id::{ClientId, NodeId};
-    use serde::Deserialize;
+
+    /// A disk that takes nothing.
+    struct Broken;
+
+    impl Storage for Broken {
+        fn append(&mut self, payload: &[u8]) -> Result<(), StorageError> {
+            Err(StorageError::RecordTooLarge(payload.len()))
+        }
+        fn sync(&mut self) -> Result<(), StorageError> {
+            Ok(())
+        }
+        fn install_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError> {
+            Err(StorageError::RecordTooLarge(snapshot.len()))
+        }
+        fn recover(&mut self) -> Result<Recovery, StorageError> {
+            Ok(Recovery::default())
+        }
+        fn policy(&self) -> FsyncPolicy {
+            FsyncPolicy::Always
+        }
+    }
+
+    /// Group 0's state, writing to `disk`.
+    fn on_disk(disk: impl Storage + 'static) -> State {
+        let mut state = State::default();
+        state.set_group(mig_spec().from);
+        state.wal().attach(Box::new(disk), 0);
+        state
+    }
+
+    /// Whether `f` stopped the replica.
+    fn crash_stops(f: impl FnOnce()) -> bool {
+        catch_unwind(AssertUnwindSafe(f)).is_err()
+    }
+
+    fn no_audit(_: u64, _: Vec<u8>) {}
+
+    fn from_client(seq: u64) -> Option<RequestId> {
+        Some(RequestId::new(ClientId(1), seq))
+    }
+
+    #[test]
+    fn a_frozen_range_rejects_then_hands_off() {
+        let mut s = State::default();
+        s.set_group(mig_spec().from);
+        let mut ctx = probe::<()>(NodeId::new(0, 0));
+        let spec = mig_spec();
+        let half = CommitHalf::Source;
+        let script = [
+            Command::put(12, vec![7]),
+            migration_command(&MigrationRecord::Start(spec)),
+            Command::put(12, vec![9]), // frozen: rejected, to be retried
+            Command::put(3, vec![1]),  // outside the range: untouched
+            migration_command(&MigrationRecord::Commit { spec, half }),
+            Command::put(12, vec![9]), // handed off: rejected, with where to
+        ];
+        for (at, cmd) in script.iter().enumerate() {
+            if at == 4 {
+                // What the freeze pinned is still there to be streamed.
+                assert_eq!(s.store().get(12), Some(&[7][..]));
+            }
+            s.execute(
+                at as u64,
+                cmd,
+                from_client(at as u64),
+                true,
+                &mut ctx,
+                no_audit,
+            );
+        }
+        let ok: Vec<bool> = ctx.replies.iter().map(|r| r.ok).collect();
+        assert_eq!(ok, [true, true, false, true, true, false]);
+        assert!(
+            ctx.replies[2].handoff.is_none(),
+            "the freeze window retries"
+        );
+        let to = ctx.replies[5].handoff.expect("the hand-off says where");
+        assert_eq!((to.group, to.epoch, to.lo, to.hi), (spec.to, 1, 10, 20));
+        assert_eq!(s.store().get(12), None, "the committed hand-off drops it");
+        assert_eq!((s.store().executed(), s.migration().epoch()), (2, 1));
+        // A replica that does not answer rejects the same commands.
+        let mut quiet = State::default();
+        quiet.set_group(spec.from);
+        for (at, cmd) in script.iter().enumerate() {
+            quiet.execute(
+                at as u64,
+                cmd,
+                from_client(at as u64),
+                false,
+                &mut ctx,
+                no_audit,
+            );
+        }
+        assert_eq!(quiet.store().dump(), s.store().dump());
+        assert_eq!(ctx.replies.len(), 6);
+    }
+
+    #[test]
+    fn a_migration_record_is_on_disk_before_the_tracker_moves() {
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let mut ctx = probe::<()>(NodeId::new(0, 1));
+        let start = MigrationRecord::Start(mig_spec());
+        let freeze = migration_command(&start);
+        let mut s = on_disk(hub.open(0));
+        s.execute(7, &freeze, None, false, &mut ctx, |at, bytes| {
+            // The record is made, and logged, with nothing moved yet.
+            assert!(hub.open(0).recover().unwrap().records.is_empty());
+            (at, bytes)
+        });
+        let logged = paxi_codec::to_bytes(&(7u64, start.encode())).unwrap();
+        assert_eq!(hub.open(0).recover().unwrap().records, [logged]);
+        assert!(s.migration().rejects(12).is_some() && s.wal().records() == 1);
+        // A disk that refuses the record stops the replica, the range open.
+        let mut s = on_disk(Broken);
+        let audit = |at: u64, bytes: Vec<u8>| (at, bytes);
+        assert!(crash_stops(
+            || s.execute(7, &freeze, None, false, &mut ctx, audit)
+        ));
+        assert!(s.migration().rejects(12).is_none());
+        // No disk, nothing to wait for.
+        let mut s = State::default();
+        s.set_group(mig_spec().from);
+        s.execute(7, &freeze, None, false, &mut ctx, audit);
+        assert!(s.migration().rejects(12).is_some() && s.wal().records() == 0);
+    }
+
+    #[test]
+    fn an_image_is_adopted_disk_first_and_not_at_all_if_the_disk_fails() {
+        let mut ctx = probe::<()>(NodeId::new(0, 0));
+        let mut donor = State::default();
+        donor.set_group(mig_spec().from);
+        for at in 0..5u64 {
+            donor.execute(
+                at,
+                &Command::put(at, vec![at as u8]),
+                None,
+                false,
+                &mut ctx,
+                no_audit,
+            );
+        }
+        let freeze = migration_command(&MigrationRecord::Start(mig_spec()));
+        donor.execute(5, &freeze, None, false, &mut ctx, no_audit);
+        let meta = Meta {
+            base: 6,
+            base_term: 0,
+            promised: Round::new(3, None),
+            configs: Vec::new(),
+            migration: donor.migration().dump(),
+            executed: 0,
+        };
+        let tail = vec![(6, Round::new(3, None), vec![(Command::get(1), None)])];
+
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        let mut s = on_disk(hub.open(0));
+        s.wal().persist(&0u8);
+        s.adopt(&meta, tail.clone(), donor.store().clone());
+        let disk = hub.open(0).recover().unwrap();
+        let image = Image::decode(&disk.snapshot.expect("the image")).unwrap();
+        assert!(disk.records.is_empty(), "the image replaced the WAL");
+        assert_eq!((image.meta.base, image.tail), (6, tail.clone()));
+        assert_eq!(image.store.dump(), donor.store().dump());
+        assert_eq!(s.store().dump(), donor.store().dump());
+        assert!(s.migration().rejects(12).is_some());
+        assert_eq!((s.image(), s.wal().records()), ((6, 1), 0));
+
+        let mut s = on_disk(Broken);
+        assert!(crash_stops(|| s.adopt(&meta, tail, donor.store().clone())));
+        assert_eq!((s.store().executed(), s.image()), (0, (0, 0)));
+        assert!(s.migration().rejects(12).is_none());
+    }
+
+    #[test]
+    fn an_image_is_never_due_without_a_wal() {
+        let mut s = State::default();
+        assert!(!s.image_due(u64::MAX, 0));
+        assert!(!s.wal().persist(&1u8) && s.wal().records() == 0);
+        let hub: MemHub<u32> = MemHub::new(FsyncPolicy::Always);
+        s.wal().attach(Box::new(hub.open(0)), 3);
+        assert!(s.wal().persist(&1u8) && s.wal().records() == 4);
+        assert!(!s.image_due(SNAPSHOT_EVERY - 1, 0));
+        assert!(s.image_due(SNAPSHOT_EVERY, 0));
+        assert!(!s.image_due(SNAPSHOT_EVERY, SNAPSHOT_EVERY + 1));
+    }
 
     #[test]
     fn a_replica_that_answers_and_one_that_does_not_reach_the_same_state() {

@@ -538,10 +538,8 @@ impl MultiPaxos {
     /// the leader may already have counted.
     fn maybe_compact(&mut self) {
         let (base, _) = self.state.image();
-        if self
-            .state
-            .image_due(self.execute_upto.saturating_sub(base), base)
-        {
+        let since = self.execute_upto.saturating_sub(base);
+        if self.state.image_due(since, base) {
             let tail = self.tail_from(self.execute_upto);
             self.state.write_image(self.image_meta(), tail);
         }
@@ -667,6 +665,12 @@ impl MultiPaxos {
         if let Some(msg) = reply {
             ctx.send(from, PaxosMsg::Snapshot(msg));
         }
+    }
+
+    fn arm_election_timer(&mut self, ctx: &mut dyn Context<PaxosMsg>) {
+        let jitter = ctx.rand_u64() % self.cfg.election_timeout.0.max(1);
+        self.election_token =
+            ctx.set_timer(self.cfg.election_timeout + Nanos(jitter), TIMER_ELECTION);
     }
 
     fn start_phase1(&mut self, ctx: &mut dyn Context<PaxosMsg>) {
@@ -924,8 +928,9 @@ impl Replica for MultiPaxos {
         // Configs chosen and freezes decided below the base have no
         // surviving Accept records to re-derive them from: they, the store
         // at the base and the in-flight tail are the image.
-        if !image.is_none_or(|image| self.install(image)) {
-            panic!("paxos replica cannot start from an image it did not write");
+        if let Some(image) = image {
+            let mine = self.install(image);
+            assert!(mine, "paxos replica found an image it did not write");
         }
         let replayed = records.len();
         for rec in records {
@@ -970,9 +975,7 @@ impl Replica for MultiPaxos {
         } else {
             self.leader_hint = Some(self.cfg.initial_leader);
             if self.cfg.enable_failover {
-                let jitter = ctx.rand_u64() % self.cfg.election_timeout.0.max(1);
-                self.election_token =
-                    ctx.set_timer(self.cfg.election_timeout + Nanos(jitter), TIMER_ELECTION);
+                self.arm_election_timer(ctx);
             }
         }
     }
@@ -1205,9 +1208,7 @@ impl Replica for MultiPaxos {
                 {
                     self.start_phase1(ctx);
                 }
-                let jitter = ctx.rand_u64() % self.cfg.election_timeout.0.max(1);
-                self.election_token =
-                    ctx.set_timer(self.cfg.election_timeout + Nanos(jitter), TIMER_ELECTION);
+                self.arm_election_timer(ctx);
             }
             _ => {}
         }
@@ -1250,7 +1251,7 @@ impl Replica for MultiPaxos {
     }
 
     /// The ballot owner this replica would forward requests to (itself when
-    /// it is the active leader) â the redirect surface for sharded routing.
+    /// it is the active leader) — the redirect surface for sharded routing.
     fn leader_hint(&self) -> Option<NodeId> {
         self.leader_hint
     }
@@ -1288,7 +1289,7 @@ pub fn paxos_cluster(cluster: ClusterConfig, cfg: PaxosConfig) -> impl Fn(NodeId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{probe, settle};
+    use crate::testkit::{self, mig_spec, probe, reconfig_request, request, settle};
     use paxi_core::command::Op;
     use paxi_core::id::ClientId;
     use paxi_sim::{ClientSetup, SimConfig, Simulator};
@@ -1486,13 +1487,12 @@ mod tests {
     type Probe = crate::testkit::Probe<PaxosMsg>;
 
     fn durable_follower(hub: &paxi_storage::MemHub<u32>) -> MultiPaxos {
-        let mut r = MultiPaxos::new(
-            NodeId::new(0, 1),
-            ClusterConfig::lan(3),
-            PaxosConfig::default(),
-        );
-        r.attach_storage(Box::new(hub.open(1)));
-        r
+        let make = paxos_cluster(ClusterConfig::lan(3), PaxosConfig::default());
+        testkit::durable_follower(hub, make)
+    }
+
+    fn lockstep(make: impl Fn(NodeId) -> MultiPaxos) -> Vec<(MultiPaxos, Probe)> {
+        testkit::lockstep(make, MultiPaxos::is_leader)
     }
 
     /// Drives a 3-node replica to leadership via a probe: phase-1 completes
@@ -1515,28 +1515,6 @@ mod tests {
         assert!(r.is_leader());
         ctx.sent.clear();
         (r, ctx)
-    }
-
-    /// A lockstep 3-node cluster of `make`'s replicas with node 0 elected.
-    fn lockstep(make: impl Fn(NodeId) -> MultiPaxos) -> Vec<(MultiPaxos, Probe)> {
-        let mut nodes: Vec<(MultiPaxos, Probe)> = ClusterConfig::lan(3)
-            .all_nodes()
-            .into_iter()
-            .map(|id| (make(id), probe(id)))
-            .collect();
-        for (r, ctx) in nodes.iter_mut() {
-            r.on_start(ctx);
-        }
-        settle(&mut nodes, &[]);
-        assert!(nodes[0].0.is_leader());
-        nodes
-    }
-
-    fn request(seq: u64) -> ClientRequest {
-        ClientRequest {
-            id: RequestId::new(ClientId(1), seq),
-            cmd: Command::put(seq, vec![1]),
-        }
     }
 
     fn p2a_batches(sent: &[(Option<NodeId>, PaxosMsg)]) -> Vec<&SlotCmds> {
@@ -1938,19 +1916,12 @@ mod tests {
         }
     }
 
-    fn reconfig_request(seq: u64, change: ConfigChange) -> ClientRequest {
-        ClientRequest {
-            id: RequestId::new(ClientId(9), seq),
-            cmd: membership::reconfig_command(&change),
-        }
-    }
-
     #[test]
     fn reconfig_rides_the_log_and_activates_after_alpha() {
         let (mut r, mut ctx) = probe_leader(PaxosConfig::default());
         let n2 = NodeId::new(0, 2);
         r.on_request(
-            reconfig_request(0, ConfigChange::remove(vec![n2])),
+            reconfig_request(0, &ConfigChange::remove(vec![n2])),
             &mut ctx,
         );
         // The config is chosen in slot 0 but governs only from slot α = 4:
@@ -1984,7 +1955,7 @@ mod tests {
         let n1 = NodeId::new(0, 1);
         let n2 = NodeId::new(0, 2);
         r.on_request(
-            reconfig_request(0, ConfigChange::remove(vec![n2])),
+            reconfig_request(0, &ConfigChange::remove(vec![n2])),
             &mut ctx,
         );
         for seq in 0..4 {
@@ -2006,7 +1977,7 @@ mod tests {
         let (mut r, mut ctx) = probe_leader(PaxosConfig::default());
         let me = NodeId::new(0, 0);
         r.on_request(
-            reconfig_request(0, ConfigChange::remove(vec![me])),
+            reconfig_request(0, &ConfigChange::remove(vec![me])),
             &mut ctx,
         );
         let ballot = r.current_ballot();
@@ -2037,7 +2008,7 @@ mod tests {
             add: vec![NodeId::new(1, 0)],
             remove: vec![NodeId::new(1, 0)],
         };
-        r.on_request(reconfig_request(0, change), &mut ctx);
+        r.on_request(reconfig_request(0, &change), &mut ctx);
         assert_eq!(r.config_epoch(), 0);
         assert!(
             p2a_batches(&ctx.sent).is_empty(),
@@ -2143,19 +2114,7 @@ mod tests {
         );
     }
 
-    use paxi_core::migration::{
-        migration_command, CommitHalf, KeyRange, MigrationRecord, MigrationSpec,
-    };
-
-    fn mig_spec() -> MigrationSpec {
-        MigrationSpec {
-            id: 1,
-            from: GroupId(0),
-            to: GroupId(1),
-            range: KeyRange::new(10, 20),
-            epoch: 1,
-        }
-    }
+    use paxi_core::migration::{migration_command, CommitHalf, MigrationRecord};
 
     /// Commits one command through the probe leader: propose, then ack the
     /// phase-2 round from a follower so the slot commits and executes.

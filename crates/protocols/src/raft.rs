@@ -330,9 +330,9 @@ impl Raft {
     /// destroy the WAL record carrying them — losing acked entries on
     /// recovery.
     fn maybe_checkpoint(&mut self) {
-        let (base, tail) = self.state.image();
+        let (base, carried) = self.state.image();
         let since = self.state.wal().records();
-        if self.state.image_due(since, base + tail + 1) {
+        if self.state.image_due(since, base + carried + 1) {
             let tail = self.tail_above(self.applied);
             self.state.write_image(self.image_meta(), tail);
         }
@@ -547,14 +547,18 @@ impl Raft {
             req: None,
         };
         self.splice(self.last_index(), vec![noop]);
-        let next = self.last_index() + 1;
+        // Every peer starts at this leader's own last entry, the no-op.
+        let ni = self.last_index().max(1);
         self.last_heard.clear();
         for &p in &self.peers {
-            self.next_index.insert(p, next.saturating_sub(1).max(1));
+            self.next_index.insert(p, ni);
             self.match_index.insert(p, 0);
         }
-        // Establish authority immediately.
-        self.broadcast_append(ctx);
+        // Establish authority immediately: one serialization serves them
+        // all (a broadcast, not a cast: learners hear it too).
+        if !self.peers.is_empty() {
+            ctx.broadcast(self.append_from(ni, self.log.term_at(ni - 1).unwrap_or(0)));
+        }
         ctx.set_timer(self.cfg.heartbeat, TIMER_HEARTBEAT);
         for req in std::mem::take(&mut self.pending) {
             self.append_request(req, ctx);
@@ -786,26 +790,6 @@ impl Raft {
                 self.advance_commit(ctx);
                 self.send_repair(peer, ctx);
                 None
-            }
-        }
-    }
-
-    fn broadcast_append(&mut self, ctx: &mut dyn Context<RaftMsg>) {
-        // Uniform next_index in the steady state lets us broadcast one
-        // serialization; stragglers get individually tailored messages.
-        let groups: HashMap<u64, Vec<NodeId>> =
-            self.peers.iter().fold(HashMap::new(), |mut acc, &p| {
-                let ni = *self.next_index.get(&p).unwrap_or(&1);
-                acc.entry(ni).or_default().push(p);
-                acc
-            });
-        for (ni, peers) in groups {
-            // (A new leader starts every peer at its own last entry.)
-            let msg = self.append_from(ni, self.log.term_at(ni - 1).unwrap_or(0));
-            if peers.len() == self.peers.len() {
-                ctx.broadcast(msg);
-            } else {
-                ctx.multicast(&peers, msg);
             }
         }
     }
@@ -1359,7 +1343,7 @@ impl Replica for Raft {
         Some(self.state.store())
     }
 
-    /// The node this replica believes is the current Raft leader â the
+    /// The node this replica believes is the current Raft leader — the
     /// redirect surface for sharded routing.
     fn leader_hint(&self) -> Option<NodeId> {
         self.leader_hint
@@ -1386,7 +1370,7 @@ pub fn raft_cluster(cluster: ClusterConfig, cfg: RaftConfig) -> impl Fn(NodeId) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{probe, settle};
+    use crate::testkit::{self, mig_spec, probe, put_req, reconfig_request, request, settle};
     use paxi_sim::{ClientSetup, SimConfig, Simulator};
 
     fn lan_sim(n: u8, cfg: RaftConfig, clients: usize) -> Simulator<Raft> {
@@ -1472,6 +1456,15 @@ mod tests {
     }
 
     type Probe = crate::testkit::Probe<RaftMsg>;
+
+    fn durable_follower(hub: &paxi_storage::MemHub<u32>) -> Raft {
+        let make = raft_cluster(ClusterConfig::lan(3), RaftConfig::default());
+        testkit::durable_follower(hub, make)
+    }
+
+    fn lockstep(make: impl Fn(NodeId) -> Raft) -> Vec<(Raft, Probe)> {
+        testkit::lockstep(make, Raft::is_leader)
+    }
 
     #[test]
     fn votes_are_denied_to_stale_logs() {
@@ -1618,10 +1611,21 @@ mod tests {
         assert_eq!(r.term(), 1);
     }
 
-    fn request(seq: u64) -> paxi_core::ClientRequest {
-        paxi_core::ClientRequest {
-            id: RequestId::new(paxi_core::ClientId(1), seq),
-            cmd: Command::put(seq, vec![1]),
+    #[test]
+    fn a_new_leaders_first_contact_is_exactly_one_broadcast() {
+        let (n0, n1) = (NodeId::new(0, 0), NodeId::new(0, 1));
+        let mut r = Raft::new(n0, ClusterConfig::lan(3), RaftConfig::default());
+        let mut ctx = probe(n0);
+        r.on_start(&mut ctx);
+        ctx.sent.clear();
+        let (term, granted) = (r.term(), true);
+        r.on_message(n1, RaftMsg::Vote { term, granted }, &mut ctx);
+        assert!(r.is_leader());
+        // Both peers start at the leader's last entry: one AppendEntries
+        // carrying the term's no-op, to everyone, and nothing else.
+        match &ctx.sent[..] {
+            [(None, RaftMsg::AppendEntries { entries, .. })] => assert_eq!(entries.len(), 1),
+            other => panic!("expected one broadcast append, got {other:?}"),
         }
     }
 
@@ -1759,16 +1763,6 @@ mod tests {
         let report = sim.run();
         assert!(report.completed > 1000, "completed {}", report.completed);
         assert_eq!(report.errors, 0);
-    }
-
-    fn durable_follower(hub: &paxi_storage::MemHub<u32>) -> Raft {
-        let mut r = Raft::new(
-            NodeId::new(0, 1),
-            ClusterConfig::lan(3),
-            RaftConfig::default(),
-        );
-        r.attach_storage(Box::new(hub.open(1)));
-        r
     }
 
     #[test]
@@ -2185,18 +2179,6 @@ mod tests {
 
     // --- the log is a window; what lies below it is an image ---
 
-    /// A lockstep 3-node cluster of `make`'s replicas, node 0 elected.
-    fn lockstep(make: impl Fn(NodeId) -> Raft) -> Vec<(Raft, Probe)> {
-        let ids = ClusterConfig::lan(3).all_nodes();
-        let mut nodes: Vec<(Raft, Probe)> = ids.iter().map(|&id| (make(id), probe(id))).collect();
-        for (r, ctx) in nodes.iter_mut() {
-            r.on_start(ctx);
-        }
-        settle(&mut nodes, &[]);
-        assert!(nodes[0].0.is_leader());
-        nodes
-    }
-
     fn on_mem_disks(hub: &paxi_storage::MemHub<u32>) -> impl Fn(NodeId) -> Raft + '_ {
         move |id| {
             let mut r = Raft::new(id, ClusterConfig::lan(3), RaftConfig::default());
@@ -2433,23 +2415,6 @@ mod tests {
             assert_eq!(values, vec![Some(&[1][..]); 3], "key {key}");
         }
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    fn mig_spec() -> paxi_core::migration::MigrationSpec {
-        paxi_core::migration::MigrationSpec {
-            id: 1,
-            from: GroupId(0),
-            to: GroupId(1),
-            range: paxi_core::migration::KeyRange::new(10, 20),
-            epoch: 1,
-        }
-    }
-
-    fn put_req(seq: u64, key: u64) -> paxi_core::ClientRequest {
-        paxi_core::ClientRequest {
-            id: RequestId::new(paxi_core::ClientId(1), seq),
-            cmd: Command::put(key, vec![7]),
-        }
     }
 
     #[test]
@@ -2703,13 +2668,6 @@ mod tests {
     }
 
     // --- joint-consensus reconfiguration ---
-
-    fn reconfig_request(seq: u64, change: &ConfigChange) -> paxi_core::ClientRequest {
-        paxi_core::ClientRequest {
-            id: RequestId::new(paxi_core::ClientId(9), seq),
-            cmd: membership::reconfig_command(change),
-        }
-    }
 
     #[test]
     fn joint_reconfig_adds_a_node_end_to_end() {

@@ -2,8 +2,12 @@
 //! [`Context`] and a lockstep message router, so handler logic is tested
 //! without the simulator.
 
-use paxi_core::command::{ClientRequest, ClientResponse};
-use paxi_core::id::NodeId;
+use paxi_core::command::{ClientRequest, ClientResponse, Command};
+use paxi_core::config::ClusterConfig;
+use paxi_core::group::GroupId;
+use paxi_core::id::{ClientId, NodeId, RequestId};
+use paxi_core::membership::{self, ConfigChange};
+use paxi_core::migration::{KeyRange, MigrationSpec};
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
 use paxi_storage::{MemHub, Recovery, Storage};
@@ -106,6 +110,65 @@ pub(crate) fn settle<R: Replica>(nodes: &mut [(R, Probe<R::Msg>)], down: &[NodeI
         if !moved {
             return;
         }
+    }
+}
+
+/// A lockstep 3-node cluster of `make`'s replicas, started and settled:
+/// node 0 must then lead, by `leads`.
+pub(crate) fn lockstep<R: Replica>(
+    make: impl Fn(NodeId) -> R,
+    leads: fn(&R) -> bool,
+) -> Vec<(R, Probe<R::Msg>)> {
+    let ids = ClusterConfig::lan(3).all_nodes();
+    let mut nodes: Vec<_> = ids.iter().map(|&id| (make(id), probe(id))).collect();
+    for (r, ctx) in nodes.iter_mut() {
+        r.on_start(ctx);
+    }
+    settle(&mut nodes, &[]);
+    assert!(leads(&nodes[0].0));
+    nodes
+}
+
+/// Node 0.1 of `make`'s cluster, recovered from `hub`'s disk 1 and writing
+/// to it.
+pub(crate) fn durable_follower<R: Replica>(hub: &MemHub<u32>, make: impl Fn(NodeId) -> R) -> R {
+    let mut r = make(NodeId::new(0, 1));
+    r.attach_storage(Box::new(hub.open(1)));
+    r
+}
+
+/// Client 1's `seq`-th request: a write of `[1]` to key `seq`.
+pub(crate) fn request(seq: u64) -> ClientRequest {
+    ClientRequest {
+        id: RequestId::new(ClientId(1), seq),
+        cmd: Command::put(seq, vec![1]),
+    }
+}
+
+/// Client 1's `seq`-th request: a write of `[7]` to `key`.
+pub(crate) fn put_req(seq: u64, key: u64) -> ClientRequest {
+    ClientRequest {
+        id: RequestId::new(ClientId(1), seq),
+        cmd: Command::put(key, vec![7]),
+    }
+}
+
+/// Client 9's `seq`-th request: the membership `change`.
+pub(crate) fn reconfig_request(seq: u64, change: &ConfigChange) -> ClientRequest {
+    ClientRequest {
+        id: RequestId::new(ClientId(9), seq),
+        cmd: membership::reconfig_command(change),
+    }
+}
+
+/// Hand-off 1: keys `[10, 20)` from group 0 to group 1, at epoch 1.
+pub(crate) fn mig_spec() -> MigrationSpec {
+    MigrationSpec {
+        id: 1,
+        from: GroupId(0),
+        to: GroupId(1),
+        range: KeyRange::new(10, 20),
+        epoch: 1,
     }
 }
 

@@ -30,7 +30,7 @@ use paxi_core::store::MultiVersionStore;
 use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const TIMER_COMMIT_FLUSH: u64 = 1;
 
@@ -211,9 +211,12 @@ pub struct WPaxos {
     cluster: ClusterConfig,
     cfg: WPaxosConfig,
     keys: HashMap<Key, KeyState>,
-    dirty: HashSet<Key>,
+    /// Keys whose commit index moved since the last flush. This set and
+    /// the next are ordered: `on_timer` sends in their iteration order, and
+    /// a run must not depend on the process's hash keys.
+    dirty: BTreeSet<Key>,
     /// Keys with an in-flight phase-1, watched for liveness.
-    p1_inflight: HashSet<Key>,
+    p1_inflight: BTreeSet<Key>,
     store: MultiVersionStore,
 }
 
@@ -226,8 +229,8 @@ impl WPaxos {
             cluster,
             cfg,
             keys: HashMap::new(),
-            dirty: HashSet::new(),
-            p1_inflight: HashSet::new(),
+            dirty: BTreeSet::new(),
+            p1_inflight: BTreeSet::new(),
             store: MultiVersionStore::new(),
         }
     }
@@ -698,9 +701,8 @@ impl Replica for WPaxos {
                 self.start_phase1(key, ctx);
             }
             if !self.dirty.is_empty() {
-                let items: Vec<(Key, u64)> = self
-                    .dirty
-                    .drain()
+                let items: Vec<(Key, u64)> = std::mem::take(&mut self.dirty)
+                    .into_iter()
                     .map(|k| (k, self.keys[&k].commit_upto))
                     .collect();
                 ctx.broadcast(WPaxosMsg::CommitBatch { items });
