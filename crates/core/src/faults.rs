@@ -10,15 +10,16 @@
 //! time, so the exact same plan drives both worlds.
 //!
 //! Semantics:
-//! * **Crash** takes a node down for an interval: events addressed to it
-//!   (messages, requests, timers) are silently discarded while down. What
-//!   happens at recovery depends on the [`CrashMode`]:
-//!   [`CrashMode::Freeze`] retains in-memory state and delivers a restart
-//!   event ([`crate::traits::Replica::on_restart`]) so the node re-arms
-//!   timers and rejoins; [`CrashMode::Amnesia`] discards *all* volatile
-//!   state — the runtime rebuilds the replica from its factory, which must
-//!   recover from durable storage (`paxi-storage`), and then delivers
-//!   [`crate::traits::Replica::on_recover`].
+//! * **Crash** takes a node down for an interval. One [`CrashGate`] per
+//!   node, asked before every call on both substrates, decides what that
+//!   means: a call inside one of the node's windows (a message, a request,
+//!   a timer, a storage tick, the start itself) is discarded; the first call
+//!   after a window thaws the node before it runs, as [`CrashMode::thaw`]
+//!   says. [`CrashMode::Freeze`] keeps in-memory state and runs
+//!   [`crate::traits::Replica::on_restart`] so the node re-arms timers and
+//!   rejoins; [`CrashMode::Amnesia`] discards *all* volatile state — the
+//!   substrate rebuilds the replica, which recovers from durable storage
+//!   (`paxi-storage`), and runs [`crate::traits::Replica::on_recover`].
 //! * **Drop** discards every message from `i` to `j` during the interval.
 //! * **Slow** adds a random extra delay (uniform in `[0, max_delay)`) to
 //!   messages from `i` to `j`; like a TCP connection, the link stays in
@@ -29,6 +30,7 @@
 use crate::dist::Rng64;
 use crate::id::NodeId;
 use crate::time::Nanos;
+use crate::traits::{Context, Replica};
 use std::collections::HashMap;
 
 /// A half-open time interval `[from, until)` during which a fault is active.
@@ -94,8 +96,9 @@ impl FaultWindow {
     }
 }
 
-/// What a crashed node loses while it is down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// What a crashed node loses while it is down. Amnesia outranks freeze
+/// (the order the variants are declared in): a thaw after both loses memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum CrashMode {
     /// The process stalls but keeps its memory: recovery resumes from the
     /// retained in-memory state (PR 1's original crash semantics).
@@ -114,6 +117,65 @@ impl CrashMode {
             CrashMode::Freeze => "freeze",
             CrashMode::Amnesia => "amnesia",
         }
+    }
+
+    /// Brings `replica` back after a window of this mode, in `ctx`: a
+    /// freeze runs [`Replica::on_restart`] on the retained replica; amnesia
+    /// replaces it with `remake()` (which replays durable storage) and runs
+    /// [`Replica::on_recover`] on that.
+    pub fn thaw<R: Replica>(
+        self,
+        replica: &mut R,
+        remake: impl FnOnce() -> R,
+        ctx: &mut dyn Context<R::Msg>,
+    ) {
+        match self {
+            CrashMode::Freeze => replica.on_restart(ctx),
+            CrashMode::Amnesia => {
+                *replica = remake();
+                replica.on_recover(ctx);
+            }
+        }
+    }
+}
+
+/// What a [`CrashGate`] lets one call do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admit {
+    /// The node is inside one of its crash windows: drop the call.
+    Discard,
+    /// Run the call.
+    Run,
+    /// Thaw the node ([`CrashMode::thaw`]), then run the call.
+    Thaw(CrashMode),
+}
+
+/// One node's crash lifecycle, the rule both substrates follow: the
+/// simulator asks it in virtual time, a live node in plan time since launch.
+/// The thaw is read from the plan when it is due, not recorded while the
+/// node is down, so a window no call landed in still thaws the node.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CrashGate {
+    /// Plan time of the last admitted call.
+    last: Nanos,
+}
+
+impl CrashGate {
+    /// Whether `node` runs a call at `now` under `plan`: discarded inside
+    /// one of its windows; otherwise run, after a thaw if any of its windows
+    /// ended since the last admitted call — amnesia if any of those was.
+    pub fn admit(&mut self, plan: &FaultPlan, node: NodeId, now: Nanos) -> Admit {
+        let mut thaw = None;
+        for (_, window, mode) in plan.crashes.iter().filter(|(n, ..)| *n == node) {
+            if window.contains(now) {
+                return Admit::Discard;
+            }
+            if self.last < window.end() && window.end() <= now {
+                thaw = thaw.max(Some(*mode));
+            }
+        }
+        self.last = now;
+        thaw.map_or(Admit::Run, Admit::Thaw)
     }
 }
 
@@ -330,25 +392,15 @@ impl FaultPlan {
             .any(|(n, w, _)| *n == node && w.contains(t))
     }
 
-    /// The mode of the crash window covering `node` at `t`, if any.
-    pub fn crash_mode_at(&self, node: NodeId, t: Nanos) -> Option<CrashMode> {
-        self.crashes
-            .iter()
-            .find(|(n, w, _)| *n == node && w.contains(t))
-            .map(|(_, _, mode)| *mode)
-    }
-
-    /// Every `(node, recovery_time, mode)` triple at which a crashed node
-    /// comes back. Open-ended crashes never recover and are not reported.
-    /// Only the simulator schedules restart events from this
-    /// ([`crate::traits::Replica::on_restart`] for [`CrashMode::Freeze`],
-    /// the rebuild-plus-[`crate::traits::Replica::on_recover`] path for
-    /// [`CrashMode::Amnesia`]); a live node thaws on its own tick.
-    pub fn recoveries(&self) -> impl Iterator<Item = (NodeId, Nanos, CrashMode)> + '_ {
+    /// Every `(node, recovery_time)` pair at which a crashed node comes
+    /// back. Open-ended crashes never recover and are not reported. The
+    /// simulator ticks each node here, as a live node's loop ticks it every
+    /// millisecond, so a node nobody talks to still thaws ([`CrashGate`]).
+    pub fn recoveries(&self) -> impl Iterator<Item = (NodeId, Nanos)> + '_ {
         self.crashes
             .iter()
             .filter(|(_, w, _)| !w.is_open_ended())
-            .map(|(n, w, mode)| (*n, w.end(), *mode))
+            .map(|(n, w, _)| (*n, w.end()))
     }
 
     /// Decides the fate of a message sent `src → dst` at time `t`.
@@ -566,7 +618,7 @@ mod tests {
         // Healed crash now has a recovery point at the heal instant.
         assert!(p
             .recoveries()
-            .any(|(node, at, _)| node == n(0, 0) && at == Nanos::secs(5)));
+            .any(|(node, at)| node == n(0, 0) && at == Nanos::secs(5)));
     }
 
     #[test]
@@ -577,10 +629,7 @@ mod tests {
         let rec: Vec<_> = p.recoveries().collect();
         assert_eq!(
             rec,
-            vec![
-                (n(0, 0), Nanos::secs(3), CrashMode::Freeze),
-                (n(0, 1), Nanos::secs(5), CrashMode::Freeze)
-            ]
+            vec![(n(0, 0), Nanos::secs(3)), (n(0, 1), Nanos::secs(5))]
         );
     }
 
@@ -589,22 +638,81 @@ mod tests {
         let mut p = FaultPlan::new();
         p.crash(n(0, 0), Nanos::secs(1), Nanos::secs(1));
         p.crash_amnesia(n(0, 1), Nanos::secs(2), Nanos::secs(2));
+        let (mut g0, mut g1) = (CrashGate::default(), CrashGate::default());
         assert_eq!(
-            p.crash_mode_at(n(0, 0), Nanos::millis(1_500)),
-            Some(CrashMode::Freeze)
+            g0.admit(&p, n(0, 0), Nanos::secs(2)),
+            Admit::Thaw(CrashMode::Freeze)
         );
         assert_eq!(
-            p.crash_mode_at(n(0, 1), Nanos::secs(3)),
-            Some(CrashMode::Amnesia)
+            g1.admit(&p, n(0, 1), Nanos::secs(4)),
+            Admit::Thaw(CrashMode::Amnesia)
         );
-        assert_eq!(
-            p.crash_mode_at(n(0, 1), Nanos::secs(5)),
-            None,
-            "after the window"
-        );
-        let rec: Vec<_> = p.recoveries().collect();
-        assert!(rec.contains(&(n(0, 1), Nanos::secs(4), CrashMode::Amnesia)));
+        assert!(p.recoveries().any(|r| r == (n(0, 1), Nanos::secs(4))));
         // Both modes freeze delivery identically while down.
         assert!(p.is_crashed(n(0, 1), Nanos::secs(3)));
+    }
+
+    #[test]
+    fn the_gate_discards_inside_a_window_and_nowhere_else() {
+        let mut p = FaultPlan::new();
+        p.crash(n(0, 0), Nanos::secs(1), Nanos::secs(2));
+        let mut gate = CrashGate::default();
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::millis(999)), Admit::Run);
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::secs(1)), Admit::Discard);
+        assert_eq!(
+            gate.admit(&p, n(0, 0), Nanos::millis(2_999)),
+            Admit::Discard
+        );
+        let mut other = CrashGate::default();
+        assert_eq!(other.admit(&p, n(0, 1), Nanos::secs(2)), Admit::Run);
+    }
+
+    #[test]
+    fn the_first_admit_after_a_window_thaws_exactly_once() {
+        let mut p = FaultPlan::new();
+        p.crash(n(0, 0), Nanos::secs(1), Nanos::secs(1));
+        let mut gate = CrashGate::default();
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::ZERO), Admit::Run);
+        assert_eq!(
+            gate.admit(&p, n(0, 0), Nanos::millis(1_500)),
+            Admit::Discard
+        );
+        let thaw = Admit::Thaw(CrashMode::Freeze);
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::secs(2)), thaw);
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::secs(2)), Admit::Run);
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::secs(3)), Admit::Run);
+    }
+
+    #[test]
+    fn a_freeze_and_an_amnesia_ending_before_the_next_admit_thaw_as_amnesia() {
+        let amnesia = Admit::Thaw(CrashMode::Amnesia);
+        // Back to back: the call that landed in the freeze decides nothing.
+        let mut p = FaultPlan::new();
+        p.crash(n(0, 0), Nanos::secs(1), Nanos::secs(1));
+        p.crash_amnesia(n(0, 0), Nanos::secs(2), Nanos::secs(1));
+        let mut gate = CrashGate::default();
+        assert_eq!(
+            gate.admit(&p, n(0, 0), Nanos::millis(1_500)),
+            Admit::Discard
+        );
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::secs(4)), amnesia);
+        // Nested: the amnesia window ends inside the freeze, where its own
+        // end is discarded like any other call.
+        let mut p = FaultPlan::new();
+        p.crash_amnesia(n(0, 0), Nanos::secs(1), Nanos::secs(1));
+        p.crash(n(0, 0), Nanos::millis(1_500), Nanos::secs(2));
+        let mut gate = CrashGate::default();
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::secs(2)), Admit::Discard);
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::millis(3_500)), amnesia);
+    }
+
+    #[test]
+    fn a_window_no_call_landed_in_still_thaws() {
+        let mut p = FaultPlan::new();
+        p.crash_amnesia(n(0, 0), Nanos::secs(1), Nanos::secs(1));
+        let mut gate = CrashGate::default();
+        assert_eq!(gate.admit(&p, n(0, 0), Nanos::millis(500)), Admit::Run);
+        let thaw = gate.admit(&p, n(0, 0), Nanos::secs(5));
+        assert_eq!(thaw, Admit::Thaw(CrashMode::Amnesia));
     }
 }

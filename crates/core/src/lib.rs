@@ -16,14 +16,16 @@
 //! * [`store`] — the multi-version in-memory key-value state machine.
 //! * [`quorum`] — majority, fast, grid, flexible-grid, and group quorums.
 //! * [`config`] — cluster deployment description.
+//! * [`cost`] — per-message CPU/NIC service costs, read by the analytic
+//!   model and the simulator alike.
 //! * [`traits`] — the [`traits::Replica`] / [`traits::Context`]
 //!   protocol abstraction shared by the simulator and wall-clock runtimes.
 //! * [`time`] — nanosecond virtual time.
 //! * [`metrics`] — latency histograms, CDFs, throughput meters.
 //! * [`obs`] — per-replica typed counters / drop causes / gauges and the
 //!   request-lifecycle trace ring, wired through every runtime.
-//! * [`faults`] — the Crash / Drop / Slow / Flaky fault plan shared by the
-//!   simulator and the live transports.
+//! * [`faults`] — the Crash / Drop / Slow / Flaky fault plan and the one
+//!   crash lifecycle shared by the simulator and the live transports.
 //! * [`group`] — group ids and the group-tagged message envelope for
 //!   multi-group (sharded) deployments.
 //! * [`membership`] — dynamic membership: config-change deltas, stable and
@@ -36,6 +38,7 @@
 pub mod ballot;
 pub mod command;
 pub mod config;
+pub mod cost;
 pub mod dist;
 pub mod faults;
 pub mod group;
@@ -52,8 +55,9 @@ pub mod traits;
 pub use ballot::Ballot;
 pub use command::{ClientRequest, ClientResponse, Command, Handoff, Key, Op, Value};
 pub use config::{BatchConfig, Batcher, ClusterConfig};
+pub use cost::CostModel;
 pub use dist::{KeyDist, KeySampler, Rng64};
-pub use faults::{CrashMode, FaultPlan, FaultWindow, MsgFate};
+pub use faults::{Admit, CrashGate, CrashMode, FaultPlan, FaultWindow, MsgFate};
 pub use group::{GroupId, GroupMsg};
 pub use id::{ClientId, NodeId, RequestId};
 pub use membership::{ConfigChange, JointQuorum, Membership, CONFIG_KEY};

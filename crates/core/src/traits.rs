@@ -119,7 +119,8 @@ pub trait Replica {
     }
 
     /// Periodic storage-maintenance tick, driven by wall-clock runtimes
-    /// between events: replicas holding a WAL forward it to
+    /// between events (and by the simulator at each crash window's end,
+    /// where it thaws a quiet node): replicas holding a WAL forward it to
     /// [`Storage::tick`], so a batch fsync policy's time bound is honored
     /// even when no append arrives to piggyback the check on. The default
     /// does nothing (no durable state, or a backend without a wall clock).

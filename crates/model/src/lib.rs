@@ -30,6 +30,6 @@ pub mod queueing;
 
 pub use advisor::{recommend, Answers, Recommendation};
 pub use messages::{epaxos_leader_fast, paxos_leader, raft_leader, MsgComplexity};
-pub use params::{CostParams, Deployment};
+pub use params::Deployment;
 pub use protocols::{EPaxosModel, PaxosModel, PerfModel, WPaxosModel, WanKeeperModel};
 pub use queueing::{max_throughput, utilization, wait_time, QueueKind};

@@ -1,50 +1,13 @@
 //! Model parameters (paper Table 2).
 //!
 //! A [`Deployment`] bundles everything the analytic models need: cluster
-//! shape, per-zone-pair RTTs, and per-message processing costs. Units are
-//! seconds internally; RTTs are specified in milliseconds for readability.
+//! shape, per-zone-pair RTTs, and per-message processing costs — the
+//! simulator's own [`CostModel`], so the model and the simulator
+//! cross-validate by construction. Units are seconds internally; RTTs are
+//! specified in milliseconds for readability.
 
+use paxi_core::cost::CostModel;
 use serde::{Deserialize, Serialize};
-
-/// Per-message processing costs (matching `paxi_sim::CostModel` defaults so
-/// the model and simulator cross-validate).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CostParams {
-    /// CPU time to process one incoming message, seconds (`ti`).
-    pub ti: f64,
-    /// CPU time to serialize one outgoing message, seconds (`to`).
-    pub to: f64,
-    /// Message size in bytes (`sm`).
-    pub msg_bytes: f64,
-    /// NIC bandwidth, bits per second (`b`).
-    pub bandwidth_bps: f64,
-}
-
-impl Default for CostParams {
-    fn default() -> Self {
-        CostParams {
-            ti: 10e-6,
-            to: 5e-6,
-            msg_bytes: 128.0,
-            bandwidth_bps: 1e9,
-        }
-    }
-}
-
-impl CostParams {
-    /// NIC transmission time for one message, seconds.
-    pub fn nic(&self) -> f64 {
-        self.msg_bytes * 8.0 / self.bandwidth_bps
-    }
-
-    /// The paper's Paxos round service time at the leader:
-    /// `ts = 2·to + N·ti + 2N·sm/b`.
-    pub fn paxos_service_time(&self, n: usize) -> f64 {
-        2.0 * self.to
-            + n as f64 * self.ti
-            + 2.0 * n as f64 * self.msg_bytes * 8.0 / self.bandwidth_bps
-    }
-}
 
 /// The modeled deployment: zones, nodes, inter-zone RTTs, costs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -58,7 +21,7 @@ pub struct Deployment {
     /// Standard deviation of the intra-zone RTT, ms (for order statistics).
     pub lan_std_ms: f64,
     /// Message processing costs.
-    pub cost: CostParams,
+    pub cost: CostModel,
 }
 
 /// Paper-calibrated LAN RTT mean (ms).
@@ -74,7 +37,7 @@ impl Deployment {
             per_zone: n,
             rtt_ms: vec![vec![LAN_RTT_MS]],
             lan_std_ms: LAN_STD_MS,
-            cost: CostParams::default(),
+            cost: CostModel::default(),
         }
     }
 
@@ -93,7 +56,7 @@ impl Deployment {
                 vec![162.0, 156.0, 102.0, 220.0, lan],
             ],
             lan_std_ms: LAN_STD_MS,
-            cost: CostParams::default(),
+            cost: CostModel::default(),
         }
     }
 
@@ -107,7 +70,7 @@ impl Deployment {
                 .map(|a| (0..3).map(|b| five.rtt_ms[a][b]).collect())
                 .collect(),
             lan_std_ms: LAN_STD_MS,
-            cost: CostParams::default(),
+            cost: CostModel::default(),
         }
     }
 
@@ -142,6 +105,28 @@ impl Deployment {
     pub fn majority(&self) -> usize {
         self.n() / 2 + 1
     }
+
+    /// CPU time to process one incoming message, seconds (`ti`).
+    pub fn ti(&self) -> f64 {
+        self.cost.t_in.as_secs_f64()
+    }
+
+    /// CPU time to serialize one outgoing message, seconds (`to`).
+    pub fn to(&self) -> f64 {
+        self.cost.t_out.as_secs_f64()
+    }
+
+    /// NIC transmission time for one message, seconds (`sm/b`).
+    pub fn nic(&self) -> f64 {
+        self.cost.nic().as_secs_f64()
+    }
+
+    /// The paper's Paxos round service time at the leader:
+    /// `ts = 2·to + N·ti + 2N·sm/b`.
+    pub fn paxos_service_time(&self, n: usize) -> f64 {
+        let (sm, b) = (self.cost.msg_bytes as f64, self.cost.bandwidth_bps as f64);
+        2.0 * self.to() + n as f64 * self.ti() + 2.0 * n as f64 * sm * 8.0 / b
+    }
 }
 
 #[cfg(test)]
@@ -150,9 +135,8 @@ mod tests {
 
     #[test]
     fn paxos_service_time_matches_paper_expression() {
-        let c = CostParams::default();
         // N = 9: 2*5us + 9*10us + 2*9*1024/1e9 s = 10 + 90 + 18.4 us.
-        let ts = c.paxos_service_time(9);
+        let ts = Deployment::lan(9).paxos_service_time(9);
         assert!((ts - 118.4e-6).abs() < 0.5e-6, "ts {ts}");
         // Max throughput ~ 8.4k rounds/s: the single-leader wall the paper
         // measures at around 8k ops/s.

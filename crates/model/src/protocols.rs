@@ -130,7 +130,7 @@ impl PerfModel for PaxosModel {
     }
 
     fn latency_ms(&self, d: &Deployment, lambda: f64) -> Option<f64> {
-        let ts = d.cost.paxos_service_time(d.n());
+        let ts = d.paxos_service_time(d.n());
         let wq = wait_time(self.queue, lambda, ts)?;
         let dq = dq_ms(d, self.leader_zone, self.q2_size(d) - 1);
         let dl = mean_dl_ms(d, self.leader_zone);
@@ -138,7 +138,7 @@ impl PerfModel for PaxosModel {
     }
 
     fn max_throughput(&self, d: &Deployment) -> f64 {
-        1.0 / d.cost.paxos_service_time(d.n())
+        1.0 / d.paxos_service_time(d.n())
     }
 }
 
@@ -178,14 +178,14 @@ impl EPaxosModel {
         let n = d.n() as f64;
         let c = self.conflict;
         let p = self.cpu_penalty;
-        let nic = d.cost.nic();
+        let nic = d.nic();
         // Leading a round: like a Paxos leader round, plus a conflict round.
-        let s_lead = p * (2.0 * d.cost.to + n * d.cost.ti) + 2.0 * n * nic;
-        let s_lead = s_lead + c * (p * (d.cost.to + n * d.cost.ti) + 2.0 * n * nic);
+        let s_lead = p * (2.0 * d.to() + n * d.ti()) + 2.0 * n * nic;
+        let s_lead = s_lead + c * (p * (d.to() + n * d.ti()) + 2.0 * n * nic);
         // Participating in someone else's round: PreAccept in, reply out,
         // Commit in; conflicts add the Accept round (one more in + out).
-        let s_acc = p * (2.0 * d.cost.ti + d.cost.to) + 3.0 * nic;
-        let s_acc = s_acc + c * (p * (d.cost.ti + d.cost.to) + 2.0 * nic);
+        let s_acc = p * (2.0 * d.ti() + d.to()) + 3.0 * nic;
+        let s_acc = s_acc + c * (p * (d.ti() + d.to()) + 2.0 * nic);
         let pl = 1.0 / n;
         let mean = pl * s_lead + (1.0 - pl) * s_acc;
         let m2 = pl * s_lead * s_lead + (1.0 - pl) * s_acc * s_acc;
@@ -255,11 +255,11 @@ impl WPaxosModel {
     fn service_moments(&self, d: &Deployment) -> (f64, f64) {
         let n = d.n() as f64;
         let leaders = d.zones as f64;
-        let nic = d.cost.nic();
+        let nic = d.nic();
         // Own round: full-replication broadcast like Paxos.
-        let s_lead = 2.0 * d.cost.to + n * d.cost.ti + 2.0 * n * nic;
+        let s_lead = 2.0 * d.to() + n * d.ti() + 2.0 * n * nic;
         // Follower duty for other leaders' rounds: P2a in, P2b out, commit in.
-        let s_acc = 2.0 * d.cost.ti + d.cost.to + 3.0 * nic;
+        let s_acc = 2.0 * d.ti() + d.to() + 3.0 * nic;
         let pl = 1.0 / leaders;
         let mean = pl * s_lead + (1.0 - pl) * s_acc;
         let m2 = pl * s_lead * s_lead + (1.0 - pl) * s_acc * s_acc;
@@ -339,7 +339,7 @@ impl WanKeeperModel {
         let g = d.per_zone as f64;
         // Zone-local round: leader broadcasts to g-1 members and collects
         // acks — the hierarchical win: g << N messages.
-        2.0 * d.cost.to + g * d.cost.ti + 2.0 * g * d.cost.nic()
+        2.0 * d.to() + g * d.ti() + 2.0 * g * d.nic()
     }
 }
 

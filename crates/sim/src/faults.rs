@@ -7,11 +7,12 @@
 //! `paxi_transport::FaultInjector`). This module re-exports them under
 //! their historical `paxi_sim` paths.
 //!
-//! The simulator queries [`FaultPlan::is_crashed`] before dispatching any
-//! event to a node, [`FaultPlan::message_fate`] for every emitted message
-//! (which then arrives no earlier than the one sent on its link before it,
-//! `paxi_core::faults::LinkOrder`), and schedules a restart event
-//! ([`paxi_core::traits::Replica::on_restart`]) at each crash window's end
-//! so recovered nodes rejoin the protocol.
+//! The simulator asks each node's `paxi_core::faults::CrashGate` before
+//! dispatching any event to it (the live node asks the same gate),
+//! [`FaultPlan::message_fate`] for every emitted message (which then
+//! arrives no earlier than the one sent on its link before it,
+//! `paxi_core::faults::LinkOrder`), and ticks a node at each crash window's
+//! end ([`FaultPlan::recoveries`]) so that one nobody talks to thaws and
+//! rejoins the protocol.
 
 pub use paxi_core::faults::{CrashMode, FaultPlan, FaultWindow, MsgFate};

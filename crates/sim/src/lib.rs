@@ -13,7 +13,6 @@
 //! environment for the protocol comparisons of §5.
 //!
 //! * [`topology`] — LAN/WAN latency models (AWS-calibrated presets).
-//! * [`cost`] — per-message CPU/NIC service costs (the leader bottleneck).
 //! * [`faults`] — Crash / Drop / Slow / Flaky / partition injection.
 //! * [`client`] — open- and closed-loop clients, the [`client::Workload`] trait.
 //! * [`sim`] — the simulator itself.
@@ -23,15 +22,14 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod cost;
 pub mod faults;
 pub mod report;
 pub mod sim;
 pub mod topology;
 
 pub use client::{ClientSetup, KickoffWorkload, LoadMode, Workload};
-pub use cost::CostModel;
 pub use faults::{CrashMode, FaultPlan, FaultWindow, MsgFate};
+pub use paxi_core::cost::CostModel;
 pub use report::{NodeStats, OpRecord, SimReport};
 pub use sim::{SimConfig, SimDisks, Simulator};
 pub use topology::Topology;

@@ -15,14 +15,14 @@
 //! protocol)` triple always reproduces the same run bit-for-bit.
 
 use crate::client::{ClientSetup, LoadMode, Workload};
-use crate::cost::CostModel;
-use crate::faults::{CrashMode, FaultPlan, MsgFate};
+use crate::faults::{FaultPlan, MsgFate};
 use crate::report::{NodeStats, OpRecord, SimReport};
 use crate::topology::Topology;
 use paxi_core::command::{ClientRequest, ClientResponse, Command, Op};
 use paxi_core::config::ClusterConfig;
+use paxi_core::cost::CostModel;
 use paxi_core::dist::Rng64;
-use paxi_core::faults::LinkOrder;
+use paxi_core::faults::{Admit, CrashGate, LinkOrder};
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::metrics::Histogram;
 use paxi_core::obs::{
@@ -90,10 +90,9 @@ impl Default for SimConfig {
 
 enum Input<M> {
     Start,
-    Restart,
-    /// Recovery from an amnesia crash: the simulator rebuilds the replica
-    /// from the factory (volatile state is gone) before delivering this.
-    Recover,
+    /// The storage tick a live node's loop gives a quiet node, here at the
+    /// end of each crash window: it thaws a node nobody talks to.
+    Tick,
     Msg {
         from: NodeId,
         msg: M,
@@ -285,6 +284,8 @@ pub struct Simulator<R: Replica> {
     replicas: Vec<R>,
     /// Retained so amnesia recovery can rebuild a replica from scratch.
     factory: Box<dyn ReplicaFactory<R = R>>,
+    /// Each node's crash lifecycle under `faults`, in cluster order.
+    gates: Vec<CrashGate>,
     /// The cluster's simulated disk array, if the run is durable. The
     /// simulator crashes disks on amnesia recovery and converts each disk's
     /// fsync count into service time.
@@ -367,6 +368,7 @@ impl<R: Replica> Simulator<R> {
             cluster,
             replicas,
             factory: Box::new(factory),
+            gates: vec![CrashGate::default(); all_nodes.len()],
             hub: None,
             nodes,
             all_nodes,
@@ -455,18 +457,17 @@ impl<R: Replica> Simulator<R> {
         for id in self.all_nodes.clone() {
             self.dispatch(id, Input::Start);
         }
-        // Schedule a recovery event at the end of every crash window so
-        // recovered nodes re-arm their timers and rejoin the protocol
-        // (their own timers were discarded while down). Freeze crashes
-        // restart the retained replica; amnesia crashes rebuild it from the
-        // factory, so only durable state survives.
+        // Tick each node at the end of every crash window, so one whose own
+        // timers were discarded while down thaws then and rejoins.
         let recoveries: Vec<_> = self.faults.recoveries().collect();
-        for (node, at, mode) in recoveries {
-            let input = match mode {
-                CrashMode::Freeze => Input::Restart,
-                CrashMode::Amnesia => Input::Recover,
-            };
-            self.push(at, EventKind::Node { to: node, input });
+        for (to, at) in recoveries {
+            self.push(
+                at,
+                EventKind::Node {
+                    to,
+                    input: Input::Tick,
+                },
+            );
         }
         // Kick off every client with a small deterministic stagger so
         // closed-loop clients don't move in lockstep.
@@ -522,29 +523,18 @@ impl<R: Replica> Simulator<R> {
     }
 
     fn dispatch(&mut self, node: NodeId, input: Input<R::Msg>) {
-        if self.faults.is_crashed(node, self.now) {
+        let idx = self.cluster.index_of(node);
+        let admit = self.gates[idx].admit(&self.faults, node, self.now);
+        if admit == Admit::Discard {
             // A crashed node silently discards everything addressed to it.
             // Messages and requests are real losses — charge them to the
             // target's drop accounting so chaos digests can explain them.
             if let Some(ms) = &mut self.metrics {
                 if matches!(input, Input::Msg { .. } | Input::Request(_)) {
-                    ms[self.cluster.index_of(node)].add_drop(DropCause::Crashed, 1);
+                    ms[idx].add_drop(DropCause::Crashed, 1);
                 }
             }
             return;
-        }
-        let idx = self.cluster.index_of(node);
-        if matches!(input, Input::Recover) {
-            // Amnesia: the node lost everything volatile. Crash its disk
-            // first (the unsynced suffix dies with the process, and armed
-            // storage faults fire — while crashed the node processed
-            // nothing, so applying the loss now is equivalent to applying
-            // it at crash time), then rebuild the replica from the factory,
-            // which re-attaches storage and replays snapshot + WAL.
-            if let Some(hub) = &self.hub {
-                hub.crash_node(node);
-            }
-            self.replicas[idx] = self.factory.make(node);
         }
         let start = self.now.max(self.nodes[idx].busy_until);
         let mut effects = std::mem::take(&mut self.scratch);
@@ -578,18 +568,38 @@ impl<R: Replica> Simulator<R> {
                 trace: self.trace_ring.as_mut(),
             };
             let replica = &mut self.replicas[idx];
+            if let Admit::Thaw(mode) = admit {
+                // An amnesiac node's disks crash first (the unsynced suffix
+                // dies with the process, and armed storage faults fire —
+                // while crashed the node processed nothing, so applying the
+                // loss now is equivalent to applying it at crash time), then
+                // the factory rebuilds it, re-attaching storage and
+                // replaying snapshot + WAL.
+                let (hub, factory) = (&self.hub, &self.factory);
+                let remake = || {
+                    if let Some(hub) = hub {
+                        hub.crash_node(node);
+                    }
+                    factory.make(node)
+                };
+                mode.thaw(replica, remake, &mut ctx);
+            }
             match input {
                 Input::Start => replica.on_start(&mut ctx),
-                Input::Restart => replica.on_restart(&mut ctx),
-                Input::Recover => replica.on_recover(&mut ctx),
+                Input::Tick => replica.sync_storage(),
                 Input::Msg { from, msg } => replica.on_message(from, msg, &mut ctx),
                 Input::Request(req) => replica.on_request(req, &mut ctx),
                 Input::Timer { kind, token } => replica.on_timer(kind, token, &mut ctx),
             }
         }
 
-        // Service-time accounting per the paper's cost model.
+        // Service-time accounting per the paper's cost model, and the
+        // observability counters over the same effects: per-type sent
+        // counters (a broadcast fans out per recipient), command payload
+        // totals, batch-size high-water, replies, forwards.
         let cost = &self.cfg.cost;
+        let fanout = (self.all_nodes.len() - 1) as u64;
+        let mut metrics = self.metrics.as_mut().map(|ms| &mut ms[idx]);
         let mut serializations = 0u64;
         let mut transmissions = 0u64;
         // Marginal batching terms, zero whenever every message has weight 1:
@@ -598,62 +608,27 @@ impl<R: Replica> Simulator<R> {
         let mut cmd_cpu = 0u64;
         let mut cmd_nic = 0u64;
         for e in &effects {
-            match e {
-                Effect::Reply { .. } | Effect::Forward { .. } => {
-                    serializations += 1;
-                    transmissions += 1;
-                }
-                Effect::Send { msg, .. } => {
-                    serializations += 1;
-                    transmissions += 1;
-                    cmd_cpu += cost.cmd_cpu_extra(R::msg_cmds(msg));
-                    cmd_nic += cost.cmd_nic_extra(R::msg_cmds(msg));
-                }
-                Effect::Broadcast { msg } => {
-                    let fanout = (self.all_nodes.len() - 1) as u64;
-                    serializations += 1;
-                    transmissions += fanout;
-                    cmd_cpu += cost.cmd_cpu_extra(R::msg_cmds(msg));
-                    cmd_nic += cost.cmd_nic_extra(R::msg_cmds(msg)) * fanout;
-                }
-                Effect::Multicast { to, msg } => {
-                    serializations += 1;
-                    transmissions += to.len() as u64;
-                    cmd_cpu += cost.cmd_cpu_extra(R::msg_cmds(msg));
-                    cmd_nic += cost.cmd_nic_extra(R::msg_cmds(msg)) * to.len() as u64;
-                }
-                Effect::Timer { .. } => {}
-            }
-        }
-        // Observability accounting over the same effect list the cost model
-        // walked: per-type sent counters (broadcast fans out per recipient),
-        // command payload totals, batch-size high-water, replies, forwards.
-        if let Some(ms) = &mut self.metrics {
-            let m = &mut ms[idx];
-            let fanout = (self.all_nodes.len() - 1) as u64;
-            for e in &effects {
-                match e {
-                    Effect::Send { msg, .. } => {
-                        let cmds = R::msg_cmds(msg);
-                        m.sent(R::msg_kind(msg), 1);
-                        m.add(Metric::CmdsSent, cmds);
+            let (copies, msg) = match e {
+                Effect::Send { msg, .. } => (1, Some(msg)),
+                Effect::Broadcast { msg } => (fanout, Some(msg)),
+                Effect::Multicast { to, msg } => (to.len() as u64, Some(msg)),
+                Effect::Reply { .. } | Effect::Forward { .. } => (1, None),
+                Effect::Timer { .. } => continue,
+            };
+            let cmds = msg.map_or(1, R::msg_cmds);
+            serializations += 1;
+            transmissions += copies;
+            cmd_cpu += cost.cmd_cpu_extra(cmds);
+            cmd_nic += cost.cmd_nic_extra(cmds) * copies;
+            if let Some(m) = &mut metrics {
+                match msg {
+                    Some(msg) => {
+                        m.sent(R::msg_kind(msg), copies);
+                        m.add(Metric::CmdsSent, cmds.saturating_mul(copies));
                         m.gauge_max(Gauge::BatchHwm, cmds);
                     }
-                    Effect::Broadcast { msg } => {
-                        let cmds = R::msg_cmds(msg);
-                        m.sent(R::msg_kind(msg), fanout);
-                        m.add(Metric::CmdsSent, cmds.saturating_mul(fanout));
-                        m.gauge_max(Gauge::BatchHwm, cmds);
-                    }
-                    Effect::Multicast { to, msg } => {
-                        let cmds = R::msg_cmds(msg);
-                        m.sent(R::msg_kind(msg), to.len() as u64);
-                        m.add(Metric::CmdsSent, cmds.saturating_mul(to.len() as u64));
-                        m.gauge_max(Gauge::BatchHwm, cmds);
-                    }
-                    Effect::Reply { .. } => m.add(Metric::Replies, 1),
-                    Effect::Forward { .. } => m.add(Metric::Forwards, 1),
-                    Effect::Timer { .. } => {}
+                    None if matches!(e, Effect::Reply { .. }) => m.add(Metric::Replies, 1),
+                    None => m.add(Metric::Forwards, 1),
                 }
             }
         }
@@ -732,65 +707,47 @@ impl<R: Replica> Simulator<R> {
                     }
                 }
                 Effect::Forward { to, req } => {
-                    match self.faults.message_fate(node, to, departure, &mut self.rng) {
-                        MsgFate::Dropped => self.count_fault_drop(node),
-                        MsgFate::Deliver { extra_delay } => {
-                            let delay =
-                                self.cfg
-                                    .topology
-                                    .sample_one_way(&mut self.rng, node.zone, to.zone);
-                            let at = departure + delay + extra_delay;
-                            let at = self.links.arrival(node, to, at);
-                            self.push(
-                                at,
-                                EventKind::Node {
-                                    to,
-                                    input: Input::Request(req),
-                                },
-                            );
-                        }
-                    }
+                    self.transmit(node, to, departure, Input::Request(req), Nanos::ZERO)
                 }
             }
         }
         self.scratch = effects;
     }
 
-    /// Charges one fault-injected message loss to `from`'s drop accounting.
-    fn count_fault_drop(&mut self, from: NodeId) {
-        if let Some(ms) = &mut self.metrics {
-            ms[self.cluster.index_of(from)].add_drop(DropCause::Fault, 1);
-        }
-    }
-
     fn emit_msg(&mut self, from: NodeId, to: NodeId, msg: R::Msg, departure: Nanos) {
+        let input = Input::Msg { from, msg };
         if to == from {
             // Self-delivery bypasses the network.
-            self.push(
-                departure,
-                EventKind::Node {
-                    to,
-                    input: Input::Msg { from, msg },
-                },
-            );
-            return;
+            return self.push(departure, EventKind::Node { to, input });
         }
+        self.transmit(from, to, departure, input, self.cfg.cost.wire_overhead);
+    }
+
+    /// Sends `input` on the `from → to` link, leaving at `departure`, as the
+    /// fault plan decides: lost (charged to `from`), or delivered a sampled
+    /// delay, any `Slow` delay and `overhead` later — no earlier than what
+    /// was sent on the link before it.
+    fn transmit(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        departure: Nanos,
+        input: Input<R::Msg>,
+        overhead: Nanos,
+    ) {
         match self.faults.message_fate(from, to, departure, &mut self.rng) {
-            MsgFate::Dropped => self.count_fault_drop(from),
+            MsgFate::Dropped => {
+                if let Some(ms) = &mut self.metrics {
+                    ms[self.cluster.index_of(from)].add_drop(DropCause::Fault, 1);
+                }
+            }
             MsgFate::Deliver { extra_delay } => {
-                let delay = self
-                    .cfg
-                    .topology
-                    .sample_one_way(&mut self.rng, from.zone, to.zone);
-                let at = departure + delay + extra_delay + self.cfg.cost.wire_overhead;
-                let at = self.links.arrival(from, to, at);
-                self.push(
-                    at,
-                    EventKind::Node {
-                        to,
-                        input: Input::Msg { from, msg },
-                    },
-                );
+                let topology = &self.cfg.topology;
+                let delay = topology.sample_one_way(&mut self.rng, from.zone, to.zone);
+                let at = self
+                    .links
+                    .arrival(from, to, departure + delay + extra_delay + overhead);
+                self.push(at, EventKind::Node { to, input });
             }
         }
     }
@@ -1210,6 +1167,8 @@ mod tests {
     struct DurableKv {
         store: MultiVersionStore,
         wal: Option<Box<dyn paxi_storage::Storage>>,
+        /// WAL records replayed when storage was attached.
+        replayed: usize,
     }
 
     impl Replica for DurableKv {
@@ -1227,6 +1186,7 @@ mod tests {
         }
         fn attach_storage(&mut self, mut storage: Box<dyn paxi_storage::Storage>) {
             let rec = storage.recover().unwrap();
+            self.replayed = rec.records.len();
             for bytes in &rec.records {
                 let cmd: Command = paxi_codec::from_bytes(bytes).unwrap();
                 self.store.execute(&cmd);
@@ -1241,13 +1201,13 @@ mod tests {
         }
     }
 
-    /// Runs the two-node DurableKv cluster, optionally crashing node 0 from
-    /// t=1s for 500ms with the given mode. Returns the report and node 0's
-    /// post-run version count (its visible write history).
+    /// Runs the two-node DurableKv cluster, crashing node 0 for each
+    /// `(from, duration, mode)`. Returns the report and node 0's replica
+    /// after the run.
     fn durable_run(
-        mode: Option<crate::faults::CrashMode>,
+        crashes: &[(Nanos, Nanos, crate::faults::CrashMode)],
         hub: Option<paxi_storage::MemHub<NodeId>>,
-    ) -> (SimReport, usize) {
+    ) -> (SimReport, DurableKv) {
         let cfg = SimConfig {
             measure: Nanos::secs(3),
             ..SimConfig::default()
@@ -1270,6 +1230,7 @@ mod tests {
             let mut r = DurableKv {
                 store: MultiVersionStore::new(),
                 wal: None,
+                replayed: 0,
             };
             if let Some(h) = &mk_hub {
                 r.attach_storage(Box::new(h.open(id)));
@@ -1286,16 +1247,24 @@ mod tests {
         if let Some(h) = hub {
             sim.set_storage(h);
         }
-        if let Some(mode) = mode {
-            sim.faults_mut().crash_mode_in(
-                NodeId::new(0, 0),
-                crate::faults::FaultWindow::new(Nanos::secs(1), Nanos::millis(500)),
-                mode,
-            );
+        for &(at, duration, mode) in crashes {
+            let window = crate::faults::FaultWindow::new(at, duration);
+            sim.faults_mut()
+                .crash_mode_in(NodeId::new(0, 0), window, mode);
         }
         let report = sim.run();
-        let vc = sim.replicas()[0].store().unwrap().version_count();
-        (report, vc)
+        let node0 = sim.replicas.swap_remove(0);
+        (report, node0)
+    }
+
+    /// Node 0's post-run version count (its visible write history) after
+    /// one crash from t=1s for 500ms with `mode`.
+    fn version_count_after(
+        mode: crate::faults::CrashMode,
+        hub: Option<paxi_storage::MemHub<NodeId>>,
+    ) -> usize {
+        let crash = (Nanos::secs(1), Nanos::millis(500), mode);
+        durable_run(&[crash], hub).1.store.version_count()
     }
 
     #[test]
@@ -1307,15 +1276,11 @@ mod tests {
         // client stalls once its in-flight request dies with the crash
         // (closed loop, no retry), so everything in node 0's store was
         // written pre-crash.
-        let (_, freeze_vc) = durable_run(
-            Some(CrashMode::Freeze),
-            Some(MemHub::new(FsyncPolicy::Always)),
-        );
-        let (_, amnesia_vc) = durable_run(
-            Some(CrashMode::Amnesia),
-            Some(MemHub::new(FsyncPolicy::Always)),
-        );
-        let (_, naked_vc) = durable_run(Some(CrashMode::Amnesia), None);
+        let freeze_vc =
+            version_count_after(CrashMode::Freeze, Some(MemHub::new(FsyncPolicy::Always)));
+        let amnesia_vc =
+            version_count_after(CrashMode::Amnesia, Some(MemHub::new(FsyncPolicy::Always)));
+        let naked_vc = version_count_after(CrashMode::Amnesia, None);
         assert!(freeze_vc > 0, "node 0 must have written before the crash");
         assert_eq!(
             amnesia_vc, freeze_vc,
@@ -1328,10 +1293,26 @@ mod tests {
     }
 
     #[test]
+    fn an_amnesia_window_ending_inside_a_freeze_still_rebuilds_from_the_wal() {
+        use crate::faults::CrashMode;
+        use paxi_storage::{FsyncPolicy, MemHub};
+        // The amnesia window's end falls inside the freeze; the node thaws
+        // once, at the freeze's end, and must thaw as amnesia.
+        let crashes = [
+            (Nanos::secs(1), Nanos::millis(500), CrashMode::Amnesia),
+            (Nanos::millis(1_200), Nanos::millis(800), CrashMode::Freeze),
+        ];
+        let (_, node0) = durable_run(&crashes, Some(MemHub::new(FsyncPolicy::Always)));
+        assert!(node0.replayed > 0, "rebuilt from the WAL, not retained");
+        // Its client stalled with the crash: the store is the replay alone.
+        assert_eq!(node0.store.version_count(), node0.replayed);
+    }
+
+    #[test]
     fn fsync_always_costs_latency_over_no_storage() {
         use paxi_storage::{FsyncPolicy, MemHub};
-        let (volatile, _) = durable_run(None, None);
-        let (durable, _) = durable_run(None, Some(MemHub::new(FsyncPolicy::Always)));
+        let (volatile, _) = durable_run(&[], None);
+        let (durable, _) = durable_run(&[], Some(MemHub::new(FsyncPolicy::Always)));
         // Every Put now stalls its node for t_fsync (100 us by default), so
         // mean latency must rise measurably.
         assert!(

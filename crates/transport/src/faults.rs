@@ -15,12 +15,12 @@
 //!   node's delay queue and leave from its own loop, and so does whatever
 //!   the node sends to the same peer after them: a link keeps its order.
 //! * **Crashes** are applied where the node takes its events
-//!   ([`crate::runtime::Node::handle`]): while a node's crash window is
-//!   active, every event addressed to it — messages, client requests,
-//!   timers — is silently discarded, exactly like the simulator freezing a
-//!   node. The first call after the window, the node's storage tick if
-//!   nothing else, runs [`paxi_core::traits::Replica::on_restart`] (or the
-//!   amnesia rebuild) so the node rejoins.
+//!   ([`crate::runtime::Node::handle`]), by the simulator's own
+//!   [`paxi_core::faults::CrashGate`] asked in [`FaultInjector::now`]: while
+//!   a node's crash window is active, every event addressed to it —
+//!   messages, client requests, timers — is silently discarded, and the
+//!   first call after the window, the node's storage tick if nothing else,
+//!   thaws it ([`paxi_core::faults::CrashMode::thaw`]) so it rejoins.
 //!
 //! Determinism: fate decisions flow from one seeded [`Rng64`], so a fixed
 //! sequence of `(src, dst, t)` queries yields the same fates as the
@@ -29,7 +29,7 @@
 
 use crate::obs::DropCounters;
 use paxi_core::dist::Rng64;
-use paxi_core::faults::{CrashMode, FaultPlan, MsgFate};
+use paxi_core::faults::{FaultPlan, MsgFate};
 use paxi_core::id::NodeId;
 use paxi_core::time::Nanos;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -115,13 +115,6 @@ impl FaultInjector {
     /// Whether `node` is inside a crash window right now.
     pub fn is_crashed(&self, node: NodeId) -> bool {
         self.plan.is_crashed(node, self.now())
-    }
-
-    /// The [`CrashMode`] of the window covering `node` right now, if any.
-    /// Node event loops record this while frozen so the thaw path knows
-    /// whether to restart in place or rebuild from durable storage.
-    pub fn crash_mode(&self, node: NodeId) -> Option<CrashMode> {
-        self.plan.crash_mode_at(node, self.now())
     }
 
     /// Decides the fate of one `src → dst` envelope at explicit plan time

@@ -24,15 +24,17 @@
 //! place its plan acts: every peer-bound send asks for the link's fate (a
 //! delayed envelope waits in a second queue inside the node and leaves from
 //! [`Node::advance`], and what is sent to the same peer after it waits
-//! behind it: a link delivers in order), and [`Node::handle`] gates every call on the node's
-//! crash window and thaws it on the first call after — the storage tick
-//! included, so a node nobody talks to thaws within [`SYNC_TICK`].
+//! behind it: a link delivers in order), and every call on the replica —
+//! [`Node::start`], each [`Node::handle`], the storage tick included — goes
+//! through the node's [`CrashGate`], the simulator's rule: discarded inside
+//! a crash window, and the first call after one thaws the node, so a node
+//! nobody talks to thaws within [`SYNC_TICK`].
 
 use crate::envelope::Envelope;
 use crate::faults::{FaultInjector, LinkDecision};
 use paxi_core::command::{ClientRequest, ClientResponse};
 use paxi_core::dist::Rng64;
-use paxi_core::faults::{CrashMode, LinkOrder};
+use paxi_core::faults::{Admit, CrashGate, CrashMode, LinkOrder};
 use paxi_core::id::{ClientId, NodeId};
 use paxi_core::obs::DropCause;
 use paxi_core::time::Nanos;
@@ -316,13 +318,12 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M>
 /// the simulator does. Each peer-bound send gets the link's fate: dropped
 /// (on the ledger), sent, or held in the node's delay queue until
 /// [`Node::advance`] releases it — even from a frozen or rebuilt node, as
-/// the frame is already in flight. While the node's crash window is active
-/// every call (messages, requests, timers, the storage tick) is discarded;
-/// the first call after it thaws the node as the window's [`CrashMode`]
-/// says, before normal dispatch resumes. [`CrashMode::Freeze`] runs
-/// [`Replica::on_restart`] on the retained replica. [`CrashMode::Amnesia`]
-/// rebuilds the replica via the [`Remake`] (whose storage attachment
-/// replays the WAL), runs [`Replica::on_recover`] and re-dials the peers.
+/// the frame is already in flight. Every call on the replica (start,
+/// messages, requests, timers, the storage tick) asks the node's
+/// [`CrashGate`] in [`FaultInjector::now`]: inside a crash window it is
+/// discarded; the first call after one thaws the node through
+/// [`CrashMode::thaw`] first, with the [`Remake`] (whose storage attachment
+/// replays the WAL) for amnesia, after which the node re-dials its peers.
 /// [`Envelope::Shutdown`] is always honored, crashed or not. Armed timers
 /// are the node's, not the replica's: one that comes due inside a crash
 /// window is discarded like any other event, and one armed before an
@@ -340,11 +341,10 @@ pub struct Node<R: Replica, O: Outbound<R::Msg>> {
     tokens: u64,
     rng: Rng64,
     faults: Option<(Arc<FaultInjector>, Remake<R>)>,
+    /// The node's crash lifecycle under `faults`.
+    gate: CrashGate,
     delayed: DelayQueue<R::Msg>,
     links: LinkOrder<Instant>,
-    /// The mode of the crash window this node is in, or has left without
-    /// having thawed yet.
-    frozen: Option<CrashMode>,
     /// An event was handled since the last [`Node::advance`].
     busy: bool,
     /// Since when the node has been quiet (no event), as far as `advance`
@@ -379,9 +379,9 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
             tokens: 0,
             rng: Rng64::seed(seed),
             faults,
+            gate: CrashGate::default(),
             delayed: DelayQueue::new(),
             links: LinkOrder::default(),
-            frozen: None,
             busy: false,
             quiet_since: epoch,
         }
@@ -405,12 +405,44 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
         (&mut self.replica, ctx)
     }
 
-    /// Runs [`Replica::on_start`]. Call once, on the node's thread, before
-    /// the first [`Node::handle`].
+    /// Runs [`Replica::on_start`], unless a crash window covers the start:
+    /// then the node runs nothing until it thaws. Call once, on the node's
+    /// thread, before the first [`Node::handle`].
     pub fn start(&mut self) {
+        self.run(false, |replica, ctx| replica.on_start(ctx));
+    }
+
+    /// Runs `call` on the replica as the node's [`CrashGate`] admits it:
+    /// not at all inside a crash window (charged to [`DropCause::Crashed`]
+    /// when `lost`, i.e. the call delivers a message or a request), after a
+    /// thaw if a window ended since the last call. Then reconciles the live
+    /// link set with the replica's membership view, so activation-time
+    /// joins get warm links before the next event.
+    fn run(&mut self, lost: bool, call: impl FnOnce(&mut R, &mut ThreadCtx<'_, R::Msg, O>)) {
+        let thaw = match &self.faults {
+            None => None,
+            Some((inj, remake)) => match self.gate.admit(inj.plan(), self.id, inj.now()) {
+                Admit::Discard if lost => return inj.drops().record(DropCause::Crashed),
+                Admit::Discard => return,
+                Admit::Run => None,
+                Admit::Thaw(mode) => Some((mode, Arc::clone(remake))),
+            },
+        };
+        let id = self.id;
         let (replica, mut ctx) = self.parts();
-        replica.on_start(&mut ctx);
-        sync_peers(self.id, &self.replica, &mut self.peers, &mut self.out);
+        if let Some((mode, remake)) = thaw {
+            mode.thaw(replica, || remake(id), &mut ctx);
+            if mode == CrashMode::Amnesia {
+                // An amnesiac node's transport may have dropped its links
+                // while it was dark (peers tore down dead connections); warm
+                // them again so recovery traffic doesn't eat dial latency.
+                for &p in ctx.peers {
+                    ctx.out.connect_peer(p);
+                }
+            }
+        }
+        call(replica, &mut ctx);
+        sync_peers(id, &self.replica, &mut self.peers, &mut self.out);
     }
 
     /// The transport half the node sends through, for the loop that owns
@@ -464,65 +496,23 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
     /// Returns `false` once the node has been told to shut down.
     pub fn handle(&mut self, ev: Option<NodeEvent<R::Msg>>) -> bool {
         self.busy |= ev.is_some();
-        let mut thawed = None;
-        if let Some((inj, remake)) = &self.faults {
-            if inj.is_crashed(self.id) {
-                if matches!(ev, Some(NodeEvent::Wire(Envelope::Shutdown))) {
-                    return false;
-                }
-                // Wire traffic discarded by a frozen node is a real loss the
-                // cluster must account for; timers and ticks are not
-                // messages, so they don't enter the drop ledger.
-                if matches!(
-                    ev,
-                    Some(NodeEvent::Wire(Envelope::Msg { .. }))
-                        | Some(NodeEvent::Wire(Envelope::Request(_)))
-                ) {
-                    inj.drops().record(DropCause::Crashed);
-                }
-                // Record the window's mode while it is still queryable: by
-                // thaw time the window no longer covers the clock.
-                if self.frozen.is_none() {
-                    self.frozen = Some(inj.crash_mode(self.id).unwrap_or_default());
-                }
-                return true;
-            }
-            // The first call after the window thaws the node, be it an
-            // event or the storage tick.
-            thawed = self.frozen.take();
-            if thawed == Some(CrashMode::Amnesia) {
-                self.replica = remake(self.id);
-            }
-        }
-        let (replica, mut ctx) = self.parts();
-        match thawed {
-            Some(CrashMode::Freeze) => replica.on_restart(&mut ctx),
-            Some(CrashMode::Amnesia) => {
-                replica.on_recover(&mut ctx);
-                // An amnesiac node's transport may have dropped its links
-                // while it was dark (peers tore down dead connections); warm
-                // them again so recovery traffic doesn't eat dial latency.
-                for &p in ctx.peers {
-                    ctx.out.connect_peer(p);
-                }
-            }
-            None => {}
-        }
-        match ev {
+        // Wire traffic discarded by a frozen node is a real loss the cluster
+        // must account for; timers and ticks are not messages, so they
+        // don't enter the drop ledger.
+        let lost = match &ev {
+            Some(NodeEvent::Wire(Envelope::Shutdown)) => return false,
+            Some(NodeEvent::Wire(Envelope::Msg { .. } | Envelope::Request(_))) => true,
+            _ => false,
+        };
+        self.run(lost, |replica, ctx| match ev {
             None => replica.sync_storage(),
             Some(NodeEvent::Wire(Envelope::Msg { from, msg })) => {
-                replica.on_message(from, msg, &mut ctx)
+                replica.on_message(from, msg, ctx)
             }
-            Some(NodeEvent::Wire(Envelope::Request(req))) => replica.on_request(req, &mut ctx),
-            Some(NodeEvent::Wire(Envelope::Response(_))) => {}
-            Some(NodeEvent::Wire(Envelope::Shutdown)) => return false,
-            Some(NodeEvent::Timer { kind, token }) => replica.on_timer(kind, token, &mut ctx),
-        }
-        // A handled event (or a thaw) may have activated a configuration;
-        // reconcile the live link set with the replica's membership view
-        // before the next event so activation-time joins get warm links
-        // immediately.
-        sync_peers(self.id, &self.replica, &mut self.peers, &mut self.out);
+            Some(NodeEvent::Wire(Envelope::Request(req))) => replica.on_request(req, ctx),
+            Some(NodeEvent::Wire(_)) => {}
+            Some(NodeEvent::Timer { kind, token }) => replica.on_timer(kind, token, ctx),
+        });
         true
     }
 }
@@ -767,6 +757,24 @@ mod tests {
         // handled the event, and the links to both peers were warmed.
         assert!(rig.log.lock().unwrap().is_empty());
         assert_eq!(*rig.remade.lock().unwrap(), ["recover", "message", "tick"]);
+        assert_eq!(rig.links().dials, [n(1), n(2)]);
+    }
+
+    #[test]
+    fn a_freeze_then_an_amnesia_back_to_back_thaws_as_amnesia() {
+        let (mut plan, half) = (FaultPlan::new(), Nanos(WINDOW.0 / 2));
+        plan.crash(n(0), Nanos::ZERO, half);
+        plan.crash_amnesia(n(0), half, half);
+        let mut rig = Rig::with(plan);
+        // Discarded inside the freeze, which says nothing about the thaw.
+        assert!(rig.node.handle(msg()));
+        rig.wait_for_thaw();
+        assert!(rig.node.handle(msg()));
+        assert!(
+            rig.log.lock().unwrap().is_empty(),
+            "the old replica is gone"
+        );
+        assert_eq!(*rig.remade.lock().unwrap(), ["recover", "message"]);
         assert_eq!(rig.links().dials, [n(1), n(2)]);
     }
 

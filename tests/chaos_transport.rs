@@ -4,18 +4,26 @@
 //! The same `FaultPlan` type drives both worlds. These tests check (a) the
 //! decision layer is *identical* — a fixed seed yields the same message
 //! fates whether the plan is consulted by the simulator or by the
-//! transport's `FaultInjector` — and (b) a real cluster under `launch_chaotic`
+//! transport's `FaultInjector`, and one plan takes a simulated and a live
+//! node through the same crash lifecycle — and (b) a real cluster under `launch_chaotic`
 //! stays linearizable through crashes, flaky links, and partitions, and
 //! frozen nodes rejoin after their windows end.
 
 use paxi::bench::check_linearizability;
-use paxi::core::{ClientResponse, ClusterConfig, Command, FaultPlan, Nanos, NodeId};
+use paxi::core::{
+    ClientRequest, ClientResponse, ClusterConfig, Command, Context, FaultPlan, Nanos, NodeId,
+    Replica,
+};
 use paxi::protocols::paxos::{paxos_cluster, PaxosConfig};
-use paxi::sim::OpRecord;
-use paxi::transport::{FaultInjector, InProcCluster, LinkDecision, TcpCluster};
+use paxi::sim::client::uniform_workload;
+use paxi::sim::{OpRecord, SimConfig, Simulator};
+use paxi::transport::runtime::{InboxTx, Node, Outbound};
+use paxi::transport::{Envelope, FaultInjector, InProcCluster, LinkDecision, Remake, TcpCluster};
 use paxi_core::dist::Rng64;
 use paxi_core::faults::MsgFate;
-use std::time::Duration;
+use paxi_core::id::ClientId;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn n(i: u8) -> NodeId {
     NodeId::new(0, i)
@@ -61,6 +69,88 @@ fn injector_fates_match_sim_fates_for_a_fixed_seed() {
             );
         }
     }
+}
+
+type Hooks = Arc<Mutex<Vec<&'static str>>>;
+
+/// Logs the lifecycle hooks it is called with, and nothing else.
+struct Lifecycle(Hooks);
+
+impl Replica for Lifecycle {
+    type Msg = ();
+    fn on_start(&mut self, _ctx: &mut dyn Context<()>) {
+        self.0.lock().unwrap().push("start");
+    }
+    fn on_restart(&mut self, _ctx: &mut dyn Context<()>) {
+        self.0.lock().unwrap().push("restart");
+    }
+    fn on_recover(&mut self, _ctx: &mut dyn Context<()>) {
+        self.0.lock().unwrap().push("recover");
+    }
+    fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut dyn Context<()>) {}
+    fn on_request(&mut self, _req: ClientRequest, _ctx: &mut dyn Context<()>) {}
+}
+
+/// A transport with nowhere to send.
+struct Nowhere;
+
+impl Outbound<()> for Nowhere {
+    fn to_node(&mut self, _to: NodeId, _env: Envelope<()>) {}
+    fn to_client(&mut self, _client: ClientId, _resp: ClientResponse) {}
+}
+
+/// One plan, a freeze then an amnesia window for node 0, takes a simulated
+/// node and a live one through the same hooks: both substrates ask the same
+/// crash gate and thaw through the same function.
+#[test]
+fn the_simulator_and_a_live_node_run_the_same_crash_lifecycle() {
+    let mut plan = FaultPlan::new();
+    plan.crash(n(0), Nanos::millis(50), Nanos::millis(100));
+    plan.crash_amnesia(n(0), Nanos::millis(250), Nanos::millis(100));
+    let horizon = Nanos::millis(450);
+    let factory = |log: &Hooks| {
+        let log = Arc::clone(log);
+        move |_| Lifecycle(Arc::clone(&log))
+    };
+
+    let sim_log = Hooks::default();
+    let cfg = SimConfig {
+        warmup: Nanos::ZERO,
+        measure: horizon,
+        ..SimConfig::default()
+    };
+    let cluster = ClusterConfig::lan(1);
+    let mut sim = Simulator::new(cfg, cluster, factory(&sim_log), uniform_workload(1), vec![]);
+    *sim.faults_mut() = plan.clone();
+    sim.run();
+
+    let live_log = Hooks::default();
+    let inj = FaultInjector::new(plan, 1);
+    let remake: Remake<Lifecycle> = Arc::new(factory(&live_log));
+    let (tx, _rx) = std::sync::mpsc::channel();
+    let replica = Lifecycle(Arc::clone(&live_log));
+    let faults = Some((Arc::clone(&inj), remake));
+    let inbox = InboxTx::new(tx);
+    let mut node = Node::new(
+        n(0),
+        replica,
+        vec![],
+        inbox,
+        Nowhere,
+        Instant::now(),
+        1,
+        faults,
+    );
+    inj.start(Instant::now());
+    node.start();
+    // The node's loop: a pass, then a nap no longer than a storage tick.
+    while inj.now() < horizon {
+        node.advance(Instant::now());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    assert_eq!(*sim_log.lock().unwrap(), ["start", "restart", "recover"]);
+    assert_eq!(*live_log.lock().unwrap(), *sim_log.lock().unwrap());
 }
 
 /// Drives one blocking client, recording every op with injector-relative
