@@ -465,12 +465,6 @@ impl<M: Serialize + Clone + std::fmt::Debug + Send + 'static> Outbound<M> for Ne
         // message retries through the normal send path.
         let _ = Net::connect_peer(self, peer);
     }
-    fn disconnect_peer(&mut self, peer: NodeId) {
-        if let Some(id) = self.peers.remove(&peer) {
-            self.close(id);
-        }
-        self.backoff.remove(&peer);
-    }
 }
 
 /// Reads connection `id` until its socket would block, feeding the frame

@@ -148,6 +148,34 @@ fn raft_join_under_random_faults() {
     }
 }
 
+// --- the broadcast rule: a removed node keeps hearing its cluster ---
+
+#[test]
+fn the_leave_recovers_as_well_as_the_join() {
+    // A node broadcasts to every other node of its cluster, members or not
+    // (DESIGN.md "One node loop"). The leaver therefore keeps hearing the
+    // leader once it is removed, and the tail after the heal is as long as
+    // the join's. Were broadcasts sent to the membership view, the removed
+    // node would hear nobody and campaign on and on: 0.2–80 % of the
+    // join's tail. Every other auditor passes either way.
+    for proto in [Proto::paxos(), raft()] {
+        for mode in [CrashMode::Freeze, CrashMode::Amnesia] {
+            for seed in [1, 2, 3] {
+                let joiner = cell(&proto, ReconfigVictim::Joiner, mode, seed);
+                let leaver = cell(&proto, ReconfigVictim::Leaver, mode, seed);
+                assert!(
+                    10 * leaver.tail_completed >= 9 * joiner.tail_completed,
+                    "{} {} seed {seed}: leaver tail {} against the joiner's {}\n{leaver}",
+                    proto.name(),
+                    mode.label(),
+                    leaver.tail_completed,
+                    joiner.tail_completed,
+                );
+            }
+        }
+    }
+}
+
 // --- crash recovery: the amnesia victims rejoin in the NEW config ---
 
 #[test]
