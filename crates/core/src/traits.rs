@@ -185,10 +185,9 @@ pub trait Replica {
 
     /// The node's current view of the voting membership (all voters of the
     /// active configuration, joint sets unioned), if the protocol supports
-    /// dynamic membership. Wall-clock runtimes poll this after each event
-    /// to add or remove live peer links when a reconfiguration activates.
-    /// The default `None` means membership is static for this protocol and
-    /// the runtime keeps its startup peer set.
+    /// dynamic membership; the default `None` means it is static. Only the
+    /// auditors read it (the cut-over check): a node broadcasts to every
+    /// other node of its cluster, whatever its view.
     fn current_members(&self) -> Option<Vec<NodeId>> {
         None
     }

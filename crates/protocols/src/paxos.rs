@@ -1200,8 +1200,8 @@ impl Replica for MultiPaxos {
     }
 
     /// The union of the configuration governing the frontier of this
-    /// replica's log and every configuration still inside its α window — a
-    /// joining node needs its peer links *before* its config takes effect.
+    /// replica's log and every configuration still inside its α window, for
+    /// the auditors' cut-over check.
     fn current_members(&self) -> Option<Vec<NodeId>> {
         let governing = self
             .configs
@@ -2561,7 +2561,7 @@ mod tests {
         };
         let mut sim = lan_sim_with(5, PaxosConfig::default(), 8, sim);
         let _ = sim.run();
-        for r in sim.replicas() {
+        for r in sim.replicas().iter() {
             assert!(r.log.len() < 64, "{} slots retained", r.log.len());
             assert!(
                 r.state.store().executed() > 1_000,

@@ -1257,8 +1257,8 @@ impl Replica for Raft {
         self.leader_hint
     }
 
-    /// The voters of the active configuration — the live runtimes poll this
-    /// after each event to add/remove peer links when a transition lands.
+    /// The voters of the active configuration, for the auditors' cut-over
+    /// check.
     fn current_members(&self) -> Option<Vec<NodeId>> {
         Some(self.membership.voters())
     }

@@ -7,8 +7,10 @@
 //! `paxi_transport::FaultInjector`). This module re-exports them under
 //! their historical `paxi_sim` paths.
 //!
-//! The simulator asks each node's `paxi_core::faults::CrashGate` before
-//! dispatching any event to it (the live node asks the same gate),
+//! The simulator lends the plan to each node it drives
+//! (`paxi_transport::runtime::Node`, the live node's type), whose
+//! `paxi_core::faults::CrashGate` asks it at the instant the node would
+//! start serving an input. The simulator itself asks
 //! [`FaultPlan::message_fate`] for every emitted message (which then
 //! arrives no earlier than the one sent on its link before it,
 //! `paxi_core::faults::LinkOrder`), and ticks a node at each crash window's

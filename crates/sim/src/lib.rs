@@ -8,9 +8,10 @@
 //! delays are drawn from per-zone-pair Normal distributions, and client load
 //! is generated open-loop (Poisson, as the queueing models assume) or
 //! closed-loop (as the Paxi benchmarker does). Because the same replica code
-//! (`paxi_core::traits::Replica`) also runs on the wall-clock runtimes in
-//! `paxi-transport`, the simulator provides a controlled, reproducible
-//! environment for the protocol comparisons of §5.
+//! (`paxi_core::traits::Replica`) runs through the same node
+//! (`paxi_transport::runtime::Node`) on the wall-clock runtimes, the
+//! simulator provides a controlled, reproducible environment for the
+//! protocol comparisons of §5.
 //!
 //! * [`topology`] — LAN/WAN latency models (AWS-calibrated presets).
 //! * [`faults`] — Crash / Drop / Slow / Flaky / partition injection.

@@ -1,9 +1,9 @@
 //! # paxi-transport
 //!
 //! Wall-clock runtimes for Paxi protocols — the empirical counterpart to the
-//! virtual-time simulator in `paxi-sim`. The same
-//! [`paxi_core::traits::Replica`] implementations run here on real threads
-//! and real sockets:
+//! virtual-time simulator in `paxi-sim` — and the one node loop both run
+//! replica code through. The same [`paxi_core::traits::Replica`]
+//! implementations run here on real threads and real sockets:
 //!
 //! * [`channel`] — all nodes in one process over `std::sync::mpsc` channels (Paxi's
 //!   "cluster simulation" mode, which simplifies debugging).
@@ -16,8 +16,10 @@
 //! * [`udp`] — one datagram socket per node; best-effort delivery with
 //!   client retries (for protocols that gain nothing from ordered delivery).
 //! * [`runtime`] — [`runtime::Node`], the one-event-at-a-time replica driver
-//!   all three share (the replica's timers, link fates and crash windows
-//!   live in it), and the inbox loop of the channel and UDP transports.
+//!   all three share with the simulator (the crash gate, the timer tokens,
+//!   the broadcast set and the one `Context` live in it; live, so do the
+//!   timers and link fates), and the inbox loop of the channel and UDP
+//!   transports.
 //! * [`faults`] — live fault injection: every transport has a
 //!   `launch_chaotic` constructor that applies a
 //!   [`paxi_core::faults::FaultPlan`] (Crash / Drop / Slow / Flaky) against
