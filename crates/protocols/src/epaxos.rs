@@ -167,6 +167,13 @@ pub struct EPaxos {
     instances: HashMap<NodeId, BTreeMap<u64, Instance>>,
     key_info: HashMap<u64, KeyInfo>,
     pending_exec: HashSet<IRef>,
+    /// Committed instances known not to be executable yet, each mapped to
+    /// the uncommitted instance a committed dependency path of theirs
+    /// reaches. Such an instance stays blocked until that one commits, so
+    /// `execute_ready` skips it instead of walking its graph again.
+    blocked: HashMap<IRef, IRef>,
+    /// `blocked` inverted: blocker → the instances it blocks.
+    waiting: HashMap<IRef, Vec<IRef>>,
     state: State,
 }
 
@@ -183,6 +190,8 @@ impl EPaxos {
             instances: HashMap::new(),
             key_info: HashMap::new(),
             pending_exec: HashSet::new(),
+            blocked: HashMap::new(),
+            waiting: HashMap::new(),
             state: State::default(),
         }
     }
@@ -273,11 +282,30 @@ impl EPaxos {
             any_changed: false,
             accept_oks: 0,
         };
-        self.instances
+        let old = self
+            .instances
             .entry(iref.leader)
             .or_default()
             .insert(iref.idx, inst);
+        if old.is_some_and(|o| matches!(o.status, Status::Committed | Status::Executed)) {
+            // A decided instance lost its status: paths through it changed.
+            self.forget_blocked();
+        }
         self.note_instance(iref, key, seq);
+    }
+
+    /// `iref` just committed: what it blocked may be executable now.
+    fn unblock(&mut self, iref: IRef) {
+        for w in self.waiting.remove(&iref).unwrap_or_default() {
+            if self.blocked.get(&w) == Some(&iref) {
+                self.blocked.remove(&w);
+            }
+        }
+    }
+
+    fn forget_blocked(&mut self) {
+        self.blocked.clear();
+        self.waiting.clear();
     }
 
     fn commit(&mut self, iref: IRef, ctx: &mut dyn Context<EpaxosMsg>) {
@@ -288,6 +316,7 @@ impl EPaxos {
         inst.status = Status::Committed;
         let (cmd, seq, deps) = (inst.cmd.clone(), inst.seq, inst.deps.clone());
         let req = inst.req;
+        self.unblock(iref);
         self.pending_exec.insert(iref);
         self.persist(iref, WalStatus::Committed);
         ctx.count(Metric::Commits, 1);
@@ -318,10 +347,14 @@ impl EPaxos {
                     return;
                 }
                 newly_committed = inst.status != Status::Committed;
+                let moved = !newly_committed && inst.deps != deps;
                 inst.cmd = cmd;
                 inst.seq = seq;
                 inst.deps = deps;
                 inst.status = Status::Committed;
+                if moved {
+                    self.forget_blocked();
+                }
             }
             None => {
                 self.insert_instance(iref, cmd, seq, deps, Status::Committed, None);
@@ -329,6 +362,7 @@ impl EPaxos {
             }
         }
         if newly_committed {
+            self.unblock(iref);
             ctx.count(Metric::Commits, 1);
         }
         let (key, seq) = {
@@ -352,10 +386,22 @@ impl EPaxos {
                 if !self.pending_exec.contains(&root) {
                     continue; // executed as part of an earlier SCC pass
                 }
-                if let Some(order) = self.executable_order(root) {
-                    for iref in order {
-                        self.execute_one(iref, ctx);
-                        progress = true;
+                if self.blocked.contains_key(&root) {
+                    continue;
+                }
+                match self.executable_order(root) {
+                    Ok(order) => {
+                        for iref in order {
+                            self.execute_one(iref, ctx);
+                            progress = true;
+                        }
+                    }
+                    Err((blocker, path)) => {
+                        let waiters = self.waiting.entry(blocker).or_default();
+                        for v in path {
+                            self.blocked.insert(v, blocker);
+                            waiters.push(v);
+                        }
                     }
                 }
             }
@@ -363,9 +409,10 @@ impl EPaxos {
     }
 
     /// Iterative Tarjan SCC over the committed-unexecuted subgraph reachable
-    /// from `root`. Returns instances in execution order, or `None` if any
-    /// reachable dependency is not yet committed.
-    fn executable_order(&self, root: IRef) -> Option<Vec<IRef>> {
+    /// from `root`. Returns instances in execution order, or, if a reachable
+    /// dependency is not yet committed, that blocker and the committed path
+    /// from `root` that reaches it (empty if `root` itself is uncommitted).
+    fn executable_order(&self, root: IRef) -> Result<Vec<IRef>, (IRef, Vec<IRef>)> {
         #[derive(Default)]
         struct TState {
             index: HashMap<IRef, usize>,
@@ -388,8 +435,10 @@ impl EPaxos {
             }
         };
 
-        if !committed_unexecuted(self, root)? {
-            return Some(Vec::new());
+        match committed_unexecuted(self, root) {
+            None => return Err((root, Vec::new())),
+            Some(false) => return Ok(Vec::new()),
+            Some(true) => {}
         }
         st.index.insert(root, 0);
         st.low.insert(root, 0);
@@ -403,8 +452,13 @@ impl EPaxos {
             if *cursor < deps.len() {
                 let w = deps[*cursor];
                 *cursor += 1;
-                if !committed_unexecuted(self, w)? {
-                    continue; // executed dep: satisfied
+                let blocker = match committed_unexecuted(self, w) {
+                    None => Some(w),
+                    Some(false) => continue, // executed dep: satisfied
+                    Some(true) => self.blocked.get(&w).copied(),
+                };
+                if let Some(blocker) = blocker {
+                    return Err((blocker, dfs.iter().map(|&(v, _)| v).collect()));
                 }
                 if let Some(&wi) = st.index.get(&w) {
                     if st.on_stack.contains(&w) {
@@ -447,7 +501,7 @@ impl EPaxos {
             }
         }
         // Tarjan emits SCCs dependencies-first along dep edges.
-        Some(st.order.into_iter().flatten().collect())
+        Ok(st.order.into_iter().flatten().collect())
     }
 
     /// Executes `iref` through the replica layer; its command leader
@@ -954,6 +1008,45 @@ mod tests {
         assert_eq!(hist.len(), 2);
         assert_eq!(hist[0].value(), Some(&[1][..]), "A executes first");
         assert_eq!(hist[1].value(), Some(&[2][..]));
+    }
+
+    #[test]
+    fn a_long_chain_waiting_on_one_missing_commit_executes_when_it_arrives() {
+        // A replica cut off from one command leader keeps hearing commits
+        // that all depend, through each other, on one it never got. They
+        // wait, then execute in chain order once the missing one commits.
+        let mut e = EPaxos::new(NodeId::new(0, 1), ClusterConfig::lan(5));
+        let mut ctx = probe(NodeId::new(0, 1));
+        let missing = IRef {
+            leader: NodeId::new(0, 0),
+            idx: 0,
+        };
+        let chain = |idx: u64| IRef {
+            leader: NodeId::new(0, 2),
+            idx,
+        };
+        let commit = |iref: IRef, seq: u64, deps: Vec<IRef>| EpaxosMsg::Commit {
+            iref,
+            cmd: paxi_core::Command::put(7, seq.to_le_bytes().to_vec()),
+            seq,
+            deps,
+        };
+        let n = 2_000u64;
+        for i in 0..n {
+            let dep = if i == 0 { missing } else { chain(i - 1) };
+            e.on_message(
+                NodeId::new(0, 2),
+                commit(chain(i), i + 2, vec![dep]),
+                &mut ctx,
+            );
+        }
+        assert!(e.store().unwrap().history(7).is_empty());
+        e.on_message(NodeId::new(0, 0), commit(missing, 1, vec![]), &mut ctx);
+        let hist = e.store().unwrap().history(7);
+        assert_eq!(hist.len() as u64, n + 1);
+        for (i, v) in hist.iter().enumerate() {
+            assert_eq!(v.value(), Some(&(i as u64 + 1).to_le_bytes()[..]));
+        }
     }
 
     #[test]
