@@ -45,6 +45,17 @@
 //! its place. A dial goes straight into the table; the next write pass
 //! sends its handshake.
 //!
+//! **Peer links.** A pair of nodes shares one connection and both write on
+//! it, so a reply travels back on the connection its request came in on
+//! and carries the TCP acknowledgement of that request. [`TcpCluster`]
+//! builds every pair's connection before any node runs ([`mesh`]): the
+//! lower [`NodeId`] connects, the higher accepts. Afterwards only the lower
+//! end dials, to replace a link that closed: on its next send to that peer
+//! and before every write pass of its loop, under exponential backoff. The
+//! higher end adopts the newest [`Hello::Peer`] from the lower one and,
+//! while it has no link, charges what it sends to [`DropCause::Reconnect`].
+//! A pair therefore never has two live links, and a link delivers in order.
+//!
 //! **What crosses threads**: only shutdown, from whoever owns the cluster,
 //! through the copy of the node's [`InboxTx`] that [`TcpCluster`] keeps,
 //! which writes to the loop's [`WakePipe`] after queueing. The rest is the
@@ -133,6 +144,14 @@ struct Conn {
 }
 
 impl Conn {
+    /// A link to `peer`, nonblocking. Frames arrive on it from the peer, so
+    /// its identity is set: none of them is read as a handshake.
+    fn peer(stream: TcpStream, peer: NodeId) -> std::io::Result<Self> {
+        stream.set_nodelay(true).ok();
+        stream.set_nonblocking(true)?;
+        Ok(Conn::new(stream, Some(Hello::Peer(peer))))
+    }
+
     fn new(stream: TcpStream, identity: Option<Hello>) -> Self {
         Conn {
             stream,
@@ -241,8 +260,8 @@ struct Net {
     conns: HashMap<ConnId, Conn>,
     /// The id the next connection gets.
     next_id: ConnId,
-    /// The connection this node dialed to each peer, which it writes that
-    /// peer on; never a closed one.
+    /// The one connection to each peer, which this node writes that peer
+    /// on and reads it from; never a closed one.
     peers: HashMap<NodeId, ConnId>,
     backoff: HashMap<NodeId, Backoff>,
     jitter: Rng64,
@@ -286,14 +305,31 @@ impl Net {
     }
 
     /// Records the handshake of connection `id`. A client's replies go back
-    /// on that connection from now on.
+    /// on that connection from now on; a peer below this node dialed it to
+    /// replace its link, so it becomes the link and an older one, which
+    /// the peer has given up on, is closed.
     fn hello(&mut self, id: ConnId, hello: Hello) {
         if let Some(c) = self.conns.get_mut(&id) {
             c.identity = Some(hello);
         }
-        if let Hello::Client(client) = hello {
-            self.routes.insert(client, Route::Local(id));
+        match hello {
+            Hello::Client(client) => {
+                self.routes.insert(client, Route::Local(id));
+            }
+            Hello::Peer(peer) if peer < self.me => {
+                if let Some(old) = self.peers.insert(peer, id) {
+                    self.close(old);
+                }
+            }
+            Hello::Peer(_) => {}
         }
+    }
+
+    /// Makes `conn` this node's link to `peer`.
+    fn link(&mut self, peer: NodeId, conn: Conn) -> ConnId {
+        let id = self.open(conn);
+        self.peers.insert(peer, id);
+        id
     }
 
     /// Tears connection `id` down, if it is still open: unhooks the reply
@@ -345,11 +381,13 @@ impl Net {
     }
 
     /// Best-effort send to a peer of whatever `stage` puts on its link:
-    /// sheds under backpressure, dials (under backoff) if there is no link.
+    /// sheds under backpressure; with no link, dials (under backoff) if
+    /// this node is the lower end.
     fn send_to_peer(&mut self, to: NodeId, stage: impl FnOnce(&mut Conn) -> Result<(), TxError>) {
         let link = self.peers.get(&to).copied();
-        // No link and none to be had (the dial failed, or the backoff window
-        // is still closed): a reconnect-window loss.
+        // No link and none to be had (the higher end waits for the lower to
+        // dial, the dial failed, or the backoff window is still closed): a
+        // reconnect-window loss.
         let Some(id) = link.or_else(|| self.connect_peer(to)) else {
             return self.drops.record(DropCause::Reconnect);
         };
@@ -357,21 +395,21 @@ impl Net {
         self.settle(staged, DropCause::Reconnect);
     }
 
-    /// Dials `to` unless its backoff window is still closed. On success the
-    /// link is kept and the backoff cleared; on failure the next attempt is
-    /// pushed out exponentially (with jitter, so a whole cluster redialing
-    /// one recovered node doesn't stampede in lockstep).
+    /// Dials `to`, a peer above this node, unless its backoff window is
+    /// still closed. On success the link is kept and the backoff cleared;
+    /// on failure the next attempt is pushed out exponentially (with
+    /// jitter, so a whole cluster redialing one recovered node doesn't
+    /// stampede in lockstep).
     fn connect_peer(&mut self, to: NodeId) -> Option<ConnId> {
         let now = Instant::now();
-        if self.backoff.get(&to).is_some_and(|b| now < b.next_attempt) {
+        if to < self.me || self.backoff.get(&to).is_some_and(|b| now < b.next_attempt) {
             return None;
         }
         let addr = *self.addrs.get(&to)?;
         match self.dial(to, addr) {
-            Some(id) => {
+            Some(conn) => {
                 self.backoff.remove(&to);
-                self.peers.insert(to, id);
-                Some(id)
+                Some(self.link(to, conn))
             }
             None => {
                 let entry = self.backoff.entry(to).or_insert(Backoff {
@@ -386,18 +424,24 @@ impl Net {
         }
     }
 
+    /// From the loop's pass: dials each peer above this node that has no
+    /// link, as its backoff allows, so the higher end can send again
+    /// without waiting for this one to.
+    fn redial(&mut self) {
+        let (addrs, me) = (Arc::clone(&self.addrs), self.me);
+        for &peer in addrs.keys().filter(|&&p| p > me) {
+            if !self.peers.contains_key(&peer) {
+                self.connect_peer(peer);
+            }
+        }
+    }
+
     /// Dials peer `to` at `addr` (blocking connect, then nonblocking forever
-    /// after) and puts the link in the table, its handshake staged.
-    fn dial(&mut self, to: NodeId, addr: SocketAddr) -> Option<ConnId> {
-        let stream = TcpStream::connect(addr).ok()?;
-        stream.set_nodelay(true).ok();
-        stream.set_nonblocking(true).ok()?;
-        // Nothing arrives on a dial-out link (the remote replies over its own
-        // outbound connection); the identity keeps any stray inbound frame
-        // from being misread as a handshake.
-        let mut c = Conn::new(stream, Some(Hello::Peer(to)));
+    /// after): the link, its handshake staged.
+    fn dial(&self, to: NodeId, addr: SocketAddr) -> Option<Conn> {
+        let mut c = Conn::peer(TcpStream::connect(addr).ok()?, to).ok()?;
         c.stage(&Hello::Peer(self.me)).ok()?;
-        Some(self.open(c))
+        Some(c)
     }
 
     fn deliver_response(&mut self, resp: ClientResponse) {
@@ -459,11 +503,6 @@ impl<M: Serialize + Clone + std::fmt::Debug + Send + 'static> Outbound<M> for Ne
     }
     fn to_client(&mut self, _client: ClientId, resp: ClientResponse) {
         self.deliver_response(resp);
-    }
-    fn connect_peer(&mut self, peer: NodeId) {
-        // Warm-up dial: failure just arms the backoff; the next protocol
-        // message retries through the normal send path.
-        let _ = Net::connect_peer(self, peer);
     }
 }
 
@@ -558,6 +597,24 @@ fn accept_all(listener: &TcpListener, net: &mut Net) {
     }
 }
 
+/// Links every pair of `nets` (in id order; `listeners[i]` is `nets[i]`'s)
+/// with one connection before any node runs: the lower id connects, the
+/// higher accepts, and each end enters it as its link to the other, with
+/// no handshake on it.
+fn mesh(nets: &mut [Net], listeners: &[TcpListener]) -> std::io::Result<()> {
+    for hi in 0..nets.len() {
+        for lo in 0..hi {
+            let (lo_id, hi_id) = (nets[lo].me, nets[hi].me);
+            let out = TcpStream::connect(listeners[hi].local_addr()?)?;
+            // Blocking, and nothing else can have connected yet: this is it.
+            let (accepted, _) = listeners[hi].accept()?;
+            nets[lo].link(hi_id, Conn::peer(out, hi_id)?);
+            nets[hi].link(lo_id, Conn::peer(accepted, lo_id)?);
+        }
+    }
+    Ok(())
+}
+
 /// One node: every socket and the replica, on the calling thread, until a
 /// shutdown arrives through `inbox`. The module docs give the pass order.
 ///
@@ -587,8 +644,10 @@ fn reactor_loop<R>(
                 break 'run;
             }
         }
-        // Write: one scan writes what this pass staged, closes the
-        // connections whose socket failed, and rebuilds the poll set.
+        // Write: after the lower end dials each link that closed, one scan
+        // writes what this pass staged, closes the connections whose socket
+        // failed, and rebuilds the poll set.
+        node.out().redial();
         fds.clear();
         fds.push(PollFd::new(waker.read_fd(), POLLIN));
         fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
@@ -693,15 +752,21 @@ where
         for &id in &all {
             let l = TcpListener::bind("127.0.0.1:0")?;
             addrs.insert(id, l.local_addr()?);
-            listeners.push((id, l));
+            listeners.push(l);
         }
         let addrs = Arc::new(addrs);
+        let mut nets: Vec<Net> = all
+            .iter()
+            .map(|&id| Net::new(id, Arc::clone(&addrs), drops.clone(), conns.clone()))
+            .collect();
+        mesh(&mut nets, &listeners)?;
         let epoch = Instant::now();
         let chaos = chaos(faults, &factory, epoch);
         let mut inboxes = HashMap::new();
         let mut handles = Vec::new();
 
-        for (i, (id, listener)) in listeners.into_iter().enumerate() {
+        for (i, (net, listener)) in nets.into_iter().zip(listeners).enumerate() {
+            let id = net.me;
             let (tx, rx) = mpsc::channel::<NodeEvent<R::Msg>>();
             // Shutdown comes from another thread and must wake the loop; the
             // node's own sends come from the loop.
@@ -711,7 +776,6 @@ where
             inboxes.insert(id, shutdown);
             let replica = factory.make(id);
             let peers = all.clone();
-            let net = Net::new(id, Arc::clone(&addrs), drops.clone(), conns.clone());
             let (own, seed) = (InboxTx::new(tx), 0xBEEF + i as u64);
             let node = Node::new(id, replica, peers, own, net, epoch, seed, chaos.clone());
             // The benchmark's `transport.io_threads_cpu_share` counts the
@@ -1218,6 +1282,7 @@ pub fn run_swarm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxi_core::traits::Context;
     use paxi_protocols::paxos::{paxos_cluster, PaxosConfig};
 
     fn bare_net(addrs: HashMap<NodeId, SocketAddr>) -> Net {
@@ -1483,6 +1548,198 @@ mod tests {
         assert_eq!(r.value, Some(vec![5]));
         assert_eq!(run.drops().total(), 0);
         run.shutdown();
+    }
+
+    #[test]
+    fn a_cluster_serving_a_request_has_one_connection_per_pair() {
+        let run = launch(None);
+        let mut client = run.client(NodeId::new(0, 0)).expect("connect");
+        assert!(client.put(1, b"one".to_vec()).expect("put").ok);
+        let conns = run.conn_stats().clone();
+        // Both ends of each of the three pairs' links, and the client's.
+        assert_eq!(
+            (conns.opens(), conns.live(), conns.hwm()),
+            (3 * 2 + 1, 7, 7)
+        );
+        assert_eq!(run.drops().total(), 0);
+        drop(client);
+        run.shutdown();
+        assert_eq!(conns.opens(), conns.closes());
+    }
+
+    /// Node 0.2 forwards every request to 0.1, which answers it.
+    struct Relay;
+
+    impl Replica for Relay {
+        type Msg = ();
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut dyn Context<()>) {}
+        fn on_request(&mut self, req: paxi_core::ClientRequest, ctx: &mut dyn Context<()>) {
+            match ctx.id().node {
+                2 => ctx.forward(NodeId::new(0, 1), req),
+                _ => ctx.reply(ClientResponse::ok(req.id, None)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_message_from_a_higher_node_to_a_lower_one_arrives() {
+        // 0.1 dialed 0.2 at launch and the two have never talked since:
+        // 0.2 writes on the connection it accepted, and the reply comes
+        // back on it.
+        let run = TcpCluster::launch(ClusterConfig::lan(3), |_| Relay).expect("launch");
+        let mut client = run.client(NodeId::new(0, 2)).expect("connect");
+        for _ in 0..3 {
+            assert!(client.put(1, vec![1]).expect("relayed through 0.1").ok);
+        }
+        assert_eq!(run.drops().total(), 0);
+        assert_eq!(run.conn_stats().opens(), 3 * 2 + 1);
+        run.shutdown();
+    }
+
+    type Inbox = Arc<std::sync::Mutex<Vec<(NodeId, u64)>>>;
+
+    /// Keeps what it is sent.
+    struct Sink(Inbox);
+
+    impl Replica for Sink {
+        type Msg = u64;
+        fn on_message(&mut self, from: NodeId, msg: u64, _ctx: &mut dyn Context<u64>) {
+            self.0.lock().unwrap().push((from, msg));
+        }
+        fn on_request(&mut self, _req: paxi_core::ClientRequest, _ctx: &mut dyn Context<u64>) {}
+    }
+
+    /// A node's loop without its thread: a listener and a [`Node`].
+    struct Bare {
+        listener: TcpListener,
+        node: Node<Sink, Net>,
+        got: Inbox,
+    }
+
+    /// A nonblocking listener on `addr`.
+    fn listen(addr: SocketAddr) -> TcpListener {
+        let l = TcpListener::bind(addr).unwrap();
+        l.set_nonblocking(true).unwrap();
+        l
+    }
+
+    impl Bare {
+        fn new(net: Net, listener: TcpListener) -> Bare {
+            listener.set_nonblocking(true).unwrap();
+            let (got, inbox) = (Inbox::default(), InboxTx::new(mpsc::channel().0));
+            let (me, peers) = (net.me, net.addrs.keys().copied().collect());
+            let sink = Sink(Arc::clone(&got));
+            let node = Node::new(me, sink, peers, inbox, net, Instant::now(), 1, None);
+            Bare {
+                listener,
+                node,
+                got,
+            }
+        }
+
+        /// One pass without the poll: accept, dial what closed, write,
+        /// then read whatever has arrived.
+        fn pass(&mut self) {
+            accept_all(&self.listener, self.node.out());
+            self.node.out().redial();
+            let (mut fds, mut ids) = (Vec::new(), Vec::new());
+            self.node.out().write_pass(&mut fds, &mut ids);
+            let mut buf = vec![0u8; READ_CHUNK];
+            for id in ids {
+                if handle_readable(id, &mut self.node, &mut buf).is_err() {
+                    self.node.out().close(id);
+                }
+            }
+        }
+
+        fn send(&mut self, to: NodeId, msg: u64) {
+            let from = self.node.out().me;
+            self.node.out().to_node(to, Envelope::Msg { from, msg });
+        }
+
+        fn link(&mut self, peer: NodeId) -> Option<ConnId> {
+            self.node.out().peers.get(&peer).copied()
+        }
+    }
+
+    /// Runs passes of `nodes` until `done` holds; fails after five seconds.
+    fn until(nodes: &mut [&mut Bare], mut done: impl FnMut(&mut [&mut Bare]) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(nodes) {
+            assert!(Instant::now() < deadline, "timed out");
+            for b in nodes.iter_mut() {
+                b.pass();
+            }
+        }
+    }
+
+    #[test]
+    fn a_broken_link_is_dialed_again_by_the_lower_end_and_adopted_by_the_higher() {
+        let (lo, hi) = (NodeId::new(0, 0), NodeId::new(0, 1));
+        let (drops, ledger) = (DropCounters::new(), ConnCounters::new());
+        let listeners = [0, 1].map(|_| TcpListener::bind("127.0.0.1:0").unwrap());
+        let hi_addr = listeners[1].local_addr().unwrap();
+        let addrs = Arc::new(HashMap::from([
+            (lo, listeners[0].local_addr().unwrap()),
+            (hi, hi_addr),
+        ]));
+        let mut nets =
+            [lo, hi].map(|id| Net::new(id, Arc::clone(&addrs), drops.clone(), ledger.clone()));
+        mesh(&mut nets, &listeners).unwrap();
+        let [na, nb] = nets;
+        let [la, lb] = listeners;
+        let (mut a, mut b) = (Bare::new(na, la), Bare::new(nb, lb));
+
+        // The launch link: each end writes on it, the other reads.
+        a.send(hi, 1);
+        b.send(lo, 2);
+        until(&mut [&mut a, &mut b], |n| {
+            n[0].got.lock().unwrap().len() + n[1].got.lock().unwrap().len() == 2
+        });
+        assert_eq!(*a.got.lock().unwrap(), [(hi, 2)]);
+        assert_eq!(*b.got.lock().unwrap(), [(lo, 1)]);
+
+        // The lower end tears the link down while 0.1 is away: its listener
+        // is gone.
+        b.listener = listen("127.0.0.1:0".parse().unwrap());
+        let old = a.link(hi).unwrap();
+        a.node.out().close(old);
+        until(&mut [&mut b], |n| n[0].link(lo).is_none());
+        // The higher end does not dial; what it sends meanwhile is a
+        // reconnect-window loss.
+        b.send(lo, 3);
+        assert_eq!(drops.get(DropCause::Reconnect), 1);
+        assert_eq!(b.node.out().conns.len(), 0, "the higher end dials nobody");
+        // The lower end's dial is refused, which arms its backoff; the
+        // passes inside the window try nothing, the first one past it dials.
+        a.pass();
+        let window = a
+            .node
+            .out()
+            .backoff
+            .get(&hi)
+            .expect("a refused dial")
+            .next_attempt;
+        assert!(a.link(hi).is_none());
+        b.listener = listen(hi_addr);
+        until(&mut [&mut a], |n| n[0].link(hi).is_some());
+        assert!(Instant::now() >= window, "dialed inside the backoff window");
+        // 0.1 adopts the link off its handshake.
+        until(&mut [&mut a, &mut b], |n| n[1].link(lo).is_some());
+        assert!(a.node.out().backoff.is_empty());
+        b.send(lo, 4);
+        a.send(hi, 5);
+        until(&mut [&mut a, &mut b], |n| {
+            n[0].got.lock().unwrap().len() + n[1].got.lock().unwrap().len() == 4
+        });
+        assert_eq!(*a.got.lock().unwrap(), [(hi, 2), (hi, 4)]);
+        assert_eq!(*b.got.lock().unwrap(), [(lo, 1), (lo, 5)]);
+        // One link per end, the new one; the ledger explains every loss.
+        assert_eq!((a.node.out().conns.len(), b.node.out().conns.len()), (1, 1));
+        assert_ne!(a.link(hi), Some(old));
+        assert_eq!((ledger.opens(), ledger.live()), (2 + 2, 2));
+        assert_eq!(drops.get(DropCause::Unexplained), 0);
+        assert_eq!(drops.total(), 1);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::envelope::Envelope;
 use crate::faults::{FaultInjector, LinkDecision};
 use paxi_core::command::{ClientRequest, ClientResponse};
 use paxi_core::dist::Rng64;
-use paxi_core::faults::{Admit, CrashGate, CrashMode, FaultPlan, LinkOrder};
+use paxi_core::faults::{Admit, CrashGate, FaultPlan, LinkOrder};
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::obs::{DropCause, Metric, MetricsRegistry, TraceEvent, TraceRing, TraceStage};
 use paxi_core::time::Nanos;
@@ -41,9 +41,10 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Shared replica rebuilder used for [`CrashMode::Amnesia`] recovery: builds
-/// a fresh replica for a node id, attaching durable storage so construction
-/// replays the WAL. Cluster constructors derive one from the launch factory.
+/// Shared replica rebuilder used for
+/// [`paxi_core::faults::CrashMode::Amnesia`] recovery: builds a fresh
+/// replica for a node id, attaching durable storage so construction replays
+/// the WAL. Cluster constructors derive one from the launch factory.
 pub type Remake<R> = Arc<dyn Fn(NodeId) -> R + Send + Sync>;
 
 /// What a chaotic node holds besides a plain one's state: the cluster's
@@ -156,14 +157,6 @@ pub trait Outbound<M>: Send + 'static {
     fn to_self(&mut self, after: Nanos, ev: NodeEvent<M>) -> Option<NodeEvent<M>> {
         let _ = after;
         Some(ev)
-    }
-    /// Proactively establishes (or re-establishes) a link to `peer`. The
-    /// node calls this for each of its peers when it comes back from an
-    /// amnesia crash, so recovery traffic doesn't eat the dial latency.
-    /// Default no-op — in-process transports and lazily-dialing ones need
-    /// no warm-up.
-    fn connect_peer(&mut self, peer: NodeId) {
-        let _ = peer;
     }
 }
 
@@ -360,12 +353,12 @@ fn dispatch<R: Replica, O: Outbound<R::Msg>>(
 /// a time. Every call on the replica asks the node's [`CrashGate`] (in
 /// [`FaultInjector::now`], or at [`Lend::now`]): inside a crash window it
 /// is discarded, a message or request charged to [`DropCause::Crashed`];
-/// the first call after one thaws the node through [`CrashMode::thaw`],
-/// and an amnesiac node re-dials its peers. Fault-delayed envelopes leave
-/// from [`Node::advance`] even while the node is frozen: they are in
-/// flight. Armed timers are the node's: one due inside a crash window is
-/// discarded, one armed before an amnesia rebuild reaches the new replica
-/// as a token it never issued.
+/// the first call after one thaws the node through
+/// [`paxi_core::faults::CrashMode::thaw`]; the node's links to its peers
+/// outlive the crash. Fault-delayed envelopes leave from [`Node::advance`]
+/// even while the node is frozen: they are in flight. Armed timers are the
+/// node's: one due inside a crash window is discarded, one armed before an
+/// amnesia rebuild reaches the new replica as a token it never issued.
 pub struct Node<R: Replica, O: Outbound<R::Msg>> {
     id: NodeId,
     replica: R,
@@ -492,13 +485,6 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
             Admit::Thaw(mode) => {
                 let remake = lent.or(own.as_deref().map(|r| r as _));
                 mode.thaw(replica, || remake.expect("a plan")(id), &mut ctx);
-                if mode == CrashMode::Amnesia {
-                    // Peers may have torn down the dead links: warm them
-                    // again so recovery traffic doesn't eat dial latency.
-                    for &p in ctx.peers {
-                        ctx.out.connect_peer(p);
-                    }
-                }
             }
         }
         call(replica, &mut ctx);
@@ -632,7 +618,7 @@ mod tests {
     //! driven one call at a time.
 
     use super::*;
-    use paxi_core::faults::FaultPlan;
+    use paxi_core::faults::{CrashMode, FaultPlan};
     use std::sync::mpsc::channel;
     use std::sync::Mutex;
 
@@ -666,13 +652,11 @@ mod tests {
         }
     }
 
-    /// Records the peers the runtime sent to, each frame as `to kind`, and
-    /// the peers it asked to dial.
+    /// Records the peers the runtime sent to, and each frame as `to kind`.
     #[derive(Default)]
     struct Links {
         sent: Vec<NodeId>,
         frames: Vec<String>,
-        dials: Vec<NodeId>,
     }
 
     impl Outbound<()> for Links {
@@ -685,9 +669,6 @@ mod tests {
             self.frames.push(format!("{to} {kind}"));
         }
         fn to_client(&mut self, _client: ClientId, _resp: ClientResponse) {}
-        fn connect_peer(&mut self, peer: NodeId) {
-            self.dials.push(peer);
-        }
     }
 
     fn n(i: u8) -> NodeId {
@@ -750,7 +731,7 @@ mod tests {
             }
         }
 
-        /// What the node has sent and dialed so far.
+        /// What the node has sent so far.
         fn links(&mut self) -> &Links {
             self.node.out()
         }
@@ -828,7 +809,7 @@ mod tests {
             rig.remade.lock().unwrap().is_empty(),
             "a freeze keeps the replica"
         );
-        assert!(rig.links().dials.is_empty());
+        assert!(rig.links().sent.is_empty());
     }
 
     #[test]
@@ -841,10 +822,11 @@ mod tests {
         assert!(rig.node.handle(msg()));
         assert!(rig.node.handle(None));
         // The old replica saw nothing; its replacement recovered, then
-        // handled the event, and the links to both peers were warmed.
+        // handled the event. The thaw itself sent nothing: the node kept its
+        // links.
         assert!(rig.log.lock().unwrap().is_empty());
         assert_eq!(*rig.remade.lock().unwrap(), ["recover", "message", "tick"]);
-        assert_eq!(rig.links().dials, [n(1), n(2)]);
+        assert!(rig.links().sent.is_empty());
     }
 
     #[test]
@@ -862,7 +844,7 @@ mod tests {
             "the old replica is gone"
         );
         assert_eq!(*rig.remade.lock().unwrap(), ["recover", "message"]);
-        assert_eq!(rig.links().dials, [n(1), n(2)]);
+        assert!(rig.links().sent.is_empty());
     }
 
     #[test]
@@ -877,14 +859,13 @@ mod tests {
                 CrashMode::Freeze => {
                     assert_eq!(*rig.log.lock().unwrap(), ["restart", "tick"]);
                     assert!(rig.remade.lock().unwrap().is_empty());
-                    assert!(rig.links().dials.is_empty());
                 }
                 CrashMode::Amnesia => {
                     assert!(rig.log.lock().unwrap().is_empty());
                     assert_eq!(*rig.remade.lock().unwrap(), ["recover", "tick"]);
-                    assert_eq!(rig.links().dials, [n(1), n(2)]);
                 }
             }
+            assert!(rig.links().sent.is_empty(), "a thaw sends nothing");
         }
     }
 
@@ -994,7 +975,6 @@ mod tests {
         assert!(node.handle(msg()));
         assert!(node.handle(msg()));
         assert_eq!(node.out().sent, [n(1), n(2), n(1), n(2)]);
-        assert!(node.out().dials.is_empty(), "no link is warmed or dropped");
     }
 
     #[test]

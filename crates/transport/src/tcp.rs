@@ -15,14 +15,17 @@
 //! node holding the client's connection. This mirrors how Paxi's RESTful
 //! clients interact with any system node.
 //!
-//! **Peer links.** A node dials each peer it sends to and writes on that
-//! connection only; the peer answers over its own dial. Outbound bytes wait
-//! in a *bounded* per-connection buffer: when a peer stalls, excess frames
-//! are shed whole instead of accumulating without bound (quorum protocols
-//! tolerate loss natively). When a link breaks, the next send notices,
-//! forgets the connection, and redials under exponential backoff with
-//! jitter, so a restarted peer is rejoined automatically and a dead one is
-//! not hammered. Encoding failures are dropped (best-effort transport),
+//! **Peer links.** Two nodes share one connection, and both write on it:
+//! a reply leaves on the socket its request came in on. The cluster
+//! connects every pair at launch, the lower [`NodeId`] dialing the higher.
+//! Outbound bytes wait in a *bounded* per-connection buffer: when a peer
+//! stalls, excess frames are shed whole instead of accumulating without
+//! bound (quorum protocols tolerate loss natively). When a link breaks,
+//! both ends forget it; the lower one dials again under exponential backoff
+//! with jitter, sending [`Hello::Peer`] first, and the higher one adopts
+//! that connection and counts what it sends meanwhile as reconnect-window
+//! losses. A restarted peer is thus rejoined automatically and a dead one
+//! is not hammered. Encoding failures are dropped (best-effort transport),
 //! never panicked on; every loss is charged to a named cause.
 
 use paxi_core::id::{ClientId, NodeId};
