@@ -10,7 +10,7 @@
 use crate::envelope::Envelope;
 use crate::faults::FaultInjector;
 use crate::obs::DropCounters;
-use crate::runtime::{chaos, run_node, InboxTx, Node, NodeEvent, Outbound};
+use crate::runtime::{chaos, run_node, shut_down, Node, NodeEvent, Outbound};
 use paxi_core::command::{ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
 use paxi_core::id::{ClientId, NodeId, RequestId};
@@ -18,12 +18,12 @@ use paxi_core::obs::DropCause;
 use paxi_core::traits::{Replica, ReplicaFactory};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 struct Registry<M> {
-    nodes: HashMap<NodeId, InboxTx<M>>,
+    nodes: HashMap<NodeId, Sender<NodeEvent<M>>>,
     clients: Mutex<HashMap<ClientId, SyncSender<ClientResponse>>>,
     drops: DropCounters,
 }
@@ -45,7 +45,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Outbound<M> for ChannelOut<M> 
     fn to_node(&mut self, to: NodeId, env: Envelope<M>) {
         match self.reg.nodes.get(&to) {
             Some(tx) => {
-                if !tx.send(NodeEvent::Wire(env)) {
+                if tx.send(NodeEvent::Wire(env)).is_err() {
                     // The node's event loop already exited.
                     self.reg.drops.record(DropCause::Crashed);
                 }
@@ -114,7 +114,6 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
         let mut receivers = Vec::new();
         for &id in &all {
             let (tx, rx) = channel::<NodeEvent<R::Msg>>();
-            let tx = InboxTx::new(tx);
             inboxes.insert(id, tx.clone());
             receivers.push((id, rx, tx));
         }
@@ -174,13 +173,8 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
     }
 
     /// Shuts down all node threads and waits for them.
-    pub fn shutdown(mut self) {
-        for tx in self.reg.nodes.values() {
-            tx.send(NodeEvent::Wire(Envelope::Shutdown));
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        shut_down(self.reg.nodes.values(), self.handles);
     }
 }
 
@@ -188,7 +182,7 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
 pub struct SyncClient<M> {
     id: ClientId,
     seq: u64,
-    node: InboxTx<M>,
+    node: Sender<NodeEvent<M>>,
     rx: Receiver<ClientResponse>,
     timeout: Duration,
 }
@@ -209,7 +203,8 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> SyncClient<M> {
         let req_id = RequestId::new(self.id, self.seq);
         self.seq += 1;
         let req = paxi_core::ClientRequest { id: req_id, cmd };
-        if !self.node.send(NodeEvent::Wire(Envelope::Request(req))) {
+        let ev = NodeEvent::Wire(Envelope::Request(req));
+        if self.node.send(ev).is_err() {
             return None;
         }
         // Skip stale responses (from timed-out predecessors).

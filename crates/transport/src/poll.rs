@@ -13,16 +13,11 @@
 //! `timespec`; elsewhere it stays `poll` with the timeout rounded up to a
 //! whole millisecond (timers then fire late, never early).
 //!
-//! [`WakePipe`] rides on `std`'s `UnixStream::pair`: one end lives in the
-//! reactor's poll set, the other is written by any thread that wants the
-//! loop to wake early (in the TCP runtime, shutdown alone). A pending flag
-//! keeps redundant wakes to one byte.
+//! No other thread ever wakes a poll: the loop sleeps at most a
+//! millisecond ([`crate::runtime::Node::idle_for`]) and reads its inbox,
+//! where shutdown waits, on every pass.
 
-use std::io::{Read, Write};
-use std::os::unix::io::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::os::unix::io::RawFd;
 use std::time::Duration;
 
 /// Readable readiness (or a readable hangup payload).
@@ -153,68 +148,21 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Resul
     }
 }
 
-/// A self-pipe that lets any thread wake a blocked [`poll_fds`] call.
-///
-/// Cloning shares the same pipe; the `pending` flag coalesces bursts of
-/// wakes into a single byte so a hot sender cannot fill the pipe.
-#[derive(Clone)]
-pub struct WakePipe {
-    reader: Arc<UnixStream>,
-    writer: Arc<UnixStream>,
-    pending: Arc<AtomicBool>,
-}
-
-impl WakePipe {
-    /// Builds the pipe; both ends are nonblocking.
-    pub fn new() -> std::io::Result<Self> {
-        let (reader, writer) = UnixStream::pair()?;
-        reader.set_nonblocking(true)?;
-        writer.set_nonblocking(true)?;
-        Ok(WakePipe {
-            reader: Arc::new(reader),
-            writer: Arc::new(writer),
-            pending: Arc::new(AtomicBool::new(false)),
-        })
-    }
-
-    /// The fd the reactor adds to its poll set (watch with [`POLLIN`]).
-    pub fn read_fd(&self) -> RawFd {
-        self.reader.as_raw_fd()
-    }
-
-    /// Wakes the poller (no-op if a wake is already pending).
-    pub fn wake(&self) {
-        if self.pending.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let _ = (&*self.writer).write(&[1u8]);
-    }
-
-    /// Drains the pipe and clears the pending flag. The reactor calls this
-    /// when the read end polls readable, *before* consuming the work the
-    /// wake advertised, so a wake racing the drain is never lost: its work
-    /// is seen by the scan that follows, and every wake issued after the
-    /// drain finds the flag clear and writes its byte.
-    ///
-    /// The order matters. Clearing the flag first lets a racing `wake()`
-    /// set it again and write a byte that the reads below then swallow —
-    /// flag set, pipe empty, and every later wake skipped as redundant.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 64];
-        while matches!((&*self.reader).read(&mut buf), Ok(n) if n > 0) {}
-        self.pending.store(false, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
+    use std::os::unix::io::AsRawFd;
+
+    /// A listener nobody connects to: an fd that never polls ready.
+    fn idle() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").unwrap()
+    }
 
     #[test]
     fn poll_times_out_with_nothing_ready() {
-        let pipe = WakePipe::new().unwrap();
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
+        let idle = idle();
+        let mut fds = [PollFd::new(idle.as_raw_fd(), POLLIN)];
         let n = poll_fds(&mut fds, Some(Duration::from_millis(10))).unwrap();
         assert_eq!(n, 0);
         assert!(!fds[0].returned(POLLIN));
@@ -225,11 +173,11 @@ mod tests {
     #[test]
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     fn a_sub_millisecond_timeout_is_kept() {
-        let pipe = WakePipe::new().unwrap();
+        let idle = idle();
         let timeout = Duration::from_micros(200);
         let mut took: Vec<Duration> = (0..200)
             .map(|_| {
-                let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
+                let mut fds = [PollFd::new(idle.as_raw_fd(), POLLIN)];
                 let start = std::time::Instant::now();
                 assert_eq!(poll_fds(&mut fds, Some(timeout)).unwrap(), 0);
                 start.elapsed()
@@ -242,57 +190,6 @@ mod tests {
             median < Duration::from_micros(700),
             "a 200 µs timeout took {median:?} (median of 200)"
         );
-    }
-
-    #[test]
-    fn wake_makes_poll_return_and_drain_resets() {
-        let pipe = WakePipe::new().unwrap();
-        pipe.wake();
-        pipe.wake(); // coalesced: still one byte in the pipe
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        let n = poll_fds(&mut fds, Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].returned(POLLIN));
-        pipe.drain();
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        let n = poll_fds(&mut fds, Some(Duration::from_millis(10))).unwrap();
-        assert_eq!(n, 0, "drained pipe polls idle");
-        // And wakes again after the drain.
-        pipe.wake();
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, Some(Duration::from_secs(5))).unwrap(), 1);
-    }
-
-    #[test]
-    fn no_wake_issued_after_a_drain_is_lost_to_a_racing_waker() {
-        // One thread hammers `wake` while this one plays the reactor:
-        // drain, then wake. Whatever the interleaving with the hammering
-        // thread, a wake issued after a drain must leave the fd readable.
-        // (Draining flag-first, a racing wake's byte was read away with the
-        // flag left set; this wake was then skipped and the poll timed out.)
-        let pipe = WakePipe::new().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let hammer = {
-            let (pipe, stop) = (pipe.clone(), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    pipe.wake();
-                }
-            })
-        };
-        let mut lost = None;
-        for round in 0..200_000 {
-            pipe.drain();
-            pipe.wake();
-            let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-            if poll_fds(&mut fds, Some(Duration::from_millis(500))).unwrap() == 0 {
-                lost = Some(round);
-                break;
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        hammer.join().unwrap();
-        assert_eq!(lost, None, "a wake issued after drain() left the pipe idle");
     }
 
     #[test]

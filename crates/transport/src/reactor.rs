@@ -57,12 +57,13 @@
 //! A pair therefore never has two live links, and a link delivers in order.
 //!
 //! **What crosses threads**: only shutdown, from whoever owns the cluster,
-//! through the copy of the node's [`InboxTx`] that [`TcpCluster`] keeps,
-//! which writes to the loop's [`WakePipe`] after queueing. The rest is the
-//! loop's alone and is reached through `&mut`. The node's own `InboxTx`
-//! (self-sends, zero-delay timers) carries no wake and staging a frame
-//! wakes nothing, so the loop never wakes itself. A cluster has no thread
-//! but its nodes', with fault injection or without.
+//! through the clone of the node's inbox `Sender` that [`TcpCluster`]
+//! keeps. Nothing wakes the loop for it: the poll sleeps at most a
+//! millisecond ([`Node::idle_for`]) and step 3 of the next pass reads it.
+//! The rest is the loop's alone and is reached through `&mut`; self-sends,
+//! zero-delay timers and staged frames wake nothing either, so the loop
+//! never wakes itself. A cluster has no thread but its nodes', with fault
+//! injection or without.
 //!
 //! **Fate parity with the simulator.** Link fates are decided in the node's
 //! context ([`Node`]) *before* bytes reach any socket, so a fixed seed
@@ -77,8 +78,8 @@
 use crate::envelope::Envelope;
 use crate::faults::FaultInjector;
 use crate::obs::{log_drop_once, ConnCounters, DropCounters};
-use crate::poll::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
-use crate::runtime::{chaos, InboxTx, Node, NodeEvent, Outbound};
+use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
+use crate::runtime::{chaos, shut_down, Node, NodeEvent, Outbound};
 use crate::tcp::Hello;
 use paxi_core::command::{ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
@@ -93,7 +94,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::mpsc::{self, Receiver};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -463,7 +464,7 @@ impl Net {
 
     /// Step 4 of the pass: writes every connection with staged bytes,
     /// closes those whose socket failed, and adds the others to the poll
-    /// set, connection `ids[i]` as `fds[i + 2]`.
+    /// set, connection `ids[i]` as `fds[i + 1]`.
     fn write_pass(&mut self, fds: &mut Vec<PollFd>, ids: &mut Vec<ConnId>) {
         ids.clear();
         let mut failed = Vec::new();
@@ -618,11 +619,9 @@ fn mesh(nets: &mut [Net], listeners: &[TcpListener]) -> std::io::Result<()> {
 /// One node: every socket and the replica, on the calling thread, until a
 /// shutdown arrives through `inbox`. The module docs give the pass order.
 ///
-/// Level-triggered `poll(2)` over the wake pipe, the listener, and all open
-/// connections.
+/// Level-triggered `poll(2)` over the listener and all open connections.
 fn reactor_loop<R>(
     listener: TcpListener,
-    waker: WakePipe,
     mut node: Node<R, Net>,
     inbox: Receiver<NodeEvent<R::Msg>>,
 ) where
@@ -649,20 +648,16 @@ fn reactor_loop<R>(
         // failed, and rebuilds the poll set.
         node.out().redial();
         fds.clear();
-        fds.push(PollFd::new(waker.read_fd(), POLLIN));
         fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
         node.out().write_pass(&mut fds, &mut ids);
         match poll_fds(&mut fds, Some(node.idle_for(Instant::now()))) {
             Err(_) | Ok(0) => continue,
             Ok(_) => {}
         }
-        if fds[0].returned(POLLIN) {
-            waker.drain();
-        }
         // Read and handle. A connection a handler closed is gone from the
         // table and skipped; one dialed or accepted now is first polled
         // next pass.
-        for (&id, fd) in ids.iter().zip(&fds[2..]) {
+        for (&id, fd) in ids.iter().zip(&fds[1..]) {
             let Some(c) = node.out().conns.get_mut(&id) else {
                 continue;
             };
@@ -681,7 +676,7 @@ fn reactor_loop<R>(
                 node.out().close(id);
             }
         }
-        if fds[1].returned(POLLIN) {
+        if fds[0].returned(POLLIN) {
             accept_all(&listener, node.out());
         }
     }
@@ -698,7 +693,8 @@ fn reactor_loop<R>(
 /// which runs the sockets and the replica both.
 pub struct TcpCluster<R: Replica> {
     addrs: Arc<HashMap<NodeId, SocketAddr>>,
-    inboxes: HashMap<NodeId, InboxTx<R::Msg>>,
+    /// Each node's inbox, for shutdown.
+    inboxes: Vec<Sender<NodeEvent<R::Msg>>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     next_client: AtomicU32,
     drops: DropCounters,
@@ -762,27 +758,22 @@ where
         mesh(&mut nets, &listeners)?;
         let epoch = Instant::now();
         let chaos = chaos(faults, &factory, epoch);
-        let mut inboxes = HashMap::new();
+        let mut inboxes = Vec::new();
         let mut handles = Vec::new();
 
         for (i, (net, listener)) in nets.into_iter().zip(listeners).enumerate() {
             let id = net.me;
             let (tx, rx) = mpsc::channel::<NodeEvent<R::Msg>>();
-            // Shutdown comes from another thread and must wake the loop; the
-            // node's own sends come from the loop.
-            let waker = WakePipe::new()?;
-            let wake = waker.clone();
-            let shutdown = InboxTx::with_wake(tx.clone(), Arc::new(move || wake.wake()));
-            inboxes.insert(id, shutdown);
+            inboxes.push(tx.clone());
             let replica = factory.make(id);
             let peers = all.clone();
-            let (own, seed) = (InboxTx::new(tx), 0xBEEF + i as u64);
-            let node = Node::new(id, replica, peers, own, net, epoch, seed, chaos.clone());
+            let seed = 0xBEEF + i as u64;
+            let node = Node::new(id, replica, peers, tx, net, epoch, seed, chaos.clone());
             // The benchmark's `transport.io_threads_cpu_share` counts the
             // threads named `paxi-tcp-*`.
             let handle = std::thread::Builder::new()
                 .name(format!("paxi-tcp-node-{}", id.pack()))
-                .spawn(move || reactor_loop(listener, waker, node, rx))?;
+                .spawn(move || reactor_loop(listener, node, rx))?;
             handles.push(handle);
         }
         Ok(TcpCluster {
@@ -823,14 +814,10 @@ where
     }
 
     /// Stops every node's thread, which closes every socket and balances
-    /// the connection ledger on its way out.
-    pub fn shutdown(mut self) {
-        for tx in self.inboxes.values() {
-            tx.send(NodeEvent::Wire(Envelope::Shutdown));
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    /// the connection ledger on its way out. Each loop sees the shutdown
+    /// on its next pass, within a millisecond.
+    pub fn shutdown(self) {
+        shut_down(&self.inboxes, self.handles);
     }
 }
 
@@ -1626,7 +1613,7 @@ mod tests {
     impl Bare {
         fn new(net: Net, listener: TcpListener) -> Bare {
             listener.set_nonblocking(true).unwrap();
-            let (got, inbox) = (Inbox::default(), InboxTx::new(mpsc::channel().0));
+            let (got, inbox) = (Inbox::default(), mpsc::channel().0);
             let (me, peers) = (net.me, net.addrs.keys().copied().collect());
             let sink = Sink(Arc::clone(&got));
             let node = Node::new(me, sink, peers, inbox, net, Instant::now(), 1, None);

@@ -7,7 +7,8 @@
 //! substrate supplies an [`Outbound`] and whoever calls the node: the
 //! channel and UDP transports' [`run_node`] drains a per-node inbox; the TCP
 //! runtime ([`crate::reactor`]) calls [`Node::handle`] from its socket loop
-//! and uses the inbox only for zero-delay timers, self-sends and shutdown;
+//! and uses the inbox only for zero-delay timers, self-sends and shutdown,
+//! which it reads on its next pass, at most [`SYNC_TICK`] away;
 //! the simulator (`paxi-sim`) calls [`Node::handle_with`] from its event
 //! queue, lending each call its virtual instant, fault plan, random stream
 //! and registries ([`Lend`]), and its [`Outbound`] takes timers and
@@ -39,6 +40,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Shared replica rebuilder used for
@@ -79,55 +81,6 @@ pub enum NodeEvent<M> {
         /// Token returned by `set_timer`.
         token: u64,
     },
-}
-
-/// The sending half of a node's inbox: for the node itself (self-sends and
-/// zero-delay timers) and for every thread that is not the node's own —
-/// peers and clients of the in-process transport, the UDP receiver, and
-/// cluster shutdown.
-///
-/// A node thread that sleeps in `recv` is woken by the channel itself. One
-/// that sleeps in `poll(2)` is not, so the copy its runtime hands to other
-/// threads carries a `wake` that every send calls after queueing the event.
-/// The node's own copy needs none: its loop drains the inbox before it
-/// sleeps again.
-pub struct InboxTx<M> {
-    tx: Sender<NodeEvent<M>>,
-    wake: Option<Arc<dyn Fn() + Send + Sync>>,
-}
-
-impl<M> Clone for InboxTx<M> {
-    fn clone(&self) -> Self {
-        InboxTx {
-            tx: self.tx.clone(),
-            wake: self.wake.clone(),
-        }
-    }
-}
-
-impl<M> InboxTx<M> {
-    /// For a node whose loop blocks on the inbox's receiving half.
-    pub fn new(tx: Sender<NodeEvent<M>>) -> Self {
-        InboxTx { tx, wake: None }
-    }
-
-    /// For a node whose loop blocks elsewhere: `wake` must make it look at
-    /// its inbox soon, from any thread.
-    pub fn with_wake(tx: Sender<NodeEvent<M>>, wake: Arc<dyn Fn() + Send + Sync>) -> Self {
-        InboxTx {
-            tx,
-            wake: Some(wake),
-        }
-    }
-
-    /// Queues `ev` and wakes the node. `false` if the node's loop is gone.
-    pub fn send(&self, ev: NodeEvent<M>) -> bool {
-        let queued = self.tx.send(ev).is_ok();
-        if let Some(wake) = &self.wake {
-            wake();
-        }
-        queued
-    }
 }
 
 /// The substrate-specific outbound half: how a node reaches peers and
@@ -200,7 +153,7 @@ struct NodeCtx<'a, M, O: Outbound<M>> {
     /// Every other node of the cluster.
     peers: &'a [NodeId],
     out: &'a mut O,
-    inbox_tx: &'a InboxTx<M>,
+    inbox_tx: &'a Sender<NodeEvent<M>>,
     timers: &'a mut TimerHeap,
     /// [`Lend::now`]; `None` reads the wall clock from `epoch`.
     now: Option<Nanos>,
@@ -259,7 +212,7 @@ impl<M: Clone, O: Outbound<M>> NodeCtx<'_, M, O> {
                 self.timers.push(Reverse((deadline, token, kind)));
             }
             Some(ev) => {
-                self.inbox_tx.send(ev);
+                let _ = self.inbox_tx.send(ev);
             }
             None => {}
         }
@@ -365,7 +318,7 @@ pub struct Node<R: Replica, O: Outbound<R::Msg>> {
     /// Every other node of the cluster: the broadcast set, fixed at
     /// startup whatever the replica's membership view.
     peers: Vec<NodeId>,
-    inbox_tx: InboxTx<R::Msg>,
+    inbox_tx: Sender<NodeEvent<R::Msg>>,
     out: O,
     timers: TimerHeap,
     epoch: Instant,
@@ -385,15 +338,17 @@ pub struct Node<R: Replica, O: Outbound<R::Msg>> {
 }
 
 impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
-    /// `inbox_tx` feeds the inbox whose events the caller will pass to
-    /// [`Node::handle`]: self-addressed messages and zero-delay timers go
-    /// there.
+    /// `inbox_tx` is the sending half of the inbox whose events the caller
+    /// will pass to [`Node::handle`]: self-addressed messages and zero-delay
+    /// timers go there. Nothing wakes the caller when another thread sends
+    /// on a clone of it; a loop that sleeps elsewhere than on the inbox
+    /// reads it within [`Node::idle_for`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: NodeId,
         replica: R,
         mut peers: Vec<NodeId>,
-        inbox_tx: InboxTx<R::Msg>,
+        inbox_tx: Sender<NodeEvent<R::Msg>>,
         out: O,
         epoch: Instant,
         seed: u64,
@@ -423,7 +378,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
     /// takes everything it sends, itself included, so its inbox stays
     /// empty, and each call borrows clock, plan and randomness ([`Lend`]).
     pub fn simulated(id: NodeId, replica: R, peers: Vec<NodeId>, out: O) -> Self {
-        let inbox = InboxTx::new(std::sync::mpsc::channel().0);
+        let inbox = std::sync::mpsc::channel().0;
         Node::new(id, replica, peers, inbox, out, Instant::now(), 0, None)
     }
 
@@ -603,6 +558,20 @@ pub fn run_node<R: Replica, O: Outbound<R::Msg>>(
     }
 }
 
+/// Queues [`Envelope::Shutdown`] in every node's inbox, then joins every
+/// node thread: how each live cluster stops.
+pub(crate) fn shut_down<'a, M: 'a>(
+    inboxes: impl IntoIterator<Item = &'a Sender<NodeEvent<M>>>,
+    threads: Vec<JoinHandle<()>>,
+) {
+    for tx in inboxes {
+        let _ = tx.send(NodeEvent::Wire(Envelope::Shutdown));
+    }
+    for h in threads {
+        let _ = h.join();
+    }
+}
+
 #[cfg(test)]
 impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
     /// The replica, and the context its handlers see in a live call.
@@ -716,7 +685,7 @@ mod tests {
                 n(0),
                 Recording(Arc::clone(&log)),
                 vec![n(0), n(1), n(2)],
-                InboxTx::new(tx),
+                tx,
                 Links::default(),
                 Instant::now(),
                 7,
@@ -752,7 +721,7 @@ mod tests {
             n(0),
             Recording(Arc::clone(&log)),
             vec![n(0), n(1)],
-            InboxTx::new(tx),
+            tx,
             Links::default(),
             epoch,
             7,
@@ -970,7 +939,7 @@ mod tests {
         let (tx, _rx) = channel();
         let peers = vec![n(0), n(1), n(2)];
         let (out, epoch) = (Links::default(), Instant::now());
-        let mut node = Node::new(n(0), Shrunk, peers, InboxTx::new(tx), out, epoch, 7, None);
+        let mut node = Node::new(n(0), Shrunk, peers, tx, out, epoch, 7, None);
         node.start();
         assert!(node.handle(msg()));
         assert!(node.handle(msg()));
@@ -1102,5 +1071,35 @@ mod tests {
         node.advance(at(4_700));
         assert_eq!(log.lock().unwrap().last().unwrap(), "tick");
         assert_eq!(log.lock().unwrap().len(), 12);
+    }
+
+    /// Nothing wakes the TCP loop from another thread: shutdown waits in the
+    /// inbox until the next pass. So a far deadline must not let the loop
+    /// sleep past [`SYNC_TICK`], whether it sleeps all it may, wakes early
+    /// for a frame, or oversleeps.
+    #[test]
+    fn a_far_deadline_never_lets_the_loop_sleep_past_a_sync_tick() {
+        let epoch = Instant::now();
+        let (mut node, log, _rx) = plain(epoch);
+        node.timers
+            .push(Reverse((epoch + Duration::from_millis(500), 1, 1)));
+        let mut now = epoch;
+        for step in 0..1_500u32 {
+            node.advance(now);
+            let idle = node.idle_for(now);
+            assert!(idle <= SYNC_TICK, "{idle:?} at {:?}", now - epoch);
+            now += match step % 3 {
+                0 => idle,
+                1 => {
+                    node.handle(msg());
+                    idle / 3
+                }
+                _ => idle + Duration::from_micros(250),
+            };
+        }
+        assert!(now > epoch + Duration::from_millis(500));
+        let log = log.lock().unwrap();
+        assert_eq!(log.iter().filter(|e| *e == "timer 1/1").count(), 1);
+        assert!(log.iter().any(|e| e == "tick"));
     }
 }

@@ -14,7 +14,7 @@
 use crate::envelope::Envelope;
 use crate::faults::FaultInjector;
 use crate::obs::{log_drop_once, DropCounters};
-use crate::runtime::{chaos, run_node, InboxTx, Node, NodeEvent, Outbound};
+use crate::runtime::{chaos, run_node, shut_down, Node, NodeEvent, Outbound};
 use paxi_core::command::{ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
 use paxi_core::id::{ClientId, NodeId, RequestId};
@@ -191,7 +191,8 @@ impl<M: Serialize + DeserializeOwned + Clone + std::fmt::Debug + Send + 'static>
 /// A running UDP cluster on localhost.
 pub struct UdpCluster<R: Replica> {
     addrs: Arc<HashMap<NodeId, SocketAddr>>,
-    inboxes: HashMap<NodeId, InboxTx<R::Msg>>,
+    /// Each node's inbox, for shutdown.
+    inboxes: Vec<mpsc::Sender<NodeEvent<R::Msg>>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     /// Each node's receiver thread, by the address of the socket it reads.
     receivers: Vec<(SocketAddr, std::thread::JoinHandle<()>)>,
@@ -253,14 +254,13 @@ where
             Arc::new(addrs.iter().map(|(&n, &a)| (a, n)).collect());
         let epoch = Instant::now();
         let chaos = chaos(faults, &factory, epoch);
-        let mut inboxes = HashMap::new();
+        let mut inboxes = Vec::new();
         let mut handles = Vec::new();
         let mut receivers = Vec::new();
 
         for (i, (id, socket)) in sockets.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel::<NodeEvent<R::Msg>>();
-            let tx = InboxTx::new(tx);
-            inboxes.insert(id, tx.clone());
+            inboxes.push(tx.clone());
             let net = Arc::new(UdpNet {
                 socket: socket.try_clone()?,
                 addrs: Arc::clone(&addrs),
@@ -329,20 +329,15 @@ where
 
     /// Stops every node thread and every receiver thread, and waits for
     /// them.
-    pub fn shutdown(mut self) {
-        for tx in self.inboxes.values() {
-            tx.send(NodeEvent::Wire(Envelope::Shutdown));
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        shut_down(&self.inboxes, self.handles);
         // A receiver returns on a `Shutdown` datagram, sent until it has: a
         // full socket buffer drops datagrams.
         let stop = paxi_codec::to_bytes(&Envelope::<()>::Shutdown);
         let (Ok(socket), Ok(stop)) = (UdpSocket::bind("127.0.0.1:0"), stop) else {
             return;
         };
-        for (addr, h) in self.receivers.drain(..) {
+        for (addr, h) in self.receivers {
             while !h.is_finished() {
                 let _ = socket.send_to(&stop, addr);
                 std::thread::sleep(Duration::from_millis(1));
@@ -357,7 +352,7 @@ where
 fn receive<M: Serialize + DeserializeOwned>(
     socket: UdpSocket,
     net: &UdpNet,
-    inbox: &InboxTx<M>,
+    inbox: &mpsc::Sender<NodeEvent<M>>,
     peer_by_addr: &HashMap<SocketAddr, NodeId>,
 ) {
     let mut buf = vec![0u8; MAX_DGRAM];
@@ -382,11 +377,11 @@ fn receive<M: Serialize + DeserializeOwned>(
                     }
                 }
                 drop(routes);
-                inbox.send(NodeEvent::Wire(Envelope::Request(req)));
+                let _ = inbox.send(NodeEvent::Wire(Envelope::Request(req)));
             }
             Envelope::Response(resp) => net.deliver_response::<M>(&resp),
             Envelope::Msg { from, msg } => {
-                inbox.send(NodeEvent::Wire(Envelope::Msg { from, msg }));
+                let _ = inbox.send(NodeEvent::Wire(Envelope::Msg { from, msg }));
             }
             Envelope::Shutdown => return,
         }

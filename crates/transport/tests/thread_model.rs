@@ -1,9 +1,10 @@
-//! The TCP runtime's thread model, read off the process: one thread per
-//! node, no thread per connection, no timer thread, with fault injection or
-//! without.
+//! The TCP runtime's thread and fd model, read off the process: one thread
+//! per node, no thread per connection, no timer thread, with fault injection
+//! or without; and at launch one fd per listener and per link end, none to
+//! wake a node.
 //!
 //! A test binary of its own with a single test: tests that share a process
-//! share its thread list.
+//! share its thread list and its fd table.
 
 #![cfg(target_os = "linux")]
 
@@ -23,14 +24,26 @@ fn thread_names() -> Vec<String> {
         .collect()
 }
 
+/// How many fds this process has open.
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("procfs is mounted")
+        .count()
+}
+
 #[test]
 fn three_nodes_are_three_threads_whatever_connects() {
     let cluster = ClusterConfig::lan(3);
+    let before = open_fds();
     let run = TcpCluster::launch(
         cluster.clone(),
         paxos_cluster(cluster, PaxosConfig::default()),
     )
     .expect("launch");
+    // Before any client: three listeners and the two ends of each of the
+    // three peer links. Shutdown needs no fd: a node reads it from its
+    // inbox within a millisecond.
+    assert_eq!(open_fds() - before, 3 + 6, "fds a 3-node launch opens");
     // Traffic on every kind of connection: clients on the leader and on a
     // follower (which forwards, so every peer link is dialed and used).
     let mut clients: Vec<_> = (0..6u8)

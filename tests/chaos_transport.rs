@@ -17,7 +17,7 @@ use paxi::core::{
 use paxi::protocols::paxos::{paxos_cluster, PaxosConfig};
 use paxi::sim::client::uniform_workload;
 use paxi::sim::{OpRecord, SimConfig, Simulator};
-use paxi::transport::runtime::{InboxTx, Node, Outbound};
+use paxi::transport::runtime::{Node, Outbound};
 use paxi::transport::{Envelope, FaultInjector, InProcCluster, LinkDecision, Remake, TcpCluster};
 use paxi_core::dist::Rng64;
 use paxi_core::faults::MsgFate;
@@ -130,12 +130,11 @@ fn the_simulator_and_a_live_node_run_the_same_crash_lifecycle() {
     let (tx, _rx) = std::sync::mpsc::channel();
     let replica = Lifecycle(Arc::clone(&live_log));
     let faults = Some((Arc::clone(&inj), remake));
-    let inbox = InboxTx::new(tx);
     let mut node = Node::new(
         n(0),
         replica,
         vec![],
-        inbox,
+        tx,
         Nowhere,
         Instant::now(),
         1,

@@ -16,6 +16,7 @@ use paxi::bench::{
 };
 use paxi::core::{ClusterConfig, CrashMode, Nanos};
 use paxi::protocols::raft::RaftConfig;
+use paxi::protocols::wankeeper::WanKeeperConfig;
 use paxi::protocols::wpaxos::WPaxosConfig;
 use paxi::sim::{SimConfig, Topology};
 
@@ -97,6 +98,24 @@ fn nemesis_wpaxos_seven_seeds() {
     for seed in SEEDS {
         assert_clean(
             &Proto::WPaxos(WPaxosConfig::default()),
+            zoned_sim(),
+            ClusterConfig::wan(3, 3, 1, 0),
+            NemesisConfig {
+                seed,
+                ..Default::default()
+            },
+            "",
+        );
+    }
+}
+
+/// WanKeeper on the WPaxos suite's zones and schedules, freeze mode, every
+/// auditor gating.
+#[test]
+fn nemesis_wankeeper_seven_seeds() {
+    for seed in SEEDS {
+        assert_clean(
+            &Proto::WanKeeper(WanKeeperConfig::default()),
             zoned_sim(),
             ClusterConfig::wan(3, 3, 1, 0),
             NemesisConfig {
