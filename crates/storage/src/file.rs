@@ -21,15 +21,29 @@
 //! `fsync`s it. There is deliberately **no** flush-on-drop: a handle that
 //! dies (process crash, amnesia fault) loses exactly its unsynced suffix,
 //! which is the durability model the recovery tests exercise.
+//!
+//! A segment is preallocated when it is created: `fallocate` reserves the
+//! rotation threshold and sets the file's size once, and every sync writes
+//! its records at an explicit offset inside that space. A synced append
+//! therefore moves no file size, so `fdatasync` has no size to make durable
+//! and does not wait for a filesystem journal commit (it still does where an
+//! extent is written for the first time). A segment is a run of records
+//! followed by its never-written tail, which reads as zeros: recovery stops
+//! at the first zero length prefix (see [`crate::record`]). The last sync
+//! before rotation may run past the threshold, and the file grows there as
+//! it does where the filesystem cannot preallocate. Segments written before
+//! preallocation (records end to end, no zero tail) recover the same way.
 
-use crate::record::{encode_record, scan_records, Damage};
+use crate::record::{put_record, scan_records, Damage};
 use crate::{ChunkSource, FsyncPolicy, Recovery, Storage, StorageError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Rotate the active segment once its synced size passes this.
+/// Rotate the active segment once its synced size passes this; a new
+/// segment is preallocated to it.
 const SEGMENT_LIMIT: u64 = 1 << 20;
 
 /// `snapshot.bin` starts with a little-endian u64 WAL epoch: the lowest
@@ -47,6 +61,8 @@ pub struct FileStorage {
     segment_limit: u64,
     active_seq: u64,
     active: Option<File>,
+    /// Bytes of records synced into the active segment: where the next
+    /// sync writes. 0 whenever `active` is `None`.
     active_len: u64,
     unsynced: Vec<u8>,
     unsynced_appends: usize,
@@ -156,21 +172,38 @@ impl FileStorage {
         Ok(out)
     }
 
+    /// Creates segment `active_seq`, preallocated to the rotation
+    /// threshold, and makes its directory entry durable.
+    fn create_segment(&self) -> Result<File, StorageError> {
+        let path = Self::segment_path(&self.dir, self.active_seq);
+        // Never a live segment: the sequence is past every one on disk.
+        let f = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
+        preallocate(&f, self.segment_limit)?;
+        // Make the new segment's directory entry durable: a synced record
+        // in a file the directory forgot is a record lost.
+        Self::sync_dir(&self.dir)?;
+        Ok(f)
+    }
+
+    /// Writes the unsynced records into the active segment at offset
+    /// `active_len` and syncs them, creating the segment first if there is
+    /// none. Nothing moves until the sync has returned: a flush that fails
+    /// keeps its records buffered, and a retry writes them at the same
+    /// offset, over whatever part of them did land, never after it.
     fn flush(&mut self) -> Result<(), StorageError> {
         if self.unsynced.is_empty() {
             return Ok(());
         }
-        if self.active.is_none() {
-            let path = Self::segment_path(&self.dir, self.active_seq);
-            let f = OpenOptions::new().create(true).append(true).open(&path)?;
-            // Make the new segment's directory entry durable: a synced
-            // record in a file the directory forgot is a record lost.
-            Self::sync_dir(&self.dir)?;
-            self.active_len = f.metadata()?.len();
-            self.active = Some(f);
-        }
-        let f = self.active.as_mut().expect("active segment just ensured");
-        f.write_all(&self.unsynced)?;
+        let f = match self.active.take() {
+            Some(f) => f,
+            None => self.create_segment()?,
+        };
+        let f = self.active.insert(f);
+        f.write_all_at(&self.unsynced, self.active_len)?;
         f.sync_data()?;
         self.active_len += self.unsynced.len() as u64;
         self.unsynced.clear();
@@ -201,12 +234,52 @@ impl FileStorage {
     }
 }
 
+/// Reserves `len` bytes for `f` from offset 0 and sets its size to `len`
+/// (`fallocate(2)` mode 0), so that writes inside them move no file size.
+/// A filesystem that cannot preallocate (`EOPNOTSUPP`) leaves the file to
+/// grow with each write; every other error, `ENOSPC` included, is returned.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn preallocate(f: &File, len: u64) -> std::io::Result<()> {
+    use std::os::unix::io::AsRawFd;
+    const EOPNOTSUPP: i32 = 95;
+    extern "C" {
+        // Linux: int fallocate(int fd, int mode, off_t offset, off_t len);
+        // off_t is 64 bits on this target.
+        fn fallocate(
+            fd: std::ffi::c_int,
+            mode: std::ffi::c_int,
+            offset: i64,
+            len: i64,
+        ) -> std::ffi::c_int;
+    }
+    let len = i64::try_from(len).unwrap_or(i64::MAX);
+    loop {
+        // SAFETY: the descriptor belongs to `f`, which is open for writing
+        // and outlives the call; the call reads no memory of ours.
+        if unsafe { fallocate(f.as_raw_fd(), 0, 0, len) } == 0 {
+            return Ok(());
+        }
+        let err = std::io::Error::last_os_error();
+        match err.raw_os_error() {
+            Some(EOPNOTSUPP) => return Ok(()),
+            _ if err.kind() == std::io::ErrorKind::Interrupted => continue,
+            _ => return Err(err),
+        }
+    }
+}
+
+/// Without `fallocate` the segment grows with each write.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn preallocate(_f: &File, _len: u64) -> std::io::Result<()> {
+    Ok(())
+}
+
 impl Storage for FileStorage {
     fn append(&mut self, payload: &[u8]) -> Result<(), StorageError> {
         if payload.len() + 4 > paxi_codec::MAX_FRAME {
             return Err(StorageError::RecordTooLarge(payload.len()));
         }
-        self.unsynced.extend_from_slice(&encode_record(payload));
+        put_record(&mut self.unsynced, payload);
         self.unsynced_appends += 1;
         self.oldest_unsynced.get_or_insert_with(Instant::now);
         if self.sync_due() {
@@ -349,6 +422,7 @@ impl Storage for FileStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{encode_record, record_spans};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -359,6 +433,13 @@ mod tests {
 
     fn payloads(r: &Recovery) -> Vec<&[u8]> {
         r.records.iter().map(|v| v.as_slice()).collect()
+    }
+
+    /// The newest segment under `dir` and the byte span of its last record.
+    fn last_record(dir: &Path) -> (PathBuf, (usize, usize)) {
+        let seg = FileStorage::segments(dir).unwrap().pop().unwrap().1;
+        let span = *record_spans(&fs::read(&seg).unwrap()).last().unwrap();
+        (seg, span)
     }
 
     #[test]
@@ -403,14 +484,14 @@ mod tests {
             s.append(b"keep").unwrap();
             s.append(b"torn-away").unwrap();
         }
-        // Tear the tail: chop the last few bytes off the only segment.
-        let seg = FileStorage::segments(&dir).unwrap().pop().unwrap().1;
-        let len = fs::metadata(&seg).unwrap().len();
+        // Tear the tail: chop the last few bytes off the last record (the
+        // segment's preallocated tail goes with them).
+        let (seg, (_, end)) = last_record(&dir);
         OpenOptions::new()
             .write(true)
             .open(&seg)
             .unwrap()
-            .set_len(len - 5)
+            .set_len(end as u64 - 5)
             .unwrap();
         let mut s = FileStorage::open(&dir, FsyncPolicy::Always).unwrap();
         let r = s.recover().unwrap();
@@ -434,10 +515,9 @@ mod tests {
             s.append(b"keep").unwrap();
             s.append(b"rot-me").unwrap();
         }
-        let seg = FileStorage::segments(&dir).unwrap().pop().unwrap().1;
+        let (seg, (_, end)) = last_record(&dir);
         let mut bytes = fs::read(&seg).unwrap();
-        let last = bytes.len() - 2; // inside the final record's payload
-        bytes[last] ^= 0x80;
+        bytes[end - 2] ^= 0x80; // inside the final record's payload
         fs::write(&seg, &bytes).unwrap();
         let mut s = FileStorage::open(&dir, FsyncPolicy::Always).unwrap();
         let r = s.recover().unwrap();
@@ -566,10 +646,9 @@ mod tests {
                 "recovery deletes the partial image"
             );
             // The same kill with the last WAL record torn as well.
-            let seg = FileStorage::segments(&photo).unwrap().pop().unwrap().1;
-            let len = fs::metadata(&seg).unwrap().len();
+            let (seg, (_, end)) = last_record(&photo);
             let f = OpenOptions::new().write(true).open(&seg).unwrap();
-            f.set_len(len - 3).unwrap();
+            f.set_len(end as u64 - 3).unwrap();
             let r = recover(&photo);
             assert_eq!(r.damage, Damage::TornTail);
             assert_eq!(r.snapshot.as_deref(), Some(b"OLD".as_slice()));
@@ -658,6 +737,140 @@ mod tests {
             .unwrap();
         assert_eq!(r.snapshot.as_deref(), Some(b"SNAP".as_slice()));
         assert_eq!(payloads(&r), vec![b"new-1".as_slice()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_preallocated_segments_zero_tail_recovers_clean() {
+        let dir = temp_dir("zero-tail");
+        {
+            let mut s = FileStorage::open(&dir, FsyncPolicy::Always).unwrap();
+            s.append(b"one").unwrap();
+            s.append(b"two").unwrap();
+        }
+        let (seg, (_, end)) = last_record(&dir);
+        let bytes = fs::read(&seg).unwrap();
+        assert_eq!(bytes.len() as u64, SEGMENT_LIMIT, "preallocated");
+        assert!(bytes[end..].iter().all(|&b| b == 0));
+        let r = FileStorage::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .recover()
+            .unwrap();
+        assert_eq!(r.damage, Damage::Clean);
+        assert_eq!(payloads(&r), vec![b"one".as_slice(), b"two"]);
+        assert_eq!(
+            fs::metadata(&seg).unwrap().len(),
+            SEGMENT_LIMIT,
+            "no repair"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_whose_body_ends_in_zeros_is_a_torn_tail() {
+        let dir = temp_dir("short-write");
+        {
+            let mut s = FileStorage::open(&dir, FsyncPolicy::Always).unwrap();
+            s.append(b"keep").unwrap();
+            s.append(b"the write stopped short").unwrap();
+        }
+        // The header landed, the second half of the body did not.
+        let (seg, (start, end)) = last_record(&dir);
+        let mut bytes = fs::read(&seg).unwrap();
+        let half = start + 4 + (end - start - 4) / 2;
+        bytes[half..end].fill(0);
+        fs::write(&seg, &bytes).unwrap();
+        let r = FileStorage::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .recover()
+            .unwrap();
+        assert_eq!(r.damage, Damage::TornTail);
+        assert_eq!(payloads(&r), vec![b"keep".as_slice()]);
+        assert_eq!(fs::metadata(&seg).unwrap().len(), start as u64, "truncated");
+        let r = FileStorage::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .recover()
+            .unwrap();
+        assert_eq!(r.damage, Damage::Clean);
+        assert_eq!(payloads(&r), vec![b"keep".as_slice()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_zero_bytes_after_a_zero_length_prefix_are_a_torn_tail() {
+        let dir = temp_dir("zero-prefix");
+        {
+            let mut s = FileStorage::open(&dir, FsyncPolicy::Always).unwrap();
+            s.append(b"keep").unwrap();
+        }
+        // A record's length prefix that never landed, its body that did.
+        let (seg, (_, end)) = last_record(&dir);
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes[end + 4..end + 12].copy_from_slice(b"landed!!");
+        fs::write(&seg, &bytes).unwrap();
+        let r = FileStorage::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .recover()
+            .unwrap();
+        assert_eq!(r.damage, Damage::TornTail);
+        assert_eq!(payloads(&r), vec![b"keep".as_slice()]);
+        assert_eq!(fs::metadata(&seg).unwrap().len(), end as u64, "truncated");
+        let r = FileStorage::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .recover()
+            .unwrap();
+        assert_eq!(r.damage, Damage::Clean);
+        assert_eq!(payloads(&r), vec![b"keep".as_slice()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_segment_in_the_unpreallocated_layout_recovers_every_record() {
+        let dir = temp_dir("old-layout");
+        fs::create_dir_all(&dir).unwrap();
+        // Records end to end and nothing after them, as a segment that grew
+        // with each write was left.
+        let want: [&[u8]; 3] = [b"first", b"", b"third"];
+        let old: Vec<u8> = want.iter().flat_map(|p| encode_record(p)).collect();
+        let seg = FileStorage::segment_path(&dir, 1);
+        fs::write(&seg, &old).unwrap();
+        let r = FileStorage::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .recover()
+            .unwrap();
+        assert_eq!(r.damage, Damage::Clean);
+        assert_eq!(payloads(&r), want);
+        fs::write(&seg, &old[..old.len() - 5]).unwrap();
+        let r = FileStorage::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .recover()
+            .unwrap();
+        assert_eq!(r.damage, Damage::TornTail);
+        assert_eq!(payloads(&r), &want[..2]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn synced_appends_inside_a_segment_leave_its_size_alone() {
+        // The property that keeps `fdatasync` off the filesystem journal:
+        // no synced append that fits in the segment changes its length.
+        let dir = temp_dir("size");
+        let mut s = FileStorage::open(&dir, FsyncPolicy::Always).unwrap();
+        s.append(b"creates the segment").unwrap();
+        let seg = FileStorage::segment_path(&dir, 1);
+        let before = fs::metadata(&seg).unwrap().len();
+        for i in 0..100u8 {
+            s.append(&[i; 300]).unwrap();
+        }
+        assert_eq!(fs::metadata(&seg).unwrap().len(), before);
+        assert_eq!(FileStorage::segments(&dir).unwrap().len(), 1);
+        drop(s);
+        let r = FileStorage::open(&dir, FsyncPolicy::Always)
+            .unwrap()
+            .recover()
+            .unwrap();
+        assert_eq!(r.damage, Damage::Clean);
+        assert_eq!(r.records.len(), 101);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,7 +29,7 @@ pub mod record;
 
 pub use file::FileStorage;
 pub use mem::{MemHub, MemStorage, StorageFault};
-pub use record::{crc32, encode_record, scan_records, Damage};
+pub use record::{crc32, encode_record, put_record, scan_records, Damage};
 
 use std::fmt;
 

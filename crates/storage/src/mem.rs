@@ -7,7 +7,7 @@
 //! replica holds its own [`MemStorage`] handle. Everything is synchronous
 //! and allocation-only, so simulation runs stay bit-for-bit deterministic.
 
-use crate::record::{encode_record, record_spans, scan_records};
+use crate::record::{put_record, record_spans, scan_records};
 use crate::{ChunkSource, FsyncPolicy, Recovery, Storage, StorageError};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -201,7 +201,7 @@ impl<K: Eq + Hash + Clone + Send + 'static> Storage for MemStorage<K> {
         }
         let mut disks = lock(&self.disks);
         let d = disks.entry(self.key.clone()).or_default();
-        d.unsynced.extend_from_slice(&encode_record(payload));
+        put_record(&mut d.unsynced, payload);
         d.unsynced_appends += 1;
         d.appends = d.appends.saturating_add(1);
         match self.policy {

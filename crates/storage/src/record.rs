@@ -6,6 +6,11 @@
 //! followed by the payload bytes. The checksum is what lets recovery tell a
 //! torn tail write (the machine died mid-append) from a record that was
 //! fully written and then corrupted in place.
+//!
+//! A zero length prefix ends the log. No writer produces one (a body is at
+//! least the 4-byte CRC), and it is what the never-written tail of a
+//! preallocated segment reads as: the scan stops there, clean if every byte
+//! after it is zero too.
 
 use paxi_codec::MAX_FRAME;
 
@@ -44,26 +49,42 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
+/// Appends one WAL record to `buf`: length prefix, CRC32 and payload,
+/// written straight into it with no intermediate buffer.
+pub fn put_record(buf: &mut Vec<u8>, payload: &[u8]) {
+    buf.reserve(8 + payload.len());
+    buf.extend_from_slice(&((4 + payload.len()) as u32).to_le_bytes());
+    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
 /// Encodes one WAL record: length prefix + CRC32 + payload.
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + payload.len());
-    body.extend_from_slice(&crc32(payload).to_le_bytes());
-    body.extend_from_slice(payload);
-    paxi_codec::encode_frame(&body)
+    let mut buf = Vec::new();
+    put_record(&mut buf, payload);
+    buf
+}
+
+fn zeros(bytes: &[u8]) -> bool {
+    bytes.iter().all(|&b| b == 0)
 }
 
 /// What a recovery scan found at the tail of a log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Damage {
-    /// Every record intact; the log ends exactly at a record boundary.
+    /// Every record intact; the log ends exactly at a record boundary, or
+    /// at a zero length prefix followed by nothing but zeros.
     #[default]
     Clean,
-    /// The final record is incomplete — a write was interrupted mid-append.
-    /// The partial suffix is discarded.
+    /// The final record is incomplete — a write was interrupted mid-append:
+    /// the log ends inside it, or it fails its CRC and is followed only by
+    /// zeros from its last byte on, or non-zero bytes follow a zero length
+    /// prefix. The partial suffix is discarded.
     TornTail,
-    /// A record failed its CRC check (or carried an impossible length). The
-    /// record and everything after it are discarded: once one record is bad
-    /// the writer's ordering guarantee says nothing about what follows.
+    /// A record failed its CRC check and a byte from its last one on is
+    /// non-zero (or it carried an impossible length). The record and
+    /// everything after it are discarded: once one record is bad the
+    /// writer's ordering guarantee says nothing about what follows.
     Corrupt,
 }
 
@@ -79,14 +100,19 @@ pub struct ScanOutcome {
 }
 
 /// Scans `buf` for consecutive records, stopping at the first torn or
-/// corrupt one. Never panics, whatever the input bytes.
+/// corrupt one, or at a zero length prefix (the never-written tail). Never
+/// panics, whatever the input bytes.
 pub fn scan_records(buf: &[u8]) -> ScanOutcome {
     let mut out = ScanOutcome::default();
     let mut pos = 0usize;
     while pos < buf.len() {
         let rest = &buf[pos..];
-        if rest.len() < 4 {
-            out.damage = Damage::TornTail;
+        if rest.len() < 4 || rest[..4] == [0; 4] {
+            // The never-written tail of a preallocated segment is all zeros;
+            // anything else here is the start of a record that did not land.
+            if !zeros(rest) {
+                out.damage = Damage::TornTail;
+            }
             break;
         }
         let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
@@ -104,7 +130,13 @@ pub fn scan_records(buf: &[u8]) -> ScanOutcome {
         let want = u32::from_le_bytes(body[..4].try_into().unwrap());
         let payload = &body[4..];
         if crc32(payload) != want {
-            out.damage = Damage::Corrupt;
+            // A write that stopped short inside a preallocated segment
+            // leaves the record's end, and all after it, unwritten.
+            out.damage = if zeros(&rest[3 + len..]) {
+                Damage::TornTail
+            } else {
+                Damage::Corrupt
+            };
             break;
         }
         out.records.push(payload.to_vec());
@@ -139,6 +171,25 @@ mod tests {
         // Standard check value for the IEEE CRC32.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn put_record_writes_the_framed_crc_and_payload() {
+        // The check value's record, byte by byte.
+        let mut buf = b"prior".to_vec();
+        put_record(&mut buf, b"123456789");
+        let mut want = b"prior".to_vec();
+        want.extend_from_slice(&[13, 0, 0, 0, 0x26, 0x39, 0xF4, 0xCB]);
+        want.extend_from_slice(b"123456789");
+        assert_eq!(buf, want);
+        for payload in [&b""[..], b"alpha", &[0u8; 300], &[0xA5; 70_000]] {
+            let mut body = crc32(payload).to_le_bytes().to_vec();
+            body.extend_from_slice(payload);
+            let mut buf = Vec::new();
+            put_record(&mut buf, payload);
+            assert_eq!(buf, paxi_codec::encode_frame(&body));
+            assert_eq!(encode_record(payload), buf);
+        }
     }
 
     #[test]
