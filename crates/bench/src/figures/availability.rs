@@ -69,7 +69,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     let paxos = paxos_sim.run();
 
     // WPaxos: crash one of the three zone leaders; other zones unaffected.
-    let cluster = ClusterConfig::wan(3, 3, 1, 0);
+    let cluster = ClusterConfig::wan(3, 3);
     let mut wpaxos_sim = Simulator::new(
         SimConfig {
             topology: Topology::lan_zones(3),

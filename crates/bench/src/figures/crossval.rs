@@ -8,11 +8,12 @@
 use crate::runner::{sweep, Proto};
 use crate::table::{f0, f2, Table};
 use paxi_core::config::ClusterConfig;
+use paxi_core::topology::Topology;
 use paxi_model::protocols::{EPaxosModel, PaxosModel, PerfModel, WPaxosModel};
 use paxi_model::Deployment;
 use paxi_protocols::wpaxos::WPaxosConfig;
 use paxi_sim::client::uniform_workload;
-use paxi_sim::Topology;
+use paxi_sim::SimConfig;
 
 /// Builds the cross-validation table.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -31,23 +32,24 @@ pub fn run(quick: bool) -> Vec<Table> {
         ],
     );
 
-    // MultiPaxos and FPaxos on the flat LAN.
-    let lan_model = Deployment::lan(9);
-    let lan_cluster = ClusterConfig::lan(9);
+    // MultiPaxos and FPaxos on the flat LAN, one deployment for both.
+    let lan = Deployment::lan(9);
+    let lan_sim = SimConfig {
+        topology: lan.topology.clone(),
+        ..sim.clone()
+    };
     let entries: Vec<(Proto, Box<dyn PerfModel>)> = vec![
         (Proto::paxos(), Box::new(PaxosModel::multi_paxos())),
         (Proto::fpaxos(3), Box::new(PaxosModel::fpaxos(3))),
     ];
     for (proto, model) in entries {
-        let points = sweep(&proto, &sim, &lan_cluster, &counts, || {
+        let points = sweep(&proto, &lan_sim, &lan.cluster, &counts, || {
             uniform_workload(1000)
         });
         let sim_max = points.iter().map(|p| p.throughput).fold(0.0, f64::max);
         let sim_low = points.first().map(|p| p.mean_ms).unwrap_or(f64::NAN);
-        let model_max = model.max_throughput(&lan_model);
-        let model_low = model
-            .latency_ms(&lan_model, model_max * 0.05)
-            .unwrap_or(f64::NAN);
+        let model_max = model.max_throughput(&lan);
+        let model_low = model.latency_ms(&lan, model_max * 0.05).unwrap_or(f64::NAN);
         t.row(vec![
             proto.name(),
             f0(model_max),
@@ -60,28 +62,28 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     // WPaxos on the 3x3 grid-in-a-LAN.
     {
-        let mut grid_model = Deployment::lan(9);
-        grid_model.zones = 3;
-        grid_model.per_zone = 3;
-        grid_model.rtt_ms = vec![vec![paxi_model::params::LAN_RTT_MS; 3]; 3];
-        let model = WPaxosModel::new(1.0);
-        let cluster = ClusterConfig::wan(3, 3, 1, 0);
-        let grid_sim = paxi_sim::SimConfig {
+        let grid = Deployment {
+            cluster: ClusterConfig::wan(3, 3),
             topology: Topology::lan_zones(3),
+            ..lan.clone()
+        };
+        let grid_sim = SimConfig {
+            topology: grid.topology.clone(),
             ..sim.clone()
         };
+        let model = WPaxosModel::new(1.0);
         let points = sweep(
             &Proto::WPaxos(WPaxosConfig::default()),
             &grid_sim,
-            &cluster,
+            &grid.cluster,
             &counts,
             || uniform_workload(1000),
         );
         let sim_max = points.iter().map(|p| p.throughput).fold(0.0, f64::max);
         let sim_low = points.first().map(|p| p.mean_ms).unwrap_or(f64::NAN);
-        let model_max = model.max_throughput(&grid_model);
+        let model_max = model.max_throughput(&grid);
         let model_low = model
-            .latency_ms(&grid_model, model_max * 0.05)
+            .latency_ms(&grid, model_max * 0.05)
             .unwrap_or(f64::NAN);
         t.row(vec![
             "WPaxos(fz=0)".into(),
@@ -97,15 +99,13 @@ pub fn run(quick: bool) -> Vec<Table> {
     // experimental dependency-processing penalty — compare the *shape* only.
     {
         let model = EPaxosModel::new(0.02);
-        let points = sweep(&Proto::epaxos(), &sim, &lan_cluster, &counts, || {
+        let points = sweep(&Proto::epaxos(), &lan_sim, &lan.cluster, &counts, || {
             uniform_workload(1000)
         });
         let sim_max = points.iter().map(|p| p.throughput).fold(0.0, f64::max);
         let sim_low = points.first().map(|p| p.mean_ms).unwrap_or(f64::NAN);
-        let model_max = model.max_throughput(&lan_model);
-        let model_low = model
-            .latency_ms(&lan_model, model_max * 0.05)
-            .unwrap_or(f64::NAN);
+        let model_max = model.max_throughput(&lan);
+        let model_low = model.latency_ms(&lan, model_max * 0.05).unwrap_or(f64::NAN);
         t.row(vec![
             "EPaxos (model c=0.02 / sim penalized)".into(),
             f0(model_max),

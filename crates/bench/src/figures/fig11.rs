@@ -61,7 +61,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     } else {
         vec![0, 20, 40, 60, 80, 100]
     };
-    let cluster = ClusterConfig::wan(5, 3, 1, 0);
+    let cluster = ClusterConfig::wan(5, 3);
     // Migration of each zone's private objects away from Ohio is gated on
     // client-paced WAN round trips, so the warmup must cover it (the paper
     // measures steady state over 60-second runs).
@@ -78,18 +78,13 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut results = vec![vec![vec![f64::NAN; protos.len()]; conflicts.len()]; 3];
     for (ci, &c) in conflicts.iter().enumerate() {
         for (pi, proto) in protos.iter().enumerate() {
-            let cluster = if matches!(proto, Proto::WPaxos(cfg) if cfg.fz == 1) {
-                ClusterConfig::wan(5, 3, 1, 1)
-            } else {
-                cluster.clone()
-            };
             let clients = ClientSetup::closed_per_zone(&cluster, 2);
             let workload = HotKeyWorkload {
                 conflict: c as f64 / 100.0,
                 hot_key: 0,
                 private_keys: 20,
             };
-            let report = run_sim(proto, sim.clone(), cluster, workload, clients);
+            let report = run_sim(proto, sim.clone(), cluster.clone(), workload, clients);
             for zone in 0..3u8 {
                 if let Some(s) = report.zone_latency.get(&zone) {
                     results[zone as usize][ci][pi] = s.mean.as_millis_f64();

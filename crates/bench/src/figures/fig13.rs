@@ -83,14 +83,11 @@ pub fn run(quick: bool) -> Vec<Table> {
     ];
     let mut per_zone: Vec<Vec<f64>> = vec![vec![f64::NAN; protos.len()]; 5];
 
+    let cluster = ClusterConfig::wan(5, 3);
     for (pi, proto) in protos.iter().enumerate() {
-        let cluster = match proto {
-            Proto::WPaxos(cfg) => ClusterConfig::wan(5, 3, 1, cfg.fz),
-            _ => ClusterConfig::wan(5, 3, 1, 0),
-        };
         let clients = ClientSetup::closed_per_zone(&cluster, 3);
         let workload = GeneralWorkload::new(bench.clone(), 5);
-        let report = run_sim(proto, sim.clone(), cluster, workload, clients);
+        let report = run_sim(proto, sim.clone(), cluster.clone(), workload, clients);
         for (di, (zone, _)) in display.iter().enumerate() {
             if let Some(s) = report.zone_latency.get(zone) {
                 per_zone[di][pi] = s.mean.as_millis_f64();

@@ -8,7 +8,7 @@
 
 use crate::table::{f2, Table};
 use paxi_core::dist::Rng64;
-use paxi_sim::topology::{Topology, AWS_LAN_RTT_MEAN_MS, AWS_LAN_RTT_STD_MS};
+use paxi_core::topology::{Topology, AWS_LAN_RTT_MEAN_MS, AWS_LAN_RTT_STD_MS};
 
 /// Builds the RTT histogram table (bucket midpoint, probability density).
 pub fn run(quick: bool) -> Vec<Table> {

@@ -8,12 +8,11 @@
 
 use crate::runner::{run as run_sim, Proto};
 use crate::table::{f0, f2, Table};
-use paxi_core::config::ClusterConfig;
 use paxi_model::protocols::{PaxosModel, PerfModel};
 use paxi_model::queueing::QueueKind;
 use paxi_model::Deployment;
 use paxi_sim::client::uniform_workload;
-use paxi_sim::ClientSetup;
+use paxi_sim::{ClientSetup, SimConfig};
 
 /// Rates swept in the figure (requests/second).
 fn rates(quick: bool) -> Vec<f64> {
@@ -60,7 +59,6 @@ pub fn run_figure(quick: bool) -> Vec<Table> {
             "Paxi_sim_ms",
         ],
     );
-    let cluster = ClusterConfig::lan(9);
     for rate in rates(quick) {
         let mut cells = vec![f0(rate)];
         for (_, m) in &models {
@@ -70,13 +68,16 @@ pub fn run_figure(quick: bool) -> Vec<Table> {
             }
         }
         // Reference: the simulator under open-loop Poisson arrivals at the
-        // same aggregate rate.
-        let sim = super::sim_preset(quick);
+        // same aggregate rate, on the modeled deployment.
+        let sim = SimConfig {
+            topology: d.topology.clone(),
+            ..super::sim_preset(quick)
+        };
         let clients = ClientSetup::open_single(rate);
         let report = run_sim(
             &Proto::paxos(),
             sim,
-            cluster.clone(),
+            d.cluster.clone(),
             uniform_workload(1000),
             clients,
         );

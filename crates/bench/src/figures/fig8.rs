@@ -5,22 +5,20 @@
 //! come from quorum sizes.
 
 use crate::table::{f0, f2, Table};
+use paxi_core::config::ClusterConfig;
+use paxi_core::topology::Topology;
 use paxi_model::protocols::{EPaxosModel, PaxosModel, PerfModel, WPaxosModel};
 use paxi_model::Deployment;
-
-fn lan_grid() -> Deployment {
-    // WPaxos views the same 9 LAN nodes as a 3x3 grid.
-    let mut d = Deployment::lan(9);
-    d.zones = 3;
-    d.per_zone = 3;
-    d.rtt_ms = vec![vec![paxi_model::params::LAN_RTT_MS; 3]; 3];
-    d
-}
 
 /// Builds the 8a (full range) and 8b (low-throughput zoom) tables.
 pub fn run(_quick: bool) -> Vec<Table> {
     let d = Deployment::lan(9);
-    let grid = lan_grid();
+    // WPaxos views the same 9 LAN nodes as a 3x3 grid.
+    let grid = Deployment {
+        cluster: ClusterConfig::wan(3, 3),
+        topology: Topology::lan_zones(3),
+        ..d.clone()
+    };
     let models: Vec<(String, Box<dyn PerfModel>, &Deployment)> = vec![
         ("MultiPaxos".into(), Box::new(PaxosModel::multi_paxos()), &d),
         ("FPaxos(|q2|=3)".into(), Box::new(PaxosModel::fpaxos(3)), &d),

@@ -44,7 +44,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
 
     // The same 9 nodes as a 3x3 grid for the zone-structured protocols.
-    let grid = ClusterConfig::wan(3, 3, 1, 0);
+    let grid = ClusterConfig::wan(3, 3);
     let grid_sim = paxi_sim::SimConfig {
         topology: Topology::lan_zones(3),
         ..sim.clone()

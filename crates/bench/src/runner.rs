@@ -198,7 +198,7 @@ mod tests {
                 cpu_penalty: 1.0,
             },
         ] {
-            let cluster = ClusterConfig::wan(3, 3, 1, 0);
+            let cluster = ClusterConfig::wan(3, 3);
             let clients = ClientSetup::closed_per_zone(&cluster, 2);
             let r = run(
                 &proto,

@@ -1,10 +1,10 @@
 //! Cluster configuration.
 //!
-//! A [`ClusterConfig`] describes the deployment every protocol runs in: how
-//! many zones (regions), how many nodes per zone, and the fault-tolerance
-//! parameters `f` (node crashes tolerated inside a zone) and `fz` (full-zone
-//! failures tolerated) that WPaxos-style flexible grid quorums are built
-//! from. It is the Rust analogue of Paxi's JSON configuration file.
+//! A [`ClusterConfig`] describes the shape of the deployment every protocol
+//! runs in: how many zones (regions) and how many nodes per zone. It is the
+//! Rust analogue of Paxi's JSON configuration file; the network between the
+//! zones is a [`crate::topology::Topology`], and fault-tolerance parameters
+//! belong to the protocol that uses them (WPaxos's grid `f` / `fz`).
 
 use crate::id::NodeId;
 use crate::time::Nanos;
@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 /// commits them as one slot / log-entry batch: one round of messages, one
 /// WAL append, and one fsync amortized over `max_batch` commands — the
 /// classic lever for relieving the single-leader bottleneck the paper's §3
-/// cost model identifies. `batch_delay` bounds how long the first command in
-/// a partial batch waits behind a round that is still in flight; an idle
+/// cost model identifies. [`BATCH_DELAY`] bounds how long the first command
+/// in a partial batch waits behind a round that is still in flight; an idle
 /// leader does not wait at all (see [`Batcher`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchConfig {
@@ -26,29 +26,26 @@ pub struct BatchConfig {
     /// behaviorally identical to the unbatched protocol (same messages, same
     /// timers, same WAL records).
     pub max_batch: usize,
-    /// Hold-down: how long a partial batch may wait for more commands while
-    /// an earlier proposal of the leader is still uncommitted. Irrelevant
-    /// when `max_batch == 1`.
-    pub batch_delay: Nanos,
 }
+
+/// Hold-down: how long a partial batch may wait for more commands while an
+/// earlier proposal of the leader is still uncommitted. Irrelevant when
+/// `max_batch == 1`.
+pub const BATCH_DELAY: Nanos = Nanos::micros(200);
 
 impl Default for BatchConfig {
     /// Batching off: one command per slot, exactly today's behavior.
     fn default() -> Self {
-        BatchConfig {
-            max_batch: 1,
-            batch_delay: Nanos::micros(200),
-        }
+        BatchConfig { max_batch: 1 }
     }
 }
 
 impl BatchConfig {
-    /// Batching enabled with batch size `max_batch` and the default
-    /// 200 µs hold-down.
+    /// Batching enabled with batch size `max_batch` and the [`BATCH_DELAY`]
+    /// hold-down.
     pub fn of(max_batch: usize) -> Self {
         BatchConfig {
             max_batch: max_batch.max(1),
-            ..Self::default()
         }
     }
 }
@@ -59,7 +56,7 @@ impl BatchConfig {
 /// A batch is proposed when it **fills**; otherwise the first command of a
 /// partial batch arms one flush timer whose delay depends on what the
 /// leader is doing. Behind an **in-flight round** (an earlier proposal
-/// still uncommitted) it is the [`BatchConfig::batch_delay`] hold-down:
+/// still uncommitted) it is the [`BATCH_DELAY`] hold-down:
 /// the pipeline is busy anyway, so waiting costs little and buys a fuller
 /// batch. On an **idle leader** it is zero: runtimes deliver a zero-delay
 /// timer behind the input already queued at the node, so requests that
@@ -106,11 +103,7 @@ impl<T> Batcher<T> {
             return Some(std::mem::take(&mut self.buf));
         }
         if self.token.is_none() {
-            let delay = if in_flight {
-                self.cfg.batch_delay
-            } else {
-                Nanos::ZERO
-            };
+            let delay = if in_flight { BATCH_DELAY } else { Nanos::ZERO };
             self.token = Some(ctx.set_timer(delay, self.timer_kind));
         }
         None
@@ -138,17 +131,13 @@ impl<T> Batcher<T> {
     }
 }
 
-/// Static description of a cluster deployment.
+/// Static description of a cluster deployment's shape.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClusterConfig {
     /// Number of zones (regions / failure domains).
     pub zones: u8,
     /// Nodes in each zone.
     pub per_zone: u8,
-    /// Node-failure tolerance within a zone (used by grid quorums).
-    pub f: u8,
-    /// Zone-failure tolerance (used by grid quorums).
-    pub fz: u8,
 }
 
 impl ClusterConfig {
@@ -157,23 +146,13 @@ impl ClusterConfig {
         ClusterConfig {
             zones: 1,
             per_zone: n,
-            f: n / 2,
-            fz: 0,
         }
     }
 
-    /// A WAN-style grid deployment of `zones × per_zone` nodes with node
-    /// fault-tolerance `f` and zone fault-tolerance `fz`.
-    pub fn wan(zones: u8, per_zone: u8, f: u8, fz: u8) -> Self {
+    /// A WAN-style grid deployment of `zones × per_zone` nodes.
+    pub fn wan(zones: u8, per_zone: u8) -> Self {
         assert!(zones > 0 && per_zone > 0);
-        assert!(f < per_zone, "f must be < per_zone");
-        assert!(fz < zones, "fz must be < zones");
-        ClusterConfig {
-            zones,
-            per_zone,
-            f,
-            fz,
-        }
+        ClusterConfig { zones, per_zone }
     }
 
     /// Total node count.
@@ -234,7 +213,7 @@ mod tests {
 
     #[test]
     fn wan_grid_enumeration_is_zone_major() {
-        let c = ClusterConfig::wan(3, 3, 1, 0);
+        let c = ClusterConfig::wan(3, 3);
         let nodes = c.all_nodes();
         assert_eq!(nodes.len(), 9);
         assert_eq!(nodes[0], NodeId::new(0, 0));
@@ -246,16 +225,10 @@ mod tests {
 
     #[test]
     fn contains_checks_bounds() {
-        let c = ClusterConfig::wan(2, 3, 1, 0);
+        let c = ClusterConfig::wan(2, 3);
         assert!(c.contains(NodeId::new(1, 2)));
         assert!(!c.contains(NodeId::new(2, 0)));
         assert!(!c.contains(NodeId::new(0, 3)));
-    }
-
-    #[test]
-    #[should_panic]
-    fn wan_rejects_f_equal_per_zone() {
-        ClusterConfig::wan(3, 3, 3, 0);
     }
 
     #[test]

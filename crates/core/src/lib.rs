@@ -14,12 +14,17 @@
 //! * [`ballot`] — totally-ordered Paxos ballots.
 //! * [`command`] — commands, interference relation, client request/response.
 //! * [`store`] — the multi-version in-memory key-value state machine.
-//! * [`quorum`] — majority, fast, grid, flexible-grid, and group quorums.
-//! * [`config`] — cluster deployment description.
+//! * [`quorum`] — majority, count, and flexible-grid quorums; the EPaxos
+//!   fast-quorum size.
+//! * [`config`] — cluster shape (zones × nodes per zone) and command
+//!   batching.
 //! * [`cost`] — per-message CPU/NIC service costs, read by the analytic
 //!   model and the simulator alike.
 //! * [`traits`] — the [`traits::Replica`] / [`traits::Context`]
 //!   protocol abstraction shared by the simulator and wall-clock runtimes.
+//! * [`topology`] — zone RTT matrices and the LAN/WAN latency
+//!   distributions (AWS-calibrated presets), sampled by the simulator and
+//!   read by the analytic model.
 //! * [`time`] — nanosecond virtual time.
 //! * [`metrics`] — latency histograms, CDFs, throughput meters.
 //! * [`obs`] — per-replica typed counters / drop causes / gauges and the
@@ -50,6 +55,7 @@ pub mod obs;
 pub mod quorum;
 pub mod store;
 pub mod time;
+pub mod topology;
 pub mod traits;
 
 pub use ballot::Ballot;
@@ -71,9 +77,10 @@ pub use obs::{
     TraceRing, TraceStage,
 };
 pub use quorum::{
-    fast_quorum_size, majority, CountQuorum, FastQuorum, FlexibleGridQuorum, GridPhase, GridQuorum,
-    GroupQuorum, MajorityQuorum, QuorumTracker,
+    fast_quorum_size, majority, CountQuorum, FlexibleGridQuorum, GridPhase, MajorityQuorum,
+    QuorumTracker,
 };
 pub use store::{MultiVersionStore, StoreDump, Version};
 pub use time::Nanos;
+pub use topology::Topology;
 pub use traits::{Context, Replica, ReplicaFactory};

@@ -9,12 +9,10 @@
 //! * [`MajorityQuorum`] — classic Paxos majority, `⌊N/2⌋+1`.
 //! * [`CountQuorum`] — any fixed number of acks (FPaxos phase-2 quorums,
 //!   thrifty variants).
-//! * [`FastQuorum`] — EPaxos fast path, `f + ⌊(f+1)/2⌋ + 1` nodes (≈ 3/4 N).
-//! * [`GridQuorum`] — rows for phase-1, columns for phase-2.
 //! * [`FlexibleGridQuorum`] — WPaxos quorums parameterized by per-zone fault
 //!   tolerance `f` and zone fault tolerance `fz`.
-//! * [`GroupQuorum`] — majority within an explicit member subset (WanKeeper /
-//!   VPaxos Paxos groups).
+//!
+//! [`fast_quorum_size`] gives the EPaxos fast-path quorum size.
 //!
 //! Every system exposes the same two-method interface the paper describes:
 //! `ack()` and `satisfied()`.
@@ -122,42 +120,6 @@ impl QuorumTracker for CountQuorum {
     }
 }
 
-/// EPaxos fast-path quorum: `fast_quorum_size(n)` acks including the command
-/// leader's implicit self-ack.
-#[derive(Debug, Clone)]
-pub struct FastQuorum {
-    inner: CountQuorum,
-}
-
-impl FastQuorum {
-    /// Fast quorum tracker for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        FastQuorum {
-            inner: CountQuorum::new(fast_quorum_size(n)),
-        }
-    }
-
-    /// The number of acks required.
-    pub fn threshold(&self) -> usize {
-        self.inner.threshold()
-    }
-}
-
-impl QuorumTracker for FastQuorum {
-    fn ack(&mut self, id: NodeId) -> bool {
-        self.inner.ack(id)
-    }
-    fn satisfied(&self) -> bool {
-        self.inner.satisfied()
-    }
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-    fn count(&self) -> usize {
-        self.inner.count()
-    }
-}
-
 /// Which phase a grid-style quorum serves. Phase-1 quorums run across zones
 /// (rows); phase-2 quorums run within zones (columns); any phase-1 quorum
 /// intersects any phase-2 quorum.
@@ -167,65 +129,6 @@ pub enum GridPhase {
     One,
     /// Replication phase.
     Two,
-}
-
-/// Simple grid quorum over a `zones × per_zone` node grid: a phase-1 quorum
-/// is one full *row* (one node from every zone); a phase-2 quorum is one full
-/// *column* (every node of one zone).
-#[derive(Debug, Clone)]
-pub struct GridQuorum {
-    zones: u8,
-    per_zone: u8,
-    phase: GridPhase,
-    acks: HashSet<NodeId>,
-}
-
-impl GridQuorum {
-    /// Grid tracker for the given phase.
-    pub fn new(zones: u8, per_zone: u8, phase: GridPhase) -> Self {
-        GridQuorum {
-            zones,
-            per_zone,
-            phase,
-            acks: HashSet::new(),
-        }
-    }
-
-    fn zones_covered(&self) -> usize {
-        let mut zs: HashSet<u8> = HashSet::new();
-        for a in &self.acks {
-            zs.insert(a.zone);
-        }
-        zs.len()
-    }
-
-    fn full_zone(&self) -> bool {
-        let mut per_zone_count = vec![0usize; self.zones as usize];
-        for a in &self.acks {
-            if (a.zone as usize) < per_zone_count.len() {
-                per_zone_count[a.zone as usize] += 1;
-            }
-        }
-        per_zone_count.iter().any(|&c| c >= self.per_zone as usize)
-    }
-}
-
-impl QuorumTracker for GridQuorum {
-    fn ack(&mut self, id: NodeId) -> bool {
-        self.acks.insert(id)
-    }
-    fn satisfied(&self) -> bool {
-        match self.phase {
-            GridPhase::One => self.zones_covered() >= self.zones as usize,
-            GridPhase::Two => self.full_zone(),
-        }
-    }
-    fn reset(&mut self) {
-        self.acks.clear();
-    }
-    fn count(&self) -> usize {
-        self.acks.len()
-    }
 }
 
 /// WPaxos flexible grid quorum.
@@ -313,54 +216,6 @@ impl QuorumTracker for FlexibleGridQuorum {
     }
 }
 
-/// Majority quorum within an explicit member set — WanKeeper level-1 groups
-/// and VPaxos per-zone Paxos groups use this. Acks from non-members are
-/// ignored.
-#[derive(Debug, Clone)]
-pub struct GroupQuorum {
-    members: Vec<NodeId>,
-    acks: HashSet<NodeId>,
-}
-
-impl GroupQuorum {
-    /// Majority-of-`members` tracker.
-    pub fn new(members: Vec<NodeId>) -> Self {
-        GroupQuorum {
-            members,
-            acks: HashSet::new(),
-        }
-    }
-
-    /// The number of acks required.
-    pub fn threshold(&self) -> usize {
-        majority(self.members.len())
-    }
-
-    /// The group's member list.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-}
-
-impl QuorumTracker for GroupQuorum {
-    fn ack(&mut self, id: NodeId) -> bool {
-        if self.members.contains(&id) {
-            self.acks.insert(id)
-        } else {
-            false
-        }
-    }
-    fn satisfied(&self) -> bool {
-        self.acks.len() >= self.threshold()
-    }
-    fn reset(&mut self) {
-        self.acks.clear();
-    }
-    fn count(&self) -> usize {
-        self.acks.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,28 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_phase1_needs_every_zone() {
-        let mut q = GridQuorum::new(3, 3, GridPhase::One);
-        q.ack(n(0, 0));
-        q.ack(n(1, 2));
-        assert!(!q.satisfied());
-        q.ack(n(2, 1));
-        assert!(q.satisfied());
-    }
-
-    #[test]
-    fn grid_phase2_needs_a_full_zone() {
-        let mut q = GridQuorum::new(3, 3, GridPhase::Two);
-        q.ack(n(0, 0));
-        q.ack(n(1, 0));
-        q.ack(n(2, 0));
-        assert!(!q.satisfied(), "a row is not a column");
-        q.ack(n(1, 1));
-        q.ack(n(1, 2));
-        assert!(q.satisfied());
-    }
-
-    #[test]
     fn flexible_grid_fz0_commits_within_one_zone() {
         // 3 zones x 3 nodes, f=1, fz=0: q2 = 2 nodes in 1 zone.
         let mut q2 = FlexibleGridQuorum::new(3, 3, 1, 0, GridPhase::Two);
@@ -457,15 +290,6 @@ mod tests {
         assert!(q1.zone_threshold() + q2.zone_threshold() > 3);
         // node overlap within the shared zone: (per_zone - f) + (f+1) > per_zone
         assert!(q1.per_zone_threshold() + q2.per_zone_threshold() > 3);
-    }
-
-    #[test]
-    fn group_quorum_ignores_non_members() {
-        let mut q = GroupQuorum::new(vec![n(0, 0), n(0, 1), n(0, 2)]);
-        assert!(!q.ack(n(1, 0)), "outsider ack rejected");
-        q.ack(n(0, 0));
-        q.ack(n(0, 1));
-        assert!(q.satisfied());
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!
 //! * [`queueing`] — M/M/1, M/D/1, M/G/1, G/G/1 queue-wait estimates (Table 1).
 //! * [`orderstat`] — k-order statistics for quorum waits (§3.3).
-//! * [`params`] — Table 2 model parameters and deployment presets.
+//! * [`params`] — Table 2 model parameters and deployment presets: a
+//!   [`Deployment`] is the simulator's own cluster shape, topology and cost
+//!   model (`paxi_core::{config, topology, cost}`), so a prediction and a
+//!   simulated run describe one deployment.
 //! * [`protocols`] — per-protocol latency/throughput models (Figures 8, 10, 12).
 //! * [`formulas`] — Formulas 1–7: load, capacity, and latency closed forms (§6).
 //! * [`advisor`] — the Figure 14 protocol-selection flowchart.

@@ -1,42 +1,35 @@
 //! Model parameters (paper Table 2).
 //!
-//! A [`Deployment`] bundles everything the analytic models need: cluster
-//! shape, per-zone-pair RTTs, and per-message processing costs — the
-//! simulator's own [`CostModel`], so the model and the simulator
-//! cross-validate by construction. Units are seconds internally; RTTs are
-//! specified in milliseconds for readability.
+//! A [`Deployment`] bundles everything the analytic models need: the
+//! cluster shape ([`ClusterConfig`]), the network ([`Topology`]: per-zone-
+//! pair RTTs and the LAN σ), and per-message processing costs
+//! ([`CostModel`]) — the very three descriptions the simulator runs on, so
+//! the model and the simulator cross-validate by construction. Units are
+//! seconds internally; RTTs are specified in milliseconds for readability.
 
+use paxi_core::config::ClusterConfig;
 use paxi_core::cost::CostModel;
+use paxi_core::topology::Topology;
 use serde::{Deserialize, Serialize};
 
-/// The modeled deployment: zones, nodes, inter-zone RTTs, costs.
+/// The modeled deployment: cluster shape, network, costs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Deployment {
-    /// Number of zones.
-    pub zones: usize,
-    /// Nodes per zone.
-    pub per_zone: usize,
-    /// Symmetric mean RTT matrix in ms; diagonal = intra-zone LAN RTT.
-    pub rtt_ms: Vec<Vec<f64>>,
-    /// Standard deviation of the intra-zone RTT, ms (for order statistics).
-    pub lan_std_ms: f64,
+    /// Zones and nodes per zone.
+    pub cluster: ClusterConfig,
+    /// RTT matrix between zones and the intra-zone RTT σ.
+    pub topology: Topology,
     /// Message processing costs.
     pub cost: CostModel,
 }
 
-/// Paper-calibrated LAN RTT mean (ms).
-pub const LAN_RTT_MS: f64 = 0.4271;
-/// Paper-calibrated LAN RTT standard deviation (ms).
-pub const LAN_STD_MS: f64 = 0.0476;
-
 impl Deployment {
     /// Single-zone LAN of `n` nodes with the paper's AWS-calibrated RTT.
     pub fn lan(n: usize) -> Self {
+        let n = u8::try_from(n).expect("a LAN of at most 255 nodes");
         Deployment {
-            zones: 1,
-            per_zone: n,
-            rtt_ms: vec![vec![LAN_RTT_MS]],
-            lan_std_ms: LAN_STD_MS,
+            cluster: ClusterConfig::lan(n),
+            topology: Topology::lan(),
             cost: CostModel::default(),
         }
     }
@@ -44,56 +37,41 @@ impl Deployment {
     /// The paper's five-region WAN (VA, OH, CA, IR, JP) with `per_zone`
     /// nodes per region.
     pub fn aws5(per_zone: usize) -> Self {
-        let lan = LAN_RTT_MS;
-        Deployment {
-            zones: 5,
-            per_zone,
-            rtt_ms: vec![
-                vec![lan, 11.0, 61.0, 75.0, 162.0],
-                vec![11.0, lan, 50.0, 86.0, 156.0],
-                vec![61.0, 50.0, lan, 138.0, 102.0],
-                vec![75.0, 86.0, 138.0, lan, 220.0],
-                vec![162.0, 156.0, 102.0, 220.0, lan],
-            ],
-            lan_std_ms: LAN_STD_MS,
-            cost: CostModel::default(),
-        }
+        Self::wan(Topology::aws5(), per_zone)
     }
 
     /// Three-region subset (VA, OH, CA).
     pub fn aws3(per_zone: usize) -> Self {
-        let five = Self::aws5(per_zone);
+        Self::wan(Topology::aws3(), per_zone)
+    }
+
+    fn wan(topology: Topology, per_zone: usize) -> Self {
+        let zones = topology.zones() as u8;
+        let per_zone = u8::try_from(per_zone).expect("at most 255 nodes per zone");
         Deployment {
-            zones: 3,
-            per_zone,
-            rtt_ms: (0..3)
-                .map(|a| (0..3).map(|b| five.rtt_ms[a][b]).collect())
-                .collect(),
-            lan_std_ms: LAN_STD_MS,
+            cluster: ClusterConfig::wan(zones, per_zone),
+            topology,
             cost: CostModel::default(),
         }
     }
 
     /// Total nodes.
     pub fn n(&self) -> usize {
-        self.zones * self.per_zone
+        self.cluster.n()
     }
 
     /// Mean RTT between two zones, ms.
     pub fn rtt(&self, a: usize, b: usize) -> f64 {
-        self.rtt_ms[a][b]
+        self.topology.rtt_ms(a as u8, b as u8)
     }
 
     /// Mean RTTs (ms) from a node in `zone` to every *other* node in the
     /// deployment (its followers), in node order.
     pub fn follower_rtts(&self, zone: usize) -> Vec<f64> {
+        let per_zone = self.cluster.per_zone as usize;
         let mut v = Vec::with_capacity(self.n() - 1);
-        for z in 0..self.zones {
-            let count = if z == zone {
-                self.per_zone - 1
-            } else {
-                self.per_zone
-            };
+        for z in 0..self.cluster.zones as usize {
+            let count = if z == zone { per_zone - 1 } else { per_zone };
             for _ in 0..count {
                 v.push(self.rtt(zone, z));
             }
@@ -132,6 +110,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxi_core::topology::AWS_LAN_RTT_MEAN_MS as LAN_RTT_MS;
 
     #[test]
     fn paxos_service_time_matches_paper_expression() {

@@ -59,9 +59,10 @@ fn dq_ms(d: &Deployment, zone: usize, k: usize) -> f64 {
         return 0.0;
     }
     let rtts = d.follower_rtts(zone);
-    if d.zones == 1 {
+    if d.cluster.zones == 1 {
         // LAN: i.i.d. Normal RTTs -> Monte Carlo k-order statistic.
-        kth_of_n_normal(k, rtts.len(), d.rtt(0, 0), d.lan_std_ms, OS_ITERS, OS_SEED)
+        let std = d.topology.lan_std_ms();
+        kth_of_n_normal(k, rtts.len(), d.rtt(0, 0), std, OS_ITERS, OS_SEED)
     } else {
         // WAN: heterogeneous means -> k-th smallest mean RTT.
         kth_smallest_rtt(&rtts, k)
@@ -71,7 +72,8 @@ fn dq_ms(d: &Deployment, zone: usize, k: usize) -> f64 {
 /// Mean client→leader RTT (ms) when clients are uniformly spread over zones
 /// and the leader sits in `leader_zone`.
 fn mean_dl_ms(d: &Deployment, leader_zone: usize) -> f64 {
-    (0..d.zones).map(|z| d.rtt(z, leader_zone)).sum::<f64>() / d.zones as f64
+    let zones = d.cluster.zones as usize;
+    (0..zones).map(|z| d.rtt(z, leader_zone)).sum::<f64>() / zones as f64
 }
 
 /// Single-leader MultiPaxos / FPaxos model.
@@ -209,13 +211,13 @@ impl PerfModel for EPaxosModel {
         let fast_k = self.fast(d) - 1;
         let slow_k = d.majority() - 1;
         let mut lat = 0.0;
-        for z in 0..d.zones {
+        for z in 0..d.cluster.zones as usize {
             let dq_fast = dq_ms(d, z, fast_k);
             let dq_slow = dq_ms(d, z, slow_k);
             let per_zone = (1.0 - self.conflict) * dq_fast + self.conflict * (dq_fast + dq_slow);
             lat += per_zone;
         }
-        lat /= d.zones as f64;
+        lat /= d.cluster.zones as f64;
         Some((wq + mean) * 1e3 + dl + lat)
     }
 
@@ -254,7 +256,7 @@ impl WPaxosModel {
 
     fn service_moments(&self, d: &Deployment) -> (f64, f64) {
         let n = d.n() as f64;
-        let leaders = d.zones as f64;
+        let leaders = d.cluster.zones as f64;
         let nic = d.nic();
         // Own round: full-replication broadcast like Paxos.
         let s_lead = 2.0 * d.to() + n * d.ti() + 2.0 * n * nic;
@@ -281,11 +283,11 @@ impl PerfModel for WPaxosModel {
         // DQ: f+1 acks from fz+1 zones. fz=0 -> in-zone (LAN) quorum; fz>0
         // -> also the (fz)-th nearest other zone.
         let mut lat = 0.0;
-        for z in 0..d.zones {
+        for z in 0..d.cluster.zones as usize {
             let dq = if self.fz == 0 {
                 d.rtt(z, z)
             } else {
-                let mut others: Vec<f64> = (0..d.zones)
+                let mut others: Vec<f64> = (0..d.cluster.zones as usize)
                     .filter(|&o| o != z)
                     .map(|o| d.rtt(z, o))
                     .collect();
@@ -294,19 +296,19 @@ impl PerfModel for WPaxosModel {
             };
             // Remote requests pay a forward to the owner zone (mean over
             // other zones).
-            let dl_remote = if d.zones > 1 {
-                (0..d.zones)
+            let dl_remote = if d.cluster.zones > 1 {
+                (0..d.cluster.zones as usize)
                     .filter(|&o| o != z)
                     .map(|o| d.rtt(z, o))
                     .sum::<f64>()
-                    / (d.zones - 1) as f64
+                    / (d.cluster.zones - 1) as f64
             } else {
                 d.rtt(0, 0)
             };
             let dl_local = d.rtt(z, z);
             lat += self.locality * (dl_local + dq) + (1.0 - self.locality) * (dl_remote + dq);
         }
-        lat /= d.zones as f64;
+        lat /= d.cluster.zones as f64;
         Some((wq + mean) * 1e3 + lat)
     }
 
@@ -336,7 +338,7 @@ impl WanKeeperModel {
     }
 
     fn group_service(&self, d: &Deployment) -> f64 {
-        let g = d.per_zone as f64;
+        let g = d.cluster.per_zone as f64;
         // Zone-local round: leader broadcasts to g-1 members and collects
         // acks — the hierarchical win: g << N messages.
         2.0 * d.to() + g * d.ti() + 2.0 * g * d.nic()
@@ -350,7 +352,7 @@ impl PerfModel for WanKeeperModel {
 
     fn latency_ms(&self, d: &Deployment, lambda: f64) -> Option<f64> {
         let s = self.group_service(d);
-        let zones = d.zones as f64;
+        let zones = d.cluster.zones as f64;
         // Master handles its own zone's share plus all non-local rounds.
         let master_rate = lambda / zones + lambda * (1.0 - self.locality) * (zones - 1.0) / zones;
         let wq_master = wait_time(QueueKind::MD1, master_rate, s)?;
@@ -358,7 +360,7 @@ impl PerfModel for WanKeeperModel {
         let wq_zone = wait_time(QueueKind::MD1, zone_rate, s)?;
         // In-group quorum wait is one LAN RTT.
         let mut lat = 0.0;
-        for z in 0..d.zones {
+        for z in 0..d.cluster.zones as usize {
             let local = d.rtt(z, z) + d.rtt(z, z) + (wq_zone + s) * 1e3;
             let remote = d.rtt(z, self.master_zone)
                 + d.rtt(self.master_zone, self.master_zone)
@@ -371,7 +373,7 @@ impl PerfModel for WanKeeperModel {
 
     fn max_throughput(&self, d: &Deployment) -> f64 {
         let s = self.group_service(d);
-        let zones = d.zones as f64;
+        let zones = d.cluster.zones as f64;
         // The master saturates first unless locality is perfect.
         let master_share = 1.0 / zones + (1.0 - self.locality) * (zones - 1.0) / zones;
         (1.0 / s) / master_share
@@ -381,6 +383,8 @@ impl PerfModel for WanKeeperModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxi_core::config::ClusterConfig;
+    use paxi_core::topology::Topology;
 
     #[test]
     fn paxos_lan_saturates_near_8k() {
@@ -414,10 +418,11 @@ mod tests {
         // WPaxos over Paxos in LAN.
         let d = Deployment::lan(9);
         // Use a 3x3 "grid in a LAN" for WPaxos.
-        let mut grid = Deployment::lan(9);
-        grid.zones = 3;
-        grid.per_zone = 3;
-        grid.rtt_ms = vec![vec![crate::params::LAN_RTT_MS; 3]; 3];
+        let grid = Deployment {
+            cluster: ClusterConfig::wan(3, 3),
+            topology: Topology::lan_zones(3),
+            ..Deployment::lan(9)
+        };
         let paxos = PaxosModel::multi_paxos().max_throughput(&d);
         let wpaxos = WPaxosModel::new(1.0).max_throughput(&grid);
         let gain = wpaxos / paxos - 1.0;

@@ -1154,7 +1154,7 @@ mod tests {
     #[test]
     fn wan_conflict_latency_matches_epaxos_story() {
         // In WAN, conflicts force a second wide-area round.
-        let cluster = ClusterConfig::wan(5, 1, 0, 0);
+        let cluster = ClusterConfig::wan(5, 1);
         let mk = |p: f64| {
             let setups = ClientSetup::closed_per_zone(&cluster, 2);
             let workload = move |client: ClientId,

@@ -160,7 +160,7 @@ mod tests {
 
     fn rep() -> ZoneRep<&'static str> {
         // Zone 0 of a 3-per-zone cluster: leader 0.0, peers 0.1, 0.2.
-        ZoneRep::new(NodeId::new(0, 0), &ClusterConfig::wan(2, 3, 1, 0))
+        ZoneRep::new(NodeId::new(0, 0), &ClusterConfig::wan(2, 3))
     }
 
     #[test]
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn single_node_zone_commits_immediately() {
-        let mut r = ZoneRep::new(NodeId::new(0, 0), &ClusterConfig::wan(2, 1, 0, 0));
+        let mut r = ZoneRep::new(NodeId::new(0, 0), &ClusterConfig::wan(2, 1));
         r.append(1, "x");
         assert_eq!(r.take_committed(1), vec!["x"]);
     }

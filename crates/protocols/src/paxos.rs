@@ -1234,6 +1234,7 @@ mod tests {
     use super::*;
     use crate::testkit::{self, mig_spec, probe, reconfig_request, request, settle};
     use paxi_core::command::Op;
+    use paxi_core::config::BATCH_DELAY;
     use paxi_core::id::ClientId;
     use paxi_sim::{ClientSetup, SimConfig, Simulator};
 
@@ -1501,7 +1502,7 @@ mod tests {
         assert_eq!(
             delay,
             Nanos::ZERO,
-            "nothing in flight: the flush must not wait for batch_delay"
+            "nothing in flight: the flush must not wait for BATCH_DELAY"
         );
         r.on_timer(TIMER_BATCH, token, &mut ctx);
         let batches = p2a_batches(&ctx.sent);
@@ -1539,7 +1540,7 @@ mod tests {
         // Behind the uncommitted slot the hold-down applies.
         r.on_request(request(1), &mut ctx);
         let (delay, token) = ctx.last_timer(TIMER_BATCH);
-        assert_eq!(delay, PaxosConfig::batched(4).batch.batch_delay);
+        assert_eq!(delay, BATCH_DELAY);
         assert_eq!(p2a_batches(&ctx.sent).len(), 1, "partial batch must wait");
         // ... until the hold-down fires,
         r.on_timer(TIMER_BATCH, token, &mut ctx);

@@ -1279,6 +1279,7 @@ pub fn raft_cluster(cluster: ClusterConfig, cfg: RaftConfig) -> impl Fn(NodeId) 
 mod tests {
     use super::*;
     use crate::testkit::{self, mig_spec, probe, put_req, reconfig_request, request, settle};
+    use paxi_core::config::BATCH_DELAY;
     use paxi_sim::{ClientSetup, SimConfig, Simulator};
 
     fn lan_sim(n: u8, cfg: RaftConfig, clients: usize) -> Simulator<Raft> {
@@ -1596,7 +1597,7 @@ mod tests {
         assert_eq!(
             delay,
             Nanos::ZERO,
-            "nothing in flight: the flush must not wait for batch_delay"
+            "nothing in flight: the flush must not wait for BATCH_DELAY"
         );
         r.on_timer(TIMER_BATCH, token, &mut ctx);
         assert_eq!(append_batches(&ctx.sent), vec![1]);
@@ -1630,7 +1631,7 @@ mod tests {
         // Behind the uncommitted entry the hold-down applies.
         r.on_request(request(1), &mut ctx);
         let (delay, token) = ctx.last_timer(TIMER_BATCH);
-        assert_eq!(delay, RaftConfig::batched(4).batch.batch_delay);
+        assert_eq!(delay, BATCH_DELAY);
         assert_eq!(
             append_batches(&ctx.sent),
             vec![1],

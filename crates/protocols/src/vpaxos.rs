@@ -537,7 +537,7 @@ mod tests {
         setups: Vec<ClientSetup>,
         workload: impl paxi_sim::Workload + 'static,
     ) -> Simulator<VPaxos> {
-        let cluster = ClusterConfig::wan(3, 3, 1, 0);
+        let cluster = ClusterConfig::wan(3, 3);
         Simulator::new(
             SimConfig {
                 topology: Topology::aws3(),
@@ -555,7 +555,7 @@ mod tests {
 
     #[test]
     fn initial_zone_serves_locally() {
-        let cluster = ClusterConfig::wan(3, 3, 1, 0);
+        let cluster = ClusterConfig::wan(3, 3);
         let cfg = VPaxosConfig {
             master_zone: 1,
             initial_zone: 1,
@@ -582,7 +582,7 @@ mod tests {
             initial_zone: 1,
             window: 3,
         };
-        let cluster = ClusterConfig::wan(3, 3, 1, 0);
+        let cluster = ClusterConfig::wan(3, 3);
         let setups = ClientSetup::closed_per_zone(&cluster, 1);
         let workload =
             |client: ClientId, _z: u8, seq: u64, _now: paxi_core::Nanos, _rng: &mut Rng64| {
@@ -607,7 +607,7 @@ mod tests {
             initial_zone: 1,
             window: 3,
         };
-        let cluster = ClusterConfig::wan(3, 3, 1, 0);
+        let cluster = ClusterConfig::wan(3, 3);
         let setups = ClientSetup::closed_in_zone(&cluster, 2, 2);
         let workload =
             |client: ClientId, _z: u8, seq: u64, _now: paxi_core::Nanos, rng: &mut Rng64| {

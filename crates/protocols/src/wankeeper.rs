@@ -456,7 +456,7 @@ mod tests {
     use paxi_sim::{ClientSetup, SimConfig, Simulator, Topology};
 
     fn wan3(cfg: WanKeeperConfig) -> (ClusterConfig, SimConfig) {
-        let cluster = ClusterConfig::wan(3, 3, 1, 0);
+        let cluster = ClusterConfig::wan(3, 3);
         let sim = SimConfig {
             topology: Topology::aws3(),
             record_ops: true,
@@ -528,7 +528,7 @@ mod tests {
     fn master() -> WanKeeper {
         WanKeeper::new(
             NodeId::new(0, 0),
-            ClusterConfig::wan(3, 1, 0, 0),
+            ClusterConfig::wan(3, 1),
             WanKeeperConfig::default(),
         )
     }
@@ -657,7 +657,7 @@ mod tests {
         let master = NodeId::new(0, 0);
         let mut zone_leader = WanKeeper::new(
             NodeId::new(1, 0),
-            ClusterConfig::wan(3, 3, 1, 0),
+            ClusterConfig::wan(3, 3),
             WanKeeperConfig::default(),
         );
         let mut ctx = probe(NodeId::new(1, 0));

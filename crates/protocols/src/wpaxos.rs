@@ -33,6 +33,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const TIMER_COMMIT_FLUSH: u64 = 1;
+/// Commit-flush (piggybacked phase-3) period.
+const FLUSH_INTERVAL: Nanos = Nanos::millis(10);
 
 /// Tuning knobs for [`WPaxos`].
 #[derive(Debug, Clone)]
@@ -49,11 +51,6 @@ pub struct WPaxosConfig {
     /// keys are hash-partitioned across the zone leaders (`key % zones`),
     /// the balanced default a fresh deployment starts from.
     pub initial_owner: Option<NodeId>,
-    /// Restrict leadership to one node per zone (node `z.0`), matching the
-    /// paper's WPaxos deployment.
-    pub single_leader_per_zone: bool,
-    /// Commit-flush (piggybacked phase-3) period.
-    pub flush_interval: Nanos,
 }
 
 impl Default for WPaxosConfig {
@@ -63,8 +60,6 @@ impl Default for WPaxosConfig {
             fz: 0,
             window: 3,
             initial_owner: None,
-            single_leader_per_zone: true,
-            flush_interval: Nanos::millis(10),
         }
     }
 }
@@ -241,9 +236,9 @@ impl WPaxos {
         }
     }
 
-    /// Whether this node may lead (steal and own keys).
+    /// Whether this node may lead (steal and own keys): node `z.0` only.
     pub fn leader_capable(&self) -> bool {
-        !self.cfg.single_leader_per_zone || self.id.node == 0
+        self.id.node == 0
     }
 
     /// Number of keys this node currently owns (phase-1 complete).
@@ -443,7 +438,7 @@ impl Replica for WPaxos {
     type Msg = WPaxosMsg;
 
     fn on_start(&mut self, ctx: &mut dyn Context<WPaxosMsg>) {
-        ctx.set_timer(self.cfg.flush_interval, TIMER_COMMIT_FLUSH);
+        ctx.set_timer(FLUSH_INTERVAL, TIMER_COMMIT_FLUSH);
     }
 
     fn on_message(&mut self, from: NodeId, msg: WPaxosMsg, ctx: &mut dyn Context<WPaxosMsg>) {
@@ -751,7 +746,7 @@ impl Replica for WPaxos {
                     .collect();
                 ctx.broadcast(WPaxosMsg::CommitBatch { items });
             }
-            ctx.set_timer(self.cfg.flush_interval, TIMER_COMMIT_FLUSH);
+            ctx.set_timer(FLUSH_INTERVAL, TIMER_COMMIT_FLUSH);
         }
     }
 
@@ -792,7 +787,7 @@ mod tests {
 
     /// 3×3 grid in a LAN (the paper's 9-node LAN deployment).
     fn lan_grid_sim(cfg: WPaxosConfig, clients_per_zone: usize) -> Simulator<WPaxos> {
-        let cluster = ClusterConfig::wan(3, 3, 1, cfg.fz);
+        let cluster = ClusterConfig::wan(3, 3);
         let setups = ClientSetup::closed_per_zone(&cluster, clients_per_zone);
         Simulator::new(
             SimConfig {
@@ -822,7 +817,7 @@ mod tests {
         // the keyspace. (With very few hot keys, greedy locality stealing
         // under uniform closed-loop load slowly drifts ownership toward the
         // fastest zone — a real property of the adaptation policy.)
-        let cluster = ClusterConfig::wan(3, 3, 1, 0);
+        let cluster = ClusterConfig::wan(3, 3);
         let setups = ClientSetup::closed_per_zone(&cluster, 3);
         let mut sim = Simulator::new(
             SimConfig {
@@ -868,7 +863,7 @@ mod tests {
         // fz=0 commits need only VA's zone, so latency ≈ LAN RTTs, far below
         // any WAN RTT. The warmup absorbs the initial ownership acquisition
         // (each first touch runs a cross-WAN phase-1 gated on Japan's RTT).
-        let cluster = ClusterConfig::wan(5, 3, 1, 0);
+        let cluster = ClusterConfig::wan(5, 3);
         let setups = ClientSetup::closed_in_zone(&cluster, 0, 3);
         let workload =
             |client: ClientId, _z: u8, seq: u64, _now: paxi_core::Nanos, rng: &mut Rng64| {
@@ -898,7 +893,7 @@ mod tests {
 
     #[test]
     fn fz1_pays_one_wan_zone() {
-        let cluster = ClusterConfig::wan(5, 3, 1, 1);
+        let cluster = ClusterConfig::wan(5, 3);
         let setups = ClientSetup::closed_in_zone(&cluster, 0, 3);
         let workload =
             |client: ClientId, _z: u8, seq: u64, _now: paxi_core::Nanos, rng: &mut Rng64| {
@@ -925,7 +920,7 @@ mod tests {
     fn ownership_migrates_with_locality() {
         // All keys start in zone 1 (OH-like); zone 0's clients hammer keys
         // 0..20; after three accesses per key, zone 0's leader steals them.
-        let cluster = ClusterConfig::wan(3, 3, 1, 0);
+        let cluster = ClusterConfig::wan(3, 3);
         let setups = ClientSetup::closed_in_zone(&cluster, 0, 2);
         let workload =
             |client: ClientId, _z: u8, seq: u64, _now: paxi_core::Nanos, rng: &mut Rng64| {
@@ -962,6 +957,26 @@ mod tests {
         assert!(
             p50 < 10.0,
             "after stealing, commits are local; p50 {p50} ms"
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn new_rejects_f_equal_per_zone() {
+        let cfg = WPaxosConfig {
+            f: 3,
+            ..WPaxosConfig::default()
+        };
+        WPaxos::new(NodeId::new(0, 0), ClusterConfig::wan(3, 3), cfg);
+    }
+
+    #[test]
+    #[should_panic]
+    fn new_rejects_fz_equal_zones() {
+        WPaxos::new(
+            NodeId::new(0, 0),
+            ClusterConfig::wan(3, 3),
+            WPaxosConfig::with_fz(3),
         );
     }
 }

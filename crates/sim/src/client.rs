@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn closed_per_zone_spreads_over_zone_replicas() {
-        let c = ClusterConfig::wan(3, 3, 1, 0);
+        let c = ClusterConfig::wan(3, 3);
         let clients = ClientSetup::closed_per_zone(&c, 5);
         assert_eq!(clients.len(), 15);
         for cl in &clients {

@@ -11,9 +11,11 @@
 //! (`paxi_core::traits::Replica`) runs through the same node
 //! (`paxi_transport::runtime::Node`) on the wall-clock runtimes, the
 //! simulator provides a controlled, reproducible environment for the
-//! protocol comparisons of §5.
+//! protocol comparisons of §5. The network it samples is
+//! [`paxi_core::topology::Topology`] and the per-message costs it charges
+//! are [`paxi_core::cost::CostModel`] — the same two descriptions the
+//! analytic model (`paxi-model`) reads, re-exported here.
 //!
-//! * [`topology`] — LAN/WAN latency models (AWS-calibrated presets).
 //! * [`faults`] — Crash / Drop / Slow / Flaky / partition injection.
 //! * [`client`] — open- and closed-loop clients, the [`client::Workload`] trait.
 //! * [`sim`] — the simulator itself.
@@ -26,11 +28,10 @@ pub mod client;
 pub mod faults;
 pub mod report;
 pub mod sim;
-pub mod topology;
 
 pub use client::{ClientSetup, KickoffWorkload, LoadMode, Workload};
 pub use faults::{CrashMode, FaultPlan, FaultWindow, MsgFate};
 pub use paxi_core::cost::CostModel;
+pub use paxi_core::topology::Topology;
 pub use report::{NodeStats, OpRecord, SimReport};
 pub use sim::{SimConfig, SimDisks, Simulator};
-pub use topology::Topology;

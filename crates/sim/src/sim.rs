@@ -23,7 +23,6 @@
 use crate::client::{ClientSetup, LoadMode, Workload};
 use crate::faults::{FaultPlan, MsgFate};
 use crate::report::{NodeStats, OpRecord, SimReport};
-use crate::topology::Topology;
 use paxi_core::command::{ClientRequest, ClientResponse, Command, Op};
 use paxi_core::config::ClusterConfig;
 use paxi_core::cost::CostModel;
@@ -36,6 +35,7 @@ use paxi_core::obs::{
     TraceRing, TraceStage,
 };
 use paxi_core::time::Nanos;
+use paxi_core::topology::Topology;
 use paxi_core::traits::{Replica, ReplicaFactory};
 use paxi_storage::MemHub;
 use paxi_transport::runtime::{Lend, Node, NodeEvent, Outbound};
@@ -1277,7 +1277,7 @@ mod tests {
             topology: Topology::aws5(),
             ..SimConfig::default()
         };
-        let cluster = ClusterConfig::wan(5, 1, 0, 0);
+        let cluster = ClusterConfig::wan(5, 1);
         // Client in JP (zone 4) attaches to a VA node (zone 0).
         let clients = vec![ClientSetup {
             zone: 4,

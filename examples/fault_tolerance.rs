@@ -69,7 +69,7 @@ fn main() {
     );
 
     println!("=== WPaxos (3 zones): zone-2 leader crash at t=2s ===");
-    let cluster = ClusterConfig::wan(3, 3, 1, 0);
+    let cluster = ClusterConfig::wan(3, 3);
     let cfg = SimConfig {
         topology: Topology::lan_zones(3),
         warmup: Nanos::millis(100),

@@ -52,7 +52,7 @@ fn main() {
     );
     println!("{}", "-".repeat(16 + 10 * regions.len()));
     for proto in protos {
-        let cluster = ClusterConfig::wan(5, 3, 1, 0);
+        let cluster = ClusterConfig::wan(5, 3);
         let sim = SimConfig {
             topology: Topology::aws5(),
             warmup: Nanos::secs(5),

@@ -75,7 +75,7 @@ fn wpaxos_remote_leader_crash_leaves_other_zones_undisturbed() {
     // Zones work on their own keys; crash zone 2's leader. Zones 0 and 1
     // keep committing with their local quorums — the failed leader is not on
     // their critical path (fz=0 quorums live entirely inside each zone).
-    let cluster = ClusterConfig::wan(3, 3, 1, 0);
+    let cluster = ClusterConfig::wan(3, 3);
     let clients = ClientSetup::closed_per_zone(&cluster, 3);
     let cfg = SimConfig {
         topology: Topology::lan_zones(3),

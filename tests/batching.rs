@@ -284,7 +284,7 @@ fn committed_history_is_invariant_under_batch_size() {
 
 /// The determinism-suite fingerprint (see `tests/determinism.rs`).
 fn fingerprint(proto: &Proto, seed: u64) -> (u64, u64, u64, String) {
-    let cluster = ClusterConfig::wan(3, 3, 1, 0);
+    let cluster = ClusterConfig::wan(3, 3);
     let sim = SimConfig {
         seed,
         topology: Topology::lan_zones(3),

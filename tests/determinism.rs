@@ -7,7 +7,7 @@ use paxi::core::{ClusterConfig, Nanos};
 use paxi::sim::{ClientSetup, SimConfig, Topology};
 
 fn fingerprint(proto: &Proto, seed: u64) -> (u64, u64, u64, String) {
-    let cluster = ClusterConfig::wan(3, 3, 1, 0);
+    let cluster = ClusterConfig::wan(3, 3);
     let sim = SimConfig {
         seed,
         topology: Topology::lan_zones(3),

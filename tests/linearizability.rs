@@ -86,7 +86,7 @@ fn raft_is_linearizable() {
 fn wpaxos_is_linearizable_across_zones() {
     check(
         Proto::WPaxos(WPaxosConfig::default()),
-        ClusterConfig::wan(3, 3, 1, 0),
+        ClusterConfig::wan(3, 3),
         Topology::lan_zones(3),
     );
 }
@@ -95,7 +95,7 @@ fn wpaxos_is_linearizable_across_zones() {
 fn wankeeper_is_linearizable_across_zones() {
     check(
         Proto::WanKeeper(WanKeeperConfig::default()),
-        ClusterConfig::wan(3, 3, 1, 0),
+        ClusterConfig::wan(3, 3),
         Topology::lan_zones(3),
     );
 }
@@ -104,7 +104,7 @@ fn wankeeper_is_linearizable_across_zones() {
 fn vpaxos_is_linearizable_across_zones() {
     check(
         Proto::VPaxos(VPaxosConfig::default()),
-        ClusterConfig::wan(3, 3, 1, 0),
+        ClusterConfig::wan(3, 3),
         Topology::lan_zones(3),
     );
 }
@@ -115,7 +115,7 @@ fn wpaxos_in_wan_is_linearizable_during_migration() {
     // committed writes.
     check(
         Proto::WPaxos(WPaxosConfig::default()),
-        ClusterConfig::wan(3, 3, 1, 0),
+        ClusterConfig::wan(3, 3),
         Topology::aws3(),
     );
 }

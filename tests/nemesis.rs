@@ -99,7 +99,7 @@ fn nemesis_wpaxos_seven_seeds() {
         assert_clean(
             &Proto::WPaxos(WPaxosConfig::default()),
             zoned_sim(),
-            ClusterConfig::wan(3, 3, 1, 0),
+            ClusterConfig::wan(3, 3),
             NemesisConfig {
                 seed,
                 ..Default::default()
@@ -117,7 +117,7 @@ fn nemesis_wankeeper_seven_seeds() {
         assert_clean(
             &Proto::WanKeeper(WanKeeperConfig::default()),
             zoned_sim(),
-            ClusterConfig::wan(3, 3, 1, 0),
+            ClusterConfig::wan(3, 3),
             NemesisConfig {
                 seed,
                 ..Default::default()
@@ -214,7 +214,7 @@ fn wpaxos_same_seed_reproduces_the_same_run() {
             ..Default::default()
         };
         let proto = Proto::WPaxos(WPaxosConfig::default());
-        Scenario::nemesis(&proto, zoned_sim(), ClusterConfig::wan(3, 3, 1, 0), &cfg).run()
+        Scenario::nemesis(&proto, zoned_sim(), ClusterConfig::wan(3, 3), &cfg).run()
     };
     let (a, b) = (run(), run());
     assert_eq!(a.report.fingerprint(), b.report.fingerprint());

@@ -79,7 +79,7 @@ fn epaxos_runs_over_tcp() {
 #[test]
 fn wpaxos_runs_over_channels_with_zone_forwarding() {
     use paxi::protocols::wpaxos::{wpaxos_cluster, WPaxosConfig};
-    let cluster = ClusterConfig::wan(3, 3, 1, 0);
+    let cluster = ClusterConfig::wan(3, 3);
     let run = InProcCluster::launch(
         cluster.clone(),
         wpaxos_cluster(cluster.clone(), WPaxosConfig::default()),
