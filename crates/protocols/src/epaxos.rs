@@ -149,10 +149,23 @@ struct Instance {
     accept_oks: usize,
 }
 
+/// What a replica knows of one key: per command leader, the instances a new
+/// command on the key must be ordered after.
+///
+/// A write interferes with every command on its key. It depends on each
+/// leader's latest instance there, which reaches that leader's earlier
+/// writes through its own deps. A read interferes with writes only and
+/// depends on no read, so a leader's latest read reaches none of its writes:
+/// were a read to stand in for them, a new read could execute before a
+/// committed write it must see, and two writes linked only through it could
+/// execute in either order. A read therefore depends on each leader's latest
+/// write, kept in `last_write`.
 #[derive(Debug, Default)]
 struct KeyInfo {
-    /// Latest interfering instance per command leader.
+    /// Latest instance per command leader, read or write.
     last: HashMap<NodeId, u64>,
+    /// Latest write per command leader.
+    last_write: HashMap<NodeId, u64>,
     /// Highest seq among interfering instances.
     max_seq: u64,
 }
@@ -233,33 +246,44 @@ impl EPaxos {
     }
 
     /// Computes `(seq, deps)` for `cmd` from local knowledge, excluding
-    /// `iref` itself.
+    /// `iref` itself: a write depends on every leader's latest instance on
+    /// the key, a read on every leader's latest write (see [`KeyInfo`]).
     fn attributes(&self, cmd: &Command, iref: IRef) -> (u64, Vec<IRef>) {
         let Some(info) = self.key_info.get(&cmd.key) else {
             return (1, Vec::new());
         };
-        let mut deps: Vec<IRef> = info
-            .last
+        let last = if cmd.is_write() {
+            &info.last
+        } else {
+            &info.last_write
+        };
+        let mut deps: Vec<IRef> = last
             .iter()
             .map(|(&leader, &idx)| IRef { leader, idx })
             .filter(|d| *d != iref)
-            .filter(|d| {
-                // Reads don't interfere with reads.
-                self.get(*d).map(|i| cmd.interferes(&i.cmd)).unwrap_or(true)
-            })
             .collect();
         deps.sort_unstable();
         (info.max_seq + 1, deps)
     }
 
-    /// Records `iref` as the latest instance touching its key.
-    fn note_instance(&mut self, iref: IRef, key: u64, seq: u64) {
-        let info = self.key_info.entry(key).or_default();
-        let e = info.last.entry(iref.leader).or_insert(iref.idx);
-        if *e <= iref.idx {
-            *e = iref.idx;
+    /// Records `iref` as its leader's latest instance on its key, and as its
+    /// latest write there if its command writes.
+    fn note_instance(&mut self, iref: IRef) {
+        let inst = self
+            .instances
+            .get(&iref.leader)
+            .and_then(|l| l.get(&iref.idx));
+        let inst = inst.expect("noting unknown instance");
+        let info = self.key_info.entry(inst.cmd.key).or_default();
+        let note = |last: &mut HashMap<NodeId, u64>| {
+            let e = last.entry(iref.leader).or_default();
+            *e = (*e).max(iref.idx);
+        };
+        note(&mut info.last);
+        if inst.cmd.is_write() {
+            note(&mut info.last_write);
         }
-        info.max_seq = info.max_seq.max(seq);
+        info.max_seq = info.max_seq.max(inst.seq);
     }
 
     fn insert_instance(
@@ -271,7 +295,6 @@ impl EPaxos {
         status: Status,
         req: Option<RequestId>,
     ) {
-        let key = cmd.key;
         let inst = Instance {
             cmd,
             seq,
@@ -291,7 +314,7 @@ impl EPaxos {
             // A decided instance lost its status: paths through it changed.
             self.forget_blocked();
         }
-        self.note_instance(iref, key, seq);
+        self.note_instance(iref);
     }
 
     /// `iref` just committed: what it blocked may be executable now.
@@ -365,11 +388,7 @@ impl EPaxos {
             self.unblock(iref);
             ctx.count(Metric::Commits, 1);
         }
-        let (key, seq) = {
-            let i = self.get(iref).unwrap();
-            (i.cmd.key, i.seq)
-        };
-        self.note_instance(iref, key, seq);
+        self.note_instance(iref);
         self.pending_exec.insert(iref);
         self.persist(iref, WalStatus::Committed);
         self.execute_ready(ctx);
@@ -627,11 +646,7 @@ impl Replica for EPaxos {
                         true
                     }
                 };
-                let (key, seq) = {
-                    let i = self.get(iref).unwrap();
-                    (i.cmd.key, i.seq)
-                };
-                self.note_instance(iref, key, seq);
+                self.note_instance(iref);
                 // Already-committed instances still get an AcceptOk but must
                 // not log a status downgrade.
                 if advanced {
@@ -737,11 +752,7 @@ impl Replica for EPaxos {
                 }
                 None => self.insert_instance(w.iref, w.cmd, w.seq, w.deps, status, None),
             }
-            let (key, seq) = {
-                let i = self.get(w.iref).unwrap();
-                (i.cmd.key, i.seq)
-            };
-            self.note_instance(w.iref, key, seq);
+            self.note_instance(w.iref);
             if status == Status::Committed {
                 self.pending_exec.insert(w.iref);
             }
@@ -910,6 +921,78 @@ mod tests {
             (None, EpaxosMsg::PreAccept { deps, .. }) => assert!(deps.is_empty()),
             other => panic!("expected PreAccept, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_read_behind_a_read_still_depends_on_the_write_before_both() {
+        // The first Get depends on the Put; the second must too: a read
+        // orders nothing after it, so it cannot stand in for the Put.
+        let mut e = EPaxos::new(NodeId::new(0, 0), ClusterConfig::lan(5));
+        let mut ctx = probe(NodeId::new(0, 0));
+        e.on_request(req(1, 0, paxi_core::Command::put(7, vec![1])), &mut ctx);
+        e.on_request(req(1, 1, paxi_core::Command::get(7)), &mut ctx);
+        e.on_request(req(1, 2, paxi_core::Command::get(7)), &mut ctx);
+        let put = IRef {
+            leader: NodeId::new(0, 0),
+            idx: 0,
+        };
+        match &ctx.sent[2] {
+            (None, EpaxosMsg::PreAccept { iref, deps, .. }) => {
+                assert_eq!(iref.idx, 2);
+                assert_eq!(deps, &vec![put], "the second Get must follow the Put");
+            }
+            other => panic!("expected PreAccept, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_acceptor_adds_the_write_behind_another_leaders_read() {
+        // The acceptor knows 0.1's Put(7) and, after it, 0.1's Get(7). A
+        // Get(7) from 0.0 that knows neither must come back ordered after
+        // the Put, not after nothing.
+        let mut acceptor = EPaxos::new(NodeId::new(0, 2), ClusterConfig::lan(5));
+        let mut ctx = probe(NodeId::new(0, 2));
+        let put = IRef {
+            leader: NodeId::new(0, 1),
+            idx: 0,
+        };
+        let get = IRef {
+            leader: NodeId::new(0, 1),
+            idx: 1,
+        };
+        for (iref, cmd, seq, deps) in [
+            (put, paxi_core::Command::put(7, vec![9]), 1, vec![]),
+            (get, paxi_core::Command::get(7), 2, vec![put]),
+        ] {
+            let commit = EpaxosMsg::Commit {
+                iref,
+                cmd,
+                seq,
+                deps,
+            };
+            acceptor.on_message(NodeId::new(0, 1), commit, &mut ctx);
+        }
+        acceptor.on_message(
+            NodeId::new(0, 0),
+            EpaxosMsg::PreAccept {
+                iref: IRef {
+                    leader: NodeId::new(0, 0),
+                    idx: 0,
+                },
+                cmd: paxi_core::Command::get(7),
+                seq: 1,
+                deps: vec![],
+            },
+            &mut ctx,
+        );
+        let reply = ctx.sent.iter().find_map(|(to, m)| match m {
+            EpaxosMsg::PreAcceptOk { deps, changed, .. } => Some((*to, deps.clone(), *changed)),
+            _ => None,
+        });
+        let (to, deps, changed) = reply.expect("acceptor must reply");
+        assert_eq!(to, Some(NodeId::new(0, 0)));
+        assert!(deps.contains(&put), "deps {deps:?} miss the Put");
+        assert!(changed, "the added dependency forces the slow path");
     }
 
     #[test]
