@@ -16,6 +16,7 @@ use paxi::bench::{
 };
 use paxi::core::{ClusterConfig, CrashMode, Nanos};
 use paxi::protocols::raft::RaftConfig;
+use paxi::protocols::vpaxos::VPaxosConfig;
 use paxi::protocols::wankeeper::WanKeeperConfig;
 use paxi::protocols::wpaxos::WPaxosConfig;
 use paxi::sim::{SimConfig, Topology};
@@ -217,6 +218,39 @@ fn wpaxos_same_seed_reproduces_the_same_run() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a.report.fingerprint(), b.report.fingerprint());
+}
+
+/// The WAN protocols' runs under faults, pinned: `(completed,
+/// events_processed, tail_completed)` per protocol and seed, on the WPaxos
+/// suite's cluster and schedules. A verdict digest folds auditor counts, not
+/// the run, so a change to these protocols that moves an event shows here
+/// first. VPaxos seed 5 is the cell with the `StaleRead` on file (DESIGN.md
+/// deviation 9).
+#[test]
+fn wan_protocols_replay_their_recorded_runs() {
+    let (wpaxos, wankeeper, vpaxos) = (
+        Proto::WPaxos(WPaxosConfig::default()),
+        Proto::WanKeeper(WanKeeperConfig::default()),
+        Proto::VPaxos(VPaxosConfig::default()),
+    );
+    let cells = [
+        (&wpaxos, 2, (2605, 74236, 54)),
+        (&wpaxos, 5, (2009, 60174, 41)),
+        (&wankeeper, 2, (3563, 37510, 21)),
+        (&wankeeper, 5, (17636, 161091, 5177)),
+        (&vpaxos, 2, (3407, 37943, 39)),
+        (&vpaxos, 5, (8043, 76953, 2092)),
+    ];
+    for (proto, seed, want) in cells {
+        let cfg = NemesisConfig {
+            seed,
+            ..Default::default()
+        };
+        let v = Scenario::nemesis(proto, zoned_sim(), ClusterConfig::wan(3, 3), &cfg).run();
+        let r = &v.report;
+        let got = (r.completed, r.events_processed, v.tail_completed);
+        assert_eq!(got, want, "{} seed {seed}", proto.name());
+    }
 }
 
 #[test]
