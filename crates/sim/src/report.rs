@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 /// One completed (or abandoned) client operation, as consumed by the
 /// linearizability checker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpRecord {
     /// Issuing client.
     pub client: ClientId,

@@ -754,9 +754,11 @@ impl<R: Replica> Simulator<R> {
         // Operations still in flight at cut-off may have taken effect
         // without a visible response; the linearizability checker needs
         // them as "maybe applied" (ok = false) records or their values
-        // would look phantom in later reads.
+        // would look phantom in later reads. They go in request order: the
+        // map's own order changes from run to run.
         if self.cfg.record_ops {
-            let pending: Vec<_> = self.pending.drain().collect();
+            let mut pending: Vec<_> = self.pending.drain().collect();
+            pending.sort_unstable_by_key(|&(id, _)| id);
             for (id, p) in pending {
                 let resp = ClientResponse::err(id);
                 self.ops.push(op_record(&p, &resp, end, false));
@@ -911,6 +913,7 @@ mod tests {
         let run = |seed: u64| {
             let cfg = SimConfig {
                 seed,
+                record_ops: true,
                 ..SimConfig::default()
             };
             let cluster = ClusterConfig::lan(3);
@@ -923,8 +926,9 @@ mod tests {
                 clients,
             );
             let r = sim.run();
-            (r.completed, r.latency.mean, r.events_processed)
+            (r.completed, r.latency.mean, r.events_processed, r.ops)
         };
+        // Every record, the ones still in flight at cut-off included.
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
     }
