@@ -45,7 +45,6 @@ fn protocols() -> Vec<Proto> {
         Proto::VPaxos(VPaxosConfig {
             master_zone: OH,
             initial_zone: OH,
-            window: 3,
         }),
         Proto::Paxos(PaxosConfig {
             initial_leader: NodeId::new(OH, 0),

@@ -36,7 +36,6 @@ fn protocols() -> Vec<Proto> {
         Proto::VPaxos(VPaxosConfig {
             master_zone: OH,
             initial_zone: OH,
-            window: 3,
         }),
         Proto::WPaxos(WPaxosConfig {
             fz: 2,

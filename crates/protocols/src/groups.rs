@@ -1,19 +1,86 @@
-//! In-zone replication groups.
+//! What the three WAN protocols share.
 //!
-//! WanKeeper and Vertical Paxos both commit commands inside a *zone-local
-//! Paxos group*: the zone leader sequences payloads per key, multicasts them
-//! to its zone peers, and commits on a zone-majority of acks. [`ZoneRep`]
-//! implements that sequencing/quorum bookkeeping generically over the
-//! payload type, so each protocol only decides *what* to replicate and what
-//! to do on commit.
-//!
-//! The group leader is, by convention, node `z.0` of each zone.
+//! - **Zone replication.** WanKeeper and Vertical Paxos both commit commands
+//!   inside a *zone-local Paxos group*: the zone leader sequences payloads
+//!   per key, multicasts them to its zone peers, and commits on a
+//!   zone-majority of acks. [`ZoneRep`] implements that sequencing/quorum
+//!   bookkeeping generically over the payload type, so each protocol only
+//!   decides *what* to replicate and what to do on commit. The group leader
+//!   is, by convention, node `z.0` of each zone.
+//! - **Owner state.** [`Kv`] is a key's authoritative value and version at
+//!   the zone that owns it (WanKeeper's token holder, VPaxos's owner); it
+//!   moves whole with the key.
+//! - **Locality policy.** [`Locality`] is the paper's "simple
+//!   three-consecutive access policy" that WPaxos, WanKeeper and VPaxos all
+//!   adapt placement by, counted where every access of a key is seen: at its
+//!   owner (WPaxos) or at the master (WanKeeper, VPaxos).
 
-use paxi_core::command::Key;
+use paxi_core::command::{Key, Op, Value};
 use paxi_core::config::ClusterConfig;
 use paxi_core::id::NodeId;
 use paxi_core::quorum::majority;
+use paxi_core::traits::Context;
 use std::collections::{BTreeMap, HashMap};
+
+/// Consecutive accesses from one zone after which a key's locality counts
+/// as settled there (the paper's three-consecutive access policy).
+pub const LOCALITY_WINDOW: usize = 3;
+
+/// The origin zones of a key's latest accesses, as far as the policy needs
+/// them: the zone of the last access and how many in a row came from it.
+#[derive(Debug, Default)]
+pub(crate) struct Locality {
+    last: Option<u8>,
+    run: usize,
+}
+
+impl Locality {
+    /// Records one access from `zone`.
+    pub(crate) fn note(&mut self, zone: u8) {
+        if self.last == Some(zone) {
+            self.run += 1;
+        } else {
+            self.last = Some(zone);
+            self.run = 1;
+        }
+    }
+
+    /// Whether the last [`LOCALITY_WINDOW`] accesses all came from `zone`.
+    pub(crate) fn settled_on(&self, zone: u8) -> bool {
+        self.last == Some(zone) && self.run >= LOCALITY_WINDOW
+    }
+
+    /// Forgets every access: the key moved, so the count starts over.
+    pub(crate) fn clear(&mut self) {
+        *self = Locality::default();
+    }
+}
+
+/// A key's authoritative state at the zone that owns it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Kv {
+    pub(crate) value: Option<Value>,
+    /// Writes applied to the key so far.
+    pub(crate) version: u64,
+}
+
+impl Kv {
+    /// Executes `op` on the key; returns what its client is answered: the
+    /// value read, or the one a write replaced.
+    pub(crate) fn apply(&mut self, op: &Op) -> Option<Value> {
+        match op {
+            Op::Get => self.value.clone(),
+            Op::Put(v) => {
+                self.version += 1;
+                self.value.replace(v.clone())
+            }
+            Op::Delete => {
+                self.version += 1;
+                self.value.take()
+            }
+        }
+    }
+}
 
 #[derive(Debug)]
 struct ZEntry<P> {
@@ -72,11 +139,27 @@ impl<P: Clone> ZoneRep<P> {
         self.quorum
     }
 
-    /// Appends `payload` to `key`'s zone log; returns the sequence number the
-    /// caller should multicast to [`ZoneRep::peers`]. The leader's self-ack
-    /// is recorded immediately (and in a single-node zone this commits at
-    /// once — poll [`ZoneRep::take_committed`] afterwards).
-    pub fn append(&mut self, key: Key, payload: P) -> u64 {
+    /// Appends `payload` to `key`'s zone log and multicasts `accept(seq)` to
+    /// the zone's peers. The leader's self-ack is recorded immediately (and
+    /// in a single-node zone this commits at once — poll
+    /// [`ZoneRep::take_committed`] afterwards).
+    pub fn replicate<M>(
+        &mut self,
+        key: Key,
+        payload: P,
+        ctx: &mut dyn Context<M>,
+        accept: impl FnOnce(u64) -> M,
+    ) {
+        let seq = self.append(key, payload);
+        // A multicast to nobody still costs the sender its `t_out` in the
+        // simulator, so a single-node zone sends nothing.
+        if !self.peers.is_empty() {
+            ctx.multicast(&self.peers, accept(seq));
+        }
+    }
+
+    /// Appends `payload` to `key`'s zone log; returns its sequence number.
+    fn append(&mut self, key: Key, payload: P) -> u64 {
         let log = self.logs.entry(key).or_insert_with(ZLog::new);
         let seq = log.next_seq;
         log.next_seq += 1;

@@ -16,34 +16,21 @@
 //! commands for other zones — contested keys simply stay with their current
 //! owner and remote requests are forwarded there.
 
-use crate::groups::ZoneRep;
-use paxi_core::command::{ClientRequest, ClientResponse, Command, Key, Op, Value};
+use crate::groups::{Kv, Locality, ZoneRep};
+use paxi_core::command::{ClientRequest, ClientResponse, Command, Key, Value};
 use paxi_core::config::ClusterConfig;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::traits::{Context, Replica};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Tuning knobs for [`VPaxos`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VPaxosConfig {
     /// Zone hosting the master (configuration) Paxos group.
     pub master_zone: u8,
     /// Zone that initially owns every key.
     pub initial_zone: u8,
-    /// Consecutive same-zone requests (observed at the master) before a key
-    /// is relocated to that zone.
-    pub window: usize,
-}
-
-impl Default for VPaxosConfig {
-    fn default() -> Self {
-        VPaxosConfig {
-            master_zone: 0,
-            initial_zone: 0,
-            window: 3,
-        }
-    }
 }
 
 /// Payload replicated through a zone group's log.
@@ -102,33 +89,32 @@ pub enum VpMsg {
     },
 }
 
-#[derive(Debug, Clone, Default)]
-struct ValState {
-    value: Option<Value>,
-    version: u64,
-}
-
-/// Leader-side payload in the zone log: a command plus reply routing, or a
-/// committed map change.
+/// Leader-side payload in the zone log: what the peers accept, plus the
+/// client to answer for a command.
 #[derive(Debug, Clone)]
-enum Payload {
-    Cmd {
-        cmd: Command,
-        req: Option<RequestId>,
-    },
-    Map {
-        key: Key,
-        zone: u8,
-    },
+struct Payload {
+    wire: VpWire,
+    req: Option<RequestId>,
 }
 
 struct MasterEntry {
     owner: u8,
-    recent: VecDeque<u8>,
+    locality: Locality,
     /// Requests waiting for a relocation to finish (forwarded to the new
     /// owner once the map change commits).
     queued: Vec<ClientRequest>,
     relocating: bool,
+}
+
+impl MasterEntry {
+    fn new(owner: u8) -> Self {
+        MasterEntry {
+            owner,
+            locality: Locality::default(),
+            queued: Vec::new(),
+            relocating: false,
+        }
+    }
 }
 
 /// A VPaxos replica. Node `z.0` leads zone `z`'s data group; the leader of
@@ -143,7 +129,7 @@ pub struct VPaxos {
     /// Cached key → owner-zone map (authoritative copy lives at the master).
     map: HashMap<Key, u8>,
     /// Authoritative values for keys this zone owns.
-    values: HashMap<Key, ValState>,
+    values: HashMap<Key, Kv>,
     /// Keys whose ownership we received but whose state transfer is pending.
     awaiting_transfer: HashSet<Key>,
     /// Transfers that arrived before their `OwnerChange`: the old owner's
@@ -161,7 +147,6 @@ impl VPaxos {
     /// Creates a replica for node `id` in `cluster`.
     pub fn new(id: NodeId, cluster: ClusterConfig, cfg: VPaxosConfig) -> Self {
         assert!(cfg.master_zone < cluster.zones && cfg.initial_zone < cluster.zones);
-        assert!(cfg.window >= 1);
         let zone_leader = NodeId::new(id.zone, 0);
         let master_leader = NodeId::new(cfg.master_zone, 0);
         VPaxos {
@@ -211,53 +196,42 @@ impl VPaxos {
             self.queued.entry(key).or_default().push(req);
         } else {
             self.values.entry(key).or_default();
-            self.replicate_cmd(req, ctx);
+            self.replicate(key, VpWire::Cmd(req.cmd), Some(req.id), ctx);
         }
     }
 
-    fn replicate_cmd(&mut self, req: ClientRequest, ctx: &mut dyn Context<VpMsg>) {
-        let key = req.cmd.key;
-        let seq = self.rep.append(
-            key,
-            Payload::Cmd {
-                cmd: req.cmd.clone(),
-                req: Some(req.id),
-            },
-        );
-        let peers = self.rep.peers().to_vec();
-        if !peers.is_empty() {
-            ctx.multicast(
-                &peers,
-                VpMsg::Accept {
-                    key,
-                    seq,
-                    payload: VpWire::Cmd(req.cmd),
-                },
-            );
+    /// Serves `req` in `zone`'s group: here when that is ours, else at its
+    /// leader.
+    fn serve_in(&mut self, zone: u8, req: ClientRequest, ctx: &mut dyn Context<VpMsg>) {
+        let leader = NodeId::new(zone, 0);
+        if leader == self.id {
+            self.serve_locally(req, ctx);
+        } else {
+            ctx.forward(leader, req);
         }
-        self.drain(key, ctx);
     }
 
-    fn replicate_map(&mut self, key: Key, zone: u8, ctx: &mut dyn Context<VpMsg>) {
-        let seq = self.rep.append(key, Payload::Map { key, zone });
-        let peers = self.rep.peers().to_vec();
-        if !peers.is_empty() {
-            ctx.multicast(
-                &peers,
-                VpMsg::Accept {
-                    key,
-                    seq,
-                    payload: VpWire::Map { zone },
-                },
-            );
-        }
+    fn replicate(
+        &mut self,
+        key: Key,
+        wire: VpWire,
+        req: Option<RequestId>,
+        ctx: &mut dyn Context<VpMsg>,
+    ) {
+        let payload = wire.clone();
+        self.rep
+            .replicate(key, Payload { wire, req }, ctx, |seq| VpMsg::Accept {
+                key,
+                seq,
+                payload,
+            });
         self.drain(key, ctx);
     }
 
     fn drain(&mut self, key: Key, ctx: &mut dyn Context<VpMsg>) {
-        for p in self.rep.take_committed(key) {
-            match p {
-                Payload::Cmd { cmd, req } => {
+        for Payload { wire, req } in self.rep.take_committed(key) {
+            match wire {
+                VpWire::Cmd(cmd) => {
                     if self.owner_zone(key) != self.id.zone {
                         // A relocation committed *earlier in this key's log*:
                         // commands sequenced after the map change belong to
@@ -269,24 +243,12 @@ impl VPaxos {
                         }
                         continue;
                     }
-                    let st = self.values.entry(key).or_default();
-                    let reply_value = match &cmd.op {
-                        Op::Get => st.value.clone(),
-                        Op::Put(v) => {
-                            let prev = st.value.replace(v.clone());
-                            st.version += 1;
-                            prev
-                        }
-                        Op::Delete => {
-                            st.version += 1;
-                            st.value.take()
-                        }
-                    };
+                    let value = self.values.entry(key).or_default().apply(&cmd.op);
                     if let Some(id) = req {
-                        ctx.reply(ClientResponse::ok(id, reply_value));
+                        ctx.reply(ClientResponse::ok(id, value));
                     }
                 }
-                Payload::Map { key, zone } => self.apply_map_change(key, zone, ctx),
+                VpWire::Map { zone } => self.apply_map_change(key, zone, ctx),
             }
         }
         self.maybe_transfer_out(key, ctx);
@@ -297,7 +259,7 @@ impl VPaxos {
         let queued = if let Some(e) = self.table.get_mut(&key) {
             e.owner = zone;
             e.relocating = false;
-            e.recent.clear();
+            e.locality.clear();
             std::mem::take(&mut e.queued)
         } else {
             Vec::new()
@@ -310,13 +272,8 @@ impl VPaxos {
         ctx.multicast(&leaders, VpMsg::OwnerChange { key, zone });
         self.handle_owner_change(key, zone, ctx);
         // Hand queued requests to the new owner.
-        let new_leader = NodeId::new(zone, 0);
         for req in queued {
-            if new_leader == self.id {
-                self.serve_locally(req, ctx);
-            } else {
-                ctx.forward(new_leader, req);
-            }
+            self.serve_in(zone, req, ctx);
         }
     }
 
@@ -341,7 +298,7 @@ impl VPaxos {
     /// Ownership + state are both in hand: serve everything we queued.
     fn activate_transferred(&mut self, key: Key, ctx: &mut dyn Context<VpMsg>) {
         for req in self.queued.remove(&key).unwrap_or_default() {
-            self.replicate_cmd(req, ctx);
+            self.replicate(key, VpWire::Cmd(req.cmd), Some(req.id), ctx);
         }
     }
 
@@ -371,47 +328,30 @@ impl VPaxos {
     /// Master-side policy for a request that reached it.
     fn master_route(&mut self, zone: u8, req: ClientRequest, ctx: &mut dyn Context<VpMsg>) {
         let key = req.cmd.key;
-        let window = self.cfg.window;
         let initial = self.cfg.initial_zone;
-        let e = self.table.entry(key).or_insert_with(|| MasterEntry {
-            owner: initial,
-            recent: VecDeque::new(),
-            queued: Vec::new(),
-            relocating: false,
-        });
+        let e = self
+            .table
+            .entry(key)
+            .or_insert_with(|| MasterEntry::new(initial));
         if e.relocating {
             e.queued.push(req);
             return;
         }
         if e.owner == zone {
             // Requester already owns it (stale escalation during a move).
-            let leader = NodeId::new(zone, 0);
-            if leader == self.id {
-                self.serve_locally(req, ctx);
-            } else {
-                ctx.forward(leader, req);
-            }
+            self.serve_in(zone, req, ctx);
             return;
         }
-        e.recent.push_back(zone);
-        while e.recent.len() > window {
-            e.recent.pop_front();
-        }
-        let unanimous = e.recent.len() == window && e.recent.iter().all(|&z| z == zone);
-        if unanimous {
+        e.locality.note(zone);
+        if e.locality.settled_on(zone) {
             // Locality settled: relocate via a master-committed map change.
             e.relocating = true;
             e.queued.push(req);
-            e.recent.clear();
-            self.replicate_map(key, zone, ctx);
+            e.locality.clear();
+            self.replicate(key, VpWire::Map { zone }, None, ctx);
         } else {
             let owner = e.owner;
-            let leader = NodeId::new(owner, 0);
-            if leader == self.id {
-                self.serve_locally(req, ctx);
-            } else {
-                ctx.forward(leader, req);
-            }
+            self.serve_in(owner, req, ctx);
         }
     }
 }
@@ -442,7 +382,7 @@ impl Replica for VPaxos {
                 value,
                 version,
             } => {
-                self.values.insert(key, ValState { value, version });
+                self.values.insert(key, Kv { value, version });
                 if self.awaiting_transfer.remove(&key) {
                     if let Some(&dest) = self.outgoing.get(&key) {
                         // Ownership moved on while the state was in flight:
@@ -476,18 +416,11 @@ impl Replica for VPaxos {
                 // or a remote zone's escalations would look unanimous and
                 // steal a key its home zone uses constantly.
                 let initial = self.cfg.initial_zone;
-                let window = self.cfg.window;
-                let zone = self.id.zone;
-                let e = self.table.entry(key).or_insert_with(|| MasterEntry {
-                    owner: initial,
-                    recent: VecDeque::new(),
-                    queued: Vec::new(),
-                    relocating: false,
-                });
-                e.recent.push_back(zone);
-                while e.recent.len() > window {
-                    e.recent.pop_front();
-                }
+                self.table
+                    .entry(key)
+                    .or_insert_with(|| MasterEntry::new(initial))
+                    .locality
+                    .note(self.id.zone);
             }
             self.serve_locally(req, ctx);
         } else if self.is_master() {
@@ -559,7 +492,6 @@ mod tests {
         let cfg = VPaxosConfig {
             master_zone: 1,
             initial_zone: 1,
-            window: 3,
         };
         let setups = ClientSetup::closed_in_zone(&cluster, 1, 2);
         let workload =
@@ -580,7 +512,6 @@ mod tests {
         let cfg = VPaxosConfig {
             master_zone: 1,
             initial_zone: 1,
-            window: 3,
         };
         let cluster = ClusterConfig::wan(3, 3);
         let setups = ClientSetup::closed_per_zone(&cluster, 1);
@@ -605,7 +536,6 @@ mod tests {
         let cfg = VPaxosConfig {
             master_zone: 1,
             initial_zone: 1,
-            window: 3,
         };
         let cluster = ClusterConfig::wan(3, 3);
         let setups = ClientSetup::closed_in_zone(&cluster, 2, 2);
@@ -636,7 +566,6 @@ mod tests {
         let cfg = VPaxosConfig {
             master_zone: 1,
             initial_zone: 1,
-            window: 3,
         };
         // One client in zone 1 writes key 0 a few times, then zone 0 reads
         // key 0 repeatedly.

@@ -11,8 +11,8 @@
 //!
 //! Policy (the paper's behavior, §2 and Figures 11/13): the master watches
 //! the stream of requests that reach it for each key. If the last
-//! [`WanKeeperConfig::window`] requesters are all the same zone, the token
-//! moves to that zone; while access is shared between zones, the token stays
+//! [`LOCALITY_WINDOW`](crate::groups::LOCALITY_WINDOW) requesters are all the
+//! same zone, the token moves to that zone; while access is shared between zones, the token stays
 //! at (or is retracted to) the master and commands execute in the master's
 //! group — which is why, under conflict, the master region enjoys local
 //! latency while other regions pay one WAN round trip. Setting
@@ -20,22 +20,19 @@
 //! non-holder requests to the current holder zone, a decentralized variant
 //! useful in LAN deployments.
 
-use crate::groups::ZoneRep;
-use paxi_core::command::{ClientRequest, ClientResponse, Command, Key, Op, Value};
+use crate::groups::{Kv, Locality, ZoneRep};
+use paxi_core::command::{ClientRequest, ClientResponse, Command, Key, Value};
 use paxi_core::config::ClusterConfig;
-use paxi_core::id::{NodeId, RequestId};
+use paxi_core::id::NodeId;
 use paxi_core::traits::{Context, Replica};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Tuning knobs for [`WanKeeper`].
 #[derive(Debug, Clone)]
 pub struct WanKeeperConfig {
     /// Zone hosting the level-2 master group.
     pub master_zone: u8,
-    /// Length of the per-key requester history the master's token policy
-    /// looks at (the paper's three-consecutive-access policy).
-    pub window: usize,
     /// `true`: shared (mixed-zone) objects are retracted to and executed at
     /// the master — the paper's WAN behavior. `false`: non-holder requests
     /// are forwarded to the holder zone (decentralized LAN variant).
@@ -46,7 +43,6 @@ impl Default for WanKeeperConfig {
     fn default() -> Self {
         WanKeeperConfig {
             master_zone: 0,
-            window: 3,
             shared_to_master: true,
         }
     }
@@ -106,13 +102,6 @@ pub enum WkMsg {
     },
 }
 
-/// Authoritative per-key state at the token holder.
-#[derive(Debug, Clone, Default)]
-struct TokenInfo {
-    value: Option<Value>,
-    version: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Holder {
     Master,
@@ -126,15 +115,8 @@ enum Holder {
 
 struct TokenState {
     holder: Holder,
-    recent: VecDeque<u8>,
+    locality: Locality,
     queued: Vec<ClientRequest>,
-}
-
-/// What the zone log replicates: a command plus the client to answer.
-#[derive(Debug, Clone)]
-struct Payload {
-    cmd: Command,
-    req: Option<RequestId>,
 }
 
 /// A WanKeeper replica. Only node `z.0` of each zone acts as the level-1
@@ -144,10 +126,11 @@ pub struct WanKeeper {
     cfg: WanKeeperConfig,
     zone_leader: NodeId,
     master_leader: NodeId,
-    rep: ZoneRep<Payload>,
+    /// The zone log replicates client requests.
+    rep: ZoneRep<ClientRequest>,
     /// Tokens (and authoritative state) held by this zone. At the master
     /// leader this also covers master-held keys.
-    tokens: HashMap<Key, TokenInfo>,
+    tokens: HashMap<Key, Kv>,
     /// Keys the master asked us to give back, pending in-flight commits.
     retract_pending: HashSet<Key>,
     /// Master-only: token table.
@@ -158,7 +141,6 @@ impl WanKeeper {
     /// Creates a replica for node `id` in `cluster`.
     pub fn new(id: NodeId, cluster: ClusterConfig, cfg: WanKeeperConfig) -> Self {
         assert!(cfg.master_zone < cluster.zones);
-        assert!(cfg.window >= 1);
         let zone_leader = NodeId::new(id.zone, 0);
         let master_leader = NodeId::new(cfg.master_zone, 0);
         WanKeeper {
@@ -193,25 +175,9 @@ impl WanKeeper {
     }
 
     fn replicate(&mut self, req: ClientRequest, ctx: &mut dyn Context<WkMsg>) {
-        let key = req.cmd.key;
-        let seq = self.rep.append(
-            key,
-            Payload {
-                cmd: req.cmd.clone(),
-                req: Some(req.id),
-            },
-        );
-        let peers: Vec<NodeId> = self.rep.peers().to_vec();
-        if !peers.is_empty() {
-            ctx.multicast(
-                &peers,
-                WkMsg::Accept {
-                    key,
-                    seq,
-                    cmd: req.cmd,
-                },
-            );
-        }
+        let (key, cmd) = (req.cmd.key, req.cmd.clone());
+        self.rep
+            .replicate(key, req, ctx, |seq| WkMsg::Accept { key, seq, cmd });
         self.drain_committed(key, ctx);
     }
 
@@ -222,23 +188,9 @@ impl WanKeeper {
     }
 
     fn apply_committed(&mut self, key: Key, ctx: &mut dyn Context<WkMsg>) {
-        for p in self.rep.take_committed(key) {
-            let info = self.tokens.entry(key).or_default();
-            let reply_value = match &p.cmd.op {
-                Op::Get => info.value.clone(),
-                Op::Put(v) => {
-                    let prev = info.value.replace(v.clone());
-                    info.version += 1;
-                    prev
-                }
-                Op::Delete => {
-                    info.version += 1;
-                    info.value.take()
-                }
-            };
-            if let Some(id) = p.req {
-                ctx.reply(ClientResponse::ok(id, reply_value));
-            }
+        for req in self.rep.take_committed(key) {
+            let value = self.tokens.entry(key).or_default().apply(&req.cmd.op);
+            ctx.reply(ClientResponse::ok(req.id, value));
         }
     }
 
@@ -255,7 +207,7 @@ impl WanKeeper {
             return;
         };
         st.holder = Holder::Zone(zone);
-        st.recent.clear();
+        st.locality.clear();
         let handoff = std::mem::take(&mut st.queued);
         let info = self.tokens.remove(&key).unwrap_or_default();
         ctx.send(
@@ -293,18 +245,14 @@ impl WanKeeper {
     /// Master-side brokering of one escalated request.
     fn broker(&mut self, zone: u8, req: ClientRequest, ctx: &mut dyn Context<WkMsg>) {
         let key = req.cmd.key;
-        let window = self.cfg.window;
         let master_zone = self.cfg.master_zone;
         let st = self.table.entry(key).or_insert_with(|| TokenState {
             holder: Holder::Master,
-            recent: VecDeque::new(),
+            locality: Locality::default(),
             queued: Vec::new(),
         });
-        st.recent.push_back(zone);
-        while st.recent.len() > window {
-            st.recent.pop_front();
-        }
-        let unanimous = st.recent.len() == window && st.recent.iter().all(|&z| z == zone);
+        st.locality.note(zone);
+        let unanimous = st.locality.settled_on(zone);
         match st.holder {
             Holder::Master => {
                 if unanimous && zone != master_zone {
@@ -364,7 +312,7 @@ impl Replica for WanKeeper {
                 version,
                 handoff,
             } => {
-                self.tokens.insert(key, TokenInfo { value, version });
+                self.tokens.insert(key, Kv { value, version });
                 for req in handoff {
                     self.replicate(req, ctx);
                 }
@@ -381,11 +329,11 @@ impl Replica for WanKeeper {
                 if !self.is_master() {
                     return;
                 }
-                self.tokens.insert(key, TokenInfo { value, version });
+                self.tokens.insert(key, Kv { value, version });
                 let queued = match self.table.get_mut(&key) {
                     Some(st) => {
                         st.holder = Holder::Master;
-                        st.recent.clear();
+                        st.locality.clear();
                         std::mem::take(&mut st.queued)
                     }
                     None => Vec::new(),
@@ -839,7 +787,6 @@ mod tests {
         let cfg = WanKeeperConfig {
             master_zone: 0,
             shared_to_master: false,
-            ..Default::default()
         };
         let (cluster, simcfg) = wan3(cfg.clone());
         let setups = ClientSetup::closed_per_zone(&cluster, 2);

@@ -14,13 +14,15 @@
 //! Locality adaptation uses the paper's simple three-consecutive-access
 //! policy, evaluated at the key's **owner** (the only node that sees every
 //! access): requests for a remotely-owned key are submitted to its owner,
-//! which tracks the origin zones of the last [`WPaxosConfig::window`]
-//! accesses; when they are unanimously from one remote zone, the owner sends
+//! which tracks the origin zones of the last
+//! [`LOCALITY_WINDOW`](crate::groups::LOCALITY_WINDOW) accesses; when they
+//! are unanimously from one remote zone, the owner sends
 //! that zone's leader a handover hint and the new zone steals the key with a
 //! phase-1. Objects contested from several zones keep being served by their
 //! current owner — interfering commands are forwarded, not ping-ponged
 //! (paper §5.3, observation 1).
 
+use crate::groups::Locality;
 use paxi_core::ballot::Ballot;
 use paxi_core::command::{ClientRequest, ClientResponse, Command, Key};
 use paxi_core::config::ClusterConfig;
@@ -43,9 +45,6 @@ pub struct WPaxosConfig {
     pub f: u8,
     /// Zone-failure tolerance (grid `fz`). `0` = region-local commits.
     pub fz: u8,
-    /// Length of the per-key access window the owner's adaptation policy
-    /// looks at (the paper's three-consecutive-access policy).
-    pub window: usize,
     /// If set, every key is initially owned by this node (the paper's
     /// locality experiment starts with all objects in Ohio). When unset,
     /// keys are hash-partitioned across the zone leaders (`key % zones`),
@@ -58,7 +57,6 @@ impl Default for WPaxosConfig {
         WPaxosConfig {
             f: 1,
             fz: 0,
-            window: 3,
             initial_owner: None,
         }
     }
@@ -183,7 +181,7 @@ struct KeyState {
     /// When the in-flight phase-1 started (liveness watchdog).
     p1_started: Nanos,
     /// Owner-side: origin zones of the most recent accesses.
-    recent: std::collections::VecDeque<u8>,
+    locality: Locality,
 }
 
 impl KeyState {
@@ -201,8 +199,36 @@ impl KeyState {
             p1: None,
             p1_tails: Vec::new(),
             p1_started: Nanos::ZERO,
-            recent: std::collections::VecDeque::new(),
+            locality: Locality::default(),
         }
+    }
+
+    /// A higher `ballot` won the key: its leader owns it now, and the
+    /// locality count starts over.
+    fn adopt(&mut self, ballot: Ballot) {
+        self.ballot = ballot;
+        self.active = false;
+        self.owner = Some(ballot.id);
+        self.locality.clear();
+    }
+
+    /// Marks every slot below `upto` committed (a piggybacked or flushed
+    /// phase-3), scanning only past what earlier calls marked.
+    fn mark_committed(&mut self, upto: u64) {
+        if upto > self.marked_upto {
+            for (_, e) in self.log.range_mut(self.marked_upto..upto) {
+                e.committed = true;
+            }
+            self.marked_upto = upto;
+        }
+    }
+
+    /// The log from slot `start` on, as a phase-1 promise carries it.
+    fn tail_from(&self, start: u64) -> Tail {
+        self.log
+            .range(start..)
+            .map(|(s, e)| (*s, e.ballot, e.cmd.clone(), e.req))
+            .collect()
     }
 }
 
@@ -246,24 +272,9 @@ impl WPaxos {
         self.keys.values().filter(|k| k.active).count()
     }
 
-    fn q1(&self) -> FlexibleGridQuorum {
-        FlexibleGridQuorum::new(
-            self.cluster.zones,
-            self.cluster.per_zone,
-            self.cfg.f,
-            self.cfg.fz,
-            GridPhase::One,
-        )
-    }
-
-    fn q2(&self) -> FlexibleGridQuorum {
-        FlexibleGridQuorum::new(
-            self.cluster.zones,
-            self.cluster.per_zone,
-            self.cfg.f,
-            self.cfg.fz,
-            GridPhase::Two,
-        )
+    fn grid(&self, phase: GridPhase) -> FlexibleGridQuorum {
+        let c = &self.cluster;
+        FlexibleGridQuorum::new(c.zones, c.per_zone, self.cfg.f, self.cfg.fz, phase)
     }
 
     fn key_state(&mut self, key: Key) -> &mut KeyState {
@@ -279,7 +290,7 @@ impl WPaxos {
     fn start_phase1(&mut self, key: Key, ctx: &mut dyn Context<WPaxosMsg>) {
         let me = self.id;
         let now = ctx.now();
-        let mut q1 = self.q1();
+        let mut q1 = self.grid(GridPhase::One);
         q1.ack(me);
         self.p1_inflight.insert(key);
         let ks = self.key_state(key);
@@ -287,13 +298,8 @@ impl WPaxos {
         ks.active = false;
         ks.p1_started = now;
         let ballot = ks.ballot;
-        let tail: Vec<_> = ks
-            .log
-            .range(ks.commit_upto..)
-            .map(|(s, e)| (*s, e.ballot, e.cmd.clone(), e.req))
-            .collect();
         let commit_upto = ks.commit_upto;
-        ks.p1_tails = vec![tail];
+        ks.p1_tails = vec![ks.tail_from(commit_upto)];
         if q1.satisfied() {
             ks.p1 = Some(q1);
             self.become_owner(key, ctx);
@@ -314,7 +320,7 @@ impl WPaxos {
         ks.active = true;
         ks.owner = Some(me);
         ks.p1 = None;
-        ks.recent.clear();
+        ks.locality.clear();
         let mut merged: BTreeMap<u64, (Ballot, Command, Option<RequestId>)> = BTreeMap::new();
         for tail in std::mem::take(&mut ks.p1_tails) {
             for (slot, b, cmd, req) in tail {
@@ -359,7 +365,7 @@ impl WPaxos {
         ctx: &mut dyn Context<WPaxosMsg>,
     ) {
         let me = self.id;
-        let mut q2 = self.q2();
+        let mut q2 = self.grid(GridPhase::Two);
         q2.ack(me);
         let ks = self.keys.get_mut(&key).unwrap();
         let ballot = ks.ballot;
@@ -384,6 +390,24 @@ impl WPaxos {
             commit_upto,
         });
         self.maybe_commit(key, ctx);
+    }
+
+    /// A higher ballot from `winner` superseded our phase-1 for `key`: abort
+    /// it and hand the buffered requests to the winner, or they would wait
+    /// forever on stale-ballot promises.
+    fn concede(&mut self, key: Key, winner: NodeId, ctx: &mut dyn Context<WPaxosMsg>) {
+        let zone = self.id.zone;
+        let ks = self
+            .keys
+            .get_mut(&key)
+            .expect("a ballot was seen for the key");
+        if ks.p1.take().is_none() {
+            return;
+        }
+        self.p1_inflight.remove(&key);
+        for req in std::mem::take(&mut ks.pending) {
+            ctx.send(winner, WPaxosMsg::Submit { zone, req, hops: 0 });
+        }
     }
 
     fn maybe_commit(&mut self, key: Key, ctx: &mut dyn Context<WPaxosMsg>) {
@@ -448,39 +472,14 @@ impl Replica for WPaxos {
                 ballot,
                 commit_upto: thief_commit,
             } => {
-                let my_zone = self.id.zone;
                 let ks = self.key_state(key);
                 if ballot > ks.ballot {
-                    ks.ballot = ballot;
-                    ks.active = false;
-                    ks.owner = Some(ballot.id);
-                    ks.recent.clear();
-                    // A competing thief outbid our own in-flight phase-1:
-                    // abort it and hand our buffered requests to the winner,
-                    // or they would wait forever on stale-ballot promises.
-                    if ks.p1.take().is_some() {
-                        let owner = ballot.id;
-                        for req in std::mem::take(&mut ks.pending) {
-                            ctx.send(
-                                owner,
-                                WPaxosMsg::Submit {
-                                    zone: my_zone,
-                                    req,
-                                    hops: 0,
-                                },
-                            );
-                        }
-                        self.p1_inflight.remove(&key);
-                    }
+                    ks.adopt(ballot);
+                    self.concede(key, ballot.id, ctx);
                     let ks = self.key_state(key);
                     // Send from the *thief's* commit point: it may lack
                     // entries we already committed.
-                    let start = thief_commit.min(ks.commit_upto);
-                    let tail: Vec<_> = ks
-                        .log
-                        .range(start..)
-                        .map(|(s, e)| (*s, e.ballot, e.cmd.clone(), e.req))
-                        .collect();
+                    let tail = ks.tail_from(thief_commit.min(ks.commit_upto));
                     ctx.send(from, WPaxosMsg::P1b { key, ballot, tail });
                 } else {
                     let b = ks.ballot;
@@ -503,25 +502,8 @@ impl Replica for WPaxos {
             WPaxosMsg::Nack { key, ballot } => {
                 let ks = self.key_state(key);
                 if ballot > ks.ballot {
-                    self.p1_inflight.remove(&key);
-                    let ks = self.key_state(key);
-                    ks.ballot = ballot;
-                    ks.active = false;
-                    ks.p1 = None;
-                    ks.owner = Some(ballot.id);
-                    ks.recent.clear();
-                    // Hand buffered requests to the stronger owner.
-                    let owner = ballot.id;
-                    for req in std::mem::take(&mut ks.pending) {
-                        ctx.send(
-                            owner,
-                            WPaxosMsg::Submit {
-                                zone: self.id.zone,
-                                req,
-                                hops: 0,
-                            },
-                        );
-                    }
+                    ks.adopt(ballot);
+                    self.concede(key, ballot.id, ctx);
                 }
             }
             WPaxosMsg::P2a {
@@ -532,26 +514,10 @@ impl Replica for WPaxos {
                 req,
                 commit_upto,
             } => {
-                let q2 = self.q2();
+                let q2 = self.grid(GridPhase::Two);
                 let my_id = self.id;
-                {
-                    let ks = self.key_state(key);
-                    if ballot > ks.ballot && ks.p1.take().is_some() {
-                        // Same superseded-phase-1 situation via phase-2.
-                        let owner = ballot.id;
-                        let my_zone = my_id.zone;
-                        for req in std::mem::take(&mut ks.pending) {
-                            ctx.send(
-                                owner,
-                                WPaxosMsg::Submit {
-                                    zone: my_zone,
-                                    req,
-                                    hops: 0,
-                                },
-                            );
-                        }
-                        self.p1_inflight.remove(&key);
-                    }
+                if ballot > self.key_state(key).ballot {
+                    self.concede(key, ballot.id, ctx);
                 }
                 let ks = self.key_state(key);
                 if ballot >= ks.ballot {
@@ -571,12 +537,7 @@ impl Replica for WPaxos {
                             committed: slot < commit_upto,
                         },
                     );
-                    if commit_upto > ks.marked_upto {
-                        for (_, e) in ks.log.range_mut(ks.marked_upto..commit_upto) {
-                            e.committed = true;
-                        }
-                        ks.marked_upto = commit_upto;
-                    }
+                    ks.mark_committed(commit_upto);
                     self.maybe_commit(key, ctx);
                     ctx.send(from, WPaxosMsg::P2b { key, ballot, slot });
                 } else {
@@ -596,7 +557,6 @@ impl Replica for WPaxos {
                 }
             }
             WPaxosMsg::Submit { zone, req, hops } => {
-                let window = self.cfg.window;
                 let my_zone = self.id.zone;
                 let my_id = self.id;
                 let key = req.cmd.key;
@@ -634,15 +594,9 @@ impl Replica for WPaxos {
                     }
                     return;
                 }
-                ks.recent.push_back(zone);
-                while ks.recent.len() > window {
-                    ks.recent.pop_front();
-                }
-                let unanimous = ks.recent.len() == window
-                    && ks.recent.iter().all(|&z| z == zone)
-                    && zone != my_zone;
-                if unanimous {
-                    ks.recent.clear();
+                ks.locality.note(zone);
+                if zone != my_zone && ks.locality.settled_on(zone) {
+                    ks.locality.clear();
                     ctx.send(NodeId::new(zone, 0), WPaxosMsg::Handover { key });
                 }
                 self.propose(key, req, ctx);
@@ -658,13 +612,7 @@ impl Replica for WPaxos {
             }
             WPaxosMsg::CommitBatch { items } => {
                 for (key, upto) in items {
-                    let ks = self.key_state(key);
-                    if upto > ks.marked_upto {
-                        for (_, e) in ks.log.range_mut(ks.marked_upto..upto) {
-                            e.committed = true;
-                        }
-                        ks.marked_upto = upto;
-                    }
+                    self.key_state(key).mark_committed(upto);
                     self.maybe_commit(key, ctx);
                 }
             }
@@ -678,17 +626,13 @@ impl Replica for WPaxos {
             return;
         }
         let key = req.cmd.key;
-        let window = self.cfg.window;
         let my_id = self.id;
         let my_zone = self.id.zone;
         let ks = self.key_state(key);
         if ks.active {
             // The policy window sees the owner's local traffic too, so a
             // remote zone only wins the key once it truly dominates access.
-            ks.recent.push_back(my_zone);
-            while ks.recent.len() > window {
-                ks.recent.pop_front();
-            }
+            ks.locality.note(my_zone);
             self.propose(key, req, ctx);
             return;
         }

@@ -41,7 +41,6 @@ fn main() {
         Proto::VPaxos(VPaxosConfig {
             master_zone: 1,
             initial_zone: 1,
-            window: 3,
         }),
     ];
 
