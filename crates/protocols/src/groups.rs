@@ -129,16 +129,6 @@ impl<P: Clone> ZoneRep<P> {
         }
     }
 
-    /// The zone peers the leader multicasts to.
-    pub fn peers(&self) -> &[NodeId] {
-        &self.peers
-    }
-
-    /// Acks needed to commit (leader's self-ack included in the count).
-    pub fn quorum(&self) -> usize {
-        self.quorum
-    }
-
     /// Appends `payload` to `key`'s zone log and multicasts `accept(seq)` to
     /// the zone's peers. The leader's self-ack is recorded immediately (and
     /// in a single-node zone this commits at once — poll
@@ -249,9 +239,9 @@ mod tests {
     #[test]
     fn quorum_is_zone_majority() {
         let r = rep();
-        assert_eq!(r.quorum(), 2);
-        assert_eq!(r.peers().len(), 2);
-        assert!(r.peers().iter().all(|p| p.zone == 0));
+        assert_eq!(r.quorum, 2);
+        assert_eq!(r.peers.len(), 2);
+        assert!(r.peers.iter().all(|p| p.zone == 0));
     }
 
     #[test]

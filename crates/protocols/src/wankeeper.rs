@@ -12,10 +12,11 @@
 //! Policy (the paper's behavior, §2 and Figures 11/13): the master watches
 //! the stream of requests that reach it for each key. If the last
 //! [`LOCALITY_WINDOW`](crate::groups::LOCALITY_WINDOW) requesters are all the
-//! same zone, the token moves to that zone; while access is shared between zones, the token stays
-//! at (or is retracted to) the master and commands execute in the master's
-//! group — which is why, under conflict, the master region enjoys local
-//! latency while other regions pay one WAN round trip. Setting
+//! same zone, the token moves to that zone; while access is shared between
+//! zones, the token stays at (or is retracted to) the master and commands
+//! execute in the master's group — which is why, under conflict, the master
+//! region enjoys local latency while other regions pay one WAN round trip.
+//! Setting
 //! [`WanKeeperConfig::shared_to_master`] to `false` instead *forwards*
 //! non-holder requests to the current holder zone, a decentralized variant
 //! useful in LAN deployments.

@@ -16,11 +16,11 @@
 //! access): requests for a remotely-owned key are submitted to its owner,
 //! which tracks the origin zones of the last
 //! [`LOCALITY_WINDOW`](crate::groups::LOCALITY_WINDOW) accesses; when they
-//! are unanimously from one remote zone, the owner sends
-//! that zone's leader a handover hint and the new zone steals the key with a
-//! phase-1. Objects contested from several zones keep being served by their
-//! current owner — interfering commands are forwarded, not ping-ponged
-//! (paper §5.3, observation 1).
+//! are unanimously from one remote zone, the owner sends that zone's leader
+//! a handover hint and the new zone steals the key with a phase-1. Objects
+//! contested from several zones keep being served by their current owner —
+//! interfering commands are forwarded, not ping-ponged (paper §5.3,
+//! observation 1).
 
 use crate::groups::Locality;
 use paxi_core::ballot::Ballot;
@@ -400,7 +400,7 @@ impl WPaxos {
         let ks = self
             .keys
             .get_mut(&key)
-            .expect("a ballot was seen for the key");
+            .expect("the caller looked the key up");
         if ks.p1.take().is_none() {
             return;
         }
