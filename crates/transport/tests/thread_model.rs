@@ -14,6 +14,7 @@ use paxi_core::id::NodeId;
 use paxi_core::time::Nanos;
 use paxi_protocols::paxos::{paxos_cluster, PaxosConfig};
 use paxi_transport::{FaultInjector, TcpCluster};
+use std::time::{Duration, Instant};
 
 /// Names of this process's threads (the kernel keeps the first 15 bytes).
 fn thread_names() -> Vec<String> {
@@ -91,14 +92,26 @@ fn three_nodes_are_three_threads_whatever_connects() {
     assert!(!thread_names().iter().any(|n| n.starts_with("paxi-")));
 }
 
-/// The transport's threads are exactly the three nodes'.
+/// The transport's threads are exactly the three nodes'. A new thread
+/// names itself once it runs, so until then `/proc` shows it under its
+/// parent's name: the names are read again until the three node names are
+/// there or a deadline passes, then checked.
 fn assert_only_node_threads() {
-    let names = thread_names();
-    let mut ours: Vec<_> = names.iter().filter(|n| n.starts_with("paxi-")).collect();
-    ours.sort();
-    assert_eq!(
-        ours,
-        ["paxi-tcp-node-0", "paxi-tcp-node-1", "paxi-tcp-node-2"],
-        "all threads: {names:?}"
-    );
+    let expected = ["paxi-tcp-node-0", "paxi-tcp-node-1", "paxi-tcp-node-2"];
+    let ours = |names: &[String]| {
+        let mut ours: Vec<_> = names
+            .iter()
+            .filter(|n| n.starts_with("paxi-"))
+            .cloned()
+            .collect();
+        ours.sort();
+        ours
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut names = thread_names();
+    while ours(&names) != expected && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+        names = thread_names();
+    }
+    assert_eq!(ours(&names), expected, "all threads: {names:?}");
 }
