@@ -28,10 +28,10 @@
 //!   probability `p` (clamped into `[0, 1]`).
 
 use crate::dist::Rng64;
+use crate::hash::FxHashMap;
 use crate::id::NodeId;
 use crate::time::Nanos;
 use crate::traits::{Context, Replica};
-use std::collections::HashMap;
 
 /// A half-open time interval `[from, until)` during which a fault is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,11 +210,11 @@ pub enum MsgFate {
 /// delivers in send order, as Paxi's TCP connections do. The simulator asks
 /// it in virtual time, a live node in wall-clock time.
 #[derive(Debug, Clone)]
-pub struct LinkOrder<T>(HashMap<(NodeId, NodeId), T>);
+pub struct LinkOrder<T>(FxHashMap<(NodeId, NodeId), T>);
 
 impl<T> Default for LinkOrder<T> {
     fn default() -> Self {
-        LinkOrder(HashMap::new())
+        LinkOrder(FxHashMap::default())
     }
 }
 

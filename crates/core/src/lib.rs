@@ -14,8 +14,9 @@
 //! * [`ballot`] — totally-ordered Paxos ballots.
 //! * [`command`] — commands, interference relation, client request/response.
 //! * [`store`] — the multi-version in-memory key-value state machine.
-//! * [`quorum`] — majority, count, and flexible-grid quorums; the EPaxos
-//!   fast-quorum size.
+//! * [`quorum`] — majority, count, and flexible-grid quorums over one
+//!   [`quorum::NodeSet`]; the EPaxos fast-quorum size.
+//! * [`hash`] — the fixed, deterministic hasher of the event path's maps.
 //! * [`config`] — cluster shape (zones × nodes per zone) and command
 //!   batching.
 //! * [`cost`] — per-message CPU/NIC service costs, read by the analytic
@@ -47,6 +48,7 @@ pub mod cost;
 pub mod dist;
 pub mod faults;
 pub mod group;
+pub mod hash;
 pub mod id;
 pub mod membership;
 pub mod metrics;
@@ -78,7 +80,7 @@ pub use obs::{
 };
 pub use quorum::{
     fast_quorum_size, majority, CountQuorum, FlexibleGridQuorum, GridPhase, MajorityQuorum,
-    QuorumTracker,
+    NodeSet, QuorumTracker,
 };
 pub use store::{MultiVersionStore, StoreDump, Version};
 pub use time::Nanos;

@@ -32,9 +32,8 @@
 
 use crate::command::{Command, Key, Op};
 use crate::id::NodeId;
-use crate::quorum::{majority, QuorumTracker};
+use crate::quorum::{majority, NodeSet, QuorumTracker};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Reserved key carrying membership payloads through the replicated log.
@@ -179,17 +178,18 @@ impl Membership {
 
     /// The member sets that must each produce a majority: one for a stable
     /// configuration, two for a joint one.
-    pub fn member_sets(&self) -> Vec<&[NodeId]> {
-        match self {
-            Membership::Stable { members, .. } => vec![members.as_slice()],
-            Membership::Joint { old, new, .. } => vec![old.as_slice(), new.as_slice()],
-        }
+    pub fn member_sets(&self) -> impl Iterator<Item = &[NodeId]> {
+        let (first, second) = match self {
+            Membership::Stable { members, .. } => (members.as_slice(), None),
+            Membership::Joint { old, new, .. } => (old.as_slice(), Some(new.as_slice())),
+        };
+        std::iter::once(first).chain(second)
     }
 
     /// Every node with a vote in this configuration (union of the member
     /// sets), sorted and deduplicated.
     pub fn voters(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.member_sets().into_iter().flatten().copied().collect();
+        let mut v: Vec<NodeId> = self.member_sets().flatten().copied().collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -197,7 +197,7 @@ impl Membership {
 
     /// Whether `id` has a vote in this configuration.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.member_sets().iter().any(|s| s.contains(&id))
+        self.member_sets().any(|s| s.contains(&id))
     }
 
     /// The member set this configuration is heading toward: `new` for a
@@ -356,15 +356,15 @@ fn config_payload(cmd: &Command) -> Option<&[u8]> {
 #[derive(Debug, Clone)]
 pub struct JointQuorum {
     sets: Vec<Vec<NodeId>>,
-    acks: HashSet<NodeId>,
+    acks: NodeSet,
 }
 
 impl JointQuorum {
     /// Tracker for the member sets of `m`.
     pub fn of(m: &Membership) -> Self {
         JointQuorum {
-            sets: m.member_sets().into_iter().map(|s| s.to_vec()).collect(),
-            acks: HashSet::new(),
+            sets: m.member_sets().map(<[NodeId]>::to_vec).collect(),
+            acks: NodeSet::new(),
         }
     }
 
@@ -372,7 +372,7 @@ impl JointQuorum {
     pub fn single(members: Vec<NodeId>) -> Self {
         JointQuorum {
             sets: vec![members],
-            acks: HashSet::new(),
+            acks: NodeSet::new(),
         }
     }
 }
@@ -384,7 +384,7 @@ impl QuorumTracker for JointQuorum {
 
     fn satisfied(&self) -> bool {
         self.sets.iter().all(|set| {
-            let got = set.iter().filter(|n| self.acks.contains(n)).count();
+            let got = set.iter().filter(|&&n| self.acks.contains(n)).count();
             got >= majority(set.len().max(1))
         })
     }

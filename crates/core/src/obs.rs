@@ -27,7 +27,9 @@
 
 use crate::id::{NodeId, RequestId};
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
+use serde::ser::SerializeMap;
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Scalar event counters a replica or runtime accumulates.
@@ -218,8 +220,49 @@ pub struct MetricsRegistry {
     counters: Vec<u64>,
     drops: Vec<u64>,
     gauges: Vec<u64>,
-    sent_by_type: BTreeMap<String, u64>,
-    recv_by_type: BTreeMap<String, u64>,
+    sent_by_type: Kinds,
+    recv_by_type: Kinds,
+}
+
+/// Message counts by type name. A count made on the event path is keyed by
+/// the `&'static str` that [`crate::traits::Replica::msg_kind`] returns, so
+/// it allocates nothing; a decoded registry owns its names. Encoded as a
+/// map from string to count.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Kinds(BTreeMap<Cow<'static, str>, u64>);
+
+impl Kinds {
+    fn bump(&mut self, kind: Cow<'static, str>, n: u64) {
+        let v = self.0.entry(kind).or_insert(0);
+        *v = v.saturating_add(n);
+    }
+
+    fn get(&self, kind: &str) -> u64 {
+        self.0.get(kind).copied().unwrap_or(0)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.0.iter().map(|(k, v)| (k.as_ref(), *v))
+    }
+}
+
+impl Serialize for Kinds {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut map = serializer.serialize_map(Some(self.0.len()))?;
+        for (kind, n) in self.iter() {
+            map.serialize_entry(kind, &n)?;
+        }
+        map.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for Kinds {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let map = BTreeMap::<String, u64>::deserialize(deserializer)?;
+        Ok(Kinds(
+            map.into_iter().map(|(k, n)| (Cow::Owned(k), n)).collect(),
+        ))
+    }
 }
 
 impl Default for MetricsRegistry {
@@ -230,15 +273,15 @@ impl Default for MetricsRegistry {
 
 impl MetricsRegistry {
     /// An all-zero registry. The only allocations the registry ever makes
-    /// are here (three fixed-size arrays) and on the first sighting of each
-    /// message-type name.
+    /// are here (three fixed-size arrays) and a map node on the first
+    /// sighting of each message-type name.
     pub fn new() -> Self {
         MetricsRegistry {
             counters: vec![0; Metric::ALL.len()],
             drops: vec![0; DropCause::ALL.len()],
             gauges: vec![0; Gauge::ALL.len()],
-            sent_by_type: BTreeMap::new(),
-            recv_by_type: BTreeMap::new(),
+            sent_by_type: Kinds::default(),
+            recv_by_type: Kinds::default(),
         }
     }
 
@@ -262,16 +305,16 @@ impl MetricsRegistry {
 
     /// Counts one sent message of type `kind` (also bumps
     /// [`Metric::MsgsSent`]).
-    pub fn sent(&mut self, kind: &str, n: u64) {
+    pub fn sent(&mut self, kind: &'static str, n: u64) {
         self.add(Metric::MsgsSent, n);
-        bump(&mut self.sent_by_type, kind, n);
+        self.sent_by_type.bump(Cow::Borrowed(kind), n);
     }
 
     /// Counts one received message of type `kind` (also bumps
     /// [`Metric::MsgsReceived`]).
-    pub fn received(&mut self, kind: &str, n: u64) {
+    pub fn received(&mut self, kind: &'static str, n: u64) {
         self.add(Metric::MsgsReceived, n);
-        bump(&mut self.recv_by_type, kind, n);
+        self.recv_by_type.bump(Cow::Borrowed(kind), n);
     }
 
     /// Current value of `metric`.
@@ -296,22 +339,22 @@ impl MetricsRegistry {
 
     /// Messages of type `kind` sent so far.
     pub fn sent_of(&self, kind: &str) -> u64 {
-        self.sent_by_type.get(kind).copied().unwrap_or(0)
+        self.sent_by_type.get(kind)
     }
 
     /// Messages of type `kind` received so far.
     pub fn recv_of(&self, kind: &str) -> u64 {
-        self.recv_by_type.get(kind).copied().unwrap_or(0)
+        self.recv_by_type.get(kind)
     }
 
     /// Iterates `(type, count)` over the sent-by-type breakdown.
     pub fn sent_types(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.sent_by_type.iter().map(|(k, v)| (k.as_str(), *v))
+        self.sent_by_type.iter()
     }
 
     /// Iterates `(type, count)` over the received-by-type breakdown.
     pub fn recv_types(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.recv_by_type.iter().map(|(k, v)| (k.as_str(), *v))
+        self.recv_by_type.iter()
     }
 
     /// Folds `other` into `self`: counters and per-type maps add
@@ -327,11 +370,11 @@ impl MetricsRegistry {
         for (a, b) in self.gauges.iter_mut().zip(&other.gauges) {
             *a = (*a).max(*b);
         }
-        for (k, v) in &other.sent_by_type {
-            bump(&mut self.sent_by_type, k, *v);
+        for (k, v) in &other.sent_by_type.0 {
+            self.sent_by_type.bump(k.clone(), *v);
         }
-        for (k, v) in &other.recv_by_type {
-            bump(&mut self.recv_by_type, k, *v);
+        for (k, v) in &other.recv_by_type.0 {
+            self.recv_by_type.bump(k.clone(), *v);
         }
     }
 
@@ -377,14 +420,6 @@ impl MetricsRegistry {
         }
         s.push_str("}}");
         s
-    }
-}
-
-fn bump(map: &mut BTreeMap<String, u64>, kind: &str, n: u64) {
-    if let Some(v) = map.get_mut(kind) {
-        *v = v.saturating_add(n);
-    } else {
-        map.insert(kind.to_owned(), n);
     }
 }
 

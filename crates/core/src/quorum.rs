@@ -15,10 +15,84 @@
 //! [`fast_quorum_size`] gives the EPaxos fast-path quorum size.
 //!
 //! Every system exposes the same two-method interface the paper describes:
-//! `ack()` and `satisfied()`.
+//! `ack()` and `satisfied()`, and keeps its acks in one [`NodeSet`].
 
 use crate::id::NodeId;
-use std::collections::HashSet;
+
+/// The nodes that acked: one bit per node for every id with `zone < 8` and
+/// `node < 16` (every cluster the repository runs), so an ack neither hashes
+/// nor allocates; any other id goes to a list beside the bits.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeSet {
+    /// Bit `16 * zone + node` for each member with an in-range id.
+    bits: u128,
+    /// Members whose id has no bit, in insertion order.
+    spill: Vec<NodeId>,
+}
+
+impl NodeSet {
+    /// The empty set.
+    pub const fn new() -> Self {
+        NodeSet {
+            bits: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn bit(id: NodeId) -> Option<u128> {
+        (id.zone < 8 && id.node < 16).then(|| 1 << (16 * id.zone as u32 + id.node as u32))
+    }
+
+    /// Adds `id`; `true` if it was not a member yet.
+    pub fn insert(&mut self, id: NodeId) -> bool {
+        match Self::bit(id) {
+            Some(b) => {
+                let fresh = self.bits & b == 0;
+                self.bits |= b;
+                fresh
+            }
+            None if self.spill.contains(&id) => false,
+            None => {
+                self.spill.push(id);
+                true
+            }
+        }
+    }
+
+    /// Whether `id` is a member.
+    pub fn contains(&self, id: NodeId) -> bool {
+        match Self::bit(id) {
+            Some(b) => self.bits & b != 0,
+            None => self.spill.contains(&id),
+        }
+    }
+
+    /// How many members.
+    pub fn len(&self) -> usize {
+        self.bits.count_ones() as usize + self.spill.len()
+    }
+
+    /// Whether there is no member.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// How many members sit in `zone`.
+    pub fn count_in_zone(&self, zone: u8) -> usize {
+        let bits = if zone < 8 {
+            (self.bits >> (16 * zone as u32)) as u16
+        } else {
+            0
+        };
+        bits.count_ones() as usize + self.spill.iter().filter(|n| n.zone == zone).count()
+    }
+
+    /// Removes every member (a spilled list keeps its capacity).
+    pub fn clear(&mut self) {
+        self.bits = 0;
+        self.spill.clear();
+    }
+}
 
 /// Ack-tracking interface shared by all quorum systems.
 pub trait QuorumTracker {
@@ -49,7 +123,7 @@ pub const fn fast_quorum_size(n: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct MajorityQuorum {
     n: usize,
-    acks: HashSet<NodeId>,
+    acks: NodeSet,
 }
 
 impl MajorityQuorum {
@@ -57,7 +131,7 @@ impl MajorityQuorum {
     pub fn new(n: usize) -> Self {
         MajorityQuorum {
             n,
-            acks: HashSet::new(),
+            acks: NodeSet::new(),
         }
     }
 
@@ -87,7 +161,7 @@ impl QuorumTracker for MajorityQuorum {
 #[derive(Debug, Clone)]
 pub struct CountQuorum {
     size: usize,
-    acks: HashSet<NodeId>,
+    acks: NodeSet,
 }
 
 impl CountQuorum {
@@ -95,7 +169,7 @@ impl CountQuorum {
     pub fn new(size: usize) -> Self {
         CountQuorum {
             size,
-            acks: HashSet::new(),
+            acks: NodeSet::new(),
         }
     }
 
@@ -152,7 +226,7 @@ pub struct FlexibleGridQuorum {
     f: u8,
     fz: u8,
     phase: GridPhase,
-    acks: HashSet<NodeId>,
+    acks: NodeSet,
 }
 
 impl FlexibleGridQuorum {
@@ -166,7 +240,7 @@ impl FlexibleGridQuorum {
             f,
             fz,
             phase,
-            acks: HashSet::new(),
+            acks: NodeSet::new(),
         }
     }
 
@@ -198,14 +272,10 @@ impl QuorumTracker for FlexibleGridQuorum {
         self.acks.insert(id)
     }
     fn satisfied(&self) -> bool {
-        let mut per_zone_count = vec![0usize; self.zones as usize];
-        for a in &self.acks {
-            if (a.zone as usize) < per_zone_count.len() {
-                per_zone_count[a.zone as usize] += 1;
-            }
-        }
         let needed = self.per_zone_threshold();
-        let zones_ok = per_zone_count.iter().filter(|&&c| c >= needed).count();
+        let zones_ok = (0..self.zones)
+            .filter(|&z| self.acks.count_in_zone(z) >= needed)
+            .count();
         zones_ok >= self.zone_threshold()
     }
     fn reset(&mut self) {
@@ -301,5 +371,64 @@ mod tests {
         assert!(!q.satisfied());
         q.ack(n(0, 2));
         assert!(q.satisfied());
+    }
+
+    /// Acks every id of `ids` in order (each twice), asserting the tracker
+    /// is satisfied from the `threshold`-th distinct ack on and not before.
+    fn flips_at(q: &mut dyn QuorumTracker, ids: &[NodeId], threshold: usize) {
+        for (i, &id) in ids.iter().enumerate() {
+            assert!(q.ack(id), "first ack from {id}");
+            assert!(!q.ack(id), "a duplicate ack from {id} is not counted");
+            assert_eq!(q.count(), i + 1);
+            assert_eq!(q.satisfied(), i + 1 >= threshold, "after {} acks", i + 1);
+        }
+    }
+
+    #[test]
+    fn quorums_flip_exactly_at_their_threshold_on_lan9_and_wan5x3() {
+        use crate::config::ClusterConfig;
+        for cluster in [ClusterConfig::lan(9), ClusterConfig::wan(5, 3)] {
+            let ids = cluster.all_nodes();
+            let n = ids.len();
+            flips_at(&mut MajorityQuorum::new(n), &ids, majority(n));
+            flips_at(
+                &mut CountQuorum::new(fast_quorum_size(n)),
+                &ids,
+                fast_quorum_size(n),
+            );
+            // Reversed, so the last zone fills first.
+            let mut rev = ids.clone();
+            rev.reverse();
+            flips_at(&mut MajorityQuorum::new(n), &rev, majority(n));
+        }
+        // wan(5, 3), fz = 1: q2 is two nodes in each of two zones. Zone by
+        // zone, the fourth ack completes the second zone.
+        let ids = ClusterConfig::wan(5, 3).all_nodes();
+        let mut q2 = FlexibleGridQuorum::new(5, 3, 1, 1, GridPhase::Two);
+        let two_per_zone: Vec<NodeId> = ids.iter().copied().filter(|n| n.node < 2).collect();
+        flips_at(&mut q2, &two_per_zone, 4);
+        // q1: two nodes in each of four zones.
+        let mut q1 = FlexibleGridQuorum::new(5, 3, 1, 1, GridPhase::One);
+        flips_at(&mut q1, &two_per_zone, 8);
+    }
+
+    #[test]
+    fn a_node_set_holds_ids_outside_the_bits_as_well() {
+        let mut s = NodeSet::new();
+        let far = [n(0, 16), n(8, 0), n(200, 255)];
+        for id in far.into_iter().chain([n(7, 15), n(0, 0)]) {
+            assert!(!s.contains(id));
+            assert!(s.insert(id));
+            assert!(!s.insert(id));
+            assert!(s.contains(id));
+        }
+        assert_eq!(s.len(), 5);
+        assert_eq!(s.count_in_zone(0), 2);
+        assert_eq!(s.count_in_zone(7), 1);
+        assert_eq!(s.count_in_zone(8), 1);
+        assert_eq!(s.count_in_zone(3), 0);
+        s.clear();
+        assert!(s.is_empty());
+        assert!(far.iter().all(|&id| !s.contains(id)));
     }
 }

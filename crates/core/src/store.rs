@@ -13,7 +13,7 @@
 //! [`MultiVersionStore::encode_chains`].
 
 use crate::command::{Command, Key, Op, Value};
-use std::collections::HashMap;
+use crate::hash::FxHashMap;
 use std::fmt;
 use std::mem::size_of;
 
@@ -71,7 +71,7 @@ impl fmt::Debug for Version {
 /// runtimes guarantee to be serial.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct MultiVersionStore {
-    data: HashMap<Key, Vec<Version>>,
+    data: FxHashMap<Key, Vec<Version>>,
     executed: u64,
     /// Times a chain was replaced or removed rather than extended (range
     /// install, range removal): what invalidates a [`StoreCut`].
@@ -634,7 +634,7 @@ mod tests {
         assert_eq!(s.encode_range(2, 4), golden);
     }
 
-    type Model = HashMap<Key, Vec<Option<Vec<u8>>>>;
+    type Model = std::collections::HashMap<Key, Vec<Option<Vec<u8>>>>;
 
     fn agrees(s: &MultiVersionStore, m: &Model) {
         let sorted = |mut keys: Vec<Key>| {

@@ -23,6 +23,7 @@
 use crate::kernel::{self, State};
 use paxi_core::command::{ClientRequest, Command};
 use paxi_core::config::ClusterConfig;
+use paxi_core::hash::{FxHashMap, FxHashSet};
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::obs::{Metric, TraceStage};
 use paxi_core::quorum::{fast_quorum_size, majority};
@@ -30,7 +31,7 @@ use paxi_core::store::MultiVersionStore;
 use paxi_core::traits::{Context, Replica};
 use paxi_storage::Storage;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Reference to an instance: the `idx`-th command led by `leader`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -159,15 +160,23 @@ struct Instance {
 /// were a read to stand in for them, a new read could execute before a
 /// committed write it must see, and two writes linked only through it could
 /// execute in either order. A read therefore depends on each leader's latest
-/// write, kept in `last_write`.
+/// write, kept in [`Latest::write`].
 #[derive(Debug, Default)]
 struct KeyInfo {
-    /// Latest instance per command leader, read or write.
-    last: HashMap<NodeId, u64>,
-    /// Latest write per command leader.
-    last_write: HashMap<NodeId, u64>,
+    /// One entry per command leader with an instance on the key.
+    latest: Vec<Latest>,
     /// Highest seq among interfering instances.
     max_seq: u64,
+}
+
+/// One command leader's latest instances on a key.
+#[derive(Debug)]
+struct Latest {
+    leader: NodeId,
+    /// Its latest instance, read or write.
+    any: u64,
+    /// Its latest write, if it led one.
+    write: Option<u64>,
 }
 
 /// An EPaxos replica.
@@ -177,17 +186,44 @@ pub struct EPaxos {
     fast: usize,
     slow: usize,
     next_idx: u64,
-    instances: HashMap<NodeId, BTreeMap<u64, Instance>>,
-    key_info: HashMap<u64, KeyInfo>,
-    pending_exec: HashSet<IRef>,
+    instances: FxHashMap<NodeId, BTreeMap<u64, Instance>>,
+    key_info: FxHashMap<u64, KeyInfo>,
+    pending_exec: FxHashSet<IRef>,
     /// Committed instances known not to be executable yet, each mapped to
     /// the uncommitted instance a committed dependency path of theirs
     /// reaches. Such an instance stays blocked until that one commits, so
     /// `execute_ready` skips it instead of walking its graph again.
-    blocked: HashMap<IRef, IRef>,
+    blocked: FxHashMap<IRef, IRef>,
     /// `blocked` inverted: blocker → the instances it blocks.
-    waiting: HashMap<IRef, Vec<IRef>>,
+    waiting: FxHashMap<IRef, Vec<IRef>>,
+    /// `execute_ready`'s buffers, kept from call to call.
+    scratch: Scratch,
     state: State,
+}
+
+/// What `execute_ready` works in: its roots and the Tarjan walk's state.
+/// Kept between calls, so that finding what to execute allocates nothing
+/// once the buffers have grown to the largest walk.
+#[derive(Default)]
+struct Scratch {
+    /// The committed, unexecuted instances one pass starts from.
+    roots: Vec<IRef>,
+    /// Each visited instance's Tarjan index, lowlink and whether it is on
+    /// `stack`.
+    marks: FxHashMap<IRef, Mark>,
+    stack: Vec<IRef>,
+    /// Explicit DFS stack: (instance, dep cursor). When the walk stops at
+    /// an uncommitted blocker, the committed path from the root to it.
+    dfs: Vec<(IRef, usize)>,
+    /// Instances to execute, in order, when the walk found no blocker.
+    order: Vec<IRef>,
+}
+
+#[derive(Clone, Copy)]
+struct Mark {
+    index: usize,
+    low: usize,
+    on_stack: bool,
 }
 
 impl EPaxos {
@@ -200,11 +236,12 @@ impl EPaxos {
             fast: fast_quorum_size(n),
             slow: majority(n),
             next_idx: 0,
-            instances: HashMap::new(),
-            key_info: HashMap::new(),
-            pending_exec: HashSet::new(),
-            blocked: HashMap::new(),
-            waiting: HashMap::new(),
+            instances: FxHashMap::default(),
+            key_info: FxHashMap::default(),
+            pending_exec: FxHashSet::default(),
+            blocked: FxHashMap::default(),
+            waiting: FxHashMap::default(),
+            scratch: Scratch::default(),
             state: State::default(),
         }
     }
@@ -252,14 +289,17 @@ impl EPaxos {
         let Some(info) = self.key_info.get(&cmd.key) else {
             return (1, Vec::new());
         };
-        let last = if cmd.is_write() {
-            &info.last
-        } else {
-            &info.last_write
-        };
-        let mut deps: Vec<IRef> = last
+        let write = cmd.is_write();
+        let mut deps: Vec<IRef> = info
+            .latest
             .iter()
-            .map(|(&leader, &idx)| IRef { leader, idx })
+            .filter_map(|l| {
+                let idx = if write { Some(l.any) } else { l.write };
+                idx.map(|idx| IRef {
+                    leader: l.leader,
+                    idx,
+                })
+            })
             .filter(|d| *d != iref)
             .collect();
         deps.sort_unstable();
@@ -275,13 +315,21 @@ impl EPaxos {
             .and_then(|l| l.get(&iref.idx));
         let inst = inst.expect("noting unknown instance");
         let info = self.key_info.entry(inst.cmd.key).or_default();
-        let note = |last: &mut HashMap<NodeId, u64>| {
-            let e = last.entry(iref.leader).or_default();
-            *e = (*e).max(iref.idx);
+        let at = match info.latest.iter().position(|l| l.leader == iref.leader) {
+            Some(at) => at,
+            None => {
+                info.latest.push(Latest {
+                    leader: iref.leader,
+                    any: 0,
+                    write: None,
+                });
+                info.latest.len() - 1
+            }
         };
-        note(&mut info.last);
+        let latest = &mut info.latest[at];
+        latest.any = latest.any.max(iref.idx);
         if inst.cmd.is_write() {
-            note(&mut info.last_write);
+            latest.write = Some(latest.write.map_or(iref.idx, |w| w.max(iref.idx)));
         }
         info.max_seq = info.max_seq.max(inst.seq);
     }
@@ -397,27 +445,30 @@ impl EPaxos {
     /// Tries to execute every committed-but-unexecuted instance whose
     /// transitive dependencies are all committed, in SCC order.
     fn execute_ready(&mut self, ctx: &mut dyn Context<EpaxosMsg>) {
+        let mut t = std::mem::take(&mut self.scratch);
         let mut progress = true;
         while progress {
             progress = false;
-            let roots: Vec<IRef> = self.pending_exec.iter().copied().collect();
-            for root in roots {
+            t.roots.clear();
+            t.roots.extend(self.pending_exec.iter().copied());
+            for i in 0..t.roots.len() {
+                let root = t.roots[i];
                 if !self.pending_exec.contains(&root) {
                     continue; // executed as part of an earlier SCC pass
                 }
                 if self.blocked.contains_key(&root) {
                     continue;
                 }
-                match self.executable_order(root) {
-                    Ok(order) => {
-                        for iref in order {
+                match self.executable_order(root, &mut t) {
+                    Ok(()) => {
+                        for &iref in &t.order {
                             self.execute_one(iref, ctx);
                             progress = true;
                         }
                     }
-                    Err((blocker, path)) => {
+                    Err(blocker) => {
                         let waiters = self.waiting.entry(blocker).or_default();
-                        for v in path {
+                        for &(v, _) in &t.dfs {
                             self.blocked.insert(v, blocker);
                             waiters.push(v);
                         }
@@ -425,25 +476,19 @@ impl EPaxos {
                 }
             }
         }
+        self.scratch = t;
     }
 
     /// Iterative Tarjan SCC over the committed-unexecuted subgraph reachable
-    /// from `root`. Returns instances in execution order, or, if a reachable
-    /// dependency is not yet committed, that blocker and the committed path
-    /// from `root` that reaches it (empty if `root` itself is uncommitted).
-    fn executable_order(&self, root: IRef) -> Result<Vec<IRef>, (IRef, Vec<IRef>)> {
-        #[derive(Default)]
-        struct TState {
-            index: HashMap<IRef, usize>,
-            low: HashMap<IRef, usize>,
-            on_stack: HashSet<IRef>,
-            stack: Vec<IRef>,
-            next_index: usize,
-            order: Vec<Vec<IRef>>,
-        }
-        let mut st = TState::default();
-        // Explicit DFS stack: (node, dep cursor).
-        let mut dfs: Vec<(IRef, usize)> = Vec::new();
+    /// from `root`, in `t`. Leaves the instances in execution order in
+    /// `t.order`, or, if a reachable dependency is not yet committed,
+    /// returns that blocker and leaves the committed path from `root` that
+    /// reaches it in `t.dfs` (empty if `root` itself is uncommitted).
+    fn executable_order(&self, root: IRef, t: &mut Scratch) -> Result<(), IRef> {
+        t.marks.clear();
+        t.stack.clear();
+        t.dfs.clear();
+        t.order.clear();
 
         let committed_unexecuted = |s: &Self, v: IRef| -> Option<bool> {
             // None = uncommitted (abort), Some(true) = traverse, Some(false) = skip (executed)
@@ -455,18 +500,21 @@ impl EPaxos {
         };
 
         match committed_unexecuted(self, root) {
-            None => return Err((root, Vec::new())),
-            Some(false) => return Ok(Vec::new()),
+            None => return Err(root),
+            Some(false) => return Ok(()),
             Some(true) => {}
         }
-        st.index.insert(root, 0);
-        st.low.insert(root, 0);
-        st.next_index = 1;
-        st.stack.push(root);
-        st.on_stack.insert(root);
-        dfs.push((root, 0));
+        let mark = |index| Mark {
+            index,
+            low: index,
+            on_stack: true,
+        };
+        t.marks.insert(root, mark(0));
+        let mut next_index = 1;
+        t.stack.push(root);
+        t.dfs.push((root, 0));
 
-        while let Some(&mut (v, ref mut cursor)) = dfs.last_mut() {
+        while let Some(&mut (v, ref mut cursor)) = t.dfs.last_mut() {
             let deps = &self.get(v).unwrap().deps;
             if *cursor < deps.len() {
                 let w = deps[*cursor];
@@ -477,50 +525,53 @@ impl EPaxos {
                     Some(true) => self.blocked.get(&w).copied(),
                 };
                 if let Some(blocker) = blocker {
-                    return Err((blocker, dfs.iter().map(|&(v, _)| v).collect()));
+                    return Err(blocker);
                 }
-                if let Some(&wi) = st.index.get(&w) {
-                    if st.on_stack.contains(&w) {
-                        let lv = st.low[&v].min(wi);
-                        st.low.insert(v, lv);
+                match t.marks.get(&w) {
+                    Some(&Mark {
+                        index, on_stack, ..
+                    }) => {
+                        if on_stack {
+                            let m = t.marks.get_mut(&v).expect("a walked instance is marked");
+                            m.low = m.low.min(index);
+                        }
                     }
-                } else {
-                    let i = st.next_index;
-                    st.next_index += 1;
-                    st.index.insert(w, i);
-                    st.low.insert(w, i);
-                    st.stack.push(w);
-                    st.on_stack.insert(w);
-                    dfs.push((w, 0));
+                    None => {
+                        t.marks.insert(w, mark(next_index));
+                        next_index += 1;
+                        t.stack.push(w);
+                        t.dfs.push((w, 0));
+                    }
                 }
             } else {
                 // Finished v: pop and propagate lowlink.
-                dfs.pop();
-                if let Some(&(p, _)) = dfs.last() {
-                    let lp = st.low[&p].min(st.low[&v]);
-                    st.low.insert(p, lp);
+                t.dfs.pop();
+                let vm = t.marks[&v];
+                if let Some(&(p, _)) = t.dfs.last() {
+                    let pm = t.marks.get_mut(&p).expect("a walked instance is marked");
+                    pm.low = pm.low.min(vm.low);
                 }
-                if st.low[&v] == st.index[&v] {
+                if vm.low == vm.index {
                     // v is an SCC root: pop the component.
-                    let mut comp = Vec::new();
-                    while let Some(w) = st.stack.pop() {
-                        st.on_stack.remove(&w);
-                        comp.push(w);
+                    let from = t.order.len();
+                    while let Some(w) = t.stack.pop() {
+                        let wm = t.marks.get_mut(&w).expect("a stacked instance is marked");
+                        wm.on_stack = false;
+                        t.order.push(w);
                         if w == v {
                             break;
                         }
                     }
                     // Deterministic order inside the SCC: by (seq, leader, idx).
-                    comp.sort_by_key(|r| {
-                        let i = self.get(*r).unwrap();
+                    t.order[from..].sort_unstable_by_key(|r| {
+                        let i = self.get(*r).expect("a walked instance exists");
                         (i.seq, r.leader, r.idx)
                     });
-                    st.order.push(comp);
                 }
             }
         }
         // Tarjan emits SCCs dependencies-first along dep edges.
-        Ok(st.order.into_iter().flatten().collect())
+        Ok(())
     }
 
     /// Executes `iref` through the replica layer; its command leader

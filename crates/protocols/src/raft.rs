@@ -28,6 +28,7 @@ use crate::window::{LogWindow, Termed};
 use paxi_core::command::{ClientRequest, ClientResponse, Command};
 use paxi_core::config::{BatchConfig, Batcher, ClusterConfig};
 use paxi_core::group::GroupId;
+use paxi_core::hash::FxHashMap;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::membership::{self, ConfigChange, JointQuorum, Membership, CONFIG_KEY};
 use paxi_core::migration::MigrationTracker;
@@ -38,7 +39,6 @@ use paxi_core::time::Nanos;
 use paxi_core::traits::{Context, Replica};
 use paxi_storage::Storage;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 const TIMER_ELECTION: u64 = 1;
 const TIMER_HEARTBEAT: u64 = 2;
@@ -225,10 +225,12 @@ pub struct Raft {
     log: LogWindow<RaftEntry>,
     commit: u64,
     applied: u64,
-    next_index: HashMap<NodeId, u64>,
-    match_index: HashMap<NodeId, u64>,
+    next_index: FxHashMap<NodeId, u64>,
+    match_index: FxHashMap<NodeId, u64>,
     /// When each peer last answered this leader.
-    last_heard: HashMap<NodeId, Nanos>,
+    last_heard: FxHashMap<NodeId, Nanos>,
+    /// Scratch of `quorum_commit_floor`: one member set's match indexes.
+    matches: Vec<u64>,
     leader_hint: Option<NodeId>,
     last_contact: Nanos,
     election_token: u64,
@@ -270,9 +272,10 @@ impl Raft {
             log: LogWindow::default(),
             commit: 0,
             applied: 0,
-            next_index: HashMap::new(),
-            match_index: HashMap::new(),
-            last_heard: HashMap::new(),
+            next_index: FxHashMap::default(),
+            match_index: FxHashMap::default(),
+            last_heard: FxHashMap::default(),
+            matches: Vec::new(),
             leader_hint: None,
             last_contact: Nanos::ZERO,
             election_token: 0,
@@ -771,19 +774,19 @@ impl Raft {
     /// active configuration — the joint-consensus commit rule. For a stable
     /// configuration spanning the whole universe this is exactly the
     /// classic single-majority computation.
-    fn quorum_commit_floor(&self) -> u64 {
+    fn quorum_commit_floor(&mut self) -> u64 {
+        let own = self.last_index();
+        let matches = &mut self.matches;
         let mut floor = u64::MAX;
         for set in self.membership.member_sets() {
-            let mut matches: Vec<u64> = set
-                .iter()
-                .map(|&p| {
-                    if p == self.id {
-                        self.last_index()
-                    } else {
-                        *self.match_index.get(&p).unwrap_or(&0)
-                    }
-                })
-                .collect();
+            matches.clear();
+            matches.extend(set.iter().map(|&p| {
+                if p == self.id {
+                    own
+                } else {
+                    *self.match_index.get(&p).unwrap_or(&0)
+                }
+            }));
             matches.sort_unstable_by(|a, b| b.cmp(a));
             let need = majority(set.len().max(1));
             floor = floor.min(matches.get(need - 1).copied().unwrap_or(0));

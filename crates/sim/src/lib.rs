@@ -26,6 +26,7 @@
 
 pub mod client;
 pub mod faults;
+mod queue;
 pub mod report;
 pub mod sim;
 

@@ -17,17 +17,20 @@
 //! network, fates, servers, cost model, clients, report — is the simulator.
 //!
 //! Determinism: all randomness flows from one seeded [`Rng64`], and the event
-//! queue breaks time ties by insertion sequence, so a `(seed, workload,
-//! protocol)` triple always reproduces the same run bit-for-bit.
+//! queue ([`crate::queue`]) breaks time ties by insertion sequence, so a
+//! `(seed, workload, protocol)` triple always reproduces the same run
+//! bit-for-bit.
 
 use crate::client::{ClientSetup, LoadMode, Workload};
 use crate::faults::{FaultPlan, MsgFate};
+use crate::queue::EventQueue;
 use crate::report::{NodeStats, OpRecord, SimReport};
 use paxi_core::command::{ClientRequest, ClientResponse, Command, Op};
 use paxi_core::config::ClusterConfig;
 use paxi_core::cost::CostModel;
 use paxi_core::dist::Rng64;
 use paxi_core::faults::LinkOrder;
+use paxi_core::hash::FxHashMap;
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::metrics::Histogram;
 use paxi_core::obs::{
@@ -40,7 +43,8 @@ use paxi_core::traits::{Replica, ReplicaFactory};
 use paxi_storage::MemHub;
 use paxi_transport::runtime::{Lend, Node, NodeEvent, Outbound};
 use paxi_transport::Envelope;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Simulation parameters.
 #[derive(Debug, Clone)]
@@ -105,48 +109,25 @@ enum EventKind<M> {
     RetryCheck { id: RequestId },
 }
 
-struct Event<M> {
-    at: Nanos,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    // Reversed so BinaryHeap (a max-heap) pops the earliest event first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Side effects a handler produced, applied by the simulator afterwards.
-/// A `Cast` is one serialization sent to each of `to`.
+/// A `Cast` is one serialization sent to each of `Effects::recipients[to]`.
 enum Effect<M> {
     Send { to: NodeId, msg: M },
-    Cast { to: Vec<NodeId>, msg: M },
+    Cast { to: Range<usize>, msg: M },
     Timer { after: Nanos, kind: u64, token: u64 },
     Reply { resp: ClientResponse },
     Forward { to: NodeId, req: ClientRequest },
 }
 
 /// A simulated node's [`Outbound`]: the effect list of the call in
-/// progress, self-sends and timers included, in handler order.
+/// progress, self-sends and timers included, in handler order, and the
+/// recipients of its casts back to back. Both buffers live as long as the
+/// node, so recording a call's effects allocates nothing once they have
+/// grown to its largest call.
 struct Effects<M> {
     id: NodeId,
     list: Vec<Effect<M>>,
+    recipients: Vec<NodeId>,
 }
 
 impl<M: Clone + Send + 'static> Outbound<M> for Effects<M> {
@@ -159,7 +140,9 @@ impl<M: Clone + Send + 'static> Outbound<M> for Effects<M> {
     }
     fn to_nodes(&mut self, to: &[NodeId], env: Envelope<M>) {
         if let Envelope::Msg { msg, .. } = env {
-            let to = to.to_vec();
+            let start = self.recipients.len();
+            self.recipients.extend_from_slice(to);
+            let to = start..self.recipients.len();
             self.list.push(Effect::Cast { to, msg });
         }
     }
@@ -258,15 +241,14 @@ pub struct Simulator<R: Replica> {
     /// Each node's queue, in cluster order.
     servers: Vec<Server>,
     all_nodes: Vec<NodeId>,
-    queue: BinaryHeap<Event<R::Msg>>,
-    event_seq: u64,
+    queue: EventQueue<EventKind<R::Msg>>,
     now: Nanos,
     rng: Rng64,
     clients: Vec<ClientState>,
     workload: Box<dyn Workload>,
     faults: FaultPlan,
     links: LinkOrder<Nanos>,
-    pending: HashMap<RequestId, Pending>,
+    pending: FxHashMap<RequestId, Pending>,
     // measurement
     hist: Histogram,
     zone_hist: BTreeMap<u8, Histogram>,
@@ -308,7 +290,11 @@ impl<R: Replica> Simulator<R> {
         let nodes = all_nodes
             .iter()
             .map(|&id| {
-                let out = Effects { id, list: vec![] };
+                let out = Effects {
+                    id,
+                    list: vec![],
+                    recipients: vec![],
+                };
                 Node::simulated(id, factory.make(id), all_nodes.clone(), out)
             })
             .collect();
@@ -327,8 +313,7 @@ impl<R: Replica> Simulator<R> {
             hub: None,
             servers,
             all_nodes,
-            queue: BinaryHeap::new(),
-            event_seq: 0,
+            queue: EventQueue::new(),
             now: Nanos::ZERO,
             rng,
             clients: clients
@@ -338,7 +323,7 @@ impl<R: Replica> Simulator<R> {
             workload: Box::new(workload),
             faults: FaultPlan::new(),
             links: LinkOrder::default(),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             hist: Histogram::new(),
             zone_hist: BTreeMap::new(),
             issued: 0,
@@ -393,12 +378,7 @@ impl<R: Replica> Simulator<R> {
                 }
             }
         }
-        self.event_seq += 1;
-        self.queue.push(Event {
-            at,
-            seq: self.event_seq,
-            kind,
-        });
+        self.queue.push(at, kind);
     }
 
     /// Runs the simulation to the end of the measurement window and returns
@@ -429,8 +409,8 @@ impl<R: Replica> Simulator<R> {
             self.push(at, EventKind::ClientIssue { ci });
         }
 
-        while let Some(ev) = self.queue.pop() {
-            if ev.at > end {
+        while let Some((at, kind)) = self.queue.pop() {
+            if at > end {
                 if !self.cfg.drain {
                     break;
                 }
@@ -441,21 +421,21 @@ impl<R: Replica> Simulator<R> {
                 // runs out — at which point each issued request has either
                 // completed or died at a counted drop site.
                 self.draining = true;
-                match &ev.kind {
+                match &kind {
                     EventKind::ClientIssue { .. } | EventKind::RetryCheck { .. } => continue,
                     EventKind::Node(_, Some(NodeEvent::Timer { .. })) => continue,
                     _ => {}
                 }
             }
-            self.now = ev.at;
+            self.now = at;
             self.events_processed += 1;
             if self.metrics.is_some() {
-                if let EventKind::Node(to, _) = &ev.kind {
+                if let EventKind::Node(to, _) = &kind {
                     let idx = self.cluster.index_of(*to);
                     self.servers[idx].inflight = self.servers[idx].inflight.saturating_sub(1);
                 }
             }
-            match ev.kind {
+            match kind {
                 EventKind::Node(to, ev) => self.dispatch(to, ev),
                 EventKind::ClientIssue { ci } => self.client_issue(ci),
                 EventKind::ClientDone { resp } => self.client_done(resp),
@@ -512,7 +492,9 @@ impl<R: Replica> Simulator<R> {
         if !call(&mut self.nodes[idx], lend) {
             return;
         }
-        let mut effects = std::mem::take(&mut self.nodes[idx].out().list);
+        let out = self.nodes[idx].out();
+        let mut effects = std::mem::take(&mut out.list);
+        let mut recipients = std::mem::take(&mut out.recipients);
 
         // Service-time accounting per the paper's cost model, and the
         // observability counters over the same effects: per-type sent
@@ -580,8 +562,12 @@ impl<R: Replica> Simulator<R> {
             match effect {
                 Effect::Send { to, msg } => self.emit_msg(node, to, msg, departure),
                 Effect::Cast { to, msg } => {
-                    for t in to {
-                        self.emit_msg(node, t, msg.clone(), departure);
+                    let to = &recipients[to];
+                    if let Some((&last, rest)) = to.split_last() {
+                        for &t in rest {
+                            self.emit_msg(node, t, msg.clone(), departure);
+                        }
+                        self.emit_msg(node, last, msg, departure);
                     }
                 }
                 Effect::Timer { after, kind, token } => {
@@ -612,7 +598,10 @@ impl<R: Replica> Simulator<R> {
                 }
             }
         }
-        self.nodes[idx].out().list = effects;
+        recipients.clear();
+        let out = self.nodes[idx].out();
+        out.list = effects;
+        out.recipients = recipients;
     }
 
     fn emit_msg(&mut self, from: NodeId, to: NodeId, msg: R::Msg, departure: Nanos) {
@@ -719,14 +708,15 @@ impl<R: Replica> Simulator<R> {
         } else if in_window {
             self.errors += 1;
         }
+        let ci = p.ci;
         if self.cfg.record_ops {
-            self.ops.push(op_record(&p, &resp, now, resp.ok));
+            self.ops.push(op_record(p, resp, now));
         }
         if self.draining {
             return; // the window is over: complete, but issue nothing new
         }
-        if let LoadMode::Closed { think } = self.clients[p.ci].setup.mode {
-            self.push(now + think, EventKind::ClientIssue { ci: p.ci });
+        if let LoadMode::Closed { think } = self.clients[ci].setup.mode {
+            self.push(now + think, EventKind::ClientIssue { ci });
         }
     }
 
@@ -738,15 +728,15 @@ impl<R: Replica> Simulator<R> {
         if p.invoke >= self.cfg.warmup && now <= self.cfg.warmup + self.cfg.measure {
             self.abandoned += 1;
         }
+        let ci = p.ci;
         if self.cfg.record_ops {
             // Abandoned writes may still take effect later; the checker
             // treats them as concurrent-with-everything-after.
-            let resp = ClientResponse::err(id);
-            self.ops.push(op_record(&p, &resp, now, false));
+            self.ops.push(op_record(p, ClientResponse::err(id), now));
         }
         // Closed-loop clients move on with a fresh request.
-        if let LoadMode::Closed { .. } = self.clients[p.ci].setup.mode {
-            self.push(now, EventKind::ClientIssue { ci: p.ci });
+        if let LoadMode::Closed { .. } = self.clients[ci].setup.mode {
+            self.push(now, EventKind::ClientIssue { ci });
         }
     }
 
@@ -760,8 +750,7 @@ impl<R: Replica> Simulator<R> {
             let mut pending: Vec<_> = self.pending.drain().collect();
             pending.sort_unstable_by_key(|&(id, _)| id);
             for (id, p) in pending {
-                let resp = ClientResponse::err(id);
-                self.ops.push(op_record(&p, &resp, end, false));
+                self.ops.push(op_record(p, ClientResponse::err(id), end));
             }
         }
         let window = self.cfg.measure;
@@ -782,15 +771,12 @@ impl<R: Replica> Simulator<R> {
             })
             .collect();
         let bucket = self.cfg.timeline_bucket.unwrap_or(Nanos::ZERO);
-        let metrics = self.metrics.as_ref().map(|ms| ClusterMetrics {
+        let metrics = self.metrics.take().map(|ms| ClusterMetrics {
             nodes: self
                 .all_nodes
                 .iter()
                 .zip(ms)
-                .map(|(&id, m)| MetricsSnapshot {
-                    node: id,
-                    metrics: m.clone(),
-                })
+                .map(|(&node, metrics)| MetricsSnapshot { node, metrics })
                 .collect(),
         });
         SimReport {
@@ -836,21 +822,22 @@ impl<'a, R> std::ops::Deref for Replicas<'a, R> {
     }
 }
 
-fn op_record(p: &Pending, resp: &ClientResponse, now: Nanos, ok: bool) -> OpRecord {
+/// The record of the operation `p`, answered (or given up on) at `now`
+/// with `resp`; it takes the written value and the value read over.
+fn op_record(p: Pending, resp: ClientResponse, now: Nanos) -> OpRecord {
+    let (write, read) = match p.cmd.op {
+        Op::Put(v) => (Some(v), None),
+        Op::Get => (None, Some(resp.value)),
+        Op::Delete => (None, None),
+    };
     OpRecord {
         client: resp.id.client,
         key: p.cmd.key,
-        write: match &p.cmd.op {
-            Op::Put(v) => Some(v.clone()),
-            _ => None,
-        },
-        read: match &p.cmd.op {
-            Op::Get => Some(resp.value.clone()),
-            _ => None,
-        },
+        write,
+        read,
         invoke: p.invoke,
         ret: now,
-        ok,
+        ok: resp.ok,
     }
 }
 
