@@ -28,7 +28,7 @@ fn rates(quick: bool) -> Vec<f64> {
 /// Builds the model-vs-reference latency table.
 pub fn run_figure(quick: bool) -> Vec<Table> {
     let d = Deployment::lan(9);
-    let ts = d.paxos_service_time(9);
+    let ts = PaxosModel::multi_paxos().service_time(&d);
     // Service-time variability for the general models: the simulator's
     // service time is deterministic per message mix, with mild variation
     // from the broadcast/ack asymmetry; 15% CV matches what the sim exhibits.

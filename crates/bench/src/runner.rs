@@ -74,9 +74,10 @@ impl Proto {
     /// (§5.2): once dependency computation, larger dependency-carrying
     /// messages, and graph-based execution are accounted for, Paxi's EPaxos
     /// lands below the single-leader protocols in LAN throughput. The
-    /// analytic model charges no penalty (1.0×, `paxi_model::EPaxosModel`),
-    /// which reproduces the paper's *model* claim that EPaxos
-    /// out-throughputs Paxos even at 100% conflict.
+    /// analytic model (`paxi_model::EPaxosModel`) has no penalty: it prices
+    /// EPaxos's messages as it prices Paxos's, which reproduces the paper's
+    /// *model* claim that EPaxos out-throughputs Paxos even at 100%
+    /// conflict.
     pub fn epaxos() -> Self {
         Proto::EPaxos { cpu_penalty: 3.5 }
     }

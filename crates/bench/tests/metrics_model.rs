@@ -1,7 +1,8 @@
 //! The observability layer's headline audit: drive each protocol through a
 //! clean (fault-free) simulated run with metrics on and `drain` mode, and
 //! assert the leader's *observed* per-commit message counts equal the
-//! analytic model's message complexity (`paxi_model::messages`) exactly.
+//! analytic model's message complexity (`paxi_model::messages`) exactly,
+//! and its busy time the model's service time for the same messages.
 //!
 //! Exactness is the point. Any silent loss (a message dropped outside the
 //! `drops_by_cause` ledger), double-count, or misattributed type breaks an
@@ -19,6 +20,7 @@
 
 use paxi_core::command::Command;
 use paxi_core::config::ClusterConfig;
+use paxi_core::cost::{CostModel, Work};
 use paxi_core::dist::Rng64;
 use paxi_core::id::{ClientId, NodeId};
 use paxi_core::obs::{ClusterMetrics, Metric, MetricsRegistry, TraceStage};
@@ -27,7 +29,7 @@ use paxi_model::{epaxos_leader_fast, paxos_leader, raft_leader};
 use paxi_protocols::epaxos::epaxos_cluster;
 use paxi_protocols::paxos::{paxos_cluster, PaxosConfig};
 use paxi_protocols::raft::{raft_cluster, RaftConfig};
-use paxi_sim::{ClientSetup, LoadMode, SimConfig, Simulator};
+use paxi_sim::{ClientSetup, LoadMode, SimConfig, SimReport, Simulator};
 
 const N: u8 = 3;
 const LEADER: NodeId = NodeId::new(0, 0);
@@ -98,8 +100,8 @@ fn assert_message_conservation(cm: &ClusterMetrics) {
     }
 }
 
-#[test]
-fn paxos_leader_matches_analytic_message_complexity() {
+/// The audited MultiPaxos run: heartbeats and failover an hour away.
+fn paxos_run() -> SimReport {
     let cluster = ClusterConfig::lan(N);
     let cfg = PaxosConfig {
         heartbeat: Nanos::secs(3600),
@@ -107,14 +109,51 @@ fn paxos_leader_matches_analytic_message_complexity() {
         enable_failover: false,
         ..PaxosConfig::default()
     };
-    let mut sim = Simulator::new(
+    Simulator::new(
         audit_config(11),
         cluster.clone(),
         paxos_cluster(cluster, cfg),
         fresh_key_workload(),
         leader_client(),
-    );
-    let report = sim.run();
+    )
+    .run()
+}
+
+/// The audited Raft run: heartbeats and election timeouts an hour away.
+fn raft_run() -> SimReport {
+    let cluster = ClusterConfig::lan(N);
+    let cfg = RaftConfig {
+        election_timeout: Nanos::secs(3600),
+        heartbeat: Nanos::secs(3600),
+        ..RaftConfig::default()
+    };
+    Simulator::new(
+        audit_config(12),
+        cluster.clone(),
+        raft_cluster(cluster, cfg),
+        fresh_key_workload(),
+        leader_client(),
+    )
+    .run()
+}
+
+/// The audited EPaxos run: node 0 leads every instance, each on the fast
+/// path.
+fn epaxos_run() -> SimReport {
+    let cluster = ClusterConfig::lan(N);
+    Simulator::new(
+        audit_config(13),
+        cluster.clone(),
+        epaxos_cluster(cluster),
+        fresh_key_workload(),
+        leader_client(),
+    )
+    .run()
+}
+
+#[test]
+fn paxos_leader_matches_analytic_message_complexity() {
+    let report = paxos_run();
     let cm = report.metrics.expect("metrics were enabled");
     assert_message_conservation(&cm);
 
@@ -157,20 +196,7 @@ fn paxos_leader_matches_analytic_message_complexity() {
 
 #[test]
 fn raft_leader_matches_analytic_message_complexity() {
-    let cluster = ClusterConfig::lan(N);
-    let cfg = RaftConfig {
-        election_timeout: Nanos::secs(3600),
-        heartbeat: Nanos::secs(3600),
-        ..RaftConfig::default()
-    };
-    let mut sim = Simulator::new(
-        audit_config(12),
-        cluster.clone(),
-        raft_cluster(cluster, cfg),
-        fresh_key_workload(),
-        leader_client(),
-    );
-    let report = sim.run();
+    let report = raft_run();
     let cm = report.metrics.expect("metrics were enabled");
     assert_message_conservation(&cm);
 
@@ -209,15 +235,7 @@ fn raft_leader_matches_analytic_message_complexity() {
 
 #[test]
 fn epaxos_command_leader_matches_analytic_message_complexity() {
-    let cluster = ClusterConfig::lan(N);
-    let mut sim = Simulator::new(
-        audit_config(13),
-        cluster.clone(),
-        epaxos_cluster(cluster),
-        fresh_key_workload(),
-        leader_client(),
-    );
-    let report = sim.run();
+    let report = epaxos_run();
     let cm = report.metrics.expect("metrics were enabled");
     assert_message_conservation(&cm);
 
@@ -358,4 +376,47 @@ fn trace_ring_records_the_full_request_lifecycle() {
         times.windows(2).all(|w| w[0] <= w[1]),
         "lifecycle timestamps must be monotone"
     );
+}
+
+/// Model / simulator parity: the coordinator's per-commit `Work` from
+/// `paxi_model::messages`, priced by `CostModel::service` (the model's
+/// service time), is exactly what the simulator charged the leader per
+/// commit. The simulator prices each handled event with the same function,
+/// so at `cpu_penalty` 1.0 nothing but the counts can differ. The constant
+/// is the rounds that open the run — one broadcast out and an answer from
+/// every peer each: Paxos's phase 1; Raft's election and the new term's
+/// no-op. None closes it: drain mode delivers every reply and no heartbeat
+/// fires.
+#[test]
+fn the_models_work_per_commit_is_the_simulated_leaders_busy_time() {
+    let cost = CostModel::default();
+    assert_eq!(cost.cpu_penalty, 1.0);
+    let peers = N as u64 - 1;
+    let opening_round = cost.service(&Work {
+        inputs: peers,
+        serializations: 1,
+        transmissions: peers,
+        ..Work::default()
+    });
+    for (name, report, model, opening_rounds) in [
+        ("paxos", paxos_run(), paxos_leader(N as u64), 1),
+        ("raft", raft_run(), raft_leader(N as u64), 2),
+        ("epaxos", epaxos_run(), epaxos_leader_fast(N as u64), 0),
+    ] {
+        let cm = report.metrics.as_ref().expect("metrics were enabled");
+        // Client requests, each one commit; Raft's no-op is an opening round.
+        let commits = leader_metrics(cm).get(Metric::Requests);
+        let busy = report
+            .node_stats
+            .iter()
+            .find(|s| s.id == LEADER)
+            .expect("leader stats")
+            .busy;
+        let per_commit = cost.service(&model.work());
+        assert_eq!(
+            busy.0,
+            commits * per_commit.0 + opening_rounds * opening_round.0,
+            "{name}: leader busy {busy:?} over {commits} commits, model {per_commit:?} per commit"
+        );
+    }
 }

@@ -8,10 +8,16 @@
 //! the leader equal these predictions exactly — any silent loss or
 //! double-count breaks the equality.
 //!
+//! The same counts, with the client's request and reply, are the
+//! coordinator's [`Work`] per commit: the protocol models' service time,
+//! which the metrics test also holds to the simulated leader's busy time.
+//!
 //! Conventions: counts cover protocol messages only (client requests and
 //! replies are tracked by separate counters), describe the steady state
 //! (leader established; Raft heartbeats and elections excluded; EPaxos on
 //! its fast path with no conflicts), and are exact, not asymptotic.
+
+use paxi_core::cost::Work;
 
 /// Per-commit message counts at the coordinating replica (leader or,
 /// for EPaxos, the command leader).
@@ -21,13 +27,21 @@ pub struct MsgComplexity {
     pub sent: u64,
     /// Protocol messages the coordinator receives per committed command.
     pub received: u64,
+    /// Protocol messages the coordinator serializes per committed command
+    /// (a broadcast is serialized once, whatever its fan-out).
+    pub serialized: u64,
 }
 
 impl MsgComplexity {
-    /// Total coordinator message load per commit (the paper's per-instance
-    /// message count at the bottleneck replica).
-    pub fn total(self) -> u64 {
-        self.sent + self.received
+    /// The coordinator's work per committed command: these messages plus
+    /// the client's request in and the reply out, one command each.
+    pub fn work(self) -> Work {
+        Work {
+            inputs: self.received + 1,
+            serializations: self.serialized + 1,
+            transmissions: self.sent + 1,
+            ..Work::default()
+        }
     }
 }
 
@@ -40,6 +54,7 @@ pub fn paxos_leader(n: u64) -> MsgComplexity {
     MsgComplexity {
         sent: peers,
         received: peers,
+        serialized: 1,
     }
 }
 
@@ -49,11 +64,7 @@ pub fn paxos_leader(n: u64) -> MsgComplexity {
 /// Heartbeats (empty `append_entries`) are a separate, rate-based cost
 /// and are tracked under their own message type.
 pub fn raft_leader(n: u64) -> MsgComplexity {
-    let peers = n.saturating_sub(1);
-    MsgComplexity {
-        sent: peers,
-        received: peers,
-    }
+    paxos_leader(n)
 }
 
 /// EPaxos fast path (no conflicts) in an `n`-replica cluster: the command
@@ -66,6 +77,7 @@ pub fn epaxos_leader_fast(n: u64) -> MsgComplexity {
     MsgComplexity {
         sent: 2 * peers,
         received: peers,
+        serialized: 2,
     }
 }
 
@@ -79,42 +91,45 @@ mod tests {
             paxos_leader(3),
             MsgComplexity {
                 sent: 2,
-                received: 2
+                received: 2,
+                serialized: 1
             }
         );
         assert_eq!(
             raft_leader(3),
             MsgComplexity {
                 sent: 2,
-                received: 2
+                received: 2,
+                serialized: 1
             }
         );
         assert_eq!(
             epaxos_leader_fast(3),
             MsgComplexity {
                 sent: 4,
-                received: 2
+                received: 2,
+                serialized: 2
             }
         );
-        assert_eq!(epaxos_leader_fast(3).total(), 6);
     }
 
     #[test]
     fn five_replica_counts() {
-        assert_eq!(paxos_leader(5).total(), 8);
+        assert_eq!((paxos_leader(5).sent, paxos_leader(5).received), (4, 4));
         assert_eq!(
             epaxos_leader_fast(5),
             MsgComplexity {
                 sent: 8,
-                received: 4
+                received: 4,
+                serialized: 2
             }
         );
     }
 
     #[test]
     fn degenerate_single_node_cluster_is_message_free() {
-        assert_eq!(paxos_leader(1).total(), 0);
-        assert_eq!(raft_leader(1).total(), 0);
-        assert_eq!(epaxos_leader_fast(1).total(), 0);
+        for m in [paxos_leader(1), raft_leader(1), epaxos_leader_fast(1)] {
+            assert_eq!((m.sent, m.received), (0, 0));
+        }
     }
 }

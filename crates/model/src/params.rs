@@ -8,7 +8,7 @@
 //! seconds internally; RTTs are specified in milliseconds for readability.
 
 use paxi_core::config::ClusterConfig;
-use paxi_core::cost::CostModel;
+use paxi_core::cost::{CostModel, Work};
 use paxi_core::topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -84,43 +84,40 @@ impl Deployment {
         self.n() / 2 + 1
     }
 
-    /// CPU time to process one incoming message, seconds (`ti`).
-    pub fn ti(&self) -> f64 {
-        self.cost.t_in.as_secs_f64()
-    }
-
-    /// CPU time to serialize one outgoing message, seconds (`to`).
-    pub fn to(&self) -> f64 {
-        self.cost.t_out.as_secs_f64()
-    }
-
-    /// NIC transmission time for one message, seconds (`sm/b`).
-    pub fn nic(&self) -> f64 {
-        self.cost.nic().as_secs_f64()
-    }
-
-    /// The paper's Paxos round service time at the leader:
-    /// `ts = 2·to + N·ti + 2N·sm/b`.
-    pub fn paxos_service_time(&self, n: usize) -> f64 {
-        let (sm, b) = (self.cost.msg_bytes as f64, self.cost.bandwidth_bps as f64);
-        2.0 * self.to() + n as f64 * self.ti() + 2.0 * n as f64 * sm * 8.0 / b
+    /// Service time of `work` on this deployment's cost model, seconds.
+    pub fn service_time(&self, work: &Work) -> f64 {
+        self.cost.service(work).as_secs_f64()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::paxos_leader;
     use paxi_core::topology::AWS_LAN_RTT_MEAN_MS as LAN_RTT_MS;
 
     #[test]
-    fn paxos_service_time_matches_paper_expression() {
-        // N = 9: 2*5us + 9*10us + 2*9*1024/1e9 s = 10 + 90 + 18.4 us.
-        let ts = Deployment::lan(9).paxos_service_time(9);
-        assert!((ts - 118.4e-6).abs() < 0.5e-6, "ts {ts}");
-        // Max throughput ~ 8.4k rounds/s: the single-leader wall the paper
-        // measures at around 8k ops/s.
-        let mu = 1.0 / ts;
-        assert!((7_000.0..10_000.0).contains(&mu), "mu {mu}");
+    fn a_paxos_round_at_n9_costs_its_leader_109_216_ns() {
+        // Request + 8 P2b in, P2a broadcast + reply serialized, 8 P2a + 1
+        // reply on the wire: 9·10 + 2·5 + 9·1.024 µs. The paper's
+        // `2·to + N·ti + 2N·sm/b` also charged the 8 P2b and the request
+        // NIC time (118.432 µs); here a received message costs its `t_in`.
+        let w = paxos_leader(9).work();
+        assert_eq!(
+            w,
+            Work {
+                inputs: 9,
+                serializations: 2,
+                transmissions: 9,
+                ..Work::default()
+            }
+        );
+        let d = Deployment::lan(9);
+        assert_eq!(d.cost.service(&w).0, 109_216);
+        // 9 156 rounds/s: the single-leader wall the paper measures at
+        // around 8k ops/s.
+        let mu = 1.0 / d.service_time(&w);
+        assert!((9_156.0..9_157.0).contains(&mu), "mu {mu}");
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! saturates, which also defines each protocol's maximum throughput.
 //!
 //! All models assume full replication (leaders broadcast to all N−1 peers)
-//! and uniformly spread client load, as the paper does.
+//! and uniformly spread client load, as the paper does. A service time is
+//! the [`Work`] of the messages the replica exchanges, priced by the
+//! deployment's cost model — the function the simulator charges too.
 
+use crate::messages::{epaxos_leader_fast, paxos_leader};
 use crate::orderstat::{kth_of_n_normal, kth_smallest_rtt};
 use crate::params::Deployment;
 use crate::queueing::{wait_time, QueueKind};
+use paxi_core::cost::Work;
 
 /// Monte Carlo iterations for LAN order statistics.
 const OS_ITERS: usize = 4_000;
@@ -76,6 +80,24 @@ fn mean_dl_ms(d: &Deployment, leader_zone: usize) -> f64 {
     (0..zones).map(|z| d.rtt(z, leader_zone)).sum::<f64>() / zones as f64
 }
 
+/// `inputs` messages in and one message serialized for `sent` recipients.
+fn exchange(inputs: u64, sent: u64) -> Work {
+    Work {
+        inputs,
+        serializations: 1,
+        transmissions: sent,
+        ..Work::default()
+    }
+}
+
+/// Mean and variance of a node's per-arrival service time when it leads a
+/// share `pl` of the rounds (`lead` each) and follows the rest (`follow`).
+fn moments(pl: f64, lead: f64, follow: f64) -> (f64, f64) {
+    let mean = pl * lead + (1.0 - pl) * follow;
+    let m2 = pl * lead * lead + (1.0 - pl) * follow * follow;
+    (mean, (m2 - mean * mean).max(0.0))
+}
+
 /// Single-leader MultiPaxos / FPaxos model.
 #[derive(Debug, Clone)]
 pub struct PaxosModel {
@@ -121,6 +143,12 @@ impl PaxosModel {
     fn q2_size(&self, d: &Deployment) -> usize {
         self.q2.unwrap_or_else(|| d.majority())
     }
+
+    /// The leader's service time per round, seconds. An FPaxos leader
+    /// still sends to and hears from every peer, so `q2` leaves it alone.
+    pub fn service_time(&self, d: &Deployment) -> f64 {
+        d.service_time(&paxos_leader(d.n() as u64).work())
+    }
 }
 
 impl PerfModel for PaxosModel {
@@ -132,7 +160,7 @@ impl PerfModel for PaxosModel {
     }
 
     fn latency_ms(&self, d: &Deployment, lambda: f64) -> Option<f64> {
-        let ts = d.paxos_service_time(d.n());
+        let ts = self.service_time(d);
         let wq = wait_time(self.queue, lambda, ts)?;
         let dq = dq_ms(d, self.leader_zone, self.q2_size(d) - 1);
         let dl = mean_dl_ms(d, self.leader_zone);
@@ -140,58 +168,42 @@ impl PerfModel for PaxosModel {
     }
 
     fn max_throughput(&self, d: &Deployment) -> f64 {
-        1.0 / d.paxos_service_time(d.n())
+        1.0 / self.service_time(d)
     }
 }
 
 /// EPaxos model: every node is an opportunistic leader; conflicts add a
-/// second quorum round and dependency-processing CPU overhead.
+/// second quorum round.
 #[derive(Debug, Clone)]
 pub struct EPaxosModel {
     /// Fraction of commands that conflict (`c` in the paper).
     pub conflict: f64,
-    /// CPU multiplier for dependency computation and conflict detection
-    /// (the paper "penalizes the message processing" of EPaxos).
-    pub cpu_penalty: f64,
 }
 
 impl EPaxosModel {
     /// Model at the given conflict rate.
     ///
-    /// The default CPU penalty is 1.0: the paper's *model* keeps EPaxos
-    /// message processing comparable to Paxos (which is why its modeled
-    /// throughput beats Paxos even at 100% conflict, §5.2 and Figure 12);
-    /// only the *experimental* EPaxos pays heavy dependency-processing
-    /// costs, modeled in `paxi_bench::Proto::epaxos`.
+    /// The model charges EPaxos's messages what it charges Paxos's: the
+    /// paper's *model* keeps EPaxos message processing comparable to Paxos
+    /// (which is why its modeled throughput beats Paxos even at 100%
+    /// conflict, §5.2 and Figure 12); only the *experimental* EPaxos pays
+    /// heavy dependency-processing costs, modeled in `paxi_bench::Proto::epaxos`.
     pub fn new(conflict: f64) -> Self {
-        EPaxosModel {
-            conflict,
-            cpu_penalty: 1.0,
-        }
+        EPaxosModel { conflict }
     }
 
-    /// EPaxos fast-quorum size (leader included).
-    fn fast(&self, d: &Deployment) -> usize {
-        paxi_core::quorum::fast_quorum_size(d.n())
-    }
-
-    /// Mean and second moment of the per-arrival service time at one node.
+    /// Mean and variance of the per-arrival service time at one node.
     fn service_moments(&self, d: &Deployment) -> (f64, f64) {
-        let n = d.n() as f64;
+        let n = d.n() as u64;
         let c = self.conflict;
-        let p = self.cpu_penalty;
-        let nic = d.nic();
-        // Leading a round: like a Paxos leader round, plus a conflict round.
-        let s_lead = p * (2.0 * d.to() + n * d.ti()) + 2.0 * n * nic;
-        let s_lead = s_lead + c * (p * (d.to() + n * d.ti()) + 2.0 * n * nic);
-        // Participating in someone else's round: PreAccept in, reply out,
-        // Commit in; conflicts add the Accept round (one more in + out).
-        let s_acc = p * (2.0 * d.ti() + d.to()) + 3.0 * nic;
-        let s_acc = s_acc + c * (p * (d.ti() + d.to()) + 2.0 * nic);
-        let pl = 1.0 / n;
-        let mean = pl * s_lead + (1.0 - pl) * s_acc;
-        let m2 = pl * s_lead * s_lead + (1.0 - pl) * s_acc * s_acc;
-        (mean, m2)
+        // Leading a round: the fast path; a conflict adds the slow path's
+        // Accept broadcast and every peer's AcceptOk.
+        let slow = d.service_time(&exchange(n - 1, n - 1));
+        let lead = d.service_time(&epaxos_leader_fast(n).work()) + c * slow;
+        // Someone else's round: PreAccept and Commit in, PreAcceptOk out; a
+        // conflict adds Accept in, AcceptOk out.
+        let follow = d.service_time(&exchange(2, 1)) + c * d.service_time(&exchange(1, 1));
+        moments(1.0 / n as f64, lead, follow)
     }
 }
 
@@ -201,14 +213,13 @@ impl PerfModel for EPaxosModel {
     }
 
     fn latency_ms(&self, d: &Deployment, lambda: f64) -> Option<f64> {
-        let (mean, m2) = self.service_moments(d);
-        let var = (m2 - mean * mean).max(0.0);
+        let (mean, var) = self.service_moments(d);
         // Every round visits every node, so each node sees the full λ.
         let wq = wait_time(QueueKind::MG1 { service_var: var }, lambda, mean)?;
         // Clients are local to their command leader: DL is one LAN RTT.
         let dl = d.rtt(0, 0);
         // Mean over leader zones of the fast / slow quorum waits.
-        let fast_k = self.fast(d) - 1;
+        let fast_k = paxi_core::quorum::fast_quorum_size(d.n()) - 1;
         let slow_k = d.majority() - 1;
         let mut lat = 0.0;
         for z in 0..d.cluster.zones as usize {
@@ -222,8 +233,7 @@ impl PerfModel for EPaxosModel {
     }
 
     fn max_throughput(&self, d: &Deployment) -> f64 {
-        let (mean, _) = self.service_moments(d);
-        1.0 / mean
+        1.0 / self.service_moments(d).0
     }
 }
 
@@ -249,23 +259,14 @@ impl WPaxosModel {
         }
     }
 
-    /// Phase-2 quorum size `(f+1)·(fz+1)` of the flexible grid.
-    pub fn q2_size(&self) -> usize {
-        (self.f + 1) * (self.fz + 1)
-    }
-
     fn service_moments(&self, d: &Deployment) -> (f64, f64) {
-        let n = d.n() as f64;
-        let leaders = d.cluster.zones as f64;
-        let nic = d.nic();
-        // Own round: full-replication broadcast like Paxos.
-        let s_lead = 2.0 * d.to() + n * d.ti() + 2.0 * n * nic;
-        // Follower duty for other leaders' rounds: P2a in, P2b out, commit in.
-        let s_acc = 2.0 * d.ti() + d.to() + 3.0 * nic;
-        let pl = 1.0 / leaders;
-        let mean = pl * s_lead + (1.0 - pl) * s_acc;
-        let m2 = pl * s_lead * s_lead + (1.0 - pl) * s_acc * s_acc;
-        (mean, m2)
+        // Own round: full-replication broadcast like Paxos. Follower duty
+        // for other leaders' rounds: P2a in, P2b out (commits ride on the
+        // next P2a and a periodic `CommitBatch`, a rate-based cost left out
+        // like Raft's heartbeats).
+        let lead = d.service_time(&paxos_leader(d.n() as u64).work());
+        let follow = d.service_time(&exchange(1, 1));
+        moments(1.0 / d.cluster.zones as f64, lead, follow)
     }
 }
 
@@ -275,35 +276,30 @@ impl PerfModel for WPaxosModel {
     }
 
     fn latency_ms(&self, d: &Deployment, lambda: f64) -> Option<f64> {
-        let (mean, m2) = self.service_moments(d);
-        let var = (m2 - mean * mean).max(0.0);
+        let (mean, var) = self.service_moments(d);
         // Each leader node sees every round (full replication), leading its
         // zone's 1/L share.
         let wq = wait_time(QueueKind::MG1 { service_var: var }, lambda, mean)?;
-        // DQ: f+1 acks from fz+1 zones. fz=0 -> in-zone (LAN) quorum; fz>0
-        // -> also the (fz)-th nearest other zone.
         let mut lat = 0.0;
         for z in 0..d.cluster.zones as usize {
+            let mut others: Vec<f64> = (0..d.cluster.zones as usize)
+                .filter(|&o| o != z)
+                .map(|o| d.rtt(z, o))
+                .collect();
+            // Remote requests pay a forward to the owner zone (mean over
+            // other zones).
+            let dl_remote = if others.is_empty() {
+                d.rtt(0, 0)
+            } else {
+                others.iter().sum::<f64>() / others.len() as f64
+            };
+            // DQ: f+1 acks from fz+1 zones. fz=0 -> in-zone (LAN) quorum;
+            // fz>0 -> also the (fz)-th nearest other zone.
+            others.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
             let dq = if self.fz == 0 {
                 d.rtt(z, z)
             } else {
-                let mut others: Vec<f64> = (0..d.cluster.zones as usize)
-                    .filter(|&o| o != z)
-                    .map(|o| d.rtt(z, o))
-                    .collect();
-                others.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
                 others[self.fz - 1]
-            };
-            // Remote requests pay a forward to the owner zone (mean over
-            // other zones).
-            let dl_remote = if d.cluster.zones > 1 {
-                (0..d.cluster.zones as usize)
-                    .filter(|&o| o != z)
-                    .map(|o| d.rtt(z, o))
-                    .sum::<f64>()
-                    / (d.cluster.zones - 1) as f64
-            } else {
-                d.rtt(0, 0)
             };
             let dl_local = d.rtt(z, z);
             lat += self.locality * (dl_local + dq) + (1.0 - self.locality) * (dl_remote + dq);
@@ -313,8 +309,7 @@ impl PerfModel for WPaxosModel {
     }
 
     fn max_throughput(&self, d: &Deployment) -> f64 {
-        let (mean, _) = self.service_moments(d);
-        1.0 / mean
+        1.0 / self.service_moments(d).0
     }
 }
 
@@ -338,10 +333,10 @@ impl WanKeeperModel {
     }
 
     fn group_service(&self, d: &Deployment) -> f64 {
-        let g = d.cluster.per_zone as f64;
-        // Zone-local round: leader broadcasts to g-1 members and collects
-        // acks — the hierarchical win: g << N messages.
-        2.0 * d.to() + g * d.ti() + 2.0 * g * d.nic()
+        // Zone-local round: leader sends to its g-1 members and collects
+        // acks, a Paxos round over the group — the hierarchical win:
+        // g << N messages.
+        d.service_time(&paxos_leader(d.cluster.per_zone as u64).work())
     }
 }
 
