@@ -153,7 +153,7 @@ struct NodeCtx<'a, M, O: Outbound<M>> {
     /// Every other node of the cluster.
     peers: &'a [NodeId],
     out: &'a mut O,
-    inbox_tx: &'a Sender<NodeEvent<M>>,
+    inbox_tx: Option<&'a Sender<NodeEvent<M>>>,
     timers: &'a mut TimerHeap,
     /// [`Lend::now`]; `None` reads the wall clock from `epoch`.
     now: Option<Nanos>,
@@ -212,7 +212,10 @@ impl<M: Clone, O: Outbound<M>> NodeCtx<'_, M, O> {
                 self.timers.push(Reverse((deadline, token, kind)));
             }
             Some(ev) => {
-                let _ = self.inbox_tx.send(ev);
+                let inbox = self
+                    .inbox_tx
+                    .expect("a node without an inbox sends itself nothing");
+                let _ = inbox.send(ev);
             }
             None => {}
         }
@@ -318,7 +321,8 @@ pub struct Node<R: Replica, O: Outbound<R::Msg>> {
     /// Every other node of the cluster: the broadcast set, fixed at
     /// startup whatever the replica's membership view.
     peers: Vec<NodeId>,
-    inbox_tx: Sender<NodeEvent<R::Msg>>,
+    /// `None` for a simulated node, whose `out` takes every self-send.
+    inbox_tx: Option<Sender<NodeEvent<R::Msg>>>,
     out: O,
     timers: TimerHeap,
     epoch: Instant,
@@ -347,8 +351,29 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
     pub fn new(
         id: NodeId,
         replica: R,
-        mut peers: Vec<NodeId>,
+        peers: Vec<NodeId>,
         inbox_tx: Sender<NodeEvent<R::Msg>>,
+        out: O,
+        epoch: Instant,
+        seed: u64,
+        faults: Option<(Arc<FaultInjector>, Remake<R>)>,
+    ) -> Self {
+        Node::build(id, replica, peers, Some(inbox_tx), out, epoch, seed, faults)
+    }
+
+    /// A node the simulator drives through [`Node::handle_with`]: `out`
+    /// takes everything it sends, itself included, so it has no inbox, and
+    /// each call borrows clock, plan and randomness ([`Lend`]).
+    pub fn simulated(id: NodeId, replica: R, peers: Vec<NodeId>, out: O) -> Self {
+        Node::build(id, replica, peers, None, out, Instant::now(), 0, None)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        id: NodeId,
+        replica: R,
+        mut peers: Vec<NodeId>,
+        inbox_tx: Option<Sender<NodeEvent<R::Msg>>>,
         out: O,
         epoch: Instant,
         seed: u64,
@@ -374,14 +399,6 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
         }
     }
 
-    /// A node the simulator drives through [`Node::handle_with`]: `out`
-    /// takes everything it sends, itself included, so its inbox stays
-    /// empty, and each call borrows clock, plan and randomness ([`Lend`]).
-    pub fn simulated(id: NodeId, replica: R, peers: Vec<NodeId>, out: O) -> Self {
-        let inbox = std::sync::mpsc::channel().0;
-        Node::new(id, replica, peers, inbox, out, Instant::now(), 0, None)
-    }
-
     /// The replica, and the context its handlers see in a call: one the
     /// simulator lends to, or (`None`) a live one.
     fn split<'a>(&'a mut self, lend: Option<Lend<'a, R>>) -> (&'a mut R, NodeCtx<'a, R::Msg, O>) {
@@ -393,7 +410,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
             id: self.id,
             peers: &self.peers,
             out: &mut self.out,
-            inbox_tx: &self.inbox_tx,
+            inbox_tx: self.inbox_tx.as_ref(),
             timers: &mut self.timers,
             now,
             epoch: self.epoch,
