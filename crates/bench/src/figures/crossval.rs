@@ -3,7 +3,8 @@
 //! "The Paxi experiments cross-validate the analytical model" (§1.1): here
 //! the analytic models and the simulator run the *same* deployments and the
 //! table reports both predictions side by side — max throughput and
-//! low-load latency for each protocol family, LAN and WAN.
+//! low-load latency for each protocol family, on the 9-node LAN (the flat
+//! `lan(9)` and WPaxos's 3×3 grid in a LAN). It has no WAN row yet.
 
 use crate::runner::{sweep, Proto};
 use crate::table::{f0, f2, Table};
