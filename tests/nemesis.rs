@@ -253,6 +253,34 @@ fn wan_protocols_replay_their_recorded_runs() {
     }
 }
 
+/// EPaxos's runs under faults, pinned the same way, with the verdict digest:
+/// `(completed, events_processed, tail_completed)` on the EPaxos suites'
+/// cluster and key space, two seeds of each crash mode. The digest ledger
+/// holds no EPaxos cell, so a change to EPaxos that moves an event shows
+/// here first.
+#[test]
+fn epaxos_replays_its_recorded_runs() {
+    let cells = [
+        (CrashMode::Freeze, 2, (2075, 35788, 43), 0x215b98b19afb49d5),
+        (CrashMode::Freeze, 5, (1380, 25470, 118), 0x49a1c42ef68d4ce3),
+        (CrashMode::Amnesia, 2, (1561, 27469, 87), 0xf72b26658273dc32),
+        (CrashMode::Amnesia, 5, (1117, 20515, 62), 0x309b24691b27a2ad),
+    ];
+    for (crash_mode, seed, want, digest) in cells {
+        let cfg = NemesisConfig {
+            seed,
+            crash_mode,
+            keys: 64,
+            ..Default::default()
+        };
+        let v = Scenario::nemesis(&Proto::epaxos(), lan_sim(), ClusterConfig::lan(5), &cfg).run();
+        let r = &v.report;
+        let got = (r.completed, r.events_processed, v.tail_completed);
+        assert_eq!(got, want, "{crash_mode:?} seed {seed}");
+        assert_eq!(v.digest(), digest, "{crash_mode:?} seed {seed}: {v}");
+    }
+}
+
 #[test]
 fn different_seeds_produce_different_schedules() {
     let cluster = ClusterConfig::lan(5);
