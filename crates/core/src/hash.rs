@@ -7,7 +7,11 @@
 //! replicas consult on every event are keyed by small integers:
 //! [`NodeId`](crate::id::NodeId), [`RequestId`](crate::id::RequestId) and
 //! instance references the system assigns, and store keys, which only the
-//! repository's own load generators and tests choose. [`FxHasher`] is the
+//! repository's own load generators and tests choose. The live transport's
+//! tables are keyed alike and consulted on every read, frame, reply and
+//! write pass: connection ids it numbers itself, peers' `NodeId`s, and the
+//! `ClientId`s and `RequestId`s of the repository's clients, by which it
+//! routes replies and a pipelined client matches them. [`FxHasher`] is the
 //! multiply-rotate hash rustc uses for such keys: a few instructions per
 //! word, and the same output, hence the same iteration order, in every
 //! process. It does not resist keys crafted to collide; a store serving

@@ -84,6 +84,7 @@ use crate::tcp::Hello;
 use paxi_core::command::{ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
 use paxi_core::dist::Rng64;
+use paxi_core::hash::FxHashMap;
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::obs::DropCause;
 use paxi_core::traits::{Replica, ReplicaFactory};
@@ -258,15 +259,15 @@ struct Net {
     me: NodeId,
     addrs: Arc<HashMap<NodeId, SocketAddr>>,
     /// Every open connection.
-    conns: HashMap<ConnId, Conn>,
+    conns: FxHashMap<ConnId, Conn>,
     /// The id the next connection gets.
     next_id: ConnId,
     /// The one connection to each peer, which this node writes that peer
     /// on and reads it from; never a closed one.
-    peers: HashMap<NodeId, ConnId>,
-    backoff: HashMap<NodeId, Backoff>,
+    peers: FxHashMap<NodeId, ConnId>,
+    backoff: FxHashMap<NodeId, Backoff>,
     jitter: Rng64,
-    routes: HashMap<ClientId, Route>,
+    routes: FxHashMap<ClientId, Route>,
     /// Where a broadcast is encoded, once, before it is copied to each
     /// peer's connection.
     scratch: Vec<u8>,
@@ -284,12 +285,12 @@ impl Net {
         Net {
             me,
             addrs,
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             next_id: 0,
-            peers: HashMap::new(),
-            backoff: HashMap::new(),
+            peers: FxHashMap::default(),
+            backoff: FxHashMap::default(),
             jitter: Rng64::seed(0x7C9 ^ me.pack() as u64),
-            routes: HashMap::new(),
+            routes: FxHashMap::default(),
             scratch: Vec::new(),
             drops,
             ledger,
@@ -909,7 +910,7 @@ pub struct PipelinedClient {
     decoder: paxi_codec::FrameDecoder,
     /// Every request submitted and not yet returned or given up on, with
     /// its reply once that has arrived.
-    inflight: HashMap<RequestId, Option<ClientResponse>>,
+    inflight: FxHashMap<RequestId, Option<ClientResponse>>,
     timeout: Duration,
     /// Encoded requests not yet written.
     staged: Vec<u8>,
@@ -936,7 +937,7 @@ impl PipelinedClient {
             seq: 0,
             stream,
             decoder: paxi_codec::FrameDecoder::new(),
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
             timeout: Duration::from_secs(5),
             staged: Vec::new(),
             read_buf: vec![0; CLIENT_READ_CHUNK].into(),

@@ -167,6 +167,11 @@ struct NodeCtx<'a, M, O: Outbound<M>> {
     trace: Option<&'a mut TraceRing>,
 }
 
+/// The time a node's handler sees: `lent`, or the wall clock since `epoch`.
+fn clock(lent: Option<Nanos>, epoch: Instant) -> Nanos {
+    lent.unwrap_or_else(|| Nanos(epoch.elapsed().as_nanos() as u64))
+}
+
 impl<M: Clone, O: Outbound<M>> NodeCtx<'_, M, O> {
     /// Sends `env` to the node itself, or to a peer as the fault plan, if
     /// any, decides: never (charged to [`DropCause::Fault`]), or now or once
@@ -227,8 +232,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M> for
         self.id
     }
     fn now(&self) -> Nanos {
-        self.now
-            .unwrap_or_else(|| Nanos(self.epoch.elapsed().as_nanos() as u64))
+        clock(self.now, self.epoch)
     }
     fn send(&mut self, to: NodeId, msg: M) {
         self.route(to, Envelope::Msg { from: self.id, msg });
@@ -265,12 +269,12 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M> for
             m.add_drop(cause, n);
         }
     }
+    /// Reads the clock only when there is a ring to record in.
     fn trace(&mut self, stage: TraceStage, req: RequestId) {
-        let (at, node) = (self.now(), self.id);
         if let Some(ring) = &mut self.trace {
             ring.push(TraceEvent {
-                at,
-                node,
+                at: clock(self.now, self.epoch),
+                node: self.id,
                 req,
                 stage,
             });
