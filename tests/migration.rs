@@ -110,6 +110,60 @@ fn raft_migration_nemesis_amnesia() {
     run_suite(&raft(), CrashMode::Amnesia, 1);
 }
 
+/// Four cells of the matrix, pinned: `(completed, events_processed,
+/// tail_completed)` and the verdict digest at seed 1. The digest ledger
+/// folds auditor counts, not events, and holds no amnesia cell, so a change
+/// that moves one event of a migration record's WAL replay shows here
+/// first.
+#[test]
+fn migration_replays_its_recorded_runs() {
+    use MigrationStage::{Commit, Stream};
+    use MigrationVictim::{DestLeader, SourceLeader};
+    let (paxos, raft) = (Proto::paxos(), raft());
+    let cells = [
+        (
+            &paxos,
+            SourceLeader,
+            Stream,
+            CrashMode::Freeze,
+            (10854, 143397, 3753),
+            0xcae3e6fb27e89de4,
+        ),
+        (
+            &paxos,
+            DestLeader,
+            Commit,
+            CrashMode::Amnesia,
+            (8737, 116042, 3028),
+            0xe8e9c215d4b91995,
+        ),
+        (
+            &raft,
+            DestLeader,
+            Stream,
+            CrashMode::Freeze,
+            (12134, 161768, 3608),
+            0x99e172d6455a9a6c,
+        ),
+        (
+            &raft,
+            SourceLeader,
+            Commit,
+            CrashMode::Amnesia,
+            (9990, 133070, 2995),
+            0x3d07469adb9caf8b,
+        ),
+    ];
+    for (proto, victim, stage, mode, want, digest) in cells {
+        let v = cell(proto, victim, stage, mode, 1);
+        let r = &v.report;
+        let got = (r.completed, r.events_processed, v.tail_completed);
+        let name = format!("{} {victim:?} {stage:?} {}", proto.name(), mode.label());
+        assert_eq!(got, want, "{name}");
+        assert_eq!(v.digest(), digest, "{name}: {v}");
+    }
+}
+
 // --- composed faults: the hand-off inside a random fault schedule ---
 
 /// The hand-off of the matrix, with the seeded nemesis' five random

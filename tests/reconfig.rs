@@ -105,6 +105,53 @@ fn second_seed_sweeps_the_leader_victim() {
     }
 }
 
+/// Four cells of the matrix, pinned: `(completed, events_processed,
+/// tail_completed)` and the verdict digest at seed 1. The digest ledger
+/// folds auditor counts, not events, and holds no amnesia cell, so a change
+/// that moves one event of a config record's WAL replay shows here first.
+#[test]
+fn reconfig_replays_its_recorded_runs() {
+    let (paxos, raft) = (Proto::paxos(), raft());
+    let cells = [
+        (
+            &paxos,
+            ReconfigVictim::Leader,
+            CrashMode::Freeze,
+            (10568, 160214, 3526),
+            0x9f8f35d6bd662798,
+        ),
+        (
+            &paxos,
+            ReconfigVictim::Leader,
+            CrashMode::Amnesia,
+            (8842, 132992, 3051),
+            0x4c6fe60b64f48815,
+        ),
+        (
+            &raft,
+            ReconfigVictim::Joiner,
+            CrashMode::Freeze,
+            (14626, 214694, 3770),
+            0x5f7d38f62c5070b,
+        ),
+        (
+            &raft,
+            ReconfigVictim::Leaver,
+            CrashMode::Amnesia,
+            (11961, 175958, 3083),
+            0xc0aa5708ca7dd086,
+        ),
+    ];
+    for (proto, victim, mode, want, digest) in cells {
+        let v = cell(proto, victim, mode, 1);
+        let r = &v.report;
+        let got = (r.completed, r.events_processed, v.tail_completed);
+        let name = format!("{} {victim:?} {}", proto.name(), mode.label());
+        assert_eq!(got, want, "{name}");
+        assert_eq!(v.digest(), digest, "{name}: {v}");
+    }
+}
+
 // --- composed faults: the join inside a random fault schedule ---
 
 /// The join of the matrix, with the seeded nemesis' five random episodes —
