@@ -72,7 +72,7 @@ pub use membership::{ConfigChange, JointQuorum, Membership, CONFIG_KEY};
 pub use metrics::{Histogram, LatencySummary, Meter};
 pub use migration::{
     as_migration_record, migration_command, CommitHalf, KeyRange, MigrationAction, MigrationPhase,
-    MigrationRecord, MigrationReject, MigrationSpec, MigrationTracker, MIGRATION_KEY,
+    MigrationRecord, MigrationReject, MigrationSpec, MigrationTracker, TrackerState, MIGRATION_KEY,
 };
 pub use obs::{
     ClusterMetrics, DropCause, Gauge, Metric, MetricsRegistry, MetricsSnapshot, TraceEvent,

@@ -15,20 +15,15 @@
 //!   degenerates to the classic single majority.
 //!
 //! Membership rides the replicated log as an ordinary [`Command`]: a write
-//! to the reserved key [`CONFIG_KEY`] whose value bytes are a tagged,
-//! self-describing encoding ([`Membership::encode`] /
-//! [`Membership::decode`]). That keeps every WAL record shape, wire message
+//! to the reserved key [`CONFIG_KEY`] whose value is a client's delta or a
+//! leader's absolute configuration, encoded by `paxi-codec` as one enum
+//! ([`ConfigChange::encode`], [`Membership::encode`]), so neither ever
+//! decodes as the other. That keeps every WAL record shape, wire message
 //! shape, and cost-model charge identical to the static-membership build —
 //! a config entry is just one more command flowing through the existing
 //! machinery, persisted and replayed by the same code paths, so a node that
 //! crashes mid-transition recovers its configuration exactly as it recovers
 //! its log.
-//!
-//! The encoding is hand-rolled (length-prefixed lists of `zone.node` byte
-//! pairs behind a one-byte tag) rather than routed through `paxi-codec` so
-//! that `paxi-core` stays dependency-free and decoding **never panics** on
-//! truncated or bit-flipped input — it returns `None` and the caller treats
-//! the command as an ordinary write.
 
 use crate::command::{Command, Key, Op};
 use crate::id::NodeId;
@@ -44,9 +39,19 @@ use std::fmt;
 /// itself, applied at append/choose time, not at execute time).
 pub const CONFIG_KEY: Key = Key::MAX;
 
-const TAG_CHANGE: u8 = 0xC1;
-const TAG_STABLE: u8 = 0xC2;
-const TAG_JOINT: u8 = 0xC3;
+/// What a [`CONFIG_KEY`] write carries: one type for the key, so a client's
+/// request never decodes as a log entry, nor the reverse.
+#[derive(Serialize, Deserialize)]
+enum ConfigPayload {
+    Change(ConfigChange),
+    Config(Membership),
+}
+
+impl ConfigPayload {
+    fn encode(&self) -> Vec<u8> {
+        paxi_codec::to_bytes(self).expect("a config holds fewer than 2^32 nodes")
+    }
+}
 
 /// A requested membership delta: nodes to add and nodes to remove, applied
 /// against whatever the current configuration is when the leader sequences
@@ -103,24 +108,19 @@ impl ConfigChange {
         self.apply(current) == cur
     }
 
-    /// Encodes the change as a self-describing byte payload (tag `0xC1`).
+    /// Encodes the change as the payload of a [`CONFIG_KEY`] write.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![TAG_CHANGE];
-        encode_nodes(&mut out, &self.add);
-        encode_nodes(&mut out, &self.remove);
-        out
+        ConfigPayload::Change(self.clone()).encode()
     }
 
     /// Decodes a payload produced by [`ConfigChange::encode`]. Returns
-    /// `None` (never panics) on wrong tag, truncation, or trailing garbage.
+    /// `None` (never panics) on anything else: a configuration, truncation,
+    /// trailing garbage.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut rest = bytes.strip_prefix(&[TAG_CHANGE])?;
-        let add = decode_nodes(&mut rest)?;
-        let remove = decode_nodes(&mut rest)?;
-        if !rest.is_empty() {
-            return None;
+        match paxi_codec::from_bytes(bytes).ok()? {
+            ConfigPayload::Change(change) => Some(change),
+            ConfigPayload::Config(_) => None,
         }
-        Some(ConfigChange { add, remove })
     }
 }
 
@@ -217,47 +217,19 @@ impl Membership {
         }
     }
 
-    /// Encodes the configuration as a self-describing byte payload
-    /// (tag `0xC2` stable, `0xC3` joint).
+    /// Encodes the configuration as the payload of a [`CONFIG_KEY`] write.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Membership::Stable { epoch, members } => {
-                let mut out = vec![TAG_STABLE];
-                out.extend_from_slice(&epoch.to_le_bytes());
-                encode_nodes(&mut out, members);
-                out
-            }
-            Membership::Joint { epoch, old, new } => {
-                let mut out = vec![TAG_JOINT];
-                out.extend_from_slice(&epoch.to_le_bytes());
-                encode_nodes(&mut out, old);
-                encode_nodes(&mut out, new);
-                out
-            }
-        }
+        ConfigPayload::Config(self.clone()).encode()
     }
 
     /// Decodes a payload produced by [`Membership::encode`]. Returns `None`
-    /// (never panics) on wrong tag, truncation, or trailing garbage.
+    /// (never panics) on anything else: a delta, truncation, trailing
+    /// garbage.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let (&tag, mut rest) = bytes.split_first()?;
-        let epoch = decode_u64(&mut rest)?;
-        let m = match tag {
-            TAG_STABLE => Membership::Stable {
-                epoch,
-                members: decode_nodes(&mut rest)?,
-            },
-            TAG_JOINT => Membership::Joint {
-                epoch,
-                old: decode_nodes(&mut rest)?,
-                new: decode_nodes(&mut rest)?,
-            },
-            _ => return None,
-        };
-        if !rest.is_empty() {
-            return None;
+        match paxi_codec::from_bytes(bytes).ok()? {
+            ConfigPayload::Config(m) => Some(m),
+            ConfigPayload::Change(_) => None,
         }
-        Some(m)
     }
 }
 
@@ -272,43 +244,6 @@ impl fmt::Display for Membership {
             }
         }
     }
-}
-
-fn encode_nodes(out: &mut Vec<u8>, nodes: &[NodeId]) {
-    let n = nodes.len().min(u16::MAX as usize) as u16;
-    out.extend_from_slice(&n.to_le_bytes());
-    for node in nodes.iter().take(n as usize) {
-        out.push(node.zone);
-        out.push(node.node);
-    }
-}
-
-fn decode_nodes(rest: &mut &[u8]) -> Option<Vec<NodeId>> {
-    if rest.len() < 2 {
-        return None;
-    }
-    let n = u16::from_le_bytes([rest[0], rest[1]]) as usize;
-    let body_end = 2 + n * 2;
-    if rest.len() < body_end {
-        return None;
-    }
-    let body = &rest[2..body_end];
-    *rest = &rest[body_end..];
-    Some(
-        body.chunks_exact(2)
-            .map(|p| NodeId::new(p[0], p[1]))
-            .collect(),
-    )
-}
-
-fn decode_u64(rest: &mut &[u8]) -> Option<u64> {
-    if rest.len() < 8 {
-        return None;
-    }
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&rest[..8]);
-    *rest = &rest[8..];
-    Some(u64::from_le_bytes(buf))
 }
 
 /// Wraps a [`ConfigChange`] as a log-replicable [`Command`]: a write to
@@ -469,13 +404,28 @@ mod tests {
     }
 
     #[test]
-    fn decode_never_accepts_unknown_tags() {
+    fn decode_never_accepts_the_other_payload_or_an_unknown_one() {
+        let change = ConfigChange::add(vec![n(0, 5)]).encode();
+        let config = Membership::initial(five()).encode();
+        assert_eq!(Membership::decode(&change), None);
+        assert_eq!(ConfigChange::decode(&config), None);
         assert_eq!(Membership::decode(&[]), None);
-        assert_eq!(
-            Membership::decode(&[0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
-            None
-        );
-        assert_eq!(ConfigChange::decode(&[0xC2, 0, 0, 0, 0]), None);
+        let mut unknown = config;
+        unknown[0] = 2; // the payload enum has two variants
+        assert_eq!(Membership::decode(&unknown), None);
+        assert_eq!(ConfigChange::decode(&unknown), None);
+    }
+
+    #[test]
+    fn a_change_naming_every_node_round_trips() {
+        let every: Vec<NodeId> = (0..=u8::MAX)
+            .flat_map(|zone| (0..=u8::MAX).map(move |node| n(zone, node)))
+            .collect();
+        assert_eq!(every.len(), 1 << 16);
+        let change = ConfigChange::add(every);
+        let back = as_config_change(&reconfig_command(&change));
+        let kept = back.as_ref().map(|c| c.add.len());
+        assert!(back == Some(change), "{kept:?} of 65536 nodes came back");
     }
 
     #[test]
@@ -495,7 +445,7 @@ mod tests {
         assert_eq!(as_membership(&cmd), Some(m));
         assert_eq!(as_config_change(&cmd), None);
 
-        let plain = Command::put(3, vec![0xC2, 1, 2]);
+        let plain = Command::put(3, Membership::initial(five()).encode());
         assert_eq!(as_membership(&plain), None, "ordinary keys never decode");
     }
 

@@ -339,17 +339,17 @@ fn le_u32(v: usize) -> [u8; 4] {
 }
 
 /// Splits `n` bytes off the front of `rest`, if it has them.
-pub(crate) fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
     let (head, tail) = rest.split_at_checked(n)?;
     *rest = tail;
     Some(head)
 }
 
-pub(crate) fn take_u32(rest: &mut &[u8]) -> Option<u32> {
+fn take_u32(rest: &mut &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(take(rest, 4)?.try_into().ok()?))
 }
 
-pub(crate) fn take_u64(rest: &mut &[u8]) -> Option<u64> {
+fn take_u64(rest: &mut &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(take(rest, 8)?.try_into().ok()?))
 }
 

@@ -238,8 +238,7 @@ impl State {
     pub fn adopt(&mut self, meta: &Meta, tail: Vec<TailEntry>, store: MultiVersionStore) {
         self.image_to_disk(meta.clone(), tail, Some(&store));
         self.store = store;
-        // Decoding the image already checked the tracker's bytes.
-        self.migration.restore(&meta.migration);
+        self.migration.adopt(&meta.migration);
     }
 
     /// `None` is this replica's own store.
@@ -307,7 +306,7 @@ mod tests {
     use paxi_core::id::{ClientId, NodeId};
     use paxi_core::membership::{membership_command, Membership};
     use paxi_core::migration::{
-        migration_command, CommitHalf, KeyRange, MigrationRecord, MigrationSpec,
+        migration_command, CommitHalf, KeyRange, MigrationRecord, MigrationSpec, TrackerState,
     };
     use paxi_storage::{FsyncPolicy, MemHub, Recovery};
     use serde::Deserialize;
@@ -476,7 +475,7 @@ mod tests {
             base_term: 0,
             promised: Round::new(3, None),
             configs: Vec::new(),
-            migration: donor.migration().dump(),
+            migration: donor.migration().state(),
             executed: 0,
         };
         let tail = vec![(6, Round::new(3, None), vec![(Command::get(1), None)])];
@@ -507,7 +506,7 @@ mod tests {
             base_term: 0,
             promised: Round::default(),
             configs: Vec::new(),
-            migration: MigrationTracker::new().dump(),
+            migration: TrackerState::default(),
             executed: 0,
         }
     }

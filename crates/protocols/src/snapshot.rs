@@ -27,7 +27,7 @@ use paxi_core::ballot::Ballot;
 use paxi_core::command::Command;
 use paxi_core::id::{NodeId, RequestId};
 use paxi_core::membership::Membership;
-use paxi_core::migration::MigrationTracker;
+use paxi_core::migration::TrackerState;
 use paxi_core::store::{MultiVersionStore, StoreCut};
 use paxi_storage::{ChunkSource, Storage, StorageError};
 use serde::{Deserialize, Serialize};
@@ -97,8 +97,8 @@ pub struct Meta {
     /// them (Raft: the log index adopted from; MultiPaxos: the slot each
     /// takes effect at).
     pub configs: Vec<(u64, Membership)>,
-    /// [`MigrationTracker::dump`] at `base`.
-    pub migration: Vec<u8>,
+    /// The migration tracker's replicated state at `base`.
+    pub migration: TrackerState,
     /// [`MultiVersionStore::executed`] at `base`. The writer fills it in
     /// from the store it reads; what the caller passes is overwritten.
     pub executed: u64,
@@ -135,8 +135,7 @@ pub enum ImageError {
     /// A part did not decode.
     Codec(CodecError),
     /// The parts decoded but do not make an image: out of order, totals
-    /// that do not add up, a chain that does not continue, a malformed
-    /// tracker.
+    /// that do not add up, a chain that does not continue.
     Malformed(&'static str),
 }
 
@@ -334,10 +333,7 @@ impl ImageBuilder {
         self.parts += 1;
         let used = match tag {
             META => {
-                let (meta, used) = from_bytes_prefix::<Meta>(body)?;
-                if !MigrationTracker::new().restore(&meta.migration) {
-                    return Err(ImageError::Malformed("migration tracker"));
-                }
+                let (meta, used) = from_bytes_prefix(body)?;
                 self.meta = Some(meta);
                 used
             }
@@ -691,7 +687,7 @@ mod tests {
                 by: Some(NodeId::new(0, 1)),
             },
             configs: vec![(0, Membership::initial(vec![NodeId::new(0, 0)]))],
-            migration: MigrationTracker::new().dump(),
+            migration: TrackerState::default(),
             executed: 0,
         }
     }
