@@ -548,12 +548,12 @@ fn frame_decoder_never_panics_on_bit_flipped_group_frames() {
     });
 }
 
-// --- membership payloads & config WAL records (reconfiguration) ---
+// --- membership and migration payloads & WAL records ---
 //
-// A mid-reconfiguration crash hands recovery whatever config bytes
-// survived; like the codec itself, the hand-rolled membership payload
-// decoders must round-trip exactly and *fail*, never panic, on
-// truncations and bit flips.
+// A mid-reconfiguration or mid-migration crash hands recovery whatever
+// payload bytes survived; the membership and migration payload decoders
+// must round-trip exactly and *fail*, never panic, on truncations and bit
+// flips.
 
 #[test]
 fn config_change_payloads_round_trip_and_reject_garbage() {
@@ -616,6 +616,42 @@ fn membership_payloads_round_trip_and_reject_garbage() {
             let mut padded = bytes;
             padded.push(0);
             assert!(Membership::decode(&padded).is_none());
+        }
+    });
+}
+
+#[test]
+fn migration_records_round_trip_and_reject_garbage() {
+    use paxi::core::migration::{CommitHalf, KeyRange, MigrationRecord, MigrationSpec};
+    forall(CASES, |rng| {
+        let spec = MigrationSpec {
+            id: rng.next_u64(),
+            from: GroupId(rng.below(4) as u32),
+            to: GroupId(rng.below(4) as u32),
+            range: KeyRange::new(rng.next_u64(), rng.next_u64()),
+            epoch: rng.next_u64(),
+        };
+        let state = bytes(rng, 0, 64);
+        let half = [CommitHalf::Source, CommitHalf::Dest][rng.below(2) as usize];
+        let idx = rng.next_u64() as usize;
+        let bit = rng.below(8) as u8;
+        for rec in [
+            MigrationRecord::Start(spec),
+            MigrationRecord::Install { spec, state },
+            MigrationRecord::Commit { spec, half },
+        ] {
+            let bytes = rec.encode();
+            assert_eq!(MigrationRecord::decode(&bytes), Some(rec.clone()));
+            for keep in 0..bytes.len() {
+                assert!(MigrationRecord::decode(&bytes[..keep]).is_none());
+            }
+            let mut flipped = bytes.clone();
+            let i = idx % flipped.len();
+            flipped[i] ^= 1 << bit;
+            let _ = MigrationRecord::decode(&flipped);
+            let mut padded = bytes;
+            padded.push(0);
+            assert!(MigrationRecord::decode(&padded).is_none());
         }
     });
 }
