@@ -19,29 +19,6 @@
 use paxi_bench::figures;
 use std::path::Path;
 
-const IDS: &[&str] = &[
-    "fig3",
-    "table1",
-    "fig4",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "table3",
-    "formulas",
-    "fig14",
-    "ablation",
-    "batching",
-    "sharding",
-    "crossval",
-    "availability",
-    "durability",
-    "reactor",
-];
-
 /// Prints an experiment's tables and writes their CSVs. With `metrics` set,
 /// also writes the figure's observability snapshot and returns its
 /// unexplained-drop count (zero when the figure has no probe).
@@ -92,7 +69,7 @@ fn main() {
 
     match target {
         "list" => {
-            for id in IDS {
+            for (id, _) in figures::EXPERIMENTS {
                 println!("{id}");
             }
         }

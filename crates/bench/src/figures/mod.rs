@@ -55,55 +55,44 @@ pub(crate) fn sweep_counts(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Every experiment in paper order.
+/// What runs one experiment, given `quick`.
+pub type Run = fn(bool) -> Vec<Table>;
+
+/// Every experiment in paper order: its id and what runs it. The four
+/// analytic tables have no simulation to shrink and ignore `quick`.
+pub const EXPERIMENTS: &[(&str, Run)] = &[
+    ("fig3", fig3::run),
+    ("table1", |_| tables::table1()),
+    ("fig4", fig4::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("fig13", fig13::run),
+    ("table3", |_| tables::table3()),
+    ("formulas", |_| tables::formulas()),
+    ("fig14", |_| tables::fig14()),
+    ("ablation", ablation::run),
+    ("batching", batching::run),
+    ("sharding", sharding::run),
+    ("crossval", crossval::run),
+    ("availability", availability::run),
+    ("durability", durability::run),
+    ("reactor", reactor::run),
+];
+
+/// Runs every experiment, in paper order.
 pub fn all(quick: bool) -> Vec<(&'static str, Vec<Table>)> {
-    vec![
-        ("fig3", fig3::run(quick)),
-        ("table1", tables::table1()),
-        ("fig4", fig4::run(quick)),
-        ("fig7", fig7::run(quick)),
-        ("fig8", fig8::run(quick)),
-        ("fig9", fig9::run(quick)),
-        ("fig10", fig10::run(quick)),
-        ("fig11", fig11::run(quick)),
-        ("fig12", fig12::run(quick)),
-        ("fig13", fig13::run(quick)),
-        ("table3", tables::table3()),
-        ("formulas", tables::formulas()),
-        ("fig14", tables::fig14()),
-        ("ablation", ablation::run(quick)),
-        ("batching", batching::run(quick)),
-        ("sharding", sharding::run(quick)),
-        ("crossval", crossval::run(quick)),
-        ("availability", availability::run(quick)),
-        ("durability", durability::run(quick)),
-        ("reactor", reactor::run(quick)),
-    ]
+    EXPERIMENTS
+        .iter()
+        .map(|&(id, run)| (id, run(quick)))
+        .collect()
 }
 
 /// Runs one experiment by id, or `None` if the id is unknown.
 pub fn by_name(name: &str, quick: bool) -> Option<Vec<Table>> {
-    match name {
-        "fig3" => Some(fig3::run(quick)),
-        "fig4" => Some(fig4::run(quick)),
-        "fig7" => Some(fig7::run(quick)),
-        "fig8" => Some(fig8::run(quick)),
-        "fig9" => Some(fig9::run(quick)),
-        "fig10" => Some(fig10::run(quick)),
-        "fig11" => Some(fig11::run(quick)),
-        "fig12" => Some(fig12::run(quick)),
-        "fig13" => Some(fig13::run(quick)),
-        "table1" => Some(tables::table1()),
-        "table3" => Some(tables::table3()),
-        "formulas" => Some(tables::formulas()),
-        "fig14" => Some(tables::fig14()),
-        "ablation" => Some(ablation::run(quick)),
-        "batching" => Some(batching::run(quick)),
-        "sharding" => Some(sharding::run(quick)),
-        "crossval" => Some(crossval::run(quick)),
-        "availability" => Some(availability::run(quick)),
-        "durability" => Some(durability::run(quick)),
-        "reactor" => Some(reactor::run(quick)),
-        _ => None,
-    }
+    let (_, run) = EXPERIMENTS.iter().find(|(id, _)| *id == name)?;
+    Some(run(quick))
 }
