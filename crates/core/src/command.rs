@@ -24,7 +24,7 @@ pub type Value = Vec<u8>;
 /// A value on its way out through serde as one byte string — a length and a
 /// `memcpy` — where a `Vec<u8>` is a sequence of `u8` elements, one call
 /// each. The codec writes the same bytes either way.
-struct Bytes<'a>(&'a [u8]);
+pub(crate) struct Bytes<'a>(pub(crate) &'a [u8]);
 
 impl Serialize for Bytes<'_> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
@@ -33,7 +33,7 @@ impl Serialize for Bytes<'_> {
 }
 
 /// [`Bytes`] on its way in.
-struct ByteBuf(Value);
+pub(crate) struct ByteBuf(pub(crate) Value);
 
 impl<'de> Deserialize<'de> for ByteBuf {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
