@@ -97,9 +97,8 @@ fn assert_passed(cells: &[Verdict]) {
 
 /// Records `cells` in the ledger's `migration` section, then asserts that
 /// each passed, so a red suite still shows in the ledger's diff which cells
-/// moved. The amnesia suites and the hand-offs under random faults record
-/// their own cells; `write_migration_digest_artifact` records the freeze
-/// matrix.
+/// moved. Every suite that runs a matrix or the hand-offs under random
+/// faults records its own cells.
 fn record(cells: Vec<Verdict>) {
     record_digests(DIGEST_LEDGER.as_ref(), "migration", &cells).expect("write the run ledger");
     assert_passed(&cells);
@@ -110,7 +109,7 @@ fn record(cells: Vec<Verdict>) {
 
 #[test]
 fn paxos_migration_nemesis_freeze() {
-    assert_passed(&run_suite(&Proto::paxos(), CrashMode::Freeze, 1));
+    record(run_suite(&Proto::paxos(), CrashMode::Freeze, 1));
 }
 
 #[test]
@@ -120,7 +119,7 @@ fn paxos_migration_nemesis_amnesia() {
 
 #[test]
 fn raft_migration_nemesis_freeze() {
-    assert_passed(&run_suite(&raft(), CrashMode::Freeze, 1));
+    record(run_suite(&raft(), CrashMode::Freeze, 1));
 }
 
 #[test]
@@ -330,12 +329,4 @@ fn real_migration_replays_identically_under_the_same_seed() {
     );
     assert_eq!(a.tail_completed, b.tail_completed);
     assert_eq!(a.routing_epochs, b.routing_epochs);
-}
-
-// --- the committed ledger: the freeze matrix ---
-
-#[test]
-fn write_migration_digest_artifact() {
-    let freeze = [Proto::paxos(), raft()].map(|p| run_suite(&p, CrashMode::Freeze, 1));
-    record(freeze.into_iter().flatten().collect());
 }
