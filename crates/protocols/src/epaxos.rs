@@ -906,6 +906,7 @@ mod tests {
     use super::*;
     use paxi_core::dist::Rng64;
     use paxi_core::id::ClientId;
+    use paxi_core::store::Version;
     use paxi_core::time::Nanos;
     use paxi_sim::{ClientSetup, SimConfig, Simulator, Topology};
 
@@ -1198,8 +1199,8 @@ mod tests {
         );
         let hist = e.store().unwrap().history(7);
         assert_eq!(hist.len(), 2);
-        assert_eq!(hist[0].value(), Some(&[1][..]), "A executes first");
-        assert_eq!(hist[1].value(), Some(&[2][..]));
+        assert_eq!(hist[0], Version::of(Some(&[1])), "A executes first");
+        assert_eq!(hist[1], Version::of(Some(&[2])));
     }
 
     #[test]
@@ -1237,7 +1238,7 @@ mod tests {
         let hist = e.store().unwrap().history(7);
         assert_eq!(hist.len() as u64, n + 1);
         for (i, v) in hist.iter().enumerate() {
-            assert_eq!(v.value(), Some(&(i as u64 + 1).to_le_bytes()[..]));
+            assert_eq!(*v, Version::of(Some(&(i as u64 + 1).to_le_bytes())));
         }
     }
 
@@ -1281,7 +1282,7 @@ mod tests {
             h1, h2,
             "SCC execution order must not depend on delivery order"
         );
-        assert_eq!(h1[0].value(), Some(&[2][..]), "lower seq (B) first");
+        assert_eq!(h1[0], Version::of(Some(&[2])), "lower seq (B) first");
     }
 
     #[test]

@@ -1236,6 +1236,7 @@ mod tests {
     use paxi_core::command::Op;
     use paxi_core::config::BATCH_DELAY;
     use paxi_core::id::ClientId;
+    use paxi_core::store::Version;
     use paxi_sim::{ClientSetup, SimConfig, Simulator};
 
     fn lan_sim(n: u8, cfg: PaxosConfig, clients: usize) -> Simulator<MultiPaxos> {
@@ -1410,7 +1411,7 @@ mod tests {
             let hist = store.history(op.key);
             let v = op.write.as_ref().unwrap();
             assert!(
-                hist.iter().any(|ver| ver.value() == Some(&v[..])),
+                hist.contains(&Version::of(Some(v))),
                 "acknowledged write missing from leader store"
             );
             checked += 1;
@@ -2588,7 +2589,10 @@ mod tests {
     /// hold the same bytes. All three are re-pinned since config and
     /// migration payloads and the image's tracker state are codec-encoded:
     /// read back through their decoders, every record and image is the one
-    /// written before.
+    /// written before. All three again since an image carries a digest per
+    /// version and each key's last value: every record's bytes, each image's
+    /// meta and tail, and each key's digests (taken of the values the old
+    /// image held) and last value are the ones written before.
     #[test]
     fn disk_bytes_are_the_ones_written_before_the_replica_layer_moved() {
         use crate::snapshot::Image;
@@ -2664,8 +2668,8 @@ mod tests {
         let digests = [0, 1, 2].map(|key| disk_digest(&hub, key));
         assert_eq!(
             digests.map(|d| format!("{d:016x}")),
-            ["493836de8c813c58", "493836de8c813c58", "e35a84e0a1ee6c85"],
-            "re-pinned since the reserved-key payloads and the tracker state are codec-encoded"
+            ["e56140158574df6d", "e56140158574df6d", "d3023222e5c9b4a6"],
+            "re-pinned since an image carries version digests"
         );
     }
 }

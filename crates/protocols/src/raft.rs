@@ -2844,7 +2844,11 @@ mod tests {
     /// and loses the re-add's two membership records after it. All three
     /// are re-pinned again since config and migration payloads and the
     /// image's tracker state are codec-encoded: read back through their
-    /// decoders, every record and image is the one written before.
+    /// decoders, every record and image is the one written before. All
+    /// three again since an image carries a digest per version and each
+    /// key's last value: every record's bytes, each image's meta and tail,
+    /// and each key's digests (taken of the values the old image held) and
+    /// last value are the ones written before.
     #[test]
     fn disk_bytes_are_the_ones_written_before_the_replica_layer_moved() {
         use crate::snapshot::Image;
@@ -2923,8 +2927,8 @@ mod tests {
         let digests = [0, 1, 2].map(|key| disk_digest(&hub, key));
         assert_eq!(
             digests.map(|d| format!("{d:016x}")),
-            ["c7b7990836d49790", "e93e21c0f5fdf583", "a374edab512ae14c"],
-            "re-pinned since the reserved-key payloads and the tracker state are codec-encoded"
+            ["27f308e5705141be", "2efc9f24cf09dfbd", "d2a6452e2df71ae6"],
+            "re-pinned since an image carries version digests"
         );
     }
 }

@@ -123,8 +123,9 @@ const META: u32 = 0;
 /// `Vec<TailEntry>`; any number of these.
 const TAIL: u32 = 1;
 /// Stretches of version chains in key order, as
-/// [`MultiVersionStore::encode_chains`] writes them: a long chain continues
-/// in the next part. Any number of these.
+/// [`MultiVersionStore::encode_chains`] writes them — each version's digest,
+/// each key's value at the cut after its last — a long chain continuing in
+/// the next part. Any number of these.
 const VERSIONS: u32 = 2;
 /// `(parts: u32, versions: u64)`: totals of the image, this part included.
 const END: u32 = 3;
@@ -364,6 +365,9 @@ impl ImageBuilder {
     }
 
     fn finish(self) -> Result<Image, ImageError> {
+        if !self.store.is_whole() {
+            return Err(ImageError::Malformed("a chain without its last value"));
+        }
         match self.meta {
             Some(meta) if self.complete => {
                 let mut store = self.store;
@@ -677,6 +681,7 @@ mod tests {
     use super::*;
     use paxi_core::command::Key;
     use paxi_core::id::ClientId;
+    use paxi_core::store::Version;
 
     fn meta(base: u64) -> Meta {
         Meta {
@@ -692,13 +697,13 @@ mod tests {
         }
     }
 
-    /// 300 keys, one of them hot with 2 000 versions of 200 bytes: an image
+    /// 300 keys, one of them hot with 30 000 versions of 200 bytes: an image
     /// of several parts, one chain spanning more than one. The other values
-    /// are 0 to 44 bytes, so slots of both kinds (in the slot, on the heap)
-    /// sit side by side in every chain.
+    /// are 0 to 44 bytes, so last values of both kinds (in the slot, on the
+    /// heap) sit side by side.
     fn store() -> MultiVersionStore {
         let mut s = MultiVersionStore::new();
-        for i in 0..2_000u64 {
+        for i in 0..30_000u64 {
             s.execute(&Command::put(7, vec![i as u8; 200]));
             s.execute(&Command::put(i % 300, vec![i as u8; (i % 45) as usize]));
         }
@@ -729,14 +734,15 @@ mod tests {
 
     /// What a part is to the codec. Version chains are written by
     /// `MultiVersionStore::encode_chains`, not through serde; this holds
-    /// them to the layout a derive would give.
-    type DerivedChain = Vec<Option<Vec<u8>>>;
+    /// them to the layout a derive would give: a stretch of digests, and the
+    /// key's value after the stretch that ends its chain.
+    type DerivedStretch = (Key, u32, Vec<u64>, Option<Option<Vec<u8>>>);
 
     #[derive(Debug, Serialize, Deserialize)]
     enum DerivedPart {
         Meta(Meta),
         Tail(Vec<TailEntry>),
-        Versions(Vec<(Key, u32, DerivedChain)>),
+        Versions(Vec<DerivedStretch>),
         End { parts: u32, versions: u64 },
     }
 
@@ -744,22 +750,29 @@ mod tests {
     fn parts_written_from_borrows_are_the_derived_encoding() {
         let s = store();
         let (chunks, _) = chunks(&s);
-        let mut read: BTreeMap<Key, DerivedChain> = BTreeMap::new();
+        type Read = (Vec<u64>, Option<Option<Vec<u8>>>);
+        let mut read: BTreeMap<Key, Read> = BTreeMap::new();
         for c in &chunks {
             let part: DerivedPart = paxi_codec::from_bytes(c).expect("every chunk is one part");
             assert_eq!(&paxi_codec::to_bytes(&part).unwrap(), c);
             if let DerivedPart::Versions(stretches) = part {
-                for (key, first, mut versions) in stretches {
-                    let chain = read.entry(key).or_default();
+                for (key, first, versions, last) in stretches {
+                    let (chain, value) = read.entry(key).or_default();
                     assert_eq!(chain.len(), first as usize, "key {key}");
-                    chain.append(&mut versions);
+                    assert!(value.is_none(), "key {key} goes on after its value");
+                    chain.extend(versions);
+                    *value = last;
                 }
             }
         }
         assert_eq!(read.len(), s.keys().count());
-        for (key, chain) in &read {
-            let values = s.history(*key).iter().map(|v| v.value());
-            assert!(values.eq(chain.iter().map(|v| v.as_deref())));
+        for (key, (chain, value)) in &read {
+            assert!(s
+                .history(*key)
+                .iter()
+                .map(|v| v.digest())
+                .eq(chain.iter().copied()));
+            assert_eq!(value.as_ref().map(Option::as_deref), Some(s.get(*key)));
         }
     }
 
@@ -775,17 +788,20 @@ mod tests {
         let mut part = Vec::new();
         assert!(cursor.next_part(&s, &mut part), "meta");
         assert!(cursor.next_part(&s, &mut part), "versions");
+        let digest = |v: Option<&[u8]>| Version::of(v).digest().to_le_bytes();
         #[rustfmt::skip]
-        let mut golden = vec![
-            2, 0, 0, 0,                                     // VERSIONS
-            2, 0, 0, 0,                                     // two stretches
-            5, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,  2, 0, 0, 0, // key 5, from 0, two versions
-            1,  23, 0, 0, 0,                                //   23 bytes (follow below)
-            0,                                              //   a tombstone
-            6, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,  1, 0, 0, 0, // key 6, from 0, one version
-            1,  1, 0, 0, 0,  0xEE,
-        ];
-        golden.splice(29..29, [0xC0; 23]);
+        let golden = [
+            &[2, 0, 0, 0][..],                              // VERSIONS
+            &[2, 0, 0, 0],                                  // two stretches
+            &[5, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,  2, 0, 0, 0], // key 5, from 0, two versions
+            &digest(Some(&[0xC0; 23])),                     //   23 bytes' digest
+            &digest(None),                                  //   a tombstone's
+            &[1,  0],                                       //   last value: a tombstone
+            &[6, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0,  1, 0, 0, 0], // key 6, from 0, one version
+            &digest(Some(&[0xEE])),
+            &[1,  1,  1, 0, 0, 0,  0xEE],                   //   last value: one byte
+        ]
+        .concat();
         assert_eq!(part, golden);
         assert!(cursor.next_part(&s, &mut part), "end");
         #[rustfmt::skip]

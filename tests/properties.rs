@@ -7,7 +7,7 @@ use paxi::codec;
 use paxi::core::dist::{forall, KeyDist, KeySampler, Rng64};
 use paxi::core::metrics::Histogram;
 use paxi::core::quorum::{FlexibleGridQuorum, GridPhase, QuorumTracker};
-use paxi::core::store::MultiVersionStore;
+use paxi::core::store::{MultiVersionStore, Version};
 use paxi::core::{Ballot, Command, GroupId, Nanos, NodeId};
 use paxi::shard::{HashPartitioner, Partitioner, RangePartitioner};
 use serde::{Deserialize, Serialize};
@@ -202,9 +202,49 @@ fn store_history_is_append_only_and_in_write_order() {
             let h = store.history(key);
             assert_eq!(h.len(), want.len());
             for (i, val) in want.iter().enumerate() {
-                assert_eq!(h[i].value(), Some(std::slice::from_ref(val)));
+                assert_eq!(h[i], Version::of(Some(std::slice::from_ref(val))));
             }
         }
+    });
+}
+
+#[test]
+fn chains_round_trip_in_chunks_while_the_source_moves_on() {
+    forall(CASES, |rng| {
+        // A random write (or delete) of up to 40 bytes to one of 6 keys.
+        fn write(store: &mut MultiVersionStore, r: &mut Rng64) {
+            let key = r.below(6);
+            let cmd = if r.chance(0.2) {
+                Command::delete(key)
+            } else {
+                let len = r.below(41) as usize;
+                Command::put(key, (0..len).map(|_| r.next_u64() as u8).collect())
+            };
+            store.execute(&cmd);
+        }
+        let mut source = MultiVersionStore::new();
+        for _ in 0..rng.below(120) {
+            write(&mut source, rng);
+        }
+        let mut cut = source.cut();
+        let at_cut = source.dump();
+        let limit = rng.below(400) as usize;
+        let mut receiver = MultiVersionStore::new();
+        while !cut.is_read() {
+            // The source executes between the cut and every chunk.
+            for _ in 0..rng.below(4) {
+                write(&mut source, rng);
+            }
+            let mut chunk = Vec::new();
+            let versions = source.encode_chains(&mut cut, limit, &mut chunk);
+            let mut rest = &chunk[..];
+            assert_eq!(receiver.extend_chains(&mut rest), Some(versions));
+            assert!(rest.is_empty());
+        }
+        assert!(source.holds(&cut));
+        assert!(receiver.is_whole());
+        receiver.set_executed(cut.executed);
+        assert_eq!(receiver.dump(), at_cut, "digests and values as of the cut");
     });
 }
 
