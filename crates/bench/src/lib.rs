@@ -52,7 +52,8 @@ pub use nemesis::{
 pub use reconfig::ReconfigVictim;
 pub use runner::{run, sweep, Proto, SweepPoint};
 pub use scenario::{
-    record_digests, Audit, Cell, Event, GroupView, NodeView, Run, Scenario, Verdict, DIGEST_LEDGER,
+    record_digests, Audit, Cell, Event, GroupView, NodeView, Restart, Run, Scenario, Verdict,
+    DIGEST_LEDGER,
 };
 pub use sharded::{
     check_group_consensus, check_shard_leakage, check_sharded, routed_clients, routed_workload,

@@ -92,7 +92,7 @@ pub fn run(
     workload: impl Workload + 'static,
     clients: Vec<ClientSetup>,
 ) -> SimReport {
-    Scenario::quiet(proto, sim, cluster).execute((workload, clients), |report, _| report)
+    Scenario::quiet(proto, sim, cluster).execute((workload, clients), |report, _, _| report)
 }
 
 /// One point of a latency-vs-throughput sweep.

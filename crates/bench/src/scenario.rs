@@ -32,6 +32,7 @@ use crate::sharded::{check_group_consensus, check_shard_leakage};
 use paxi_core::config::ClusterConfig;
 use paxi_core::faults::CrashMode;
 use paxi_core::group::GroupId;
+use paxi_core::hash::FxHashSet;
 use paxi_core::id::{ClientId, NodeId};
 use paxi_core::membership::ConfigChange;
 use paxi_core::migration::{MigrationSpec, MigrationTracker};
@@ -51,9 +52,9 @@ use paxi_sim::client::uniform_workload;
 use paxi_sim::{
     ClientSetup, KickoffWorkload, LoadMode, SimConfig, SimDisks, SimReport, Simulator, Workload,
 };
-use paxi_storage::{FsyncPolicy, MemHub};
+use paxi_storage::{FsyncPolicy, MemHub, Storage};
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::{fmt, fs, io};
 
 /// The one workload event a scenario may carry; client 0 submits it.
@@ -239,8 +240,8 @@ impl Scenario {
         workload: impl Workload + 'static,
         clients: Vec<ClientSetup>,
     ) -> Verdict {
-        self.execute((workload, clients), |report, nodes| {
-            Verdict::audit(self, report, nodes)
+        self.execute((workload, clients), |report, nodes, restarts| {
+            Verdict::audit(self, report, nodes, restarts)
         })
     }
 
@@ -281,11 +282,12 @@ impl Scenario {
 
     /// The harness's one protocol dispatch: picks the replica type and how
     /// one `(node, group)` instance of it is built, then hands over to
-    /// [`Scenario::launch`]. `audit` sees the report and the survivors.
+    /// [`Scenario::launch`]. `audit` sees the report, the survivors and
+    /// what each amnesia restart read back from its disk.
     pub(crate) fn execute<T>(
         &self,
         load: (impl Workload + 'static, Vec<ClientSetup>),
-        audit: impl FnOnce(SimReport, &[NodeView<'_>]) -> T,
+        audit: impl FnOnce(SimReport, &[NodeView<'_>], Vec<Restart>) -> T,
     ) -> T {
         assert!(
             self.event.is_none() || matches!(self.proto, Proto::Paxos(_) | Proto::Raft { .. }),
@@ -366,23 +368,40 @@ impl Scenario {
 
     /// Wraps `make` into the node factory of the deployment — the replica
     /// itself, or a [`ShardedReplica`] of `groups` of them — with a WAL
-    /// attached to every instance when the run is durable.
+    /// attached to every instance when the run is durable. An unsharded
+    /// node built again (an amnesia restart) has what its disk gives back
+    /// recorded first.
     fn launch<R: Replica + 'static, T>(
         &self,
         sim: SimConfig,
         load: (impl Workload + 'static, Vec<ClientSetup>),
-        audit: impl FnOnce(SimReport, &[NodeView<'_>]) -> T,
+        audit: impl FnOnce(SimReport, &[NodeView<'_>], Vec<Restart>) -> T,
         make: impl Fn(NodeId, Option<GroupId>) -> R + 'static,
     ) -> T {
         let durable = self.schedule.mode == CrashMode::Amnesia;
+        let restarts = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&restarts);
+        let audit = move |report, nodes: &[NodeView<'_>]| {
+            audit(report, nodes, std::mem::take(&mut *lock(&restarts)))
+        };
         match self.groups {
             None => {
                 let hub = durable.then(|| MemHub::<NodeId>::new(self.fsync));
                 let disks = hub.clone();
+                let built = Mutex::new(FxHashSet::default());
                 let factory = move |id: NodeId| {
                     let mut r = make(id, None);
                     if let Some(d) = &disks {
-                        r.attach_storage(Box::new(d.open(id)));
+                        let mut disk = d.open(id);
+                        if !lock(&built).insert(id) {
+                            let back = disk.recover().expect("a memory disk recovers");
+                            lock(&log).push(Restart {
+                                node: id,
+                                image: back.snapshot,
+                                records: back.records,
+                            });
+                        }
+                        r.attach_storage(Box::new(disk));
                     }
                     r
                 };
@@ -430,6 +449,21 @@ impl Scenario {
         let nodes: Vec<NodeView<'_>> = s.replicas().iter().map(view).collect();
         audit(report, &nodes)
     }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What an amnesia restart of a node read back from its disk.
+#[derive(Debug, Clone)]
+pub struct Restart {
+    /// The node that restarted.
+    pub node: NodeId,
+    /// The image it recovered from, if its disk held one.
+    pub image: Option<Vec<u8>>,
+    /// The WAL records after the image, in append order.
+    pub records: Vec<Vec<u8>>,
 }
 
 /// What the auditors read of one consensus-group replica: the three probes
@@ -529,12 +563,20 @@ pub struct Verdict {
     pub members: Vec<Option<Vec<NodeId>>>,
     /// Every node's routing epoch after the run; empty unless sharded.
     pub routing_epochs: Vec<u64>,
+    /// What each amnesia restart read back from its disk, in the order the
+    /// nodes restarted; empty for a sharded run.
+    pub restarts: Vec<Restart>,
 }
 
 impl Verdict {
     /// Runs the auditors `scenario` makes applicable over `report` and the
     /// surviving `nodes`.
-    fn audit(scenario: &Scenario, report: SimReport, nodes: &[NodeView<'_>]) -> Self {
+    fn audit(
+        scenario: &Scenario,
+        report: SimReport,
+        nodes: &[NodeView<'_>],
+        restarts: Vec<Restart>,
+    ) -> Self {
         let heal_at = scenario.schedule.heal_at();
         let ok_after_heal = report.ops.iter().filter(|o| o.ok && o.ret >= heal_at);
         let tail_completed = ok_after_heal.count() as u64;
@@ -596,6 +638,7 @@ impl Verdict {
             audits,
             members,
             routing_epochs,
+            restarts,
         }
     }
 
@@ -704,7 +747,7 @@ impl Cell for Run {
 /// on parallel threads, so a write holds a process-wide lock.
 pub fn record_digests<C: Cell>(path: &Path, section: &str, cells: &[C]) -> io::Result<()> {
     static LEDGER: Mutex<()> = Mutex::new(());
-    let _held = LEDGER.lock().unwrap_or_else(PoisonError::into_inner);
+    let _held = lock(&LEDGER);
     let fresh: Vec<String> = cells
         .iter()
         .map(|c| format!("{section} {}", c.ledger_line()))
