@@ -42,14 +42,13 @@ pub fn run(quick: bool) -> Vec<Table> {
     vec![t]
 }
 
-/// "etcd": our Raft with HTTP-like per-hop overhead on inter-node links.
+/// "etcd": our Raft with HTTP-like per-hop overhead on inter-node links and
+/// 5 % more message-processing cost for its HTTP transport.
 fn etcd(sim: &SimConfig, cluster: &ClusterConfig, counts: &[usize]) -> Vec<SweepPoint> {
     let mut etcd_sim = sim.clone();
     etcd_sim.cost.wire_overhead = Nanos::micros(400);
-    let raft = Proto::Raft {
-        cfg: RaftConfig::default(),
-        cpu_penalty: 1.05,
-    };
+    etcd_sim.cost.cpu_penalty = 1.05;
+    let raft = Proto::Raft(RaftConfig::default());
     sweep(&raft, &etcd_sim, cluster, counts, || uniform_workload(1000))
 }
 

@@ -32,10 +32,7 @@ fn probe_proto(name: &str) -> Option<Proto> {
     match name {
         "fig4" | "fig9" | "fig13" | "ablation" | "batching" | "sharding" | "crossval"
         | "availability" | "durability" => Some(Proto::paxos()),
-        "fig7" => Some(Proto::Raft {
-            cfg: RaftConfig::default(),
-            cpu_penalty: 1.0,
-        }),
+        "fig7" => Some(Proto::Raft(RaftConfig::default())),
         "fig11" | "fig12" => Some(Proto::epaxos()),
         _ => None,
     }

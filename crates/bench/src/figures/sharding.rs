@@ -40,13 +40,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     } else {
         vec![2, 8, 24, 64]
     };
-    let mut protos = vec![
-        Proto::paxos(),
-        Proto::Raft {
-            cfg: RaftConfig::default(),
-            cpu_penalty: 1.0,
-        },
-    ];
+    let mut protos = vec![Proto::paxos(), Proto::Raft(RaftConfig::default())];
     if !quick {
         // This sweep has always charged EPaxos the plain message cost, not
         // `Proto::epaxos()`'s dependency-processing penalty.

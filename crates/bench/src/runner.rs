@@ -34,14 +34,9 @@ pub enum Proto {
     WanKeeper(WanKeeperConfig),
     /// Vertical Paxos.
     VPaxos(VPaxosConfig),
-    /// Raft (with an optional transport overhead, for the etcd comparison).
-    Raft {
-        /// Raft configuration.
-        cfg: RaftConfig,
-        /// Multiplier on message-processing cost (models etcd's HTTP
-        /// transport overhead in Figure 7).
-        cpu_penalty: f64,
-    },
+    /// Raft, priced by the caller's cost model (Figure 7's etcd sets its
+    /// own overheads there).
+    Raft(RaftConfig),
 }
 
 impl Proto {
@@ -54,7 +49,7 @@ impl Proto {
             Proto::WPaxos(c) => format!("WPaxos(fz={})", c.fz),
             Proto::WanKeeper(_) => "WanKeeper".into(),
             Proto::VPaxos(_) => "VPaxos".into(),
-            Proto::Raft { .. } => "Raft".into(),
+            Proto::Raft(_) => "Raft".into(),
         }
     }
 
@@ -194,10 +189,7 @@ mod tests {
                 ..Default::default()
             }),
             Proto::VPaxos(VPaxosConfig::default()),
-            Proto::Raft {
-                cfg: RaftConfig::default(),
-                cpu_penalty: 1.0,
-            },
+            Proto::Raft(RaftConfig::default()),
         ] {
             let cluster = ClusterConfig::wan(3, 3);
             let clients = ClientSetup::closed_per_zone(&cluster, 2);

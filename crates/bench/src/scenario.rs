@@ -290,7 +290,7 @@ impl Scenario {
         audit: impl FnOnce(SimReport, &[NodeView<'_>], Vec<Restart>) -> T,
     ) -> T {
         assert!(
-            self.event.is_none() || matches!(self.proto, Proto::Paxos(_) | Proto::Raft { .. }),
+            self.event.is_none() || matches!(self.proto, Proto::Paxos(_) | Proto::Raft(_)),
             "{} carries neither membership changes nor shard migrations through its log",
             self.proto.name()
         );
@@ -323,8 +323,7 @@ impl Scenario {
                     r
                 })
             }
-            Proto::Raft { cfg, cpu_penalty } => {
-                sim.cost.cpu_penalty = *cpu_penalty;
+            Proto::Raft(cfg) => {
                 let mut cfg = cfg.clone();
                 if initial.is_some() {
                     cfg.initial_members = initial;

@@ -197,10 +197,7 @@ mod tests {
     }
 
     fn raft() -> Proto {
-        Proto::Raft {
-            cfg: Default::default(),
-            cpu_penalty: 1.0,
-        }
+        Proto::Raft(Default::default())
     }
 
     #[test]

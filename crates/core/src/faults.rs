@@ -229,8 +229,7 @@ impl<T: Ord + Copy> LinkOrder<T> {
 }
 
 /// A schedule of injected faults, queried at message-delivery time by the
-/// simulator and by the transport-level
-/// fault injector.
+/// simulator and by every live node launched with it.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     crashes: Vec<(NodeId, FaultWindow, CrashMode)>,

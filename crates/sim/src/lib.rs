@@ -16,7 +16,13 @@
 //! are [`paxi_core::cost::CostModel`] — the same two descriptions the
 //! analytic model (`paxi-model`) reads, re-exported here.
 //!
-//! * [`faults`] — Crash / Drop / Slow / Flaky / partition injection.
+//! * [`FaultPlan`] — Crash / Drop / Slow / Flaky / partition injection,
+//!   re-exported from `paxi_core::faults`: the one plan the simulator and
+//!   the live transports read. The simulator lends it to each node it
+//!   drives, whose crash gate asks it at the instant the node would start
+//!   serving an input; it asks [`FaultPlan::message_fate`] for every
+//!   emitted message itself, and ticks a node at each crash window's end
+//!   ([`FaultPlan::recoveries`]) so that one nobody talks to thaws.
 //! * [`client`] — open- and closed-loop clients, the [`client::Workload`] trait.
 //! * [`sim`] — the simulator itself.
 //! * [`report`] — run results: latency histograms, per-zone summaries,
@@ -25,14 +31,13 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod faults;
 mod queue;
 pub mod report;
 pub mod sim;
 
 pub use client::{ClientSetup, KickoffWorkload, LoadMode, Workload};
-pub use faults::{CrashMode, FaultPlan, FaultWindow, MsgFate};
 pub use paxi_core::cost::CostModel;
+pub use paxi_core::faults::{CrashMode, FaultPlan, FaultWindow, MsgFate};
 pub use paxi_core::topology::Topology;
 pub use report::{NodeStats, OpRecord, SimReport};
 pub use sim::{SimConfig, SimDisks, Simulator};

@@ -23,14 +23,13 @@
 //! bit-for-bit.
 
 use crate::client::{ClientSetup, LoadMode, Workload};
-use crate::faults::{FaultPlan, MsgFate};
 use crate::queue::EventQueue;
 use crate::report::{NodeStats, OpRecord, SimReport};
 use paxi_core::command::{ClientRequest, ClientResponse, Command, Op};
 use paxi_core::config::ClusterConfig;
 use paxi_core::cost::{CostModel, Work};
 use paxi_core::dist::Rng64;
-use paxi_core::faults::LinkOrder;
+use paxi_core::faults::{FaultPlan, LinkOrder, MsgFate};
 use paxi_core::hash::FxHashMap;
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::metrics::Histogram;
@@ -1132,7 +1131,7 @@ mod tests {
     /// `(from, duration, mode)`. Returns the report, and node 0's version
     /// count and WAL records replayed after the run.
     fn durable_run(
-        crashes: &[(Nanos, Nanos, crate::faults::CrashMode)],
+        crashes: &[(Nanos, Nanos, paxi_core::faults::CrashMode)],
         hub: Option<paxi_storage::MemHub<NodeId>>,
     ) -> (SimReport, usize, usize) {
         let cfg = SimConfig {
@@ -1175,7 +1174,7 @@ mod tests {
             sim.set_storage(h);
         }
         for &(at, duration, mode) in crashes {
-            let window = crate::faults::FaultWindow::new(at, duration);
+            let window = paxi_core::faults::FaultWindow::new(at, duration);
             sim.faults_mut()
                 .crash_mode_in(NodeId::new(0, 0), window, mode);
         }
@@ -1187,7 +1186,7 @@ mod tests {
     /// Node 0's post-run version count (its visible write history) after
     /// one crash from t=1s for 500ms with `mode`.
     fn version_count_after(
-        mode: crate::faults::CrashMode,
+        mode: paxi_core::faults::CrashMode,
         hub: Option<paxi_storage::MemHub<NodeId>>,
     ) -> usize {
         let crash = (Nanos::secs(1), Nanos::millis(500), mode);
@@ -1196,7 +1195,7 @@ mod tests {
 
     #[test]
     fn amnesia_loses_volatile_state_but_wal_replay_rebuilds_it() {
-        use crate::faults::CrashMode;
+        use paxi_core::faults::CrashMode;
         use paxi_storage::{FsyncPolicy, MemHub};
         // Identical seed and schedule across the three runs; only the crash
         // semantics and the presence of a durable store differ. Node 0's
@@ -1221,7 +1220,7 @@ mod tests {
 
     #[test]
     fn an_amnesia_window_ending_inside_a_freeze_still_rebuilds_from_the_wal() {
-        use crate::faults::CrashMode;
+        use paxi_core::faults::CrashMode;
         use paxi_storage::{FsyncPolicy, MemHub};
         // The amnesia window's end falls inside the freeze; the node thaws
         // once, at the freeze's end, and must thaw as amnesia.

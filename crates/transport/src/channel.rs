@@ -8,11 +8,11 @@
 //! threads: one per node, where the plan acts ([`crate::runtime::Node`]).
 
 use crate::envelope::Envelope;
-use crate::faults::FaultInjector;
 use crate::obs::DropCounters;
 use crate::runtime::{chaos, run_node, shut_down, Node, NodeEvent, Outbound};
 use paxi_core::command::{ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
+use paxi_core::faults::FaultPlan;
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::obs::DropCause;
 use paxi_core::traits::{Replica, ReplicaFactory};
@@ -64,6 +64,9 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Outbound<M> for ChannelOut<M> 
             None => self.reg.drops.record(DropCause::NoRoute),
         }
     }
+    fn drops(&self) -> Option<&DropCounters> {
+        Some(&self.reg.drops)
+    }
 }
 
 /// A running in-process cluster.
@@ -83,33 +86,25 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
         Self::launch_inner(cluster, factory, None)
     }
 
-    /// Like [`InProcCluster::launch`], but with fault injection: the
-    /// injector's plan gates every node→node message (Drop / Flaky / Slow)
-    /// and freezes crashed nodes until their windows end, measured from the
-    /// moment this call pins the injector's clock.
-    pub fn launch_chaotic<F>(
-        cluster: ClusterConfig,
-        factory: F,
-        injector: Arc<FaultInjector>,
-    ) -> Self
+    /// Like [`InProcCluster::launch`], but under `plan`: it gates every
+    /// node→node message (Drop / Flaky / Slow) and freezes crashed nodes
+    /// until their windows end, measured from this call. Node `i` draws its
+    /// link fates and random numbers from a stream seeded `seed + i`.
+    pub fn launch_chaotic<F>(cluster: ClusterConfig, factory: F, plan: FaultPlan, seed: u64) -> Self
     where
         F: ReplicaFactory<R = R> + Send + Sync + 'static,
     {
-        Self::launch_inner(cluster, factory, Some(injector))
+        Self::launch_inner(cluster, factory, Some((plan, seed)))
     }
 
-    fn launch_inner<F>(
-        cluster: ClusterConfig,
-        factory: F,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Self
+    fn launch_inner<F>(cluster: ClusterConfig, factory: F, faults: Option<(FaultPlan, u64)>) -> Self
     where
         F: ReplicaFactory<R = R> + Send + Sync + 'static,
     {
         let factory = Arc::new(factory);
         let all = cluster.all_nodes();
         let epoch = Instant::now();
-        let chaos = chaos(faults, &factory, epoch);
+        let (chaos, seed) = chaos(faults, &factory, 0xC0FFEE);
         let mut inboxes = HashMap::new();
         let mut receivers = Vec::new();
         for &id in &all {
@@ -129,7 +124,7 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
             let out = ChannelOut {
                 reg: Arc::clone(&reg),
             };
-            let seed = 0xC0FFEE + i as u64;
+            let seed = seed.wrapping_add(i as u64);
             let node = Node::new(id, replica, peers, tx, out, epoch, seed, chaos.clone());
             let handle = std::thread::Builder::new()
                 .name(format!("paxi-node-{id}"))
@@ -150,10 +145,10 @@ impl<R: Replica + Send + 'static> InProcCluster<R> {
         &self.cluster
     }
 
-    /// Per-cause ledger of envelopes this cluster's channels dropped
-    /// (unknown destinations, exited node loops, departed clients).
-    /// Fault-injected link and crash drops are charged to the
-    /// [`FaultInjector`]'s own counters instead.
+    /// Per-cause ledger of every envelope this cluster lost: what its
+    /// channels dropped (unknown destinations, exited node loops, departed
+    /// clients), what its nodes' plan dropped or discarded, and what its
+    /// replicas charged themselves.
     pub fn drops(&self) -> &DropCounters {
         &self.reg.drops
     }

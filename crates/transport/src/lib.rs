@@ -19,23 +19,20 @@
 //!   all three share with the simulator (the crash gate, the timer tokens,
 //!   the broadcast set and the one `Context` live in it; live, so do the
 //!   timers and link fates), and the inbox loop of the channel and UDP
-//!   transports.
-//! * [`faults`] — live fault injection: every transport has a
-//!   `launch_chaotic` constructor that applies a
-//!   [`paxi_core::faults::FaultPlan`] (Crash / Drop / Slow / Flaky) against
-//!   wall-clock time, mirroring the simulator's semantics, on the nodes' own
-//!   threads.
-//! * [`obs`] — transport-side drop accounting: every loss path (encode
-//!   failure, oversize datagram, full write buffer, reconnect window,
-//!   injected fault) charges a named [`paxi_core::obs::DropCause`] in a
-//!   shared [`DropCounters`], so no message disappears without a ledger
-//!   entry.
+//!   transports. Every transport has a `launch_chaotic` constructor that
+//!   lends each node a [`paxi_core::faults::FaultPlan`] (Crash / Drop /
+//!   Slow / Flaky), read against wall-clock time since launch by the
+//!   functions the simulator calls, on the nodes' own threads.
+//! * [`obs`] — drop accounting: every loss path (encode failure, oversize
+//!   datagram, full write buffer, reconnect window, injected fault, crashed
+//!   node, a loss a replica charges itself) charges a named
+//!   [`paxi_core::obs::DropCause`] in the cluster's one shared
+//!   [`DropCounters`], so no message disappears without a ledger entry.
 
 #![warn(missing_docs)]
 
 pub mod channel;
 pub mod envelope;
-pub mod faults;
 pub mod obs;
 #[cfg(unix)]
 pub mod poll;
@@ -48,7 +45,6 @@ pub mod udp;
 
 pub use channel::{InProcCluster, SyncClient};
 pub use envelope::Envelope;
-pub use faults::{FaultInjector, LinkDecision};
 pub use obs::{ConnCounters, DropCounters};
 #[cfg(unix)]
 pub use reactor::{run_swarm, PipelinedClient, ReactorCluster, SwarmReport};

@@ -4,20 +4,21 @@
 //! but the transports lose messages on paths that never reach a replica at
 //! all: encode failures, oversize datagrams, full writer queues, reconnect
 //! windows, and fault-injected link drops. [`DropCounters`] is the shared,
-//! lock-free tally those paths charge so that a cluster can account for
-//! every loss — the same `drops_by_cause` contract the simulator upholds,
-//! with `unexplained` pinned at zero.
+//! lock-free tally those paths charge, and the live nodes' own losses too
+//! (crash discards, what a replica charges through `count_drop`), so that
+//! a cluster can account for every loss in one ledger — the same
+//! `drops_by_cause` contract the simulator upholds, with `unexplained`
+//! pinned at zero.
 
-use paxi_core::obs::{DropCause, Gauge, Metric, MetricsRegistry};
+use paxi_core::obs::DropCause;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 
 const CAUSES: usize = DropCause::ALL.len();
 
-/// Shared per-cause drop counters for one transport endpoint (or one fault
-/// injector). Cloning is cheap and clones observe the same tallies, so the
-/// outbound half owned by each node thread and the cluster handle that
-/// snapshots at shutdown can share one instance.
+/// Shared per-cause drop counters for one cluster. Cloning is cheap and
+/// clones observe the same tallies, so the outbound half owned by each node
+/// thread and the cluster handle that reads them can share one instance.
 #[derive(Debug, Clone)]
 pub struct DropCounters {
     slots: Arc<[AtomicU64; CAUSES]>,
@@ -55,23 +56,6 @@ impl DropCounters {
     /// Sum over all causes.
     pub fn total(&self) -> u64 {
         self.slots.iter().map(|s| s.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Folds the current tallies into a [`MetricsRegistry`] snapshot.
-    pub fn fold_into(&self, reg: &mut MetricsRegistry) {
-        for (i, cause) in DropCause::ALL.iter().enumerate() {
-            let n = self.slots[i].load(Ordering::Relaxed);
-            if n > 0 {
-                reg.add_drop(*cause, n);
-            }
-        }
-    }
-
-    /// A standalone registry snapshot of these counters.
-    pub fn snapshot(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        self.fold_into(&mut reg);
-        reg
     }
 }
 
@@ -134,15 +118,6 @@ impl ConnCounters {
     pub fn hwm(&self) -> u64 {
         self.inner.hwm.load(Ordering::Relaxed)
     }
-
-    /// Folds the tallies into a [`MetricsRegistry`] snapshot
-    /// ([`Metric::ConnAccepts`], [`Metric::ConnCloses`],
-    /// [`Gauge::ConnsHwm`]).
-    pub fn fold_into(&self, reg: &mut MetricsRegistry) {
-        reg.add(Metric::ConnAccepts, self.opens());
-        reg.add(Metric::ConnCloses, self.closes());
-        reg.gauge_max(Gauge::ConnsHwm, self.hwm());
-    }
 }
 
 /// Logs a drop to stderr exactly once per call site (further occurrences
@@ -186,23 +161,6 @@ mod tests {
         c.on_close();
         assert_eq!((c.closes(), c.live(), c.hwm()), (2, 1, 3));
         c.on_open(); // live back to 2, below the old high-water mark
-        assert_eq!(c.hwm(), 3);
-        let mut reg = MetricsRegistry::new();
-        c.fold_into(&mut reg);
-        assert_eq!(reg.get(Metric::ConnAccepts), 4);
-        assert_eq!(reg.get(Metric::ConnCloses), 2);
-        assert_eq!(reg.gauge(Gauge::ConnsHwm), 3);
-        assert!(reg.to_json().contains("\"conns_hwm\":3"));
-    }
-
-    #[test]
-    fn fold_into_skips_zero_causes() {
-        let c = DropCounters::new();
-        c.record_n(DropCause::Oversize, 5);
-        let reg = c.snapshot();
-        assert_eq!(reg.drops(DropCause::Oversize), 5);
-        assert_eq!(reg.total_drops(), 5);
-        assert!(reg.to_json().contains("\"oversize\":5"));
-        assert_eq!(reg.drops(DropCause::Encode), 0);
+        assert_eq!((c.opens(), c.live(), c.hwm()), (4, 2, 3));
     }
 }

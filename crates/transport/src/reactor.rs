@@ -65,9 +65,9 @@
 //! never wakes itself. A cluster has no thread but its nodes', with fault
 //! injection or without.
 //!
-//! **Fate parity with the simulator.** Link fates are decided in the node's
-//! context ([`Node`]) *before* bytes reach any socket, so a fixed seed
-//! yields the same per-message fates here as in-process.
+//! **Faults.** Link fates are decided in the node's context ([`Node`])
+//! *before* bytes reach any socket, by the function the simulator and the
+//! other transports call.
 //!
 //! [`PipelinedClient`] is the client-side counterpart: one connection, many
 //! requests in flight, replies correlated by [`RequestId`], requests written
@@ -76,7 +76,6 @@
 //! thread — the load generator behind `repro reactor`.
 
 use crate::envelope::Envelope;
-use crate::faults::FaultInjector;
 use crate::obs::{log_drop_once, ConnCounters, DropCounters};
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::runtime::{chaos, shut_down, Node, NodeEvent, Outbound};
@@ -84,6 +83,7 @@ use crate::tcp::Hello;
 use paxi_core::command::{ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
 use paxi_core::dist::Rng64;
+use paxi_core::faults::FaultPlan;
 use paxi_core::hash::FxHashMap;
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::obs::DropCause;
@@ -506,6 +506,9 @@ impl<M: Serialize + Clone + std::fmt::Debug + Send + 'static> Outbound<M> for Ne
     fn to_client(&mut self, _client: ClientId, resp: ClientResponse) {
         self.deliver_response(resp);
     }
+    fn drops(&self) -> Option<&DropCounters> {
+        Some(&self.drops)
+    }
 }
 
 /// Reads connection `id` until its socket would block, feeding the frame
@@ -715,27 +718,27 @@ where
         Self::launch_inner(cluster, factory, None)
     }
 
-    /// Like [`TcpCluster::launch`], but with fault injection applied inside
-    /// the transport: node→node frames pass through the injector's plan
-    /// (Drop / Flaky / Slow) in the sending node, as on the other
-    /// transports, so per-message fates are identical for a fixed seed —
-    /// and crashed nodes freeze until their windows end, measured from this
-    /// call.
+    /// Like [`TcpCluster::launch`], but under `plan`, applied inside the
+    /// transport: node→node frames pass through its link rules (Drop /
+    /// Flaky / Slow) in the sending node, as on the other transports, and
+    /// crashed nodes freeze until their windows end, measured from this
+    /// call. Node `i` draws from a stream seeded `seed + i`.
     pub fn launch_chaotic<F>(
         cluster: ClusterConfig,
         factory: F,
-        injector: Arc<FaultInjector>,
+        plan: FaultPlan,
+        seed: u64,
     ) -> std::io::Result<Self>
     where
         F: ReplicaFactory<R = R> + Send + Sync + 'static,
     {
-        Self::launch_inner(cluster, factory, Some(injector))
+        Self::launch_inner(cluster, factory, Some((plan, seed)))
     }
 
     fn launch_inner<F>(
         cluster: ClusterConfig,
         factory: F,
-        faults: Option<Arc<FaultInjector>>,
+        faults: Option<(FaultPlan, u64)>,
     ) -> std::io::Result<Self>
     where
         F: ReplicaFactory<R = R> + Send + Sync + 'static,
@@ -758,7 +761,7 @@ where
             .collect();
         mesh(&mut nets, &listeners)?;
         let epoch = Instant::now();
-        let chaos = chaos(faults, &factory, epoch);
+        let (chaos, seed) = chaos(faults, &factory, 0xBEEF);
         let mut inboxes = Vec::new();
         let mut handles = Vec::new();
 
@@ -768,7 +771,7 @@ where
             inboxes.push(tx.clone());
             let replica = factory.make(id);
             let peers = all.clone();
-            let seed = 0xBEEF + i as u64;
+            let seed = seed.wrapping_add(i as u64);
             let node = Node::new(id, replica, peers, tx, net, epoch, seed, chaos.clone());
             // The benchmark's `transport.io_threads_cpu_share` counts the
             // threads named `paxi-tcp-*`.
@@ -789,9 +792,9 @@ where
 
     /// Per-cause ledger of every frame this cluster's nodes shed (encode
     /// failures, full write buffers as [`DropCause::Backpressure`],
-    /// reconnect-window losses, vanished reply routes); `Unexplained` stays
-    /// zero. Fault-injected link and crash drops are charged to the
-    /// [`FaultInjector`]'s own counters instead.
+    /// reconnect-window losses, vanished reply routes), what its nodes'
+    /// plan dropped or discarded, and what its replicas charged themselves;
+    /// `Unexplained` stays zero.
     pub fn drops(&self) -> &DropCounters {
         &self.drops
     }
@@ -846,12 +849,13 @@ where
     pub fn launch_chaotic<F>(
         cluster: ClusterConfig,
         factory: F,
-        injector: Arc<FaultInjector>,
+        plan: FaultPlan,
+        seed: u64,
     ) -> std::io::Result<Self>
     where
         F: ReplicaFactory<R = R> + Send + Sync + 'static,
     {
-        TcpCluster::launch_chaotic(cluster, factory, injector).map(ReactorCluster)
+        TcpCluster::launch_chaotic(cluster, factory, plan, seed).map(ReactorCluster)
     }
 
     /// [`TcpCluster::drops`].

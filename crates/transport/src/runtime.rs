@@ -21,17 +21,25 @@
 //! zero-delay timer means "after the input already queued" and goes
 //! through the inbox.
 //!
-//! **So do faults.** A live node launched with a [`FaultInjector`] asks it
-//! for each peer-bound send's fate; a delayed envelope waits in a queue
-//! inside the node, and what is sent to the same peer after it waits behind
-//! it (a link delivers in order). A quiet live node thaws from a crash
-//! within [`SYNC_TICK`], on its storage tick.
+//! **So do faults.** A live node launched with a [`FaultPlan`] makes the two
+//! calls the simulator makes: its crash gate reads the plan at the node's
+//! own clock since the cluster's launch, and each peer-bound send asks
+//! [`FaultPlan::message_fate`] with the node's own seeded stream. A delayed
+//! envelope waits in a queue inside the node, and what is sent to the same
+//! peer after it waits behind it (a link delivers in order). A quiet live
+//! node thaws from a crash within [`SYNC_TICK`], on its storage tick.
+//!
+//! **One loss ledger.** Whatever a node loses itself — a message its crash
+//! gate discards, a link fate's drop, a loss the replica charges through
+//! [`Context::count_drop`] — goes to the registry the simulator lends, or,
+//! live, to the cluster's [`DropCounters`] ([`Outbound::drops`]), beside the
+//! transport's own losses.
 
 use crate::envelope::Envelope;
-use crate::faults::{FaultInjector, LinkDecision};
+use crate::obs::DropCounters;
 use paxi_core::command::{ClientRequest, ClientResponse};
 use paxi_core::dist::Rng64;
-use paxi_core::faults::{Admit, CrashGate, FaultPlan, LinkOrder};
+use paxi_core::faults::{Admit, CrashGate, FaultPlan, LinkOrder, MsgFate};
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::obs::{DropCause, Metric, MetricsRegistry, TraceEvent, TraceRing, TraceStage};
 use paxi_core::time::Nanos;
@@ -49,19 +57,26 @@ use std::time::{Duration, Instant};
 /// the WAL. Cluster constructors derive one from the launch factory.
 pub type Remake<R> = Arc<dyn Fn(NodeId) -> R + Send + Sync>;
 
-/// What a chaotic node holds besides a plain one's state: the cluster's
-/// injector, its clock pinned to `epoch` here, before any node runs, and a
-/// [`Remake`] drawn from the launch factory. `None` for a plain cluster.
+/// What a chaotic live node holds besides a plain one's state: the plan its
+/// crash gate and link fates read, and what rebuilds its replica after an
+/// amnesia crash.
+pub type Chaos<R> = (Arc<FaultPlan>, Remake<R>);
+
+/// A chaotic cluster's [`Chaos`], its [`Remake`] drawn from the launch
+/// factory (`None` for a plain cluster); and the base of the node seeds,
+/// the chaotic launch's `seed` or else the transport's `plain` one: node
+/// `i` seeds its stream with `base + i`.
 pub(crate) fn chaos<F: ReplicaFactory + Send + Sync + 'static>(
-    faults: Option<Arc<FaultInjector>>,
+    faults: Option<(FaultPlan, u64)>,
     factory: &Arc<F>,
-    epoch: Instant,
-) -> Option<(Arc<FaultInjector>, Remake<F::R>)> {
-    let inj = faults?;
-    inj.start(epoch);
+    plain: u64,
+) -> (Option<Chaos<F::R>>, u64) {
+    let Some((plan, seed)) = faults else {
+        return (None, plain);
+    };
     let factory = Arc::clone(factory);
     let remake: Remake<F::R> = Arc::new(move |id| factory.make(id));
-    Some((inj, remake))
+    (Some((Arc::new(plan), remake)), seed)
 }
 
 /// How long a node goes without an event before the replica gets a storage
@@ -110,6 +125,12 @@ pub trait Outbound<M>: Send + 'static {
     fn to_self(&mut self, after: Nanos, ev: NodeEvent<M>) -> Option<NodeEvent<M>> {
         let _ = after;
         Some(ev)
+    }
+    /// The cluster's loss ledger, which the node charges what it loses
+    /// itself. `None`, the default, for the simulator, which lends each
+    /// call a registry instead ([`Lend::metrics`]).
+    fn drops(&self) -> Option<&DropCounters> {
+        None
     }
 }
 
@@ -160,7 +181,7 @@ struct NodeCtx<'a, M, O: Outbound<M>> {
     epoch: Instant,
     tokens: &'a mut u64,
     rng: &'a mut Rng64,
-    faults: Option<&'a FaultInjector>,
+    faults: Option<&'a FaultPlan>,
     delayed: &'a mut DelayQueue<M>,
     links: &'a mut LinkOrder<Instant>,
     metrics: Option<&'a mut MetricsRegistry>,
@@ -181,18 +202,27 @@ impl<M: Clone, O: Outbound<M>> NodeCtx<'_, M, O> {
         if to == self.id {
             return self.local(Nanos::ZERO, NodeEvent::Wire(env));
         }
-        let Some(inj) = self.faults else {
+        let Some(plan) = self.faults else {
             return self.out.to_node(to, env);
         };
         let now = Instant::now();
-        let at = match inj.decide_link(self.id, to) {
-            LinkDecision::Deliver => now,
-            LinkDecision::Drop => return inj.drops().record(DropCause::Fault),
-            LinkDecision::DeliverAfter(delay) => now + delay,
+        let at = match plan.message_fate(self.id, to, clock(self.now, self.epoch), self.rng) {
+            MsgFate::Dropped => return self.lose(DropCause::Fault, 1),
+            MsgFate::Deliver { extra_delay } => now + Duration::from_nanos(extra_delay.0),
         };
         let at = self.links.arrival(self.id, to, at);
         self.delayed.entry(at).or_default().push((to, env));
         release(self.delayed, &mut *self.out, now);
+    }
+
+    /// Charges `n` losses to `cause`: in the registry lent to the call, or
+    /// else in the cluster's ledger, if the substrate keeps one.
+    fn lose(&mut self, cause: DropCause, n: u64) {
+        if let Some(m) = &mut self.metrics {
+            m.add_drop(cause, n);
+        } else if let Some(ledger) = self.out.drops() {
+            ledger.record_n(cause, n);
+        }
     }
 
     /// Sends `msg` to each of `to`: in one call unless a plan decides each
@@ -265,9 +295,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static, O: Outbound<M>> Context<M> for
         }
     }
     fn count_drop(&mut self, cause: DropCause, n: u64) {
-        if let Some(m) = &mut self.metrics {
-            m.add_drop(cause, n);
-        }
+        self.lose(cause, n);
     }
     /// Reads the clock only when there is a ring to record in.
     fn trace(&mut self, stage: TraceStage, req: RequestId) {
@@ -310,10 +338,10 @@ fn dispatch<R: Replica, O: Outbound<R::Msg>>(
 }
 
 /// One replica and the state its handlers run against, driven one event at
-/// a time. Every call on the replica asks the node's [`CrashGate`] (in
-/// [`FaultInjector::now`], or at [`Lend::now`]): inside a crash window it
-/// is discarded, a message or request charged to [`DropCause::Crashed`];
-/// the first call after one thaws the node through
+/// a time. Every call on the replica asks the node's [`CrashGate`] (at the
+/// node's clock since its cluster's launch, or at [`Lend::now`]): inside a
+/// crash window it is discarded, a message or request charged to
+/// [`DropCause::Crashed`]; the first call after one thaws the node through
 /// [`paxi_core::faults::CrashMode::thaw`]; the node's links to its peers
 /// outlive the crash. Fault-delayed envelopes leave from [`Node::advance`]
 /// even while the node is frozen: they are in flight. Armed timers are the
@@ -333,7 +361,7 @@ pub struct Node<R: Replica, O: Outbound<R::Msg>> {
     /// Timer tokens handed out so far.
     tokens: u64,
     rng: Rng64,
-    faults: Option<(Arc<FaultInjector>, Remake<R>)>,
+    faults: Option<Chaos<R>>,
     /// The node's crash lifecycle.
     gate: CrashGate,
     delayed: DelayQueue<R::Msg>,
@@ -360,7 +388,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
         out: O,
         epoch: Instant,
         seed: u64,
-        faults: Option<(Arc<FaultInjector>, Remake<R>)>,
+        faults: Option<Chaos<R>>,
     ) -> Self {
         Node::build(id, replica, peers, Some(inbox_tx), out, epoch, seed, faults)
     }
@@ -381,7 +409,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
         out: O,
         epoch: Instant,
         seed: u64,
-        faults: Option<(Arc<FaultInjector>, Remake<R>)>,
+        faults: Option<Chaos<R>>,
     ) -> Self {
         peers.retain(|&p| p != id);
         Node {
@@ -420,7 +448,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
             epoch: self.epoch,
             tokens: &mut self.tokens,
             rng: rng.unwrap_or(&mut self.rng),
-            faults: self.faults.as_ref().map(|(inj, _)| &**inj),
+            faults: self.faults.as_ref().map(|(plan, _)| &**plan),
             delayed: &mut self.delayed,
             links: &mut self.links,
             metrics,
@@ -440,9 +468,9 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
         lost: bool,
         call: impl FnOnce(&mut R, &mut NodeCtx<'_, R::Msg, O>),
     ) -> bool {
-        let (inj, own) = self.faults.as_ref().map(|(i, r)| (i, r)).unzip();
+        let (plan, own) = self.faults.as_ref().map(|(p, r)| (&**p, r)).unzip();
         let gate = lend.as_ref().map(|l| (l.plan, l.now));
-        let gate = gate.or_else(|| inj.map(|inj| (inj.plan(), inj.now())));
+        let gate = gate.or_else(|| plan.map(|plan| (plan, clock(None, self.epoch))));
         let admit = gate.map_or(Admit::Run, |(plan, t)| self.gate.admit(plan, self.id, t));
         let own = own.filter(|_| matches!(admit, Admit::Thaw(_))).cloned();
         let lent = lend.as_ref().map(|l| l.remake);
@@ -450,10 +478,7 @@ impl<R: Replica, O: Outbound<R::Msg>> Node<R, O> {
         let (replica, mut ctx) = self.split(lend);
         match admit {
             Admit::Discard if lost => {
-                if let Some(inj) = ctx.faults {
-                    inj.drops().record(DropCause::Crashed);
-                }
-                ctx.count_drop(DropCause::Crashed, 1);
+                ctx.lose(DropCause::Crashed, 1);
                 return false;
             }
             Admit::Discard => return false,
@@ -642,11 +667,13 @@ mod tests {
         }
     }
 
-    /// Records the peers the runtime sent to, and each frame as `to kind`.
+    /// Records the peers the runtime sent to, and each frame as `to kind`;
+    /// keeps the ledger the node charges its losses to.
     #[derive(Default)]
     struct Links {
         sent: Vec<NodeId>,
         frames: Vec<String>,
+        drops: DropCounters,
     }
 
     impl Outbound<()> for Links {
@@ -659,6 +686,9 @@ mod tests {
             self.frames.push(format!("{to} {kind}"));
         }
         fn to_client(&mut self, _client: ClientId, _resp: ClientResponse) {}
+        fn drops(&self) -> Option<&DropCounters> {
+            Some(&self.drops)
+        }
     }
 
     fn n(i: u8) -> NodeId {
@@ -677,7 +707,9 @@ mod tests {
 
     struct Rig {
         node: Node<Recording, Links>,
-        inj: Arc<FaultInjector>,
+        plan: FaultPlan,
+        /// The origin of the node's clock.
+        epoch: Instant,
         log: Log,
         remade: Log,
     }
@@ -695,39 +727,44 @@ mod tests {
 
         /// Node 0 of three under `plan`, its clock started now.
         fn with(plan: FaultPlan) -> Rig {
-            let inj = FaultInjector::new(plan, 1);
             let (log, remade): (Log, Log) = Default::default();
             let (tx, _rx) = channel();
             let remake: Remake<Recording> = {
                 let remade = Arc::clone(&remade);
                 Arc::new(move |_| Recording(Arc::clone(&remade)))
             };
+            let epoch = Instant::now();
             let node = Node::new(
                 n(0),
                 Recording(Arc::clone(&log)),
                 vec![n(0), n(1), n(2)],
                 tx,
                 Links::default(),
-                Instant::now(),
+                epoch,
                 7,
-                Some((Arc::clone(&inj), remake)),
+                Some((Arc::new(plan.clone()), remake)),
             );
-            inj.start(Instant::now());
             Rig {
                 node,
-                inj,
+                plan,
+                epoch,
                 log,
                 remade,
             }
         }
 
-        /// What the node has sent so far.
+        /// What the node has sent and lost so far.
         fn links(&mut self) -> &Links {
             self.node.out()
         }
 
+        /// The node's clock: plan time.
+        fn now(&self) -> Nanos {
+            clock(None, self.epoch)
+        }
+
         fn wait_for_thaw(&self) {
-            while self.inj.is_crashed(n(0)) {
+            while self.plan.is_crashed(n(0), self.now()) {
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
@@ -774,8 +811,8 @@ mod tests {
             rig.log.lock().unwrap().is_empty(),
             "a frozen node runs no handler"
         );
-        assert_eq!(rig.inj.drops().get(DropCause::Crashed), 2);
-        assert_eq!(rig.inj.drops().total(), 2);
+        assert_eq!(rig.links().drops.get(DropCause::Crashed), 2);
+        assert_eq!(rig.links().drops.total(), 2);
         // Shutdown is honored, crashed or not.
         assert!(!rig.node.handle(Some(NodeEvent::Wire(Envelope::Shutdown))));
     }
@@ -869,12 +906,12 @@ mod tests {
             rig.node.parts().1.broadcast(());
         }
         assert_eq!(rig.links().sent, [n(1); 4]);
-        assert_eq!(rig.inj.drops().get(DropCause::Fault), 4);
-        assert_eq!(rig.inj.drops().total(), 4);
+        assert_eq!(rig.links().drops.get(DropCause::Fault), 4);
+        assert_eq!(rig.links().drops.total(), 4);
         // Healthy links charge nothing.
         rig.node.parts().1.send(n(1), ());
         assert_eq!(rig.links().sent.len(), 5);
-        assert_eq!(rig.inj.drops().total(), 4);
+        assert_eq!(rig.links().drops.total(), 4);
     }
 
     #[test]
@@ -905,7 +942,7 @@ mod tests {
             rig.log.lock().unwrap().is_empty(),
             "the frozen node ran nothing"
         );
-        assert_eq!(rig.inj.drops().total(), 0);
+        assert_eq!(rig.links().drops.total(), 0);
     }
 
     #[test]
@@ -916,7 +953,7 @@ mod tests {
         rig.node.parts().1.send(n(1), ());
         let release = *rig.node.delayed.keys().next().expect("held in the node");
         // The rule lifts: the next frame to 0.1 is not slowed itself...
-        while rig.inj.now() < window {
+        while rig.now() < window {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(release > Instant::now(), "the first frame is still held");
@@ -938,7 +975,7 @@ mod tests {
             "in send order, at the slowed frame's deadline"
         );
         assert!(rig.node.delayed.is_empty());
-        assert_eq!(rig.inj.drops().total(), 0);
+        assert_eq!(rig.links().drops.total(), 0);
     }
 
     /// Broadcasts on every message; its membership view leaves 0.2 out.
@@ -1020,7 +1057,7 @@ mod tests {
             rig.log.lock().unwrap().is_empty(),
             "a frozen node runs no handler"
         );
-        assert_eq!(rig.inj.drops().total(), 0, "a timer is not a message");
+        assert_eq!(rig.links().drops.total(), 0, "a timer is not a message");
         rig.wait_for_thaw();
         assert!(rig.node.handle(msg()));
         rig.node.advance(Instant::now() + Duration::from_secs(1));

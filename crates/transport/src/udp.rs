@@ -12,11 +12,11 @@
 //! forwarded ones, relaying responses back hop by hop.
 
 use crate::envelope::Envelope;
-use crate::faults::FaultInjector;
 use crate::obs::{log_drop_once, DropCounters};
 use crate::runtime::{chaos, run_node, shut_down, Node, NodeEvent, Outbound};
 use paxi_core::command::{ClientResponse, Command};
 use paxi_core::config::ClusterConfig;
+use paxi_core::faults::FaultPlan;
 use paxi_core::id::{ClientId, NodeId, RequestId};
 use paxi_core::obs::DropCause;
 use paxi_core::traits::{Replica, ReplicaFactory};
@@ -186,6 +186,9 @@ impl<M: Serialize + DeserializeOwned + Clone + std::fmt::Debug + Send + 'static>
     fn to_client(&mut self, _client: ClientId, resp: ClientResponse) {
         self.net.deliver_response::<M>(&resp);
     }
+    fn drops(&self) -> Option<&DropCounters> {
+        Some(&self.net.drops)
+    }
 }
 
 /// A running UDP cluster on localhost.
@@ -214,25 +217,27 @@ where
         Self::launch_inner(cluster, factory, None)
     }
 
-    /// Like [`UdpCluster::launch`], but with fault injection applied inside
-    /// the transport: node→node datagrams pass through the injector's plan
-    /// (Drop / Flaky / Slow) and crashed nodes freeze until their windows
-    /// end, measured from this call.
+    /// Like [`UdpCluster::launch`], but under `plan`, applied inside the
+    /// transport: node→node datagrams pass through its link rules (Drop /
+    /// Flaky / Slow) and crashed nodes freeze until their windows end,
+    /// measured from this call. Node `i` draws from a stream seeded
+    /// `seed + i`.
     pub fn launch_chaotic<F>(
         cluster: ClusterConfig,
         factory: F,
-        injector: Arc<FaultInjector>,
+        plan: FaultPlan,
+        seed: u64,
     ) -> std::io::Result<Self>
     where
         F: ReplicaFactory<R = R> + Send + Sync + 'static,
     {
-        Self::launch_inner(cluster, factory, Some(injector))
+        Self::launch_inner(cluster, factory, Some((plan, seed)))
     }
 
     fn launch_inner<F>(
         cluster: ClusterConfig,
         factory: F,
-        faults: Option<Arc<FaultInjector>>,
+        faults: Option<(FaultPlan, u64)>,
     ) -> std::io::Result<Self>
     where
         F: ReplicaFactory<R = R> + Send + Sync + 'static,
@@ -253,7 +258,7 @@ where
         let peer_by_addr: Arc<HashMap<SocketAddr, NodeId>> =
             Arc::new(addrs.iter().map(|(&n, &a)| (a, n)).collect());
         let epoch = Instant::now();
-        let chaos = chaos(faults, &factory, epoch);
+        let (chaos, seed) = chaos(faults, &factory, 0xD06);
         let mut inboxes = Vec::new();
         let mut handles = Vec::new();
         let mut receivers = Vec::new();
@@ -283,7 +288,7 @@ where
                 net,
                 _marker: std::marker::PhantomData,
             };
-            let seed = 0xD06 + i as u64;
+            let seed = seed.wrapping_add(i as u64);
             let node = Node::new(id, replica, peers, tx, out, epoch, seed, chaos.clone());
             let handle = std::thread::Builder::new()
                 .name(format!("paxi-udp-node-{}", id.pack()))
@@ -308,10 +313,10 @@ where
         self.dropped_oversize.load(Ordering::Relaxed)
     }
 
-    /// Per-cause ledger of every envelope this cluster's sockets dropped
-    /// (encode failures, oversize datagrams, missing reply routes).
-    /// Fault-injected link and crash drops are charged to the
-    /// [`FaultInjector`]'s own counters instead.
+    /// Per-cause ledger of every envelope this cluster lost: what its
+    /// sockets dropped (encode failures, oversize datagrams, missing reply
+    /// routes), what its nodes' plan dropped or discarded, and what its
+    /// replicas charged themselves.
     pub fn drops(&self) -> &DropCounters {
         &self.drops
     }

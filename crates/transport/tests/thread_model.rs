@@ -13,7 +13,7 @@ use paxi_core::faults::FaultPlan;
 use paxi_core::id::NodeId;
 use paxi_core::time::Nanos;
 use paxi_protocols::paxos::{paxos_cluster, PaxosConfig};
-use paxi_transport::{FaultInjector, TcpCluster};
+use paxi_transport::TcpCluster;
 use std::time::{Duration, Instant};
 
 /// Names of this process's threads (the kernel keeps the first 15 bytes).
@@ -81,7 +81,8 @@ fn three_nodes_are_three_threads_whatever_connects() {
     let run = TcpCluster::launch_chaotic(
         cluster.clone(),
         paxos_cluster(cluster, PaxosConfig::default()),
-        FaultInjector::new(plan, 1),
+        plan,
+        1,
     )
     .expect("launch");
     let mut client = run.client(NodeId::new(0, 0)).expect("connect");

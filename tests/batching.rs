@@ -314,20 +314,8 @@ fn batch_of_one_matches_the_unbatched_determinism_fingerprint() {
             "paxos batched(1) diverged from stock at seed {seed}"
         );
 
-        let stock = fingerprint(
-            &Proto::Raft {
-                cfg: RaftConfig::default(),
-                cpu_penalty: 1.0,
-            },
-            seed,
-        );
-        let batched = fingerprint(
-            &Proto::Raft {
-                cfg: RaftConfig::batched(1),
-                cpu_penalty: 1.0,
-            },
-            seed,
-        );
+        let stock = fingerprint(&Proto::Raft(RaftConfig::default()), seed);
+        let batched = fingerprint(&Proto::Raft(RaftConfig::batched(1)), seed);
         assert_eq!(
             batched, stock,
             "raft batched(1) diverged from stock at seed {seed}"

@@ -1,15 +1,18 @@
 //! Chaos on the wall-clock transports: the live counterpart of the
 //! simulator's fault injection.
 //!
-//! The same `FaultPlan` type drives both worlds. These tests check (a) the
-//! decision layer is *identical* — a fixed seed yields the same message
-//! fates whether the plan is consulted by the simulator or by the
-//! transport's `FaultInjector`, and one plan takes a simulated and a live
-//! node through the same crash lifecycle — and (b) a real cluster under `launch_chaotic`
-//! stays linearizable through crashes, flaky links, and partitions, and
-//! frozen nodes rejoin after their windows end.
+//! The same `FaultPlan` drives both worlds, through the same functions: a
+//! live node's crash gate and link fates call what a simulated node's do.
+//! These tests check (a) that one plan takes a simulated and a live node
+//! through the same crash lifecycle, (b) that a real cluster under
+//! `launch_chaotic` stays linearizable through crashes, flaky links, and
+//! partitions, and frozen nodes rejoin after their windows end, and (c)
+//! that a live cluster keeps one loss ledger: what the transport sheds,
+//! what the plan drops or a crashed node discards, and what a replica
+//! charges itself all show in `drops()`.
 
 use paxi::bench::check_linearizability;
+use paxi::core::obs::DropCause;
 use paxi::core::{
     ClientRequest, ClientResponse, ClusterConfig, Command, Context, FaultPlan, Nanos, NodeId,
     Replica,
@@ -18,9 +21,7 @@ use paxi::protocols::paxos::{paxos_cluster, PaxosConfig};
 use paxi::sim::client::uniform_workload;
 use paxi::sim::{OpRecord, SimConfig, Simulator};
 use paxi::transport::runtime::{Node, Outbound};
-use paxi::transport::{Envelope, FaultInjector, InProcCluster, LinkDecision, Remake, TcpCluster};
-use paxi_core::dist::Rng64;
-use paxi_core::faults::MsgFate;
+use paxi::transport::{DropCounters, Envelope, InProcCluster, Remake, TcpCluster};
 use paxi_core::id::ClientId;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -29,45 +30,32 @@ fn n(i: u8) -> NodeId {
     NodeId::new(0, i)
 }
 
-/// The sim consults `FaultPlan::message_fate` with its seeded RNG; the
-/// transports consult `FaultInjector::decide_link_at` built from the same
-/// plan and seed. For any shared query sequence the fates must agree —
-/// this is what makes a live chaos run interpretable in sim terms.
-#[test]
-fn injector_fates_match_sim_fates_for_a_fixed_seed() {
-    let mut plan = FaultPlan::new();
-    plan.crash(n(3), Nanos::millis(100), Nanos::millis(400));
-    plan.drop_link(n(0), n(1), Nanos::ZERO, Nanos::secs(2));
-    plan.flaky_link(n(1), n(2), 0.35, Nanos::millis(50), Nanos::secs(2));
-    plan.slow_link(n(2), n(0), Nanos::millis(2), Nanos::ZERO, Nanos::secs(2));
+/// Plan time as a test reads it. A cluster pins its clock somewhere inside
+/// its launch call, so plan time is at least the time since `after` that
+/// call and at most the time since `before` it.
+#[derive(Clone, Copy)]
+struct Clock {
+    before: Instant,
+    after: Instant,
+}
 
-    for seed in [1u64, 7, 1234] {
-        let inj = FaultInjector::new(plan.clone(), seed);
-        let mut sim_rng = Rng64::seed(seed);
-        for q in 0..1_000u64 {
-            let (src, dst) = match q % 4 {
-                0 => (n(0), n(1)),
-                1 => (n(1), n(2)),
-                2 => (n(2), n(0)),
-                _ => (n(1), n(0)),
-            };
-            let t = Nanos::millis(q * 3 % 2_000);
-            let sim_fate = plan.message_fate(src, dst, t, &mut sim_rng);
-            let live = inj.decide_link_at(src, dst, t);
-            let expected = match sim_fate {
-                MsgFate::Dropped => LinkDecision::Drop,
-                MsgFate::Deliver { extra_delay } if extra_delay == Nanos::ZERO => {
-                    LinkDecision::Deliver
-                }
-                MsgFate::Deliver { extra_delay } => {
-                    LinkDecision::DeliverAfter(Duration::from_nanos(extra_delay.0))
-                }
-            };
-            assert_eq!(
-                live, expected,
-                "seed {seed} query {q} {src}->{dst} at {t:?}"
-            );
-        }
+impl Clock {
+    /// The clock of the cluster `launch` starts.
+    fn around<T>(launch: impl FnOnce() -> T) -> (T, Clock) {
+        let before = Instant::now();
+        let run = launch();
+        let after = Instant::now();
+        (run, Clock { before, after })
+    }
+
+    /// Plan time, never ahead of the cluster's.
+    fn now(&self) -> Nanos {
+        Nanos(self.after.elapsed().as_nanos() as u64)
+    }
+
+    /// Plan time, never behind the cluster's.
+    fn latest(&self) -> Nanos {
+        Nanos(self.before.elapsed().as_nanos() as u64)
     }
 }
 
@@ -125,25 +113,15 @@ fn the_simulator_and_a_live_node_run_the_same_crash_lifecycle() {
     sim.run();
 
     let live_log = Hooks::default();
-    let inj = FaultInjector::new(plan, 1);
     let remake: Remake<Lifecycle> = Arc::new(factory(&live_log));
     let (tx, _rx) = std::sync::mpsc::channel();
     let replica = Lifecycle(Arc::clone(&live_log));
-    let faults = Some((Arc::clone(&inj), remake));
-    let mut node = Node::new(
-        n(0),
-        replica,
-        vec![],
-        tx,
-        Nowhere,
-        Instant::now(),
-        1,
-        faults,
-    );
-    inj.start(Instant::now());
+    let faults = Some((Arc::new(plan), remake));
+    let epoch = Instant::now();
+    let mut node = Node::new(n(0), replica, vec![], tx, Nowhere, epoch, 1, faults);
     node.start();
     // The node's loop: a pass, then a nap no longer than a storage tick.
-    while inj.now() < horizon {
+    while epoch.elapsed() < Duration::from_nanos(horizon.0) {
         node.advance(Instant::now());
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -152,19 +130,19 @@ fn the_simulator_and_a_live_node_run_the_same_crash_lifecycle() {
     assert_eq!(*live_log.lock().unwrap(), *sim_log.lock().unwrap());
 }
 
-/// Drives one blocking client, recording every op with injector-relative
+/// Drives one blocking client, recording every op with plan-time
 /// timestamps so the offline checker can consume the history.
 fn drive(
     client: &mut paxi::transport::SyncClient<paxi::protocols::paxos::PaxosMsg>,
-    inj: &FaultInjector,
+    clock: Clock,
     ops: &mut Vec<OpRecord>,
     until: Nanos,
     key_base: u64,
 ) {
     let mut i = 0u64;
-    while inj.now() < until {
+    while clock.now() < until {
         let key = key_base + i % 3;
-        let invoke = inj.now();
+        let invoke = clock.now();
         if i.is_multiple_of(2) {
             let value = paxi::sim::client::unique_value(client.id(), i);
             let resp = client.put(key, value.clone());
@@ -175,7 +153,7 @@ fn drive(
                 write: Some(value),
                 read: None,
                 invoke,
-                ret: inj.now(),
+                ret: clock.now(),
                 ok,
             });
         } else {
@@ -187,7 +165,7 @@ fn drive(
                 write: None,
                 read: resp.map(|r| r.value),
                 invoke,
-                ret: inj.now(),
+                ret: clock.now(),
                 ok,
             });
         }
@@ -205,18 +183,16 @@ fn channel_cluster_stays_linearizable_through_crash_and_flaky_links() {
     plan.flaky_link(n(0), n(1), 0.3, Nanos::millis(100), Nanos::millis(600));
     plan.flaky_link(n(1), n(0), 0.3, Nanos::millis(100), Nanos::millis(600));
     plan.heal(Nanos::millis(800));
-    let injector = FaultInjector::new(plan, 0xC4A05);
 
-    let run = InProcCluster::launch_chaotic(
-        cluster.clone(),
-        paxos_cluster(cluster.clone(), PaxosConfig::default()),
-        injector.clone(),
-    );
+    let (run, clock) = Clock::around(|| {
+        let factory = paxos_cluster(cluster.clone(), PaxosConfig::default());
+        InProcCluster::launch_chaotic(cluster.clone(), factory, plan, 0xC4A05)
+    });
     let mut client = run.client(n(0));
     client.set_timeout(Duration::from_millis(300));
 
     let mut ops = Vec::new();
-    drive(&mut client, &injector, &mut ops, Nanos::millis(1_500), 0);
+    drive(&mut client, clock, &mut ops, Nanos::millis(1_500), 0);
 
     // Progress after the heal point.
     let heal = Nanos::millis(800);
@@ -238,6 +214,9 @@ fn channel_cluster_stays_linearizable_through_crash_and_flaky_links() {
 
     let anomalies = check_linearizability(&ops);
     assert!(anomalies.is_empty(), "anomalies: {anomalies:?}");
+    // The frozen follower discarded what reached it, on the one ledger.
+    assert!(run.drops().get(DropCause::Crashed) > 0);
+    assert_eq!(run.drops().get(DropCause::Unexplained), 0);
     run.shutdown();
 }
 
@@ -247,12 +226,12 @@ fn tcp_cluster_survives_flaky_links_under_injection() {
     let mut plan = FaultPlan::new();
     plan.flaky_link(n(0), n(1), 0.2, Nanos::ZERO, Nanos::millis(800));
     plan.flaky_link(n(1), n(0), 0.2, Nanos::ZERO, Nanos::millis(800));
-    let injector = FaultInjector::new(plan, 7);
 
     let run = TcpCluster::launch_chaotic(
         cluster.clone(),
         paxos_cluster(cluster.clone(), PaxosConfig::default()),
-        injector,
+        plan,
+        7,
     )
     .expect("launch");
     let mut client = run.client(n(0)).expect("client");
@@ -276,7 +255,7 @@ fn tcp_cluster_survives_flaky_links_under_injection() {
         assert_eq!(r.value, Some(vec![i as u8]), "key {i}");
     }
     // Every frame the chaos shed is attributed; nothing vanished silently.
-    assert_eq!(run.drops().get(paxi::core::obs::DropCause::Unexplained), 0);
+    assert_eq!(run.drops().get(DropCause::Unexplained), 0);
     let conns = run.conn_stats().clone();
     run.shutdown();
     assert_eq!(conns.opens(), conns.closes(), "no leaked connections");
@@ -292,12 +271,12 @@ fn tcp_cluster_batched_writer_delivers_frames_exactly_once_under_faults() {
     let mut plan = FaultPlan::new();
     plan.flaky_link(n(0), n(1), 0.2, Nanos::ZERO, Nanos::millis(800));
     plan.flaky_link(n(1), n(0), 0.2, Nanos::ZERO, Nanos::millis(800));
-    let injector = FaultInjector::new(plan, 7);
 
     let run = TcpCluster::launch_chaotic(
         cluster.clone(),
         paxos_cluster(cluster.clone(), PaxosConfig::batched(8)),
-        injector,
+        plan,
+        7,
     )
     .expect("launch");
     let mut client = run.client(n(0)).expect("client");
@@ -335,16 +314,12 @@ fn tcp_cluster_batched_writer_delivers_frames_exactly_once_under_faults() {
 }
 
 /// Writes `[i]` to key `i % 4` for i = 0, 1, … through `client`, each retried
-/// until it lands, until the injector's clock passes `until`. Returns how
-/// many writes landed.
-fn write_until(
-    client: &mut paxi::transport::TcpClient,
-    injector: &FaultInjector,
-    until: Nanos,
-) -> u64 {
+/// until it lands, until `clock` passes `until`. Returns how many writes
+/// landed.
+fn write_until(client: &mut paxi::transport::TcpClient, clock: Clock, until: Nanos) -> u64 {
     client.set_timeout(Duration::from_millis(300));
     let mut i = 0u64;
-    while injector.now() < until {
+    while clock.now() < until {
         let landed = (0..50).any(|_| client.put(i % 4, vec![i as u8]).is_some_and(|r| r.ok));
         assert!(landed, "put {i} never succeeded");
         i += 1;
@@ -360,19 +335,17 @@ fn tcp_frozen_follower_thaws_and_serves_its_own_client() {
     let cluster = ClusterConfig::lan(3);
     let mut plan = FaultPlan::new();
     plan.crash(n(2), Nanos::millis(100), Nanos::millis(300));
-    let injector = FaultInjector::new(plan, 11);
-    let run = TcpCluster::launch_chaotic(
-        cluster.clone(),
-        paxos_cluster(cluster.clone(), PaxosConfig::default()),
-        injector.clone(),
-    )
-    .expect("launch");
+    let (run, clock) = Clock::around(|| {
+        let factory = paxos_cluster(cluster.clone(), PaxosConfig::default());
+        TcpCluster::launch_chaotic(cluster.clone(), factory, plan, 11)
+    });
+    let run = run.expect("launch");
 
     // The other two keep committing while the victim is dark; what they
     // send it in the window is discarded there, on the ledger.
     let mut client = run.client(n(0)).expect("client");
-    write_until(&mut client, &injector, Nanos::millis(450));
-    let crashed = injector.drops().get(paxi::core::obs::DropCause::Crashed);
+    write_until(&mut client, clock, Nanos::millis(450));
+    let crashed = run.drops().get(DropCause::Crashed);
     assert!(crashed > 0, "the frozen node discarded what reached it");
 
     let mut via_thawed = run.client(n(2)).expect("client on the victim");
@@ -382,7 +355,7 @@ fn tcp_frozen_follower_thaws_and_serves_its_own_client() {
         via_thawed.get(99).expect("reply").value,
         Some(b"thawed".to_vec())
     );
-    assert_eq!(run.drops().get(paxi::core::obs::DropCause::Unexplained), 0);
+    assert_eq!(run.drops().get(DropCause::Unexplained), 0);
     run.shutdown();
 }
 
@@ -400,7 +373,6 @@ fn tcp_amnesiac_follower_is_rebuilt_from_its_wal_and_serves_its_own_client() {
     let cluster = ClusterConfig::lan(3);
     let mut plan = FaultPlan::new();
     plan.crash_amnesia(n(2), Nanos::millis(100), Nanos::millis(300));
-    let injector = FaultInjector::new(plan, 11);
     let disks: MemHub<NodeId> = MemHub::new(FsyncPolicy::Always);
     let built = Arc::new(AtomicUsize::new(0));
     let factory = {
@@ -412,11 +384,12 @@ fn tcp_amnesiac_follower_is_rebuilt_from_its_wal_and_serves_its_own_client() {
             r
         }
     };
-    let run = TcpCluster::launch_chaotic(cluster, factory, injector.clone()).expect("launch");
+    let (run, clock) = Clock::around(|| TcpCluster::launch_chaotic(cluster, factory, plan, 11));
+    let run = run.expect("launch");
     assert_eq!(built.load(Ordering::SeqCst), 3);
 
     let mut client = run.client(n(0)).expect("client");
-    let i = write_until(&mut client, &injector, Nanos::millis(450));
+    let i = write_until(&mut client, clock, Nanos::millis(450));
 
     let mut via_rebuilt = run.client(n(2)).expect("client on the victim");
     via_rebuilt.set_timeout(Duration::from_secs(5));
@@ -436,7 +409,7 @@ fn tcp_amnesiac_follower_is_rebuilt_from_its_wal_and_serves_its_own_client() {
         4,
         "the victim, and only it, was rebuilt"
     );
-    assert_eq!(run.drops().get(paxi::core::obs::DropCause::Unexplained), 0);
+    assert_eq!(run.drops().get(DropCause::Unexplained), 0);
     run.shutdown();
 }
 
@@ -449,7 +422,7 @@ const SLOW_UNTIL: Nanos = Nanos::millis(700);
 /// least this (seven standard deviations below the mean delay).
 const SLOWED_COMMIT_FLOOR: Nanos = Nanos::millis(12);
 
-fn slow_leader_links() -> std::sync::Arc<FaultInjector> {
+fn slow_leader_links() -> FaultPlan {
     let mut plan = FaultPlan::new();
     for follower in [n(1), n(2)] {
         for _ in 0..100 {
@@ -462,30 +435,29 @@ fn slow_leader_links() -> std::sync::Arc<FaultInjector> {
             );
         }
     }
-    FaultInjector::new(plan, 5)
+    plan
 }
 
 /// Puts through `execute`, on a client attached to the leader, from before
 /// the slow window to 200 ms past it: each must land on its first try, and
-/// each that starts and ends inside the window took at least the floor
-/// (no upper bound: the cores are shared). Then every key reads its last
-/// write.
+/// each that starts and ends inside the window, whatever instant inside its
+/// launch call the cluster's clock started at, took at least the floor (no
+/// upper bound: the cores are shared). Then every key reads its last write.
 fn put_through_the_slow_window(
-    injector: &FaultInjector,
+    clock: Clock,
     mut execute: impl FnMut(Command) -> Option<ClientResponse>,
 ) {
     let (mut i, mut slowed, mut after) = (0u64, 0, 0);
-    while injector.now() < SLOW_UNTIL + Nanos::millis(200) {
-        let invoke = injector.now();
+    while clock.now() < SLOW_UNTIL + Nanos::millis(200) {
+        let (invoke, start) = (clock.now(), Instant::now());
         let landed = execute(Command::put(i % 4, i.to_le_bytes().to_vec())).is_some_and(|r| r.ok);
-        let ret = injector.now();
+        let (ret, took) = (clock.latest(), start.elapsed());
         assert!(landed, "put {i} invoked at {invoke} was lost");
         if invoke >= SLOW_FROM && ret < SLOW_UNTIL {
             slowed += 1;
-            let took = ret - invoke;
             assert!(
-                took >= SLOWED_COMMIT_FLOOR,
-                "put {i} at {invoke} took {took}"
+                took >= Duration::from_nanos(SLOWED_COMMIT_FLOOR.0),
+                "put {i} at {invoke} took {took:?}"
             );
         }
         after += u32::from(invoke >= SLOW_UNTIL);
@@ -506,25 +478,79 @@ fn put_through_the_slow_window(
 /// cluster is back to normal after it — on the TCP runtime and in-process.
 #[test]
 fn slow_leader_links_delay_commits_and_lose_nothing() {
-    use paxi::core::obs::DropCause;
     let cluster = ClusterConfig::lan(3);
 
-    let injector = slow_leader_links();
-    let factory = paxos_cluster(cluster.clone(), PaxosConfig::default());
-    let run = TcpCluster::launch_chaotic(cluster.clone(), factory, injector.clone());
+    let (run, clock) = Clock::around(|| {
+        let factory = paxos_cluster(cluster.clone(), PaxosConfig::default());
+        TcpCluster::launch_chaotic(cluster.clone(), factory, slow_leader_links(), 5)
+    });
     let run = run.expect("launch");
     let mut client = run.client(n(0)).expect("client");
-    put_through_the_slow_window(&injector, |cmd| client.execute(cmd));
-    assert_eq!(injector.drops().get(DropCause::Fault), 0);
+    put_through_the_slow_window(clock, |cmd| client.execute(cmd));
+    assert_eq!(run.drops().get(DropCause::Fault), 0);
     assert_eq!(run.drops().get(DropCause::Unexplained), 0);
     run.shutdown();
 
-    let injector = slow_leader_links();
-    let factory = paxos_cluster(cluster.clone(), PaxosConfig::default());
-    let run = InProcCluster::launch_chaotic(cluster, factory, injector.clone());
+    let (run, clock) = Clock::around(|| {
+        let factory = paxos_cluster(cluster.clone(), PaxosConfig::default());
+        InProcCluster::launch_chaotic(cluster.clone(), factory, slow_leader_links(), 5)
+    });
     let mut client = run.client(n(0));
-    put_through_the_slow_window(&injector, |cmd| client.execute(cmd));
-    assert_eq!(injector.drops().get(DropCause::Fault), 0);
+    put_through_the_slow_window(clock, |cmd| client.execute(cmd));
+    assert_eq!(run.drops().get(DropCause::Fault), 0);
     assert_eq!(run.drops().get(DropCause::Unexplained), 0);
+    run.shutdown();
+}
+
+/// Answers each request it takes and broadcasts one message for it; takes
+/// each message it receives as a loss of its own, the way a replica
+/// charges a state-transfer chunk it cannot use.
+struct Charging;
+
+impl Replica for Charging {
+    type Msg = ();
+    fn on_message(&mut self, _from: NodeId, _msg: (), ctx: &mut dyn Context<()>) {
+        ctx.count_drop(DropCause::BadChunk, 1);
+    }
+    fn on_request(&mut self, req: ClientRequest, ctx: &mut dyn Context<()>) {
+        ctx.broadcast(());
+        ctx.reply(ClientResponse::ok(req.id, None));
+    }
+}
+
+/// Waits up to five seconds for `drops` to show `n` losses charged to
+/// `BadChunk`: the peers take the broadcast on their own threads, after
+/// the reply may have left.
+fn await_bad_chunks(drops: &DropCounters, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while drops.get(DropCause::BadChunk) < n && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(drops.get(DropCause::BadChunk), n);
+    assert_eq!(drops.total(), n, "nothing else was lost");
+}
+
+/// What a live replica charges through `count_drop` lands in its cluster's
+/// one ledger, beside the transport's own losses, on the channel and the
+/// TCP runtime: each request to node 0 reaches both peers as a message they
+/// charge.
+#[test]
+fn a_loss_a_live_replica_charges_lands_in_its_clusters_ledger() {
+    let cluster = ClusterConfig::lan(3);
+
+    let run = InProcCluster::launch(cluster.clone(), |_| Charging);
+    let mut client = run.client(n(0));
+    for key in 0..3 {
+        assert!(client.get(key).expect("reply").ok);
+    }
+    await_bad_chunks(run.drops(), 6);
+    run.shutdown();
+
+    let run = TcpCluster::launch(cluster, |_| Charging).expect("launch");
+    let mut client = run.client(n(0)).expect("client");
+    for key in 0..3 {
+        assert!(client.get(key).expect("reply").ok);
+    }
+    await_bad_chunks(run.drops(), 6);
     run.shutdown();
 }

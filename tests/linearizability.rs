@@ -73,10 +73,7 @@ fn epaxos_is_linearizable_under_contention() {
 #[test]
 fn raft_is_linearizable() {
     check(
-        Proto::Raft {
-            cfg: RaftConfig::default(),
-            cpu_penalty: 1.0,
-        },
+        Proto::Raft(RaftConfig::default()),
         ClusterConfig::lan(5),
         Topology::lan(),
     );
@@ -176,10 +173,7 @@ fn sharded_raft_keeps_groups_isolated() {
         measure: Nanos::secs(2),
         ..SimConfig::default()
     };
-    let raft = Proto::Raft {
-        cfg: RaftConfig::default(),
-        cpu_penalty: 1.0,
-    };
+    let raft = Proto::Raft(RaftConfig::default());
     let run = run_sharded(&raft, 2, sim, ClusterConfig::lan(5), 64, 3);
     assert!(run.report.completed > 300, "{run}");
     assert!(run.passed(), "{run}");

@@ -124,10 +124,7 @@ fn nemesis_vpaxos_two_seeds() {
 
 #[test]
 fn nemesis_raft_three_seeds() {
-    let raft = Proto::Raft {
-        cfg: RaftConfig::default(),
-        cpu_penalty: 1.0,
-    };
+    let raft = Proto::Raft(RaftConfig::default());
     nemesis_seeds(&raft, lan(), &[4, 9, 16], Default::default(), "");
 }
 
@@ -163,10 +160,7 @@ fn paxos_node_isolated_past_the_window_then_the_only_electable_one() {
 
 #[test]
 fn raft_node_isolated_past_the_window_then_the_only_electable_one() {
-    lagging_then_only_electable_is_clean(&Proto::Raft {
-        cfg: RaftConfig::default(),
-        cpu_penalty: 1.0,
-    });
+    lagging_then_only_electable_is_clean(&Proto::Raft(RaftConfig::default()));
 }
 
 #[test]

@@ -13,7 +13,7 @@ use paxi::core::dist::forall;
 use paxi::core::obs::DropCause;
 use paxi::core::{ClusterConfig, Command, FaultPlan, Nanos, NodeId};
 use paxi::protocols::paxos::{paxos_cluster, PaxosConfig};
-use paxi::transport::{FaultInjector, InProcCluster, TcpCluster};
+use paxi::transport::{InProcCluster, TcpCluster};
 use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
 
@@ -62,11 +62,11 @@ fn pipelined_chaos_run_matches_sequential_reference() {
         plan.flaky_link(n(0), n(1), 0.15, Nanos::ZERO, Nanos::millis(300));
         plan.flaky_link(n(1), n(0), 0.15, Nanos::ZERO, Nanos::millis(300));
         plan.heal(Nanos::millis(300));
-        let injector = FaultInjector::new(plan, seed);
         let run = TcpCluster::launch_chaotic(
             cluster.clone(),
             paxos_cluster(cluster.clone(), PaxosConfig::batched(8)),
-            injector,
+            plan,
+            seed,
         )
         .expect("launch");
         let mut client = run.client(n(0)).expect("client");

@@ -78,10 +78,7 @@ fn amnesia_nemesis_epaxos_seven_seeds() {
 
 #[test]
 fn amnesia_nemesis_raft_three_seeds() {
-    let raft = Proto::Raft {
-        cfg: RaftConfig::default(),
-        cpu_penalty: 1.0,
-    };
+    let raft = Proto::Raft(RaftConfig::default());
     amnesia_seeds(&raft, &[4, 9, 16], NemesisConfig::default());
 }
 

@@ -177,10 +177,7 @@ fn sharded_raft_nemesis_recovers_from_amnesia() {
         crash_mode: CrashMode::Amnesia,
         ..Default::default()
     };
-    let raft = Proto::Raft {
-        cfg: RaftConfig::default(),
-        cpu_penalty: 1.0,
-    };
+    let raft = Proto::Raft(RaftConfig::default());
     record(&[nemesis(&raft, Some(2), &cfg)]);
 }
 
